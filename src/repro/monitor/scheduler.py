@@ -1,4 +1,4 @@
-"""Per-tenant monitor lifecycle: attach, notify, watch, detach.
+"""Per-tenant monitor lifecycle: attach, notify, detach.
 
 The HTTP server owns exactly one :class:`MonitorScheduler`. It maps
 sessions to their :class:`~repro.monitor.monitors.MonitorSet`, creating
@@ -22,7 +22,7 @@ import threading
 import weakref
 
 from repro.monitor.journal import MonitorJournal
-from repro.monitor.monitors import WATCH_DEFAULT_TIMEOUT, MonitorSet
+from repro.monitor.monitors import MonitorSet
 from repro.obs import metrics as _obs
 from repro.service.session import ExplainerSession
 
@@ -97,15 +97,6 @@ class MonitorScheduler:
         monitors = self.peek(session)
         if monitors is not None:
             monitors.poke()
-
-    def watch(
-        self,
-        session: ExplainerSession,
-        cursor: int = 0,
-        timeout: float = WATCH_DEFAULT_TIMEOUT,
-    ) -> dict:
-        """Long-poll the session's alert stream (attaching if needed)."""
-        return self.ensure(session).watch(cursor=cursor, timeout=timeout)
 
     def drop(self, tenant: str) -> None:
         """Forget a tenant's set (its removal path closes the journal)."""

@@ -81,6 +81,28 @@ def _code_of(column, value) -> int:
         raise
 
 
+def _object(payload: Mapping, key: str) -> dict:
+    """``payload[key]`` as a dict; absent or empty reads as ``{}``."""
+    value = payload.get(key) or {}
+    if not isinstance(value, Mapping):
+        raise ValueError(f"{key!r} must be an object, got {value!r}")
+    return dict(value)
+
+
+def _number(value, what: str, kind: type = float):
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{what} must be a number, got {value!r}") from exc
+
+
+def _known_attribute(data, params: Mapping, kind: str) -> str:
+    attribute = params.get("attribute")
+    if not isinstance(attribute, str) or attribute not in data:
+        raise ValueError(f"{kind} monitor needs a known attribute, got {attribute!r}")
+    return attribute
+
+
 def encode_spec(lewis, payload: Mapping) -> dict:
     """Validate a registration payload and freeze it into code space.
 
@@ -96,7 +118,7 @@ def encode_spec(lewis, payload: Mapping) -> dict:
         raise ValueError(
             f"monitor kind must be one of {MONITOR_KINDS}, got {kind!r}"
         )
-    params = dict(payload.get("params") or {})
+    params = _object(payload, "params")
     metric = payload.get("metric") or METRICS[kind][0]
     if metric not in METRICS[kind]:
         raise ValueError(
@@ -107,18 +129,16 @@ def encode_spec(lewis, payload: Mapping) -> dict:
         "kind": kind,
         "metric": str(metric),
         "threshold": (
-            float(payload["threshold"])
+            _number(payload["threshold"], "threshold")
             if payload.get("threshold") is not None
             else None
         ),
-        "cusum": dict(payload["cusum"]) if payload.get("cusum") else None,
+        "cusum": _object(payload, "cusum") or None,
         "params": params,
     }
     data = lewis.data
     if kind == "score":
-        attribute = params.get("attribute")
-        if not attribute or attribute not in data:
-            raise ValueError(f"score monitor needs a known attribute, got {attribute!r}")
+        attribute = _known_attribute(data, params, kind)
         if "value" not in params or "baseline" not in params:
             raise ValueError("score monitor needs 'value' and 'baseline' params")
         col = data.column(attribute)
@@ -132,38 +152,41 @@ def encode_spec(lewis, payload: Mapping) -> dict:
             "baseline": baseline,
             "context": {
                 str(n): _code_of(data.column(n), v)
-                for n, v in (params.get("context") or {}).items()
+                for n, v in _object(params, "context").items()
             },
         }
     elif kind in ("fairness", "monotonicity"):
-        attribute = params.get("attribute")
-        if not attribute or attribute not in data:
-            raise ValueError(
-                f"{kind} monitor needs a known attribute, got {attribute!r}"
-            )
+        attribute = _known_attribute(data, params, kind)
         spec["coded"] = {
             "attribute": str(attribute),
             "context": {
                 str(n): _code_of(data.column(n), v)
-                for n, v in (params.get("context") or {}).items()
+                for n, v in _object(params, "context").items()
             },
         }
     else:  # recourse
-        actionable = list(params.get("actionable") or [])
-        if not actionable:
+        actionable = params.get("actionable")
+        if (
+            not isinstance(actionable, (list, tuple))
+            or not actionable
+            or not all(isinstance(a, str) for a in actionable)
+        ):
             raise ValueError("recourse monitor needs a non-empty actionable list")
         missing = [a for a in actionable if a not in data]
         if missing:
             raise KeyError(f"actionable attributes not in the data: {missing}")
-        alpha = float(params.get("alpha", 0.8))
+        alpha = _number(params.get("alpha", 0.8), "alpha")
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {alpha}")
         if params.get("indices") is not None:
-            indices = [int(i) for i in params["indices"]]
+            if not isinstance(params["indices"], (list, tuple)):
+                raise ValueError("indices must be a list of row indices")
+            indices = [_number(i, "indices", int) for i in params["indices"]]
         else:
-            size = min(
-                int(params.get("probe_size", DEFAULT_PROBE_SIZE)), MAX_PROBE_SIZE
+            size = _number(
+                params.get("probe_size", DEFAULT_PROBE_SIZE), "probe_size", int
             )
+            size = min(size, MAX_PROBE_SIZE)
             if size < 1:
                 raise ValueError(f"probe_size must be positive, got {size}")
             indices = [int(i) for i in lewis.negative_indices()[:size]]

@@ -16,67 +16,80 @@ The server runs in one of two modes (or both at once):
   that tenant's session (lazy-loaded from its snapshot + write-ahead
   log on first request), and ``/v1/registry/*`` manages the fleet.
 
-Every POST opens a trace at the edge: the generated ``request_id`` (==
-trace id) is echoed in success *and* error bodies, stamped into WAL
-records written on its behalf, and the finished trace — queue-wait,
-compute, chunk-solve and fsync spans included — is retrievable from
-``GET /v1/traces`` the moment the response is sent.  ``GET /metrics``
-exposes the process-wide metrics registry in Prometheus text format.
+:data:`ROUTES` is the only place a request path is matched, and every
+request, whatever its method, takes one dispatch path through it.
 
-Endpoints (all responses are JSON unless noted)::
+Every session POST opens a trace at the edge: the generated
+``request_id`` (== trace id) is echoed in success *and* error bodies,
+stamped into WAL records written on its behalf, and the finished trace —
+queue-wait, compute, chunk-solve and fsync spans included — is
+retrievable from ``GET /v1/traces`` the moment the response is sent.
+``GET /metrics`` exposes the process-wide metrics registry in Prometheus
+text format.
 
-    GET  /metrics              Prometheus text exposition (0.0.4)
-    GET  /v1/traces            finished traces, newest first
-                               ?min_ms=F&limit=N&slow=1&id=<trace_id>
-    GET  /healthz              process liveness; 200 even while draining
-    GET  /readyz               per-subsystem readiness (store writable,
-                               queue headroom, drain state); 503 when not
-    GET  /v1/health            liveness + session identity
-    GET  /v1/stats             cache / engine / scheduler statistics
-                               + metrics registry snapshot + tracer stats
-    POST /v1/explain/global    {"attributes"?, "max_pairs_per_attribute"?}
-    POST /v1/explain/context   {"context": {attr: value}, ...}
-    POST /v1/explain/local     {"index"? | "individual"?, "attributes"?}
-    POST /v1/explain/local_batch {"indices": [i, ...], "attributes"?}
-    POST /v1/recourse          {"index", "actionable"?, "alpha"?, "mode"?}
-    POST /v1/recourse/batch    {"indices"?, "actionable"?, "alpha"?, "mode"?, "workers"?}
-    POST /v1/audit             {"protected"?, "tolerance"?}
-    POST /v1/scores            {"contrasts": [[values, baselines], ...], "context"?}
-    POST /v1/update            {"insert": [row, ...], "delete": [index, ...]}
+Endpoints (all responses are JSON unless noted; ``[t]``: also served
+tenant-scoped as ``/v1/<tenant>/...``)::
 
-    POST   /v1/monitors        register a standing monitor
-                               {"kind": "score"|"fairness"|"monotonicity"|"recourse",
-                                "params": {...}, "metric"?, "threshold"?, "cusum"?}
-    GET    /v1/monitors        list monitors (baselines, summaries, cursors)
-    GET    /v1/monitors/<id>   one monitor's full state
-    DELETE /v1/monitors/<id>   deregister a monitor
-    GET    /v1/watch?cursor=N&timeout=S   long-poll for drift alerts newer
-                               than alert-seq N (timeout seconds, max 60)
-
-    GET    /v1/<tenant>/...            any endpoint above, tenant-scoped
-    GET    /v1/registry                tenant listing + load state
-    GET    /v1/registry/<tenant>       snapshots, manifest summary, stats
-    POST   /v1/registry/<tenant>/snapshot   checkpoint now (snapshot + WAL compaction)
-    POST   /v1/registry/<tenant>/evict      unload from memory (state stays on disk)
-    DELETE /v1/registry/<tenant>       remove tenant (snapshots + log)
-
-    GET    /v1/<tenant>/log?cursor=N&max=K  WAL shipping batch after seq N
-                               (epoch-stamped; cursor_valid=false means
-                               "resync from snapshot")
-    GET    /v1/registry/<tenant>/manifest   latest manifest, verbatim
+    GET    /healthz             process liveness; 200 even while draining
+    GET    /readyz              per-subsystem readiness (store writable,
+                                queue headroom, drain state); 503 when not
+    GET    /metrics             Prometheus text exposition (0.0.4)
+    GET    /v1/traces           finished traces, newest first
+                                ?min_ms=F&limit=N&slow=1&id=<trace_id>
+    GET    /v1/health       [t] liveness + session identity (?digest=1)
+    GET    /v1/stats        [t] cache / engine / scheduler statistics
+                                + metrics registry snapshot + tracer stats
+    GET    /v1/log          [t] WAL shipping batch after seq N:
+                                ?cursor=N&max=K (epoch-stamped;
+                                cursor_valid=false means "resync from
+                                snapshot")
+    GET    /v1/monitors     [t] list monitors (baselines, summaries, cursors)
+    GET    /v1/monitors/<id> [t] one monitor's full state
+    GET    /v1/watch        [t] long-poll for drift alerts newer than
+                                alert-seq N: ?cursor=N&timeout=S (max 60)
+    GET    /v1/registry                   tenant listing + load state
+    GET    /v1/registry/<tenant>          snapshots, manifest summary, stats
+    GET    /v1/registry/<tenant>/manifest latest manifest, verbatim
     GET    /v1/registry/<tenant>/object/<digest>  blob bytes (octet-stream)
-    GET    /v1/replication     role, epoch, per-tenant lag, tailer state
+    GET    /v1/replication      role, epoch, per-tenant lag, tailer state
+
+    POST   /v1/explain/global   [t] {"attributes"?, "max_pairs_per_attribute"?}
+    POST   /v1/explain/context  [t] {"context": {attr: value}, ...}
+    POST   /v1/explain/local    [t] {"index"? | "individual"?, "attributes"?}
+    POST   /v1/explain/local_batch [t] {"indices": [i, ...], "attributes"?}
+    POST   /v1/recourse         [t] {"index", "actionable"?, "alpha"?, "mode"?}
+    POST   /v1/recourse/batch   [t] {"indices"?, "actionable"?, "alpha"?,
+                                     "mode"?, "workers"?}
+    POST   /v1/audit            [t] {"protected"?, "tolerance"?}
+    POST   /v1/scores           [t] {"contrasts": [[values, baselines], ...],
+                                     "context"?}
+    POST   /v1/update           [t] {"insert": [row, ...], "delete": [index, ...]}
+    POST   /v1/monitors         [t] register a standing monitor {"kind":
+                                    "score"|"fairness"|"monotonicity"|"recourse",
+                                    "params": {...}, "metric"?, "threshold"?,
+                                    "cusum"?}
+    POST   /v1/registry/<tenant>/snapshot  checkpoint now (snapshot + WAL
+                                           compaction)
+    POST   /v1/registry/<tenant>/evict     unload from memory (state stays
+                                           on disk)
     POST   /v1/replication/promote   {"catchup_store"?, "reason"?} become leader
     POST   /v1/replication/retarget  {"leader_url"} follow a new leader
 
+    DELETE /v1/monitors/<id>    [t] deregister a monitor
+    DELETE /v1/registry/<tenant>    remove tenant (snapshots + log)
+
+``/healthz``, ``/readyz`` and ``/metrics`` also answer under ``/v1``.
 Followers (``serve --follow URL``) answer every read; writes return 503
 with the leader's URL.  Reads pinned with ``X-Repro-Min-State: <token>``
 are refused with 503 until the replica has applied the state the client
 last saw (read-your-writes across the fleet).
 
-Client errors (unknown attribute/label, malformed body) return 400 with
-``{"error": ...}``; unknown tenants/endpoints 404; unsupported
-conditioning events 422; infeasible recourse 409.  Start a server with
+One status map (:data:`ERROR_STATUS`) holds for every method: malformed
+requests, unknown attributes/labels and out-of-range rows 400; unknown
+tenants/objects/endpoints 404; infeasible recourse 409; unsupported
+conditioning events 422; a full request queue 429; draining, follower
+writes, unmet state pins and store trouble 503; expired deadlines 504;
+500 only for internal defects.  Start a server with
 ``python -m repro.cli serve`` or programmatically via
 :func:`create_server`; :func:`serve` installs SIGTERM/SIGINT handlers
 that stop accepting, drain in-flight requests, and close the store.
@@ -85,12 +98,15 @@ that stop accepting, drain in-flight requests, and close the store.
 from __future__ import annotations
 
 import json
+import math
 import os
 import signal
 import threading
 import time
+import traceback
+from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping, NamedTuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.obs import metrics as _obs
@@ -107,11 +123,11 @@ from repro.service.session import (
     ScoresRequest,
 )
 from repro.service.updates import TableDelta
+from repro.store.artifacts import RESERVED_TENANT_NAMES
 from repro.utils import deadline as _deadline
 from repro.utils.exceptions import (
     DeadlineExceededError,
     DegradedError,
-    DomainError,
     EstimationError,
     OverloadedError,
     RecourseInfeasibleError,
@@ -120,82 +136,130 @@ from repro.utils.exceptions import (
 
 MAX_BODY_BYTES = 8 << 20
 
+#: first path segments that can never be tenant names: tenant creation
+#: rejects exactly these, and every route's first segment is one of them
+RESERVED_SEGMENTS = RESERVED_TENANT_NAMES
+
+#: ``route`` label of every request no route matched, so arbitrary
+#: paths never become metric label values
+UNMATCHED = "unmatched"
+
 _obs.get_registry().declare(
     "repro_http_requests_total",
     "counter",
-    "HTTP requests served, by method and status code.",
+    "HTTP requests served, by method, route pattern and status code.",
 )
 _obs.get_registry().declare(
     "repro_http_request_seconds",
     "histogram",
-    "End-to-end HTTP request latency in seconds, by method.",
+    "End-to-end HTTP request latency in seconds, by method and route pattern.",
 )
 
-#: labelled-instrument cache: format the label suffix once per
-#: (method, status) / method, not once per request.
-_HTTP_COUNTERS: dict[tuple[str, int], Any] = {}
-_HTTP_HISTOGRAMS: dict[str, Any] = {}
+#: labelled-instrument cache: format the label suffixes once per
+#: (method, route, status), not once per request.
+_HTTP_INSTRUMENTS: dict[tuple[str, str, int], tuple[Any, Any]] = {}
 
 
-def _http_counter(method: str, status: int):
-    counter = _HTTP_COUNTERS.get((method, status))
-    if counter is None:
-        counter = _obs.get_registry().counter(
-            "repro_http_requests_total",
-            labels={"method": method, "status": str(status)},
+def _http_instruments(method: str, route: str, status: int) -> tuple[Any, Any]:
+    """``(request counter, latency histogram)`` for one label set."""
+    instruments = _HTTP_INSTRUMENTS.get((method, route, status))
+    if instruments is None:
+        labels = {"method": method, "route": route}
+        instruments = (
+            _obs.get_registry().counter(
+                "repro_http_requests_total",
+                labels={**labels, "status": str(status)},
+            ),
+            _obs.get_registry().histogram(
+                "repro_http_request_seconds", labels=labels
+            ),
         )
-        _HTTP_COUNTERS[(method, status)] = counter
-    return counter
-
-
-def _http_histogram(method: str):
-    histogram = _HTTP_HISTOGRAMS.get(method)
-    if histogram is None:
-        histogram = _obs.get_registry().histogram(
-            "repro_http_request_seconds", labels={"method": method}
-        )
-        _HTTP_HISTOGRAMS[method] = histogram
-    return histogram
-
-#: first path segments that can never be tenant names; tenant creation
-#: rejects them (``repro.store.artifacts.RESERVED_TENANT_NAMES`` — keep
-#: the two literals in sync; importing across the packages would cycle)
-RESERVED_SEGMENTS = {
-    "health",
-    "healthz",
-    "readyz",
-    "stats",
-    "explain",
-    "recourse",
-    "audit",
-    "scores",
-    "update",
-    "registry",
-    "monitors",
-    "watch",
-    "metrics",
-    "traces",
-    "obs",
-    "log",
-    "replication",
-    "v1",
-}
+        _HTTP_INSTRUMENTS[(method, route, status)] = instruments
+    return instruments
 
 
 class BadRequest(ValueError):
-    """Malformed request body (HTTP 400)."""
+    """Malformed request (HTTP 400)."""
 
 
 class NotFound(LookupError):
-    """Unknown endpoint or tenant (HTTP 404)."""
+    """Unknown endpoint, tenant or object (HTTP 404)."""
 
 
-def _opt_tuple(payload: Mapping[str, Any], key: str) -> tuple | None:
+class Unavailable(RuntimeError):
+    """Retryable refusal (HTTP 503): draining, a write sent to a follower,
+    or a read pinned to a state this replica has not reached.
+
+    ``fields`` join the error body, ``headers`` the response.
+    """
+
+    def __init__(
+        self, message: str, headers: Mapping[str, str] | None = None, **fields
+    ):
+        super().__init__(message)
+        self.headers = dict(headers or {})
+        self.fields = fields
+
+
+#: exception -> (status, message prefix) for every route and method; the
+#: first matching row wins, anything else is an internal defect (500).
+ERROR_STATUS: tuple[tuple[type, int, str], ...] = (
+    (NotFound, 404, ""),
+    (Unavailable, 503, ""),
+    # ValueError is the library's client-error convention (malformed
+    # deltas, bad selectors, missing actionables, unknown labels).
+    (ValueError, 400, ""),
+    (KeyError, 400, "unknown attribute: "),
+    (IndexError, 400, "row index out of range: "),
+    (RecourseInfeasibleError, 409, "recourse infeasible: "),
+    (EstimationError, 422, "unsupported conditioning event: "),
+    (OverloadedError, 429, "overloaded: "),
+    # The store is read-only degraded (failed write/fsync); the data is
+    # safe but this replica cannot accept the request.
+    (DegradedError, 503, "store degraded: "),
+    # transient persistence-layer contention (e.g. racing an eviction):
+    # the request is valid, a retry will succeed
+    (StoreError, 503, "store busy: "),
+    (DeadlineExceededError, 504, "deadline exceeded: "),
+)
+
+
+class Reply(NamedTuple):
+    """One response: a JSON-able body, or text/bytes with their type."""
+
+    status: int
+    body: Any
+    content_type: str = "application/json"
+    headers: Mapping[str, str] | None = None
+
+
+def _error_reply(exc: Exception, request_id: str) -> Reply:
+    """Map an exception through :data:`ERROR_STATUS` to its response."""
+    for kind, status, prefix in ERROR_STATUS:
+        if isinstance(exc, kind):
+            break
+    else:
+        status, prefix = 500, f"internal error: {type(exc).__name__}: "
+    body = {"error": f"{prefix}{exc}", "request_id": request_id}
+    headers: dict[str, str] = {}
+    if isinstance(exc, Unavailable):
+        body.update(exc.fields)
+        headers.update(exc.headers)
+    if status in (429, 503):
+        retry_s = exc.retry_after_s if isinstance(exc, OverloadedError) else 1
+        headers["Retry-After"] = str(max(1, int(round(retry_s))))
+    return Reply(status, body, headers=headers)
+
+
+# -- request bodies -> session request objects ----------------------------------
+
+
+def _names(payload: Mapping[str, Any], key: str) -> tuple[str, ...] | None:
     value = payload.get(key)
     if value is None:
         return None
-    if not isinstance(value, (list, tuple)):
-        raise BadRequest(f"{key!r} must be a list")
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise BadRequest(f"{key!r} must be a list of attribute names")
     return tuple(value)
 
 
@@ -205,117 +269,211 @@ def _as_int(value: Any, key: str) -> int:
     return int(value)
 
 
+def _as_index(value: Any, key: str) -> int:
+    index = _as_int(value, key)
+    if index < 0:
+        raise BadRequest(
+            f"{key!r} must hold non-negative row indices, got {index}"
+        )
+    return index
+
+
 def _as_number(value: Any, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise BadRequest(f"{key!r} must be a number")
+    if not math.isfinite(value):
+        raise BadRequest(f"{key!r} must be finite")
     return float(value)
 
 
 def _as_index_tuple(value: Any, key: str) -> tuple[int, ...]:
-    if not isinstance(value, (list, tuple)) or not value:
+    if not isinstance(value, list) or not value:
         raise BadRequest(f"{key!r} must be a non-empty list of row indices")
-    return tuple(_as_int(v, key) for v in value)
+    return tuple(_as_index(v, key) for v in value)
 
 
-def _as_mode(value: Any) -> str:
-    if value not in ("exact", "anytime"):
+def _explain_fields(payload: Mapping[str, Any]) -> dict[str, Any]:
+    """Fields shared by the global and the contextual explanation."""
+    max_pairs = _as_int(
+        payload.get("max_pairs_per_attribute", 8), "max_pairs_per_attribute"
+    )
+    if max_pairs < 1:
+        raise BadRequest('"max_pairs_per_attribute" must be >= 1')
+    return {
+        "attributes": _names(payload, "attributes"),
+        "max_pairs_per_attribute": max_pairs,
+    }
+
+
+def _recourse_fields(payload: Mapping[str, Any]) -> dict[str, Any]:
+    """Fields shared by single-row and cohort recourse."""
+    mode = payload.get("mode", "exact")
+    if mode not in ("exact", "anytime"):
         raise BadRequest('"mode" must be "exact" or "anytime"')
-    return str(value)
+    return {
+        "actionable": _names(payload, "actionable"),
+        "alpha": _as_number(payload.get("alpha", 0.8), "alpha"),
+        "mode": mode,
+    }
 
 
-def _build_request(path: str, payload: Mapping[str, Any]):
-    """Translate (endpoint, JSON body) into a session request object."""
-    if not isinstance(payload, Mapping):
-        raise BadRequest("request body must be a JSON object")
-    if path == "/v1/explain/global":
-        return GlobalExplainRequest(
-            attributes=_opt_tuple(payload, "attributes"),
-            max_pairs_per_attribute=_as_int(
-                payload.get("max_pairs_per_attribute", 8), "max_pairs_per_attribute"
-            ),
-        )
-    if path == "/v1/explain/context":
-        context = payload.get("context")
-        if not isinstance(context, Mapping) or not context:
-            raise BadRequest('"context" must be a non-empty object')
-        return ContextExplainRequest(
-            context=dict(context),
-            attributes=_opt_tuple(payload, "attributes"),
-            max_pairs_per_attribute=_as_int(
-                payload.get("max_pairs_per_attribute", 8), "max_pairs_per_attribute"
-            ),
-        )
-    if path == "/v1/explain/local":
-        index = payload.get("index")
-        individual = payload.get("individual")
-        if (index is None) == (individual is None):
-            raise BadRequest('pass exactly one of "index" / "individual"')
-        if individual is not None and not isinstance(individual, Mapping):
-            raise BadRequest('"individual" must be an object')
-        return LocalExplainRequest(
-            index=None if index is None else _as_int(index, "index"),
-            individual=dict(individual) if individual is not None else None,
-            attributes=_opt_tuple(payload, "attributes"),
-        )
-    if path == "/v1/explain/local_batch":
-        if "indices" not in payload:
-            raise BadRequest('"indices" is required')
-        return LocalExplainBatchRequest(
-            indices=_as_index_tuple(payload["indices"], "indices"),
-            attributes=_opt_tuple(payload, "attributes"),
-        )
-    if path == "/v1/recourse":
-        if "index" not in payload:
-            raise BadRequest('"index" is required')
-        return RecourseRequest(
-            index=_as_int(payload["index"], "index"),
-            actionable=_opt_tuple(payload, "actionable"),
-            alpha=_as_number(payload.get("alpha", 0.8), "alpha"),
-            mode=_as_mode(payload.get("mode", "exact")),
-        )
-    if path == "/v1/recourse/batch":
-        indices = payload.get("indices")
-        workers = payload.get("workers")
-        if workers is not None:
-            workers = _as_int(workers, "workers")
-            if workers < 0:
-                raise BadRequest('"workers" must be >= 0')
-        return RecourseBatchRequest(
-            indices=(
-                _as_index_tuple(indices, "indices")
-                if indices is not None
-                else None
-            ),
-            actionable=_opt_tuple(payload, "actionable"),
-            alpha=_as_number(payload.get("alpha", 0.8), "alpha"),
-            mode=_as_mode(payload.get("mode", "exact")),
-            workers=workers,
-        )
-    if path == "/v1/audit":
-        return AuditRequest(
-            protected=_opt_tuple(payload, "protected"),
-            tolerance=_as_number(payload.get("tolerance", 0.05), "tolerance"),
-        )
-    if path == "/v1/scores":
-        contrasts = payload.get("contrasts")
-        if not isinstance(contrasts, list) or not contrasts:
-            raise BadRequest('"contrasts" must be a non-empty list')
-        parsed = []
-        for entry in contrasts:
-            if (
-                not isinstance(entry, (list, tuple))
-                or len(entry) != 2
-                or not all(isinstance(side, Mapping) for side in entry)
-            ):
-                raise BadRequest(
-                    "each contrast must be a [values, baselines] pair of objects"
-                )
-            parsed.append((dict(entry[0]), dict(entry[1])))
-        context = payload.get("context", {})
-        if not isinstance(context, Mapping):
-            raise BadRequest('"context" must be an object')
-        return ScoresRequest(contrasts=tuple(parsed), context=dict(context))
-    raise NotFound(path)
+def _global_request(payload: Mapping[str, Any]) -> GlobalExplainRequest:
+    return GlobalExplainRequest(**_explain_fields(payload))
+
+
+def _context_request(payload: Mapping[str, Any]) -> ContextExplainRequest:
+    context = payload.get("context")
+    if not isinstance(context, Mapping) or not context:
+        raise BadRequest('"context" must be a non-empty object')
+    return ContextExplainRequest(context=dict(context), **_explain_fields(payload))
+
+
+def _local_request(payload: Mapping[str, Any]) -> LocalExplainRequest:
+    index = payload.get("index")
+    individual = payload.get("individual")
+    if (index is None) == (individual is None):
+        raise BadRequest('pass exactly one of "index" / "individual"')
+    if individual is not None and not isinstance(individual, Mapping):
+        raise BadRequest('"individual" must be an object')
+    return LocalExplainRequest(
+        index=None if index is None else _as_index(index, "index"),
+        individual=dict(individual) if individual is not None else None,
+        attributes=_names(payload, "attributes"),
+    )
+
+
+def _local_batch_request(payload: Mapping[str, Any]) -> LocalExplainBatchRequest:
+    if "indices" not in payload:
+        raise BadRequest('"indices" is required')
+    return LocalExplainBatchRequest(
+        indices=_as_index_tuple(payload["indices"], "indices"),
+        attributes=_names(payload, "attributes"),
+    )
+
+
+def _recourse_request(payload: Mapping[str, Any]) -> RecourseRequest:
+    if "index" not in payload:
+        raise BadRequest('"index" is required')
+    return RecourseRequest(
+        index=_as_index(payload["index"], "index"), **_recourse_fields(payload)
+    )
+
+
+def _recourse_batch_request(payload: Mapping[str, Any]) -> RecourseBatchRequest:
+    indices = payload.get("indices")
+    workers = payload.get("workers")
+    if workers is not None:
+        workers = _as_int(workers, "workers")
+        if workers < 0:
+            raise BadRequest('"workers" must be >= 0')
+    return RecourseBatchRequest(
+        indices=(
+            _as_index_tuple(indices, "indices") if indices is not None else None
+        ),
+        workers=workers,
+        **_recourse_fields(payload),
+    )
+
+
+def _audit_request(payload: Mapping[str, Any]) -> AuditRequest:
+    return AuditRequest(
+        protected=_names(payload, "protected"),
+        tolerance=_as_number(payload.get("tolerance", 0.05), "tolerance"),
+    )
+
+
+def _scores_request(payload: Mapping[str, Any]) -> ScoresRequest:
+    contrasts = payload.get("contrasts")
+    if not isinstance(contrasts, list) or not contrasts:
+        raise BadRequest('"contrasts" must be a non-empty list')
+    parsed = []
+    for entry in contrasts:
+        if (
+            not isinstance(entry, list)
+            or len(entry) != 2
+            or not all(isinstance(side, Mapping) for side in entry)
+        ):
+            raise BadRequest(
+                "each contrast must be a [values, baselines] pair of objects"
+            )
+        parsed.append((dict(entry[0]), dict(entry[1])))
+    context = payload.get("context", {})
+    if not isinstance(context, Mapping):
+        raise BadRequest('"context" must be an object')
+    return ScoresRequest(contrasts=tuple(parsed), context=dict(context))
+
+
+# -- the route table's row type and matcher ---------------------------------------
+
+
+@dataclass(frozen=True)
+class Route:
+    """One row of :data:`ROUTES`."""
+
+    method: str
+    #: ``/v1/...`` path; a ``{name}`` segment captures into ``params``
+    pattern: str
+    #: called with the request handler; returns a JSON-able dict or a Reply
+    handler: Callable[[ExplainerRequestHandler], Any]
+    #: the route also works under a tenant prefix (``/v1/<tenant>/...``)
+    session: bool = False
+    #: followers refuse it with 503 and ``leader_url``
+    write: bool = False
+    #: still served while the server drains
+    observability: bool = False
+    segments: tuple[str, ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        parts = [p for p in self.pattern.split("/") if p]
+        if parts[0] == "v1":
+            parts = parts[1:]
+        object.__setattr__(self, "segments", tuple(parts))
+
+    def match(self, parts: list[str]) -> dict[str, str] | None:
+        if len(parts) != len(self.segments):
+            return None
+        params = {}
+        for want, got in zip(self.segments, parts):
+            if want.startswith("{"):
+                params[want[1:-1]] = got
+            elif want != got:
+                return None
+        return params
+
+
+def _match(
+    method: str, path: str
+) -> tuple[Route | None, str | None, dict[str, str]]:
+    """``(route, tenant, params)``; ``route`` is ``None`` when no row matches.
+
+    The ``/v1`` prefix is optional; a first segment outside
+    :data:`RESERVED_SEGMENTS` names a tenant, and only session routes
+    match behind one.
+    """
+    parts = [p for p in path.split("/") if p]
+    if parts[:1] == ["v1"]:
+        parts = parts[1:]
+    tenant = None
+    if parts and parts[0] not in RESERVED_SEGMENTS:
+        tenant, parts = parts[0], parts[1:]
+    for route in ROUTES:
+        if route.method != method or (tenant is not None and not route.session):
+            continue
+        params = route.match(parts)
+        if params is not None:
+            return route, tenant, params
+    return None, None, {}
+
+
+def _found(call: Callable, *args, **kwargs):
+    """``call(...)``, answering a store miss (no such tenant or object) 404."""
+    try:
+        return call(*args, **kwargs)
+    except StoreError as exc:
+        raise NotFound(str(exc)) from exc
+
+
+# -- the server ------------------------------------------------------------------
 
 
 class ExplainerHTTPServer(ThreadingHTTPServer):
@@ -344,63 +502,183 @@ class ExplainerHTTPServer(ThreadingHTTPServer):
 
 
 class ExplainerRequestHandler(BaseHTTPRequestHandler):
-    """Routes HTTP requests to a session or a registry tenant."""
+    """Serves every request through :data:`ROUTES` and one dispatcher.
+
+    Like ``path`` and ``headers``, the matched ``route``, ``tenant``,
+    ``params``, ``query``, ``body`` and ``request_id`` are per-request
+    attributes, set by :meth:`_dispatch` before a route handler runs.
+    """
 
     server_version = "repro-explainer/2.0"
     protocol_version = "HTTP/1.1"
     #: socket timeout: bounds how long a drained shutdown can wait on an
     #: idle keep-alive connection.
     timeout = 30
+    #: headers and body leave in two writes; with Nagle's algorithm on,
+    #: each keep-alive response would wait out the client's delayed ACK.
+    disable_nagle_algorithm = True
     #: silence per-request stderr logging unless the server opts in.
     verbose = False
-
-    @property
-    def registry(self):
-        return self.server.registry  # type: ignore[attr-defined]
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         if self.verbose:
             super().log_message(format, *args)
 
-    # -- plumbing ----------------------------------------------------------
+    def do_GET(self) -> None:  # noqa: N802 - http.server API
+        self._dispatch()
 
-    def _observe_http(self, status: int) -> None:
-        """Count the request and observe its latency (flag-gated)."""
-        if not _obs.enabled():
-            return
-        method = str(getattr(self, "command", None) or "?")
-        _http_counter(method, int(status)).inc()
-        started = getattr(self, "_request_started", None)
-        if started is not None:
-            _http_histogram(method).observe(time.perf_counter() - started)
+    def do_POST(self) -> None:  # noqa: N802 - http.server API
+        self._dispatch()
 
-    def _send_text(
-        self,
-        status: int,
-        text: str,
-        content_type: str = "text/plain; charset=utf-8",
-    ) -> None:
-        body = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-        self._observe_http(status)
+    def do_DELETE(self) -> None:  # noqa: N802 - http.server API
+        self._dispatch()
 
-    def _send_json(
-        self,
-        status: int,
-        payload: dict,
-        headers: Mapping[str, str] | None = None,
-    ) -> None:
-        body = json.dumps(payload, default=str).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
+    # -- the one request path ------------------------------------------------
+
+    def _dispatch(self) -> None:
+        self._started = time.perf_counter()
+        # The request id doubles as the trace id: it is echoed in the
+        # response (success or error), stamped into WAL records written
+        # on this request's behalf, and keys the /v1/traces lookup.
+        self.request_id = _tracing.new_id()
+        self.route: Route | None = None
+        self._session: ExplainerSession | None = None
+        try:
+            reply = self._serve()
+        except Exception as exc:  # noqa: BLE001 - the one error boundary
+            reply = _error_reply(exc, self.request_id)
+            if reply.status == 500:
+                self.log_error(
+                    "internal error on %s %s:\n%s",
+                    self.command, self.path, traceback.format_exc(),
+                )
+        self._send(reply)
+
+    def _serve(self) -> Reply:
+        url = urlsplit(self.path)
+        route, self.tenant, self.params = _match(self.command, url.path)
+        self.route = route
+        # a malformed header is a 400 on every path, matched or not
+        deadline_ms = self._deadline_ms()
+        if route is None:
+            raise NotFound(f"unknown endpoint {self.command} {self.path!r}")
+        if self.server.draining and not route.observability:
+            raise Unavailable(
+                "server is draining; retry against a healthy replica"
+            )
+        manager = self.server.replication
+        if route.write and manager is not None and not manager.is_leader:
+            # The body names the leader so a client library can retarget
+            # without re-resolving topology out of band.
+            raise Unavailable(
+                f"this replica is a follower; {route.method} {route.pattern} "
+                "is a write and must go to the leader",
+                leader_url=manager.leader_url,
+            )
+        # last-wins flat view of the query string
+        self.query = {k: values[-1] for k, values in parse_qs(url.query).items()}
+        self.body = self._read_body()
+        if not (route.session and route.method == "POST"):
+            reply = self._call()
+            return reply if isinstance(reply, Reply) else Reply(200, reply)
+        session = self.session
+        min_state = self.headers.get("X-Repro-Min-State")
+        if min_state and not session.has_state(min_state):
+            # read-your-writes: this replica has not yet applied the
+            # state the client saw; let it retry here or pin to a
+            # replica that has caught up
+            raise Unavailable(
+                f"replica has not reached state {min_state!r} yet; retry "
+                "after replication catches up",
+                headers={"X-Repro-State": session.state_token},
+                state_token=session.state_token,
+            )
+        # The trace context closes before the response is sent, so a
+        # follow-up /v1/traces?id=<request_id> always finds it.  The
+        # deadline scope opens here so the budget covers queue wait
+        # and compute but not body parsing already done above.
+        with _deadline.scope(deadline_ms), _tracing.trace(
+            f"POST {route.pattern}",
+            trace_id=self.request_id,
+            tags={
+                "method": "POST", "route": route.pattern, "tenant": session.tenant
+            },
+        ):
+            response = self._call()
+        return Reply(200, self._envelope(response))
+
+    def _call(self):
+        """Run the route's handler; retry once on a just-evicted session."""
+        try:
+            return self.route.handler(self)
+        except StoreError as exc:
+            # The session may have been evicted (log sealed) between
+            # resolution and dispatch; one re-resolve gets the tenant's
+            # freshly restored session instead of bouncing a valid
+            # request back to the client.
+            if "sealed" not in str(exc) or self.tenant is None:
+                raise
+            self._session = None
+            return self.route.handler(self)
+
+    @property
+    def session(self) -> ExplainerSession:
+        """The addressed session (tenant or default), resolved on first use."""
+        if self._session is None:
+            if self.tenant is not None:
+                if self.server.registry is None:
+                    raise NotFound(f"unknown endpoint {self.path!r}")
+                self._session = _found(self.server.registry.get, self.tenant)
+            elif self.server.session is None:
+                raise NotFound(
+                    "no default session; address a tenant, e.g. /v1/<name>"
+                    + self.route.pattern.removeprefix("/v1")
+                )
+            else:
+                self._session = self.server.session
+        return self._session
+
+    def _envelope(self, response: dict) -> dict:
+        """Stamp state, request id and timings onto a session POST's answer."""
+        # elapsed_ms covers the whole handler — body read, micro-batcher
+        # queue wait, compute, serialization — while queue_ms/compute_ms
+        # break out the dispatch lane's share from the finished trace
+        # (both 0.0 on cache hits or with observability disabled).
+        queue_ms = compute_ms = 0.0
+        record = _tracing.get_tracer().get(self.request_id)
+        if record is not None:
+            for recorded in record["spans"]:
+                if recorded["name"] == "queue_wait":
+                    queue_ms += recorded["duration_ms"]
+                elif recorded["name"] == "compute":
+                    compute_ms += recorded["duration_ms"]
+        result = response.get("result")
+        if isinstance(result, Mapping) and result.get("degraded"):
+            # Hoist the degradation label so clients that only look at
+            # the envelope still see that this 200 is an anytime answer.
+            response["degraded"] = True
+            response["degraded_reason"] = result.get("degraded_reason")
+        response["table_version"] = self.session.table_version
+        response["state_token"] = self.session.state_token
+        response["request_id"] = self.request_id
+        response["elapsed_ms"] = round((time.perf_counter() - self._started) * 1e3, 3)
+        response["queue_ms"] = round(queue_ms, 3)
+        response["compute_ms"] = round(compute_ms, 3)
+        return response
+
+    def _send(self, reply: Reply) -> None:
+        """The one response writer: encode, frame, write, count."""
+        data = reply.body
+        if isinstance(data, str):
+            data = data.encode("utf-8")
+        elif not isinstance(data, bytes):
+            data = json.dumps(data, default=str).encode("utf-8")
+        self.send_response(reply.status)
+        self.send_header("Content-Type", reply.content_type)
+        self.send_header("Content-Length", str(len(data)))
+        for name, value in (reply.headers or {}).items():
             self.send_header(name, value)
-        if status >= 400:
+        if reply.status >= 400:
             # Error paths may leave an unread request body on the wire
             # (e.g. an oversized POST rejected before reading); under
             # HTTP/1.1 keep-alive those bytes would be parsed as the next
@@ -408,52 +686,56 @@ class ExplainerRequestHandler(BaseHTTPRequestHandler):
             self.send_header("Connection", "close")
             self.close_connection = True
         self.end_headers()
-        self.wfile.write(body)
-        self._observe_http(status)
-
-    def _send_bytes(self, status: int, data: bytes) -> None:
-        """Binary response (replication blob transfer)."""
-        self.send_response(status)
-        self.send_header("Content-Type", "application/octet-stream")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
         self.wfile.write(data)
-        self._observe_http(status)
+        if _obs.enabled():
+            route = self.route.pattern if self.route else UNMATCHED
+            counter, histogram = _http_instruments(
+                self.command, route, reply.status
+            )
+            counter.inc()
+            histogram.observe(time.perf_counter() - self._started)
 
-    def _read_body(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
+    def _read_body(self) -> dict[str, Any]:
+        """The request body, which must be a JSON object (``{}`` if empty)."""
+        raw_length = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(raw_length)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # rfile.read(-1) would block until the client hangs up
+            raise BadRequest(
+                "Content-Length must be a non-negative integer, "
+                f"got {raw_length!r}"
+            )
         if length > MAX_BODY_BYTES:
             raise BadRequest(f"request body exceeds {MAX_BODY_BYTES} bytes")
-        raw = self.rfile.read(length) if length else b"{}"
+        raw = self.rfile.read(length) if length else b""
+        if len(raw) < length:
+            raise BadRequest(
+                f"request body truncated: got {len(raw)} of {length} bytes"
+            )
         if not raw.strip():
             return {}
         try:
-            return json.loads(raw)
-        except json.JSONDecodeError as exc:
+            payload = json.loads(raw)
+        except ValueError as exc:
             raise BadRequest(f"invalid JSON body: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise BadRequest("request body must be a JSON object")
+        return payload
 
-    # -- failure containment -----------------------------------------------
-
-    def _shed_if_draining(
-        self, parts: list[str], request_id: str | None = None
-    ) -> bool:
-        """Refuse new work with 503 + Retry-After while draining.
-
-        Liveness (``/healthz``), readiness (``/readyz``) and ``/metrics``
-        stay reachable so supervisors and scrapers can watch the drain
-        complete.  Returns True when the request was answered here.
-        """
-        if not getattr(self.server, "draining", False):
-            return False
-        if parts and parts[0] in ("healthz", "readyz", "metrics"):
-            return False
-        body = {"error": "server is draining; retry against a healthy replica"}
-        if request_id is not None:
-            # shed responses carry the request id too, so a client
-            # correlating retries across replicas never loses the trail
-            body["request_id"] = request_id
-        self._send_json(503, body, headers={"Retry-After": "1"})
-        return True
+    def _query_number(self, key: str, default, kind: type = int):
+        """Query parameter ``key`` parsed as ``kind`` (400 when malformed)."""
+        raw = self.query.get(key)
+        if raw is None:
+            return default
+        try:
+            return kind(raw)
+        except ValueError as exc:
+            raise BadRequest(
+                f"query parameter {key!r} must be {kind.__name__}, got {raw!r}"
+            ) from exc
 
     def _deadline_ms(self) -> float | None:
         """Per-request deadline budget in milliseconds, or ``None``.
@@ -480,19 +762,26 @@ class ExplainerRequestHandler(BaseHTTPRequestHandler):
                 ) from exc
         return value if value > 0 else None
 
-    def _health_report(self) -> tuple[bool, dict]:
-        """Per-subsystem readiness checks behind ``/readyz``.
+    # -- route handlers (see ROUTES) ----------------------------------------
+
+    def _get_healthz(self) -> dict:
+        # Pure liveness: answers 200 as long as the process can serve
+        # HTTP at all — draining included (the supervisor must not kill
+        # a replica that is still answering).
+        return {"status": "alive", "draining": self.server.draining}
+
+    def _get_readyz(self) -> dict | Reply:
+        """Per-subsystem readiness checks.
 
         Solver-pool failures are reported but never flip readiness: the
         inline fallback contains them.  Queue saturation and an
         unwritable store root do, because new work would bounce.
         """
         server = self.server
-        draining = bool(getattr(server, "draining", False))
         checks: dict[str, dict[str, Any]] = {
-            "accepting": {"ok": not draining, "draining": draining}
+            "accepting": {"ok": not server.draining, "draining": server.draining}
         }
-        session = server.session  # type: ignore[attr-defined]
+        session = server.session
         if session is not None:
             scheduler = session.stats()["scheduler"]
             depth = int(scheduler.get("queue_depth", 0))
@@ -518,7 +807,7 @@ class ExplainerRequestHandler(BaseHTTPRequestHandler):
                     "degraded": degraded,
                     "last_seq": log.last_seq,
                 }
-        registry = self.registry
+        registry = server.registry
         if registry is not None:
             root = registry.store.root
             writable = os.access(root, os.W_OK) and os.access(
@@ -531,591 +820,273 @@ class ExplainerRequestHandler(BaseHTTPRequestHandler):
                 "loaded": registry.loaded(),
             }
         ready = all(check["ok"] for check in checks.values())
-        return ready, {
-            "status": "ready" if ready else "unavailable",
-            "checks": checks,
-        }
+        report = {"status": "ready" if ready else "unavailable", "checks": checks}
+        if ready:
+            return report
+        report["request_id"] = self.request_id
+        return Reply(503, report, headers={"Retry-After": "1"})
 
-    # -- routing -----------------------------------------------------------
-
-    def _segments(self) -> list[str]:
-        parts = [p for p in urlsplit(self.path).path.split("/") if p]
-        if parts and parts[0] == "v1":
-            parts = parts[1:]
-        return parts
-
-    def _query(self) -> dict[str, str]:
-        """Last-wins flat view of the URL query string."""
-        return {
-            key: values[-1]
-            for key, values in parse_qs(urlsplit(self.path).query).items()
-        }
-
-    def _resolve(self) -> tuple[ExplainerSession, str]:
-        """Map the request path to (session, canonical ``/v1/...`` subpath).
-
-        A first segment outside the reserved route names addresses a
-        registry tenant; everything else goes to the server's default
-        session (404 when the server is registry-only).
-        """
-        parts = self._segments()
-        if not parts:
-            raise NotFound(self.path)
-        if parts[0] not in RESERVED_SEGMENTS:
-            if self.registry is None:
-                raise NotFound(f"unknown endpoint {self.path!r}")
-            tenant, parts = parts[0], parts[1:]
-            if not parts:
-                raise NotFound(f"missing endpoint after tenant {tenant!r}")
-            try:
-                session = self.registry.get(tenant)
-            except StoreError as exc:
-                raise NotFound(str(exc)) from exc
-            return session, "/v1/" + "/".join(parts)
-        session = self.server.session  # type: ignore[attr-defined]
-        if session is None:
-            raise NotFound(
-                f"no default session; address a tenant, e.g. /v1/<name>{self.path}"
-            )
-        return session, "/v1/" + "/".join(parts)
-
-    def _monitor_scheduler(self):
-        scheduler = self.server.monitors  # type: ignore[attr-defined]
-        if scheduler is None:
-            raise NotFound("this server has no monitor scheduler")
-        return scheduler
-
-    # -- monitor endpoints -------------------------------------------------
-
-    def _monitors_get(self, session: ExplainerSession, sub: str) -> dict:
-        monitors = self._monitor_scheduler().ensure(session)
-        if sub == "/v1/monitors":
-            return monitors.list()
-        monitor_id = sub.rsplit("/", 1)[1]
-        try:
-            return monitors.get(monitor_id)
-        except KeyError as exc:
-            raise NotFound(f"unknown monitor {monitor_id!r}") from exc
-
-    def _watch_get(self, session: ExplainerSession) -> dict:
-        from repro.monitor.monitors import WATCH_DEFAULT_TIMEOUT
-
-        query = self._query()
-        try:
-            cursor = int(query.get("cursor", 0))
-            timeout = float(query.get("timeout", WATCH_DEFAULT_TIMEOUT))
-        except ValueError as exc:
-            raise BadRequest(
-                f"cursor/timeout must be numeric: {exc}"
-            ) from exc
-        return self._monitor_scheduler().watch(
-            session, cursor=cursor, timeout=timeout
+    def _get_metrics(self) -> Reply:
+        return Reply(
+            200,
+            _obs.get_registry().to_prometheus(),
+            "text/plain; version=0.0.4; charset=utf-8",
         )
 
-    # -- observability endpoints -------------------------------------------
-
-    def _traces_get(self) -> dict:
-        """``/v1/traces``: finished traces from the in-memory rings."""
-        query = self._query()
+    def _get_traces(self) -> dict:
+        """Finished traces from the in-memory rings."""
         tracer = _tracing.get_tracer()
-        trace_id = query.get("id")
+        trace_id = self.query.get("id")
         if trace_id is not None:
             record = tracer.get(trace_id)
             if record is None:
                 raise NotFound(f"unknown trace {trace_id!r}")
             return {"traces": [record], "tracer": tracer.stats()}
-        try:
-            min_ms = float(query.get("min_ms", 0.0))
-            limit = int(query.get("limit", 50))
-        except ValueError as exc:
-            raise BadRequest(f"min_ms/limit must be numeric: {exc}") from exc
-        slow_only = query.get("slow", "") in ("1", "true", "yes")
         return {
-            "traces": tracer.query(min_ms=min_ms, limit=limit, slow_only=slow_only),
+            "traces": tracer.query(
+                min_ms=self._query_number("min_ms", 0.0, float),
+                limit=self._query_number("limit", 50),
+                slow_only=self.query.get("slow", "") in ("1", "true", "yes"),
+            ),
             "tracer": tracer.stats(),
         }
 
-    # -- registry endpoints ------------------------------------------------
+    def _registry_wide(self) -> bool:
+        """Health/stats on a registry-only server without a tenant: a
+        process-level answer that forces no tenant to load."""
+        return self.tenant is None and self.server.session is None
 
-    def _registry_get(self, parts: list[str]) -> dict:
-        registry = self.registry
+    def _get_health(self) -> dict:
+        if self._registry_wide():
+            registry = self.server.registry
+            return {
+                "status": "ok",
+                "mode": "registry",
+                "tenants": len(registry.names()),
+                "loaded": registry.loaded(),
+            }
+        session = self.session
+        report = {
+            "status": "ok",
+            "tenant": session.tenant,
+            "fingerprint": session.fingerprint,
+            "table_version": session.table_version,
+            "state_token": session.state_token,
+            "n_rows": len(session.lewis.data),
+        }
+        log = getattr(session, "log", None)
+        if log is not None:
+            report["last_seq"] = log.last_seq
+        if self.query.get("digest") in ("1", "true", "yes"):
+            # canonical engine fingerprint (per-column marginal count
+            # tensors): the convergence oracle replicas compare after
+            # failover
+            report["state_digest"] = session.lewis.estimator.engine.state_digest()
+        return report
+
+    def _get_stats(self) -> dict:
+        if self._registry_wide():
+            stats = self.server.registry.stats()
+        else:
+            stats = self.session.stats()
+            scheduler = self.server.monitors
+            attached = scheduler.peek(self.session) if scheduler is not None else None
+            if attached is not None:
+                stats["monitors"] = attached.stats()
+        # one-stop snapshot: the classic per-session keys above stay for
+        # compatibility; "metrics" is the authoritative process-wide
+        # registry view those keys now mirror.
+        stats["metrics"] = _obs.get_registry().snapshot()
+        stats["tracing"] = _tracing.get_tracer().stats()
+        return stats
+
+    def _get_log(self) -> dict:
+        from repro.replication.ship import build_batch
+
+        session = self.session
+        kwargs = {"tenant": session.tenant}
+        manager = self.server.replication
+        if manager is not None:
+            kwargs["epoch"] = manager.shipping_epoch()
+        limit = self._query_number("max", 0)
+        if limit:
+            kwargs["limit"] = limit
+        return _found(build_batch, session, self._query_number("cursor", 0), **kwargs)
+
+    def _post_update(self) -> dict:
+        response = self.session.update(TableDelta.from_json(self.body))
+        scheduler = self.server.monitors
+        if scheduler is not None:
+            # refresh the tenant's standing monitors against the batch
+            # just applied (async, on its lane)
+            scheduler.notify(self.session)
+        return response
+
+    def _monitor_set(self):
+        """The addressed session's monitors (attached on first use)."""
+        scheduler = self.server.monitors
+        if scheduler is None:
+            raise NotFound("this server has no monitor scheduler")
+        return scheduler.ensure(self.session)
+
+    def _get_monitor(self) -> dict:
+        monitor_id = self.params["monitor_id"]
+        try:
+            return self._monitor_set().get(monitor_id)
+        except KeyError as exc:
+            raise NotFound(f"unknown monitor {monitor_id!r}") from exc
+
+    def _get_watch(self) -> dict:
+        from repro.monitor.monitors import WATCH_DEFAULT_TIMEOUT
+
+        cursor = self._query_number("cursor", 0)
+        timeout = self._query_number("timeout", WATCH_DEFAULT_TIMEOUT, float)
+        return self._monitor_set().watch(cursor=cursor, timeout=timeout)
+
+    def _registry(self):
+        registry = self.server.registry
         if registry is None:
             raise NotFound("this server has no registry")
-        if len(parts) == 1:
-            loaded = set(registry.loaded())
-            return {
-                "tenants": {
-                    name: {
-                        "loaded": name in loaded,
-                        "snapshots": len(registry.store.snapshots(name)),
-                    }
-                    for name in registry.names()
-                },
-            }
-        if len(parts) == 2:
-            name = parts[1]
-            try:
-                manifest = registry.store.manifest(name)
-            except StoreError as exc:
-                raise NotFound(str(exc)) from exc
-            loaded = name in registry.loaded()
-            return {
-                "name": name,
-                "loaded": loaded,
-                "snapshots": registry.store.snapshots(name),
-                "latest": {
-                    "snapshot_id": manifest["snapshot_id"],
-                    "wal_seq": manifest["wal_seq"],
-                    "fingerprint": manifest["session"]["fingerprint"],
-                    "n_rows": manifest["session"]["n_rows"],
-                },
-            }
-        raise NotFound(self.path)
+        return registry
 
-    def _registry_post(self, parts: list[str]) -> dict:
-        registry = self.registry
-        if registry is None or len(parts) != 3:
-            raise NotFound(self.path)
-        name, action = parts[1], parts[2]
-        try:
-            if action == "snapshot":
-                manifest = registry.snapshot(name)
-                return {
-                    "name": name,
-                    "snapshot_id": manifest["snapshot_id"],
-                    "wal_seq": manifest["wal_seq"],
+    def _get_registry(self) -> dict:
+        registry = self._registry()
+        loaded = set(registry.loaded())
+        return {
+            "tenants": {
+                name: {
+                    "loaded": name in loaded,
+                    "snapshots": len(registry.store.snapshots(name)),
                 }
-            if action == "evict":
-                return {"name": name, "evicted": registry.evict(name)}
-        except StoreError as exc:
-            raise NotFound(str(exc)) from exc
-        raise NotFound(self.path)
-
-    # -- replication endpoints ----------------------------------------------
-
-    def _refuse_follower_write(self, sub: str, request_id: str) -> bool:
-        """Followers answer reads only; writes bounce to the leader (503).
-
-        Returns True when the request was answered here.  The body names
-        the leader so a client library can retarget without re-resolving
-        topology out of band.
-        """
-        manager = getattr(self.server, "replication", None)
-        if manager is None or manager.is_leader:
-            return False
-        self._send_json(
-            503,
-            {
-                "error": (
-                    f"this replica is a follower; {sub} is a write and "
-                    "must go to the leader"
-                ),
-                "leader_url": manager.leader_url,
-                "request_id": request_id,
+                for name in registry.names()
             },
-            headers={"Retry-After": "1"},
-        )
-        return True
+        }
 
-    def _replication_post(
-        self, parts: list[str], payload: Any, request_id: str
-    ) -> dict:
-        manager = getattr(self.server, "replication", None)
+    def _get_registry_tenant(self) -> dict:
+        registry = self._registry()
+        name = self.params["tenant"]
+        manifest = _found(registry.store.manifest, name)
+        return {
+            "name": name,
+            "loaded": name in registry.loaded(),
+            "snapshots": registry.store.snapshots(name),
+            "latest": {
+                "snapshot_id": manifest["snapshot_id"],
+                "wal_seq": manifest["wal_seq"],
+                "fingerprint": manifest["session"]["fingerprint"],
+                "n_rows": manifest["session"]["n_rows"],
+            },
+        }
+
+    def _get_registry_object(self) -> Reply:
+        """Blob bytes for replication transfer."""
+        digest = self.params["digest"]
+        if len(digest) != 64 or not set(digest) <= set("0123456789abcdef"):
+            # also keeps "." and ".." out of the object path
+            raise NotFound(f"no object {digest!r}: not a SHA-256 hex digest")
+        data = _found(self._registry().store.get_bytes, digest)
+        return Reply(200, data, "application/octet-stream")
+
+    def _post_registry_snapshot(self) -> dict:
+        name = self.params["tenant"]
+        manifest = _found(self._registry().snapshot, name)
+        return {
+            "name": name,
+            "snapshot_id": manifest["snapshot_id"],
+            "wal_seq": manifest["wal_seq"],
+        }
+
+    def _post_registry_evict(self) -> dict:
+        name = self.params["tenant"]
+        return {"name": name, "evicted": _found(self._registry().evict, name)}
+
+    def _delete_registry_tenant(self) -> dict:
+        registry = self._registry()
+        name = self.params["tenant"]
+        scheduler = self.server.monitors
+        if scheduler is not None:
+            # release the journal handle before the store unlinks it
+            scheduler.drop(name)
+        return {"name": name, "removed": _found(registry.remove, name)}
+
+    def _replication(self):
+        manager = self.server.replication
         if manager is None:
             raise NotFound("this server has no replication manager")
-        if parts == ["replication", "promote"]:
-            if not isinstance(payload, Mapping):
-                raise BadRequest("request body must be a JSON object")
-            result = manager.promote(
-                catchup_store=payload.get("catchup_store"),
-                reason=str(payload.get("reason") or "explicit promotion"),
-            )
-            result["request_id"] = request_id
-            return result
-        if parts == ["replication", "retarget"]:
-            if not isinstance(payload, Mapping) or not payload.get("leader_url"):
-                raise BadRequest('"leader_url" is required')
-            manager.retarget(str(payload["leader_url"]))
-            return {"leader_url": manager.leader_url, "request_id": request_id}
-        raise NotFound(self.path)
+        return manager
 
-    # -- routes ------------------------------------------------------------
+    def _post_promote(self) -> dict:
+        manager = self._replication()
+        catchup_store = self.body.get("catchup_store")
+        if catchup_store is not None and not isinstance(catchup_store, str):
+            raise BadRequest('"catchup_store" must be a store root path')
+        result = manager.promote(
+            catchup_store=catchup_store,
+            reason=str(self.body.get("reason") or "explicit promotion"),
+        )
+        result["request_id"] = self.request_id
+        return result
 
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        self._request_started = time.perf_counter()
-        request_id = _tracing.new_id()
-        try:
-            parts = self._segments()
-            if self._shed_if_draining(parts, request_id):
-                return
-            if parts == ["healthz"]:
-                # Pure liveness: answers 200 as long as the process can
-                # serve HTTP at all — draining included (the supervisor
-                # must not kill a replica that is still answering).
-                self._send_json(
-                    200,
-                    {
-                        "status": "alive",
-                        "draining": bool(getattr(self.server, "draining", False)),
-                    },
-                )
-                return
-            if parts == ["readyz"]:
-                ready, report = self._health_report()
-                if not ready:
-                    report["request_id"] = request_id
-                self._send_json(
-                    200 if ready else 503,
-                    report,
-                    headers=None if ready else {"Retry-After": "1"},
-                )
-                return
-            if parts == ["metrics"]:
-                # Prometheus text exposition; reachable at /metrics and
-                # /v1/metrics, no session or tenant load required.
-                self._send_text(
-                    200,
-                    _obs.get_registry().to_prometheus(),
-                    content_type="text/plain; version=0.0.4; charset=utf-8",
-                )
-                return
-            if parts == ["traces"]:
-                self._send_json(200, self._traces_get())
-                return
-            if parts == ["replication"]:
-                manager = getattr(self.server, "replication", None)
-                if manager is None:
-                    raise NotFound("this server has no replication manager")
-                self._send_json(200, manager.status())
-                return
-            if parts and parts[0] == "registry":
-                # replication transfer surface: raw manifest + blob bytes
-                if len(parts) == 3 and parts[2] == "manifest":
-                    if self.registry is None:
-                        raise NotFound("this server has no registry")
-                    try:
-                        manifest = self.registry.store.manifest(parts[1])
-                    except StoreError as exc:
-                        raise NotFound(str(exc)) from exc
-                    self._send_json(200, manifest)
-                    return
-                if len(parts) == 4 and parts[2] == "object":
-                    if self.registry is None:
-                        raise NotFound("this server has no registry")
-                    try:
-                        data = self.registry.store.get_bytes(parts[3])
-                    except StoreError as exc:
-                        raise NotFound(str(exc)) from exc
-                    self._send_bytes(200, data)
-                    return
-                self._send_json(200, self._registry_get(parts))
-                return
-            # A registry-only server still needs process-level liveness:
-            # /v1/health must answer without forcing any tenant to load.
-            if (
-                self.server.session is None  # type: ignore[attr-defined]
-                and self.registry is not None
-                and parts in (["health"], ["stats"])
-            ):
-                if parts == ["health"]:
-                    self._send_json(
-                        200,
-                        {
-                            "status": "ok",
-                            "mode": "registry",
-                            "tenants": len(self.registry.names()),
-                            "loaded": self.registry.loaded(),
-                        },
-                    )
-                else:
-                    stats = self.registry.stats()
-                    stats["metrics"] = _obs.get_registry().snapshot()
-                    stats["tracing"] = _tracing.get_tracer().stats()
-                    self._send_json(200, stats)
-                return
-            session, sub = self._resolve()
-            if sub == "/v1/health":
-                report = {
-                    "status": "ok",
-                    "tenant": session.tenant,
-                    "fingerprint": session.fingerprint,
-                    "table_version": session.table_version,
-                    "state_token": session.state_token,
-                    "n_rows": len(session.lewis.data),
-                }
-                log = getattr(session, "log", None)
-                if log is not None:
-                    report["last_seq"] = log.last_seq
-                if self._query().get("digest") in ("1", "true", "yes"):
-                    # canonical engine fingerprint (per-column marginal
-                    # count tensors): the convergence oracle replicas
-                    # compare after failover
-                    report["state_digest"] = (
-                        session.lewis.estimator.engine.state_digest()
-                    )
-                self._send_json(200, report)
-            elif sub == "/v1/log":
-                from repro.replication.ship import build_batch
+    def _post_retarget(self) -> dict:
+        manager = self._replication()
+        leader_url = self.body.get("leader_url")
+        if not leader_url or not isinstance(leader_url, str):
+            raise BadRequest('"leader_url" is required')
+        manager.retarget(leader_url)
+        return {"leader_url": manager.leader_url, "request_id": self.request_id}
 
-                query = self._query()
-                try:
-                    cursor = int(query.get("cursor", 0))
-                    limit = int(query.get("max", 0)) or None
-                except ValueError as exc:
-                    raise BadRequest(f"cursor/max must be integers: {exc}") from exc
-                manager = getattr(self.server, "replication", None)
-                kwargs = {"epoch": manager.shipping_epoch()} if manager else {}
-                if limit is not None:
-                    kwargs["limit"] = limit
-                try:
-                    self._send_json(
-                        200, build_batch(session, cursor, tenant=session.tenant, **kwargs)
-                    )
-                except StoreError as exc:
-                    raise NotFound(str(exc)) from exc
-            elif sub == "/v1/stats":
-                stats = session.stats()
-                scheduler = self.server.monitors  # type: ignore[attr-defined]
-                if scheduler is not None:
-                    attached = scheduler.peek(session)
-                    if attached is not None:
-                        stats["monitors"] = attached.stats()
-                # one-stop snapshot: the classic per-session keys above
-                # stay for compatibility; "metrics" is the authoritative
-                # process-wide registry view those keys now mirror.
-                stats["metrics"] = _obs.get_registry().snapshot()
-                stats["tracing"] = _tracing.get_tracer().stats()
-                self._send_json(200, stats)
-            elif sub == "/v1/monitors" or sub.startswith("/v1/monitors/"):
-                self._send_json(200, self._monitors_get(session, sub))
-            elif sub == "/v1/watch":
-                self._send_json(200, self._watch_get(session))
-            else:
-                raise NotFound(f"unknown endpoint {self.path!r}")
-        except NotFound as exc:
-            self._send_json(404, {"error": str(exc), "request_id": request_id})
-        except (BadRequest, ValueError) as exc:
-            self._send_json(400, {"error": str(exc), "request_id": request_id})
-        except Exception as exc:  # noqa: BLE001 - internal defects -> 500
-            self._send_json(
-                500,
-                {
-                    "error": f"internal error: {type(exc).__name__}: {exc}",
-                    "request_id": request_id,
-                },
-            )
 
-    def do_DELETE(self) -> None:  # noqa: N802 - http.server API
-        self._request_started = time.perf_counter()
-        request_id = _tracing.new_id()
-        try:
-            self._read_body()  # drain so keep-alive stays in sync
-            parts = self._segments()
-            if self._shed_if_draining(parts, request_id):
-                return
-            registry = self.registry
-            if registry is not None and len(parts) == 2 and parts[0] == "registry":
-                if self._refuse_follower_write(self.path, request_id):
-                    return
-                scheduler = self.server.monitors  # type: ignore[attr-defined]
-                if scheduler is not None:
-                    # release the journal handle before the store unlinks it
-                    scheduler.drop(parts[1])
-                removed = registry.remove(parts[1])
-                self._send_json(200, {"name": parts[1], "removed": removed})
-                return
-            session, sub = self._resolve()
-            if sub.startswith("/v1/monitors/"):
-                if self._refuse_follower_write(sub, request_id):
-                    return
-                monitors = self._monitor_scheduler().ensure(session)
-                self._send_json(200, monitors.remove(sub.rsplit("/", 1)[1]))
-                return
-            raise NotFound(f"unknown endpoint {self.path!r}")
-        except NotFound as exc:
-            self._send_json(404, {"error": str(exc), "request_id": request_id})
-        except (BadRequest, ValueError) as exc:
-            self._send_json(400, {"error": str(exc), "request_id": request_id})
-        except StoreError as exc:
-            self._send_json(404, {"error": str(exc), "request_id": request_id})
-        except Exception as exc:  # noqa: BLE001 - internal defects -> 500
-            self._send_json(
-                500,
-                {
-                    "error": f"internal error: {type(exc).__name__}: {exc}",
-                    "request_id": request_id,
-                },
-            )
+def _ask(build: Callable[[Mapping[str, Any]], Any]) -> Callable:
+    """Handler for a query route: the session answers the parsed body."""
+    return lambda handler: handler.session.handle(build(handler.body))
 
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        started = time.perf_counter()
-        self._request_started = started
-        # The request id doubles as the trace id: it is echoed in the
-        # response (success or error), stamped into WAL records written
-        # on this request's behalf, and keys the /v1/traces lookup.
-        request_id = _tracing.new_id()
 
-        def error(
-            status: int,
-            message: str,
-            headers: Mapping[str, str] | None = None,
-        ) -> None:
-            self._send_json(
-                status,
-                {"error": message, "request_id": request_id},
-                headers=headers,
-            )
+_H = ExplainerRequestHandler  # the table rows name its route-handler methods
 
-        try:
-            parts = self._segments()
-            if self._shed_if_draining(parts, request_id):
-                return
-            if parts and parts[0] == "replication":
-                payload = self._read_body()
-                self._send_json(
-                    200, self._replication_post(parts, payload, request_id)
-                )
-                return
-            if parts and parts[0] == "registry":
-                self._read_body()  # drain the body so keep-alive stays in sync
-                self._send_json(200, self._registry_post(parts))
-                return
-            session, sub = self._resolve()
-            payload = self._read_body()
-            if sub in ("/v1/update", "/v1/monitors") and self._refuse_follower_write(
-                sub, request_id
-            ):
-                return
-            min_state = self.headers.get("X-Repro-Min-State")
-            if min_state and hasattr(session, "has_state"):
-                if not session.has_state(min_state):
-                    # read-your-writes: this replica has not yet applied
-                    # the state the client saw; let it retry here or pin
-                    # to a replica that has caught up
-                    self._send_json(
-                        503,
-                        {
-                            "error": (
-                                f"replica has not reached state {min_state!r} "
-                                "yet; retry after replication catches up"
-                            ),
-                            "request_id": request_id,
-                            "state_token": session.state_token,
-                        },
-                        headers={
-                            "Retry-After": "1",
-                            "X-Repro-State": session.state_token,
-                        },
-                    )
-                    return
-            deadline_ms = self._deadline_ms()
-
-            def dispatch(target):
-                if sub == "/v1/update":
-                    response = target.update(TableDelta.from_json(payload))
-                    scheduler = self.server.monitors  # type: ignore[attr-defined]
-                    if scheduler is not None:
-                        # refresh the tenant's standing monitors against
-                        # the batch just applied (async, on its lane)
-                        scheduler.notify(target)
-                    return response
-                if sub == "/v1/monitors":
-                    return self._monitor_scheduler().ensure(target).add(payload)
-                return target.handle(_build_request(sub, payload))
-
-            # The trace context closes before the response is sent, so a
-            # follow-up /v1/traces?id=<request_id> always finds it.  The
-            # deadline scope opens here so the budget covers queue wait
-            # and compute but not body parsing already done above.
-            with _deadline.scope(deadline_ms), _tracing.trace(
-                f"POST {sub}",
-                trace_id=request_id,
-                tags={"method": "POST", "route": sub, "tenant": session.tenant},
-            ):
-                try:
-                    response = dispatch(session)
-                except StoreError as exc:
-                    # The session may have been evicted (log sealed) between
-                    # resolution and dispatch; one re-resolve gets the
-                    # tenant's freshly restored session instead of bouncing
-                    # a valid request back to the client.
-                    if "sealed" not in str(exc) or self.registry is None:
-                        raise
-                    session, sub = self._resolve()
-                    response = dispatch(session)
-        except NotFound as exc:
-            error(404, str(exc))
-            return
-        except (BadRequest, DomainError, ValueError) as exc:
-            # ValueError is the library's client-error convention
-            # (malformed deltas, bad selectors, missing actionables).
-            error(400, str(exc))
-            return
-        except KeyError as exc:
-            error(400, f"unknown attribute: {exc}")
-            return
-        except IndexError as exc:
-            error(400, f"row index out of range: {exc}")
-            return
-        except RecourseInfeasibleError as exc:
-            error(409, f"recourse infeasible: {exc}")
-            return
-        except EstimationError as exc:
-            error(422, f"unsupported conditioning event: {exc}")
-            return
-        except DeadlineExceededError as exc:
-            error(504, f"deadline exceeded: {exc}")
-            return
-        except OverloadedError as exc:
-            retry_after = max(1, int(round(exc.retry_after_s)))
-            error(
-                429,
-                f"overloaded: {exc}",
-                headers={"Retry-After": str(retry_after)},
-            )
-            return
-        except DegradedError as exc:
-            # The store is read-only degraded (failed write/fsync); the
-            # data is safe but this replica cannot accept the request.
-            error(
-                503,
-                f"store degraded: {exc}",
-                headers={"Retry-After": "1"},
-            )
-            return
-        except StoreError as exc:
-            # transient persistence-layer contention (e.g. racing an
-            # eviction): the request is valid, a retry will succeed
-            error(503, f"store busy: {exc}")
-            return
-        except Exception as exc:  # noqa: BLE001 - internal defects -> 500
-            error(500, f"internal error: {type(exc).__name__}: {exc}")
-            return
-        # elapsed_ms covers the whole handler — body read, micro-batcher
-        # queue wait, compute, serialization — while queue_ms/compute_ms
-        # break out the dispatch lane's share from the finished trace
-        # (both 0.0 on cache hits or with observability disabled).
-        queue_ms = compute_ms = 0.0
-        record = _tracing.get_tracer().get(request_id)
-        if record is not None:
-            for recorded in record["spans"]:
-                if recorded["name"] == "queue_wait":
-                    queue_ms += recorded["duration_ms"]
-                elif recorded["name"] == "compute":
-                    compute_ms += recorded["duration_ms"]
-        result = response.get("result")
-        if isinstance(result, Mapping) and result.get("degraded"):
-            # Hoist the degradation label so clients that only look at
-            # the envelope still see that this 200 is an anytime answer.
-            response["degraded"] = True
-            response["degraded_reason"] = result.get("degraded_reason")
-        response["table_version"] = session.table_version
-        response["state_token"] = session.state_token
-        response["request_id"] = request_id
-        response["elapsed_ms"] = round((time.perf_counter() - started) * 1e3, 3)
-        response["queue_ms"] = round(queue_ms, 3)
-        response["compute_ms"] = round(compute_ms, 3)
-        self._send_json(200, response)
+#: the route table: the only place a request path is matched
+ROUTES: tuple[Route, ...] = (
+    Route("GET", "/healthz", _H._get_healthz, observability=True),
+    Route("GET", "/readyz", _H._get_readyz, observability=True),
+    Route("GET", "/metrics", _H._get_metrics, observability=True),
+    Route("GET", "/v1/traces", _H._get_traces),
+    Route("GET", "/v1/health", _H._get_health, session=True),
+    Route("GET", "/v1/stats", _H._get_stats, session=True),
+    Route("GET", "/v1/log", _H._get_log, session=True),
+    Route("GET", "/v1/monitors", lambda h: h._monitor_set().list(), session=True),
+    Route("GET", "/v1/monitors/{monitor_id}", _H._get_monitor, session=True),
+    Route("GET", "/v1/watch", _H._get_watch, session=True),
+    Route("GET", "/v1/registry", _H._get_registry),
+    Route("GET", "/v1/registry/{tenant}", _H._get_registry_tenant),
+    Route(
+        "GET", "/v1/registry/{tenant}/manifest",
+        lambda h: _found(h._registry().store.manifest, h.params["tenant"]),
+    ),
+    Route("GET", "/v1/registry/{tenant}/object/{digest}", _H._get_registry_object),
+    Route("GET", "/v1/replication", lambda h: h._replication().status()),
+    Route("POST", "/v1/explain/global", _ask(_global_request), session=True),
+    Route("POST", "/v1/explain/context", _ask(_context_request), session=True),
+    Route("POST", "/v1/explain/local", _ask(_local_request), session=True),
+    Route("POST", "/v1/explain/local_batch", _ask(_local_batch_request), session=True),
+    Route("POST", "/v1/recourse", _ask(_recourse_request), session=True),
+    Route("POST", "/v1/recourse/batch", _ask(_recourse_batch_request), session=True),
+    Route("POST", "/v1/audit", _ask(_audit_request), session=True),
+    Route("POST", "/v1/scores", _ask(_scores_request), session=True),
+    Route("POST", "/v1/update", _H._post_update, session=True, write=True),
+    Route(
+        "POST", "/v1/monitors", lambda h: h._monitor_set().add(h.body),
+        session=True, write=True,
+    ),
+    Route("POST", "/v1/registry/{tenant}/snapshot", _H._post_registry_snapshot),
+    Route("POST", "/v1/registry/{tenant}/evict", _H._post_registry_evict),
+    Route("POST", "/v1/replication/promote", _H._post_promote),
+    Route("POST", "/v1/replication/retarget", _H._post_retarget),
+    Route(
+        "DELETE", "/v1/monitors/{monitor_id}",
+        lambda h: h._monitor_set().remove(h.params["monitor_id"]),
+        session=True, write=True,
+    ),
+    Route("DELETE", "/v1/registry/{tenant}", _H._delete_registry_tenant, write=True),
+)
 
 
 def create_server(

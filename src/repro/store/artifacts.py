@@ -50,8 +50,9 @@ import repro.faults as _faults
 _NAME_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789._-")
 
 #: route names the multi-tenant HTTP server claims as first path segments;
-#: a tenant with one of these names would be unreachable over HTTP.
-#: Keep in sync with ``repro.service.server.RESERVED_SEGMENTS``.
+#: a tenant with one of these names would be unreachable over HTTP.  The
+#: server reads its ``RESERVED_SEGMENTS`` from here, and a route test
+#: checks that every route's first segment is listed.
 RESERVED_TENANT_NAMES = frozenset(
     {"health", "healthz", "readyz", "stats", "explain", "recourse",
      "audit", "scores", "update", "registry", "monitors", "watch",

@@ -103,6 +103,29 @@ class TestMetricsEndpoint:
         post(server, "/v1/explain/global", {})
         assert count() > before
 
+    def test_http_series_are_labelled_by_route_pattern(self, server):
+        post(server, "/v1/explain/global", {})
+        post(server, "/v1/ghost/explain/global", {})  # tenant-scoped: 404 here
+        post(server, "/v1/nope/nothing", {})  # matches no route
+        _s, _h, body = get(server, "/metrics")
+        series = {
+            line.rsplit(" ", 1)[0]
+            for line in body.decode().splitlines()
+            if line.startswith("repro_http_")
+        }
+        for expected in (
+            'repro_http_requests_total{method="POST",'
+            'route="/v1/explain/global",status="200"}',
+            'repro_http_requests_total{method="POST",'
+            'route="/v1/explain/global",status="404"}',
+            'repro_http_requests_total{method="POST",route="unmatched",status="404"}',
+            'repro_http_request_seconds_count{method="POST",'
+            'route="/v1/explain/global"}',
+        ):
+            assert expected in series, expected
+        # tenant names and unmatched paths never become label values
+        assert not [s for s in series if "ghost" in s or "nope" in s]
+
 
 class TestRequestIds:
     def test_success_carries_request_id_and_timing_breakdown(self, server):
