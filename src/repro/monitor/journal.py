@@ -4,12 +4,12 @@ The monitor subsystem's external contract is its *history*: which
 monitors were registered, against which baselines, and which alerts
 fired at which WAL sequence numbers. Following the black-box
 history-checking idea (arXiv 2301.07313 — validate a client-visible
-history, not the implementation), that history is written to an
-append-only JSONL journal with the same durability discipline as the
-:class:`~repro.store.wal.DeltaLog`: every record carries a monotone
-sequence number and a content digest, appends are flushed + fsync'd
-before acknowledgement, recovery truncates exactly one torn tail and
-refuses mid-log corruption.
+history, not the implementation), that history is written to a
+:class:`~repro.store.recordlog.RecordLog`, the same durable record log
+under the :class:`~repro.store.wal.DeltaLog`; that module owns the line
+format, fsync'd appends, torn-tail recovery, corruption refusal and
+read-only degraded mode.  This module adds only the codec: each record
+has a ``kind`` and a ``data`` object.
 
 Record kinds (the ``kind`` field):
 
@@ -30,157 +30,37 @@ its alert history) after a crash or an eviction/restore cycle.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import threading
-from pathlib import Path
 from typing import Any, Mapping
 
-from repro.utils.exceptions import StoreError
+from repro.store.recordlog import RecordLog
 
 KINDS = ("register", "remove", "alert")
 
 
-def _digest(core: Mapping[str, Any]) -> str:
-    payload = json.dumps(core, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha1(payload.encode("utf-8")).hexdigest()[:12]
-
-
-class MonitorJournal:
+class MonitorJournal(RecordLog):
     """Append-only, fsync'd JSONL journal of monitor lifecycle records."""
 
-    def __init__(self, path: str | Path, fsync: bool = True):
-        self.path = Path(path)
-        self._fsync = bool(fsync)
-        self._lock = threading.Lock()
-        self._fh = None
-        self._appended = 0
-        records, valid_bytes, total_bytes = self._scan()
-        self._last_seq = records[-1]["seq"] if records else 0
-        self._records = len(records)
-        if valid_bytes < total_bytes:
-            # torn tail from a crash mid-append: never acknowledged,
-            # truncating it is the correct recovery.
-            with open(self.path, "ab") as fh:
-                fh.truncate(valid_bytes)
+    FAULTS = "journal"
+    NAME = "monitor journal"
 
-    # -- reading -----------------------------------------------------------
-
-    def _scan(self) -> tuple[list[dict], int, int]:
-        """Parse the journal; returns (records, valid bytes, total bytes)."""
-        if not self.path.exists():
-            return [], 0, 0
-        raw = self.path.read_bytes()
-        records: list[dict] = []
-        offset = 0
-        last_seq = 0
-        # Only newline-terminated lines are records (see DeltaLog._scan
-        # for why an unterminated-but-parseable tail must be dropped).
-        *terminated, tail = raw.split(b"\n")
-        for line in terminated:
-            chunk = len(line) + 1
-            stripped = line.strip()
-            if not stripped:
-                offset += chunk
-                continue
-            try:
-                record = json.loads(stripped)
-                core = {
-                    "seq": record["seq"],
-                    "kind": record["kind"],
-                    "data": record["data"],
-                }
-                ok = record.get("crc") == _digest(core)
-                ok = ok and record["kind"] in KINDS
-                seq = int(record["seq"])
-            except (ValueError, KeyError, TypeError):
-                ok = False
-                seq = -1
-            if not ok or seq <= last_seq:
-                raise StoreError(
-                    f"corrupt monitor journal record at byte {offset} of "
-                    f"{self.path}; refusing to replay an unreliable history"
-                )
-            records.append(core)
-            last_seq = seq
-            offset += chunk
-        assert offset + len(tail) == len(raw)
-        return records, offset, len(raw)
+    @staticmethod
+    def _check(record: dict) -> None:
+        if record["kind"] not in KINDS or "data" not in record:
+            raise ValueError("not a monitor journal record")
 
     def replay(self, after: int = 0) -> list[dict]:
-        """Records with sequence number greater than ``after``, in order."""
-        with self._lock:
-            records, _valid, _total = self._scan()
-        return [r for r in records if r["seq"] > after]
-
-    @property
-    def last_seq(self) -> int:
-        """Sequence number of the most recent acknowledged record."""
-        return self._last_seq
-
-    # -- writing -----------------------------------------------------------
+        """Records (``seq``, ``kind``, ``data``) after ``after``, in order."""
+        return self.records(after)
 
     def append(self, kind: str, data: Mapping[str, Any]) -> int:
-        """Durably append one record; returns its sequence number."""
+        """Durably append one record; returns its sequence number.
+
+        An I/O failure raises :class:`DegradedError`; the journal then
+        refuses appends until it is reopened.
+        """
         if kind not in KINDS:
             raise ValueError(f"unknown journal record kind {kind!r}")
-        with self._lock:
-            seq = self._last_seq + 1
-            core = {"seq": seq, "kind": kind, "data": dict(data)}
-            try:
-                crc = _digest(core)
-            except (TypeError, ValueError) as exc:
-                raise StoreError(
-                    f"journal record contains values JSON cannot represent: {exc}"
-                ) from exc
-            record = dict(core)
-            record["crc"] = crc
-            line = json.dumps(
-                record, sort_keys=True, separators=(",", ":")
-            ).encode("utf-8") + b"\n"
-            if self._fh is None:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                created = not self.path.exists()
-                self._fh = open(self.path, "ab")
-                if created:
-                    from repro.store.artifacts import _fsync_dir
-
-                    _fsync_dir(self.path.parent)
-            self._fh.write(line)
-            self._fh.flush()
-            if self._fsync:
-                os.fsync(self._fh.fileno())
-            self._last_seq = seq
-            self._records += 1
-            self._appended += 1
-            return seq
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def close(self) -> None:
-        """Close the append handle (reads still work; appends reopen)."""
-        with self._lock:
-            if self._fh is not None:
-                self._fh.close()
-                self._fh = None
-
-    def __enter__(self) -> "MonitorJournal":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def stats(self) -> dict:
-        """Journal counters: size on disk, record count, last sequence."""
-        return {
-            "path": str(self.path),
-            "last_seq": self._last_seq,
-            "records": self._records,
-            "appended": self._appended,
-            "bytes": self.path.stat().st_size if self.path.exists() else 0,
-            "fsync": self._fsync,
-        }
+        return self._append({"kind": kind, "data": dict(data)})[0]
 
 
 __all__ = ["KINDS", "MonitorJournal"]

@@ -253,8 +253,11 @@ class ReplicationManager:
         """
         tenant = str(tenant)
         _REPL_RESYNCS.inc()
-        self.registry.evict(tenant)
+        # fetch before evicting: a read racing the resync would otherwise
+        # restore the stale manifest, and the floor raised below would
+        # then cover deltas that session never applied
         manifest = self._fetch_snapshot(tenant)
+        self.registry.evict(tenant)
         session = self.registry.get(tenant)
         # drop the stale local tail below the new floor so the next
         # cursor starts at the snapshot, not inside compacted history
@@ -371,15 +374,10 @@ class ReplicationManager:
             if not dead_wal.exists():
                 continue
             session = self.registry.get(tenant)
-            applied = 0
-            for seq, delta, request_id in DeltaLog(dead_wal).replay_annotated(
-                after=session.log.last_seq
-            ):
-                if seq != session.log.last_seq + 1:
-                    break  # hole: the dead log was compacted past us
-                session.apply_replicated(seq, delta, request_id=request_id)
-                applied += 1
-            caught_up[tenant] = applied
+            # read-only: opening a DeltaLog would cut the dead log's torn tail
+            records = DeltaLog.read(dead_wal, after=session.log.last_seq)
+            result = ReplicaApplier(session).apply_batch({"records": records})
+            caught_up[tenant] = result["applied"]
         return caught_up
 
     # -- leader health probe -------------------------------------------------

@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Any
 
 import repro.faults as _faults
-from repro.service.session import jsonable
 from repro.store.wal import DurableSession
 from repro.utils.exceptions import StoreError
 
@@ -53,17 +52,8 @@ def build_batch(
     limit = max(1, min(int(limit), MAX_BATCH_LIMIT))
     log = session.log
     valid = log.cursor_valid(cursor)
-    records: list[dict[str, Any]] = []
-    if valid:
-        for seq, delta, request_id in log.replay_annotated(after=cursor)[:limit]:
-            record = {
-                "seq": int(seq),
-                "insert": jsonable([dict(row) for row in delta.insert]),
-                "delete": [int(index) for index in delta.delete],
-            }
-            if request_id is not None:
-                record["request_id"] = request_id
-            records.append(record)
+    # the log's own verified records, shipped as written
+    records = log.records(after=cursor)[:limit] if valid else []
     if records:
         if _faults.fires("repl.ship.drop"):
             # lose the head in flight: the follower must detect the gap

@@ -8,14 +8,12 @@ replay the log tail — the same shape as incremental view maintenance
 under updates (Berkholz et al., see PAPERS.md), where the delta stream
 is the compact representation of change.
 
-:class:`DeltaLog` is an append-only JSONL file.  Each record carries a
-monotone sequence number and a content digest; ``append`` flushes and
-fsyncs before returning, so an acknowledged update survives a crash.
-Recovery tolerates exactly one *torn tail* (an unterminated partial
-final line from a crash mid-write, which is truncated away on open) but
-refuses corruption anywhere else — a bad newline-terminated record,
-even in final position, is damage to acknowledged data, and replaying
-around it would silently diverge.
+:class:`DeltaLog` is a :class:`~repro.store.recordlog.RecordLog`, which
+owns the line format, fsync'd appends, torn-tail recovery, corruption
+refusal, compaction and degraded mode.  This module adds only the
+codec: one record per delta, with fields ``insert`` (decoded rows),
+``delete`` (row indices) and, when the writing request was traced,
+``request_id``.
 
 :class:`DurableSession` wraps :class:`~repro.service.session
 .ExplainerSession` with write-*ahead* semantics: an update is validated
@@ -27,12 +25,7 @@ was never acknowledged.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 import threading
-import time
-from pathlib import Path
 from typing import Any, Mapping
 
 import repro.faults as _faults
@@ -40,7 +33,8 @@ from repro.obs import metrics as _obs
 from repro.obs import tracing as _tracing
 from repro.service.session import ExplainerSession, jsonable
 from repro.service.updates import TableDelta
-from repro.utils.exceptions import DegradedError, StoreError
+from repro.store.recordlog import RecordLog
+from repro.utils.exceptions import StoreError
 
 _WAL_APPENDS = _obs.get_registry().counter(
     "repro_wal_appends_total", "Deltas durably appended to write-ahead logs."
@@ -51,306 +45,65 @@ _WAL_FSYNC_SECONDS = _obs.get_registry().histogram(
 )
 
 
-def _record_digest(core: Mapping[str, Any]) -> str:
-    payload = json.dumps(core, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha1(payload.encode("utf-8")).hexdigest()[:12]
+def _delta(record: Mapping[str, Any]) -> TableDelta:
+    """Decode one verified record's delta."""
+    return TableDelta(insert=tuple(record["insert"]), delete=tuple(record["delete"]))
 
 
-def _record_core(seq: int, delta: TableDelta, request_id: str | None = None) -> dict:
-    """The JSON form of one record — portable values only.
-
-    Numpy scalars collapse to their Python equivalents (the session
-    encodes both spellings to the same codes, so replay is faithful).
-    Values JSON cannot represent surface as a :class:`StoreError` from
-    :func:`_record_line` *before* the record is acknowledged — a silent
-    ``str()`` coercion here would replay as a different value than the
-    live session applied.
-
-    ``request_id`` is the originating request's trace id, recorded (and
-    covered by the digest) only when present so logs written before the
-    field existed still verify.
-    """
-    core = {
-        "seq": seq,
-        "insert": jsonable([dict(row) for row in delta.insert]),
-        "delete": [int(index) for index in delta.delete],
-    }
-    if request_id is not None:
-        core["request_id"] = str(request_id)
-    return core
-
-
-def _record_line(core: Mapping[str, Any]) -> bytes:
-    """Serialize one record (digest included) to its on-disk line."""
-    try:
-        crc = _record_digest(core)
-    except (TypeError, ValueError) as exc:
-        raise StoreError(
-            f"delta contains values JSON cannot represent faithfully: {exc}"
-        ) from exc
-    record = dict(core)
-    record["crc"] = crc
-    return json.dumps(record, sort_keys=True, separators=(",", ":")).encode(
-        "utf-8"
-    ) + b"\n"
-
-
-class DeltaLog:
+class DeltaLog(RecordLog):
     """Append-only, fsync'd JSONL write-ahead log of table deltas.
 
-    Parameters
-    ----------
-    path:
-        Log file location (created on first append). One log per tenant;
-        :meth:`ArtifactStore.wal_path` hands out the conventional path.
-    fsync:
-        Fsync after every append (the durability guarantee). Disable
-        only in benchmarks that measure everything-but-the-disk.
+    One log per tenant; :meth:`ArtifactStore.wal_path` hands out the
+    conventional path.
     """
 
-    def __init__(self, path: str | Path, fsync: bool = True):
-        self.path = Path(path)
-        self._fsync = bool(fsync)
-        self._lock = threading.Lock()
-        self._fh = None
-        self._sealed = False
-        self._degraded: str | None = None
-        self._appended = 0
-        records, valid_bytes, total_bytes, floor = self._scan()
-        self._floor = floor
-        self._last_seq = records[-1][0] if records else floor
-        self._first_seq = records[0][0] if records else 0
-        self._records = len(records)
-        if valid_bytes < total_bytes:
-            # torn tail from a crash mid-append: the record was never
-            # acknowledged, so truncating it is the correct recovery.
-            with open(self.path, "ab") as fh:
-                fh.truncate(valid_bytes)
+    FAULTS = "wal"
+    NAME = "WAL"
 
-    # -- reading -----------------------------------------------------------
-
-    def _scan(
-        self,
-    ) -> tuple[list[tuple[int, TableDelta, str | None]], int, int, int]:
-        """Parse the log; returns (records, valid bytes, total bytes, floor).
-
-        Records are ``(seq, delta, request_id)`` triples; ``request_id``
-        is ``None`` for records written before the field existed.
-        ``floor`` is the highest compacted-through sequence recorded by a
-        floor marker line (0 for never-compacted logs): a fresh open of a
-        fully compacted log must not report cursor 0 as valid just
-        because the file happens to hold no records.
-        """
-        if not self.path.exists():
-            return [], 0, 0, 0
-        raw = self.path.read_bytes()
-        records: list[tuple[int, TableDelta, str | None]] = []
-        offset = 0
-        last_seq = 0
-        floor = 0
-        # Only newline-terminated lines are records. append() fsyncs the
-        # record *and* its newline in one write before acknowledging, so
-        # an unterminated final chunk — even one that happens to parse as
-        # complete JSON — is an unacknowledged torn write: parsing it
-        # would let the next append concatenate onto the same line and a
-        # later recovery destroy both records.
-        *terminated, tail = raw.split(b"\n")
-        for line in terminated:
-            chunk = len(line) + 1  # + the newline
-            stripped = line.strip()
-            if not stripped:
-                offset += chunk
-                continue
-            try:
-                record = json.loads(stripped)
-                if "floor" in record and "seq" not in record:
-                    # compaction floor marker, written by truncate_through
-                    if record.get("crc") != _record_digest(
-                        {"floor": record["floor"]}
-                    ):
-                        raise StoreError(
-                            f"corrupt WAL floor marker at byte {offset} of "
-                            f"{self.path}; refusing an unreliable history"
-                        )
-                    floor = max(floor, int(record["floor"]))
-                    last_seq = max(last_seq, floor)
-                    offset += chunk
-                    continue
-                core = {
-                    "seq": record["seq"],
-                    "insert": record["insert"],
-                    "delete": record["delete"],
-                }
-                if "request_id" in record:
-                    core["request_id"] = record["request_id"]
-                ok = record.get("crc") == _record_digest(core)
-                seq = int(record["seq"])
-            except (ValueError, KeyError, TypeError):
-                ok = False
-                seq = -1
-            if not ok or seq <= last_seq:
-                # A terminated line can never be a torn write — the
-                # newline is the last byte of the single append write,
-                # so a bad-but-complete record is *corruption of
-                # acknowledged data* (even in final position) and must
-                # refuse recovery rather than silently drop the record.
-                raise StoreError(
-                    f"corrupt WAL record at byte {offset} of {self.path}; "
-                    "refusing to replay an unreliable history"
-                )
-            records.append(
-                (
-                    seq,
-                    TableDelta(
-                        insert=tuple(core["insert"]), delete=tuple(core["delete"])
-                    ),
-                    core.get("request_id"),
-                )
-            )
-            last_seq = seq
-            offset += chunk
-        # `offset` == bytes through the last terminated line; a non-empty
-        # `tail` beyond it is the torn write the caller truncates.
-        assert offset + len(tail) == len(raw)
-        return records, offset, len(raw), floor
+    @staticmethod
+    def _check(record: dict) -> None:
+        _delta(record)  # a WAL record is one that decodes to a delta
 
     def replay(self, after: int = 0) -> list[tuple[int, TableDelta]]:
         """Records with sequence number greater than ``after``, in order."""
-        with self._lock:
-            records, _valid, _total, _floor = self._scan()
-        return [(seq, delta) for seq, delta, _rid in records if seq > after]
+        return [(record["seq"], _delta(record)) for record in self.records(after)]
 
     def replay_annotated(
         self, after: int = 0
     ) -> list[tuple[int, TableDelta, str | None]]:
-        """Like :meth:`replay` but including each record's request id."""
-        with self._lock:
-            records, _valid, _total, _floor = self._scan()
+        """Like :meth:`replay` but including each record's request id.
+
+        The id is ``None`` for records written before the field existed.
+        """
         return [
-            (seq, delta, rid) for seq, delta, rid in records if seq > after
+            (record["seq"], _delta(record), record.get("request_id"))
+            for record in self.records(after)
         ]
-
-    @property
-    def last_seq(self) -> int:
-        """Sequence number of the most recent acknowledged record."""
-        return self._last_seq
-
-    @property
-    def first_live_seq(self) -> int:
-        """Sequence number of the oldest record still in the file.
-
-        Checkpoint compaction silently drops the replayable prefix, so a
-        tailing client holding cursor ``c`` can only trust
-        ``replay(after=c)`` to be gap-free when ``c >= first_live_seq - 1``.
-        An empty (or fully compacted) log exposes ``last_seq + 1`` — the
-        next sequence number that could ever be replayed — so the same
-        inequality works without special-casing emptiness.
-        """
-        with self._lock:
-            if self._records:
-                return self._first_seq
-            return self._last_seq + 1
-
-    def cursor_valid(self, cursor: int) -> bool:
-        """Whether ``replay(after=cursor)`` returns a gap-free tail.
-
-        False means compaction already dropped records the cursor never
-        saw; the client must resnapshot (re-read full state) instead of
-        replaying, or it would silently miss deltas.
-        """
-        return int(cursor) >= self.first_live_seq - 1
-
-    def ensure_floor(self, seq: int) -> None:
-        """Raise the sequence floor to at least ``seq``.
-
-        After checkpoint compaction the log file alone no longer knows
-        how far numbering has advanced (the prefix is gone); the snapshot
-        manifest does. Recovery calls this with the manifest's
-        ``wal_seq`` so post-restore appends continue the sequence instead
-        of reusing numbers the manifest already covers.
-        """
-        with self._lock:
-            self._last_seq = max(self._last_seq, int(seq))
-
-    # -- writing -----------------------------------------------------------
 
     def append(self, delta: TableDelta, request_id: str | None = None) -> int:
         """Durably append one delta; returns its sequence number.
 
         The record is on disk (flushed + fsynced) before this returns —
-        the write-ahead guarantee the durable session relies on.
-        ``request_id`` (the originating trace id) is stored in the
-        record and covered by its digest.
+        the write-ahead guarantee the durable session relies on.  An I/O
+        failure raises :class:`DegradedError` and leaves the log
+        read-only degraded until :meth:`reopen`.
 
-        An I/O failure anywhere in the write → flush → fsync sequence
-        puts the log in *read-only degraded mode*: the failed record was
-        never acknowledged, the handle may hold unflushed or torn bytes,
-        and blindly appending after it would risk interleaving damage
-        into acknowledged history.  Degraded appends raise
-        :class:`DegradedError` until :meth:`reopen` re-verifies the file
-        on disk.
+        Numpy scalars collapse to their Python equivalents (the session
+        encodes both spellings to the same codes, so replay is faithful).
+        Values JSON cannot represent raise :class:`StoreError` *before*
+        the record is acknowledged — a silent ``str()`` coercion would
+        replay as a different value than the live session applied.
+        ``request_id`` (the originating trace id) is stored, and covered
+        by the digest, only when present, so logs written before the
+        field existed still verify.
         """
-        with self._lock:
-            if self._sealed:
-                raise StoreError(
-                    f"write-ahead log {self.path} is sealed (the session was "
-                    "evicted); re-fetch the tenant from the registry"
-                )
-            if self._degraded is not None:
-                raise DegradedError(
-                    f"write-ahead log {self.path} is read-only degraded "
-                    f"after an I/O failure ({self._degraded}); reopen() to heal"
-                )
-            seq = self._last_seq + 1
-            line = _record_line(_record_core(seq, delta, request_id))
-            try:
-                if self._fh is None:
-                    self.path.parent.mkdir(parents=True, exist_ok=True)
-                    created = not self.path.exists()
-                    self._fh = open(self.path, "ab")
-                    if created:
-                        # the record's durability includes the file's own
-                        # directory entry — fsync the parent once at creation
-                        from repro.store.artifacts import _fsync_dir
-
-                        _fsync_dir(self.path.parent)
-                write_started = time.perf_counter()
-                _faults.inject(
-                    "wal.append.write",
-                    lambda: OSError(f"injected WAL write failure: {self.path}"),
-                )
-                if _faults.fires("wal.append.torn"):
-                    # stage the damage a crash mid-write leaves behind:
-                    # half a record, no newline, then the failure
-                    self._fh.write(line[: max(1, len(line) // 2)])
-                    self._fh.flush()
-                    raise OSError(f"injected torn WAL write: {self.path}")
-                self._fh.write(line)
-                self._fh.flush()
-                if self._fsync:
-                    _faults.inject(
-                        "wal.append.fsync",
-                        lambda: OSError(f"injected WAL fsync failure: {self.path}"),
-                    )
-                    os.fsync(self._fh.fileno())
-            except OSError as exc:
-                self._degraded = str(exc)
-                if self._fh is not None:
-                    try:
-                        self._fh.close()
-                    except OSError:
-                        pass
-                    self._fh = None
-                raise DegradedError(
-                    f"write-ahead log append failed, entering read-only "
-                    f"degraded mode: {exc}"
-                ) from exc
-            elapsed = time.perf_counter() - write_started
-            if self._records == 0:
-                self._first_seq = seq
-            self._last_seq = seq
-            self._records += 1
-            self._appended += 1
+        fields = {
+            "insert": jsonable([dict(row) for row in delta.insert]),
+            "delete": [int(index) for index in delta.delete],
+        }
+        if request_id is not None:
+            fields["request_id"] = str(request_id)
+        seq, elapsed = self._append(fields)
         _WAL_APPENDS.inc()
         _WAL_FSYNC_SECONDS.observe(elapsed)
         _tracing.record_span(
@@ -360,149 +113,6 @@ class DeltaLog:
             tags={"seq": seq},
         )
         return seq
-
-    def truncate_through(self, seq: int) -> int:
-        """Checkpoint compaction: drop records with sequence <= ``seq``.
-
-        Called after a snapshot captures the state through ``seq`` — the
-        dropped prefix is redundant with the snapshot. The tail is
-        rewritten atomically (temp file + rename); sequence numbers keep
-        counting from where they were. Returns how many records remain.
-
-        The rewritten file starts with a *floor marker* line recording
-        the compacted-through sequence, so a fresh open of the file —
-        even a fully compacted (record-free) one — still knows cursor 0
-        points into dropped history and reports it as a gap instead of
-        silently replaying an empty tail.
-        """
-        with self._lock:
-            records, _valid, _total, disk_floor = self._scan()
-            keep = [(s, d, r) for s, d, r in records if s > seq]
-            if len(keep) == len(records):
-                return len(keep)
-            floor = max(self._floor, disk_floor, int(seq))
-            if self._fh is not None:
-                self._fh.close()
-                self._fh = None
-            tmp = self.path.with_name(self.path.name + ".compact")
-            try:
-                with open(tmp, "wb") as fh:
-                    marker = {"floor": floor}
-                    marker["crc"] = _record_digest(marker)
-                    fh.write(
-                        json.dumps(
-                            marker, sort_keys=True, separators=(",", ":")
-                        ).encode("utf-8")
-                        + b"\n"
-                    )
-                    for s, delta, rid in keep:
-                        fh.write(_record_line(_record_core(s, delta, rid)))
-                    fh.flush()
-                    _faults.inject(
-                        "wal.compact.fsync",
-                        lambda: OSError(f"injected compaction fsync failure: {tmp}"),
-                    )
-                    os.fsync(fh.fileno())
-                _faults.inject(
-                    "wal.compact.replace",
-                    lambda: OSError(f"injected compaction replace failure: {tmp}"),
-                )
-                os.replace(tmp, self.path)
-            except OSError as exc:
-                # the original log is untouched until os.replace lands, so a
-                # failed compaction is loud but harmless: replay still works
-                # from the uncompacted file; only the temp file may be torn.
-                raise StoreError(
-                    f"checkpoint compaction of {self.path} failed; the "
-                    f"uncompacted log remains authoritative: {exc}"
-                ) from exc
-            self._records = len(keep)
-            self._first_seq = keep[0][0] if keep else 0
-            self._floor = floor
-            self._last_seq = max(self._last_seq, floor)
-            return len(keep)
-
-    # -- degraded mode -----------------------------------------------------
-
-    @property
-    def degraded(self) -> str | None:
-        """Why the log is read-only degraded, or ``None`` when healthy."""
-        return self._degraded
-
-    def reopen(self) -> None:
-        """Heal a degraded log: re-verify the file and accept appends again.
-
-        Rescans the on-disk log (refusing mid-log corruption exactly as
-        construction does), truncates any torn tail the failed append
-        left behind, and restores in-memory counters from what is
-        actually on disk.  The sequence floor never goes backwards.
-        A record whose *write completed* but whose fsync failed is
-        adopted: it is a complete terminated line, indistinguishable
-        from (and as safe as) an acknowledged one — replaying it is the
-        standard resolution of the crash-after-write-before-ack window.
-        """
-        with self._lock:
-            if self._fh is not None:
-                try:
-                    self._fh.close()
-                except OSError:
-                    pass
-                self._fh = None
-            records, valid_bytes, total_bytes, floor = self._scan()
-            if valid_bytes < total_bytes:
-                with open(self.path, "ab") as fh:
-                    fh.truncate(valid_bytes)
-            self._records = len(records)
-            self._first_seq = records[0][0] if records else 0
-            self._floor = max(self._floor, floor)
-            self._last_seq = max(
-                self._last_seq, floor, records[-1][0] if records else 0
-            )
-            self._degraded = None
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def close(self) -> None:
-        """Close the append handle (reads still work; appends reopen)."""
-        with self._lock:
-            if self._fh is not None:
-                self._fh.close()
-                self._fh = None
-
-    def seal(self) -> None:
-        """Permanently refuse further appends through this instance.
-
-        Eviction hands the log file to the *next* restore of the tenant;
-        sealing (after waiting out any in-flight append — the lock is
-        held for the full append) guarantees a stale session reference
-        can never interleave duplicate sequence numbers into a file now
-        owned by a newer session. Reads still work.
-        """
-        with self._lock:
-            self._sealed = True
-            if self._fh is not None:
-                self._fh.close()
-                self._fh = None
-
-    def __enter__(self) -> "DeltaLog":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def stats(self) -> dict:
-        """Log counters: size on disk, record count, last sequence."""
-        return {
-            "path": str(self.path),
-            "last_seq": self._last_seq,
-            "first_live_seq": self.first_live_seq,
-            "compacted_through": self._floor,
-            "records": self._records,
-            "appended": self._appended,
-            "bytes": self.path.stat().st_size if self.path.exists() else 0,
-            "fsync": self._fsync,
-            "degraded": self._degraded,
-        }
 
 
 class DurableSession(ExplainerSession):

@@ -44,7 +44,7 @@ class CorruptArtifactError(StoreError):
 
 class DegradedError(StoreError):
     """A durable component is in read-only degraded mode after an I/O
-    failure and refuses writes until healed (see ``DeltaLog.reopen``)."""
+    failure and refuses writes until healed (see ``RecordLog.reopen``)."""
 
 
 class DeadlineExceededError(ReproError, RuntimeError):

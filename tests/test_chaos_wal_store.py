@@ -10,13 +10,25 @@ silently drops acknowledged data.
 
 from __future__ import annotations
 
+import errno
+import json
+import threading
+import urllib.error
+import urllib.request
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.faults as faults
+from repro import fit_table_model
+from repro.core.lewis import Lewis
+from repro.data.table import Table
+from repro.monitor import MonitorJournal
+from repro.service.server import create_server
 from repro.service.updates import TableDelta
-from repro.store import ArtifactStore, DeltaLog
+from repro.store import ArtifactStore, DeltaLog, Registry, create_tenant
 from repro.utils.exceptions import (
     CorruptArtifactError,
     DegradedError,
@@ -128,6 +140,118 @@ class TestWalAppendFaults:
         # ...and sequence numbers are contiguous from 1.
         assert [seq for seq, _d in replayed] == list(range(1, len(markers) + 1))
         assert recovered.last_seq == len(markers)
+
+
+class DiskFillsMidWrite:
+    """A file handle whose write lands half the bytes, then hits ENOSPC."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, data):
+        self._fh.write(data[: len(data) // 2])
+        self._fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+class TestJournalTornWrite:
+    def test_torn_append_degrades_and_recovery_keeps_acked_records(
+        self, tmp_path
+    ):
+        path = tmp_path / "monitors.jsonl"
+        journal = MonitorJournal(path)
+        assert journal.append("register", {"id": "m1"}) == 1
+        acked = path.read_bytes()
+
+        journal._fh = DiskFillsMidWrite(journal._fh)
+        with pytest.raises(DegradedError):
+            journal.append("register", {"id": "m2"})
+        assert path.read_bytes() != acked  # half a record is on disk
+        # Degraded mode is sticky: nothing lands on top of the torn bytes.
+        with pytest.raises(DegradedError, match="degraded"):
+            journal.append("register", {"id": "m3"})
+        journal.close()
+
+        recovered = MonitorJournal(path)
+        assert path.read_bytes() == acked  # the torn tail was cut
+        assert [(r["seq"], r["data"]) for r in recovered.replay()] == [
+            (1, {"id": "m1"})
+        ]
+        assert recovered.append("register", {"id": "m2"}) == 2
+        recovered.close()
+
+
+def make_lewis(n: int = 120) -> Lewis:
+    rng = np.random.default_rng(11)
+    rows = {"a": rng.integers(0, 3, n).tolist(), "b": rng.integers(0, 3, n).tolist()}
+    rows["y"] = [int(a + b >= 2) for a, b in zip(rows["a"], rows["b"])]
+    table = Table.from_dict(
+        rows, domains={"a": [0, 1, 2], "b": [0, 1, 2], "y": [0, 1]}
+    )
+    model = fit_table_model("logistic", table, ["a", "b"], "y", seed=0)
+    return Lewis(
+        model,
+        data=table.select(["a", "b"]),
+        attributes=["a", "b"],
+        positive_outcome=1,
+        infer_orderings=False,
+    )
+
+
+def call(url: str, payload: dict | None = None):
+    """(status, body, headers) of one request, errors included."""
+    data = json.dumps(payload).encode() if payload is not None else None
+    request = urllib.request.Request(
+        url, data=data, headers={"Content-Type": "application/json"}
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=30) as response:
+            return response.status, json.loads(response.read()), response.headers
+    except urllib.error.HTTPError as exc:
+        return exc.code, json.loads(exc.read()), exc.headers
+
+
+class TestJournalDegradedOverHttp:
+    def test_torn_journal_write_answers_503_until_reattached(self, tmp_path):
+        store = ArtifactStore(tmp_path / "store")
+        create_tenant(store, "acme", make_lewis()).close()
+        registry = Registry(store, background=True)
+        server = create_server(registry=registry, port=0)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        host, port = server.server_address[:2]
+        base = f"http://{host}:{port}/v1"
+        spec = {"kind": "monotonicity", "params": {"attribute": "a"}}
+        try:
+            status, first, _ = call(f"{base}/acme/monitors", spec)
+            assert status == 200, first
+
+            with faults.plan({"journal.append.torn": {"once": True}}):
+                refused = [call(f"{base}/acme/monitors", spec)]
+            # the fault fired once; the journal stays degraded after it
+            refused.append(call(f"{base}/acme/monitors", spec))
+            for status, body, headers in refused:
+                assert status == 503, body
+                assert body["error"].startswith("store degraded: ")
+                assert body["request_id"]
+                assert headers["Retry-After"]
+
+            # re-attaching the tenant reopens the journal: the torn bytes
+            # are cut and every acknowledged registration replays
+            status, _, _ = call(f"{base}/registry/acme/evict", {})
+            assert status == 200
+            status, listing, _ = call(f"{base}/acme/monitors")
+            assert status == 200, listing
+            assert [m["id"] for m in listing["monitors"]] == [first["id"]]
+            status, second, _ = call(f"{base}/acme/monitors", spec)
+            assert status == 200, second
+        finally:
+            server.shutdown()
+            server.server_close()
+            server.monitors.close()
+            registry.close()
 
 
 class TestCompactionFaults:

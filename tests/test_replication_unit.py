@@ -239,3 +239,71 @@ class TestManagerFencing:
             assert manager.ingest_batch("t", fresh)["applied"] == 0
         finally:
             registry.close()
+
+
+class TestPromotionCatchUp:
+    def test_catch_up_reads_the_dead_store_without_writing(self, tmp_path):
+        dead = Registry(tmp_path / "dead")
+        dead.add("t", make_storable_lewis())
+        put_rows(dead.get("t"), 3)
+        dead.close()
+        dead_wal = dead.store.wal_path("t")
+        with open(dead_wal, "ab") as fh:
+            fh.write(b'{"crc":"0","delete":[],"ins')  # died mid-append
+        before = dead_wal.read_bytes()
+
+        registry = Registry(tmp_path / "replica")
+        try:
+            registry.add("t", make_storable_lewis())
+            manager = ReplicationManager(
+                registry, role="follower", leader_url="http://127.0.0.1:9"
+            )
+            out = manager.promote(catchup_store=str(tmp_path / "dead"))
+            assert out["caught_up"] == {"t": 3}
+            assert registry.get("t").log.last_seq == 3
+        finally:
+            registry.close()
+        assert dead_wal.read_bytes() == before
+
+
+class RacingClient:
+    """Ships the leader's snapshot from its store; a read of the tenant on
+    the replica lands while the manifest is in flight."""
+
+    def __init__(self, leader_store, replica):
+        self.leader_store = leader_store
+        self.replica = replica
+
+    def manifest(self, tenant):
+        self.replica.get(tenant)  # a concurrent request mid-resync
+        return self.leader_store.manifest(tenant)
+
+    def object(self, tenant, digest):
+        return self.leader_store.get_bytes(digest)
+
+
+class TestResync:
+    def test_a_read_racing_the_resync_cannot_pin_stale_state(self, tmp_path):
+        leader = Registry(tmp_path / "leader")
+        replica = Registry(tmp_path / "replica")
+        try:
+            leader.add("t", make_storable_lewis())
+            replica.add("t", make_storable_lewis())
+            put_rows(leader.get("t"), 3)
+            leader.snapshot("t")  # compacts the leader's log past seq 0
+            manager = ReplicationManager(
+                replica,
+                role="follower",
+                client=RacingClient(leader.store, replica),
+            )
+            session = manager.resync("t")
+            expected = leader.get("t")
+            assert session.log.last_seq == 3
+            assert session.table_version == expected.table_version
+            assert (
+                session.lewis.estimator.engine.state_digest()
+                == expected.lewis.estimator.engine.state_digest()
+            )
+        finally:
+            replica.close()
+            leader.close()

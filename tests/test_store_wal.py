@@ -179,7 +179,6 @@ class TestDeltaLog:
         assert stats["last_seq"] == 1
         assert stats["records"] == 1
         assert stats["bytes"] > 0
-        assert stats["fsync"] is True
 
 
 def tiny_model(features: Table) -> np.ndarray:
