@@ -33,6 +33,7 @@ from repro.core.scores import ScoreEstimator, ScoreTriple
 from repro.data.table import Table
 from repro.estimation.adjustment import adjusted_probability
 from repro.models.pipeline import TableModel
+from repro.obs import tracing as _tracing
 from repro.utils.lru import ByteBudgetLRU
 
 
@@ -175,7 +176,8 @@ class Lewis:
         layout; codes are translated to the model's layout before the
         black box is called.
         """
-        return self._raw_predict_positive(self._to_model_space(table))
+        with _tracing.span("blackbox_predict", tags={"rows": len(table)}):
+            return self._raw_predict_positive(self._to_model_space(table))
 
     def _raw_predict_positive(self, table: Table) -> np.ndarray:
         """Positive-decision vector, assuming model-space codes."""

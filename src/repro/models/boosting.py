@@ -12,7 +12,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.models.base import BaseClassifier, BaseRegressor
-from repro.models.tree import DecisionTreeRegressor
+from repro.models.tree import (
+    DecisionTreeRegressor,
+    NodeTable,
+    concat_tables,
+    descend,
+    sum_in_tree_order,
+)
 from repro.utils.rng import as_generator, spawn_generators
 
 
@@ -29,6 +35,18 @@ class _NewtonTree:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.leaf_values[self.tree.apply(X)]
+
+
+def _compile(trees: list[_NewtonTree], learning_rate: float) -> tuple[NodeTable, np.ndarray]:
+    """Concatenate boosted trees; return the table and each node's scaled step.
+
+    A node's step is ``learning_rate`` times its leaf's Newton value (0
+    at internal nodes), the exact product the per-round update adds.
+    """
+    nodes = concat_tables([t.tree.nodes_ for t in trees])
+    values = np.concatenate([t.leaf_values[t.tree.nodes_.leaf_id] for t in trees])
+    steps = np.where(nodes.leaf_id >= 0, learning_rate * values, 0.0)
+    return nodes, steps
 
 
 def _fit_newton_tree(
@@ -83,6 +101,7 @@ class GradientBoostingClassifier(BaseClassifier):
         self.seed = seed
         self.ensembles_: list[list[_NewtonTree]] | None = None
         self.base_scores_: np.ndarray | None = None
+        self.nodes_: NodeTable | None = None
 
     def _fit(self, X: np.ndarray, y_idx: np.ndarray, n_classes: int) -> None:
         n = len(X)
@@ -123,13 +142,23 @@ class GradientBoostingClassifier(BaseClassifier):
                 raw += self.learning_rate * tree.predict(X)
                 ensemble.append(tree)
             self.ensembles_.append(ensemble)
+        self.compile()
+
+    def compile(self) -> None:
+        """Concatenate every problem's trees into :attr:`nodes_` for fused prediction."""
+        trees = [tree for ensemble in self.ensembles_ for tree in ensemble]
+        self.nodes_, self._node_steps = _compile(trees, self.learning_rate)
 
     def _raw_scores(self, X: np.ndarray) -> np.ndarray:
-        scores = np.tile(self.base_scores_, (len(X), 1))
-        for p, ensemble in enumerate(self.ensembles_):
-            for tree in ensemble:
-                scores[:, p] += self.learning_rate * tree.predict(X)
-        return scores
+        n_problems, n_rounds = len(self.ensembles_), len(self.ensembles_[0])
+        steps = self._node_steps[descend(self.nodes_, X)]
+        # (problem, round, row) -> (round, problem, row): sum each problem's rounds.
+        steps = steps.reshape(n_problems, n_rounds, len(X)).transpose(1, 0, 2)
+        # Row-major like the per-round loop's scores: the multi-class
+        # row sums in _predict_proba round by memory layout.
+        return np.ascontiguousarray(
+            sum_in_tree_order(self.base_scores_[:, None], steps).T
+        )
 
     def _predict_proba(self, X: np.ndarray) -> np.ndarray:
         raw = self._raw_scores(X)
@@ -165,6 +194,7 @@ class GradientBoostingRegressor(BaseRegressor):
         self.seed = seed
         self.trees_: list[_NewtonTree] | None = None
         self.base_score_: float = 0.0
+        self.nodes_: NodeTable | None = None
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
         n = len(X)
@@ -194,9 +224,12 @@ class GradientBoostingRegressor(BaseRegressor):
             )
             raw += self.learning_rate * tree.predict(X)
             self.trees_.append(tree)
+        self.compile()
+
+    def compile(self) -> None:
+        """Concatenate the boosted trees into :attr:`nodes_` for fused prediction."""
+        self.nodes_, self._node_steps = _compile(self.trees_, self.learning_rate)
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
-        pred = np.full(len(X), self.base_score_)
-        for tree in self.trees_:
-            pred += self.learning_rate * tree.predict(X)
-        return pred
+        steps = self._node_steps[descend(self.nodes_, X)]
+        return sum_in_tree_order(np.float64(self.base_score_), steps)

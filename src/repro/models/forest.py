@@ -5,7 +5,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.models.base import BaseClassifier, BaseRegressor
-from repro.models.tree import DecisionTreeClassifier, DecisionTreeRegressor
+from repro.models.tree import (
+    DecisionTreeClassifier,
+    DecisionTreeRegressor,
+    NodeTable,
+    concat_tables,
+    descend,
+    sum_in_tree_order,
+)
 from repro.utils.rng import as_generator, spawn_generators
 
 
@@ -46,6 +53,7 @@ class RandomForestClassifier(BaseClassifier):
         self.bootstrap = bootstrap
         self.seed = seed
         self.trees_: list[DecisionTreeClassifier] | None = None
+        self.nodes_: NodeTable | None = None
         self.feature_importances_: np.ndarray | None = None
 
     def _fit(self, X: np.ndarray, y_idx: np.ndarray, n_classes: int) -> None:
@@ -75,12 +83,17 @@ class RandomForestClassifier(BaseClassifier):
             self.trees_.append(tree)
         total = importances.sum()
         self.feature_importances_ = importances / total if total > 0 else importances
+        self.compile()
+
+    def compile(self) -> None:
+        """Concatenate the fitted trees into :attr:`nodes_` for fused prediction."""
+        self.nodes_ = concat_tables([tree.nodes_ for tree in self.trees_])
+        counts = self.nodes_.value
+        self._node_proba = counts / counts.sum(axis=1, keepdims=True)
 
     def _predict_proba(self, X: np.ndarray) -> np.ndarray:
-        proba = np.zeros((len(X), len(self.classes_)))
-        for tree in self.trees_:
-            proba += tree._predict_proba(X)
-        return proba / len(self.trees_)
+        terms = self._node_proba[descend(self.nodes_, X)]
+        return sum_in_tree_order(0.0, terms) / len(self.trees_)
 
 
 class RandomForestRegressor(BaseRegressor):
@@ -105,6 +118,7 @@ class RandomForestRegressor(BaseRegressor):
         self.bootstrap = bootstrap
         self.seed = seed
         self.trees_: list[DecisionTreeRegressor] | None = None
+        self.nodes_: NodeTable | None = None
         self.feature_importances_: np.ndarray | None = None
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
@@ -128,9 +142,12 @@ class RandomForestRegressor(BaseRegressor):
             self.trees_.append(tree)
         total = importances.sum()
         self.feature_importances_ = importances / total if total > 0 else importances
+        self.compile()
+
+    def compile(self) -> None:
+        """Concatenate the fitted trees into :attr:`nodes_` for fused prediction."""
+        self.nodes_ = concat_tables([tree.nodes_ for tree in self.trees_])
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
-        pred = np.zeros(len(X))
-        for tree in self.trees_:
-            pred += tree._predict(X)
-        return pred / len(self.trees_)
+        terms = self.nodes_.value[descend(self.nodes_, X)]
+        return sum_in_tree_order(0.0, terms) / len(self.trees_)

@@ -8,7 +8,8 @@ is unsafe for untrusted files — so every model in
 >>> model = load_model("model.json")
 
 Numpy arrays are stored as nested lists (the models here are small:
-dozens of trees, a few weight matrices), trees as nested node dicts.
+dozens of trees, a few weight matrices), trees as nested node dicts
+(flattened into :class:`~repro.models.tree.NodeTable` arrays on load).
 The document carries a ``kind`` tag resolved through an explicit
 registry, so loading never executes arbitrary classes.
 """
@@ -30,7 +31,14 @@ from repro.models.forest import RandomForestClassifier, RandomForestRegressor
 from repro.models.linear import LinearRegression, LogisticRegression
 from repro.models.neural import NeuralNetworkClassifier
 from repro.models.pipeline import TableModel
-from repro.models.tree import DecisionTreeClassifier, DecisionTreeRegressor, _Node
+from repro.models.tree import (
+    NODE_FIELDS,
+    DecisionTreeClassifier,
+    DecisionTreeRegressor,
+    NodeTable,
+    append_node,
+    node_table,
+)
 from repro.data.encoding import OneHotEncoder
 
 
@@ -38,44 +46,45 @@ from repro.data.encoding import OneHotEncoder
 # node-level helpers
 
 
-def _node_to_dict(node: _Node) -> dict:
+def _node_to_dict(nodes: NodeTable, index: int = 0) -> dict:
+    """The nested dict of the subtree rooted at ``index``."""
+    value = nodes.value[index]
     out: dict[str, Any] = {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "n_samples": node.n_samples,
-        "impurity": node.impurity,
-        "leaf_id": node.leaf_id,
+        "feature": int(nodes.feature[index]),
+        "threshold": float(nodes.threshold[index]),
+        "n_samples": int(nodes.n_samples[index]),
+        "impurity": float(nodes.impurity[index]),
+        "leaf_id": int(nodes.leaf_id[index]),
+        "value": value.tolist(),
+        "value_kind": "array" if value.ndim else "scalar",
     }
-    if isinstance(node.value, np.ndarray):
-        out["value"] = node.value.tolist()
-        out["value_kind"] = "array"
-    else:
-        out["value"] = node.value
-        out["value_kind"] = "scalar"
-    if node.left is not None:
-        out["left"] = _node_to_dict(node.left)
-        out["right"] = _node_to_dict(node.right)
+    if nodes.left[index] != index:
+        out["left"] = _node_to_dict(nodes, int(nodes.left[index]))
+        out["right"] = _node_to_dict(nodes, int(nodes.right[index]))
     return out
 
 
-def _node_from_dict(data: dict) -> _Node:
-    value = (
-        np.asarray(data["value"], dtype=float)
-        if data["value_kind"] == "array"
-        else data["value"]
-    )
-    node = _Node(
-        feature=data["feature"],
-        threshold=data["threshold"],
-        value=value,
-        n_samples=data["n_samples"],
-        impurity=data["impurity"],
-        leaf_id=data["leaf_id"],
-    )
-    if "left" in data:
-        node.left = _node_from_dict(data["left"])
-        node.right = _node_from_dict(data["right"])
-    return node
+def _nodes_from_dict(root: dict, n_features: int) -> NodeTable:
+    """Flatten a nested node dict into a preorder :class:`NodeTable`."""
+    columns: dict[str, list] = {name: [] for name in NODE_FIELDS}
+
+    def visit(data: dict) -> int:
+        index = append_node(
+            columns,
+            data["feature"],
+            data["threshold"],
+            data["value"],
+            data["n_samples"],
+            data["impurity"],
+            data["leaf_id"],
+        )
+        if "left" in data:
+            columns["left"][index] = visit(data["left"])
+            columns["right"][index] = visit(data["right"])
+        return index
+
+    visit(root)
+    return node_table(columns, n_features)
 
 
 def _array(value) -> list | None:
@@ -89,7 +98,7 @@ def _array(value) -> list | None:
 def _tree_clf_to_dict(model: DecisionTreeClassifier) -> dict:
     return {
         "classes": model.classes_.tolist(),
-        "root": _node_to_dict(model.root_),
+        "root": _node_to_dict(model.nodes_),
         "feature_importances": _array(model.feature_importances_),
     }
 
@@ -97,14 +106,14 @@ def _tree_clf_to_dict(model: DecisionTreeClassifier) -> dict:
 def _tree_clf_from_dict(data: dict) -> DecisionTreeClassifier:
     model = DecisionTreeClassifier()
     model.classes_ = np.asarray(data["classes"])
-    model.root_ = _node_from_dict(data["root"])
     model.feature_importances_ = np.asarray(data["feature_importances"])
+    model.nodes_ = _nodes_from_dict(data["root"], len(model.feature_importances_))
     return model
 
 
 def _tree_reg_to_dict(model: DecisionTreeRegressor) -> dict:
     return {
-        "root": _node_to_dict(model.root_),
+        "root": _node_to_dict(model.nodes_),
         "n_leaves": model.n_leaves_,
         "feature_importances": _array(model.feature_importances_),
     }
@@ -112,9 +121,9 @@ def _tree_reg_to_dict(model: DecisionTreeRegressor) -> dict:
 
 def _tree_reg_from_dict(data: dict) -> DecisionTreeRegressor:
     model = DecisionTreeRegressor()
-    model.root_ = _node_from_dict(data["root"])
     model.n_leaves_ = data["n_leaves"]
     model.feature_importances_ = np.asarray(data["feature_importances"])
+    model.nodes_ = _nodes_from_dict(data["root"], len(model.feature_importances_))
     model.is_fitted_ = True
     return model
 
@@ -132,6 +141,7 @@ def _forest_clf_from_dict(data: dict) -> RandomForestClassifier:
     model.classes_ = np.asarray(data["classes"])
     model.trees_ = [_tree_clf_from_dict(t) for t in data["trees"]]
     model.feature_importances_ = np.asarray(data["feature_importances"])
+    model.compile()
     return model
 
 
@@ -146,6 +156,7 @@ def _forest_reg_from_dict(data: dict) -> RandomForestRegressor:
     model = RandomForestRegressor()
     model.trees_ = [_tree_reg_from_dict(t) for t in data["trees"]]
     model.feature_importances_ = np.asarray(data["feature_importances"])
+    model.compile()
     model.is_fitted_ = True
     return model
 
@@ -183,6 +194,7 @@ def _gbm_clf_from_dict(data: dict) -> GradientBoostingClassifier:
         [_newton_tree_from_dict(t) for t in ensemble]
         for ensemble in data["ensembles"]
     ]
+    model.compile()
     return model
 
 
@@ -198,6 +210,7 @@ def _gbm_reg_from_dict(data: dict) -> GradientBoostingRegressor:
     model = GradientBoostingRegressor(learning_rate=data["learning_rate"])
     model.base_score_ = data["base_score"]
     model.trees_ = [_newton_tree_from_dict(t) for t in data["trees"]]
+    model.compile()
     model.is_fitted_ = True
     return model
 

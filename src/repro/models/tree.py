@@ -5,6 +5,12 @@ between consecutive distinct feature values at the node, and impurity is
 evaluated from prefix sums in one vectorised pass per feature.  This is
 fast for the low-cardinality ordinal/one-hot matrices the library feeds
 models with, while remaining correct for arbitrary float features.
+
+A fitted tree lives in memory only as a :class:`NodeTable`: flat
+per-node arrays in preorder.  :func:`descend` walks one or many trees
+over a whole matrix at once, moving every (tree, row) pair down one
+level per numpy step, so forests and boosted ensembles predict with no
+Python loop over rows or trees.
 """
 
 from __future__ import annotations
@@ -13,22 +19,136 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.models.base import BaseClassifier, BaseRegressor
+from repro.models.base import BaseClassifier, BaseRegressor, _as_matrix
 from repro.utils.rng import as_generator
+from repro.utils.validation import check_fitted
 
 
-@dataclass
-class _Node:
-    """One tree node; leaves have ``feature = -1``."""
+@dataclass(frozen=True)
+class NodeTable:
+    """One or more fitted trees as flat per-node arrays, each tree in preorder.
 
-    feature: int = -1
-    threshold: float = 0.0
-    left: "_Node | None" = None
-    right: "_Node | None" = None
-    value: np.ndarray | float | None = None  # class counts or mean target
-    n_samples: int = 0
-    impurity: float = 0.0
-    leaf_id: int = -1
+    Leaves have ``feature = -1`` and a ``leaf_id`` numbering them left to
+    right within their tree; internal nodes have ``leaf_id = -1``.  A
+    leaf is its own left and right child, so a descent that reaches it
+    early stays there whatever the comparison says.
+    """
+
+    feature: np.ndarray  # int64 split feature
+    threshold: np.ndarray  # float64; rows with x <= threshold go left
+    left: np.ndarray  # int64 child node
+    right: np.ndarray  # int64 child node
+    value: np.ndarray  # class counts (n_nodes, n_classes) or mean target (n_nodes,)
+    n_samples: np.ndarray  # int64
+    impurity: np.ndarray  # float64
+    leaf_id: np.ndarray  # int64
+    roots: np.ndarray  # int64 root node of each tree
+    depth: int  # longest root-to-leaf path: the number of descent steps
+    n_features: int  # width of the matrix the trees were fit on
+
+
+#: per-node columns of a :class:`NodeTable`, in record order
+NODE_FIELDS = (
+    "feature", "threshold", "left", "right", "value", "n_samples", "impurity", "leaf_id",
+)
+
+
+def append_node(
+    columns: dict[str, list], feature, threshold, value, n_samples, impurity, leaf_id
+) -> int:
+    """Append one node to preorder ``columns`` as a leaf; return its index.
+
+    The node is its own child until the caller links its subtrees.
+    """
+    index = len(columns["feature"])
+    record = (feature, threshold, index, index, value, n_samples, impurity, leaf_id)
+    for name, field in zip(NODE_FIELDS, record):
+        columns[name].append(field)
+    return index
+
+
+def node_table(columns: dict[str, list], n_features: int) -> NodeTable:
+    """Freeze one tree's preorder ``columns`` (root first) into a :class:`NodeTable`."""
+    left = np.array(columns["left"], dtype=np.int64)
+    right = np.array(columns["right"], dtype=np.int64)
+    depth, frontier = 0, np.zeros(1, dtype=np.int64)
+    while True:
+        frontier = frontier[left[frontier] != frontier]  # drop the leaves
+        if frontier.size == 0:
+            break
+        frontier = np.concatenate([left[frontier], right[frontier]])
+        depth += 1
+    return NodeTable(
+        feature=np.array(columns["feature"], dtype=np.int64),
+        threshold=np.array(columns["threshold"], dtype=np.float64),
+        left=left,
+        right=right,
+        value=np.array(columns["value"], dtype=np.float64),
+        n_samples=np.array(columns["n_samples"], dtype=np.int64),
+        impurity=np.array(columns["impurity"], dtype=np.float64),
+        leaf_id=np.array(columns["leaf_id"], dtype=np.int64),
+        roots=np.zeros(1, dtype=np.int64),
+        depth=depth,
+        n_features=n_features,
+    )
+
+
+def concat_tables(tables: list[NodeTable]) -> NodeTable:
+    """One table holding every tree of ``tables``, in order, for a fused descent."""
+    if not tables:
+        raise ValueError("an ensemble needs at least one tree (n_estimators >= 1)")
+    sizes = [len(t.feature) for t in tables]
+    offsets = np.cumsum([0] + sizes[:-1]).astype(np.int64)
+
+    def stack(field: str, shift: bool = False) -> np.ndarray:
+        parts = [getattr(t, field) for t in tables]
+        if shift:
+            parts = [part + offset for part, offset in zip(parts, offsets)]
+        return np.concatenate(parts)
+
+    return NodeTable(
+        feature=stack("feature"),
+        threshold=stack("threshold"),
+        left=stack("left", shift=True),
+        right=stack("right", shift=True),
+        value=stack("value"),
+        n_samples=stack("n_samples"),
+        impurity=stack("impurity"),
+        leaf_id=stack("leaf_id"),
+        roots=stack("roots", shift=True),
+        depth=max(t.depth for t in tables),
+        n_features=tables[0].n_features,
+    )
+
+
+def descend(nodes: NodeTable, X: np.ndarray) -> np.ndarray:
+    """Leaf node reached by every (tree, row) pair, shape ``(n_trees, n_rows)``.
+
+    All pairs step down one level together, ``nodes.depth`` times.  A
+    comparison with NaN is false, so NaN features go right.
+    """
+    if X.shape[1] != nodes.n_features:
+        raise ValueError(
+            f"X has {X.shape[1]} features, but the model was fit on "
+            f"{nodes.n_features} features"
+        )
+    rows = np.arange(len(X))
+    node = np.repeat(nodes.roots[:, None], len(X), axis=1)
+    for _ in range(nodes.depth):
+        go_left = X[rows, nodes.feature[node]] <= nodes.threshold[node]
+        node = np.where(go_left, nodes.left[node], nodes.right[node])
+    return node
+
+
+def sum_in_tree_order(start: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """``start + terms[0] + terms[1] + ...``, added strictly left to right.
+
+    Ensembles add one tree's output at a time; ``np.sum`` over the tree
+    axis may pair terms up and round differently, an accumulate never
+    does, so fused predictions stay bit-identical to a per-tree loop.
+    """
+    first = np.broadcast_to(start, terms.shape[1:])[None]
+    return np.add.accumulate(np.concatenate([first, terms]), axis=0)[-1]
 
 
 def _class_impurity(counts: np.ndarray, criterion: str) -> np.ndarray:
@@ -77,22 +197,24 @@ class _TreeBuilder:
 
     # -- generic recursion ------------------------------------------------------
 
-    def build(self, X: np.ndarray, y: np.ndarray) -> _Node:
+    def build(self, X: np.ndarray, y: np.ndarray) -> NodeTable:
         self.feature_gains = np.zeros(X.shape[1])
-        return self._grow(X, y, depth=0)
+        self.columns: dict[str, list] = {name: [] for name in NODE_FIELDS}
+        self._grow(X, y, depth=0)
+        return node_table(self.columns, X.shape[1])
 
-    def _grow(self, X: np.ndarray, y: np.ndarray, depth: int) -> _Node:
-        node = _Node(
-            value=self.node_value(y),
-            n_samples=len(y),
-            impurity=self.node_impurity(y),
+    def _grow(self, X: np.ndarray, y: np.ndarray, depth: int) -> int:
+        """Append the subtree for ``(X, y)`` in preorder; return its root."""
+        impurity = self.node_impurity(y)
+        index = append_node(
+            self.columns, -1, 0.0, self.node_value(y), len(y), impurity, -1
         )
         if (
             depth >= self.max_depth
             or len(y) < self.min_samples_split
-            or node.impurity <= 1e-12
+            or impurity <= 1e-12
         ):
-            return self._leaf(node)
+            return self._leaf(index)
 
         n_features = X.shape[1]
         if self.max_features is not None and self.max_features < n_features:
@@ -110,20 +232,20 @@ class _TreeBuilder:
                 best_gain, best_feature, best_threshold = gain, int(f), threshold
 
         if best_feature < 0:
-            return self._leaf(node)
+            return self._leaf(index)
 
         mask = X[:, best_feature] <= best_threshold
-        node.feature = best_feature
-        node.threshold = best_threshold
+        self.columns["feature"][index] = best_feature
+        self.columns["threshold"][index] = best_threshold
         self.feature_gains[best_feature] += best_gain * len(y)
-        node.left = self._grow(X[mask], y[mask], depth + 1)
-        node.right = self._grow(X[~mask], y[~mask], depth + 1)
-        return node
+        self.columns["left"][index] = self._grow(X[mask], y[mask], depth + 1)
+        self.columns["right"][index] = self._grow(X[~mask], y[~mask], depth + 1)
+        return index
 
-    def _leaf(self, node: _Node) -> _Node:
-        node.leaf_id = self.n_leaves
+    def _leaf(self, index: int) -> int:
+        self.columns["leaf_id"][index] = self.n_leaves
         self.n_leaves += 1
-        return node
+        return index
 
 
 class _ClassifierBuilder(_TreeBuilder):
@@ -207,18 +329,18 @@ class _RegressorBuilder(_TreeBuilder):
         return float(gains[best]), threshold
 
 
-def _traverse(node: _Node, X: np.ndarray, out_nodes: list, indices: np.ndarray) -> None:
-    """Vectorised tree traversal: record the leaf node of each row."""
-    if node.feature < 0:
-        for i in indices:
-            out_nodes[i] = node
-        return
-    mask = X[indices, node.feature] <= node.threshold
-    _traverse(node.left, X, out_nodes, indices[mask])
-    _traverse(node.right, X, out_nodes, indices[~mask])
+class _TreeModel:
+    """What both CART models share: a fitted :class:`NodeTable`."""
+
+    nodes_: NodeTable | None
+
+    def apply(self, X) -> np.ndarray:
+        """Return the leaf id each row lands in."""
+        check_fitted(self, "nodes_")
+        return self.nodes_.leaf_id[descend(self.nodes_, _as_matrix(X))[0]]
 
 
-class DecisionTreeClassifier(BaseClassifier):
+class DecisionTreeClassifier(_TreeModel, BaseClassifier):
     """CART classifier with gini/entropy impurity."""
 
     def __init__(
@@ -237,7 +359,7 @@ class DecisionTreeClassifier(BaseClassifier):
         self.max_features = max_features
         self.criterion = criterion
         self.seed = seed
-        self.root_: _Node | None = None
+        self.nodes_: NodeTable | None = None
         self.feature_importances_: np.ndarray | None = None
 
     def _fit(self, X: np.ndarray, y_idx: np.ndarray, n_classes: int) -> None:
@@ -250,30 +372,17 @@ class DecisionTreeClassifier(BaseClassifier):
             max_features=self.max_features,
             rng=as_generator(self.seed),
         )
-        self.root_ = builder.build(X, y_idx)
+        self.nodes_ = builder.build(X, y_idx)
         gains = builder.feature_gains
         total = gains.sum()
         self.feature_importances_ = gains / total if total > 0 else gains
 
-    def _leaves(self, X: np.ndarray) -> list[_Node]:
-        nodes: list = [None] * len(X)
-        _traverse(self.root_, X, nodes, np.arange(len(X)))
-        return nodes
-
     def _predict_proba(self, X: np.ndarray) -> np.ndarray:
-        out = np.empty((len(X), len(self.classes_)))
-        for i, node in enumerate(self._leaves(X)):
-            counts = node.value
-            out[i] = counts / counts.sum()
-        return out
-
-    def apply(self, X) -> np.ndarray:
-        """Return the leaf id each row lands in."""
-        X = np.asarray(X, dtype=np.float64)
-        return np.array([n.leaf_id for n in self._leaves(X)], dtype=np.int64)
+        counts = self.nodes_.value[descend(self.nodes_, X)[0]]
+        return counts / counts.sum(axis=1, keepdims=True)
 
 
-class DecisionTreeRegressor(BaseRegressor):
+class DecisionTreeRegressor(_TreeModel, BaseRegressor):
     """CART regressor with variance reduction splitting."""
 
     def __init__(
@@ -290,7 +399,7 @@ class DecisionTreeRegressor(BaseRegressor):
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.seed = seed
-        self.root_: _Node | None = None
+        self.nodes_: NodeTable | None = None
         self.n_leaves_: int = 0
         self.feature_importances_: np.ndarray | None = None
 
@@ -302,23 +411,11 @@ class DecisionTreeRegressor(BaseRegressor):
             max_features=self.max_features,
             rng=as_generator(self.seed),
         )
-        self.root_ = builder.build(X, y)
+        self.nodes_ = builder.build(X, y)
         self.n_leaves_ = builder.n_leaves
         gains = builder.feature_gains
         total = gains.sum()
         self.feature_importances_ = gains / total if total > 0 else gains
 
-    def _leaves(self, X: np.ndarray) -> list[_Node]:
-        nodes: list = [None] * len(X)
-        _traverse(self.root_, X, nodes, np.arange(len(X)))
-        return nodes
-
     def _predict(self, X: np.ndarray) -> np.ndarray:
-        return np.array([n.value for n in self._leaves(X)], dtype=np.float64)
-
-    def apply(self, X) -> np.ndarray:
-        """Return the leaf id each row lands in (for boosting leaf refits)."""
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 1:
-            X = X.reshape(1, -1)
-        return np.array([n.leaf_id for n in self._leaves(X)], dtype=np.int64)
+        return self.nodes_.value[descend(self.nodes_, X)[0]]

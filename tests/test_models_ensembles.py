@@ -142,3 +142,19 @@ class TestGradientBoosting:
         ).fit(X, y)
         proba = gbm.predict_proba(X)[:, 1]
         assert np.allclose(proba, y.mean(), atol=1e-6)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        RandomForestClassifier,
+        RandomForestRegressor,
+        GradientBoostingClassifier,
+        GradientBoostingRegressor,
+    ],
+    ids=lambda f: f.__name__,
+)
+def test_zero_estimators_is_refused(family, linear_data):
+    X, y, _ = linear_data
+    with pytest.raises(ValueError, match="n_estimators >= 1"):
+        family(n_estimators=0).fit(X, y)

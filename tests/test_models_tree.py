@@ -1,8 +1,13 @@
 """Unit tests for CART trees."""
 
+import json
+
 import numpy as np
 import pytest
 
+from repro.models.boosting import GradientBoostingClassifier, GradientBoostingRegressor
+from repro.models.forest import RandomForestClassifier, RandomForestRegressor
+from repro.models.serialize import model_from_dict, model_to_dict
 from repro.models.tree import DecisionTreeClassifier, DecisionTreeRegressor
 from repro.utils.exceptions import NotFittedError
 
@@ -33,21 +38,20 @@ class TestDecisionTreeClassifier:
         deep = DecisionTreeClassifier(max_depth=None).fit(X, y)
         assert deep.score(X, y) >= stump.score(X, y)
         # A depth-1 tree has exactly one split (2 leaves).
-        assert stump.root_.feature >= 0
-        assert stump.root_.left.feature == -1
-        assert stump.root_.right.feature == -1
+        nodes = stump.nodes_
+        assert nodes.depth == 1
+        assert nodes.feature[0] >= 0
+        assert nodes.feature[nodes.left[0]] == -1
+        assert nodes.feature[nodes.right[0]] == -1
 
     def test_min_samples_leaf_enforced(self):
         X = np.arange(10, dtype=float).reshape(-1, 1)
         y = np.array([0] * 9 + [1])
         tree = DecisionTreeClassifier(min_samples_leaf=3).fit(X, y)
-
-        def leaf_sizes(node):
-            if node.feature < 0:
-                return [node.n_samples]
-            return leaf_sizes(node.left) + leaf_sizes(node.right)
-
-        assert all(s >= 3 for s in leaf_sizes(tree.root_))
+        nodes = tree.nodes_
+        leaf_sizes = nodes.n_samples[nodes.feature < 0]
+        assert leaf_sizes.size >= 1
+        assert (leaf_sizes >= 3).all()
 
     def test_pure_node_stops_splitting(self):
         X = np.array([[0.0], [1.0], [2.0]])
@@ -104,6 +108,15 @@ class TestDecisionTreeClassifier:
             block = proba[leaves == leaf]
             assert np.allclose(block, block[0])
 
+    def test_apply_accepts_a_single_row(self, linear_data):
+        X, y, _ = linear_data
+        tree = DecisionTreeClassifier(max_depth=3).fit(X, y)
+        assert np.array_equal(tree.apply(X[0]), tree.apply(X[:1]))
+
+    def test_unfitted_apply_raises(self):
+        with pytest.raises(NotFittedError):
+            DecisionTreeClassifier().apply(np.zeros((1, 2)))
+
 
 class TestDecisionTreeRegressor:
     def test_fits_step_function(self):
@@ -145,8 +158,45 @@ class TestDecisionTreeRegressor:
         tree = DecisionTreeRegressor(max_depth=4).fit(X, y)
         assert tree.apply(X).max() < tree.n_leaves_
 
+    def test_apply_accepts_a_single_row(self):
+        X = np.arange(20, dtype=float).reshape(-1, 2)
+        tree = DecisionTreeRegressor(max_depth=3).fit(X, X[:, 0])
+        assert np.array_equal(tree.apply(X[3]), tree.apply(X[3:4]))
+
+    def test_unfitted_apply_raises(self):
+        with pytest.raises(NotFittedError):
+            DecisionTreeRegressor().apply(np.zeros((1, 2)))
+
     def test_score_r2_bounds(self):
         X = np.arange(50, dtype=float).reshape(-1, 1)
         y = X[:, 0] * 2.0
         tree = DecisionTreeRegressor(max_depth=6).fit(X, y)
         assert 0.9 < tree.score(X, y) <= 1.0
+
+
+class TestFeatureWidth:
+    @pytest.mark.parametrize(
+        "model",
+        [
+            DecisionTreeClassifier(),
+            DecisionTreeRegressor(),
+            RandomForestClassifier(n_estimators=3),
+            RandomForestRegressor(n_estimators=3),
+            GradientBoostingClassifier(n_estimators=3),
+            GradientBoostingRegressor(n_estimators=3),
+        ],
+        ids=lambda model: type(model).__name__,
+    )
+    def test_wrong_width_is_refused_naming_both_widths(self, model):
+        rng = np.random.default_rng(0)
+        X = rng.integers(0, 4, size=(40, 2)).astype(float)
+        model.fit(X, (X[:, 0] > X[:, 1]).astype(np.int64))
+        loaded = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
+        for fitted in (model, loaded):
+            for width in (1, 5):
+                with pytest.raises(ValueError, match=f"X has {width} features.* fit on 2"):
+                    fitted.predict(np.zeros((2, width)))
+                if hasattr(fitted, "apply"):
+                    with pytest.raises(ValueError, match=f"X has {width} features"):
+                        fitted.apply(np.zeros((2, width)))
+            assert fitted.predict(np.zeros((2, 2))).shape == (2,)

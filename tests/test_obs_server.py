@@ -188,6 +188,23 @@ class TestTracesEndpoint:
         chunk = next(s for s in record["spans"] if s["name"] == "solve_chunk")
         assert chunk["tags"]["items"] >= 1
 
+    def test_update_trace_shows_the_black_box_share(self, server):
+        inserted = [
+            {"a": 2, "b": 1, "sex": "F"},
+            {"a": 0, "b": 2, "sex": "M"},
+            {"a": 1, "b": 1, "sex": "M"},
+        ]
+        status, body = post(
+            server, "/v1/update", {"insert": inserted, "delete": [0, 1, 2]}
+        )
+        assert status == 200
+        _s, _h, raw = get(server, f"/v1/traces?id={body['request_id']}")
+        record = json.loads(raw)["traces"][0]
+        spans = [s for s in record["spans"] if s["name"] == "blackbox_predict"]
+        assert len(spans) == 1
+        assert spans[0]["tags"]["rows"] == len(inserted)
+        assert spans[0]["duration_ms"] <= record["duration_ms"]
+
     def test_query_filters_by_min_ms_and_limit(self, server):
         for _ in range(3):
             post(server, "/v1/explain/global", {})
