@@ -1,6 +1,6 @@
 """Ablations of LEWIS's design choices (beyond the paper's figures).
 
-Four ablations quantify the components DESIGN.md calls out:
+Four ablations quantify LEWIS's main components:
 
 * **Causal diagram** — scores with the true diagram vs. the
   no-confounding fallback vs. a PC-*discovered* diagram, measured as
@@ -29,7 +29,7 @@ from repro import (
 )
 from repro.causal.discovery import PCAlgorithm, structural_hamming_distance
 from repro.core.scores import ScoreEstimator
-from repro.estimation.probability import FrequencyEstimator
+from repro.estimation.engine import ContingencyEngine
 from repro.xai.ranking import kendall_tau
 
 from benchmarks.conftest import write_report
@@ -118,7 +118,7 @@ def test_ablation_smoothing(benchmark, syn_model):
         rows = []
         for alpha in (0.0, 0.5, 2.0, 8.0):
             estimator = ScoreEstimator(features, positive, diagram=small.graph)
-            estimator._freq = FrequencyEstimator(estimator.table, alpha=alpha)
+            estimator._engine = ContingencyEngine(estimator.table, alpha=alpha)
             est = estimator.necessity_sufficiency({"status": 2}, {"status": 0})
             rows.append((alpha, est, abs(est - exact)))
         return rows

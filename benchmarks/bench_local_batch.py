@@ -5,8 +5,8 @@ them as machine-readable JSON under ``benchmarks/results/local_batch.json``:
 
 * **cohort local explanations** — ``Lewis.explain_local_batch`` over N
   rows (probes deduplicated, one regression matrix pass per attribute
-  group) vs the historical per-row scalar loop
-  (``build_local_explanation(..., batched=False)``); target: >= 10x at
+  group) vs the per-row scalar loop
+  (``tests/oracles.py::local_explanation_scalar``); target: >= 10x at
   1k rows on adult,
 * **cohort recourse audit** — ``RecourseSolver.solve_batch`` (one logit
   matrix pass for base probabilities + one IP build/solve per distinct
@@ -83,7 +83,7 @@ def _timed(fn, repeats: int):
 
 
 def bench_local(lewis, cohort: int, repeats: int) -> dict:
-    from repro.core.explanations import build_local_explanation
+    from tests.oracles import local_explanation_scalar
 
     indices = [int(i) for i in range(min(cohort, len(lewis.data)))]
 
@@ -98,12 +98,11 @@ def bench_local(lewis, cohort: int, repeats: int) -> dict:
 
     def scalar_loop():
         return [
-            build_local_explanation(
+            local_explanation_scalar(
                 lewis.estimator,
                 lewis.data.row_codes(i),
                 bool(lewis.positive[i]),
                 lewis.attributes,
-                batched=False,
             )
             for i in indices
         ]

@@ -1,13 +1,14 @@
 """Shared fixtures and reporting for the benchmark harness.
 
-Each ``bench_*.py`` module regenerates one table or figure of the paper
-(see DESIGN.md's per-experiment index). Heavy setup (dataset generation,
-model training) lives in session fixtures; the timed portion is the
-LEWIS operation the paper reports.
+Each paper-harness ``bench_*.py`` module regenerates one table or figure
+of the paper, named in its docstring (README.md describes the harness).
+Heavy setup (dataset generation, model training) lives in session
+fixtures; the timed portion is the LEWIS operation the paper reports.
 
 Every benchmark also writes the rows/series the paper's artifact shows
 into ``benchmarks/results/<experiment>.txt`` so the shapes can be
-compared against the paper (EXPERIMENTS.md records that comparison).
+compared against the paper; the machine-readable ``results/*.json``
+files carry the system benchmarks' numbers with their provenance.
 
 Set ``REPRO_FULL=1`` to run at the paper's full dataset sizes (Table 2);
 the default sizes are scaled down so the whole harness completes in

@@ -55,7 +55,7 @@ from repro.data import (
     load_dataset,
     train_test_split,
 )
-from repro.estimation import ContingencyEngine, FrequencyEstimator
+from repro.estimation import ContingencyEngine
 from repro.models import TableModel, fit_table_model
 from repro.service import ExplainerSession, ResultCache, TableDelta
 
@@ -80,7 +80,6 @@ __all__ = [
     "ContingencyEngine",
     "DatasetBundle",
     "ExplainerSession",
-    "FrequencyEstimator",
     "ResultCache",
     "TableDelta",
     "Table",

@@ -16,8 +16,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from repro.causal.graph import CausalDiagram
-from repro.estimation.adjustment import adjusted_probability
-from repro.estimation.probability import FrequencyEstimator
+from repro.estimation.engine import ContingencyEngine
 from repro.utils.exceptions import GraphError
 
 
@@ -26,8 +25,8 @@ class BackdoorAdjustment:
 
     Parameters
     ----------
-    estimator:
-        Frequency estimator over the black box's input-output table.
+    engine:
+        Contingency engine over the black box's input-output table.
     diagram:
         Causal diagram *including* the outcome node (use
         :meth:`CausalDiagram.with_outcome` to extend a feature diagram).
@@ -37,13 +36,13 @@ class BackdoorAdjustment:
 
     def __init__(
         self,
-        estimator: FrequencyEstimator,
+        engine: ContingencyEngine,
         diagram: CausalDiagram,
         outcome: str,
     ):
         if outcome not in diagram:
             raise GraphError(f"outcome {outcome!r} missing from the diagram")
-        self._estimator = estimator
+        self._engine = engine
         self._diagram = diagram
         self._outcome = outcome
         self._adjustment_cache: dict[tuple, list[str] | None] = {}
@@ -108,18 +107,18 @@ class BackdoorAdjustment:
         adjustment = [
             a for a in adjustment if a not in treatment and a not in context
         ]
-        return adjusted_probability(
-            self._estimator,
-            event={self._outcome: int(outcome_code)},
-            treatment=dict(treatment),
-            adjustment=adjustment,
-            weight_condition={},
-            context=context,
+        return float(
+            self._engine.adjusted_probabilities(
+                {self._outcome: int(outcome_code)},
+                [dict(treatment)],
+                adjustment,
+                context=context,
+            )[0]
         )
 
 
 def interventional_probability(
-    estimator: FrequencyEstimator,
+    engine: ContingencyEngine,
     diagram: CausalDiagram,
     outcome: str,
     outcome_code: int,
@@ -127,6 +126,6 @@ def interventional_probability(
     context: Mapping[str, int] | None = None,
 ) -> float:
     """One-shot convenience wrapper over :class:`BackdoorAdjustment`."""
-    return BackdoorAdjustment(estimator, diagram, outcome).interventional(
+    return BackdoorAdjustment(engine, diagram, outcome).interventional(
         outcome_code, treatment, context
     )

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.core.scores import ScoreEstimator
-from repro.estimation.adjustment import adjusted_probabilities
 
 
 @dataclass(frozen=True)
@@ -98,11 +97,11 @@ class BoundsEstimator:
             baselines = [pairs[i][1] for i in indices]
             adj_t = self._est._adjustment_for(list(sig_t), list(context))
             adj_b = self._est._adjustment_for(list(sig_b), list(context))
-            do_o_x = adjusted_probabilities(
-                engine, {outcome: 1}, treatments, adj_t, context=context
+            do_o_x = engine.adjusted_probabilities(
+                {outcome: 1}, treatments, adj_t, context=context
             )
-            do_o_xp = adjusted_probabilities(
-                engine, {outcome: 1}, baselines, adj_b, context=context
+            do_o_xp = engine.adjusted_probabilities(
+                {outcome: 1}, baselines, adj_b, context=context
             )
             joints = engine.probabilities(
                 [{outcome: 1, **t} for t in treatments]

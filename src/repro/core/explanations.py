@@ -210,7 +210,6 @@ def build_global_explanation(
     context: Mapping[str, int] | None = None,
     context_labels: Mapping[str, Any] | None = None,
     max_pairs_per_attribute: int | None = None,
-    batched: bool = True,
 ) -> GlobalExplanation:
     """Score every attribute by its best value pair in ``context``.
 
@@ -220,9 +219,7 @@ def build_global_explanation(
     Every attribute's ordered value pairs are enumerated up front and
     dispatched as *one* :meth:`ScoreEstimator.scores_batch` call, so the
     whole explanation costs a few vectorized passes over the engine's
-    count tensors.  ``batched=False`` keeps the historical
-    one-scalar-call-per-pair loop (used by benchmarks and parity tests);
-    both paths produce identical explanations.
+    count tensors.
     """
     context = dict(context or {})
     table = estimator.table
@@ -234,13 +231,7 @@ def build_global_explanation(
         for hi, lo in _truncated_pairs(col.cardinality, max_pairs_per_attribute):
             contrasts.append(({attribute: hi}, {attribute: lo}))
             owners.append((attribute, hi, lo))
-    if batched:
-        triples = estimator.scores_batch(contrasts, context)
-    else:
-        triples = [
-            estimator.scores(treatment, baseline, context)
-            for treatment, baseline in contrasts
-        ]
+    triples = estimator.scores_batch(contrasts, context)
 
     best = {a: {k: 0.0 for k in SCORE_KEYS} for a in scored}
     best_pair: dict[str, dict[str, tuple | None]] = {
@@ -279,7 +270,6 @@ def build_local_explanation(
     row_codes: Mapping[str, int],
     outcome_positive: bool,
     attributes: Sequence[str],
-    batched: bool = True,
 ) -> LocalExplanation:
     """Contributions of each attribute value for one individual.
 
@@ -290,73 +280,11 @@ def build_local_explanation(
     positive contribution is ``max_{x'' < x'} NEC^{x''}_{x'}(k)`` and the
     negative contribution ``max_{x > x'} NEC^{x'}_x(k)``.
 
-    The default path is the ``N = 1`` case of
-    :func:`build_local_explanations_batch`; ``batched=False`` keeps the
-    historical attributes × value-pairs × 2-probes scalar loop (used by
-    benchmarks and parity tests) — both produce identical explanations.
+    This is the ``N = 1`` case of :func:`build_local_explanations_batch`.
     """
-    if batched:
-        return build_local_explanations_batch(
-            estimator, [row_codes], [outcome_positive], attributes
-        )[0]
-    table = estimator.table
-    contributions: list[LocalContribution] = []
-    for attribute in attributes:
-        col = table.column(attribute)
-        current = int(row_codes[attribute])
-        context = estimator.local_context(attribute, row_codes)
-        higher = range(current + 1, col.cardinality)
-        lower = range(current)
-
-        best_negative, best_positive = 0.0, 0.0
-        negative_foil = positive_foil = None
-        if outcome_positive:
-            # Positive contribution: dropping to a lower value would flip.
-            for x_low in lower:
-                nec = estimator.local_scores(attribute, current, x_low, context).necessity
-                if nec > best_positive:
-                    best_positive = nec
-                    positive_foil = col.categories[x_low]
-            # Negative contribution: individuals at a higher value would
-            # lose the decision if brought down to the current value.
-            for x_high in higher:
-                nec = estimator.local_scores(attribute, x_high, current, context).necessity
-                if nec > best_negative:
-                    best_negative = nec
-                    negative_foil = col.categories[x_high]
-        else:
-            # Negative contribution: raising the value would flip to positive.
-            for x_high in higher:
-                suf = estimator.local_scores(attribute, x_high, current, context).sufficiency
-                if suf > best_negative:
-                    best_negative = suf
-                    negative_foil = col.categories[x_high]
-            # Positive contribution: the current value already helps vs lower.
-            for x_low in lower:
-                suf = estimator.local_scores(attribute, current, x_low, context).sufficiency
-                if suf > best_positive:
-                    best_positive = suf
-                    positive_foil = col.categories[x_low]
-        contributions.append(
-            LocalContribution(
-                attribute=attribute,
-                value=col.categories[current],
-                positive=best_positive,
-                negative=best_negative,
-                negative_foil=negative_foil,
-                positive_foil=positive_foil,
-            )
-        )
-    individual = {
-        name: table.column(name).categories[int(code)]
-        for name, code in row_codes.items()
-        if name in table
-    }
-    return LocalExplanation(
-        individual=individual,
-        outcome_positive=bool(outcome_positive),
-        contributions=contributions,
-    )
+    return build_local_explanations_batch(
+        estimator, [row_codes], [outcome_positive], attributes
+    )[0]
 
 
 def _masked_best(
@@ -364,10 +292,10 @@ def _masked_best(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise (max, first argmax) of ``scores`` restricted to ``mask``.
 
-    Mirrors the scalar loop's tie-breaking: candidates are scanned in
-    ascending code order and only a *strictly* greater score replaces
-    the incumbent, so the reported foil is the lowest code achieving the
-    maximum.  Rows with no candidate (empty mask) report ``-inf``.
+    Ties go to the lowest code, as in a scan in ascending code order
+    that replaces its incumbent only on a *strictly* greater score, so
+    the reported foil is the lowest code achieving the maximum.  Rows
+    with no candidate (empty mask) report ``-inf``.
     """
     masked = np.where(mask, scores, -np.inf)
     return masked.max(axis=1), masked.argmax(axis=1)
@@ -381,13 +309,13 @@ def build_local_explanations_batch(
 ) -> list[LocalExplanation]:
     """Local explanations for a whole cohort in a few matrix passes.
 
-    The scalar path costs ``attributes × value-pairs × 2`` regression
-    probes *per individual*; here the entire cohort's probes are
-    assembled, deduplicated and answered through
-    :meth:`ScoreEstimator.local_score_arrays` (one fitted model and one
-    matrix pass per attribute group), and the four max-formulas of
-    Section 3.2 reduce to masked row-wise maxima.  Results are
-    identical to ``[build_local_explanation(...) for each row]``.
+    Rather than ``attributes × value-pairs × 2`` regression probes *per
+    individual*, the entire cohort's probes are assembled, deduplicated
+    and answered through :meth:`ScoreEstimator.local_score_arrays` (one
+    fitted model and one matrix pass per attribute group), and the four
+    max-formulas of Section 3.2 reduce to masked row-wise maxima.
+    Results are identical to ``[build_local_explanation(...) for each
+    row]``.
     """
     rows_codes = list(rows_codes)
     positives = np.asarray(outcomes_positive, dtype=bool)

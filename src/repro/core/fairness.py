@@ -111,15 +111,17 @@ class FairnessAuditor:
         """Counterfactual-fairness verdict for one protected attribute."""
         lewis = self._lewis
         col = lewis.data.column(protected)
+        pairs = [(hi, lo) for hi in range(col.cardinality) for lo in range(hi)]
+        triples = lewis.estimator.scores_batch(
+            [({protected: hi}, {protected: lo}) for hi, lo in pairs]
+        )
         best_nec, best_suf = 0.0, 0.0
         worst_pair: tuple[Any, Any] | None = None
-        for hi in range(col.cardinality):
-            for lo in range(hi):
-                triple = lewis.estimator.scores({protected: hi}, {protected: lo})
-                if max(triple.necessity, triple.sufficiency) > max(best_nec, best_suf):
-                    worst_pair = (col.categories[hi], col.categories[lo])
-                best_nec = max(best_nec, triple.necessity)
-                best_suf = max(best_suf, triple.sufficiency)
+        for (hi, lo), triple in zip(pairs, triples):
+            if max(triple.necessity, triple.sufficiency) > max(best_nec, best_suf):
+                worst_pair = (col.categories[hi], col.categories[lo])
+            best_nec = max(best_nec, triple.necessity)
+            best_suf = max(best_suf, triple.sufficiency)
         return FairnessVerdict(
             attribute=protected,
             necessity=best_nec,

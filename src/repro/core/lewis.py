@@ -31,7 +31,6 @@ from repro.core.ordering import order_table_attributes
 from repro.core.recourse import CostFn, Recourse, RecourseSolver
 from repro.core.scores import ScoreEstimator, ScoreTriple
 from repro.data.table import Table
-from repro.estimation.adjustment import adjusted_probability
 from repro.models.pipeline import TableModel
 from repro.obs import tracing as _tracing
 from repro.utils.lru import ByteBudgetLRU
@@ -327,13 +326,13 @@ class Lewis:
         adjustment = estimator._adjustment_for(
             list(treatment), list(context_codes)
         )
-        return adjusted_probability(
-            estimator.frequency_estimator,
-            event={estimator._outcome: 1 if positive else 0},
-            treatment=treatment,
-            adjustment=adjustment,
-            weight_condition={},
-            context=context_codes,
+        return float(
+            estimator.engine.adjusted_probabilities(
+                {estimator._outcome: 1 if positive else 0},
+                [treatment],
+                adjustment,
+                context=context_codes,
+            )[0]
         )
 
     def scores_batch(
@@ -520,8 +519,7 @@ class Lewis:
         Equivalent to ``[self.explain_local(index=i) for i in indices]``
         but the whole cohort's regression probes are deduplicated and
         answered in one pass per attribute group (see
-        :meth:`ScoreEstimator.local_score_arrays`); results match the
-        scalar loop to machine precision.
+        :meth:`ScoreEstimator.local_score_arrays`).
         """
         indices = [int(i) for i in indices]
         rows = [self.data.row_codes(i) for i in indices]

@@ -33,10 +33,9 @@ from repro.core.recourse_kernel import (
 )
 from repro.core.scores import ScoreEstimator
 from repro.data.table import Table
-from repro.estimation.logit import LogitModel, logit
+from repro.estimation.logit import LogitModel
 from repro.obs import metrics as _obs
 from repro.obs import tracing as _tracing
-from repro.opt.integer_program import IntegerProgram
 from repro.opt.parametric import SignatureSkeleton
 from repro.utils import deadline as _deadline
 from repro.utils.exceptions import RecourseInfeasibleError
@@ -334,30 +333,6 @@ class RecourseSolver:
             }
             self._skeleton_payloads[key] = payload
         return payload
-
-    def _build_program(
-        self,
-        row_codes: Mapping[str, int],
-        threshold: float,
-    ) -> IntegerProgram:
-        program = IntegerProgram()
-        context = {n: int(row_codes[n]) for n in self.context_names}
-        current = {a: int(row_codes[a]) for a in self.actionable}
-
-        base_logit = self._logit.score_codes({**current, **context})
-        needed = logit(threshold) - base_logit
-
-        gain_coeffs: dict = {}
-        for _attribute, entries in self._program_structure(current):
-            exclusivity: dict = {}
-            for name, cost, gain in entries:
-                program.add_variable(name, cost=cost)
-                gain_coeffs[name] = gain
-                exclusivity[name] = 1.0
-            if exclusivity:
-                program.add_le_constraint(exclusivity, 1.0)
-        program.add_ge_constraint(gain_coeffs, needed)
-        return program
 
     # -- warm-start donor pool ---------------------------------------------
 

@@ -14,9 +14,10 @@ the no-confounding estimators of Section 6 (``C = ∅``).
 
 Two estimation backends are provided:
 
-* ``frequency`` — smoothed empirical frequencies with explicit adjustment
-  sums; used for global and contextual scores where conditioning events
-  have support.
+* ``frequency`` — empirical frequencies and backdoor-adjustment sums
+  read from the :class:`~repro.estimation.engine.ContingencyEngine`'s
+  count tensors, many contrasts per vectorized pass; used for global and
+  contextual scores where conditioning events have support.
 * ``regression`` — a per-attribute logistic model of
   ``Pr(o | X, nondesc(X))``; used for local scores where the context is
   an individual's full non-descendant assignment (Section 5.2's
@@ -34,10 +35,8 @@ import numpy as np
 from repro.causal.graph import CausalDiagram
 from repro.causal.identification import BackdoorAdjustment
 from repro.data.table import Column, Table
-from repro.estimation.adjustment import adjusted_probability
 from repro.estimation.engine import ContingencyEngine
 from repro.estimation.outcome_model import OutcomeProbabilityModel
-from repro.estimation.probability import FrequencyEstimator
 from repro.utils.lru import ByteBudgetLRU
 
 SCORE_KINDS = ("necessity", "sufficiency", "necessity_sufficiency")
@@ -91,10 +90,6 @@ class ScoreTriple:
         }
 
 
-def _clip01(value: float) -> float:
-    return float(min(max(value, 0.0), 1.0))
-
-
 class ScoreEstimator:
     """Estimates NEC / SUF / NESUF from a black box's input-output table.
 
@@ -131,13 +126,13 @@ class ScoreEstimator:
             outcome_name, positive.astype(np.int64), (False, True)
         )
         self._table = table.with_column(outcome_col)
-        self._freq = FrequencyEstimator(self._table)
+        self._engine = ContingencyEngine(self._table)
         self._diagram = diagram
         self._adjuster: BackdoorAdjustment | None = None
         if diagram is not None:
             inputs = [n for n in table.names if n in diagram]
             extended = diagram.with_outcome(outcome_name, inputs)
-            self._adjuster = BackdoorAdjustment(self._freq, extended, outcome_name)
+            self._adjuster = BackdoorAdjustment(self._engine, extended, outcome_name)
         self._positive = positive
         # Per-feature-tuple regression models, LRU-bounded so long-lived
         # tenants probing many attribute subsets don't grow unboundedly;
@@ -154,14 +149,9 @@ class ScoreEstimator:
         return self._table
 
     @property
-    def frequency_estimator(self) -> FrequencyEstimator:
-        """The underlying smoothed frequency estimator."""
-        return self._freq
-
-    @property
     def engine(self) -> ContingencyEngine:
         """The vectorized contingency engine backing all frequency queries."""
-        return self._freq.engine
+        return self._engine
 
     @property
     def diagram(self) -> CausalDiagram | None:
@@ -199,17 +189,19 @@ class ScoreEstimator:
             inserted_full = inserted_features.with_column(outcome)
         else:
             inserted_full = None
-        version = self._freq.apply_delta(inserted_full, deleted_rows)
-        self._table = self._freq.table
+        version = self._engine.apply_delta(inserted_full, deleted_rows)
+        self._table = self._engine.table
         self._features = self._table.drop([self._outcome])
         self._positive = self._table.codes(self._outcome).astype(bool)
         self._local_models.clear()
         return version
 
     def positive_rate(self, conditions: Mapping[str, int] | None = None) -> float:
-        """``Pr(o | conditions)`` over the population."""
-        return self._freq.probability_or_default(
-            {self._outcome: 1}, dict(conditions or {}), default=0.0
+        """``Pr(o | conditions)`` over the population (0 without support)."""
+        return float(
+            self._engine.probabilities(
+                [{self._outcome: 1}], [dict(conditions or {})], default=0.0
+            )[0]
         )
 
     def _adjustment_for(
@@ -237,28 +229,11 @@ class ScoreEstimator:
         """``NEC^{x'}_x(k)`` point estimate, Eq. (19).
 
         ``treatment`` holds the factual codes ``x`` and ``baseline`` the
-        counterfactual codes ``x'`` (same keys).
+        counterfactual codes ``x'`` (same keys).  Like the other
+        single-contrast methods, this is the ``N = 1`` case of
+        :meth:`score_arrays`.
         """
-        context = dict(context or {})
-        self._check_pair(treatment, baseline)
-        adjustment = self._adjustment_for(list(treatment), list(context))
-        denom = self._freq.probability_or_default(
-            {self._outcome: 1}, {**treatment, **context}, default=0.0
-        )
-        if denom <= 0:
-            return 0.0
-        mixed = adjusted_probability(
-            self._freq,
-            event={self._outcome: 0},
-            treatment=dict(baseline),
-            adjustment=adjustment,
-            weight_condition=dict(treatment),
-            context=context,
-        )
-        plain = self._freq.probability_or_default(
-            {self._outcome: 0}, {**treatment, **context}, default=0.0
-        )
-        return _clip01((mixed - plain) / denom)
+        return self._score("necessity", treatment, baseline, context)
 
     def sufficiency(
         self,
@@ -267,26 +242,7 @@ class ScoreEstimator:
         context: Mapping[str, int] | None = None,
     ) -> float:
         """``SUF^{x'}_x(k)`` point estimate, Eq. (20)."""
-        context = dict(context or {})
-        self._check_pair(treatment, baseline)
-        adjustment = self._adjustment_for(list(treatment), list(context))
-        denom = self._freq.probability_or_default(
-            {self._outcome: 0}, {**baseline, **context}, default=0.0
-        )
-        if denom <= 0:
-            return 0.0
-        mixed = adjusted_probability(
-            self._freq,
-            event={self._outcome: 1},
-            treatment=dict(treatment),
-            adjustment=adjustment,
-            weight_condition=dict(baseline),
-            context=context,
-        )
-        plain = self._freq.probability_or_default(
-            {self._outcome: 1}, {**baseline, **context}, default=0.0
-        )
-        return _clip01((mixed - plain) / denom)
+        return self._score("sufficiency", treatment, baseline, context)
 
     def necessity_sufficiency(
         self,
@@ -295,26 +251,7 @@ class ScoreEstimator:
         context: Mapping[str, int] | None = None,
     ) -> float:
         """``NESUF^{x'}_x(k)`` point estimate, Eq. (21)."""
-        context = dict(context or {})
-        self._check_pair(treatment, baseline)
-        adjustment = self._adjustment_for(list(treatment), list(context))
-        high = adjusted_probability(
-            self._freq,
-            event={self._outcome: 1},
-            treatment=dict(treatment),
-            adjustment=adjustment,
-            weight_condition={},
-            context=context,
-        )
-        low = adjusted_probability(
-            self._freq,
-            event={self._outcome: 1},
-            treatment=dict(baseline),
-            adjustment=adjustment,
-            weight_condition={},
-            context=context,
-        )
-        return _clip01(high - low)
+        return self._score("necessity_sufficiency", treatment, baseline, context)
 
     def scores(
         self,
@@ -323,13 +260,17 @@ class ScoreEstimator:
         context: Mapping[str, int] | None = None,
     ) -> ScoreTriple:
         """All three scores for one contrast in one call."""
-        return ScoreTriple(
-            necessity=self.necessity(treatment, baseline, context),
-            sufficiency=self.sufficiency(treatment, baseline, context),
-            necessity_sufficiency=self.necessity_sufficiency(
-                treatment, baseline, context
-            ),
-        )
+        return self.scores_batch([(treatment, baseline)], context)[0]
+
+    def _score(
+        self,
+        kind: str,
+        treatment: Mapping[str, int],
+        baseline: Mapping[str, int],
+        context: Mapping[str, int] | None,
+    ) -> float:
+        arrays = self.score_arrays([(treatment, baseline)], context, kinds=(kind,))
+        return float(arrays[kind][0])
 
     # -- batched frequency-backend scores ---------------------------------------
 
@@ -346,7 +287,7 @@ class ScoreEstimator:
         treatment attribute set (one backdoor lookup per group) and each
         group's probabilities — plain conditionals and adjustment sums —
         are evaluated in single vectorized engine passes, so N contrasts
-        cost a handful of tensor lookups instead of ~8N mask scans.
+        cost a handful of tensor lookups.
         ``kinds`` restricts which of the three scores are computed; the
         result arrays align with the input order.
         """
@@ -435,9 +376,9 @@ class ScoreEstimator:
     ) -> list[ScoreTriple]:
         """All three scores for many ``(treatment, baseline)`` contrasts at once.
 
-        Equivalent to ``[self.scores(t, b, context) for t, b in contrasts]``
-        but computed in a handful of vectorized passes over the engine's
-        count tensors; results match the scalar loop to machine precision.
+        Computed in a handful of vectorized passes over the engine's
+        count tensors.  Each contrast's triple is independent of the rest
+        of the batch: it equals ``self.scores(t, b, context)`` bit for bit.
         """
         arrays = self.score_arrays(contrasts, context)
         return [
@@ -491,18 +432,12 @@ class ScoreEstimator:
         return self.local_model_cache_stats().legacy_dict()
 
     def local_context(self, attribute: str, row_codes: Mapping[str, int]) -> dict[str, int]:
-        """The individual's non-descendant assignment ``k`` for ``attribute``.
-
-        With a diagram, descendants of the attribute respond to the
-        intervention and are excluded from the context; without one, all
-        other attributes are used (the no-confounding reading).
-        """
-        names = set(self._features.names)
-        if self._diagram is not None and attribute in self._diagram:
-            keep = self._diagram.non_descendants(attribute) & names
-        else:
-            keep = names - {attribute}
-        return {n: int(row_codes[n]) for n in sorted(keep) if n in row_codes}
+        """The individual's non-descendant assignment ``k`` for ``attribute``."""
+        return {
+            n: int(row_codes[n])
+            for n in self._local_keep_names(attribute)
+            if n in row_codes
+        }
 
     def local_probability(
         self, attribute: str, code: int, context: Mapping[str, int]
@@ -512,39 +447,16 @@ class ScoreEstimator:
         model = self._local_model(features)
         return model.probability({attribute: code, **context})
 
-    def local_scores(
-        self,
-        attribute: str,
-        x: int,
-        x_prime: int,
-        context: Mapping[str, int],
-    ) -> ScoreTriple:
-        """Local NEC / SUF / NESUF under no-confounding given a full context.
-
-        Conditioning on all non-descendants of ``attribute`` includes all
-        of its observed parents, so the no-confounding formulas (Section 6)
-        are causally valid here.
-        """
-        if x == x_prime:
-            raise ValueError("x and x_prime must differ")
-        p_hi = self.local_probability(attribute, x, context)
-        p_lo = self.local_probability(attribute, x_prime, context)
-        nec = (1.0 - p_lo - (1.0 - p_hi)) / p_hi if p_hi > 0 else 0.0
-        suf = (p_hi - p_lo) / (1.0 - p_lo) if p_lo < 1 else 0.0
-        return ScoreTriple(
-            necessity=_clip01(nec),
-            sufficiency=_clip01(suf),
-            necessity_sufficiency=_clip01(p_hi - p_lo),
-        )
-
     # -- batched regression backend (cohort local scores) -------------------------
 
     def _local_keep_names(self, attribute: str) -> list[str]:
         """Sorted non-descendant attribute names of ``attribute``.
 
-        The attribute-level half of :meth:`local_context` — it depends
-        only on the diagram, so the cohort path computes it once per
-        attribute instead of re-walking the graph per row.
+        With a diagram, descendants of the attribute respond to the
+        intervention and are excluded from the context; without one, all
+        other attributes are used (the no-confounding reading).  It
+        depends only on the diagram, so the cohort path computes it once
+        per attribute instead of once per row.
         """
         names = set(self._features.names)
         if self._diagram is not None and attribute in self._diagram:
@@ -608,14 +520,17 @@ class ScoreEstimator:
         ``rows`` are full code assignments (e.g. ``Table.row_codes``
         mappings) of the individuals to explain.  For each attribute the
         cohort's rows are grouped by their non-descendant feature tuple,
-        the per-attribute regression is fitted once (cached), every
-        ``(value, context)`` probe the scalar path would issue is
-        assembled into one integer matrix, *deduplicated* (categorical
-        contexts collide heavily across a cohort), and answered in a
-        single :meth:`OutcomeProbabilityModel.probability_codes_batch`
-        pass.  NEC / SUF / NESUF against each row's current value are
-        then pure array arithmetic — results match the scalar
-        :meth:`local_scores` loop to machine precision.
+        the per-attribute regression is fitted once (cached), and every
+        ``(value, context)`` probe is assembled into one integer matrix,
+        *deduplicated* (categorical contexts collide heavily across a
+        cohort), and answered in a single
+        :meth:`OutcomeProbabilityModel.probability_codes_batch` pass.
+        NEC / SUF / NESUF against each row's current value are then pure
+        array arithmetic under no-confounding (Section 6): conditioning
+        on all non-descendants of the attribute includes all of its
+        observed parents, so those formulas are causally valid here.
+        Results match probing :meth:`local_probability` one value and
+        row at a time to machine precision.
         """
         rows = list(rows)
         names = (

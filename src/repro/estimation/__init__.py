@@ -3,23 +3,16 @@
 LEWIS treats the decision algorithm as a black box and estimates every
 probability in Propositions 4.1–4.2 from its input-output table.  This
 subpackage provides the vectorized contingency-table query engine
-(:mod:`repro.estimation.engine`), smoothed conditional-frequency
-estimation on top of it (:mod:`repro.estimation.probability`), scalar
-and batched backdoor-style adjustment sums
-(:mod:`repro.estimation.adjustment`), and the logit regression model used
-to linearise the recourse sufficiency constraint
+(:mod:`repro.estimation.engine`), which answers conditional frequencies
+and backdoor-adjustment sums from cached count tensors, and the logit
+regression model used to linearise the recourse sufficiency constraint
 (:mod:`repro.estimation.logit`).
 """
 
 from repro.estimation.engine import ContingencyEngine
-from repro.estimation.probability import FrequencyEstimator
-from repro.estimation.adjustment import adjusted_probabilities, adjusted_probability
 from repro.estimation.logit import LogitModel
 
 __all__ = [
     "ContingencyEngine",
-    "FrequencyEstimator",
-    "adjusted_probabilities",
-    "adjusted_probability",
     "LogitModel",
 ]

@@ -1,25 +1,23 @@
 """Vectorized contingency-table query engine for batched frequency queries.
 
 Every LEWIS quantity (Propositions 4.1–4.2) reduces to conditional
-frequencies over the black box's input-output table.  The scalar
-:class:`~repro.estimation.probability.FrequencyEstimator` answers one
-query per full-table boolean-mask scan; this module replaces those scans
-with *cached grouped count tensors*: for a set of columns the engine
-packs the per-row codes into a single integer key, runs one
-``np.bincount``, and reshapes the result into a dense contingency tensor
-with one axis per column.  Any conditional probability over those
-columns then becomes O(1) tensor indexing, and a batch of N related
-queries (same column signature, different codes) is answered with one
-vectorized fancy-indexing pass instead of N mask scans.
+frequencies over the black box's input-output table.  Instead of one
+full-table boolean-mask scan per query, the engine answers from *cached
+grouped count tensors*: for a set of columns it packs the per-row codes
+into a single integer key, runs one ``np.bincount``, and reshapes the
+result into a dense contingency tensor with one axis per column.  Any
+conditional probability over those columns then becomes O(1) tensor
+indexing, and a batch of N related queries (same column signature,
+different codes) is answered with one vectorized fancy-indexing pass.
 
 Batched query API
 -----------------
 
 ``probabilities(events, givens)``
     N conditional probabilities ``Pr(event_i | given_i)`` per vectorized
-    pass, grouped internally by column signature.  Mirrors
-    ``FrequencyEstimator.probability`` semantics exactly (overlap
-    handling, Laplace smoothing, :class:`EstimationError` on unsupported
+    pass, grouped internally by column signature, with the semantics of
+    the scalar :meth:`ContingencyEngine.probability` (overlap handling,
+    Laplace smoothing, :class:`EstimationError` on unsupported
     conditions — or a ``default`` fill value).
 
 ``group_weights(names, given)``
@@ -109,8 +107,9 @@ class ContingencyEngine:
     table:
         The data table queried against.
     alpha:
-        Laplace smoothing mass, matching
-        :class:`~repro.estimation.probability.FrequencyEstimator`.
+        Laplace smoothing mass added to every cell of an event's joint
+        domain; ``0`` (the default) gives the raw frequencies the
+        paper's estimators use.
     max_cells:
         Densest joint domain (product of cardinalities) materialised as
         one tensor; larger column sets use sparse mask fallbacks.
@@ -718,10 +717,13 @@ class ContingencyEngine:
         One vectorized pass answers all ``len(treatments)`` queries: the
         adjustment cells become trailing tensor axes, so the inner
         conditionals of every (query, cell) pair come from two fancy-index
-        lookups and the mixture is a broadcast multiply-sum.  Semantics
-        match :func:`repro.estimation.adjustment.adjusted_probability`
-        per query, including the fall-back to the unadjusted conditional
-        on unsupported cells.
+        lookups and the mixture is a broadcast multiply-sum.  Entry ``i``
+        uses ``treatments[i]`` and ``weight_conditions[i]`` (``{}`` — the
+        context alone, the plain backdoor formula of Eq. 4 — when
+        ``weight_conditions`` is omitted); ``event``, ``adjustment`` and
+        ``context`` are shared.  An adjustment cell without support for
+        the inner conditional falls back to the unadjusted conditional
+        ``Pr(event | t_i, k)``, which keeps the estimator total.
         """
         event = dict(event)
         treatments = [dict(t) for t in treatments]
@@ -853,7 +855,7 @@ class ContingencyEngine:
         weight_condition: dict,
         context: dict,
     ) -> float:
-        """Sparse per-query fall-back mirroring the historical scalar loop."""
+        """Sparse per-query fall-back over the observed adjustment cells."""
         combos, weights = self.group_weights(
             list(adjustment), {**weight_condition, **context}
         )

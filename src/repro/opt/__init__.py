@@ -1,18 +1,17 @@
-"""0-1 integer programming: model container and branch-and-bound solver.
+"""0-1 integer programming: model container and exact solver.
 
 The counterfactual-recourse problem of Section 4.2 is a small binary
-integer program.  No commercial solver is available offline, so this
-subpackage provides a generic branch-and-bound over scipy ``linprog`` LP
-relaxations, exact and fast at the scale recourse produces (one binary
-per candidate value of each actionable attribute).
+integer program.  This subpackage provides a named-variable container
+(:class:`IntegerProgram`) and :func:`solve_binary_program`, which solves
+it exactly with scipy's HiGHS MILP backend under node, time and gap
+budgets.
 """
 
 from repro.opt.integer_program import IntegerProgram, IPSolution
-from repro.opt.branch_and_bound import BranchAndBoundSolver, solve_binary_program
+from repro.opt.branch_and_bound import solve_binary_program
 
 __all__ = [
     "IntegerProgram",
     "IPSolution",
-    "BranchAndBoundSolver",
     "solve_binary_program",
 ]

@@ -1,167 +1,39 @@
-"""Branch-and-bound for binary integer programs.
+"""Exact 0-1 integer programming through scipy's HiGHS MILP backend.
 
-Depth-first best-bound search over LP relaxations solved with scipy's
-HiGHS backend.  Branching variable: most fractional.  The search is exact
-— it terminates with the optimal integral solution or proves
-infeasibility — and comfortably handles the few hundred binaries the
-recourse experiments produce.
+:func:`solve_binary_program` hands an :class:`IntegerProgram` to
+``scipy.optimize.milp`` (scipy >= 1.9), whose HiGHS branch and bound is
+exact and fast at the few hundred binaries recourse produces.  Node,
+time and gap budgets are forwarded as HiGHS options, so a pathological
+program cannot hang a serving thread.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.opt.integer_program import IntegerProgram, IPSolution
 from repro.utils.exceptions import RecourseInfeasibleError
 
-_INTEGRALITY_TOL = 1e-6
 
-
-class BranchAndBoundSolver:
-    """Exact 0-1 IP solver via LP-relaxation branch and bound."""
-
-    def __init__(self, max_nodes: int = 200_000):
-        self.max_nodes = max_nodes
-
-    def solve(
-        self,
-        program: IntegerProgram,
-        incumbent: dict | np.ndarray | None = None,
-    ) -> IPSolution:
-        """Solve ``program``; raise :class:`RecourseInfeasibleError` if empty.
-
-        ``incumbent`` optionally warm-starts the search with a known
-        feasible 0-1 assignment (a ``{variable name: 0/1}`` mapping or a
-        vector in variable order): its objective becomes the initial
-        upper bound, so sibling-signature solutions prune the tree from
-        node one.  An infeasible incumbent is ignored.
-        """
-        c, A_ub, b_ub, A_eq, b_eq = program.matrices()
-        n = program.n_variables
-        if n == 0:
-            return IPSolution(values={}, objective=0.0, n_nodes=0)
-
-        counter = itertools.count()
-        # Node: (lp_bound, tiebreak, lower_fix, upper_fix)
-        root = self._relax(c, A_ub, b_ub, A_eq, b_eq, np.zeros(n), np.ones(n))
-        if root is None:
-            raise RecourseInfeasibleError("LP relaxation infeasible at the root")
-        heap = [(root[0], next(counter), np.zeros(n), np.ones(n), root[1])]
-
-        best_objective = np.inf
-        best_x: np.ndarray | None = None
-        if incumbent is not None:
-            x0 = self._incumbent_vector(program, incumbent)
-            if x0 is not None and self._feasible(x0, A_ub, b_ub, A_eq, b_eq):
-                best_objective = float(c @ x0)
-                best_x = x0
-        n_nodes = 0
-
-        while heap:
-            bound, _, lo, hi, x_relaxed = heapq.heappop(heap)
-            if bound >= best_objective - 1e-9:
-                continue
-            n_nodes += 1
-            if n_nodes > self.max_nodes:
-                raise RecourseInfeasibleError(
-                    f"branch-and-bound node limit ({self.max_nodes}) exceeded"
-                )
-            fractional = np.abs(x_relaxed - np.round(x_relaxed))
-            branch_var = int(np.argmax(fractional))
-            if fractional[branch_var] <= _INTEGRALITY_TOL:
-                # Integral solution: candidate incumbent.
-                objective = float(c @ np.round(x_relaxed))
-                if objective < best_objective - 1e-12:
-                    best_objective = objective
-                    best_x = np.round(x_relaxed)
-                continue
-            for value in (0.0, 1.0):
-                lo_child, hi_child = lo.copy(), hi.copy()
-                lo_child[branch_var] = value
-                hi_child[branch_var] = value
-                child = self._relax(c, A_ub, b_ub, A_eq, b_eq, lo_child, hi_child)
-                if child is None:
-                    continue
-                child_bound, child_x = child
-                if child_bound < best_objective - 1e-9:
-                    heapq.heappush(
-                        heap,
-                        (child_bound, next(counter), lo_child, hi_child, child_x),
-                    )
-
-        if best_x is None:
-            raise RecourseInfeasibleError("no feasible integral assignment exists")
-        return IPSolution(
-            values=program.assignment_from_vector(best_x),
-            objective=best_objective,
-            n_nodes=n_nodes,
-        )
-
-    @staticmethod
-    def _incumbent_vector(program: IntegerProgram, incumbent) -> np.ndarray | None:
-        """Normalise an incumbent to a 0-1 vector in variable order."""
-        if isinstance(incumbent, np.ndarray):
-            x0 = np.asarray(incumbent, dtype=np.float64)
-        else:
-            try:
-                x0 = program.vector_from_assignment(dict(incumbent))
-            except (TypeError, ValueError, KeyError):
-                return None
-        if len(x0) != program.n_variables:
-            return None
-        return np.clip(np.round(x0), 0.0, 1.0)
-
-    @staticmethod
-    def _feasible(x, A_ub, b_ub, A_eq, b_eq, tol: float = 1e-9) -> bool:
-        if A_ub is not None and np.any(A_ub @ x > b_ub + tol):
-            return False
-        if A_eq is not None and np.any(np.abs(A_eq @ x - b_eq) > tol):
-            return False
-        return True
-
-    @staticmethod
-    def _relax(c, A_ub, b_ub, A_eq, b_eq, lo, hi):
-        """Solve the LP relaxation with variable bounds [lo, hi]."""
-        result = linprog(
-            c,
-            A_ub=A_ub,
-            b_ub=b_ub,
-            A_eq=A_eq,
-            b_eq=b_eq,
-            bounds=list(zip(lo, hi)),
-            method="highs",
-        )
-        if not result.success:
-            return None
-        return float(result.fun), np.asarray(result.x)
-
-
-def _solve_with_highs_milp(
+def solve_binary_program(
     program: IntegerProgram,
-    max_nodes: int | None = None,
+    max_nodes: int = 200_000,
     time_limit: float | None = None,
     mip_rel_gap: float | None = None,
-) -> IPSolution | None:
-    """Fast path: scipy's native HiGHS MILP solver.
+) -> IPSolution:
+    """Solve ``program`` exactly with HiGHS.
 
-    Node/time/gap budgets are forwarded through HiGHS ``options`` so the
-    limits bind here too, not only in the pure-Python fallback — a
-    pathological program can no longer hang a serving thread.  Returns
-    ``None`` when the backend is unavailable so the caller can fall back
-    to the pure-Python branch and bound; raises
-    :class:`RecourseInfeasibleError` on proven infeasibility or an
-    exhausted budget.
+    ``max_nodes``, ``time_limit`` and ``mip_rel_gap`` bound the search
+    through HiGHS ``options``.  Raises :class:`RecourseInfeasibleError`
+    on proven infeasibility, on an exhausted budget, and on any other
+    non-optimal HiGHS status (named in the message).
     """
-    try:
-        from scipy.optimize import Bounds, LinearConstraint, milp
-    except ImportError:  # pragma: no cover - old scipy
-        return None
+    if program.n_variables == 0:
+        return IPSolution(values={}, objective=0.0, n_nodes=0)
+    # Imported at the call site: only processes that solve pay for it.
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
     c, A_ub, b_ub, A_eq, b_eq = program.matrices()
-    n = program.n_variables
     constraints = []
     if A_ub is not None:
         constraints.append(LinearConstraint(A_ub, -np.inf, b_ub))
@@ -177,7 +49,7 @@ def _solve_with_highs_milp(
     result = milp(
         c,
         constraints=constraints,
-        integrality=np.ones(n),
+        integrality=np.ones(program.n_variables),
         bounds=Bounds(0, 1),
         options=options,
     )
@@ -188,38 +60,12 @@ def _solve_with_highs_milp(
             f"MILP node/time budget exhausted (max_nodes={max_nodes}, "
             f"time_limit={time_limit})"
         )
-    if not result.success:  # pragma: no cover - solver hiccup
-        return None
+    if result.status != 0:
+        raise RecourseInfeasibleError(
+            f"HiGHS MILP ended with status {result.status}: {result.message}"
+        )
     return IPSolution(
         values=program.assignment_from_vector(result.x),
         objective=float(result.fun),
         n_nodes=0,
-    )
-
-
-def solve_binary_program(
-    program: IntegerProgram,
-    max_nodes: int = 200_000,
-    time_limit: float | None = None,
-    mip_rel_gap: float | None = None,
-    incumbent: dict | np.ndarray | None = None,
-) -> IPSolution:
-    """Solve ``program`` exactly.
-
-    Uses scipy's HiGHS MILP backend when available (orders of magnitude
-    faster on the ~200-binary recourse programs) and falls back to the
-    pure-Python :class:`BranchAndBoundSolver` otherwise.  ``max_nodes``,
-    ``time_limit`` and ``mip_rel_gap`` bound the search in both routes;
-    ``incumbent`` warm-starts the pure-Python fallback (HiGHS via scipy
-    exposes no warm-start hook).
-    """
-    if program.n_variables == 0:
-        return IPSolution(values={}, objective=0.0, n_nodes=0)
-    solution = _solve_with_highs_milp(
-        program, max_nodes=max_nodes, time_limit=time_limit, mip_rel_gap=mip_rel_gap
-    )
-    if solution is not None:
-        return solution
-    return BranchAndBoundSolver(max_nodes=max_nodes).solve(  # pragma: no cover
-        program, incumbent=incumbent
     )

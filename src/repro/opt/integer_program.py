@@ -106,16 +106,3 @@ class IntegerProgram:
     def assignment_from_vector(self, x: np.ndarray) -> dict[Hashable, int]:
         """Translate a solver vector into ``{name: 0/1}``."""
         return {name: int(round(v)) for name, v in zip(self._names, x)}
-
-    def vector_from_assignment(self, values: Mapping[Hashable, float]) -> np.ndarray:
-        """Translate ``{name: 0/1}`` into a vector in variable order.
-
-        Missing names default to 0; unknown names raise.  The inverse of
-        :meth:`assignment_from_vector`, used to normalise warm-start
-        incumbents handed to the solvers.
-        """
-        self._check_known(values)
-        x = np.zeros(self.n_variables)
-        for name, value in values.items():
-            x[self._index[name]] = float(value)
-        return x

@@ -1,0 +1,286 @@
+"""One-at-a-time reference implementations for the parity tests.
+
+The library answers every score, local probe and explanation through
+batched paths.  The functions here evaluate one contrast, one probe pair
+or one individual per call instead, straight from the paper's formulas,
+and the parity tests hold the batched paths to them at 1e-12:
+
+* :func:`scalar_scores` — Eqs. (19)–(21) of Proposition 4.2 for one
+  contrast, from single-query engine lookups (:func:`adjusted_one` is
+  the one-query backdoor sum);
+* :func:`local_scores` — the no-confounding local scores of one
+  contrast from two regression probes;
+* :func:`global_explanation_scalar` — the global/contextual explanation
+  with one :func:`scalar_scores` call per value pair;
+* :func:`local_explanation_scalar` — the local explanation as the
+  attributes × value-pairs × 2-probes loop of Section 3.2.
+
+``benchmarks/bench_local_batch.py`` times the cohort fast path against
+:func:`local_explanation_scalar` as well.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Mapping, Sequence
+
+from repro.core.explanations import (
+    SCORE_KEYS,
+    AttributeScore,
+    GlobalExplanation,
+    LocalContribution,
+    LocalExplanation,
+    _truncated_pairs,
+)
+from repro.core.scores import ScoreEstimator, ScoreTriple
+from repro.estimation.engine import ContingencyEngine
+
+
+def _clip01(value: float) -> float:
+    return float(min(max(value, 0.0), 1.0))
+
+
+def _conditional(estimator: ScoreEstimator, event: dict, given: dict) -> float:
+    """``Pr(event | given)``, 0 when ``given`` has no support."""
+    return float(estimator.engine.probabilities([event], [given], default=0.0)[0])
+
+
+def adjusted_one(
+    engine: ContingencyEngine,
+    event: Mapping[str, int],
+    treatment: Mapping[str, int],
+    adjustment: Sequence[str],
+    weight_condition: Mapping[str, int] | None = None,
+    context: Mapping[str, int] | None = None,
+) -> float:
+    """``sum_c Pr(event | c, treatment, k) Pr(c | weight_condition, k)``.
+
+    The ``N = 1`` case of :meth:`ContingencyEngine.adjusted_probabilities`.
+    """
+    return float(
+        engine.adjusted_probabilities(
+            event, [treatment], adjustment, [weight_condition or {}], context
+        )[0]
+    )
+
+
+def necessity(
+    estimator: ScoreEstimator,
+    treatment: Mapping[str, int],
+    baseline: Mapping[str, int],
+    context: Mapping[str, int] | None = None,
+) -> float:
+    """``NEC^{x'}_x(k)``, Eq. (19)."""
+    context = dict(context or {})
+    estimator._check_pair(treatment, baseline)
+    adjustment = estimator._adjustment_for(list(treatment), list(context))
+    outcome = estimator._outcome
+    denom = _conditional(estimator, {outcome: 1}, {**treatment, **context})
+    if denom <= 0:
+        return 0.0
+    mixed = adjusted_one(
+        estimator.engine, {outcome: 0}, baseline, adjustment, treatment, context
+    )
+    plain = _conditional(estimator, {outcome: 0}, {**treatment, **context})
+    return _clip01((mixed - plain) / denom)
+
+
+def sufficiency(
+    estimator: ScoreEstimator,
+    treatment: Mapping[str, int],
+    baseline: Mapping[str, int],
+    context: Mapping[str, int] | None = None,
+) -> float:
+    """``SUF^{x'}_x(k)``, Eq. (20)."""
+    context = dict(context or {})
+    estimator._check_pair(treatment, baseline)
+    adjustment = estimator._adjustment_for(list(treatment), list(context))
+    outcome = estimator._outcome
+    denom = _conditional(estimator, {outcome: 0}, {**baseline, **context})
+    if denom <= 0:
+        return 0.0
+    mixed = adjusted_one(
+        estimator.engine, {outcome: 1}, treatment, adjustment, baseline, context
+    )
+    plain = _conditional(estimator, {outcome: 1}, {**baseline, **context})
+    return _clip01((mixed - plain) / denom)
+
+
+def necessity_sufficiency(
+    estimator: ScoreEstimator,
+    treatment: Mapping[str, int],
+    baseline: Mapping[str, int],
+    context: Mapping[str, int] | None = None,
+) -> float:
+    """``NESUF^{x'}_x(k)``, Eq. (21)."""
+    context = dict(context or {})
+    estimator._check_pair(treatment, baseline)
+    adjustment = estimator._adjustment_for(list(treatment), list(context))
+    outcome = estimator._outcome
+    engine = estimator.engine
+    high = adjusted_one(engine, {outcome: 1}, treatment, adjustment, context=context)
+    low = adjusted_one(engine, {outcome: 1}, baseline, adjustment, context=context)
+    return _clip01(high - low)
+
+
+def scalar_scores(
+    estimator: ScoreEstimator,
+    treatment: Mapping[str, int],
+    baseline: Mapping[str, int],
+    context: Mapping[str, int] | None = None,
+) -> ScoreTriple:
+    """All three scores of one contrast, each from its own formula."""
+    return ScoreTriple(
+        necessity=necessity(estimator, treatment, baseline, context),
+        sufficiency=sufficiency(estimator, treatment, baseline, context),
+        necessity_sufficiency=necessity_sufficiency(
+            estimator, treatment, baseline, context
+        ),
+    )
+
+
+def local_scores(
+    estimator: ScoreEstimator,
+    attribute: str,
+    x: int,
+    x_prime: int,
+    context: Mapping[str, int],
+) -> ScoreTriple:
+    """Local NEC / SUF / NESUF under no-confounding given a full context.
+
+    Conditioning on all non-descendants of ``attribute`` includes all
+    of its observed parents, so the no-confounding formulas (Section 6)
+    are causally valid here.
+    """
+    if x == x_prime:
+        raise ValueError("x and x_prime must differ")
+    p_hi = estimator.local_probability(attribute, x, context)
+    p_lo = estimator.local_probability(attribute, x_prime, context)
+    nec = (1.0 - p_lo - (1.0 - p_hi)) / p_hi if p_hi > 0 else 0.0
+    suf = (p_hi - p_lo) / (1.0 - p_lo) if p_lo < 1 else 0.0
+    return ScoreTriple(
+        necessity=_clip01(nec),
+        sufficiency=_clip01(suf),
+        necessity_sufficiency=_clip01(p_hi - p_lo),
+    )
+
+
+def global_explanation_scalar(
+    estimator: ScoreEstimator,
+    attributes: Sequence[str],
+    context: Mapping[str, int] | None = None,
+    context_labels: Mapping[str, Any] | None = None,
+    max_pairs_per_attribute: int | None = None,
+) -> GlobalExplanation:
+    """``build_global_explanation`` with one scalar score call per pair."""
+    context = dict(context or {})
+    table = estimator.table
+    scored = [a for a in attributes if a not in context]
+    contrasts: list[tuple[dict, dict]] = []
+    owners: list[tuple[str, int, int]] = []
+    for attribute in scored:
+        col = table.column(attribute)
+        for hi, lo in _truncated_pairs(col.cardinality, max_pairs_per_attribute):
+            contrasts.append(({attribute: hi}, {attribute: lo}))
+            owners.append((attribute, hi, lo))
+    triples = [
+        scalar_scores(estimator, treatment, baseline, context)
+        for treatment, baseline in contrasts
+    ]
+
+    best = {a: {k: 0.0 for k in SCORE_KEYS} for a in scored}
+    best_pair: dict[str, dict[str, tuple | None]] = {
+        a: {k: None for k in SCORE_KEYS} for a in scored
+    }
+    for (attribute, hi, lo), triple in zip(owners, triples):
+        col = table.column(attribute)
+        for key in SCORE_KEYS:
+            value = getattr(triple, key)
+            if value > best[attribute][key]:
+                best[attribute][key] = value
+                best_pair[attribute][key] = (col.categories[hi], col.categories[lo])
+    scores = [
+        AttributeScore(
+            attribute=attribute,
+            necessity=best[attribute]["necessity"],
+            sufficiency=best[attribute]["sufficiency"],
+            necessity_sufficiency=best[attribute]["necessity_sufficiency"],
+            best_pair_necessity=best_pair[attribute]["necessity"],
+            best_pair_sufficiency=best_pair[attribute]["sufficiency"],
+            best_pair_nesuf=best_pair[attribute]["necessity_sufficiency"],
+        )
+        for attribute in scored
+    ]
+    labels = dict(context_labels or {})
+    if not labels and context:
+        labels = {
+            name: table.column(name).categories[code]
+            for name, code in context.items()
+        }
+    return GlobalExplanation(context=labels, attribute_scores=scores)
+
+
+def local_explanation_scalar(
+    estimator: ScoreEstimator,
+    row_codes: Mapping[str, int],
+    outcome_positive: bool,
+    attributes: Sequence[str],
+) -> LocalExplanation:
+    """The four max-formulas of Section 3.2, one probe pair at a time."""
+    table = estimator.table
+    contributions: list[LocalContribution] = []
+    for attribute in attributes:
+        col = table.column(attribute)
+        current = int(row_codes[attribute])
+        context = estimator.local_context(attribute, row_codes)
+        higher = range(current + 1, col.cardinality)
+        lower = range(current)
+
+        best_negative, best_positive = 0.0, 0.0
+        negative_foil = positive_foil = None
+        if outcome_positive:
+            # Positive contribution: dropping to a lower value would flip.
+            for x_low in lower:
+                nec = local_scores(estimator, attribute, current, x_low, context).necessity
+                if nec > best_positive:
+                    best_positive = nec
+                    positive_foil = col.categories[x_low]
+            # Negative contribution: individuals at a higher value would
+            # lose the decision if brought down to the current value.
+            for x_high in higher:
+                nec = local_scores(estimator, attribute, x_high, current, context).necessity
+                if nec > best_negative:
+                    best_negative = nec
+                    negative_foil = col.categories[x_high]
+        else:
+            # Negative contribution: raising the value would flip to positive.
+            for x_high in higher:
+                suf = local_scores(estimator, attribute, x_high, current, context).sufficiency
+                if suf > best_negative:
+                    best_negative = suf
+                    negative_foil = col.categories[x_high]
+            # Positive contribution: the current value already helps vs lower.
+            for x_low in lower:
+                suf = local_scores(estimator, attribute, current, x_low, context).sufficiency
+                if suf > best_positive:
+                    best_positive = suf
+                    positive_foil = col.categories[x_low]
+        contributions.append(
+            LocalContribution(
+                attribute=attribute,
+                value=col.categories[current],
+                positive=best_positive,
+                negative=best_negative,
+                negative_foil=negative_foil,
+                positive_foil=positive_foil,
+            )
+        )
+    individual = {
+        name: table.column(name).categories[int(code)]
+        for name, code in row_codes.items()
+        if name in table
+    }
+    return LocalExplanation(
+        individual=individual,
+        outcome_positive=bool(outcome_positive),
+        contributions=contributions,
+    )

@@ -1,11 +1,13 @@
-"""Property tests: batched engine queries equal the scalar path exactly.
+"""Property tests: batched engine queries equal the scalar oracles exactly.
 
 The vectorized :class:`ContingencyEngine` powers `scores_batch`,
-`adjusted_probabilities`, `bounds_batch` and the batched global
-explanation builder.  Across random tables, causal diagrams and contexts
-every batched result must agree with the looped scalar computation to
-within 1e-12 (they share the same integer counts, so in practice the
-difference is a few ulps of summation reordering at most).
+`adjusted_probabilities`, `bounds_batch` and the global explanation
+builder.  Across random tables, causal diagrams and contexts every
+batched result must agree with the one-at-a-time oracles of
+``tests/oracles.py`` to within 1e-12 (they share the same integer
+counts, so in practice the difference is a few ulps of summation
+reordering at most), and every batch element must equal its own
+``N = 1`` batch bit for bit.
 """
 
 from __future__ import annotations
@@ -18,10 +20,12 @@ from hypothesis import strategies as st
 from repro.causal.graph import CausalDiagram
 from repro.core.bounds import BoundsEstimator
 from repro.core.explanations import build_global_explanation
-from repro.core.scores import ScoreEstimator
+from repro.core.scores import SCORE_KINDS, ScoreEstimator
 from repro.data.table import Table
-from repro.estimation.adjustment import adjusted_probabilities, adjusted_probability
-from repro.estimation.probability import FrequencyEstimator
+from repro.estimation.engine import ContingencyEngine
+from repro.utils.exceptions import EstimationError
+
+from oracles import adjusted_one, global_explanation_scalar, scalar_scores
 
 TOL = 1e-12
 
@@ -76,12 +80,8 @@ def all_pairs(card: int) -> list[tuple[int, int]]:
     return [(hi, lo) for hi in range(card) for lo in range(hi)]
 
 
-@given(scenario)
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_scores_batch_equals_scalar_loop(params):
-    seed, n_rows, cards, diagram_index, context_size = params
-    estimator = make_estimator(seed, n_rows, cards, diagram_index)
-    context = draw_context(seed, cards, context_size)
+def draw_contrasts(cards: tuple[int, ...], context: dict) -> list[tuple[dict, dict]]:
+    """Every single-attribute value pair outside ``context``, plus one joint pair."""
     contrasts = []
     for name in NAMES:
         if name in context:
@@ -97,15 +97,25 @@ def test_scores_batch_equals_scalar_loop(params):
                 {free[0]: 0, free[1]: 0},
             )
         )
+    return contrasts
+
+
+@given(scenario)
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_scores_batch_equals_scalar_loop(params):
+    seed, n_rows, cards, diagram_index, context_size = params
+    estimator = make_estimator(seed, n_rows, cards, diagram_index)
+    context = draw_context(seed, cards, context_size)
+    contrasts = draw_contrasts(cards, context)
     try:
         batched = estimator.scores_batch(contrasts, context)
     except Exception as exc:  # scalar loop must fail identically
         with pytest.raises(type(exc)):
             for treatment, baseline in contrasts:
-                estimator.scores(treatment, baseline, context)
+                scalar_scores(estimator, treatment, baseline, context)
         return
     for (treatment, baseline), triple in zip(contrasts, batched):
-        scalar = estimator.scores(treatment, baseline, context)
+        scalar = scalar_scores(estimator, treatment, baseline, context)
         assert abs(triple.necessity - scalar.necessity) <= TOL
         assert abs(triple.sufficiency - scalar.sufficiency) <= TOL
         assert (
@@ -116,40 +126,70 @@ def test_scores_batch_equals_scalar_loop(params):
 
 @given(scenario)
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_score_arrays_element_equals_its_own_batch(params):
+    """A contrast's scores do not depend on the batch around it: ``==``.
+
+    The single-contrast methods (``scores``, ``necessity``, ...) are the
+    ``N = 1`` case, so they read the same bits too.
+    """
+    seed, n_rows, cards, diagram_index, context_size = params
+    estimator = make_estimator(seed, n_rows, cards, diagram_index)
+    context = draw_context(seed, cards, context_size)
+    contrasts = draw_contrasts(cards, context)
+    try:
+        forward = estimator.score_arrays(contrasts, context)
+    except EstimationError:
+        return
+    backward = estimator.score_arrays(contrasts[::-1], context)
+    for i, (treatment, baseline) in enumerate(contrasts):
+        single = estimator.score_arrays([(treatment, baseline)], context)
+        triple = estimator.scores(treatment, baseline, context)
+        for kind in SCORE_KINDS:
+            assert forward[kind][i] == single[kind][0]
+            assert forward[kind][i] == backward[kind][len(contrasts) - 1 - i]
+            assert forward[kind][i] == getattr(triple, kind)
+            assert forward[kind][i] == getattr(estimator, kind)(
+                treatment, baseline, context
+            )
+
+
+@given(scenario)
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_adjusted_probabilities_equal_scalar(params):
     seed, n_rows, cards, _diagram_index, context_size = params
-    table = make_table(seed, n_rows, cards)
-    estimator = FrequencyEstimator(table)
+    engine = ContingencyEngine(make_table(seed, n_rows, cards))
     context = draw_context(seed, cards, context_size)
     adjustment = [n for n in ("Y", "Z") if n not in context]
     treatments = [{"X": code} for code in range(cards[1])]
     weight_conditions = [{"W": code % cards[0]} for code in range(cards[1])]
     event = {"W": 0}
     try:
-        batch = adjusted_probabilities(
-            estimator, event, treatments, adjustment, weight_conditions, context
+        batch = engine.adjusted_probabilities(
+            event, treatments, adjustment, weight_conditions, context
         )
     except Exception as exc:
         with pytest.raises(type(exc)):
             for treatment, weight in zip(treatments, weight_conditions):
-                adjusted_probability(
-                    estimator, event, treatment, adjustment, weight, context
-                )
+                adjusted_one(engine, event, treatment, adjustment, weight, context)
         return
     for value, treatment, weight in zip(batch, treatments, weight_conditions):
-        scalar = adjusted_probability(
-            estimator, event, treatment, adjustment, weight, context
-        )
+        scalar = adjusted_one(engine, event, treatment, adjustment, weight, context)
         assert abs(float(value) - scalar) <= TOL
+
+
+def _probability_or(engine, event, given, default: float) -> float:
+    """The scalar count-ratio path, ``default`` on an unsupported condition."""
+    try:
+        return engine.probability(event, given)
+    except EstimationError:
+        return default
 
 
 @given(scenario)
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_probabilities_batch_equals_scalar(params):
     seed, n_rows, cards, _diagram_index, _context_size = params
-    table = make_table(seed, n_rows, cards)
-    estimator = FrequencyEstimator(table)
-    engine = estimator.engine
+    engine = ContingencyEngine(make_table(seed, n_rows, cards))
     events, givens = [], []
     for x in range(cards[1]):
         events.append({"W": x % cards[0]})
@@ -162,7 +202,7 @@ def test_probabilities_batch_equals_scalar(params):
         givens.append({"X": x})
     batch = engine.probabilities(events, givens, default=0.25)
     for value, event, given in zip(batch, events, givens):
-        scalar = estimator.probability_or_default(event, given, default=0.25)
+        scalar = _probability_or(engine, event, given, 0.25)
         assert abs(float(value) - scalar) <= TOL
 
 
@@ -197,22 +237,15 @@ def test_bounds_batch_equals_scalar(params):
             assert abs(hi_a - hi_b) <= TOL
 
 
-@given(scenario)
-@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_global_explanation_batched_equals_scalar(params):
-    seed, n_rows, cards, diagram_index, context_size = params
-    estimator = make_estimator(seed, n_rows, cards, diagram_index)
-    context = draw_context(seed, cards, context_size)
-    kwargs = dict(
-        context=context or None, max_pairs_per_attribute=4
-    )
+def assert_global_explanation_matches_oracle(estimator, attributes, **kwargs):
     try:
-        fast = build_global_explanation(estimator, NAMES, batched=True, **kwargs)
+        fast = build_global_explanation(estimator, attributes, **kwargs)
     except Exception as exc:
         with pytest.raises(type(exc)):
-            build_global_explanation(estimator, NAMES, batched=False, **kwargs)
+            global_explanation_scalar(estimator, attributes, **kwargs)
         return
-    slow = build_global_explanation(estimator, NAMES, batched=False, **kwargs)
+    slow = global_explanation_scalar(estimator, attributes, **kwargs)
+    assert fast.context == slow.context
     assert len(fast.attribute_scores) == len(slow.attribute_scores)
     for a, b in zip(fast.attribute_scores, slow.attribute_scores):
         assert a.attribute == b.attribute
@@ -224,6 +257,27 @@ def test_global_explanation_batched_equals_scalar(params):
         assert a.best_pair_nesuf == b.best_pair_nesuf
 
 
+@given(scenario)
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_global_explanation_batched_equals_scalar(params):
+    seed, n_rows, cards, diagram_index, context_size = params
+    estimator = make_estimator(seed, n_rows, cards, diagram_index)
+    context = draw_context(seed, cards, context_size)
+    assert_global_explanation_matches_oracle(
+        estimator, NAMES, context=context or None, max_pairs_per_attribute=4
+    )
+
+
+@pytest.mark.parametrize("max_pairs", [6, None])
+def test_german_global_explanation_equals_scalar(german_lewis, max_pairs):
+    """The German replica's explanation, with its real diagram, matches the oracle."""
+    assert_global_explanation_matches_oracle(
+        german_lewis.estimator,
+        german_lewis.attributes,
+        max_pairs_per_attribute=max_pairs,
+    )
+
+
 def test_weight_condition_overlapping_adjustment_matches_scalar():
     """A weight condition pinning an adjustment column must not be dropped.
 
@@ -231,10 +285,8 @@ def test_weight_condition_overlapping_adjustment_matches_scalar():
     ``weight_conditions`` intersects the adjustment set, otherwise the
     mixing weights marginalise over the pinned column.
     """
-    table = make_table(11, 300, (2, 3, 3, 2))
-    estimator = FrequencyEstimator(table)
-    batch = adjusted_probabilities(
-        estimator,
+    engine = ContingencyEngine(make_table(11, 300, (2, 3, 3, 2)))
+    batch = engine.adjusted_probabilities(
         {"W": 1},
         [{"X": 1}, {"X": 2}],
         adjustment=["Y", "Z"],
@@ -242,21 +294,21 @@ def test_weight_condition_overlapping_adjustment_matches_scalar():
     )
     for value, treatment, weight in zip(batch, [{"X": 1}, {"X": 2}], [{"Z": 0}, {"Z": 1}]):
         # The scalar reference: weights grouped over (Y, Z) *given* the pin.
-        weights = estimator.group_probabilities(["Y", "Z"], weight)
+        combos, weights = engine.group_weights(["Y", "Z"], weight)
         expected = 0.0
-        for (y, z), w in weights.items():
-            inner = estimator.probability_or_default(
-                {"W": 1}, {"Y": y, "Z": z, "X": treatment["X"]},
-                default=estimator.probability_or_default({"W": 1}, treatment, 0.0),
+        for (y, z), w in zip(combos.tolist(), weights.tolist()):
+            inner = _probability_or(
+                engine, {"W": 1}, {"Y": y, "Z": z, "X": treatment["X"]},
+                _probability_or(engine, {"W": 1}, treatment, 0.0),
             )
             expected += w * inner
         assert abs(float(value) - expected) <= TOL
 
 
-def test_group_probabilities_matches_mask_computation():
-    """The tensor-backed grouped weights equal the historical mask+unique path."""
+def test_group_weights_matches_mask_computation():
+    """The tensor-backed grouped weights equal a mask+unique computation."""
     table = make_table(3, 200, (2, 3, 4, 2))
-    estimator = FrequencyEstimator(table)
+    engine = ContingencyEngine(table)
     mask = (table.codes("X") == 1) & (table.codes("Z") == 0)
     matrix = table.codes_matrix(["Y", "W"])[mask]
     uniques, counts = np.unique(matrix, axis=0, return_counts=True)
@@ -264,7 +316,8 @@ def test_group_probabilities_matches_mask_computation():
         tuple(int(c) for c in combo): int(count) / int(mask.sum())
         for combo, count in zip(uniques, counts)
     }
-    got = estimator.group_probabilities(["Y", "W"], {"X": 1, "Z": 0})
+    combos, weights = engine.group_weights(["Y", "W"], {"X": 1, "Z": 0})
+    got = {tuple(combo): w for combo, w in zip(combos.tolist(), weights.tolist())}
     assert got.keys() == expected.keys()
     for key, val in expected.items():
         assert got[key] == pytest.approx(val, abs=TOL)
@@ -272,7 +325,6 @@ def test_group_probabilities_matches_mask_computation():
 
 def test_out_of_domain_codes_count_zero():
     """Codes outside a column's domain match no rows (not an index error)."""
-    table = make_table(5, 60, (2, 2, 3, 2))
-    estimator = FrequencyEstimator(table)
-    assert estimator.count({"X": 99}) == 0
-    assert estimator.probability_or_default({"W": 1}, {"X": 99}, default=0.5) == 0.5
+    engine = ContingencyEngine(make_table(5, 60, (2, 2, 3, 2)))
+    assert engine.count({"X": 99}) == 0
+    assert engine.probabilities([{"W": 1}], [{"X": 99}], default=0.5)[0] == 0.5

@@ -9,6 +9,8 @@ from repro.data import load_dataset
 from repro.data.compas import compas_software_positive
 from repro.data.table import Column, Table
 
+from oracles import scalar_scores
+
 
 @pytest.fixture(scope="module")
 def compas_lewis():
@@ -66,6 +68,25 @@ class TestFairnessVerdict:
         fair = FairnessAuditor(fair_lewis).audit("protected").summary()
         assert "NOT" in unfair
         assert "NOT" not in fair
+
+    @pytest.mark.parametrize("protected", ["race", "sex", "priors_count"])
+    def test_audit_matches_per_pair_oracle(self, compas_lewis, protected):
+        """The one-batch audit equals a scan of per-pair oracle scores."""
+        col = compas_lewis.data.column(protected)
+        best_nec, best_suf, worst_pair = 0.0, 0.0, None
+        for hi in range(col.cardinality):
+            for lo in range(hi):
+                triple = scalar_scores(
+                    compas_lewis.estimator, {protected: hi}, {protected: lo}
+                )
+                if max(triple.necessity, triple.sufficiency) > max(best_nec, best_suf):
+                    worst_pair = (col.categories[hi], col.categories[lo])
+                best_nec = max(best_nec, triple.necessity)
+                best_suf = max(best_suf, triple.sufficiency)
+        verdict = FairnessAuditor(compas_lewis).audit(protected)
+        assert verdict.necessity == pytest.approx(best_nec, abs=1e-12)
+        assert verdict.sufficiency == pytest.approx(best_suf, abs=1e-12)
+        assert verdict.worst_pair == worst_pair
 
     def test_audit_all(self, compas_lewis):
         verdicts = FairnessAuditor(compas_lewis).audit_all(["race", "sex"])

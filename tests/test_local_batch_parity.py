@@ -2,10 +2,11 @@
 
 The batched local-explanation pipeline (``local_score_arrays`` →
 ``build_local_explanations_batch``) and the deduplicated batch recourse
-solver (``RecourseSolver.solve_batch``) must agree with the historical
-one-row-at-a-time code across random tables, diagrams present/absent,
-and positive/negative outcomes — the same 1e-12 contract
-``tests/test_engine_parity.py`` enforces for the frequency engine.
+solver (``RecourseSolver.solve_batch``) must agree with one-row-at-a-time
+evaluation (the oracles of ``tests/oracles.py`` and ``solve``) across
+random tables, diagrams present/absent, and positive/negative outcomes —
+the same 1e-12 contract ``tests/test_engine_parity.py`` enforces for the
+frequency engine.
 """
 
 from __future__ import annotations
@@ -16,14 +17,13 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.causal.graph import CausalDiagram
-from repro.core.explanations import (
-    build_local_explanation,
-    build_local_explanations_batch,
-)
+from repro.core.explanations import build_local_explanations_batch
 from repro.core.recourse import RecourseSolver
 from repro.core.scores import ScoreEstimator
 from repro.data.table import Table
 from repro.utils.exceptions import RecourseInfeasibleError
+
+from oracles import local_explanation_scalar, local_scores
 
 TOL = 1e-12
 
@@ -101,7 +101,7 @@ def test_local_score_arrays_equal_scalar_local_scores(params):
                     assert got.sufficiency[i, value] == 0.0
                     continue
                 hi, lo = max(value, current), min(value, current)
-                triple = estimator.local_scores(name, hi, lo, context)
+                triple = local_scores(estimator, name, hi, lo, context)
                 assert abs(got.necessity[i, value] - triple.necessity) <= TOL
                 assert abs(got.sufficiency[i, value] - triple.sufficiency) <= TOL
                 assert (
@@ -125,9 +125,7 @@ def test_local_explanations_batch_equal_scalar_loop(params):
     outcomes = [bool(estimator._positive[i]) for i in indices]
     batched = build_local_explanations_batch(estimator, rows, outcomes, NAMES)
     for row, outcome, fast in zip(rows, outcomes, batched):
-        slow = build_local_explanation(
-            estimator, row, outcome, NAMES, batched=False
-        )
+        slow = local_explanation_scalar(estimator, row, outcome, NAMES)
         assert fast.outcome_positive == slow.outcome_positive
         assert fast.individual == slow.individual
         assert len(fast.contributions) == len(slow.contributions)

@@ -2,7 +2,6 @@
 caching, statement rendering edge cases, pipeline guard rails."""
 
 import numpy as np
-import pytest
 
 from repro.causal.identification import BackdoorAdjustment
 from repro.core.explanations import (
@@ -12,7 +11,7 @@ from repro.core.explanations import (
     LocalExplanation,
 )
 from repro.data.table import Column, Table
-from repro.estimation.probability import FrequencyEstimator
+from repro.estimation.engine import ContingencyEngine
 from repro.xai.shap import KernelShapExplainer
 
 
@@ -62,8 +61,8 @@ class TestShapExtraColumns:
 
 class TestIdentificationCaching:
     def test_adjustment_set_cached_per_context(self, toy_scm, toy_table):
-        est = FrequencyEstimator(toy_table)
-        adj = BackdoorAdjustment(est, toy_scm.diagram, outcome="Y")
+        engine = ContingencyEngine(toy_table)
+        adj = BackdoorAdjustment(engine, toy_scm.diagram, outcome="Y")
         a = adj.adjustment_set(["X"])
         b = adj.adjustment_set(["X"], context=["Z"])
         # Different cache keys: context changes the admissible set.
@@ -71,8 +70,8 @@ class TestIdentificationCaching:
         assert b == [] or b is None or "Z" not in (b or [])
 
     def test_interventional_with_multi_treatment(self, toy_scm, toy_table):
-        est = FrequencyEstimator(toy_table)
-        adj = BackdoorAdjustment(est, toy_scm.diagram, outcome="Y")
+        engine = ContingencyEngine(toy_table)
+        adj = BackdoorAdjustment(engine, toy_scm.diagram, outcome="Y")
         value = adj.interventional(1, {"X": 2, "Z": 1})
         assert 0.0 <= value <= 1.0
 
@@ -108,27 +107,25 @@ class TestStatementEdgeCases:
         assert "a4" in exp.statements(top=1)[0]
 
 
-class TestFrequencyEstimatorLimits:
-    def test_mask_cache_is_lru_bounded(self):
+class TestContingencyEngineLimits:
+    def test_tensor_cache_is_lru_bounded(self):
         rng = np.random.default_rng(2)
         table = Table(
-            [Column.from_codes("x", rng.integers(0, 50, 500), tuple(range(50)))]
+            [
+                Column.from_codes(f"x{i}", rng.integers(0, 3, 500), (0, 1, 2))
+                for i in range(12)
+            ]
         )
-        est = FrequencyEstimator(table)
-        est.MASK_CACHE_SIZE = 16
-        # Hammer the cache with more keys than its limit.
-        for code in range(50):
-            est._mask({"x": code})
-        assert len(est._mask_cache) <= 16
-        # Least-recently-used keys were evicted, recent ones kept.
-        assert (("x", 49),) in est._mask_cache
-        assert (("x", 0),) not in est._mask_cache
-
-    def test_trivial_mask_is_cached(self, small_table):
-        est = FrequencyEstimator(small_table)
-        first = est._mask({})
-        assert first.all() and len(first) == len(small_table)
-        assert est._mask({}) is first
+        engine = ContingencyEngine(table, cache_size=4)
+        # Hammer the cache with more column sets than its limit.
+        for i in range(12):
+            engine.count({f"x{i}": 1})
+        stats = engine.cache_stats()
+        assert stats.entries == 4
+        assert stats.evictions == 8
+        # Least-recently-used tensors were evicted, recent ones kept.
+        assert ("x11",) in engine._tensors
+        assert ("x0",) not in engine._tensors
 
     def test_n_rows_property(self, small_table):
-        assert FrequencyEstimator(small_table).n_rows == 8
+        assert ContingencyEngine(small_table).n_rows == 8

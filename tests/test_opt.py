@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.opt.branch_and_bound import BranchAndBoundSolver, solve_binary_program
+from repro.opt.branch_and_bound import solve_binary_program
 from repro.opt.integer_program import IntegerProgram
 from repro.utils.exceptions import RecourseInfeasibleError
 
@@ -128,15 +128,6 @@ class TestBranchAndBound:
         p.add_variable("b", cost=1.0)
         sol = solve_binary_program(p)
         assert sol.chosen() == ["a"]
-
-    def test_node_limit_enforced(self):
-        rng = np.random.default_rng(0)
-        p = IntegerProgram()
-        for i in range(12):
-            p.add_variable(i, cost=float(rng.normal()))
-        p.add_le_constraint({i: float(rng.uniform(0.5, 1.5)) for i in range(12)}, 3.0)
-        with pytest.raises(RecourseInfeasibleError, match="node limit"):
-            BranchAndBoundSolver(max_nodes=1).solve(p)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_brute_force_on_random_programs(self, seed):

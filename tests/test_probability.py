@@ -1,12 +1,12 @@
-"""Unit tests for empirical probability estimation and adjustment sums."""
+"""Unit tests for the engine's conditional frequencies and adjustment sums."""
 
-import numpy as np
 import pytest
 
 from repro.data.table import Table
-from repro.estimation.adjustment import adjusted_probability
-from repro.estimation.probability import FrequencyEstimator
+from repro.estimation.engine import ContingencyEngine
 from repro.utils.exceptions import EstimationError
+
+from oracles import adjusted_one
 
 
 @pytest.fixture()
@@ -24,127 +24,124 @@ def counts_table():
     )
 
 
-class TestFrequencyEstimator:
+class TestConditionalFrequencies:
     def test_marginal(self, counts_table):
-        est = FrequencyEstimator(counts_table)
+        est = ContingencyEngine(counts_table)
         assert est.probability({"O": 1}) == pytest.approx(7 / 12)
 
     def test_joint(self, counts_table):
-        est = FrequencyEstimator(counts_table)
+        est = ContingencyEngine(counts_table)
         assert est.probability({"O": 1, "X": 1}) == pytest.approx(5 / 12)
 
     def test_conditional(self, counts_table):
-        est = FrequencyEstimator(counts_table)
+        est = ContingencyEngine(counts_table)
         assert est.probability({"O": 1}, {"X": 1}) == pytest.approx(5 / 6)
         assert est.probability({"O": 1}, {"X": 0}) == pytest.approx(2 / 6)
 
     def test_conditional_on_two_columns(self, counts_table):
-        est = FrequencyEstimator(counts_table)
+        est = ContingencyEngine(counts_table)
         assert est.probability({"O": 1}, {"X": 0, "C": 1}) == pytest.approx(1 / 3)
 
     def test_event_overlapping_condition_consistent(self, counts_table):
-        est = FrequencyEstimator(counts_table)
+        est = ContingencyEngine(counts_table)
         assert est.probability({"X": 1}, {"X": 1}) == 1.0
 
     def test_event_overlapping_condition_contradictory(self, counts_table):
-        est = FrequencyEstimator(counts_table)
+        est = ContingencyEngine(counts_table)
         assert est.probability({"X": 0}, {"X": 1}) == 0.0
 
     def test_empty_event_is_one(self, counts_table):
-        est = FrequencyEstimator(counts_table)
+        est = ContingencyEngine(counts_table)
         assert est.probability({}, {"X": 1}) == 1.0
 
     def test_no_support_raises_without_smoothing(self, counts_table):
-        est = FrequencyEstimator(counts_table)
+        est = ContingencyEngine(counts_table)
         # There are no rows with X=0, O=1, C=0... actually there is one;
         # use an impossible three-way combination instead.
         extended = counts_table.with_column(
             counts_table.column("C").renamed("D")
         )
-        est2 = FrequencyEstimator(extended)
+        est2 = ContingencyEngine(extended)
         with pytest.raises(EstimationError):
             est2.probability({"O": 1}, {"X": 0, "C": 0, "D": 1})
 
-    def test_probability_or_default(self, counts_table):
+    def test_default_fills_unsupported_condition(self, counts_table):
         extended = counts_table.with_column(counts_table.column("C").renamed("D"))
-        est = FrequencyEstimator(extended)
-        val = est.probability_or_default({"O": 1}, {"X": 0, "C": 0, "D": 1}, default=0.25)
-        assert val == 0.25
+        est = ContingencyEngine(extended)
+        val = est.probabilities([{"O": 1}], [{"X": 0, "C": 0, "D": 1}], default=0.25)
+        assert val[0] == 0.25
 
     def test_smoothing_keeps_defined(self, counts_table):
-        est = FrequencyEstimator(counts_table, alpha=1.0)
+        est = ContingencyEngine(counts_table, alpha=1.0)
         extended_cond = {"X": 0, "C": 0}
         value = est.probability({"O": 1}, extended_cond)
         assert 0.0 < value < 1.0
 
     def test_smoothing_shrinks_toward_uniform(self, counts_table):
-        raw = FrequencyEstimator(counts_table).probability({"O": 1}, {"X": 1})
-        smooth = FrequencyEstimator(counts_table, alpha=10.0).probability(
+        raw = ContingencyEngine(counts_table).probability({"O": 1}, {"X": 1})
+        smooth = ContingencyEngine(counts_table, alpha=10.0).probability(
             {"O": 1}, {"X": 1}
         )
         assert abs(smooth - 0.5) < abs(raw - 0.5)
 
     def test_negative_alpha_rejected(self, counts_table):
         with pytest.raises(ValueError):
-            FrequencyEstimator(counts_table, alpha=-1)
+            ContingencyEngine(counts_table, alpha=-1)
 
     def test_count(self, counts_table):
-        est = FrequencyEstimator(counts_table)
+        est = ContingencyEngine(counts_table)
         assert est.count({"X": 1, "O": 1}) == 5
 
-    def test_label_level_wrapper(self, counts_table):
-        est = FrequencyEstimator(counts_table)
-        assert est.probability_labels({"O": 1}, {"X": 1}) == pytest.approx(5 / 6)
+    def test_group_weights_sum_to_one(self, counts_table):
+        est = ContingencyEngine(counts_table)
+        _combos, weights = est.group_weights(["C", "X"])
+        assert weights.sum() == pytest.approx(1.0)
 
-    def test_group_probabilities_sum_to_one(self, counts_table):
-        est = FrequencyEstimator(counts_table)
-        groups = est.group_probabilities(["C", "X"])
-        assert sum(groups.values()) == pytest.approx(1.0)
+    def test_group_weights_conditioned(self, counts_table):
+        est = ContingencyEngine(counts_table)
+        combos, weights = est.group_weights(["C"], {"X": 1})
+        assert combos.tolist() == [[0], [1]]
+        assert weights.tolist() == pytest.approx([3 / 6, 3 / 6])
 
-    def test_group_probabilities_conditioned(self, counts_table):
-        est = FrequencyEstimator(counts_table)
-        groups = est.group_probabilities(["C"], {"X": 1})
-        assert groups[(0,)] == pytest.approx(3 / 6)
-        assert groups[(1,)] == pytest.approx(3 / 6)
-
-    def test_group_probabilities_no_support(self, counts_table):
+    def test_group_weights_no_support(self, counts_table):
         extended = counts_table.with_column(counts_table.column("C").renamed("D"))
-        est = FrequencyEstimator(extended)
+        est = ContingencyEngine(extended)
         with pytest.raises(EstimationError):
-            est.group_probabilities(["C"], {"X": 0, "C": 0, "D": 1})
+            est.group_weights(["C"], {"X": 0, "C": 0, "D": 1})
 
-    def test_mask_cache_consistency(self, counts_table):
-        est = FrequencyEstimator(counts_table)
+    def test_tensor_cache_consistency(self, counts_table):
+        est = ContingencyEngine(counts_table)
         first = est.probability({"O": 1}, {"X": 1})
         second = est.probability({"O": 1}, {"X": 1})
         assert first == second
+        assert est.cache_stats().hits > 0
 
 
 class TestAdjustedProbability:
     def test_empty_adjustment_is_plain_conditional(self, counts_table):
-        est = FrequencyEstimator(counts_table)
-        value = adjusted_probability(
+        est = ContingencyEngine(counts_table)
+        value = adjusted_one(
             est, event={"O": 1}, treatment={"X": 1}, adjustment=[]
         )
         assert value == pytest.approx(5 / 6)
 
     def test_backdoor_sum_by_hand(self, counts_table):
-        est = FrequencyEstimator(counts_table)
+        est = ContingencyEngine(counts_table)
         # sum_c P(O=1 | C=c, X=1) P(C=c)
         expected = est.probability({"O": 1}, {"C": 0, "X": 1}) * est.probability(
             {"C": 0}
         ) + est.probability({"O": 1}, {"C": 1, "X": 1}) * est.probability({"C": 1})
-        value = adjusted_probability(
+        value = adjusted_one(
             est, event={"O": 1}, treatment={"X": 1}, adjustment=["C"]
         )
         assert value == pytest.approx(expected)
 
     def test_weight_condition_changes_mixture(self, counts_table):
-        est = FrequencyEstimator(counts_table)
-        plain = adjusted_probability(
+        est = ContingencyEngine(counts_table)
+        plain = adjusted_one(
             est, event={"O": 1}, treatment={"X": 1}, adjustment=["C"]
         )
-        weighted = adjusted_probability(
+        weighted = adjusted_one(
             est,
             event={"O": 1},
             treatment={"X": 1},
@@ -160,8 +157,8 @@ class TestAdjustedProbability:
         assert weighted != pytest.approx(plain) or True  # may coincide
 
     def test_context_restricts_everything(self, counts_table):
-        est = FrequencyEstimator(counts_table)
-        value = adjusted_probability(
+        est = ContingencyEngine(counts_table)
+        value = adjusted_one(
             est,
             event={"O": 1},
             treatment={"X": 1},
@@ -171,16 +168,16 @@ class TestAdjustedProbability:
         assert value == pytest.approx(est.probability({"O": 1}, {"X": 1, "C": 1}))
 
     def test_adjustment_overlapping_context_dropped(self, counts_table):
-        est = FrequencyEstimator(counts_table)
-        a = adjusted_probability(
+        est = ContingencyEngine(counts_table)
+        a = adjusted_one(
             est, event={"O": 1}, treatment={"X": 1}, adjustment=["C"], context={"C": 1}
         )
         b = est.probability({"O": 1}, {"X": 1, "C": 1})
         assert a == pytest.approx(b)
 
     def test_result_is_probability(self, counts_table):
-        est = FrequencyEstimator(counts_table)
-        value = adjusted_probability(
+        est = ContingencyEngine(counts_table)
+        value = adjusted_one(
             est, event={"O": 0}, treatment={"X": 0}, adjustment=["C"]
         )
         assert 0.0 <= value <= 1.0

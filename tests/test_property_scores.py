@@ -93,7 +93,7 @@ def test_bounds_contain_ground_truth(params):
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_proposition_43_inequality(params):
     _scm, _predict, estimator = build_random_setup(*params)
-    freq = estimator.frequency_estimator
+    freq = estimator.engine
     nec = estimator.necessity({"X": 1}, {"X": 0})
     suf = estimator.sufficiency({"X": 1}, {"X": 0})
     nesuf = estimator.necessity_sufficiency({"X": 1}, {"X": 0})

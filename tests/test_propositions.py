@@ -8,7 +8,7 @@ exact answer.
 import numpy as np
 import pytest
 
-from repro.causal.equations import linear_threshold, logistic_binary, root_categorical
+from repro.causal.equations import logistic_binary, root_categorical
 from repro.causal.ground_truth import GroundTruthScores
 from repro.causal.scm import StructuralCausalModel, StructuralEquation
 from repro.core.bounds import BoundsEstimator
@@ -131,7 +131,7 @@ class TestProposition43Relation:
     """NESUF <= P(o,x|k) NEC + P(o',x'|k) SUF + 1 - P(x|k) - P(x'|k)."""
 
     def _check(self, estimator, hi, lo):
-        freq = estimator.frequency_estimator
+        freq = estimator.engine
         nec = estimator.necessity({"X": hi}, {"X": lo})
         suf = estimator.sufficiency({"X": hi}, {"X": lo})
         nesuf = estimator.necessity_sufficiency({"X": hi}, {"X": lo})
@@ -162,7 +162,7 @@ class TestProposition43Relation:
         nec = estimator.necessity({"V": 1}, {"V": 0})
         suf = estimator.sufficiency({"V": 1}, {"V": 0})
         nesuf = estimator.necessity_sufficiency({"V": 1}, {"V": 0})
-        freq = estimator.frequency_estimator
+        freq = estimator.engine
         rhs = (
             freq.probability({"__outcome__": 1, "V": 1}) * nec
             + freq.probability({"__outcome__": 0, "V": 0}) * suf

@@ -18,7 +18,7 @@ from scipy.optimize import linprog
 from repro.core.recourse import Recourse, RecourseAction, RecourseSolver
 from repro.core.scores import ScoreEstimator
 from repro.data.table import Table
-from repro.opt.branch_and_bound import BranchAndBoundSolver, solve_binary_program
+from repro.opt.branch_and_bound import solve_binary_program
 from repro.opt.integer_program import IntegerProgram
 from repro.opt.parametric import (
     FEASIBILITY_TOL,
@@ -333,43 +333,6 @@ class TestFrozenRecourse:
         assert recourse.optimality_gap == 0.0
 
 
-class TestBranchAndBoundIncumbent:
-    def _program(self) -> IntegerProgram:
-        program = IntegerProgram()
-        program.add_variable("x1", cost=1.0)
-        program.add_variable("x2", cost=2.0)
-        program.add_variable("x3", cost=3.0)
-        program.add_le_constraint({"x1": 1.0, "x2": 1.0}, 1.0)
-        program.add_ge_constraint({"x1": 1.0, "x2": 2.0, "x3": 2.0}, 2.0)
-        return program
-
-    def test_incumbent_matches_cold_objective(self):
-        program = self._program()
-        cold = BranchAndBoundSolver().solve(program)
-        warm = BranchAndBoundSolver().solve(program, incumbent=cold.values)
-        assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
-        vector = BranchAndBoundSolver().solve(
-            program, incumbent=np.array([0.0, 1.0, 0.0])
-        )
-        assert vector.objective == pytest.approx(cold.objective, abs=1e-12)
-
-    def test_infeasible_incumbent_is_ignored(self):
-        program = self._program()
-        # x1 = x2 = 1 violates the exclusivity row; the solver must drop
-        # it and still find the true optimum.
-        warm = BranchAndBoundSolver().solve(
-            program, incumbent={"x1": 1, "x2": 1, "x3": 0}
-        )
-        cold = BranchAndBoundSolver().solve(program)
-        assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
-
-    def test_malformed_incumbent_is_ignored(self):
-        program = self._program()
-        warm = BranchAndBoundSolver().solve(program, incumbent={"nope": 1})
-        cold = BranchAndBoundSolver().solve(program)
-        assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
-
-
 class TestMilpOptionPlumbing:
     def _capture_milp(self, monkeypatch, captured):
         import scipy.optimize
@@ -412,6 +375,23 @@ class TestMilpOptionPlumbing:
         program.add_ge_constraint({"x": 1.0}, 1.0)
         with pytest.raises(RecourseInfeasibleError, match="budget exhausted"):
             solve_binary_program(program, max_nodes=1)
+
+    def test_unexpected_status_raises_naming_it(self, monkeypatch):
+        import scipy.optimize
+
+        class FakeResult:
+            status = 4
+            success = False
+            message = "numerical trouble"
+            x = None
+            fun = None
+
+        monkeypatch.setattr(scipy.optimize, "milp", lambda c, **k: FakeResult())
+        program = IntegerProgram()
+        program.add_variable("x", cost=1.0)
+        program.add_ge_constraint({"x": 1.0}, 1.0)
+        with pytest.raises(RecourseInfeasibleError, match="status 4: numerical trouble"):
+            solve_binary_program(program)
 
 
 class TestParametricBound:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.scores import ScoreEstimator, ScoreTriple
-from repro.data.table import Table
+
+from oracles import local_scores
 
 
 @pytest.fixture(scope="module")
@@ -133,11 +134,11 @@ class TestNoConfoundingFallback:
         table, positive, _est = monotone_setup
         est = ScoreEstimator(table, positive, diagram=None)
         # No-confounding sufficiency: (P(o|x,k) - P(o|x',k)) / P(o'|x',k).
-        from repro.estimation.probability import FrequencyEstimator
+        from repro.estimation.engine import ContingencyEngine
 
-        freq = FrequencyEstimator(est.table)
-        p_hi = freq.probability({"__outcome__": 1}, {"X": 2})
-        p_lo = freq.probability({"__outcome__": 1}, {"X": 0})
+        engine = ContingencyEngine(est.table)
+        p_hi = engine.probability({"__outcome__": 1}, {"X": 2})
+        p_lo = engine.probability({"__outcome__": 1}, {"X": 0})
         expected = (p_hi - p_lo) / (1 - p_lo)
         assert est.sufficiency({"X": 2}, {"X": 0}) == pytest.approx(expected, abs=1e-9)
 
@@ -172,20 +173,20 @@ class TestLocalScores:
     def test_local_scores_match_deterministic_rule(self, monotone_setup):
         _t, _p, est = monotone_setup
         # Given Z=1 fixed: raising X from 0 to 2 flips the outcome.
-        triple = est.local_scores("X", 2, 0, {"Z": 1})
+        triple = local_scores(est, "X", 2, 0, {"Z": 1})
         assert triple.sufficiency > 0.9
         assert triple.necessity_sufficiency > 0.9
 
     def test_local_scores_identical_values_rejected(self, monotone_setup):
         _t, _p, est = monotone_setup
         with pytest.raises(ValueError):
-            est.local_scores("X", 1, 1, {"Z": 0})
+            local_scores(est, "X", 1, 1, {"Z": 0})
 
     def test_local_model_cached(self, monotone_setup):
         _t, _p, est = monotone_setup
-        est.local_scores("X", 2, 0, {"Z": 1})
+        local_scores(est, "X", 2, 0, {"Z": 1})
         first = est._local_models[("X", "Z")]
-        est.local_scores("X", 1, 0, {"Z": 0})
+        local_scores(est, "X", 1, 0, {"Z": 0})
         assert est._local_models[("X", "Z")] is first
 
 
