@@ -2,7 +2,7 @@
 
 Each round builds a fresh durable tenant, starts a real HTTP server,
 installs one deterministic seeded :class:`repro.faults.FaultPlan` over
-the storage / pool / monitor injection points, drives a mixed workload
+the storage / monitor injection points, drives a mixed workload
 through the front door, and then restores the tenant from disk with the
 faults gone.  Across every round the serving stack must hold four
 invariants — the acceptance gate of the fault-injection PR:
@@ -11,9 +11,8 @@ invariants — the acceptance gate of the fault-injection PR:
    (429 / 503 / 504 / 200-degraded), never an internal error.
 2. **No deadlocks.**  Every request answers within a hard timeout.
 3. **No silent degradation.**  A 200 under fault pressure either
-   matches the fault-free answer bit for bit (the pool-fallback and
-   serial/parallel parity contracts) or carries ``degraded: true`` with
-   a reason.
+   matches the fault-free answer bit for bit or carries
+   ``degraded: true`` with a reason.
 4. **Bit-identical recovery.**  Every acknowledged update survives the
    restart; when no ack-window (fsync) fault fired, the restored tenant
    matches the live one's fingerprint and version exactly.
@@ -128,9 +127,6 @@ def build_plan(seed: int):
         points["monitor.refresh"] = {
             "probability": round(rng.uniform(0.2, 0.6), 3)
         }
-    if rng.random() < 0.5:
-        # crash the first chunk in every fork-started pool worker
-        points["recourse.chunk"] = {"action": "exit", "once": True}
     return faults.FaultPlan(points, seed=seed), points
 
 
@@ -160,13 +156,13 @@ def run_round(seed: int) -> dict:
         base = f"http://{host}:{port}"
         live = {}
         try:
-            # fault-free reference: the serial cohort answer (workers=1)
-            # that every non-degraded 200 must reproduce bit for bit
+            # fault-free reference: the cohort answer that every
+            # non-degraded 200 must reproduce bit for bit
             status, body = http(
                 base,
                 "/v1/t/recourse/batch",
                 {"indices": list(range(6)), "actionable": ["a", "b"],
-                 "alpha": 0.6, "workers": 1},
+                 "alpha": 0.6},
             )
             assert status == 200, f"reference solve failed: {status}"
             reference = body["result"]["recourses"]
@@ -185,7 +181,7 @@ def run_round(seed: int) -> dict:
                 )
                 note(status, what="monitor register")
 
-                # the probe: same cohort, pool path, maybe a deadline
+                # the probe: same cohort under faults, maybe a deadline
                 rng = random.Random(seed ^ 0x5EED)
                 headers = (
                     {"X-Repro-Deadline-Ms": "30000"}
@@ -196,7 +192,7 @@ def run_round(seed: int) -> dict:
                     base,
                     "/v1/t/recourse/batch",
                     {"indices": list(range(6)), "actionable": ["a", "b"],
-                     "alpha": 0.6, "workers": 2},
+                     "alpha": 0.6},
                     headers=headers,
                 )
                 note(status, what="recourse probe")

@@ -1,24 +1,21 @@
-"""Recourse-at-scale benchmark: parametric engine, workers, anytime mode.
+"""Recourse-at-scale benchmark: parametric exact search vs MILP, anytime mode.
 
-Times one cohort recourse audit four ways and persists the numbers under
+Times one cohort recourse audit three ways and persists the numbers under
 ``benchmarks/results/recourse_scale.json``:
 
-* **milp serial** — ``RecourseSolver(engine="milp")``, the scipy/HiGHS
-  route every signature program used to take (the PR-4 baseline path),
-* **parametric serial** — cached parametric-dual bounds, greedy
-  certificates and warm-started exact search, one process,
-* **parametric parallel** — the same work partitioned over
-  ``workers=2`` process-pool chunks,
+* **milp** — the signature programs solved by scipy/HiGHS, the MILP
+  oracle of ``tests/oracles.py`` swapped in for the kernel's exact step
+  (the route every signature program used to take),
+* **parametric** — cached parametric-dual bounds, greedy certificates
+  and the greedy-seeded exact search,
 * **anytime** — greedy LP rounding with a certified optimality gap.
 
-Three correctness gates run inside the benchmark, so a speedup can
-never be bought with a wrong answer:
+Two correctness gates run inside the benchmark, so a speedup can never
+be bought with a wrong answer:
 
 1. parametric objectives match the MILP oracle to 1e-9 (and feasibility
    verdicts match exactly),
-2. serial and parallel answers are *bit-identical* (action sets, costs,
-   sufficiencies, thresholds),
-3. every anytime answer's cost exceeds the exact optimum by at most its
+2. every anytime answer's cost exceeds the exact optimum by at most its
    reported ``optimality_gap``.
 
 Run standalone (no pytest)::
@@ -27,8 +24,8 @@ Run standalone (no pytest)::
     PYTHONPATH=src python benchmarks/bench_recourse_scale.py --smoke   # CI guard
 
 ``--smoke`` shrinks the cohort and *asserts* the gates plus a perf
-tripwire (requesting workers must never make the audit materially
-slower than serial); the full run records the numbers.
+tripwire (the parametric search must not be slower than the MILP
+oracle); the full run records the numbers.
 """
 
 from __future__ import annotations
@@ -48,12 +45,6 @@ RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
 PARITY_TOL = 1e-9
 GAP_TOL = 1e-9
-
-#: smoke tripwire — a worker-enabled audit may never be more than this
-#: factor slower than the serial one.  Small smoke cohorts stay below
-#: ``parallel_threshold`` and run inline, so the two are the same code
-#: path and the slack only absorbs timer noise.
-SMOKE_PARALLEL_SLACK = 1.25
 
 
 def _cohort_rows(lewis, cohort: int):
@@ -82,23 +73,6 @@ def _check_oracle_parity(oracle, fast) -> int:
             )
         checked += 1
     return checked
-
-
-def _check_bit_identity(serial, parallel) -> None:
-    for a, b in zip(serial, parallel):
-        if (a is None) != (b is None):
-            raise SystemExit("parallel identity violation: feasibility differs")
-        if a is None:
-            continue
-        if (
-            a.as_dict() != b.as_dict()
-            or a.total_cost != b.total_cost
-            or a.estimated_sufficiency != b.estimated_sufficiency
-            or a.threshold != b.threshold
-        ):
-            raise SystemExit(
-                f"parallel identity violation: {a.as_dict()} != {b.as_dict()}"
-            )
 
 
 def _check_anytime_gaps(exact, anytime) -> tuple[int, float]:
@@ -138,19 +112,19 @@ def main(argv=None) -> int:
         "--cohort", type=int, default=None, help="cohort size (default 1000/120)"
     )
     parser.add_argument("--alpha", type=float, default=0.7)
-    parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="small sizes + assert parity, bit-identity, gaps and the "
-        "parallel perf tripwire",
+        help="small sizes + assert parity, gaps and the MILP perf tripwire",
     )
     args = parser.parse_args(argv)
 
     from benchmarks.bench_local_batch import build_explainer
     from benchmarks.conftest import result_envelope
+    from repro.core import recourse_kernel
     from repro.core.recourse import RecourseSolver
+    from tests.oracles import milp_exact_step
 
     dataset = args.dataset or ("german" if args.smoke else "adult")
     rows = args.rows if args.rows is not None else (400 if args.smoke else 6_000)
@@ -162,16 +136,17 @@ def main(argv=None) -> int:
 
     # Each measurement gets a fresh solver: the solution memo would
     # otherwise let the first run pre-pay for the rest.
-    milp_s, milp_out = _timed_batch(
-        RecourseSolver(lewis.estimator, actionable, engine="milp"),
-        cohort_rows,
-        args.alpha,
-    )
-    serial_solver = RecourseSolver(lewis.estimator, actionable)
-    serial_s, serial_out = _timed_batch(serial_solver, cohort_rows, args.alpha)
-    parallel_solver = RecourseSolver(lewis.estimator, actionable)
-    parallel_s, parallel_out = _timed_batch(
-        parallel_solver, cohort_rows, args.alpha, workers=args.workers
+    exact_step = recourse_kernel._exact_step
+    recourse_kernel._exact_step = milp_exact_step
+    try:
+        milp_s, milp_out = _timed_batch(
+            RecourseSolver(lewis.estimator, actionable), cohort_rows, args.alpha
+        )
+    finally:
+        recourse_kernel._exact_step = exact_step
+    parametric_solver = RecourseSolver(lewis.estimator, actionable)
+    parametric_s, parametric_out = _timed_batch(
+        parametric_solver, cohort_rows, args.alpha
     )
     anytime_s, anytime_out = _timed_batch(
         RecourseSolver(lewis.estimator, actionable),
@@ -180,11 +155,10 @@ def main(argv=None) -> int:
         mode="anytime",
     )
 
-    feasible = _check_oracle_parity(milp_out, serial_out)
-    _check_bit_identity(serial_out, parallel_out)
-    certified, worst_gap = _check_anytime_gaps(serial_out, anytime_out)
+    feasible = _check_oracle_parity(milp_out, parametric_out)
+    certified, worst_gap = _check_anytime_gaps(parametric_out, anytime_out)
 
-    memo = serial_solver.solution_memo_stats()
+    memo = parametric_solver.solution_memo_stats()
     committed = _committed_baseline()
     result = {
         "provenance": result_envelope(),
@@ -194,24 +168,19 @@ def main(argv=None) -> int:
         "smoke": args.smoke,
         "cohort": len(cohort_rows),
         "alpha": args.alpha,
-        "workers": args.workers,
         "feasible": feasible,
         "distinct_signatures": memo["solved_signatures"],
         "lp_certified_signatures": memo["certified_by_lp_bound"],
-        "donor_seeded_searches": memo["donor_seeded_searches"],
         "search_nodes": memo["search_nodes"],
-        "pool_used": parallel_solver.solution_memo_stats()["parallel_batches"] > 0,
-        "milp_serial_s": round(milp_s, 6),
-        "parametric_serial_s": round(serial_s, 6),
-        "parametric_parallel_s": round(parallel_s, 6),
+        "milp_s": round(milp_s, 6),
+        "parametric_s": round(parametric_s, 6),
         "anytime_s": round(anytime_s, 6),
-        "speedup_vs_milp": round(milp_s / serial_s, 2) if serial_s else float("inf"),
-        "committed_pr4_batch_s": committed,
-        "speedup_vs_committed_serial": (
-            round(committed / serial_s, 2) if committed and serial_s else None
+        "speedup_vs_milp": (
+            round(milp_s / parametric_s, 2) if parametric_s else float("inf")
         ),
-        "speedup_vs_committed_parallel": (
-            round(committed / parallel_s, 2) if committed and parallel_s else None
+        "committed_pr4_batch_s": committed,
+        "speedup_vs_committed_parametric": (
+            round(committed / parametric_s, 2) if committed and parametric_s else None
         ),
         "speedup_vs_committed_anytime": (
             round(committed / anytime_s, 2) if committed and anytime_s else None
@@ -231,14 +200,9 @@ def main(argv=None) -> int:
 
     if args.smoke:
         failures = []
-        if parallel_s > serial_s * SMOKE_PARALLEL_SLACK:
+        if parametric_s > milp_s:
             failures.append(
-                f"workers={args.workers} audit took {parallel_s:.3f}s vs "
-                f"serial {serial_s:.3f}s (> {SMOKE_PARALLEL_SLACK}x slack)"
-            )
-        if serial_s > milp_s:
-            failures.append(
-                f"parametric serial {serial_s:.3f}s slower than the MILP "
+                f"parametric search {parametric_s:.3f}s slower than the MILP "
                 f"oracle {milp_s:.3f}s"
             )
         if certified == 0 and feasible > 0:

@@ -153,7 +153,6 @@ def cmd_recourse(args) -> int:
             actionable,
             alpha=args.alpha,
             indices=cohort,
-            workers=args.workers,
             mode=mode,
         )
         print(
@@ -659,12 +658,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_recourse.add_argument("--index", type=int, default=None)
     p_recourse.add_argument("--alpha", type=float, default=0.7)
     p_recourse.add_argument("--actionable", nargs="*", default=None)
-    p_recourse.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes for cohort audits (results are identical)",
-    )
     p_recourse.add_argument(
         "--anytime",
         action="store_true",

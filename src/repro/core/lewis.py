@@ -146,10 +146,6 @@ class Lewis:
         self._recourse_solvers: ByteBudgetLRU = ByteBudgetLRU(
             max_bytes=None, max_entries=16
         )
-        #: warm-start donor stash keyed by sorted actionable tuple;
-        #: survives :meth:`apply_delta` (donors only seed search bounds,
-        #: never answers) and is what snapshots persist/restores seed.
-        self._recourse_warm: dict[tuple[str, ...], list[dict]] = {}
 
     # -- black-box plumbing ---------------------------------------------------
 
@@ -273,10 +269,7 @@ class Lewis:
         )
         self.data = self.estimator._features
         self._positive = self.estimator._positive
-        # Solvers embed data-dependent logit fits and must refit, but
-        # their warm-start donor pools stay valid (donors are feasibility
-        # -checked upper-bound seeds) — stash them for the refit solvers.
-        self._stash_recourse_warm()
+        # Solvers embed data-dependent logit fits and must refit.
         self._recourse_solvers.clear()
         return version
 
@@ -546,12 +539,6 @@ class Lewis:
         entry = self._recourse_solvers.get(key)
         if entry is None or entry[0] != version:
             solver = RecourseSolver(self.estimator, list(actionable), cost_fn)
-            if entry is not None:
-                # refit across a version bump: carry the donor pool over
-                solver.seed_donor_pool(entry[1].export_donor_pool())
-            stash = self._recourse_warm.get(key[0])
-            if stash:
-                solver.seed_donor_pool(stash)
             self._recourse_solvers.put(key, (version, solver), size=1)
             return solver
         return entry[1]
@@ -572,43 +559,6 @@ class Lewis:
             for name, value in solver.solution_memo_stats().items():
                 totals[name] = totals.get(name, 0) + value
         return totals
-
-    def _stash_recourse_warm(self) -> None:
-        """Merge every live solver's donor pool into the warm stash."""
-        for key in list(self._recourse_solvers):
-            _version, solver = self._recourse_solvers[key]
-            exported = solver.export_donor_pool()
-            if exported:
-                merged = {
-                    tuple(sorted(e["current"].items())): e
-                    for e in self._recourse_warm.get(key[0], [])
-                }
-                for e in exported:
-                    merged.setdefault(tuple(sorted(e["current"].items())), e)
-                self._recourse_warm[key[0]] = list(merged.values())
-
-    def export_recourse_warm(self) -> list[dict]:
-        """JSON-safe warm-start state for snapshot persistence.
-
-        Returns ``[{"actionable": [...], "donors": [...]}, ...]`` — the
-        stash plus every live solver's donor pool — suitable for
-        :func:`repro.store.snapshot.snapshot_session` to embed in a
-        manifest and :meth:`seed_recourse_warm` to reload.
-        """
-        self._stash_recourse_warm()
-        return [
-            {"actionable": list(actionable), "donors": list(donors)}
-            for actionable, donors in sorted(self._recourse_warm.items())
-            if donors
-        ]
-
-    def seed_recourse_warm(self, state: Sequence[Mapping]) -> None:
-        """Load warm-start state exported by :meth:`export_recourse_warm`."""
-        for block in state or []:
-            actionable = tuple(sorted(block.get("actionable") or ()))
-            donors = list(block.get("donors") or [])
-            if actionable and donors:
-                self._recourse_warm[actionable] = donors
 
     def recourse(
         self,
@@ -633,19 +583,16 @@ class Lewis:
         alpha: float = 0.8,
         cost_fn: CostFn | None = None,
         on_infeasible: str = "raise",
-        workers: int | None = None,
         mode: str = "exact",
     ) -> list[Recourse | None]:
         """Minimal-cost recourse for a cohort of individuals.
 
         Routes through :meth:`RecourseSolver.solve_batch`: one logit
-        matrix pass for every base probability and one warm-started
-        signature solve per *distinct* ``(current codes, context)``
-        signature.  ``workers > 1`` spreads unsolved signatures over a
-        process pool (results identical to serial); ``mode="anytime"``
-        returns greedy solutions with certified gaps.  With
-        ``on_infeasible="none"`` infeasible rows yield ``None`` instead
-        of aborting the batch.
+        pass for the base probabilities and one signature solve per
+        *distinct* ``(current codes, context)`` signature.
+        ``mode="anytime"`` returns greedy solutions with certified gaps.
+        With ``on_infeasible="none"`` infeasible rows yield ``None``
+        instead of aborting the batch.
         """
         solver = self._recourse_solver(actionable, cost_fn)
         rows = [self.data.row_codes(int(i)) for i in indices]
@@ -653,7 +600,6 @@ class Lewis:
             rows,
             alpha=alpha,
             on_infeasible=on_infeasible,
-            workers=workers,
             mode=mode,
         )
 
@@ -663,7 +609,6 @@ class Lewis:
         alpha: float = 0.8,
         indices: Sequence[int] | None = None,
         cost_fn: CostFn | None = None,
-        workers: int | None = None,
         mode: str = "exact",
     ) -> dict:
         """Cohort recourse audit: who can reach a positive decision, and how.
@@ -672,9 +617,9 @@ class Lewis:
         individual with the negative decision) and aggregates the
         answers — feasibility counts, cost statistics over feasible
         recourses, and how often each actionable attribute appears in a
-        recommended intervention.  ``workers`` and ``mode`` pass through
-        to the solver; the summary's ``solver`` block reports its memo,
-        certificate and warm-start counters.  The JSON-friendly summary
+        recommended intervention.  ``mode`` passes through to the
+        solver; the summary's ``solver`` block reports its memo,
+        certificate and search counters.  The JSON-friendly summary
         backs the ``/v1/recourse/batch`` service endpoint and the CLI
         cohort mode.
         """
@@ -685,7 +630,7 @@ class Lewis:
         )
         recourses = self.recourse_batch(
             chosen, actionable, alpha=alpha, cost_fn=cost_fn,
-            on_infeasible="none", workers=workers, mode=mode,
+            on_infeasible="none", mode=mode,
         )
         feasible = [r for r in recourses if r is not None]
         costs = [r.total_cost for r in feasible if not r.is_empty]

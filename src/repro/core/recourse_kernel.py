@@ -4,23 +4,18 @@ One function, :func:`solve_signature`, runs the full threshold/refine
 loop (Section 4.2's cut loop) for a single ``(current codes, context)``
 signature given only plain data: a :class:`SignatureSkeleton`, the
 signature's base log-odds, and the solve options.  It holds no table,
-estimator, or solver state, so the exact same code path backs
+estimator or solver state, and it sees no other signature, so an answer
+depends only on its own program: :meth:`RecourseSolver.solve_batch`
+calls it once per unsolved signature, whatever the batch or the
+requests solved before it.
 
-* the scalar :meth:`RecourseSolver.solve`,
-* the serial batch loop, and
-* :func:`solve_chunk`, the picklable unit of work shipped to
-  ``ProcessPoolExecutor`` workers.
-
-Serial and parallel solves are therefore bit-identical by construction:
-the parent only decides *where* chunks run, never *how*.
-
-Two engines are supported.  ``engine="parametric"`` (default) uses the
-cached parametric-dual bounds from :mod:`repro.opt.parametric`: a greedy
-cover certified against the LP root bound handles most signatures
-without any search, and the rest run a depth-first exact search whose
-node bounds are vectorised grid evaluations.  ``engine="milp"`` keeps
-the original scipy/HiGHS MILP route, retained as the independent oracle
-the property suite checks the parametric engine against.
+``mode="exact"`` uses the cached parametric-dual bounds from
+:mod:`repro.opt.parametric`: a greedy cover certified against the LP
+root bound handles most signatures without any search, and the rest run
+a depth-first exact search, seeded with the greedy cost, whose node
+bounds are vectorised grid evaluations.  The scipy/HiGHS MILP route
+that the property suite checks this search against lives in
+``tests/oracles.py``.
 
 ``mode="anytime"`` skips the exact search entirely and returns the
 greedy cover together with a *certified* optimality gap: the reported
@@ -32,21 +27,13 @@ difference can never exceed it.
 
 from __future__ import annotations
 
-import os
-import time
-from typing import Mapping, Sequence
-
 import numpy as np
 
-import repro.faults as _faults
 from repro.estimation.logit import logit
-from repro.opt.integer_program import IntegerProgram
 from repro.opt.parametric import (
-    FEASIBILITY_TOL,
     CERTIFICATE_TOL,
     SignatureSkeleton,
     greedy_cover,
-    incumbent_from_codes,
     selection_stats,
     selection_to_codes,
     solve_exact,
@@ -54,82 +41,10 @@ from repro.opt.parametric import (
 from repro.utils.exceptions import RecourseInfeasibleError
 
 MODES = ("exact", "anytime")
-ENGINES = ("parametric", "milp")
-
-#: default chunk granularity for batch solving; :func:`adaptive_chunk_size`
-#: scales it with the signature count and lane count, but the chosen size
-#: is a pure function of ``(n_items, workers, cpu_count)`` — never of pool
-#: scheduling — so the chunking, and with it the warm-start donor
-#: neighbourhoods, are deterministic for a given worker count.  (Donors
-#: only seed search upper bounds and never change answers, so results are
-#: bit-identical across chunkings regardless; see ``SEED_EPS``.)
-CHUNK_SIZE = 64
-
-#: bounds on the adaptive chunk size: small enough that a pool of lanes
-#: load-balances, large enough that donor neighbourhoods stay useful and
-#: per-chunk pickling overhead stays amortised.
-CHUNK_MIN = 16
-CHUNK_MAX = 256
-
-
-def adaptive_chunk_size(
-    n_items: int, workers: int | None = None, cpu_count: int | None = None
-) -> int:
-    """Chunk size for ``n_items`` signatures over ``workers`` lanes.
-
-    Aims for ~4 chunks per lane so a process pool load-balances across
-    heterogeneous signature solve times, clipped to
-    ``[CHUNK_MIN, CHUNK_MAX]``.  ``workers`` of ``None``/``0``/``1``
-    plans for the host's core count (the serial path still chunks, for
-    donor locality).  Deterministic for a given ``(n_items, workers,
-    cpu_count)`` — ``cpu_count`` defaults to ``os.cpu_count()``, fixed
-    per host — and independent of anything runtime-scheduled.
-    """
-    if n_items <= 0:
-        return CHUNK_SIZE
-    if cpu_count is None:
-        cpu_count = os.cpu_count() or 1
-    cpu_count = max(1, int(cpu_count))
-    lanes = (
-        int(workers)
-        if workers is not None and int(workers) > 1
-        else cpu_count
-    )
-    target = -(-int(n_items) // (lanes * 4))
-    return max(CHUNK_MIN, min(CHUNK_MAX, target))
 
 
 def _sigmoid(z: float) -> float:
     return float(1.0 / (1.0 + np.exp(-z)))
-
-
-def _solve_ip_milp(
-    skeleton: SignatureSkeleton, needed: float, node_limit: int | None
-) -> tuple[dict[str, int], float]:
-    """Original MILP route: build the IntegerProgram and call HiGHS."""
-    from repro.opt.branch_and_bound import solve_binary_program
-
-    program = IntegerProgram()
-    gain_coeffs: dict = {}
-    for a, attribute in enumerate(skeleton.attributes):
-        exclusivity: dict = {}
-        for code, cost, gain in zip(
-            skeleton.codes[a], skeleton.costs[a], skeleton.gains[a]
-        ):
-            name = (attribute, int(code))
-            program.add_variable(name, cost=float(cost))
-            gain_coeffs[name] = float(gain)
-            exclusivity[name] = 1.0
-        if exclusivity:
-            program.add_le_constraint(exclusivity, 1.0)
-    program.add_ge_constraint(gain_coeffs, needed)
-    solution = solve_binary_program(program, max_nodes=node_limit or 200_000)
-    chosen = {
-        attribute: int(code)
-        for (attribute, code), v in solution.values.items()
-        if v == 1
-    }
-    return chosen, float(solution.objective)
 
 
 def solve_signature(
@@ -138,17 +53,9 @@ def solve_signature(
     alpha: float,
     max_refinements: int,
     mode: str = "exact",
-    engine: str = "parametric",
     node_limit: int | None = 200_000,
-    donors: Sequence[Mapping[str, int]] = (),
 ) -> dict:
     """Threshold/refine loop for one signature; returns a plain dict.
-
-    ``donors`` are action sets of already-solved nearby signatures; when
-    mapped onto this skeleton they only *seed* the exact search's upper
-    bound (see :data:`repro.opt.parametric.SEED_EPS`), so the returned
-    solution is identical with or without them — warm starts change
-    wall-clock, never answers.
 
     Result statuses: ``"empty"`` (base probability already meets
     ``alpha``), ``"ok"`` (solved; ``chosen`` maps attribute to new
@@ -156,7 +63,7 @@ def solve_signature(
     or ``"unreachable"``).
     """
     base_prob = _sigmoid(base_logit)
-    stats = {"nodes": 0, "refinements": 0, "certified": 0, "donor_seeded": 0}
+    stats = {"nodes": 0, "refinements": 0, "certified": 0}
     if base_prob >= alpha:
         return {"status": "empty", "probability": base_prob, "stats": stats}
     if skeleton.n_variables == 0:
@@ -177,31 +84,19 @@ def solve_signature(
             first_lp_bound = lp_root
         try:
             if mode == "anytime":
-                # Greedy rounding against the parametric LP bound,
-                # regardless of engine: the point of anytime mode is to
-                # avoid the search entirely.
+                # Greedy rounding against the parametric LP bound: the
+                # point of anytime mode is to avoid the search entirely.
                 covered = greedy_cover(skeleton, needed)
-                if covered is None:
-                    break
-                selection, objective = covered
-                chosen = selection_to_codes(skeleton, selection)
-                gain_sum = selection_stats(skeleton, selection)[1]
-            elif engine == "milp":
-                chosen, objective = _solve_ip_milp(skeleton, needed, node_limit)
-                gain_sum = _gain_of(skeleton, chosen)
+                solved = None if covered is None else _action(skeleton, *covered)
             else:
-                solved = _solve_exact_parametric(
-                    skeleton, needed, lp_root, node_limit, donors, stats
-                )
-                if solved is None:
-                    break
-                selection, objective = solved
-                chosen = selection_to_codes(skeleton, selection)
-                gain_sum = selection_stats(skeleton, selection)[1]
+                solved = _exact_step(skeleton, needed, lp_root, node_limit, stats)
         except RecourseInfeasibleError:
-            # Proven infeasible (or budget exhausted) at this threshold;
-            # tightening it cannot help.
+            # Budget exhausted at this threshold; tightening it cannot help.
             break
+        if solved is None:
+            # Proven infeasible at this threshold.
+            break
+        chosen, objective, gain_sum = solved
         achieved = _sigmoid(base_logit + gain_sum)
         if not chosen:
             sufficiency = base_prob
@@ -235,15 +130,29 @@ def solve_signature(
     }
 
 
-def _solve_exact_parametric(
+def _action(
+    skeleton: SignatureSkeleton, selection: np.ndarray, cost: float
+) -> tuple[dict[str, int], float, float]:
+    """(``{attribute: new code}``, cost, linearised gain) of a selection."""
+    return (
+        selection_to_codes(skeleton, selection),
+        cost,
+        selection_stats(skeleton, selection)[1],
+    )
+
+
+def _exact_step(
     skeleton: SignatureSkeleton,
     needed: float,
     lp_root: float,
     node_limit: int | None,
-    donors: Sequence[Mapping[str, int]],
     stats: dict,
-) -> tuple[np.ndarray, float] | None:
-    """Greedy certificate, warm-started exact search otherwise."""
+) -> tuple[dict[str, int], float, float] | None:
+    """Optimal action for one threshold, or ``None`` when none covers it.
+
+    The greedy cover is returned as is when it meets the LP root bound
+    (certified optimal); otherwise it seeds the exact search.
+    """
     if not np.isfinite(lp_root):
         return None
     covered = greedy_cover(skeleton, needed)
@@ -251,146 +160,15 @@ def _solve_exact_parametric(
         return None
     selection, greedy_cost = covered
     if greedy_cost <= lp_root + CERTIFICATE_TOL:
-        # Greedy already meets the LP lower bound: certified optimal,
-        # no search needed.  The certificate is donor-independent, so
-        # it fires identically in scalar and batch solves.
         stats["certified"] += 1
-        return selection, greedy_cost
-    seed_cost = greedy_cost
-    for chosen in donors:
-        mapped = incumbent_from_codes(skeleton, chosen, needed)
-        if mapped is not None and mapped < seed_cost:
-            seed_cost = mapped
-            stats["donor_seeded"] = 1
+        return _action(skeleton, selection, greedy_cost)
     exact_sel, objective, nodes = solve_exact(
-        skeleton, needed, seed_cost, node_limit=node_limit
+        skeleton, needed, greedy_cost, node_limit=node_limit
     )
     stats["nodes"] += nodes
     if exact_sel is None:  # pragma: no cover - defensive; seed is feasible
-        return selection, greedy_cost
-    return exact_sel, objective
+        return _action(skeleton, selection, greedy_cost)
+    return _action(skeleton, exact_sel, objective)
 
 
-def _gain_of(skeleton: SignatureSkeleton, chosen: Mapping[str, int]) -> float:
-    """Total linearised gain of an attribute->code action set."""
-    total = 0.0
-    index = {a: i for i, a in enumerate(skeleton.attributes)}
-    for attribute, code in chosen.items():
-        a = index[attribute]
-        hits = np.nonzero(skeleton.codes[a] == int(code))[0]
-        if len(hits):
-            total += float(skeleton.gains[a][hits[0]])
-    return total
-
-
-def solve_chunk(
-    payload: dict,
-    skeletons: Mapping[tuple, SignatureSkeleton] | None = None,
-) -> list[dict] | dict:
-    """Solve one chunk of signature work items; the process-pool unit.
-
-    ``payload`` is a plain picklable dict::
-
-        {
-          "skeletons": {current_key: skeleton_payload, ...},
-          "items": [{"key": current_key, "base_logit": float}, ...],
-          "alpha": float, "max_refinements": int,
-          "mode": str, "engine": str, "node_limit": int,
-        }
-
-    Items are processed in order; each solved item's action set joins
-    the chunk-local donor pool, and later items are warm-started from
-    the donor whose current actionable codes are nearest in Hamming
-    distance (ties -> earliest solved).  Because chunk boundaries and
-    item order are fixed by the parent (sorted signatures, fixed
-    :data:`CHUNK_SIZE`), the donor each item sees — and hence the whole
-    computation — is identical whether chunks run inline or on any
-    number of workers.
-
-    ``skeletons`` optionally supplies prebuilt skeleton objects (the
-    inline path reuses the parent's cache); workers rebuild them from
-    the payload.  Skeleton derivation is a pure function of the
-    payload, so both routes compute identical numbers.
-
-    ``payload["donors"]`` optionally pre-seeds the chunk-local donor
-    pool with ``{"key": [...], "chosen": {...}}`` entries from earlier
-    requests (or a restored snapshot); the parent gives every chunk the
-    same list, so seeding preserves the serial/parallel bit-identity —
-    and, donors being upper-bound seeds only, the answers themselves.
-
-    ``payload["trace"]`` (a ``{"trace_id", "span_id"}`` context captured
-    by the parent) switches the return shape to an *envelope*
-    ``{"results": [...], "span": {...}}`` carrying the chunk's own wall
-    timing as plain data, so the parent can replay it into the request
-    trace even when the chunk ran in a pool worker process.  Timing
-    never feeds back into the solve, so the bit-identity guarantee is
-    untouched.
-    """
-    trace_ctx = payload.get("trace")
-    chunk_started_unix = time.time()
-    chunk_started = time.perf_counter()
-    if skeletons is None:
-        # Pool workers rebuild skeletons (the inline path passes the
-        # parent's cache), which makes this the worker-only entry: the
-        # chaos suite injects crashes (os._exit) and stalls here to
-        # exercise BrokenProcessPool / timeout containment without ever
-        # firing on the inline fallback run of the same payloads.
-        _faults.inject("recourse.chunk")
-        skeletons = {
-            key: SignatureSkeleton.from_payload(p)
-            for key, p in payload["skeletons"].items()
-        }
-    donor_keys: list[tuple[int, ...]] = []
-    donor_chosen: list[dict[str, int]] = []
-    for entry in payload.get("donors", ()):
-        donor_keys.append(tuple(int(c) for c in entry["key"]))
-        donor_chosen.append({a: int(c) for a, c in entry["chosen"].items()})
-    results = []
-    for item in payload["items"]:
-        key = tuple(item["key"])
-        donors: list[dict[str, int]] = []
-        parametric_exact = (
-            payload["mode"] == "exact" and payload["engine"] == "parametric"
-        )
-        if donor_keys and parametric_exact:
-            distances = (np.array(donor_keys) != np.array(key)).sum(axis=1)
-            donors = [donor_chosen[int(np.argmin(distances))]]
-        result = solve_signature(
-            skeletons[key],
-            float(item["base_logit"]),
-            payload["alpha"],
-            payload["max_refinements"],
-            mode=payload["mode"],
-            engine=payload["engine"],
-            node_limit=payload["node_limit"],
-            donors=donors,
-        )
-        results.append(result)
-        if result["status"] == "ok" and result["chosen"]:
-            donor_keys.append(key)
-            donor_chosen.append(result["chosen"])
-    if trace_ctx is None:
-        return results
-    return {
-        "results": results,
-        "span": {
-            "trace": dict(trace_ctx),
-            "name": "solve_chunk",
-            "started_unix": chunk_started_unix,
-            "duration_ms": (time.perf_counter() - chunk_started) * 1e3,
-            "tags": {"items": len(results), "pid": os.getpid()},
-        },
-    }
-
-
-__all__ = [
-    "CHUNK_MAX",
-    "CHUNK_MIN",
-    "CHUNK_SIZE",
-    "ENGINES",
-    "FEASIBILITY_TOL",
-    "MODES",
-    "adaptive_chunk_size",
-    "solve_chunk",
-    "solve_signature",
-]
+__all__ = ["MODES", "solve_signature"]

@@ -96,30 +96,30 @@ class OneHotEncoder:
                 out[self._slices[name].start + code] = 1.0
         return out
 
-    def transform_codes_matrix(self, matrix: np.ndarray) -> np.ndarray:
-        """Encode an ``(n, len(columns_))`` integer code matrix in one pass.
+    def linear_logits(
+        self, matrix: np.ndarray, coef: np.ndarray, intercept: float
+    ) -> np.ndarray:
+        """``intercept + coef . one_hot(row)`` for each row of a code matrix.
 
-        Columns of ``matrix`` align with :attr:`columns_` (fit order).
-        Equivalent to stacking :meth:`transform_codes` row by row, but
-        the whole indicator matrix is scattered with one fancy-index
-        assignment per column instead of N Python-level row builds.
+        Columns of ``matrix`` align with :attr:`columns_` (fit order);
+        ``coef`` is laid out like :attr:`feature_names_`.  A one-hot row
+        has exactly one active coefficient per column, so the logit is
+        the intercept plus one gathered coefficient per column, added in
+        fit order.  Gathering keeps the floating-point accumulation
+        order independent of the batch size — a BLAS matmul over the
+        stacked indicator matrix does not (gemm vs dot kernels reorder
+        sums by ~1e-16, which score formulas dividing by small
+        probabilities amplify past the 1e-12 parity contract).
         """
         check_fitted(self, "columns_")
-        matrix = np.asarray(matrix)
-        if matrix.ndim != 2 or matrix.shape[1] != len(self.columns_):
-            raise ValueError(
-                f"code matrix must be (n, {len(self.columns_)}); "
-                f"got shape {matrix.shape}"
-            )
-        n = matrix.shape[0]
-        out = np.zeros((n, self.n_features), dtype=np.float64)
+        z = np.full(matrix.shape[0], float(intercept), dtype=np.float64)
         offset = 1 if self.drop_first else 0
         for j, name in enumerate(self.columns_):
             codes = matrix[:, j].astype(np.int64) - offset
+            block = coef[self._slices[name]]
             valid = codes >= 0
-            rows = np.nonzero(valid)[0]
-            out[rows, self._slices[name].start + codes[valid]] = 1.0
-        return out
+            z[valid] += block[codes[valid]]
+        return z
 
     def feature_slice(self, name: str) -> slice:
         """Return the slice of encoded features belonging to column ``name``."""

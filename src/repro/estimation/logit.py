@@ -70,25 +70,12 @@ class LogitModel:
         self._model.fit(X, positive.astype(int))
         return self
 
-    # -- coefficient views used by the IP builder -----------------------------
-
-    def coefficient(self, attribute: str, code: int) -> float:
-        """Log-odds contribution of ``attribute`` taking ``code``.
-
-        The dropped first category contributes 0 by construction.
-        """
-        check_fitted(self, "_model")
-        if code == 0:
-            return 0.0
-        block = self._encoder.feature_slice(attribute)
-        return float(self._model.coef_[0][block.start + code - 1])
+    # -- views used by the IP builder ------------------------------------------
 
     def coefficient_vector(self, attribute: str) -> np.ndarray:
         """Per-category log-odds contributions of ``attribute``, code order.
 
-        Entry 0 (the dropped first category) is 0 by construction; the
-        batch IP builder indexes this once per attribute instead of
-        calling :meth:`coefficient` per (attribute, code) per program.
+        Entry 0 (the dropped first category) is 0 by construction.
         """
         check_fitted(self, "_model")
         block = self._encoder.feature_slice(attribute)
@@ -96,23 +83,16 @@ class LogitModel:
         out[1:] = self._model.coef_[0][block]
         return out
 
-    def score_codes(self, codes: Mapping[str, int]) -> float:
-        """Log-odds of the positive decision for a full code assignment."""
-        check_fitted(self, "_model")
-        row = self._encoder.transform_codes(
-            {name: codes[name] for name in self.actionable + self.context}
-        )
-        return float(self._model.decision_function(row.reshape(1, -1))[0])
-
     def score_codes_batch(
         self, matrix: np.ndarray | Sequence[Mapping[str, int]]
     ) -> np.ndarray:
-        """Log-odds for N code assignments in one matrix pass.
+        """Log-odds of the positive decision for N code assignments.
 
         ``matrix`` is ``(n, len(actionable) + len(context))`` with
         columns in ``actionable + context`` order (or a sequence of code
-        mappings).  Matches N :meth:`score_codes` calls to machine
-        precision.
+        mappings).  Each row's log-odds is the same bits whether it is
+        scored alone or in any batch (see
+        :meth:`OneHotEncoder.linear_logits`).
         """
         check_fitted(self, "_model")
         names = self.actionable + self.context
@@ -121,19 +101,6 @@ class LogitModel:
                 [[int(codes[name]) for name in names] for codes in matrix],
                 dtype=np.int64,
             ).reshape(-1, len(names))
-        if matrix.shape[0] == 0:
-            return np.zeros(0)
-        X = self._encoder.transform_codes_matrix(matrix)
-        return np.asarray(self._model.decision_function(X), dtype=np.float64)
-
-    def probability_codes(self, codes: Mapping[str, int]) -> float:
-        """``Pr(o | codes)`` under the fitted model."""
-        z = self.score_codes(codes)
-        return float(1.0 / (1.0 + np.exp(-z)))
-
-    def probability_codes_batch(
-        self, matrix: np.ndarray | Sequence[Mapping[str, int]]
-    ) -> np.ndarray:
-        """``Pr(o | codes)`` for N assignments in one matrix pass."""
-        z = self.score_codes_batch(matrix)
-        return 1.0 / (1.0 + np.exp(-z))
+        return self._encoder.linear_logits(
+            matrix, self._model.coef_[0], self._model.intercept_[0]
+        )

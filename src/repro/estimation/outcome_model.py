@@ -62,27 +62,6 @@ class OutcomeProbabilityModel:
         )
         return float(self.probability_codes_batch(row)[0])
 
-    def _decision_codes(self, matrix: np.ndarray) -> np.ndarray:
-        """Logits for an integer code matrix with a fixed accumulation order.
-
-        A one-hot row has exactly one active coefficient per column, so
-        the logit is the intercept plus one gathered coefficient per
-        feature, added in fit order.  Gathering keeps the floating-point
-        accumulation order independent of the batch size — a BLAS
-        matmul over the stacked indicator matrix does not (gemm vs dot
-        kernels reorder sums by ~1e-16, which score formulas dividing
-        by small probabilities amplify past the 1e-12 parity contract).
-        """
-        coef = self._model.coef_[0]
-        z = np.full(matrix.shape[0], float(self._model.intercept_[0]), dtype=np.float64)
-        offset = 1 if self._encoder.drop_first else 0
-        for j, name in enumerate(self._encoder.columns_):
-            codes = matrix[:, j].astype(np.int64) - offset
-            block = coef[self._encoder.feature_slice(name)]
-            valid = codes >= 0
-            z[valid] += block[codes[valid]]
-        return z
-
     def probability_codes_batch(
         self, matrix: np.ndarray | Sequence[Mapping[str, int]]
     ) -> np.ndarray:
@@ -92,8 +71,8 @@ class OutcomeProbabilityModel:
         columns align with :attr:`features` (or a sequence of code
         mappings, converted on entry).  Answers are *bit-identical* to N
         scalar :meth:`probability` calls: both evaluate the same
-        gathered-coefficient logit (:meth:`_decision_codes`), whose
-        accumulation order does not depend on the batch size.
+        gathered-coefficient logit (:meth:`OneHotEncoder.linear_logits`),
+        whose accumulation order does not depend on the batch size.
         """
         check_fitted(self, "_encoder")
         if not isinstance(matrix, np.ndarray):
@@ -105,7 +84,9 @@ class OutcomeProbabilityModel:
             return np.full(matrix.shape[0], self._constant)
         if matrix.shape[0] == 0:
             return np.zeros(0)
-        z = self._decision_codes(matrix)
+        z = self._encoder.linear_logits(
+            matrix, self._model.coef_[0], self._model.intercept_[0]
+        )
         return 1.0 / (1.0 + np.exp(-z))
 
     def probability_table(self, table: Table) -> np.ndarray:

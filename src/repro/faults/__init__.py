@@ -12,10 +12,6 @@ at import), :func:`install`, or the :func:`plan` context manager:
 >>> import repro.faults as faults
 >>> with faults.plan({"wal.append.fsync": {"once": True}}):
 ...     ...  # the next fsync in DeltaLog.append raises OSError
-
-Pool workers started with the ``fork`` method inherit the installed
-plan (state and all); ``spawn`` workers re-parse ``REPRO_FAULTS`` on
-import, giving each worker a fresh deterministic copy.
 """
 
 from __future__ import annotations

@@ -1,11 +1,11 @@
 """Deterministic fault injection: seeded plans over named injection points.
 
 The serving stack declares *injection points* — ``wal.append.fsync``,
-``store.atomic_write``, ``recourse.chunk``, ``monitor.refresh``, and the
-replication tier's ``repl.ship.{drop,dup,reorder}`` / ``repl.apply.crash``
-/ ``repl.promote`` — at the exact lines where the real world fails (a
-full disk, a crashed pool worker, a buggy monitor, a lossy network
-between replicas, a node dying mid-promotion).  A :class:`FaultPlan` decides, deterministically
+``store.atomic_write``, ``monitor.refresh``, and the replication tier's
+``repl.ship.{drop,dup,reorder}`` / ``repl.apply.crash`` /
+``repl.promote`` — at the exact lines where the real world fails (a full
+disk, a buggy monitor, a lossy network between replicas, a node dying
+mid-promotion).  A :class:`FaultPlan` decides, deterministically
 from a seed, which evaluations of which points misbehave.  Chaos tests
 and the CI fault matrix install plans and then assert the *containment*
 contracts: typed errors, labeled degradation, bit-identical recovery.
@@ -27,7 +27,7 @@ Design rules:
   and the plan's own :meth:`FaultPlan.counts`.
 
 Activation: set ``REPRO_FAULTS`` before import (e.g.
-``"seed=7;wal.append.fsync:p=0.2;recourse.chunk:once,action=exit"``)
+``"seed=7;wal.append.fsync:p=0.2;monitor.refresh:once"``)
 or use the :func:`repro.faults.plan` context manager in tests.
 """
 

@@ -1,7 +1,7 @@
 """Process-wide observability: metrics registry, request tracing, profiling.
 
 Every layer of the serving stack — result cache, engine tensor cache,
-micro-batcher, write-ahead log, recourse solver pool, monitors — used to
+micro-batcher, write-ahead log, recourse solver, monitors — used to
 expose its own ad-hoc ``stats()`` dict and nothing else.  This package
 gives them one shared measurement substrate:
 
@@ -10,11 +10,10 @@ gives them one shared measurement substrate:
   snapshot schema and Prometheus text exposition, plus the unified
   :class:`CacheStats` schema every cache in the system reports through.
 * :mod:`repro.obs.tracing` — ``trace_id``/span context created at the
-  HTTP edge (and CLI entry) and propagated through the session, the
-  micro-batcher's dispatch lane, and the recourse process pool (as
-  plain chunk metadata); finished traces land in a bounded in-memory
-  ring with a separate longer-lived ring for slow requests, and
-  ``REPRO_PROFILE=1`` attaches a cProfile summary per root span.
+  HTTP edge (and CLI entry) and propagated through the session and the
+  micro-batcher's dispatch lane; finished traces land in a bounded
+  in-memory ring with a separate longer-lived ring for slow requests,
+  and ``REPRO_PROFILE=1`` attaches a cProfile summary per root span.
 
 The always-on path is cheap (one flag check plus a lock-guarded add per
 event); ``REPRO_OBS=0`` or :func:`set_enabled` turns every instrument

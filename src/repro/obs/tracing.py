@@ -8,17 +8,12 @@ record named, timed sections; the current ``(trace_id, span_id)`` pair
 lives in a :mod:`contextvars` variable so nesting works naturally
 within a thread.
 
-The serving stack crosses two boundaries a context variable cannot:
-
-* **thread** — the micro-batcher's dispatch thread runs handler code on
-  behalf of many caller threads.  ``submit`` captures
-  :func:`current_context` into the queued item and the dispatcher
-  re-enters it with :func:`attach`, so queue-wait and compute spans
-  parent correctly.
-* **process** — recourse chunk solves run on a process pool.  The chunk
-  payload carries the context as plain data; workers return span
-  timings in their result envelope and the parent replays them into
-  the trace with :func:`record_span`.
+The serving stack crosses one boundary a context variable cannot: the
+micro-batcher's dispatch thread runs handler code on behalf of many
+caller threads.  ``submit`` captures :func:`current_context` into the
+queued item and the dispatcher re-enters it with :func:`attach`, so
+queue-wait and compute spans parent correctly; timings measured across
+the hop are replayed into the trace with :func:`record_span`.
 
 Finished traces are appended to a bounded ring (newest win) plus a
 separate, longer-lived ring for *slow* requests (root duration above
@@ -363,9 +358,8 @@ def record_span(
 ) -> None:
     """Replay an externally measured span into a trace.
 
-    The path for timings measured where a context manager cannot run:
-    queue waits measured across threads, chunk solves measured in pool
-    worker processes and shipped home as plain data.
+    The path for timings measured where a context manager cannot run,
+    such as queue waits measured across threads.
     """
     if ctx is None or not _metrics.enabled():
         return

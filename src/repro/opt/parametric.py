@@ -26,10 +26,9 @@ evaluation with no LP solver call.  That is what lets a cohort audit
 solve hundreds of near-identical signature programs at microseconds
 each instead of paying a cold MILP setup per signature.
 
-Everything here operates on plain arrays and is importable from a
-freshly spawned worker process (no solver state, no table handles), so
-the same functions back the serial path, the process-pool path, and the
-anytime certificates.
+Everything here operates on plain arrays (no solver state, no table
+handles), so the same functions back the exact search and the anytime
+certificates.
 """
 
 from __future__ import annotations
@@ -47,11 +46,10 @@ FEASIBILITY_TOL = 1e-9
 #: strict-improvement threshold for recording a new incumbent.
 _RECORD_EPS = 1e-12
 
-#: seeding slack: an externally supplied incumbent bound is loosened by
-#: this before the search starts, so the search still visits (and
-#: returns) its own canonical optimal solution.  This keeps the returned
-#: action set independent of *which* warm start was available — solves
-#: with and without donors are bit-identical.
+#: seeding slack: the seed incumbent bound (the greedy cover's cost) is
+#: loosened by this before the search starts, so the search still
+#: visits (and returns) its own canonical optimal solution when the
+#: greedy cover ties the optimum.
 SEED_EPS = 1e-9
 
 #: certificate slack: a heuristic solution within this of the LP root
@@ -72,9 +70,6 @@ class SignatureSkeleton:
     * suffix sums of the best achievable gain (exact feasibility test),
     * per-attribute option orderings for deterministic branching,
     * a cached greedy preference order.
-
-    Instances are cheap enough to rebuild inside worker processes from
-    the plain payload dict (:meth:`payload` / :meth:`from_payload`).
     """
 
     def __init__(
@@ -185,22 +180,6 @@ class SignatureSkeleton:
             if len(costs_r) and float(costs_r.min()) < 0.0:
                 self.negcost_option[rank] = int(np.argmin(costs_r))
 
-    # -- (de)serialisation for process-pool payloads -----------------------
-
-    def payload(self) -> dict:
-        """Plain picklable dict this skeleton can be rebuilt from."""
-        return {
-            "attributes": list(self.attributes),
-            "current": self.current,
-            "codes": [c.tolist() for c in self.codes],
-            "costs": [c.tolist() for c in self.costs],
-            "gains": [g.tolist() for g in self.gains],
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "SignatureSkeleton":
-        return cls(**payload)
-
     # -- bounds ------------------------------------------------------------
 
     def lp_bound(self, needed: float, level: int = 0) -> float:
@@ -283,10 +262,9 @@ def solve_exact(
 ) -> tuple[np.ndarray | None, float, int]:
     """Exact depth-first search with parametric-dual node bounds.
 
-    ``seed_cost`` is the best known feasible cost (greedy / warm-start
-    donor); it only tightens pruning.  The search still returns its own
-    canonical optimal selection (see :data:`SEED_EPS`), so the answer is
-    independent of which warm starts happened to be available.
+    ``seed_cost`` is the best known feasible cost (the greedy cover's);
+    it only tightens pruning.  The search still returns its own
+    canonical optimal selection (see :data:`SEED_EPS`).
 
     Returns ``(selection, objective, nodes)``; ``selection`` is ``None``
     only if no solution strictly below ``seed_cost + SEED_EPS`` was
@@ -360,33 +338,3 @@ def selection_stats(
             cost += float(skeleton.opt_costs[rank][j])
             gain += float(skeleton.opt_gains[rank][j])
     return cost, gain
-
-
-def incumbent_from_codes(
-    skeleton: SignatureSkeleton, chosen: dict[str, int], needed: float
-) -> float | None:
-    """Cost of a donor action set mapped onto this skeleton, if feasible.
-
-    Donor actions that land on this signature's current code degrade to
-    no-ops; the rest are re-priced and re-weighted with *this*
-    skeleton's costs and gains.  Returns ``None`` when the mapped set
-    does not cover ``needed``.
-    """
-    cost = 0.0
-    gain = 0.0
-    index = {a: i for i, a in enumerate(skeleton.attributes)}
-    for attribute, code in chosen.items():
-        a = index.get(attribute)
-        if a is None:
-            return None
-        if int(code) == skeleton.current[a]:
-            continue
-        hits = np.nonzero(skeleton.codes[a] == int(code))[0]
-        if not len(hits):
-            return None
-        i = int(hits[0])
-        cost += float(skeleton.costs[a][i])
-        gain += float(skeleton.gains[a][i])
-    if gain >= needed - FEASIBILITY_TOL:
-        return cost
-    return None

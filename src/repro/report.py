@@ -154,8 +154,7 @@ def render_recourse_audit(audit: Mapping, title: str | None = None) -> str:
         lines.append(
             f"solver ({mode}): {solver.get('solved_signatures', 0)} distinct "
             f"signatures, {solver.get('search_nodes', 0)} search nodes, "
-            f"{solver.get('certified_by_lp_bound', 0)} LP-certified, "
-            f"{solver.get('donor_seeded_searches', 0)} warm-started"
+            f"{solver.get('certified_by_lp_bound', 0)} LP-certified"
         )
     return "\n".join(lines)
 

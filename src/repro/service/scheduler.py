@@ -317,7 +317,7 @@ class MicroBatcher:
         for kind, entries in groups.items():
             payloads = [p for p, _f, _c, _d in entries]
             # Re-enter the first caller's trace so spans opened inside the
-            # handler (solver chunks, WAL fsync) land in a real trace; the
+            # handler (recourse solve, WAL fsync) land in a real trace; the
             # other callers of the batch get a replayed ``compute`` span.
             lead_ctx = next((c for _p, _f, c, _d in entries if c is not None), None)
             # The handler computes for the whole group, so it runs under

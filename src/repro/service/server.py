@@ -22,7 +22,7 @@ request, whatever its method, takes one dispatch path through it.
 Every session POST opens a trace at the edge: the generated
 ``request_id`` (== trace id) is echoed in success *and* error bodies,
 stamped into WAL records written on its behalf, and the finished trace —
-queue-wait, compute, chunk-solve and fsync spans included — is
+queue-wait, compute, recourse-solve and fsync spans included — is
 retrievable from ``GET /v1/traces`` the moment the response is sent.
 ``GET /metrics`` exposes the process-wide metrics registry in Prometheus
 text format.
@@ -59,7 +59,7 @@ tenant-scoped as ``/v1/<tenant>/...``)::
     POST   /v1/explain/local_batch [t] {"indices": [i, ...], "attributes"?}
     POST   /v1/recourse         [t] {"index", "actionable"?, "alpha"?, "mode"?}
     POST   /v1/recourse/batch   [t] {"indices"?, "actionable"?, "alpha"?,
-                                     "mode"?, "workers"?}
+                                     "mode"?}
     POST   /v1/audit            [t] {"protected"?, "tolerance"?}
     POST   /v1/scores           [t] {"contrasts": [[values, baselines], ...],
                                      "context"?}
@@ -361,16 +361,10 @@ def _recourse_request(payload: Mapping[str, Any]) -> RecourseRequest:
 
 def _recourse_batch_request(payload: Mapping[str, Any]) -> RecourseBatchRequest:
     indices = payload.get("indices")
-    workers = payload.get("workers")
-    if workers is not None:
-        workers = _as_int(workers, "workers")
-        if workers < 0:
-            raise BadRequest('"workers" must be >= 0')
     return RecourseBatchRequest(
         indices=(
             _as_index_tuple(indices, "indices") if indices is not None else None
         ),
-        workers=workers,
         **_recourse_fields(payload),
     )
 
@@ -773,9 +767,8 @@ class ExplainerRequestHandler(BaseHTTPRequestHandler):
     def _get_readyz(self) -> dict | Reply:
         """Per-subsystem readiness checks.
 
-        Solver-pool failures are reported but never flip readiness: the
-        inline fallback contains them.  Queue saturation and an
-        unwritable store root do, because new work would bounce.
+        Queue saturation, a degraded WAL and an unwritable store root
+        flip readiness, because new work would bounce.
         """
         server = self.server
         checks: dict[str, dict[str, Any]] = {
@@ -792,12 +785,6 @@ class ExplainerRequestHandler(BaseHTTPRequestHandler):
                 "max_queue": cap,
                 "shed": int(scheduler.get("shed", 0)),
                 "expired": int(scheduler.get("expired", 0)),
-            }
-            solver = session.lewis.solver_stats()
-            checks["solver_pool"] = {
-                "ok": True,
-                "pool_failures": int(solver.get("pool_failures", 0)),
-                "pool_fallbacks": int(solver.get("pool_fallbacks", 0)),
             }
             log = getattr(session, "log", None)
             if log is not None:

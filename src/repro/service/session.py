@@ -248,10 +248,6 @@ class RecourseBatchRequest:
     #: solver mode ("exact" | "anytime") — part of the cache key, since
     #: anytime answers carry gaps and must not be served as exact ones.
     mode: str = "exact"
-    #: worker-process count for the solve. Deliberately NOT part of
-    #: ``params()``: parallel and serial results are bit-identical, so
-    #: requests differing only in ``workers`` share a cache entry.
-    workers: int | None = None
 
     def params(self) -> dict:
         return {
@@ -800,9 +796,8 @@ class ExplainerSession:
     def _do_recourse_batches(
         self, requests: list[RecourseBatchRequest]
     ) -> list[dict]:
-        # One logit matrix pass for base probabilities, one warm-started
-        # signature solve per distinct (current codes, context) signature;
-        # r.workers > 1 spreads unsolved signatures over a process pool.
+        # One logit pass for base probabilities, one signature solve per
+        # distinct (current codes, context) signature.
         out = []
         for r in requests:
             actionable = self._actionable_for(r.actionable)
@@ -822,7 +817,6 @@ class ExplainerSession:
                 actionable,
                 alpha=r.alpha,
                 indices=list(r.indices) if r.indices is not None else None,
-                workers=r.workers,
                 mode=mode,
             )
             if degraded:

@@ -115,12 +115,6 @@ def _snapshot_locked(
             "default_actionable": session.default_actionable,
             "n_rows": len(lewis.data),
         },
-        # Warm-start donor pools (PR-5 follow-up): solved recourse action
-        # sets keyed by actionable set. Donors only seed exact-search
-        # upper bounds — never answers — so restoring them is always
-        # sound, and a restored tenant's first recourse audit warm-starts
-        # from everything solved before the snapshot.
-        "recourse_warm": lewis.export_recourse_warm(),
     }
     snapshot_id = store.write_manifest(name, manifest)
     manifest["snapshot_id"] = snapshot_id
@@ -175,8 +169,6 @@ def restore_session(
     lewis.estimator.engine.load_state(
         io.BytesIO(store.get_bytes(manifest["blobs"]["engine"]))
     )
-    # manifests written before donor persistence have no state to reload
-    lewis.seed_recourse_warm(manifest.get("recourse_warm") or [])
     log = DeltaLog(store.wal_path(name))
     # the manifest anchors sequence continuity across log compactions
     log.ensure_floor(int(manifest["wal_seq"]))

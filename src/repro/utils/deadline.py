@@ -3,8 +3,8 @@
 The HTTP tier opens a :func:`scope` from ``REPRO_DEADLINE_MS`` (or the
 ``X-Repro-Deadline-Ms`` header), the micro-batcher carries the value
 across its dispatch thread (:func:`attach`/:func:`restore`), and long
-compute loops — the recourse chunk solver above all — call
-:func:`check` between units of work.  Deadlines are absolute
+compute loops — the recourse solver above all, between signatures —
+call :func:`check` between units of work.  Deadlines are absolute
 ``time.monotonic()`` instants, so they survive queueing: time spent
 waiting in the batcher counts against the budget, which is what lets
 the dispatcher fail queued-but-expired requests fast instead of

@@ -13,7 +13,10 @@ and the parity tests hold the batched paths to them at 1e-12:
 * :func:`global_explanation_scalar` — the global/contextual explanation
   with one :func:`scalar_scores` call per value pair;
 * :func:`local_explanation_scalar` — the local explanation as the
-  attributes × value-pairs × 2-probes loop of Section 3.2.
+  attributes × value-pairs × 2-probes loop of Section 3.2;
+* :func:`milp_exact_step` — the recourse kernel's exact step solved as
+  a scipy/HiGHS MILP (:func:`solve_ip_milp`) instead of the parametric
+  search, for the recourse parity tests to swap in.
 
 ``benchmarks/bench_local_batch.py`` times the cohort fast path against
 :func:`local_explanation_scalar` as well.
@@ -22,6 +25,8 @@ and the parity tests hold the batched paths to them at 1e-12:
 from __future__ import annotations
 
 from typing import Any, Mapping, Sequence
+
+import numpy as np
 
 from repro.core.explanations import (
     SCORE_KEYS,
@@ -33,6 +38,9 @@ from repro.core.explanations import (
 )
 from repro.core.scores import ScoreEstimator, ScoreTriple
 from repro.estimation.engine import ContingencyEngine
+from repro.opt.branch_and_bound import solve_binary_program
+from repro.opt.integer_program import IntegerProgram
+from repro.opt.parametric import SignatureSkeleton
 
 
 def _clip01(value: float) -> float:
@@ -284,3 +292,59 @@ def local_explanation_scalar(
         outcome_positive=bool(outcome_positive),
         contributions=contributions,
     )
+
+
+def solve_ip_milp(
+    skeleton: SignatureSkeleton, needed: float, node_limit: int | None
+) -> tuple[dict[str, int], float]:
+    """One signature program as an :class:`IntegerProgram` solved by HiGHS."""
+    program = IntegerProgram()
+    gain_coeffs: dict = {}
+    for a, attribute in enumerate(skeleton.attributes):
+        exclusivity: dict = {}
+        for code, cost, gain in zip(
+            skeleton.codes[a], skeleton.costs[a], skeleton.gains[a]
+        ):
+            name = (attribute, int(code))
+            program.add_variable(name, cost=float(cost))
+            gain_coeffs[name] = float(gain)
+            exclusivity[name] = 1.0
+        if exclusivity:
+            program.add_le_constraint(exclusivity, 1.0)
+    program.add_ge_constraint(gain_coeffs, needed)
+    solution = solve_binary_program(program, max_nodes=node_limit or 200_000)
+    chosen = {
+        attribute: int(code)
+        for (attribute, code), v in solution.values.items()
+        if v == 1
+    }
+    return chosen, float(solution.objective)
+
+
+def gain_of(skeleton: SignatureSkeleton, chosen: Mapping[str, int]) -> float:
+    """Total linearised gain of an attribute->code action set."""
+    total = 0.0
+    index = {a: i for i, a in enumerate(skeleton.attributes)}
+    for attribute, code in chosen.items():
+        a = index[attribute]
+        hits = np.nonzero(skeleton.codes[a] == int(code))[0]
+        if len(hits):
+            total += float(skeleton.gains[a][hits[0]])
+    return total
+
+
+def milp_exact_step(
+    skeleton: SignatureSkeleton,
+    needed: float,
+    lp_root: float,
+    node_limit: int | None,
+    stats: dict,
+) -> tuple[dict[str, int], float, float]:
+    """Drop-in for ``recourse_kernel._exact_step`` backed by HiGHS.
+
+    Raises :class:`RecourseInfeasibleError` when the program has no
+    solution, which the kernel's refine loop treats like the parametric
+    step's ``None``.
+    """
+    chosen, objective = solve_ip_milp(skeleton, needed, node_limit)
+    return chosen, objective, gain_of(skeleton, chosen)

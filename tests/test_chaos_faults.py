@@ -100,15 +100,15 @@ class TestSpecParsing:
     def test_full_grammar_round_trip(self):
         plan = FaultPlan.parse(
             "seed=7;wal.append.fsync:p=0.2;"
-            "recourse.chunk:once,action=exit,exit_code=3;"
+            "repl.apply.crash:once,action=exit,exit_code=3;"
             "monitor.refresh:every=4,after=1,action=sleep,sleep=0.01"
         )
         assert plan.seed == 7
         assert set(plan.points()) == {
-            "wal.append.fsync", "recourse.chunk", "monitor.refresh",
+            "wal.append.fsync", "repl.apply.crash", "monitor.refresh",
         }
-        chunk = plan._rules["recourse.chunk"]
-        assert chunk.once and chunk.action == "exit" and chunk.exit_code == 3
+        crash = plan._rules["repl.apply.crash"]
+        assert crash.once and crash.action == "exit" and crash.exit_code == 3
         refresh = plan._rules["monitor.refresh"]
         assert refresh.every == 4 and refresh.after == 1
         assert refresh.action == "sleep" and refresh.sleep_s == 0.01

@@ -116,10 +116,6 @@ class TestHealthEndpoints:
         checks = body["checks"]
         assert checks["accepting"] == {"ok": True, "draining": False}
         assert checks["queue"]["ok"] and checks["queue"]["max_queue"] > 0
-        assert checks["solver_pool"]["ok"] is True
-        assert {"pool_failures", "pool_fallbacks"} <= set(
-            checks["solver_pool"]
-        )
 
     def test_versioned_paths_work_too(self, base_url):
         assert get(f"{base_url}/v1/healthz")[0] == 200

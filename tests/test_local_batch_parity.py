@@ -145,13 +145,16 @@ def test_solve_batch_equals_scalar_solve_loop(params):
     estimator = make_estimator(seed, n_rows, cards, diagram_index)
     features = estimator.table.drop([estimator._outcome])
     solver = RecourseSolver(estimator, actionable=["X", "Y"])
+    # A second solver, so the scalar calls solve rather than hit the
+    # batch's memo.
+    scalar = RecourseSolver(estimator, actionable=["X", "Y"])
     indices = cohort_indices(seed, n_rows, min(size, n_rows))
     rows = [features.row_codes(i) for i in indices]
     alpha = 0.6
     batched = solver.solve_batch(rows, alpha=alpha, on_infeasible="none")
     for row, fast in zip(rows, batched):
         try:
-            slow = solver.solve(row, alpha=alpha)
+            slow = scalar.solve(row, alpha=alpha)
         except RecourseInfeasibleError:
             assert fast is None
             continue

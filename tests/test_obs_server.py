@@ -85,6 +85,22 @@ class TestMetricsEndpoint:
         ):
             assert any(f.startswith(prefix) for f in families), prefix
 
+    def test_solver_families_are_the_serial_solver_counters(self, server):
+        post(server, "/v1/recourse/batch", {"alpha": 0.7})
+        _status, _headers, body = get(server, "/metrics")
+        families = {
+            line.split()[2] for line in body.decode().splitlines()
+            if line.startswith("# TYPE")
+        }
+        solver = {f for f in families if f.startswith("repro_solver_")}
+        assert {
+            "repro_solver_signature_solves_total",
+            "repro_solver_search_nodes_total",
+            "repro_solver_certified_total",
+        } <= solver
+        for removed in ("donor", "pool", "parallel", "chunk"):
+            assert not any(removed in family for family in solver), removed
+
     def test_v1_metrics_alias(self, server):
         status, headers, _body = get(server, "/v1/metrics")
         assert status == 200
@@ -170,23 +186,18 @@ class TestTracesEndpoint:
         assert record["name"] == "POST /v1/explain/local"
         assert record["status"] == "ok"
 
-    def test_recourse_batch_workers_2_shows_chunk_and_merge_spans(self, server):
+    def test_recourse_batch_shows_recourse_solve_span(self, server):
         tracing.get_tracer().clear()
-        status, body = post(
-            server,
-            "/v1/recourse/batch",
-            {"workers": 2, "alpha": 0.8},
-        )
+        status, body = post(server, "/v1/recourse/batch", {"alpha": 0.8})
         assert status == 200
         _s, _h, raw = get(server, f"/v1/traces?id={body['request_id']}")
         record = json.loads(raw)["traces"][0]
         names = [s["name"] for s in record["spans"]]
         assert "queue_wait" in names
         assert "compute" in names
-        assert "solve_chunk" in names
-        assert "recourse_merge" in names
-        chunk = next(s for s in record["spans"] if s["name"] == "solve_chunk")
-        assert chunk["tags"]["items"] >= 1
+        assert names.count("recourse_solve") == 1
+        solve = next(s for s in record["spans"] if s["name"] == "recourse_solve")
+        assert solve["tags"]["signatures"] >= 1
 
     def test_update_trace_shows_the_black_box_share(self, server):
         inserted = [

@@ -1,4 +1,4 @@
-"""Tracing: span nesting, rings, cross-thread and cross-process propagation."""
+"""Tracing: span nesting, rings, cross-thread propagation, solver spans."""
 
 from __future__ import annotations
 
@@ -154,10 +154,10 @@ class TestBatcherPropagation:
 
 
 # ---------------------------------------------------------------------------
-# propagation through the recourse process pool (process boundary)
+# the recourse solve span
 
 
-def _pool_solver():
+def _recourse_solver():
     rng = np.random.default_rng(4)
     n = 400
     table = Table.from_codes(
@@ -171,7 +171,6 @@ def _pool_solver():
     z = table.codes("skill") + table.codes("hours") + 2 * table.codes("degree")
     estimator = ScoreEstimator(table, z >= 5)
     solver = RecourseSolver(estimator, ["skill", "hours", "degree"])
-    solver.parallel_threshold = 1
     rows = [
         estimator.table.row_codes(i)
         for i in range(estimator.table.n_rows)
@@ -180,37 +179,25 @@ def _pool_solver():
     return solver, rows[:80]
 
 
-class TestPoolPropagation:
-    def test_trace_id_survives_solve_batch_workers_2(self, monkeypatch):
-        # small chunks force several payloads so the pool genuinely
-        # partitions the work across worker processes
-        monkeypatch.setattr(
-            "repro.core.recourse.adaptive_chunk_size", lambda *a, **k: 5
-        )
-        solver, rows = _pool_solver()
+class TestRecourseSolveSpan:
+    def test_solve_batch_records_one_recourse_solve_span(self):
+        solver, rows = _recourse_solver()
         with tracing.trace("audit") as tid:
-            out = solver.solve_batch(
-                rows, alpha=0.6, on_infeasible="none", workers=2
-            )
-        assert len(out) == len(rows)
-        assert solver.solution_memo_stats()["parallel_batches"] == 1
-        record = tracing.get_tracer().get(tid)
-        chunks = [s for s in record["spans"] if s["name"] == "solve_chunk"]
-        assert len(chunks) >= 2  # several chunks, each timed in its worker
-        assert all(s["duration_ms"] >= 0.0 for s in chunks)
-        assert sum(s["tags"]["items"] for s in chunks) >= len(chunks)
-        merge = [s for s in record["spans"] if s["name"] == "recourse_merge"]
-        assert len(merge) == 1
-
-    def test_inline_path_also_times_chunks(self):
-        solver, rows = _pool_solver()
-        with tracing.trace("audit-inline") as tid:
             solver.solve_batch(rows, alpha=0.6, on_infeasible="none")
         record = tracing.get_tracer().get(tid)
-        assert any(s["name"] == "solve_chunk" for s in record["spans"])
+        spans = [s for s in record["spans"] if s["name"] == "recourse_solve"]
+        assert len(spans) == 1
+        assert spans[0]["duration_ms"] >= 0.0
+        solves = solver.solution_memo_stats()["signature_solves"]
+        assert spans[0]["tags"]["signatures"] == solves > 1
+        # A batch served entirely from the memo solves nothing.
+        with tracing.trace("audit-again") as tid:
+            solver.solve_batch(rows, alpha=0.6, on_infeasible="none")
+        record = tracing.get_tracer().get(tid)
+        assert not any(s["name"] == "recourse_solve" for s in record["spans"])
 
     def test_untraced_solve_batch_returns_plain_results(self):
-        solver, rows = _pool_solver()
+        solver, rows = _recourse_solver()
         # orphan counter is cumulative across the process; assert delta
         before = tracing.get_tracer().stats()["orphan_spans"]
         out = solver.solve_batch(rows, alpha=0.6, on_infeasible="none")

@@ -26,6 +26,17 @@ def labelled_table():
     )
 
 
+@pytest.fixture(scope="module")
+def wide_table():
+    """Eight 5-category attributes: enough one-hot columns for BLAS to vary."""
+    rng = np.random.default_rng(0)
+    n = 1_500
+    codes = {f"x{j}": rng.integers(0, 5, n) for j in range(8)}
+    table = Table.from_codes(codes, domains={c: list(range(5)) for c in codes})
+    z = sum((j % 3 - 1) * table.codes(f"x{j}") for j in range(8))
+    return table, z + rng.normal(0, 2, n) > 0
+
+
 class TestTableModel:
     def test_fit_predict_codes(self, labelled_table):
         model = fit_table_model("random_forest", labelled_table, ["a", "b"], "y", seed=0)
@@ -114,22 +125,48 @@ class TestLogitModel:
     def test_coefficient_of_reference_category_is_zero(self, labelled_table):
         positive = labelled_table.codes("y") == 1
         model = LogitModel(["a"], ["b"]).fit(labelled_table.select(["a", "b"]), positive)
-        assert model.coefficient("a", 0) == 0.0
+        assert model.coefficient_vector("a")[0] == 0.0
 
     def test_coefficients_increase_with_helpful_values(self, labelled_table):
         positive = labelled_table.codes("y") == 1
         model = LogitModel(["a"], ["b"]).fit(labelled_table.select(["a", "b"]), positive)
-        assert model.coefficient("a", 2) > model.coefficient("a", 1) > 0
+        coef = model.coefficient_vector("a")
+        assert coef[2] > coef[1] > 0
 
-    def test_probability_codes_monotone(self, labelled_table):
+    def test_log_odds_monotone(self, labelled_table):
         positive = labelled_table.codes("y") == 1
         model = LogitModel(["a"], ["b"]).fit(labelled_table.select(["a", "b"]), positive)
-        probs = [model.probability_codes({"a": c, "b": 1}) for c in (0, 1, 2)]
-        assert probs[0] < probs[1] < probs[2]
+        z = model.score_codes_batch([{"a": c, "b": 1} for c in (0, 1, 2)])
+        assert z[0] < z[1] < z[2]
 
     def test_length_mismatch(self, labelled_table):
         with pytest.raises(ValueError):
             LogitModel(["a"]).fit(labelled_table.select(["a", "b"]), np.ones(3, bool))
+
+    def test_row_log_odds_do_not_depend_on_batch_size(self, wide_table):
+        """A row scores the same bits alone as inside a batch.
+
+        Regression: a one-hot matrix product takes a different BLAS path
+        for one row than for many, so single rows drifted by ulps.
+        """
+        table, positive = wide_table
+        model = LogitModel(table.names[:3], table.names[3:]).fit(table, positive)
+        rows = [table.row_codes(i) for i in range(200)]
+        batch = model.score_codes_batch(rows)
+        for i, row in enumerate(rows):
+            assert model.score_codes_batch([row])[0] == batch[i]
+
+    def test_gathered_log_odds_match_the_one_hot_product(self, wide_table):
+        table, positive = wide_table
+        model = LogitModel(table.names[:3], table.names[3:]).fit(table, positive)
+        dense = (
+            model._encoder.transform(table) @ model._model.coef_[0]
+            + model._model.intercept_[0]
+        )
+        gathered = model.score_codes_batch(
+            np.column_stack([table.codes(name) for name in table.names])
+        )
+        np.testing.assert_allclose(gathered, dense, rtol=0, atol=1e-12)
 
 
 class TestOutcomeProbabilityModel:

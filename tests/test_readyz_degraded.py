@@ -66,7 +66,7 @@ class TestReadyzDegradation:
         assert status == 200
         assert report["status"] == "ready"
         checks = report["checks"]
-        for name in ("accepting", "queue", "solver_pool", "wal"):
+        for name in ("accepting", "queue", "wal"):
             assert checks[name]["ok"], (name, checks[name])
         assert checks["wal"]["degraded"] is None
 
@@ -124,22 +124,6 @@ class TestReadyzDegradation:
             }
         finally:
             del session.stats
-
-    def test_solver_pool_failures_reported_but_never_flip_readiness(
-        self, served
-    ):
-        _server, session, base = served
-        session.lewis.solver_stats = lambda: {
-            "pool_failures": 4, "pool_fallbacks": 4,
-        }
-        try:
-            status, report = get(base, "/readyz")
-            assert status == 200  # the inline fallback contains pool loss
-            pool = report["checks"]["solver_pool"]
-            assert pool["ok"] is True
-            assert pool["pool_failures"] == 4
-        finally:
-            del session.lewis.solver_stats
 
     def test_unwritable_store_root_flips_store_check(
         self, tmp_path, monkeypatch

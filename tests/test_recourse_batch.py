@@ -16,6 +16,7 @@ from repro.core.lewis import Lewis
 from repro.core.recourse import RecourseSolver
 from repro.core.scores import ScoreEstimator
 from repro.data.table import Table
+from repro.utils.exceptions import RecourseInfeasibleError
 
 
 def make_population(seed: int = 0, n: int = 240) -> Table:
@@ -173,6 +174,60 @@ class TestSolverCacheBound:
         # Distinct budgets occupy distinct memo keys: the second call
         # re-solved instead of re-serving the budget-1 entries.
         assert solver.solution_memo_stats()["solved_signatures"] == 2 * small
+
+
+class TestBatchSizeIndependence:
+    def test_row_answer_is_the_same_alone_or_in_a_cohort(
+        self, german_bundle, german_lewis
+    ):
+        """``solve(row) == solve_batch([row])[0] == solve_batch(rows)[i]``.
+
+        Regression: the base log-odds came from a one-hot matrix product
+        whose BLAS path depends on the row count, so a row solved alone
+        could carry a threshold and probabilities a few ulps away from
+        the same row's cohort answer.
+        """
+        lewis = german_lewis
+        actionable = list(german_bundle.actionable)
+        rows = [lewis.data.row_codes(int(i)) for i in lewis.negative_indices()]
+        cohort = RecourseSolver(lewis.estimator, actionable).solve_batch(
+            rows, alpha=0.7, on_infeasible="none"
+        )
+        # Every answer these two solvers memoise was solved at N = 1.
+        scalar = RecourseSolver(lewis.estimator, actionable)
+        single = RecourseSolver(lewis.estimator, actionable)
+        solved = 0
+        for row, batched in zip(rows, cohort):
+            alone = single.solve_batch([row], alpha=0.7, on_infeasible="none")[0]
+            assert alone == batched
+            if batched is None:
+                with pytest.raises(RecourseInfeasibleError):
+                    scalar.solve(row, alpha=0.7)
+                continue
+            assert scalar.solve(row, alpha=0.7) == batched
+            solved += not batched.is_empty
+        assert solved > 20
+
+
+class TestSolverStats:
+    def test_stats_are_memo_sizes_and_kernel_counters(self):
+        lewis = make_lewis(seed=3)
+        lewis.recourse_audit(["skill", "hours"], alpha=0.6)
+        stats = lewis.solver_stats()
+        assert set(stats) == {
+            "solvers",
+            "solved_signatures",
+            "infeasible_signatures",
+            "program_skeletons",
+            "signature_solves",
+            "certified_by_lp_bound",
+            "search_nodes",
+        }
+        assert stats["solvers"] == 1
+        # Every memoised answer came from exactly one kernel solve.
+        assert stats["signature_solves"] == stats["solved_signatures"] > 0
+        lewis.recourse_audit(["skill", "hours"], alpha=0.6)
+        assert lewis.solver_stats() == stats
 
 
 class TestRecourseAudit:

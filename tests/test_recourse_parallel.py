@@ -1,20 +1,25 @@
-"""Parallel, warm-started and anytime recourse solving.
+"""Exact and anytime recourse solving.
 
-Property suite for the throughput PR: the parametric engine must agree
-with the scipy/HiGHS MILP oracle, parallel batches must be bit-identical
-to serial ones, warm starts must never change answers, and anytime
-mode's certified optimality gap must genuinely upper-bound the distance
-to the exact optimum.
+Property suite for the signature kernel: the parametric exact search
+must agree with the scipy/HiGHS MILP oracle of ``tests/oracles.py``, a
+row's answer must be the same bits whether it is solved alone or in a
+batch, the serial loop must solve each unsolved signature once and stop
+at the deadline between signatures, and anytime mode's certified
+optimality gap must genuinely upper-bound the distance to the exact
+optimum.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import time
 
 import numpy as np
 import pytest
+from oracles import milp_exact_step
 from scipy.optimize import linprog
 
+from repro.core import recourse_kernel
 from repro.core.recourse import Recourse, RecourseAction, RecourseSolver
 from repro.core.scores import ScoreEstimator
 from repro.data.table import Table
@@ -25,7 +30,8 @@ from repro.opt.parametric import (
     SignatureSkeleton,
     greedy_cover,
 )
-from repro.utils.exceptions import RecourseInfeasibleError
+from repro.utils import deadline as _deadline
+from repro.utils.exceptions import DeadlineExceededError, RecourseInfeasibleError
 
 
 def make_population(seed: int = 0, n: int = 400) -> Table:
@@ -120,101 +126,71 @@ def lp_value_via_linprog(skeleton: SignatureSkeleton, needed: float) -> float | 
     return float(result.fun)
 
 
+def use_milp_oracle(monkeypatch) -> None:
+    """Swap the kernel's exact step for the HiGHS MILP of ``tests/oracles.py``."""
+    monkeypatch.setattr(recourse_kernel, "_exact_step", milp_exact_step)
+
+
+def solve_all(solver, rows, alpha):
+    """Scalar answers per row; ``None`` where the row is infeasible."""
+    out = []
+    for row in rows:
+        try:
+            out.append(solver.solve(row, alpha=alpha))
+        except RecourseInfeasibleError:
+            out.append(None)
+    return out
+
+
 class TestEngineParity:
-    """The parametric engine agrees with the scipy/HiGHS MILP oracle."""
+    """The parametric exact search agrees with the scipy/HiGHS MILP oracle."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("alpha", [0.5, 0.7])
-    def test_objectives_match_milp(self, seed, alpha):
+    def test_objectives_match_milp(self, seed, alpha, monkeypatch):
         estimator = make_estimator(seed=seed)
         actionable = ["skill", "hours", "degree"]
-        fast = RecourseSolver(estimator, actionable, engine="parametric")
-        oracle = RecourseSolver(estimator, actionable, engine="milp")
+        rows = negative_rows(estimator, limit=60)
+        fast = solve_all(RecourseSolver(estimator, actionable), rows, alpha)
+        use_milp_oracle(monkeypatch)
+        oracle = solve_all(RecourseSolver(estimator, actionable), rows, alpha)
         checked = 0
-        for row in negative_rows(estimator, limit=60):
-            try:
-                a = fast.solve(row, alpha=alpha)
-            except RecourseInfeasibleError:
-                with pytest.raises(RecourseInfeasibleError):
-                    oracle.solve(row, alpha=alpha)
+        for a, b in zip(fast, oracle):
+            if a is None:
+                assert b is None
                 continue
-            b = oracle.solve(row, alpha=alpha)
             assert a.total_cost == pytest.approx(b.total_cost, abs=1e-9)
             assert a.n_constraints == b.n_constraints
             assert a.n_variables == b.n_variables
             checked += 1
         assert checked > 10
 
-    def test_custom_costs_match_milp(self):
+    def test_custom_costs_match_milp(self, monkeypatch):
         estimator = make_estimator(seed=3)
 
         def lopsided(attribute: str, current: int, new: int) -> float:
             return 2.5 if attribute == "skill" else 0.5 * abs(new - current)
 
-        fast = RecourseSolver(
-            estimator, ["skill", "hours"], cost_fn=lopsided, engine="parametric"
+        rows = negative_rows(estimator, limit=40)
+        actionable = ["skill", "hours"]
+        fast = solve_all(
+            RecourseSolver(estimator, actionable, cost_fn=lopsided), rows, 0.6
         )
-        oracle = RecourseSolver(
-            estimator, ["skill", "hours"], cost_fn=lopsided, engine="milp"
+        use_milp_oracle(monkeypatch)
+        oracle = solve_all(
+            RecourseSolver(estimator, actionable, cost_fn=lopsided), rows, 0.6
         )
         checked = 0
-        for row in negative_rows(estimator, limit=40):
-            try:
-                a = fast.solve(row, alpha=0.6)
-            except RecourseInfeasibleError:
+        for a, b in zip(fast, oracle):
+            if a is None:
                 continue
-            b = oracle.solve(row, alpha=0.6)
             assert a.total_cost == pytest.approx(b.total_cost, abs=1e-9)
             checked += 1
         assert checked > 5
 
 
-class TestParallelBitIdentity:
-    """workers/chunking/warm starts change wall-clock, never answers."""
-
-    def _batches(self, monkeypatch, workers, mp_context=None):
-        # Small chunks force several payloads so the pool actually
-        # partitions the work; parallel_threshold=1 lets a small cohort
-        # take the pool path at all.
-        monkeypatch.setattr(
-            "repro.core.recourse.adaptive_chunk_size", lambda *a, **k: 5
-        )
-        estimator = make_estimator(seed=4)
-        solver = RecourseSolver(estimator, ["skill", "hours", "degree"])
-        solver.parallel_threshold = 1
-        rows = negative_rows(estimator, limit=80)
-        out = solver.solve_batch(
-            rows, alpha=0.6, on_infeasible="none", workers=workers,
-            mp_context=mp_context,
-        )
-        return solver, rows, out
-
-    def test_serial_and_parallel_agree_exactly(self, monkeypatch):
-        serial_solver, rows, serial = self._batches(monkeypatch, workers=None)
-        parallel_solver, _, parallel = self._batches(monkeypatch, workers=2)
-        assert parallel_solver.solution_memo_stats()["parallel_batches"] == 1
-        assert serial_solver.solution_memo_stats()["parallel_batches"] == 0
-        assert len(serial) == len(parallel) == len(rows)
-        for a, b in zip(serial, parallel):
-            if a is None:
-                assert b is None
-                continue
-            # Bit identity, not approximate agreement.
-            assert a.as_dict() == b.as_dict()
-            assert a.total_cost == b.total_cost
-            assert a.estimated_sufficiency == b.estimated_sufficiency
-            assert a.estimated_probability == b.estimated_probability
-            assert a.threshold == b.threshold
-
-    def test_spawn_context_agrees_exactly(self, monkeypatch):
-        _, _, serial = self._batches(monkeypatch, workers=None)
-        _, _, spawned = self._batches(monkeypatch, workers=2, mp_context="spawn")
-        for a, b in zip(serial, spawned):
-            if a is None:
-                assert b is None
-                continue
-            assert a.as_dict() == b.as_dict()
-            assert a.total_cost == b.total_cost
+class TestScalarBatchIdentity:
+    """A row's answer does not depend on the batch it is solved in."""
 
     def test_scalar_and_batch_agree_exactly(self):
         estimator = make_estimator(seed=5)
@@ -227,28 +203,105 @@ class TestParallelBitIdentity:
                 with pytest.raises(RecourseInfeasibleError):
                     scalar_solver.solve(row, alpha=0.6)
                 continue
-            s = scalar_solver.solve(row, alpha=0.6)
-            # Warm-start donors exist only in the batch path; the seeded
-            # search must still return the scalar path's canonical answer.
-            # (Scalar scoring uses score_codes, batch uses the matrix
-            # pass — identical to 1e-12, not to the last ulp.)
-            assert s.as_dict() == b.as_dict()
-            assert s.total_cost == b.total_cost
-            assert s.threshold == pytest.approx(b.threshold, abs=1e-12)
+            # Bit identity of the whole answer, not approximate agreement.
+            assert scalar_solver.solve(row, alpha=0.6) == b
 
-    def test_small_batches_stay_inline(self):
+
+def record_kernel_calls(monkeypatch, on_call=None) -> list:
+    """Wrap ``recourse_kernel.solve_signature``; returns the call log."""
+    calls = []
+    real = recourse_kernel.solve_signature
+
+    def recording(skeleton, *args, **kwargs):
+        calls.append(skeleton.current)
+        if on_call is not None:
+            on_call()
+        return real(skeleton, *args, **kwargs)
+
+    monkeypatch.setattr(recourse_kernel, "solve_signature", recording)
+    return calls
+
+
+class TestSerialLoop:
+    """``solve_batch`` solves each unsolved signature once, in turn."""
+
+    def test_each_distinct_signature_is_solved_once(self, monkeypatch):
         estimator = make_estimator(seed=6)
         solver = RecourseSolver(estimator, ["skill", "hours"])
-        rows = negative_rows(estimator, limit=20)
-        solver.solve_batch(rows, alpha=0.6, on_infeasible="none", workers=4)
-        # Below parallel_threshold no pool is spawned even with workers>1.
-        assert solver.solution_memo_stats()["parallel_batches"] == 0
+        rows = negative_rows(estimator, limit=80)
+        names = solver.actionable + solver.context_names
+        distinct = {tuple(row[name] for name in names) for row in rows}
+        assert len(distinct) < len(rows)  # the cohort really collides
+        calls = record_kernel_calls(monkeypatch)
+        first = solver.solve_batch(rows, alpha=0.6, on_infeasible="none")
+        assert len(calls) == len(distinct)
+        assert solver.solution_memo_stats()["signature_solves"] == len(distinct)
+        # A repeat is served from the memo: no kernel call, same objects.
+        again = solver.solve_batch(rows, alpha=0.6, on_infeasible="none")
+        assert len(calls) == len(distinct)
+        assert all(a is b for a, b in zip(first, again))
 
-    def test_negative_workers_rejected(self):
+    def test_base_logits_are_scored_in_one_pass(self, monkeypatch):
         estimator = make_estimator(seed=6)
         solver = RecourseSolver(estimator, ["skill", "hours"])
-        with pytest.raises(ValueError, match="workers"):
-            solver.solve_batch([estimator.table.row_codes(0)], workers=-1)
+        rows = negative_rows(estimator, limit=80)
+        passes = []
+        real = solver._logit.score_codes_batch
+
+        def scoring(matrix):
+            passes.append(len(matrix))
+            return real(matrix)
+
+        monkeypatch.setattr(solver._logit, "score_codes_batch", scoring)
+        solver.solve_batch(rows[:40], alpha=0.6, on_infeasible="none")
+        first = solver.solution_memo_stats()["signature_solves"]
+        assert passes == [first]
+        # The wider batch scores only what the first one left unsolved.
+        solver.solve_batch(rows, alpha=0.6, on_infeasible="none")
+        total = solver.solution_memo_stats()["signature_solves"]
+        assert passes == [first, total - first] and total > first
+        solver.solve_batch(rows, alpha=0.6, on_infeasible="none")
+        assert len(passes) == 2
+
+    def test_deadline_is_checked_between_signatures(self, monkeypatch):
+        estimator = make_estimator(seed=6)
+        rows = negative_rows(estimator, limit=80)
+        reference = RecourseSolver(estimator, ["skill", "hours"]).solve_batch(
+            rows, alpha=0.6, on_infeasible="none"
+        )
+        solver = RecourseSolver(estimator, ["skill", "hours"])
+        tokens = []
+
+        def expire_once():
+            # The request's deadline passes while the first signature solves.
+            if not tokens:
+                tokens.append(_deadline.attach(time.monotonic() - 1.0))
+
+        calls = record_kernel_calls(monkeypatch, on_call=expire_once)
+        try:
+            with pytest.raises(DeadlineExceededError, match="signature solve"):
+                solver.solve_batch(rows, alpha=0.6, on_infeasible="none")
+        finally:
+            _deadline.restore(tokens[0])
+        assert len(calls) == 1
+        # The signature solved in time stays memoised; a retry without a
+        # deadline solves only the rest and answers like a fresh solver.
+        assert solver.solution_memo_stats()["solved_signatures"] == 1
+        assert solver.solve_batch(rows, alpha=0.6, on_infeasible="none") == (
+            reference
+        )
+        stats = solver.solution_memo_stats()
+        assert stats["signature_solves"] == stats["solved_signatures"] > 1
+
+    def test_solver_takes_no_pool_or_engine_options(self):
+        estimator = make_estimator(seed=0)
+        with pytest.raises(TypeError):
+            RecourseSolver(estimator, ["skill"], engine="milp")
+        solver = RecourseSolver(estimator, ["skill"])
+        rows = negative_rows(estimator, limit=5)
+        for option in ({"workers": 2}, {"mp_context": "fork"}, {"donors": []}):
+            with pytest.raises(TypeError):
+                solver.solve_batch(rows, alpha=0.6, **option)
 
 
 class TestAnytimeMode:

@@ -167,6 +167,13 @@ class TestCLI:
         code = main(["recourse", "--dataset", "compas", "--rows", "300"])
         assert code == 1
 
+    def test_recourse_has_no_workers_flag(self, capsys):
+        """The solver is serial; ``--workers`` is a usage error, not a no-op."""
+        with pytest.raises(SystemExit) as exc:
+            main(["recourse", "--dataset", "german", "--workers", "2"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
     def test_audit(self, capsys):
         code = main(["audit", "--dataset", "german", "--rows", "300"])
         out = capsys.readouterr().out

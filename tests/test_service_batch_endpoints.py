@@ -174,6 +174,18 @@ class TestRecourseBatchEndpoint:
         assert status == 200
         assert second["cached"] is True
 
+    def test_legacy_workers_key_is_ignored(self, base_url):
+        """An old client's ``workers`` key changes neither answer nor cache key."""
+        payload = {"indices": [2, 3, 4], "alpha": 0.7}
+        status, plain = post(f"{base_url}/v1/recourse/batch", payload)
+        assert status == 200
+        status, legacy = post(
+            f"{base_url}/v1/recourse/batch", {**payload, "workers": 2}
+        )
+        assert status == 200
+        assert legacy["cached"] is True
+        assert legacy["result"] == plain["result"]
+
     def test_bad_alpha_400(self, base_url):
         code, _body = post_error(
             f"{base_url}/v1/recourse/batch", {"indices": [0], "alpha": "high"}

@@ -95,8 +95,6 @@ WRONG_TYPED: dict[tuple[str, str], list[dict]] = {
     ("POST", "/v1/recourse/batch"): [
         {"body": {"indices": [-1]}},
         {"body": {"actionable": [[1]]}},
-        {"body": {"workers": -1}},
-        {"body": {"workers": "2"}},
         {"body": {"alpha": [0.5]}},
     ],
     ("POST", "/v1/audit"): [

@@ -257,6 +257,37 @@ class TestRestoreDetails:
         assert verify_restore(restored)["ok"]
         restored.close()
 
+    def test_manifest_with_recourse_warm_still_restores(self, store, session):
+        """Older manifests carry solver warm starts under ``recourse_warm``.
+
+        Restore ignores the key: the restored tenant matches the live one
+        and answers recourse exactly as it does.
+        """
+        manifest = snapshot_session(store, session, "t")
+        old = {k: v for k, v in manifest.items() if k != "snapshot_id"}
+        old["recourse_warm"] = [
+            {
+                "actionable": ["a", "b"],
+                "donors": [{"current": {"a": 0, "b": 0}, "chosen": {"a": 2}}],
+            }
+        ]
+        restored = restore_session(store, "t", store.write_manifest("t", old))
+        assert restored.fingerprint == session.fingerprint
+        assert restored.state_token == session.state_token
+        assert verify_restore(restored)["ok"]
+        audit = restored.lewis.recourse_audit(["a", "b"], alpha=0.6)
+        expected = session.lewis.recourse_audit(["a", "b"], alpha=0.6)
+        assert audit["recourses"] == expected["recourses"]
+        restored.close()
+
+    def test_snapshot_manifest_carries_no_solver_state(self, store, session):
+        """A snapshot depends on the tenant's data, not on the recourse
+        queries it happened to serve before the checkpoint."""
+        session.lewis.recourse_audit(["a", "b"], alpha=0.6)
+        manifest = snapshot_session(store, session, "t")
+        assert "recourse_warm" not in manifest
+        assert not any("recourse" in key for key in manifest)
+
     def test_restore_without_replay_is_bare_snapshot(self, store, session):
         snapshot_session(store, session, "t")
         session.update({"insert": [{"a": 0, "b": 0, "c": 0}]})
