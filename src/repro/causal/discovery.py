@@ -27,7 +27,6 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.stats import chi2
 
 from repro.causal.graph import CausalDiagram
 from repro.data.table import Table
@@ -89,6 +88,9 @@ def g_square_test(
     if dof == 0:
         # No informative stratum: cannot reject independence.
         return 1.0
+    # Imported at the call site: only processes that run discovery pay for it.
+    from scipy.stats import chi2
+
     return float(chi2.sf(statistic, dof))
 
 
@@ -168,7 +170,9 @@ class PartiallyDirectedGraph:
         if missing:
             raise GraphError(f"order is missing nodes: {sorted(missing)}")
         position = {n: i for i, n in enumerate(order)}
-        edges = list(self._directed)
+        # Sorted, not set order: the diagram's edge and topological
+        # orders must not depend on the process's string hash seed.
+        edges = sorted(self._directed)
         for a, b in self.undirected_edges:
             edges.append((a, b) if position[a] < position[b] else (b, a))
         return CausalDiagram(edges, nodes=self.nodes)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from repro.causal.scm import EquationFunc
 
@@ -53,6 +52,9 @@ def linear_threshold(
         for parent, weight in weights.items():
             latent += weight * parents[parent].astype(float)
         if noise_scale:
+            # Imported at the call site: only dataset generation pays for it.
+            from scipy.special import ndtri
+
             latent += noise_scale * ndtri(np.clip(u, 1e-12, 1 - 1e-12))
         return np.searchsorted(cuts, latent, side="right")
 

@@ -16,7 +16,11 @@ and the parity tests hold the batched paths to them at 1e-12:
   attributes × value-pairs × 2-probes loop of Section 3.2;
 * :func:`milp_exact_step` — the recourse kernel's exact step solved as
   a scipy/HiGHS MILP (:func:`solve_ip_milp`) instead of the parametric
-  search, for the recourse parity tests to swap in.
+  search, for the recourse parity tests to swap in;
+* :class:`NxCausalDiagram` — the causal diagram over a
+  :class:`networkx.DiGraph` (networkx is a test-only dependency), which
+  ``tests/test_graph_oracle.py`` holds the dict-based
+  :class:`~repro.causal.graph.CausalDiagram` to, orders included.
 
 ``benchmarks/bench_local_batch.py`` times the cohort fast path against
 :func:`local_explanation_scalar` as well.
@@ -24,8 +28,9 @@ and the parity tests hold the batched paths to them at 1e-12:
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
+import networkx as nx
 import numpy as np
 
 from repro.core.explanations import (
@@ -41,6 +46,7 @@ from repro.estimation.engine import ContingencyEngine
 from repro.opt.branch_and_bound import solve_binary_program
 from repro.opt.integer_program import IntegerProgram
 from repro.opt.parametric import SignatureSkeleton
+from repro.utils.exceptions import GraphError
 
 
 def _clip01(value: float) -> float:
@@ -348,3 +354,184 @@ def milp_exact_step(
     """
     chosen, objective = solve_ip_milp(skeleton, needed, node_limit)
     return chosen, objective, gain_of(skeleton, chosen)
+
+
+class NxCausalDiagram:
+    """The networkx-backed causal diagram, kept as the graph oracle."""
+
+    def __init__(self, edges: Iterable[tuple[str, str]], nodes: Iterable[str] = ()):
+        graph = nx.DiGraph()
+        graph.add_nodes_from(nodes)
+        graph.add_edges_from(edges)
+        if not nx.is_directed_acyclic_graph(graph):
+            cycle = nx.find_cycle(graph)
+            raise GraphError(f"causal diagram contains a cycle: {cycle}")
+        self._graph = graph
+
+    # -- structure ---------------------------------------------------------
+
+    @property
+    def nodes(self) -> list[str]:
+        """All attribute names in the diagram."""
+        return list(self._graph.nodes)
+
+    @property
+    def edges(self) -> list[tuple[str, str]]:
+        """All directed edges ``(cause, effect)``."""
+        return list(self._graph.edges)
+
+    def __contains__(self, node: str) -> bool:
+        return node in self._graph
+
+    def _require(self, *nodes: str) -> None:
+        missing = [n for n in nodes if n not in self._graph]
+        if missing:
+            raise GraphError(f"unknown nodes {missing}; known: {self.nodes}")
+
+    def parents(self, node: str) -> list[str]:
+        """Direct causes of ``node``."""
+        self._require(node)
+        return sorted(self._graph.predecessors(node))
+
+    def children(self, node: str) -> list[str]:
+        """Direct effects of ``node``."""
+        self._require(node)
+        return sorted(self._graph.successors(node))
+
+    def ancestors(self, node: str) -> set[str]:
+        """All (possibly indirect) causes of ``node``."""
+        self._require(node)
+        return set(nx.ancestors(self._graph, node))
+
+    def descendants(self, node: str) -> set[str]:
+        """All variables caused (directly or indirectly) by ``node``."""
+        self._require(node)
+        return set(nx.descendants(self._graph, node))
+
+    def descendants_of(self, nodes: Iterable[str]) -> set[str]:
+        """Union of descendants over a set of nodes (the nodes excluded)."""
+        out: set[str] = set()
+        for node in nodes:
+            out |= self.descendants(node)
+        return out - set(nodes)
+
+    def non_descendants(self, node: str) -> set[str]:
+        """Variables not caused by ``node`` (``node`` itself excluded)."""
+        self._require(node)
+        return set(self._graph.nodes) - self.descendants(node) - {node}
+
+    def non_descendants_of(self, nodes: Iterable[str]) -> set[str]:
+        """Variables not caused by any node in ``nodes``."""
+        nodes = list(nodes)
+        out = set(self._graph.nodes) - set(nodes)
+        for node in nodes:
+            out -= self.descendants(node)
+        return out
+
+    def topological_order(self) -> list[str]:
+        """A topological ordering of all nodes."""
+        return list(nx.topological_sort(self._graph))
+
+    # -- separation --------------------------------------------------------
+
+    def d_separated(
+        self, xs: Iterable[str], ys: Iterable[str], given: Iterable[str] = ()
+    ) -> bool:
+        """Return True iff ``xs`` and ``ys`` are d-separated by ``given``."""
+        xs, ys, given = set(xs), set(ys), set(given)
+        self._require(*xs, *ys, *given)
+        return nx.is_d_separator(self._graph, xs, ys, given)
+
+    def satisfies_backdoor(
+        self,
+        treatment: Sequence[str] | str,
+        outcome: Sequence[str] | str,
+        adjustment: Iterable[str],
+    ) -> bool:
+        """Check the backdoor criterion of ``adjustment`` w.r.t. (X, Y).
+
+        ``adjustment`` satisfies the criterion iff (i) it contains no
+        descendant of any treatment node, and (ii) it blocks every backdoor
+        path — i.e. X and Y are d-separated by ``adjustment`` in the graph
+        with all edges *out of* X removed.
+        """
+        xs = [treatment] if isinstance(treatment, str) else list(treatment)
+        ys = [outcome] if isinstance(outcome, str) else list(outcome)
+        zs = set(adjustment)
+        self._require(*xs, *ys, *zs)
+        if zs & self.descendants_of(xs):
+            return False
+        if zs & set(xs) or zs & set(ys):
+            return False
+        pruned = self._graph.copy()
+        pruned.remove_edges_from([(x, c) for x in xs for c in list(pruned.successors(x))])
+        ys_eff = set(ys) - set(xs)
+        if not ys_eff:
+            return True
+        return nx.is_d_separator(pruned, set(xs), ys_eff, zs)
+
+    def backdoor_set(
+        self,
+        treatment: Sequence[str] | str,
+        outcome: Sequence[str] | str,
+        forbidden: Iterable[str] = (),
+    ) -> list[str] | None:
+        """Find a backdoor adjustment set, preferring small ones.
+
+        The parents of the treatment always satisfy the criterion in a
+        Markovian diagram, so the search starts from subsets of the
+        treatment's ancestors and falls back to the full parent set.
+        Returns ``None`` when no admissible set avoiding ``forbidden``
+        exists.
+        """
+        xs = [treatment] if isinstance(treatment, str) else list(treatment)
+        ys = [outcome] if isinstance(outcome, str) else list(outcome)
+        forbidden = set(forbidden) | set(xs) | set(ys)
+
+        if self.satisfies_backdoor(xs, ys, ()):
+            return []
+
+        candidates = set()
+        for x in xs:
+            candidates |= self.ancestors(x)
+        candidates -= forbidden
+        candidates = sorted(candidates)
+
+        # Greedy: grow from parents (which block all backdoor paths when
+        # observable), then prune elements one at a time.
+        parent_set = sorted(
+            set().union(*(self.parents(x) for x in xs)) - forbidden
+        )
+        if not self.satisfies_backdoor(xs, ys, parent_set):
+            # Parents unavailable (forbidden) — try the full candidate pool.
+            if not self.satisfies_backdoor(xs, ys, candidates):
+                return None
+            parent_set = list(candidates)
+        pruned = list(parent_set)
+        for node in sorted(parent_set):
+            trial = [n for n in pruned if n != node]
+            if self.satisfies_backdoor(xs, ys, trial):
+                pruned = trial
+        return pruned
+
+    # -- derived graphs ------------------------------------------------------
+
+    def with_outcome(self, outcome: str, inputs: Iterable[str]) -> "NxCausalDiagram":
+        """Return a diagram extended with the black box's output node.
+
+        The decision algorithm deterministically maps its inputs to the
+        outcome, so the extended diagram simply adds ``input -> outcome``
+        edges. Existing nodes/edges are preserved.
+        """
+        edges = list(self.edges) + [(i, outcome) for i in inputs]
+        return NxCausalDiagram(edges, nodes=self.nodes + [outcome])
+
+    def subgraph(self, nodes: Iterable[str]) -> "NxCausalDiagram":
+        """Return the induced subdiagram over ``nodes``."""
+        nodes = list(nodes)
+        self._require(*nodes)
+        sub = self._graph.subgraph(nodes)
+        return NxCausalDiagram(sub.edges, nodes=nodes)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"NxCausalDiagram({len(self.nodes)} nodes, {len(self.edges)} edges)"

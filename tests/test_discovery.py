@@ -1,5 +1,9 @@
 """Unit tests for the PC causal-discovery algorithm."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -13,6 +17,22 @@ from repro.causal.graph import CausalDiagram
 from repro.data import load_dataset
 from repro.data.table import Column, Table
 from repro.utils.exceptions import GraphError
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+# Six oriented edges out of "a": held in a set, whose order follows the
+# process's string hash seed.
+HUB_DIAGRAM = """
+from repro.causal.discovery import PartiallyDirectedGraph
+
+graph = PartiallyDirectedGraph("abcdefg")
+for child in "gfedcb":
+    graph.orient("a", child)
+graph.add_undirected("c", "g")
+diagram = graph.to_diagram()
+print(diagram.edges, diagram.topological_order())
+"""
 
 
 def _table(**cols):
@@ -80,6 +100,22 @@ class TestPartiallyDirectedGraph:
         g.add_undirected("a", "b")
         assert g.to_diagram(["a", "b"]).edges == [("a", "b")]
         assert g.to_diagram(["b", "a"]).edges == [("b", "a")]
+
+    def test_to_diagram_order_is_independent_of_the_hash_seed(self):
+        env = dict(os.environ)
+        existing = env.get("PYTHONPATH")
+        env["PYTHONPATH"] = SRC + (os.pathsep + existing if existing else "")
+        printed = set()
+        for seed in ("1", "2", "5"):
+            env["PYTHONHASHSEED"] = seed
+            out = subprocess.run(
+                [sys.executable, "-c", HUB_DIAGRAM],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert out.returncode == 0, out.stderr
+            printed.add(out.stdout.strip())
+        edges = [("a", c) for c in "bcdefg"] + [("c", "g")]
+        assert printed == {f"{edges} {list('abcdefg')}"}
 
     def test_to_diagram_missing_order_node(self):
         g = PartiallyDirectedGraph(["a", "b"])

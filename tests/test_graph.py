@@ -45,6 +45,12 @@ class TestStructure:
         with pytest.raises(GraphError, match="cycle"):
             CausalDiagram([("A", "B"), ("B", "A")])
 
+    def test_cycle_is_named(self):
+        with pytest.raises(GraphError, match="A -> B -> C -> A"):
+            CausalDiagram([("Q", "A"), ("A", "B"), ("B", "C"), ("C", "A")])
+        with pytest.raises(GraphError, match="A -> A"):
+            CausalDiagram([("A", "A")])
+
     def test_isolated_nodes_kept(self):
         g = CausalDiagram([("A", "B")], nodes=["A", "B", "C"])
         assert set(g.nodes) == {"A", "B", "C"}
@@ -89,6 +95,12 @@ class TestDSeparation:
     def test_collider_opens_when_conditioned(self, collider):
         assert collider.d_separated(["X"], ["Y"])
         assert not collider.d_separated(["X"], ["Y"], ["C"])
+
+    def test_overlapping_sets_raise_graph_error(self, chain):
+        with pytest.raises(GraphError, match="disjoint"):
+            chain.d_separated(["A"], ["C"], ["A"])
+        with pytest.raises(GraphError, match="disjoint"):
+            chain.d_separated(["A", "B"], ["B", "C"])
 
     def test_confounder_blocked_by_z(self, confounded):
         # Remove the direct edge effect: X and Y stay dependent through
