@@ -162,6 +162,7 @@ def cmd_recourse(args) -> int:
                     f"{args.dataset}: recourse audit over {len(cohort)} rows "
                     f"(deduplicated batch IP path)"
                 ),
+                solver=lewis.solver_stats(),
             )
         )
         return 0

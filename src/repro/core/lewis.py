@@ -618,10 +618,11 @@ class Lewis:
         answers — feasibility counts, cost statistics over feasible
         recourses, and how often each actionable attribute appears in a
         recommended intervention.  ``mode`` passes through to the
-        solver; the summary's ``solver`` block reports its memo,
-        certificate and search counters.  The JSON-friendly summary
-        backs the ``/v1/recourse/batch`` service endpoint and the CLI
-        cohort mode.
+        solver.  The summary depends only on the model, the table state
+        and the arguments — the solver's cumulative counters, which also
+        reflect earlier requests, are read from :meth:`solver_stats`.
+        The JSON-friendly summary backs the ``/v1/recourse/batch``
+        service endpoint and the CLI cohort mode.
         """
         chosen = (
             [int(i) for i in indices]
@@ -640,13 +641,11 @@ class Lewis:
                 attribute_counts[action.attribute] = (
                     attribute_counts.get(action.attribute, 0) + 1
                 )
-        solver = self._recourse_solver(actionable, cost_fn)
         return {
             "n": len(chosen),
             "indices": chosen,
             "alpha": float(alpha),
             "mode": mode,
-            "solver": solver.solution_memo_stats(),
             "feasible": len(feasible),
             "infeasible": len(recourses) - len(feasible),
             "already_satisfied": sum(r.is_empty for r in feasible),

@@ -244,18 +244,24 @@ class RecourseSolver:
         skeleton: SignatureSkeleton,
         alpha: float,
         mode: str,
-    ) -> Recourse:
-        """Turn a kernel result dict into a :class:`Recourse` (or raise)."""
+    ) -> Recourse | RecourseInfeasibleError:
+        """Turn a kernel result dict into a :class:`Recourse`, or the
+        :class:`RecourseInfeasibleError` to memoise for the signature.
+
+        The error is returned, never raised here: a raised error keeps
+        its traceback, and with it this frame's locals, alive in the
+        memo for as long as the memo holds it.
+        """
         if result["status"] == "infeasible":
             if result["reason"] == "no_candidates":
                 # No candidate action exists (all actionable attributes
                 # are stuck at their only value) and the threshold is not
                 # yet met: provably infeasible.
-                raise RecourseInfeasibleError(
+                return RecourseInfeasibleError(
                     f"no candidate values on {self.actionable} and the "
                     f"target probability is not met"
                 )
-            raise RecourseInfeasibleError(
+            return RecourseInfeasibleError(
                 f"no intervention on {self.actionable} reaches sufficiency {alpha}"
             )
         if result["status"] == "empty":
@@ -366,11 +372,9 @@ class RecourseSolver:
                         node_limit=self.max_nodes,
                     )
                     self._absorb_stats(result)
-                    try:
-                        solved = self._materialize(result, skeleton, alpha, mode)
-                    except RecourseInfeasibleError as exc:
-                        solved = exc
-                    self._solutions[(signature, alpha, max_refinements, mode)] = solved
+                    self._solutions[(signature, alpha, max_refinements, mode)] = (
+                        self._materialize(result, skeleton, alpha, mode)
+                    )
         out: list[Recourse | None] = []
         for row_index, unique_index in enumerate(inverse):
             signature = tuple(int(c) for c in signatures[unique_index])

@@ -419,17 +419,11 @@ class ScoreEstimator:
         return model
 
     def local_model_cache_stats(self):
-        """Local-model cache counters as the unified ``CacheStats`` schema."""
-        return self._local_models.stats_struct("local_model")
+        """Local-model cache counters as the unified ``CacheStats`` schema.
 
-    def local_model_stats(self) -> dict:
-        """Deprecated dict view of :meth:`local_model_cache_stats`.
-
-        Same stats shape as the engine tensor cache and the service
-        result cache, so operators can size ``max_local_models`` from
-        observed hit rates.
+        Operators size ``max_local_models`` from its observed hit rate.
         """
-        return self.local_model_cache_stats().legacy_dict()
+        return self._local_models.stats_struct("local_model")
 
     def local_context(self, attribute: str, row_codes: Mapping[str, int]) -> dict[str, int]:
         """The individual's non-descendant assignment ``k`` for ``attribute``."""

@@ -162,17 +162,6 @@ class ContingencyEngine:
         """Monotone data-version token, bumped by every non-empty delta."""
         return self._version
 
-    def stats(self) -> dict:
-        """Introspection dict: tensor-cache counters plus engine state.
-
-        The cache counters (``entries`` / ``bytes`` / ``hits`` /
-        ``misses`` / ``evictions``) share their shape with every other
-        cache in the serving stack (see :mod:`repro.utils.lru`).
-        """
-        out = self.cache_stats().legacy_dict()
-        out.update(n_rows=self._n, version=self._version, max_cells=self._max_cells)
-        return out
-
     def cache_stats(self) -> "_obs.CacheStats":
         """Tensor-cache counters as the unified :class:`CacheStats` schema."""
         return self._tensors.stats_struct("tensor")

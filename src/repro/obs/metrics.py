@@ -21,8 +21,8 @@ Design constraints, in order:
   :func:`render_prometheus` — stdlib only, no client library.
 * **One cache-stats shape.** :class:`CacheStats` is the dataclass every
   cache in the system (result cache, engine tensor cache, local-model
-  cache, session registry) reports through; ``legacy_dict()`` is the
-  shim that keeps the historical ``stats()`` dict keys alive.
+  cache, session registry) reports through, as ``as_dict()`` in
+  ``/v1/stats`` and as ``repro_cache_*`` gauges in ``/metrics``.
 """
 
 from __future__ import annotations
@@ -240,12 +240,9 @@ class Histogram:
 class CacheStats:
     """The one cache-statistics shape every cache in the system reports.
 
-    Replaces the three historically divergent ``stats()`` dicts (result
-    cache / engine tensor cache / local-model cache).  ``legacy_dict``
-    reproduces the pre-unification key set exactly, so existing callers
-    of the old ``stats()`` methods keep working — those dict shapes are
-    deprecated in favour of this class and the registry's
-    ``repro_cache_*`` gauges.
+    The result cache, the engine's tensor cache, the local-model cache
+    and the registry's session LRU all report through it; there is no
+    other cache-statistics dict.
     """
 
     name: str
@@ -297,19 +294,6 @@ class CacheStats:
             "bytes": self.bytes,
             "max_bytes": self.max_bytes,
             "max_entries": self.max_entries,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_rate": self.hit_rate,
-            **dict(self.extra),
-        }
-
-    def legacy_dict(self) -> dict:
-        """Deprecated pre-unification key set (the back-compat shim)."""
-        return {
-            "entries": self.entries,
-            "bytes": self.bytes,
-            "max_bytes": self.max_bytes,
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,

@@ -120,13 +120,16 @@ def render_recourse(recourse: Recourse, title: str | None = None) -> str:
     return "\n".join(lines)
 
 
-def render_recourse_audit(audit: Mapping, title: str | None = None) -> str:
+def render_recourse_audit(
+    audit: Mapping, title: str | None = None, solver: Mapping | None = None
+) -> str:
     """Cohort recourse-audit card: feasibility, costs, intervention mix.
 
     Renders the summary dict of :meth:`~repro.core.lewis.Lewis
     .recourse_audit` — feasible/infeasible counts and a bar per
     actionable attribute showing how often it appears in a recommended
-    intervention.
+    intervention — plus, when given, a line of the solver counters
+    (:meth:`~repro.core.lewis.Lewis.solver_stats`).
     """
     lines = []
     if title:
@@ -148,7 +151,6 @@ def render_recourse_audit(audit: Mapping, title: str | None = None) -> str:
             lines.append(
                 f"{attribute:{width}s} {_bar(count / n)} {count}"
             )
-    solver = audit.get("solver") or {}
     if solver:
         mode = audit.get("mode", "exact")
         lines.append(
@@ -162,23 +164,24 @@ def render_recourse_audit(audit: Mapping, title: str | None = None) -> str:
 def render_service_stats(stats: Mapping, title: str | None = None) -> str:
     """Aligned text view of :meth:`ExplainerSession.stats` output.
 
-    Nested cache/engine/scheduler counter dicts render as indented
-    ``key: value`` blocks; scalar session fields come first.
+    Each level lists its scalar fields first, then its nested sections
+    (scheduler, ``caches`` with one block per cache, solver) as indented
+    ``key: value`` blocks, to any depth.
     """
-    lines = []
-    if title:
-        lines.append(title)
-    scalars = {k: v for k, v in stats.items() if not isinstance(v, Mapping)}
-    nested = {k: v for k, v in stats.items() if isinstance(v, Mapping)}
-    width = max((len(k) for k in scalars), default=4)
-    for key, value in scalars.items():
-        lines.append(f"{key:{width}s}  {value}")
-    for section, counters in nested.items():
-        lines.append(f"{section}:")
-        inner_width = max((len(k) for k in counters), default=4)
-        for key, value in counters.items():
+    lines = [title] if title else []
+
+    def section(fields: Mapping, indent: str) -> None:
+        scalars = {k: v for k, v in fields.items() if not isinstance(v, Mapping)}
+        width = max((len(k) for k in scalars), default=4)
+        for key, value in scalars.items():
             shown = f"{value:.3f}" if isinstance(value, float) else value
-            lines.append(f"  {key:{inner_width}s}  {shown}")
+            lines.append(f"{indent}{key:{width}s}  {shown}")
+        for key, value in fields.items():
+            if isinstance(value, Mapping):
+                lines.append(f"{indent}{key}:")
+                section(value, indent + "  ")
+
+    section(stats, "")
     return "\n".join(lines)
 
 

@@ -12,7 +12,7 @@ incrementally instead of rebuilt; and :mod:`repro.service.server` puts a
 stdlib JSON-over-HTTP front end on top (``python -m repro.cli serve``).
 """
 
-from repro.service.cache import ResultCache, canonical, payload_bytes
+from repro.service.cache import ResultCache, canonical
 from repro.service.scheduler import MicroBatcher
 from repro.service.session import (
     AuditRequest,
@@ -48,6 +48,5 @@ __all__ = [
     "canonical",
     "create_server",
     "model_fingerprint",
-    "payload_bytes",
     "serve",
 ]

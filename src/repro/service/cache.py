@@ -9,12 +9,14 @@ fingerprint pins the model, the session's state token pins the table
 state, and :func:`canonical` makes structurally equal queries (dict
 ordering, list vs tuple, numpy scalars) collide.
 
-Storage is a :class:`~repro.utils.lru.ByteBudgetLRU` sized by each
-response's JSON-encoded byte length, so operators reason about the
-budget in response-payload terms (``--cache-mb`` on the CLI).  A data
-update does not clear the cache: :meth:`ResultCache.purge_stale` drops
-only the entries keyed to superseded versions of the updated model/table
-pair and leaves everything else hot.
+Storage is a :class:`~repro.utils.lru.ByteBudgetLRU` of JSON-encoded
+responses: an entry holds the bytes of its encoding and is sized by
+their length, so the budget (``--cache-mb`` on the CLI) counts what the
+cache actually keeps, and every hit decodes a fresh copy no caller can
+mutate under the next one.  A data update does not clear the cache:
+:meth:`ResultCache.purge_stale` drops only the entries keyed to
+superseded versions of the updated model/table pair and leaves
+everything else hot.
 """
 
 from __future__ import annotations
@@ -45,18 +47,13 @@ def canonical(value: Any) -> Hashable:
     return value
 
 
-def payload_bytes(payload: Any) -> int:
-    """Approximate response size: its JSON encoding length."""
-    return len(json.dumps(payload, default=str, separators=(",", ":")))
-
-
 class ResultCache:
     """LRU explanation cache keyed by (fingerprint, version, query).
 
     Parameters
     ----------
     max_bytes:
-        Approximate budget on summed JSON-encoded response sizes.
+        Budget on the summed byte lengths of the JSON-encoded responses.
     max_entries:
         Optional additional entry-count bound.
     """
@@ -93,15 +90,17 @@ class ResultCache:
         return (str(tenant), str(fingerprint), str(state), str(kind), canonical(params))
 
     def get(self, key: tuple) -> Any:
-        """Cached response for ``key`` or ``None`` (counts hit/miss)."""
+        """A fresh decoded copy of the response for ``key``, or ``None``
+        (counts hit/miss)."""
         with self._lock:
-            return self._lru.get(key)
+            encoded = self._lru.get(key)
+        return None if encoded is None else json.loads(encoded)
 
     def put(self, key: tuple, payload: Any) -> None:
-        """Store a response, sized by its JSON byte length."""
-        size = payload_bytes(payload)
+        """Store a response as its JSON encoding, sized by its length."""
+        encoded = json.dumps(payload, default=str, separators=(",", ":")).encode()
         with self._lock:
-            self._lru.put(key, payload, size=size)
+            self._lru.put(key, encoded, size=len(encoded))
 
     def purge_stale(
         self, fingerprint: str, current_state: Any, tenant: str = ""
@@ -135,7 +134,3 @@ class ResultCache:
             return self._lru.stats_struct("result").with_extra(
                 {"invalidations": self._invalidations}
             )
-
-    def stats(self) -> dict:
-        """Deprecated dict view of :meth:`stats_struct` (back-compat shim)."""
-        return self.stats_struct().legacy_dict()

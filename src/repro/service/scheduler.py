@@ -1,15 +1,16 @@
-"""Micro-batching request dispatcher for the explanation service.
+"""Group-commit request dispatcher for the explanation service.
 
 Under concurrent traffic, many in-flight requests reduce to the same
 vectorized engine primitives: N score requests sharing a context are one
-``ScoreEstimator.scores_batch`` call, N bounds requests one
-``bounds_batch`` call, and a burst of local explanations shares the
-lazily fitted per-attribute regression models.  :class:`MicroBatcher`
-exploits this: callers submit ``(kind, payload)`` work items and block
-on a future; a single dispatch thread drains the queue in short windows
-and hands each kind's batch to its registered handler in one call, so K
-concurrent requests cost one batched engine pass instead of K scalar
-passes.
+``ScoreEstimator.scores_batch`` call, and a burst of local explanations
+shares the lazily fitted per-attribute regression models.
+:class:`MicroBatcher` exploits this without a timer: callers submit
+``(kind, payload)`` work items and block on a future; a single dispatch
+thread blocks for the first item, takes whatever else queued while the
+lane was busy (up to :data:`MAX_BATCH`), and hands each kind's batch to
+its registered handler in one call.  An idle lane dispatches a lone
+request at once; a busy one batches exactly the requests that waited
+for it.
 
 The batcher is deliberately generic — handlers are plain
 ``handler(payloads: list) -> list`` callables registered by the session
@@ -39,6 +40,9 @@ _Item = tuple[str, Any, Future, float, "dict | None", "float | None"]
 #: default bound on queued-but-undispatched requests when the caller
 #: doesn't pass ``max_queue``; 0 or negative disables the bound.
 DEFAULT_MAX_QUEUE = 1024
+
+#: largest number of requests taken into one dispatch round
+MAX_BATCH = 64
 
 # Per-kind instruments are created lazily at first dispatch; declare the
 # families up front so /metrics advertises them from the first scrape.
@@ -102,11 +106,6 @@ class MicroBatcher:
     handlers:
         ``{kind: handler}`` where ``handler(payloads) -> results`` maps a
         batch of payloads to results aligned with the input order.
-    window:
-        Seconds the dispatch thread waits, after the first item of a
-        batch arrives, for more items to coalesce.
-    max_batch:
-        Largest number of requests drained into one dispatch round.
     start:
         Start the background dispatch thread immediately. With
         ``start=False`` the batcher runs in synchronous mode: callers
@@ -124,18 +123,12 @@ class MicroBatcher:
     def __init__(
         self,
         handlers: Mapping[str, Callable[[list], list]],
-        window: float = 0.002,
-        max_batch: int = 64,
         start: bool = True,
         max_queue: int | None = None,
     ):
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be positive, got {max_batch}")
         if max_queue is None:
             max_queue = int(os.environ.get("REPRO_MAX_QUEUE", DEFAULT_MAX_QUEUE))
         self._handlers = dict(handlers)
-        self._window = float(window)
-        self._max_batch = int(max_batch)
         self._max_queue = int(max_queue)
         self._queue: queue.Queue = queue.Queue()
         self._lock = threading.Lock()
@@ -232,9 +225,10 @@ class MicroBatcher:
     def run(self, kind: str, payload: Any) -> Any:
         """Submit and wait — the synchronous convenience path.
 
-        In background mode the wait is where coalescing happens: while
-        this caller blocks, other threads' requests join the same batch.
-        In synchronous mode (no thread) the queue is flushed inline.
+        In background mode the wait is where coalescing happens: requests
+        that queue while the lane serves an earlier batch dispatch
+        together in the next one.  In synchronous mode (no thread) the
+        queue is flushed inline.
         """
         future = self.submit(kind, payload)
         if self._thread is None:
@@ -263,30 +257,18 @@ class MicroBatcher:
                 served += len(batch)
 
     def _drain(self, block: bool) -> list[_Item]:
-        """Collect up to ``max_batch`` items, waiting ``window`` once."""
+        """The first queued item (waiting for it if ``block``) plus
+        whatever else is already queued, up to :data:`MAX_BATCH`."""
         items: list[_Item] = []
         try:
-            first = self._queue.get(block=block)
+            item = self._queue.get(block=block)
+            while item is not None:
+                items.append(item)
+                if len(items) == MAX_BATCH:
+                    break
+                item = self._queue.get_nowait()
         except queue.Empty:
-            return items
-        if first is None:
-            return items
-        items.append(first)
-        # One coalescing window per batch: once the first item arrives,
-        # wait up to ``window`` total for stragglers, then serve.
-        deadline = time.monotonic() + self._window
-        while len(items) < self._max_batch:
-            remaining = deadline - time.monotonic()
-            try:
-                if remaining > 0:
-                    item = self._queue.get(timeout=remaining)
-                else:
-                    item = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if item is None:
-                break
-            items.append(item)
+            pass
         return items
 
     def _dispatch(self, items: list[_Item]) -> None:
@@ -381,8 +363,6 @@ class MicroBatcher:
             "batches": self._batches,
             "largest_batch": self._largest_batch,
             "mean_batch": (self._requests / self._batches) if self._batches else 0.0,
-            "window_s": self._window,
-            "max_batch": self._max_batch,
             "max_queue": self._max_queue,
             "queue_depth": self._queue.qsize(),
             "shed": self._shed,

@@ -37,7 +37,7 @@ tenant-scoped as ``/v1/<tenant>/...``)::
     GET    /v1/traces           finished traces, newest first
                                 ?min_ms=F&limit=N&slow=1&id=<trace_id>
     GET    /v1/health       [t] liveness + session identity (?digest=1)
-    GET    /v1/stats        [t] cache / engine / scheduler statistics
+    GET    /v1/stats        [t] scheduler / cache / solver statistics
                                 + metrics registry snapshot + tracer stats
     GET    /v1/log          [t] WAL shipping batch after seq N:
                                 ?cursor=N&max=K (epoch-stamped;
@@ -880,9 +880,8 @@ class ExplainerRequestHandler(BaseHTTPRequestHandler):
             attached = scheduler.peek(self.session) if scheduler is not None else None
             if attached is not None:
                 stats["monitors"] = attached.stats()
-        # one-stop snapshot: the classic per-session keys above stay for
-        # compatibility; "metrics" is the authoritative process-wide
-        # registry view those keys now mirror.
+        # one-stop snapshot: each cache above reports as CacheStats;
+        # "metrics" is the process-wide registry view.
         stats["metrics"] = _obs.get_registry().snapshot()
         stats["tracing"] = _tracing.get_tracer().stats()
         return stats

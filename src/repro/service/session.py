@@ -63,7 +63,12 @@ from repro.utils.exceptions import DomainError
 
 
 def jsonable(value: Any) -> Any:
-    """Recursively convert numpy scalars/arrays so ``json.dumps`` works."""
+    """Recursively convert numpy scalars/arrays so ``json.dumps`` works.
+
+    Answers leave the session through one pass of it, in
+    :meth:`ExplainerSession.handle`; the ``*_to_dict`` views below build
+    raw dicts and leave the conversion to that pass.
+    """
     if isinstance(value, Mapping):
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple, set, frozenset)):
@@ -76,89 +81,81 @@ def jsonable(value: Any) -> Any:
 
 
 def global_explanation_to_dict(explanation: GlobalExplanation) -> dict:
-    """JSON view of a global/contextual explanation."""
-    return jsonable(
-        {
-            "context": explanation.context,
-            "attributes": [
-                {
-                    "attribute": s.attribute,
-                    "necessity": s.necessity,
-                    "sufficiency": s.sufficiency,
-                    "necessity_sufficiency": s.necessity_sufficiency,
-                    "best_pair_necessity": s.best_pair_necessity,
-                    "best_pair_sufficiency": s.best_pair_sufficiency,
-                    "best_pair_nesuf": s.best_pair_nesuf,
-                }
-                for s in explanation.attribute_scores
-            ],
-            "ranking": explanation.ranking(),
-            "statements": explanation.statements(),
-        }
-    )
+    """Dict view of a global/contextual explanation."""
+    return {
+        "context": explanation.context,
+        "attributes": [
+            {
+                "attribute": s.attribute,
+                "necessity": s.necessity,
+                "sufficiency": s.sufficiency,
+                "necessity_sufficiency": s.necessity_sufficiency,
+                "best_pair_necessity": s.best_pair_necessity,
+                "best_pair_sufficiency": s.best_pair_sufficiency,
+                "best_pair_nesuf": s.best_pair_nesuf,
+            }
+            for s in explanation.attribute_scores
+        ],
+        "ranking": explanation.ranking(),
+        "statements": explanation.statements(),
+    }
 
 
 def local_explanation_to_dict(explanation: LocalExplanation) -> dict:
-    """JSON view of a local explanation."""
-    return jsonable(
-        {
-            "individual": explanation.individual,
-            "outcome_positive": explanation.outcome_positive,
-            "contributions": [
-                {
-                    "attribute": c.attribute,
-                    "value": c.value,
-                    "positive": c.positive,
-                    "negative": c.negative,
-                    "net": c.net,
-                    "negative_foil": c.negative_foil,
-                    "positive_foil": c.positive_foil,
-                }
-                for c in explanation.contributions
-            ],
-            "statements": explanation.statements(),
-        }
-    )
+    """Dict view of a local explanation."""
+    return {
+        "individual": explanation.individual,
+        "outcome_positive": explanation.outcome_positive,
+        "contributions": [
+            {
+                "attribute": c.attribute,
+                "value": c.value,
+                "positive": c.positive,
+                "negative": c.negative,
+                "net": c.net,
+                "negative_foil": c.negative_foil,
+                "positive_foil": c.positive_foil,
+            }
+            for c in explanation.contributions
+        ],
+        "statements": explanation.statements(),
+    }
 
 
 def recourse_to_dict(recourse: Recourse) -> dict:
-    """JSON view of a recourse recommendation."""
-    return jsonable(
-        {
-            "actions": [
-                {
-                    "attribute": a.attribute,
-                    "current_value": a.current_value,
-                    "new_value": a.new_value,
-                    "cost": a.cost,
-                }
-                for a in recourse.actions
-            ],
-            "total_cost": recourse.total_cost,
-            "estimated_sufficiency": recourse.estimated_sufficiency,
-            "estimated_probability": recourse.estimated_probability,
-            "is_empty": recourse.is_empty,
-            "mode": recourse.mode,
-            "optimality_gap": recourse.optimality_gap,
-            "statements": recourse.statements(),
-        }
-    )
+    """Dict view of a recourse recommendation."""
+    return {
+        "actions": [
+            {
+                "attribute": a.attribute,
+                "current_value": a.current_value,
+                "new_value": a.new_value,
+                "cost": a.cost,
+            }
+            for a in recourse.actions
+        ],
+        "total_cost": recourse.total_cost,
+        "estimated_sufficiency": recourse.estimated_sufficiency,
+        "estimated_probability": recourse.estimated_probability,
+        "is_empty": recourse.is_empty,
+        "mode": recourse.mode,
+        "optimality_gap": recourse.optimality_gap,
+        "statements": recourse.statements(),
+    }
 
 
 def verdict_to_dict(verdict: FairnessVerdict) -> dict:
-    """JSON view of one fairness verdict."""
-    return jsonable(
-        {
-            "attribute": verdict.attribute,
-            "necessity": verdict.necessity,
-            "sufficiency": verdict.sufficiency,
-            "worst_pair": verdict.worst_pair,
-            "demographic_disparity": verdict.demographic_disparity,
-            "tolerance": verdict.tolerance,
-            "is_counterfactually_fair": verdict.is_counterfactually_fair,
-            "summary": verdict.summary(),
-        }
-    )
+    """Dict view of one fairness verdict."""
+    return {
+        "attribute": verdict.attribute,
+        "necessity": verdict.necessity,
+        "sufficiency": verdict.sufficiency,
+        "worst_pair": verdict.worst_pair,
+        "demographic_disparity": verdict.demographic_disparity,
+        "tolerance": verdict.tolerance,
+        "is_counterfactually_fair": verdict.is_counterfactually_fair,
+        "summary": verdict.summary(),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -174,12 +171,6 @@ class GlobalExplainRequest:
     attributes: tuple[str, ...] | None = None
     max_pairs_per_attribute: int | None = 8
 
-    def params(self) -> dict:
-        return {
-            "attributes": self.attributes,
-            "max_pairs_per_attribute": self.max_pairs_per_attribute,
-        }
-
 
 @dataclass(frozen=True)
 class ContextExplainRequest:
@@ -190,13 +181,6 @@ class ContextExplainRequest:
     context: Mapping[str, Any] = field(default_factory=dict)
     attributes: tuple[str, ...] | None = None
     max_pairs_per_attribute: int | None = 8
-
-    def params(self) -> dict:
-        return {
-            "context": dict(self.context),
-            "attributes": self.attributes,
-            "max_pairs_per_attribute": self.max_pairs_per_attribute,
-        }
 
 
 @dataclass(frozen=True)
@@ -209,13 +193,6 @@ class LocalExplainRequest:
     individual: Mapping[str, Any] | None = None
     attributes: tuple[str, ...] | None = None
 
-    def params(self) -> dict:
-        return {
-            "index": self.index,
-            "individual": dict(self.individual) if self.individual else None,
-            "attributes": self.attributes,
-        }
-
 
 @dataclass(frozen=True)
 class LocalExplainBatchRequest:
@@ -225,12 +202,6 @@ class LocalExplainBatchRequest:
     cacheable = True
     indices: tuple[int, ...] = ()
     attributes: tuple[str, ...] | None = None
-
-    def params(self) -> dict:
-        return {
-            "indices": tuple(int(i) for i in self.indices),
-            "attributes": self.attributes,
-        }
 
 
 @dataclass(frozen=True)
@@ -249,18 +220,6 @@ class RecourseBatchRequest:
     #: anytime answers carry gaps and must not be served as exact ones.
     mode: str = "exact"
 
-    def params(self) -> dict:
-        return {
-            "indices": (
-                tuple(int(i) for i in self.indices)
-                if self.indices is not None
-                else None
-            ),
-            "actionable": self.actionable,
-            "alpha": self.alpha,
-            "mode": self.mode,
-        }
-
 
 @dataclass(frozen=True)
 class RecourseRequest:
@@ -273,14 +232,6 @@ class RecourseRequest:
     alpha: float = 0.8
     mode: str = "exact"
 
-    def params(self) -> dict:
-        return {
-            "index": self.index,
-            "actionable": self.actionable,
-            "alpha": self.alpha,
-            "mode": self.mode,
-        }
-
 
 @dataclass(frozen=True)
 class AuditRequest:
@@ -290,9 +241,6 @@ class AuditRequest:
     cacheable = True
     protected: tuple[str, ...] | None = None
     tolerance: float = 0.05
-
-    def params(self) -> dict:
-        return {"protected": self.protected, "tolerance": self.tolerance}
 
 
 @dataclass(frozen=True)
@@ -304,15 +252,6 @@ class ScoresRequest:
     contrasts: tuple[tuple[Mapping[str, Any], Mapping[str, Any]], ...] = ()
     context: Mapping[str, Any] = field(default_factory=dict)
 
-    def params(self) -> dict:
-        return {
-            "contrasts": [
-                [dict(values), dict(baselines)]
-                for values, baselines in self.contrasts
-            ],
-            "context": dict(self.context),
-        }
-
 
 @dataclass(frozen=True)
 class UpdateRequest:
@@ -321,9 +260,6 @@ class UpdateRequest:
     kind = "update"
     cacheable = False
     delta: TableDelta = field(default_factory=TableDelta)
-
-    def params(self) -> dict:
-        return {"insert": len(self.delta.insert), "delete": len(self.delta.delete)}
 
 
 # ---------------------------------------------------------------------------
@@ -442,10 +378,9 @@ class ExplainerSession:
         (concurrent requests coalesce into batched engine passes);
         ``False`` embeds the session single-threaded and dispatches
         inline — results are identical.
-    batch_window / max_batch / max_queue:
-        Coalescing and load-shedding knobs forwarded to
-        :class:`MicroBatcher`; ``max_queue=None`` defers to the
-        ``REPRO_MAX_QUEUE`` environment variable.
+    max_queue:
+        Load-shedding bound forwarded to :class:`MicroBatcher`;
+        ``None`` defers to the ``REPRO_MAX_QUEUE`` environment variable.
     tenant:
         Registry name this session serves under. Scopes every cache key,
         so tenants sharing a :class:`ResultCache` — even ones serving an
@@ -459,8 +394,6 @@ class ExplainerSession:
         cache: ResultCache | None = None,
         default_actionable: Sequence[str] | None = None,
         background: bool = False,
-        batch_window: float = 0.002,
-        max_batch: int = 64,
         max_queue: int | None = None,
         tenant: str = "",
     ):
@@ -492,8 +425,6 @@ class ExplainerSession:
                 "scores": self._do_scores,
                 "update": self._do_updates,
             },
-            window=batch_window,
-            max_batch=max_batch,
             max_queue=max_queue,
             start=background,
         )
@@ -579,30 +510,31 @@ class ExplainerSession:
         """Answer one request object; returns a JSON-ready response dict.
 
         Cacheable requests are served from the result cache when the
-        (fingerprint, table version, canonical query) key hits; misses
-        and updates run on the batcher's dispatch lane.  A response
-        computed concurrently with an update may be stored under the
-        pre-update version key — such entries are unreachable (lookups
-        always use the current version) and age out via LRU; stale data
-        is never served.
+        (fingerprint, table version, canonical query) key hits; the
+        query is the request's own dataclass fields.  Misses and updates
+        run on the batcher's dispatch lane, and a computed answer is
+        converted to plain JSON types here, once.  A response computed
+        concurrently with an update may be stored under the pre-update
+        version key — such entries are unreachable (lookups always use
+        the current version) and age out via LRU; stale data is never
+        served.
         """
         if isinstance(request, UpdateRequest):
             # Updates must advance the state chain and purge dependent
             # entries; route them through the one place that does.
             return self.update(request.delta)
         kind = request.kind
-        params = request.params()
         if request.cacheable:
             state = self._state
             key = ResultCache.key(
-                self.fingerprint, state, kind, params, tenant=self.tenant
+                self.fingerprint, state, kind, vars(request), tenant=self.tenant
             )
             with self._cache_lock:
                 hit = self.cache.get(key)
             if hit is not None:
                 self._served += 1
                 return {"kind": kind, "cached": True, "result": hit}
-        result = self._batcher.run(kind, request)
+        result = jsonable(self._batcher.run(kind, request))
         degraded = isinstance(result, Mapping) and bool(result.get("degraded"))
         if request.cacheable and not degraded:
             with self._cache_lock:
@@ -822,12 +754,11 @@ class ExplainerSession:
             if degraded:
                 audit["degraded"] = True
                 audit["degraded_reason"] = "deadline"
-            recourses = audit.pop("recourses")
             audit["recourses"] = [
                 recourse_to_dict(x) if x is not None else None
-                for x in recourses
+                for x in audit.pop("recourses")
             ]
-            out.append(jsonable(audit))
+            out.append(audit)
         return out
 
     def _do_audits(self, requests: list[AuditRequest]) -> list[dict]:
@@ -873,9 +804,9 @@ class ExplainerSession:
             triples = self.lewis.scores_batch(flat, context)
             per_request: dict[int, list] = {i: [] for i in indices}
             for (i, _j), triple in zip(owners, triples):
-                per_request[i].append(jsonable(triple.as_dict()))
+                per_request[i].append(triple.as_dict())
             for i in indices:
-                out[i] = {"context": jsonable(context), "scores": per_request[i]}
+                out[i] = {"context": context, "scores": per_request[i]}
         return out
 
     def _do_updates(self, requests: list[UpdateRequest]) -> list[dict]:
@@ -908,13 +839,7 @@ class ExplainerSession:
             "state_token": self._state,
             "n_rows": len(self.lewis.data),
             "requests_served": self._served,
-            "cache": self.cache.stats(),
-            "engine": estimator.engine.stats(),
-            "local_models": estimator.local_model_stats(),
             "scheduler": self._batcher.stats(),
-            # unified cache schema (one shape for all three layers); the
-            # flat keys above are the deprecated legacy views of the same
-            # counters and will be dropped in a future release.
             "caches": {
                 "result": self.cache.stats_struct().as_dict(),
                 "tensor": estimator.engine.cache_stats().as_dict(),

@@ -50,7 +50,7 @@ def session_footprint(session: DurableSession) -> int:
     """Resident bytes a loaded session pins: table codes + count tensors."""
     data = session.lewis.data
     codes = sum(data.codes(name).nbytes for name in data.names)
-    tensors = session.lewis.estimator.engine.stats().get("bytes", 0) or 0
+    tensors = session.lewis.estimator.engine.cache_stats().bytes
     return int(codes + tensors) + 4096  # + python object overhead, roughly
 
 
@@ -305,13 +305,13 @@ class Registry:
     def stats(self) -> dict:
         """Registry-level counters plus per-layer cache statistics."""
         with self._lock:
-            sessions = self._sessions.stats()
+            sessions = self._sessions.stats_struct("sessions").as_dict()
             loaded = list(self._sessions)
         return {
             "tenants": self.names(),
             "loaded": loaded,
             "loads": self._loads,
             "sessions": sessions,
-            "cache": self.cache.stats(),
+            "cache": self.cache.stats_struct().as_dict(),
             "store": self._store.stats(),
         }

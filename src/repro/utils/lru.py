@@ -8,8 +8,9 @@ things: least-recently-used eviction, an *approximate byte* budget
 rather than an entry count (tensor and response sizes vary by orders of
 magnitude), and introspectable statistics so operators can size the
 budget from observed hit rates.  :class:`ByteBudgetLRU` provides all
-three behind a dict-like interface; the ``stats()`` dict shape is shared
-verbatim by every cache in the system.
+three behind a dict-like interface; :meth:`ByteBudgetLRU.stats_struct`
+reports its counters as :class:`~repro.obs.metrics.CacheStats`, the one
+statistics schema every cache in the system shares.
 """
 
 from __future__ import annotations
@@ -168,13 +169,3 @@ class ByteBudgetLRU:
         from repro.obs.metrics import CacheStats
 
         return CacheStats.from_lru(name, self)
-
-    def stats(self) -> dict:
-        """Deprecated dict view of :meth:`stats_struct` (back-compat shim).
-
-        The key set predates the unified :class:`~repro.obs.metrics
-        .CacheStats` schema and is kept byte-for-byte for existing
-        callers; new code should use :meth:`stats_struct` or read the
-        ``repro_cache_*`` gauges from the metrics registry.
-        """
-        return self.stats_struct().legacy_dict()

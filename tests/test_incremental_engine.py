@@ -224,21 +224,23 @@ class TestEngineStats:
         engine = ContingencyEngine(make_table(rows_to_codes([(0, 1, 0), (1, 2, 1)])))
         engine.tensor(("a",))
         engine.tensor(("a",))
-        stats = engine.stats()
-        for key in ("entries", "bytes", "hits", "misses", "evictions", "n_rows", "version"):
-            assert key in stats
-        assert stats["entries"] == 1
-        assert stats["hits"] == 1
-        assert stats["misses"] == 1
-        assert stats["bytes"] > 0
+        stats = engine.cache_stats()
+        for key in ("name", "entries", "bytes", "hits", "misses", "evictions"):
+            assert key in stats.as_dict()
+        assert stats.name == "tensor"
+        assert stats.entries == 1
+        assert stats.hits == 1
+        assert stats.misses == 1
+        assert stats.bytes > 0
+        assert engine.n_rows == 2 and engine.version == 0
 
     def test_byte_budget_evicts(self):
         engine = ContingencyEngine(
             make_table(rows_to_codes([(0, 1, 0), (1, 2, 1)])), max_bytes=0
         )
         engine.tensor(("a",))
-        stats = engine.stats()
-        assert stats["entries"] == 0
-        assert stats["evictions"] == 1
+        stats = engine.cache_stats()
+        assert stats.entries == 0
+        assert stats.evictions == 1
         # Queries still answer correctly without the cache.
         assert engine.count({"a": 0}) == 1

@@ -9,7 +9,6 @@ import pytest
 
 from repro.obs import metrics as obs
 from repro.obs.metrics import CacheStats, MetricsRegistry
-from repro.utils.lru import ByteBudgetLRU
 
 
 # ---------------------------------------------------------------------------
@@ -162,25 +161,6 @@ class TestCollectors:
 
 
 class TestCacheStats:
-    def test_legacy_dict_matches_historic_lru_shape(self):
-        lru = ByteBudgetLRU(max_bytes=1024)
-        lru.put("k", b"xxxx", size=4)
-        lru.get("k")
-        lru.get("missing")
-        legacy = lru.stats()
-        assert legacy == {
-            "entries": 1,
-            "bytes": 4,
-            "max_bytes": 1024,
-            "hits": 1,
-            "misses": 1,
-            "evictions": 0,
-            "hit_rate": 0.5,
-        }
-        struct = lru.stats_struct("test")
-        assert struct.as_dict()["name"] == "test"
-        assert struct.hit_rate == 0.5
-
     def test_with_extra_merges_without_mutating(self):
         stats = CacheStats(
             name="x", entries=0, bytes=0, max_bytes=None, max_entries=None,

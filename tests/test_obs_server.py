@@ -235,19 +235,18 @@ class TestTracesEndpoint:
             assert "request_id" in body
 
 
-class TestStatsBackCompat:
-    def test_legacy_keys_survive_and_new_sections_appear(self, server):
+class TestStatsSchema:
+    def test_caches_replace_the_flat_cache_keys(self, server):
         _s, _h, raw = get(server, "/v1/stats")
         stats = json.loads(raw)
-        for legacy in (
+        for key in (
             "tenant", "fingerprint", "table_version", "n_rows",
-            "requests_served", "cache", "engine", "local_models", "scheduler",
+            "requests_served", "scheduler", "caches", "solver",
         ):
-            assert legacy in stats, legacy
-        # old flat cache shape intact
-        for key in ("entries", "bytes", "hits", "misses", "hit_rate"):
-            assert key in stats["cache"], key
-        # new unified sections
+            assert key in stats, key
+        # every cache reports once, as CacheStats, under "caches"
+        for flat in ("cache", "engine", "local_models"):
+            assert flat not in stats, flat
         assert set(stats["caches"]) == {"result", "tensor", "local_model"}
         for shape in stats["caches"].values():
             assert {"name", "entries", "hits", "misses"} <= set(shape)

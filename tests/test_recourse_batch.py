@@ -230,7 +230,81 @@ class TestSolverStats:
         assert lewis.solver_stats() == stats
 
 
+class TestMemoisedErrors:
+    def test_memoised_infeasible_errors_hold_no_traceback(self):
+        """A memoised error must not pin the solving frames' locals.
+
+        Regression: ``_materialize`` raised the error and ``solve_batch``
+        caught and memoised it, so each memo entry kept a traceback over
+        the batch's frames (its row dicts and arrays) alive.
+        """
+        table = make_population(seed=8, n=200)
+        solver = RecourseSolver(
+            ScoreEstimator(table, score_model(table)), actionable=["region"]
+        )
+        rows = [table.row_codes(i) for i in range(40)]
+        answers = solver.solve_batch(rows, alpha=0.9, on_infeasible="none")
+        errors = [
+            v for v in solver._solutions.values()
+            if isinstance(v, RecourseInfeasibleError)
+        ]
+        assert errors and None in answers
+        assert all(error.__traceback__ is None for error in errors)
+        # raising mode still raises, chained to the memoised error
+        with pytest.raises(RecourseInfeasibleError) as raised:
+            solver.solve_batch(rows, alpha=0.9)
+        assert raised.value.__cause__ in errors
+        assert all(error.__traceback__ is None for error in errors)
+
+
 class TestRecourseAudit:
+    def test_served_audit_is_independent_of_request_history(
+        self, german_bundle
+    ):
+        """Same table, same query, same answer — whatever came before.
+
+        Regression: the audit carried the solver's cumulative memo and
+        search counters, so a session that had answered an earlier audit
+        served (and cached) a different answer than a fresh one.
+        """
+        from repro import fit_table_model, train_test_split
+        from repro.service import ExplainerSession
+
+        train, test = train_test_split(
+            german_bundle.table, test_fraction=0.5, seed=0
+        )
+        model = fit_table_model(
+            "random_forest", train, german_bundle.feature_names,
+            german_bundle.label, seed=0, n_estimators=5,
+        )
+
+        def session():
+            lewis = Lewis(
+                model, data=test, graph=german_bundle.graph,
+                positive_outcome=german_bundle.positive_label,
+            )
+            return ExplainerSession(
+                lewis, default_actionable=german_bundle.actionable
+            )
+
+        with session() as fresh, session() as served:
+            negatives = [int(i) for i in fresh.lewis.negative_indices()]
+            assert len(negatives) >= 50
+            served.recourse_batch(negatives[10:50], alpha=0.7)
+            first = fresh.recourse_batch(negatives[:20], alpha=0.7)
+            later = served.recourse_batch(negatives[:20], alpha=0.7)
+            assert first["cached"] is later["cached"] is False
+            assert "solver" not in first["result"]
+            assert later["result"] == first["result"]
+            hit = served.recourse_batch(negatives[:20], alpha=0.7)
+            assert hit["cached"] is True
+            assert hit["result"] == first["result"] == later["result"]
+            # the counters still report, per session, outside the answer
+            assert (
+                served.stats()["solver"]["solved_signatures"]
+                > fresh.stats()["solver"]["solved_signatures"]
+            )
+
     def test_audit_counts_are_consistent(self):
         lewis = make_lewis(seed=3)
         audit = lewis.recourse_audit(["skill", "hours"], alpha=0.6)
@@ -262,10 +336,10 @@ class TestLocalModelCacheBound:
                 attribute, table.row_codes(0)
             )
             estimator.local_probability(attribute, 0, context)
-        stats = estimator.local_model_stats()
-        assert stats["entries"] == 2
-        assert stats["evictions"] == 1
-        assert stats["misses"] == 3
+        stats = estimator.local_model_cache_stats()
+        assert stats.entries == 2
+        assert stats.evictions == 1
+        assert stats.misses == 3
 
     def test_evicted_model_refits_identically(self):
         table = make_population(seed=6, n=150)
@@ -281,4 +355,4 @@ class TestLocalModelCacheBound:
             ) == pytest.approx(
                 unbounded.local_probability(attribute, 1, context_u), abs=1e-12
             )
-        assert bounded.local_model_stats()["evictions"] >= 2
+        assert bounded.local_model_cache_stats().evictions >= 2

@@ -202,7 +202,6 @@ class TestRecourseBatchEndpoint:
 class TestSessionStatsGainLocalModels:
     def test_stats_expose_local_model_cache(self, session):
         stats = session.stats()
-        assert "local_models" in stats
         assert {"entries", "hits", "misses", "evictions"} <= set(
-            stats["local_models"]
+            stats["caches"]["local_model"]
         )

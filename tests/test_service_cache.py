@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.service.cache import ResultCache, canonical, payload_bytes
+import json
+
+from repro.service.cache import ResultCache, canonical
 from repro.utils.lru import ByteBudgetLRU
 
 
@@ -15,11 +17,13 @@ class TestByteBudgetLRU:
         assert lru.get("k") is None
         lru.put("k", "value", size=5)
         assert lru.get("k") == "value"
-        stats = lru.stats()
-        assert stats == {
+        stats = lru.stats_struct("k")
+        assert stats.as_dict() == {
+            "name": "k",
             "entries": 1,
             "bytes": 5,
             "max_bytes": 100,
+            "max_entries": None,
             "hits": 1,
             "misses": 1,
             "evictions": 0,
@@ -33,7 +37,7 @@ class TestByteBudgetLRU:
         lru.get("a")  # "a" is now most recent
         lru.put("c", "C", size=4)  # evicts "b"
         assert "a" in lru and "c" in lru and "b" not in lru
-        assert lru.stats()["evictions"] == 1
+        assert lru.stats_struct().evictions == 1
         assert lru.bytes <= 10
 
     def test_eviction_by_entry_count(self):
@@ -46,7 +50,7 @@ class TestByteBudgetLRU:
         lru = ByteBudgetLRU(max_bytes=10)
         lru.put("big", "x", size=50)
         assert len(lru) == 0
-        assert lru.stats()["evictions"] == 1
+        assert lru.stats_struct().evictions == 1
 
     def test_replace_updates_bytes(self):
         lru = ByteBudgetLRU(max_bytes=100)
@@ -60,7 +64,7 @@ class TestByteBudgetLRU:
             lru.put(("v", i), i, size=1)
         dropped = lru.discard_where(lambda k: k[1] < 3)
         assert dropped == 3 and len(lru) == 2
-        assert lru.stats()["evictions"] == 0  # invalidation is not eviction
+        assert lru.stats_struct().evictions == 0  # invalidation is not eviction
 
     def test_default_sizeof_uses_nbytes(self):
         lru = ByteBudgetLRU()
@@ -96,9 +100,10 @@ class TestResultCache:
         assert cache.get(key) is None
         cache.put(key, {"ranking": ["a", "b"]})
         assert cache.get(key) == {"ranking": ["a", "b"]}
-        stats = cache.stats()
-        assert stats["hits"] == 1 and stats["misses"] == 1
-        assert stats["bytes"] == payload_bytes({"ranking": ["a", "b"]})
+        stats = cache.stats_struct()
+        assert stats.hits == 1 and stats.misses == 1
+        # the entry holds its compact JSON encoding and is sized by it
+        assert stats.bytes == len(b'{"ranking":["a","b"]}')
 
     def test_version_partitions_keys(self):
         cache = ResultCache()
@@ -116,11 +121,31 @@ class TestResultCache:
         assert dropped == 1
         assert cache.get(ResultCache.key("fp", 1, "g", {})) == "current"
         assert cache.get(ResultCache.key("other", 0, "g", {})) == "other-session"
-        assert cache.stats()["invalidations"] == 1
+        assert cache.stats_struct().extra["invalidations"] == 1
 
     def test_byte_budget_enforced(self):
-        cache = ResultCache(max_bytes=payload_bytes({"v": 0}) * 2)
+        cache = ResultCache(max_bytes=len(b'{"v":0}') * 2)
         for i in range(10):
             cache.put(ResultCache.key("fp", 0, "g", {"i": i}), {"v": i})
         assert len(cache) <= 2
-        assert cache.stats()["evictions"] >= 8
+        assert cache.stats_struct().evictions >= 8
+
+    def test_hits_decode_a_fresh_copy(self):
+        cache = ResultCache()
+        key = ResultCache.key("fp", 0, "g", {})
+        answer = {"ranking": ["a", "b"], "scores": {"a": 0.5}}
+        cache.put(key, answer)
+        answer["ranking"].reverse()  # the caller keeps mutating its copy
+        first = cache.get(key)
+        first["ranking"].append("c")
+        first["scores"]["a"] = 1.0
+        assert cache.get(key) == {"ranking": ["a", "b"], "scores": {"a": 0.5}}
+
+    def test_entry_is_the_encoding_it_is_sized_by(self):
+        cache = ResultCache()
+        key = ResultCache.key("fp", 0, "g", {})
+        answer = {"x": [1.5, None, True], "s": "caf\u00e9"}
+        cache.put(key, answer)
+        encoded = json.dumps(answer, separators=(",", ":")).encode()
+        assert cache.stats_struct().bytes == len(encoded)
+        assert cache.get(key) == json.loads(encoded) == answer

@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from repro.service.scheduler import MicroBatcher
+from repro.service.scheduler import MAX_BATCH, MicroBatcher
 
 
 def echo_handler(payloads):
@@ -54,43 +54,46 @@ class TestSynchronousMode:
             future.result(timeout=1)
 
     def test_max_batch_splits_rounds(self):
-        batcher = MicroBatcher({"echo": echo_handler}, max_batch=2, start=False)
-        futures = [batcher.submit("echo", i) for i in range(5)]
-        batcher.flush()
+        batcher = MicroBatcher({"echo": echo_handler}, start=False)
+        futures = [batcher.submit("echo", i) for i in range(2 * MAX_BATCH + 1)]
+        assert batcher.flush() == 2 * MAX_BATCH + 1
         assert all(f.result(timeout=1)[1] == i for i, f in enumerate(futures))
         assert batcher.stats()["batches"] == 3
-        assert batcher.stats()["largest_batch"] == 2
+        assert batcher.stats()["largest_batch"] == MAX_BATCH
+
+    @pytest.mark.parametrize("knob", ["window", "max_batch"])
+    def test_removed_knobs_are_rejected(self, knob):
+        with pytest.raises(TypeError):
+            MicroBatcher({"echo": echo_handler}, start=False, **{knob: 1})
+
+    def test_stats_report_no_window(self):
+        stats = MicroBatcher({"echo": echo_handler}, start=False).stats()
+        assert "window_s" not in stats and "max_batch" not in stats
 
 
 class TestBackgroundMode:
     def test_concurrent_submissions_coalesce(self):
+        """Requests queued while the lane is busy dispatch in one round."""
         calls: list[int] = []
-        gate = threading.Event()
+        entered = threading.Event()
+        release = threading.Event()
 
         def handler(payloads):
             calls.append(len(payloads))
+            if len(calls) == 1:
+                entered.set()
+                assert release.wait(timeout=5)
             return payloads
 
-        batcher = MicroBatcher({"echo": handler}, window=0.05, start=True)
-        try:
-            results = [None] * 8
-            gate.set()
-
-            def worker(i):
-                results[i] = batcher.run("echo", i)
-
-            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=5)
-            assert results == list(range(8))
-            # The 50 ms window must have coalesced at least two requests
-            # into one dispatch round.
-            assert max(calls) >= 2
+        with MicroBatcher({"echo": handler}, start=True) as batcher:
+            first = batcher.submit("echo", 0)
+            assert entered.wait(timeout=5)  # the lane is now busy
+            rest = [batcher.submit("echo", i) for i in range(1, 8)]
+            release.set()
+            assert first.result(timeout=5) == 0
+            assert [f.result(timeout=5) for f in rest] == list(range(1, 8))
             assert batcher.stats()["requests"] == 8
-        finally:
-            batcher.close()
+        assert calls == [1, 7]
 
     def test_close_is_idempotent_and_flushes(self):
         batcher = MicroBatcher({"echo": echo_handler}, start=True)

@@ -159,7 +159,7 @@ class TestEndpoints:
     def test_stats(self, base_url):
         status, body = get(f"{base_url}/v1/stats")
         assert status == 200
-        assert set(body) >= {"cache", "engine", "scheduler", "fingerprint"}
+        assert set(body) >= {"caches", "scheduler", "solver", "fingerprint"}
 
 
 class TestErrorMapping:

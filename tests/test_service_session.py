@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -10,10 +11,16 @@ import pytest
 from repro.core.lewis import Lewis
 from repro.data.table import Table
 from repro.service import (
+    AuditRequest,
+    ContextExplainRequest,
     ExplainerSession,
     GlobalExplainRequest,
+    LocalExplainBatchRequest,
     LocalExplainRequest,
+    RecourseBatchRequest,
+    RecourseRequest,
     ResultCache,
+    ScoresRequest,
     TableDelta,
 )
 from repro.service.session import model_fingerprint
@@ -36,17 +43,67 @@ def make_table(seed: int = 0, n: int = 240) -> Table:
     )
 
 
-@pytest.fixture()
-def session():
-    lewis = Lewis(
+def make_numpy_label_table(seed: int = 0, n: int = 240) -> Table:
+    """Like :func:`make_table`, but every a/b label is a numpy integer."""
+    rng = np.random.default_rng(seed)
+    return Table.from_dict(
+        {
+            "a": rng.integers(0, 3, n),
+            "b": rng.integers(0, 3, n),
+            "sex": rng.choice(["F", "M"], n).tolist(),
+        },
+        domains={"a": np.arange(3), "b": np.arange(3), "sex": ["F", "M"]},
+    )
+
+
+def build_lewis(table: Table | None = None) -> Lewis:
+    return Lewis(
         tiny_model,
-        data=make_table(),
+        data=make_table() if table is None else table,
         feature_names=["a", "b"],
         attributes=["a", "b", "sex"],
         infer_orderings=False,
     )
-    with ExplainerSession(lewis, default_actionable=["a", "b"]) as s:
+
+
+@pytest.fixture()
+def session():
+    with ExplainerSession(build_lewis(), default_actionable=["a", "b"]) as s:
         yield s
+
+
+#: the exact types a plain JSON document decodes to
+JSON_TYPES = (dict, list, str, int, float, bool, type(None))
+
+
+def assert_plain_json(value) -> None:
+    """Every value, at any depth, has exactly one of :data:`JSON_TYPES`."""
+    assert type(value) in JSON_TYPES, (type(value), value)
+    if type(value) is dict:
+        for key, item in value.items():
+            assert type(key) is str, (type(key), key)
+            assert_plain_json(item)
+    elif type(value) is list:
+        for item in value:
+            assert_plain_json(item)
+
+
+def one_request_per_kind(lewis: Lewis) -> list:
+    """One request of each of the eight cacheable kinds."""
+    negatives = [int(i) for i in lewis.negative_indices()[:4]]
+    return [
+        GlobalExplainRequest(),
+        ContextExplainRequest(context={"sex": "M"}),
+        LocalExplainRequest(index=0),
+        LocalExplainBatchRequest(indices=(0, 1, 2)),
+        RecourseRequest(index=negatives[0], alpha=0.6),
+        RecourseBatchRequest(indices=tuple(negatives), alpha=0.6),
+        AuditRequest(),
+        ScoresRequest(
+            contrasts=(({"a": 2}, {"a": 0}), ({"b": 1}, {"b": 0})),
+            context={"sex": "F"},
+        ),
+    ]
 
 
 class TestRequestHandling:
@@ -103,14 +160,24 @@ class TestRequestHandling:
             with pytest.raises(ValueError, match="actionable"):
                 bare.recourse(index=int(lewis.negative_indices()[0]))
 
-    def test_responses_are_json_serializable(self, session):
-        for response in (
-            session.explain_global(),
-            session.explain_context({"sex": "M"}),
-            session.explain_local(index=0),
-            session.audit(),
-        ):
-            json.dumps(response)
+    def test_responses_are_json_serializable(self):
+        """Computed and cached answers are plain JSON, even when the
+        table's labels are numpy integers."""
+        lewis = build_lewis(make_numpy_label_table())
+        assert isinstance(lewis.data.column("a").categories[0], np.integer)
+        with ExplainerSession(lewis, default_actionable=["a", "b"]) as s:
+            requests = one_request_per_kind(lewis)
+            assert len({r.kind for r in requests}) == 8
+            for request in requests:
+                for cached in (False, True):
+                    response = s.handle(request)
+                    assert response["cached"] is cached, request.kind
+                    result = response["result"]
+                    assert result == json.loads(json.dumps(result)), request.kind
+                    assert_plain_json(response)
+            update = s.update({"insert": [lewis.data.row(0)], "delete": [1]})
+            assert update["result"] == json.loads(json.dumps(update["result"]))
+            assert_plain_json(update)
 
 
 class TestCaching:
@@ -119,7 +186,18 @@ class TestCaching:
         second = session.explain_global()
         assert first["cached"] is False and second["cached"] is True
         assert second["result"] == first["result"]
-        assert session.cache.stats()["hits"] == 1
+        assert session.cache.stats_struct().hits == 1
+
+    def test_mutating_an_answer_leaves_the_cache_intact(self, session):
+        first = session.explain_global()["result"]
+        expected = json.loads(json.dumps(first))
+        first["ranking"].reverse()  # the computed answer
+        hit = session.explain_global()
+        assert hit["cached"] is True and hit["result"] == expected
+        hit["result"]["ranking"].reverse()  # a served hit
+        hit["result"]["attributes"].clear()
+        again = session.explain_global()
+        assert again["cached"] is True and again["result"] == expected
 
     def test_distinct_params_miss(self, session):
         session.explain_global()
@@ -193,6 +271,99 @@ class TestCaching:
             assert sb.explain_global()["cached"] is False
 
 
+class KeyProbe(ResultCache):
+    """A cache that records each lookup key and answers every lookup,
+    so a request's key is known without computing its answer."""
+
+    def get(self, key):
+        self.last_key = key
+        return {}
+
+
+#: per cacheable request class: (a base request, a different value for
+#: every field, equivalent requests that must share the base's key)
+KEY_CASES = [
+    (
+        GlobalExplainRequest(attributes=("a", "b"), max_pairs_per_attribute=8),
+        {"attributes": ("a",), "max_pairs_per_attribute": 2},
+        [GlobalExplainRequest(attributes=["a", "b"],
+                              max_pairs_per_attribute=np.int64(8))],
+    ),
+    (
+        ContextExplainRequest(context={"a": 1, "sex": "M"}, attributes=("a", "b")),
+        {"context": {"a": 2, "sex": "M"}, "attributes": ("b",),
+         "max_pairs_per_attribute": 3},
+        [ContextExplainRequest(context={"sex": "M", "a": np.int64(1)},
+                               attributes=["a", "b"])],
+    ),
+    (
+        LocalExplainRequest(index=3, individual={"a": 1, "b": 2}, attributes=("a",)),
+        {"index": 4, "individual": {"a": 1, "b": 0}, "attributes": ("b",)},
+        [LocalExplainRequest(index=np.int64(3), individual={"b": 2, "a": 1},
+                             attributes=["a"])],
+    ),
+    (
+        LocalExplainBatchRequest(indices=(0, 1, 2), attributes=("a",)),
+        {"indices": (0, 1), "attributes": None},
+        [LocalExplainBatchRequest(indices=[np.int64(0), 1, 2], attributes=["a"])],
+    ),
+    (
+        RecourseRequest(index=1, actionable=("a", "b"), alpha=0.8),
+        {"index": 2, "actionable": ("b",), "alpha": 0.9, "mode": "anytime"},
+        [RecourseRequest(index=np.int64(1), actionable=["a", "b"],
+                         alpha=np.float64(0.8))],
+    ),
+    (
+        RecourseBatchRequest(indices=(1, 2), actionable=("a", "b"), alpha=0.8),
+        {"indices": (1,), "actionable": ("a",), "alpha": 0.7, "mode": "anytime"},
+        [RecourseBatchRequest(indices=[np.int64(1), np.int64(2)],
+                              actionable=["a", "b"], alpha=np.float64(0.8))],
+    ),
+    (
+        AuditRequest(protected=("sex",), tolerance=0.05),
+        {"protected": ("a",), "tolerance": 0.1},
+        [AuditRequest(protected=["sex"], tolerance=np.float64(0.05))],
+    ),
+    (
+        ScoresRequest(contrasts=(({"a": 2}, {"a": 0}),), context={"sex": "F", "b": 1}),
+        {"contrasts": (({"a": 1}, {"a": 0}),), "context": {"sex": "M", "b": 1}},
+        [ScoresRequest(contrasts=[[{"a": np.int64(2)}, {"a": 0}]],
+                       context={"b": 1, "sex": "F"})],
+    ),
+]
+
+
+class TestCacheKeys:
+    @pytest.fixture()
+    def key_of(self):
+        probe = KeyProbe()
+        with ExplainerSession(build_lewis(), cache=probe) as s:
+
+            def key(request):
+                assert s.handle(request)["cached"] is True
+                return probe.last_key
+
+            yield key
+
+    @pytest.mark.parametrize(
+        "base, changes, equivalents", KEY_CASES,
+        ids=[type(case[0]).__name__ for case in KEY_CASES],
+    )
+    def test_key_is_the_request_fields(self, key_of, base, changes, equivalents):
+        names = {f.name for f in dataclasses.fields(base)}
+        assert set(changes) == names  # every field is exercised
+        key = key_of(base)
+        assert key[3] == base.kind
+        for name, value in changes.items():
+            assert key_of(dataclasses.replace(base, **{name: value})) != key, name
+        for equivalent in equivalents:
+            assert key_of(equivalent) == key
+
+    def test_every_cacheable_kind_is_covered(self):
+        kinds = {case[0].kind for case in KEY_CASES}
+        assert kinds == {r.kind for r in one_request_per_kind(build_lewis())}
+
+
 class TestUpdates:
     def test_update_bumps_version_and_invalidates(self, session):
         session.explain_global()
@@ -261,9 +432,18 @@ class TestIntrospection:
         stats = session.stats()
         assert stats["requests_served"] == 1
         assert stats["table_version"] == 0
-        for section in ("cache", "engine", "scheduler"):
+        for section in ("scheduler", "caches", "solver"):
             assert isinstance(stats[section], dict)
+        for flat in ("cache", "engine", "local_models"):
+            assert flat not in stats
+        assert set(stats["caches"]) == {"result", "tensor", "local_model"}
+        assert stats["caches"]["result"]["misses"] == 1
         json.dumps(stats)
+
+    @pytest.mark.parametrize("knob", ["batch_window", "max_batch"])
+    def test_removed_batching_knobs_are_rejected(self, knob):
+        with pytest.raises(TypeError):
+            ExplainerSession(build_lewis(), **{knob: 1})
 
     def test_fingerprint_stable_and_model_sensitive(self, session):
         table = make_table()
@@ -277,4 +457,8 @@ class TestIntrospection:
         session.explain_global()
         text = render_service_stats(session.stats(), title="stats")
         assert text.startswith("stats")
-        assert "cache:" in text and "hits" in text
+        lines = text.splitlines()
+        # nested sections render as indented blocks, one per cache
+        assert "caches:" in lines and "  result:" in lines
+        assert any(line.startswith("    hits") for line in lines)
+        assert not any("{" in line for line in lines)

@@ -149,7 +149,7 @@ class TestEngineState:
         for signature in (("a",), ("a", "b"), ("a", "b", "color")):
             assert np.array_equal(fresh.tensor(signature), engine.tensor(signature))
         # the cache was warm: no misses beyond the initial lookups
-        assert fresh.stats()["misses"] == 0
+        assert fresh.cache_stats().misses == 0
 
     def test_load_rejects_wrong_table(self):
         engine = ContingencyEngine(make_table(n=40))

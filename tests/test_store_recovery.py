@@ -174,10 +174,10 @@ class TestRestoreDetails:
         assert restored.table_version == session.table_version
         # warm: the first tensor access is a cache hit, not a rebuild
         engine = restored.lewis.estimator.engine
-        before = engine.stats()["misses"]
+        before = engine.cache_stats().misses
         for signature in SIGNATURES:
             engine.tensor(signature)
-        assert engine.stats()["misses"] == before
+        assert engine.cache_stats().misses == before
         restored.close()
 
     def test_replay_continues_state_chain(self, store, session):

@@ -268,5 +268,8 @@ class TestTenantCacheIsolation:
         stats = registry.stats()
         assert stats["tenants"] == ["alpha"]
         assert stats["loaded"] == ["alpha"]
-        assert set(stats["sessions"]) >= {"entries", "bytes", "evictions"}
-        assert "store" in stats and "cache" in stats
+        assert stats["sessions"]["name"] == "sessions"
+        assert stats["cache"]["name"] == "result"
+        for cache in (stats["sessions"], stats["cache"]):
+            assert set(cache) >= {"entries", "bytes", "evictions", "hit_rate"}
+        assert "store" in stats
