@@ -149,7 +149,7 @@ def run_round(seed: int) -> dict:
     with tempfile.TemporaryDirectory(prefix="chaos-") as tmp:
         store = ArtifactStore(tmp)
         create_tenant(store, "t", make_lewis()).close()
-        registry = Registry(store, background=True)
+        registry = Registry(store)
         server = create_server(registry=registry, port=0)
         threading.Thread(target=server.serve_forever, daemon=True).start()
         host, port = server.server_address[:2]

@@ -161,14 +161,12 @@ def run_round(seed: int) -> dict:
         tmp = Path(tmp)
         leader_store = ArtifactStore(tmp / "leader")
         create_tenant(leader_store, "t", make_lewis(rows=BASE_ROWS)).close()
-        leader = create_server(
-            registry=Registry(leader_store, background=True), port=0
-        )
+        leader = create_server(registry=Registry(leader_store), port=0)
         leader_base = start_server(leader)
         followers = []
         for name in ("f1", "f2"):
             server = create_server(
-                registry=Registry(tmp / name, background=True),
+                registry=Registry(tmp / name),
                 port=0,
                 follow=leader_base,
             )

@@ -210,10 +210,7 @@ def cmd_serve(args) -> int:
         from repro.utils.exceptions import StoreError
 
         registry = Registry(
-            args.store,
-            max_bytes=int(args.session_mb * (1 << 20)),
-            cache=cache,
-            background=True,
+            args.store, max_bytes=int(args.session_mb * (1 << 20)), cache=cache
         )
         names = registry.names()
         if not names and not args.follow:
@@ -253,10 +250,7 @@ def cmd_serve(args) -> int:
         return 1
     bundle, _model, lewis = _build_explainer(args)
     session = ExplainerSession(
-        lewis,
-        cache=cache,
-        default_actionable=bundle.actionable,
-        background=True,
+        lewis, cache=cache, default_actionable=bundle.actionable
     )
     try:
         serve(session, host=args.host, port=args.port, verbose=args.verbose)

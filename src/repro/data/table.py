@@ -119,6 +119,21 @@ class Column:
                 f"column {self.name!r}: {value!r} not in domain {self.categories!r}"
             ) from exc
 
+    def lenient_code_of(self, value: Any) -> int:
+        """:meth:`code_of`, also matching a label by its string form.
+
+        For labels that crossed JSON or a command line in a query:
+        ``"2"`` finds the category ``2``.  Rows entering the table stay
+        strict, so a delta still rejects an unknown label.
+        """
+        try:
+            return self.code_of(value)
+        except DomainError:
+            for code, category in enumerate(self.categories):
+                if str(category) == str(value):
+                    return code
+            raise
+
     def value_counts(self) -> dict:
         """Return ``{category: count}`` including zero-count categories."""
         counts = np.bincount(self.codes, minlength=self.cardinality)

@@ -3,10 +3,10 @@
 A :class:`MonitorSet` owns every monitor registered against one
 session: for each it keeps the frozen spec, the baseline summary, the
 latest summary, a WAL-seq cursor, and its drift detectors. All state
-mutation runs on the session's micro-batcher dispatch lane (the set
-registers itself as the ``"monitor"`` request kind), so monitor
-evaluation serializes with explanation and update traffic exactly the
-way every other engine access does — no second locking discipline.
+mutation runs on the session's lane (the set registers itself as the
+``"monitor"`` request kind), so monitor evaluation serializes with
+explanation and update traffic exactly the way every other engine
+access does — no second locking discipline.
 
 The refresh path is the point of the subsystem: after a delta batch the
 engine's count tensors are already current (``apply_delta`` is
@@ -81,7 +81,7 @@ class MonitorSet:
         self._refresh_failures = 0
         if journal is not None:
             self._recover(journal)
-        # All mutation funnels through the session's dispatch lane.
+        # All mutation funnels through the session's lane.
         session._batcher.register("monitor", self.handle)
 
     # -- lane-routed public API --------------------------------------------
@@ -107,56 +107,40 @@ class MonitorSet:
         return self._session._batcher.run("monitor", ("refresh", None))
 
     def poke(self) -> None:
-        """Queue an asynchronous refresh on the dispatch lane.
+        """Refresh every monitor now, through the lane on the caller's thread.
 
-        The post-update notification path: it must not block the update
-        response on monitor evaluation (a recourse probe re-solve can
-        take a while), so it submits and returns. Errors are counted,
-        not raised — nobody is waiting on the future.
+        The post-update notification path: the update's caller waits for
+        the refresh, so an acknowledged update has already refreshed its
+        monitors, inside the update's trace.  Errors are counted, not
+        raised — the update they follow has already succeeded.
         """
         if not self._monitors:
             return
-        future = self._session._batcher.submit("monitor", ("refresh", None))
-        future.add_done_callback(self._note_refresh_result)
-        if self._session._batcher._thread is None:
-            # synchronous-mode session: nothing else will flush the lane
-            self._session._batcher.flush()
-
-    def _note_refresh_result(self, future) -> None:
-        if not future.cancelled() and future.exception() is not None:
-            self._refresh_errors += 1
+        try:
+            self.refresh()
+        except Exception:  # noqa: BLE001 - counted, never raised
+            with self._cond:
+                self._refresh_errors += 1
             _MONITOR_REFRESH_ERRORS.inc()
 
-    # -- the dispatch-lane handler -----------------------------------------
+    # -- the lane handler ----------------------------------------------------
 
-    def handle(self, commands: list) -> list:
-        """Micro-batcher handler: one result per ``(op, arg)`` command.
+    def handle(self, command: tuple[str, Any]) -> Any:
+        """Lane handler: answer one ``(op, arg)`` command."""
+        op, arg = command
+        if op == "add":
+            return self._add(arg)
+        if op == "list":
+            return self._list()
+        if op == "get":
+            return self._describe(self._monitors[arg])
+        if op == "remove":
+            return self._remove(arg)
+        if op == "refresh":
+            return self._refresh()
+        raise ValueError(f"unknown monitor command {op!r}")
 
-        Multiple ``refresh`` commands coalesced into one batch evaluate
-        once and share the result — the lane cannot have applied new
-        deltas between them.
-        """
-        results = []
-        refreshed: dict | None = None
-        for op, arg in commands:
-            if op == "add":
-                refreshed = None  # a new monitor invalidates the shared result
-                results.append(self._add(arg))
-            elif op == "list":
-                results.append(self._list())
-            elif op == "get":
-                results.append(self._describe(self._monitors[arg]))
-            elif op == "remove":
-                results.append(self._remove(arg))
-            elif op == "refresh":
-                if refreshed is None:
-                    refreshed = self._refresh()
-                results.append(refreshed)
-            else:
-                raise ValueError(f"unknown monitor command {op!r}")
-        return results
-
-    # -- command implementations (dispatch lane only) ----------------------
+    # -- command implementations (lane only) ---------------------------------
 
     def _position(self) -> int:
         """The session's current stream position.
@@ -367,7 +351,7 @@ class MonitorSet:
                 },
             }
             # The update that triggered the alert, when the refresh ran
-            # inside a traced request (dispatch-lane notify path).
+            # inside a traced request (the post-update notify path).
             request_id = _tracing.current_trace_id()
             if request_id is not None:
                 data["request_id"] = request_id

@@ -10,10 +10,12 @@ change, closes the stale set, and rebuilds from the tenant's journal
 (registrations, alert history and detector state all replay).
 
 ``notify`` is the update hook: after a successful ``/v1/update`` the
-server pokes the session's monitor set, which queues one asynchronous
-refresh on the session's own dispatch lane. Tenants without monitors
-cost nothing — ``notify`` only acts on sessions that already have a
-set attached.
+server pokes the session's monitor set, which refreshes synchronously
+through the session's lane on the update's own thread, inside its
+trace — so the update's response is sent only after its monitors (and
+any alert journaled under its request id) caught up. Tenants without
+monitors cost nothing — ``notify`` only acts on sessions that already
+have a set attached.
 """
 
 from __future__ import annotations
@@ -93,7 +95,7 @@ class MonitorScheduler:
             return None
 
     def notify(self, session: ExplainerSession) -> None:
-        """Post-update hook: queue a refresh for the session's monitors."""
+        """Post-update hook: refresh the session's monitors now."""
         monitors = self.peek(session)
         if monitors is not None:
             monitors.poke()

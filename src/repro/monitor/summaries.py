@@ -45,7 +45,6 @@ from repro.core.fairness import (
 from repro.core.monotonicity import monotonicity_from_counts
 from repro.core.recourse import RecourseSolver
 from repro.core.scores import SCORE_KINDS, ScoreEstimator
-from repro.utils.exceptions import DomainError
 
 MONITOR_KINDS = ("score", "fairness", "monotonicity", "recourse")
 
@@ -68,17 +67,6 @@ METRICS = {
 #: is re-solved on every refresh).
 DEFAULT_PROBE_SIZE = 32
 MAX_PROBE_SIZE = 256
-
-
-def _code_of(column, value) -> int:
-    """Label -> code, tolerating JSON/CLI string round trips of labels."""
-    try:
-        return int(column.code_of(value))
-    except DomainError:
-        for code, category in enumerate(column.categories):
-            if str(category) == str(value):
-                return code
-        raise
 
 
 def _object(payload: Mapping, key: str) -> dict:
@@ -142,8 +130,8 @@ def encode_spec(lewis, payload: Mapping) -> dict:
         if "value" not in params or "baseline" not in params:
             raise ValueError("score monitor needs 'value' and 'baseline' params")
         col = data.column(attribute)
-        treatment = _code_of(col, params["value"])
-        baseline = _code_of(col, params["baseline"])
+        treatment = col.lenient_code_of(params["value"])
+        baseline = col.lenient_code_of(params["baseline"])
         if treatment == baseline:
             raise ValueError("value and baseline encode to the same code")
         spec["coded"] = {
@@ -151,7 +139,7 @@ def encode_spec(lewis, payload: Mapping) -> dict:
             "treatment": treatment,
             "baseline": baseline,
             "context": {
-                str(n): _code_of(data.column(n), v)
+                str(n): data.column(n).lenient_code_of(v)
                 for n, v in _object(params, "context").items()
             },
         }
@@ -160,7 +148,7 @@ def encode_spec(lewis, payload: Mapping) -> dict:
         spec["coded"] = {
             "attribute": str(attribute),
             "context": {
-                str(n): _code_of(data.column(n), v)
+                str(n): data.column(n).lenient_code_of(v)
                 for n, v in _object(params, "context").items()
             },
         }

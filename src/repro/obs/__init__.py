@@ -1,7 +1,7 @@
 """Process-wide observability: metrics registry, request tracing, profiling.
 
 Every layer of the serving stack — result cache, engine tensor cache,
-micro-batcher, write-ahead log, recourse solver, monitors — used to
+dispatch lane, write-ahead log, recourse solver, monitors — used to
 expose its own ad-hoc ``stats()`` dict and nothing else.  This package
 gives them one shared measurement substrate:
 
@@ -10,8 +10,8 @@ gives them one shared measurement substrate:
   snapshot schema and Prometheus text exposition, plus the unified
   :class:`CacheStats` schema every cache in the system reports through.
 * :mod:`repro.obs.tracing` — ``trace_id``/span context created at the
-  HTTP edge (and CLI entry) and propagated through the session and the
-  micro-batcher's dispatch lane; finished traces land in a bounded
+  HTTP edge (and CLI entry) and carried by the request's own thread
+  through the session and its lane; finished traces land in a bounded
   in-memory ring with a separate longer-lived ring for slow requests,
   and ``REPRO_PROFILE=1`` attaches a cProfile summary per root span.
 
@@ -35,7 +35,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.tracing import (
     Tracer,
-    attach,
     current_context,
     current_trace_id,
     get_tracer,
@@ -53,7 +52,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "Tracer",
-    "attach",
     "current_context",
     "current_trace_id",
     "enabled",

@@ -8,12 +8,12 @@ record named, timed sections; the current ``(trace_id, span_id)`` pair
 lives in a :mod:`contextvars` variable so nesting works naturally
 within a thread.
 
-The serving stack crosses one boundary a context variable cannot: the
-micro-batcher's dispatch thread runs handler code on behalf of many
-caller threads.  ``submit`` captures :func:`current_context` into the
-queued item and the dispatcher re-enters it with :func:`attach`, so
-queue-wait and compute spans parent correctly; timings measured across
-the hop are replayed into the trace with :func:`record_span`.
+A request runs on one thread from edge to answer — the session's lane
+is a lock, not a thread hop — so its queue-wait, compute, recourse-solve
+and monitor-refresh spans nest under the root by the context variable
+alone.  Timings measured where a context manager cannot wrap the work
+(the WAL's fsync, timed inside its append lock) are added to the active
+trace with :func:`record_span`.
 
 Finished traces are appended to a bounded ring (newest win) plus a
 separate, longer-lived ring for *slow* requests (root duration above
@@ -335,19 +335,6 @@ def span(
         )
 
 
-@contextmanager
-def attach(ctx: Mapping[str, Any] | None) -> Iterator[None]:
-    """Re-enter a captured :func:`current_context` on another thread."""
-    if ctx is None or not _metrics.enabled():
-        yield
-        return
-    token = _CONTEXT.set((str(ctx["trace_id"]), str(ctx["span_id"])))
-    try:
-        yield
-    finally:
-        _CONTEXT.reset(token)
-
-
 def record_span(
     ctx: Mapping[str, Any] | None,
     name: str,
@@ -359,7 +346,7 @@ def record_span(
     """Replay an externally measured span into a trace.
 
     The path for timings measured where a context manager cannot run,
-    such as queue waits measured across threads.
+    such as an fsync timed inside the log's append lock.
     """
     if ctx is None or not _metrics.enabled():
         return
@@ -383,7 +370,6 @@ __all__ = [
     "SLOW_RING_CAPACITY",
     "TRACER",
     "Tracer",
-    "attach",
     "current_context",
     "current_trace_id",
     "get_tracer",

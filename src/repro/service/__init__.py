@@ -1,14 +1,14 @@
-"""The explanation serving layer: sessions, caching, batching, updates.
+"""The explanation serving layer: sessions, caching, dispatch, updates.
 
 This subpackage turns the LEWIS library into a servable system.  A
 :class:`ExplainerSession` owns one model + :class:`~repro.core.lewis
 .Lewis` + contingency engine and answers typed request objects; a
 byte-bounded :class:`ResultCache` memoises whole responses keyed by
-(model fingerprint, table version, canonical query); a
-:class:`MicroBatcher` coalesces concurrent requests into batched engine
-passes; :class:`TableDelta` updates flow through
-``ContingencyEngine.apply_delta`` so standing state is maintained
-incrementally instead of rebuilt; and :mod:`repro.service.server` puts a
+(model fingerprint, table state, canonical query); a
+:class:`MicroBatcher` is the session's lane, a lock that runs one
+request at a time on its caller's thread; :class:`TableDelta` updates
+flow through ``ContingencyEngine.apply_delta`` so standing state is
+maintained incrementally instead of rebuilt; and :mod:`repro.service.server` puts a
 stdlib JSON-over-HTTP front end on top (``python -m repro.cli serve``).
 """
 

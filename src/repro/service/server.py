@@ -2,10 +2,11 @@
 
 No framework, no dependency: :class:`http.server.ThreadingHTTPServer`
 plus a request handler that maps JSON bodies onto a session's typed
-request objects.  Because every handler thread funnels engine work into
-the session's micro-batcher, concurrent HTTP requests coalesce into
-batched engine passes while cache hits return without touching the
-engine at all.
+request objects.  Each handler thread runs its own request: cache hits
+return without touching the engine, and misses wait for the session's
+lane (one lock) and compute on that same thread, so the server needs
+no dispatch thread and serves a session exactly as an embedded caller
+does.
 
 The server runs in one of two modes (or both at once):
 
@@ -21,9 +22,11 @@ request, whatever its method, takes one dispatch path through it.
 
 Every session POST opens a trace at the edge: the generated
 ``request_id`` (== trace id) is echoed in success *and* error bodies,
-stamped into WAL records written on its behalf, and the finished trace —
-queue-wait, compute, recourse-solve and fsync spans included — is
-retrievable from ``GET /v1/traces`` the moment the response is sent.
+stamped into WAL records and monitor alerts written on its behalf, and
+the finished trace — queue-wait, compute, recourse-solve, fsync and
+monitor-refresh spans included — is retrievable from ``GET /v1/traces``
+the moment the response is sent.  The response's ``state_token`` and
+``table_version`` name the table state that produced its answer.
 ``GET /metrics`` exposes the process-wide metrics registry in Prometheus
 text format.
 
@@ -633,11 +636,17 @@ class ExplainerRequestHandler(BaseHTTPRequestHandler):
         return self._session
 
     def _envelope(self, response: dict) -> dict:
-        """Stamp state, request id and timings onto a session POST's answer."""
-        # elapsed_ms covers the whole handler — body read, micro-batcher
-        # queue wait, compute, serialization — while queue_ms/compute_ms
-        # break out the dispatch lane's share from the finished trace
-        # (both 0.0 on cache hits or with observability disabled).
+        """Stamp request id and timings onto a session POST's answer.
+
+        An answer from :meth:`ExplainerSession.handle` already names its
+        table state (``state_token``, ``table_version``), read under the
+        lane, so an update landing since cannot relabel it; a monitor
+        registration is stamped with the session's state here.
+        """
+        # elapsed_ms covers the whole handler — body read, lane wait,
+        # compute, serialization — while queue_ms/compute_ms break out
+        # the lane's share from the finished trace (both 0.0 on cache
+        # hits or with observability disabled).
         queue_ms = compute_ms = 0.0
         record = _tracing.get_tracer().get(self.request_id)
         if record is not None:
@@ -652,8 +661,8 @@ class ExplainerRequestHandler(BaseHTTPRequestHandler):
             # the envelope still see that this 200 is an anytime answer.
             response["degraded"] = True
             response["degraded_reason"] = result.get("degraded_reason")
-        response["table_version"] = self.session.table_version
-        response["state_token"] = self.session.state_token
+        response.setdefault("table_version", self.session.table_version)
+        response.setdefault("state_token", self.session.state_token)
         response["request_id"] = self.request_id
         response["elapsed_ms"] = round((time.perf_counter() - self._started) * 1e3, 3)
         response["queue_ms"] = round(queue_ms, 3)
@@ -904,7 +913,8 @@ class ExplainerRequestHandler(BaseHTTPRequestHandler):
         scheduler = self.server.monitors
         if scheduler is not None:
             # refresh the tenant's standing monitors against the batch
-            # just applied (async, on its lane)
+            # just applied, inside this update's trace: an acknowledged
+            # update has already refreshed them
             scheduler.notify(self.session)
         return response
 
@@ -1089,7 +1099,8 @@ def create_server(
     ``port=0`` auto-picks. The caller owns the lifecycle:
     ``serve_forever()`` to block, ``shutdown()`` + ``server_close()`` to
     stop (``server_close`` drains in-flight handler threads), then close
-    the session/registry.
+    the session/registry.  The session and registry need no preparation:
+    handler threads call them exactly as an embedded caller would.
 
     ``follow`` makes this a read-only *follower* of the leader at that
     base URL: it bootstraps every tenant from the leader's snapshots,
@@ -1108,12 +1119,6 @@ def create_server(
     handler = type(
         "BoundHandler", (ExplainerRequestHandler,), {"verbose": verbose}
     )
-    # Handler threads are only safe against a running dispatch lane —
-    # without it each thread would execute engine work inline.
-    if session is not None:
-        session.start_background()
-    if registry is not None:
-        registry.ensure_background()
     server = ExplainerHTTPServer((host, port), handler)
     server.session = session
     server.registry = registry

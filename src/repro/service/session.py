@@ -22,14 +22,14 @@ request object:
   against the live table.
 
 ``handle(request)`` answers from the byte-bounded result cache when the
-(model fingerprint, table version, canonical query) key hits; misses are
-routed through the session's :class:`~repro.service.scheduler
-.MicroBatcher`, whose single dispatch thread is the only code that
-touches the engine — concurrent requests coalesce into batched engine
-passes *and* the session is thread-safe by construction.  Updates flow
-through the same dispatch lane, so reads and writes serialize without a
-global lock; afterwards only the cache entries keyed to superseded table
-versions are purged.
+(model fingerprint, table state, canonical query) key hits; a miss runs
+on the caller's own thread through the session's lane
+(:class:`~repro.service.scheduler.MicroBatcher`), a lock that admits one
+request at a time.  Only code on the lane touches the engine, so the
+session is thread-safe by construction.  Updates take the same lane, so
+reads and writes serialize with no second discipline; afterwards only
+the cache entries keyed to superseded table states are purged.  Every
+response names the table state that produced it.
 """
 
 from __future__ import annotations
@@ -49,13 +49,11 @@ from repro.core.explanations import GlobalExplanation, LocalExplanation
 from repro.core.fairness import FairnessAuditor, FairnessVerdict
 from repro.core.lewis import Lewis
 from repro.core.recourse import Recourse
-from repro.data.table import Column
 from repro.obs import metrics as _obs
 from repro.service.cache import ResultCache
 from repro.service.scheduler import MicroBatcher
 from repro.service.updates import TableDelta, apply_delta
 from repro.utils import deadline as _deadline
-from repro.utils.exceptions import DomainError
 
 
 # ---------------------------------------------------------------------------
@@ -292,13 +290,6 @@ def _session_collector(ref: "weakref.ref[ExplainerSession]"):
         samples[_obs.full_name("repro_session_table_version", labels)] = float(
             session.table_version
         )
-        batcher = session._batcher.stats()
-        samples[_obs.full_name("repro_batcher_largest_batch", labels)] = float(
-            batcher["largest_batch"]
-        )
-        samples[_obs.full_name("repro_batcher_mean_batch", labels)] = float(
-            batcher["mean_batch"]
-        )
         for name, value in session.lewis.solver_stats().items():
             samples[
                 _obs.full_name(f"repro_solver_{name}", labels)
@@ -373,19 +364,18 @@ class ExplainerSession:
     default_actionable:
         Fallback attribute set for :class:`RecourseRequest` objects that
         do not name one (typically the dataset bundle's actionable list).
-    background:
-        Start the micro-batcher's dispatch thread. ``True`` for servers
-        (concurrent requests coalesce into batched engine passes);
-        ``False`` embeds the session single-threaded and dispatches
-        inline — results are identical.
     max_queue:
-        Load-shedding bound forwarded to :class:`MicroBatcher`;
-        ``None`` defers to the ``REPRO_MAX_QUEUE`` environment variable.
+        Bound on callers waiting for the session's lane, forwarded to
+        :class:`MicroBatcher`; ``None`` defers to the ``REPRO_MAX_QUEUE``
+        environment variable.
     tenant:
         Registry name this session serves under. Scopes every cache key,
         so tenants sharing a :class:`ResultCache` — even ones serving an
         identical (model, table state) pair — can never cross-serve each
         other's responses. Empty for single-session deployments.
+
+    The session starts no thread: every request runs on its caller's
+    thread, and any number of threads may call it at once.
     """
 
     def __init__(
@@ -393,7 +383,6 @@ class ExplainerSession:
         lewis: Lewis,
         cache: ResultCache | None = None,
         default_actionable: Sequence[str] | None = None,
-        background: bool = False,
         max_queue: int | None = None,
         tenant: str = "",
     ):
@@ -404,29 +393,32 @@ class ExplainerSession:
             list(default_actionable) if default_actionable else None
         )
         self.fingerprint = model_fingerprint(lewis._model, lewis.data)
-        self._state = data_state_token(lewis.data)
+        #: (state token, table version) of the table the lane serves;
+        #: replaced in one assignment per applied delta, so a reader
+        #: never sees one half of a pair without the other
+        self._stamp = (data_state_token(lewis.data), lewis.table_version)
         # Recent tokens of the state chain (newest last). Replicas use
         # membership as the read-your-writes check: a client pinning
         # X-Repro-Min-State to a token it observed is served only once
         # this session's chain has passed through that token.
         self._state_history: deque[str] = deque(maxlen=256)
-        self._state_history.append(self._state)
+        self._state_history.append(self._stamp[0])
         self._cache_lock = threading.Lock()
         self._served = 0
+        handlers = {
+            "explain_global": self._do_global,
+            "explain_context": self._do_context,
+            "explain_local": self._do_local,
+            "explain_local_batch": self._do_local_batch,
+            "recourse": self._do_recourse,
+            "recourse_batch": self._do_recourse_batch,
+            "audit": self._do_audit,
+            "scores": self._do_scores,
+            "update": self._do_update,
+        }
         self._batcher = MicroBatcher(
-            {
-                "explain_global": self._do_globals,
-                "explain_context": self._do_contexts,
-                "explain_local": self._do_locals,
-                "explain_local_batch": self._do_local_batches,
-                "recourse": self._do_recourses,
-                "recourse_batch": self._do_recourse_batches,
-                "audit": self._do_audits,
-                "scores": self._do_scores,
-                "update": self._do_updates,
-            },
+            {kind: self._stamped(do) for kind, do in handlers.items()},
             max_queue=max_queue,
-            start=background,
         )
         # Weakly-referenced registry collector: all three cache layers,
         # session gauges, solver memo counters and (when durable) WAL
@@ -440,19 +432,12 @@ class ExplainerSession:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def start_background(self) -> None:
-        """Start the batcher's dispatch thread (idempotent).
-
-        Required before serving the session from multiple threads: the
-        dispatch lane is what serializes engine access.  The HTTP server
-        calls this automatically.
-        """
-        self._batcher.start()
-
     def close(self) -> None:
-        """Stop the dispatch thread (idempotent)."""
+        """Unregister the metrics collector (idempotent).
+
+        The session holds no thread, so a closed session still answers.
+        """
         _obs.get_registry().unregister_collector(self._collector_key)
-        self._batcher.close()
 
     def __enter__(self) -> "ExplainerSession":
         return self
@@ -464,23 +449,27 @@ class ExplainerSession:
 
     @property
     def table_version(self) -> int:
-        """The engine's current data-version counter."""
-        return self.lewis.table_version
+        """Data-version counter of the table state the session serves."""
+        return self._stamp[1]
 
     @property
     def state_token(self) -> str:
         """Content-seeded table-state digest the cache keys on."""
-        return self._state
+        return self._stamp[0]
 
-    def _advance_state(self, delta: TableDelta) -> None:
+    def _stamped(self, do):
+        """Lane handler: ``do``'s answer plus the state stamp it read."""
+        return lambda request: (do(request), self._stamp)
+
+    def _advance_state(self, delta: TableDelta, version: int) -> None:
         """Advance the state chain by one applied delta (O(|delta|)).
 
-        Runs on the batcher's dispatch lane immediately after the delta
-        is applied (see :meth:`_do_updates`), so every explanation
-        computed after the update observes the advanced token — a
-        concurrent reader can never cache a post-update result under the
-        pre-update key.  The read-modify-write itself is guarded by the
-        cache lock against the synchronous-mode caller thread.
+        Runs on the lane immediately after the delta is applied (see
+        :meth:`_do_update`), so every answer computed afterwards reads
+        the advanced stamp — a concurrent reader can never cache a
+        post-update result under the pre-update key, and every answer
+        reports the state that produced it.  The history ring is guarded
+        by the cache lock against :meth:`has_state`.
         """
         from repro.service.cache import canonical
 
@@ -488,10 +477,11 @@ class ExplainerSession:
             canonical({"insert": list(delta.insert), "delete": list(delta.delete)})
         )
         with self._cache_lock:
-            self._state = hashlib.sha1(
-                (self._state + payload).encode("utf-8", "replace")
+            token = hashlib.sha1(
+                (self._stamp[0] + payload).encode("utf-8", "replace")
             ).hexdigest()[:16]
-            self._state_history.append(self._state)
+            self._stamp = (token, version)
+            self._state_history.append(token)
 
     def has_state(self, token: str) -> bool:
         """Whether the state chain has passed through ``token``.
@@ -510,14 +500,17 @@ class ExplainerSession:
         """Answer one request object; returns a JSON-ready response dict.
 
         Cacheable requests are served from the result cache when the
-        (fingerprint, table version, canonical query) key hits; the
-        query is the request's own dataclass fields.  Misses and updates
-        run on the batcher's dispatch lane, and a computed answer is
-        converted to plain JSON types here, once.  A response computed
-        concurrently with an update may be stored under the pre-update
-        version key — such entries are unreachable (lookups always use
-        the current version) and age out via LRU; stale data is never
-        served.
+        (fingerprint, table state, canonical query) key hits; the query
+        is the request's own dataclass fields.  Misses and updates run
+        on the session's lane, on the caller's thread, and a computed
+        answer is converted to plain JSON types here, once.
+
+        The response's ``state_token`` and ``table_version`` name the
+        table state that produced the answer: for a hit, the state its
+        key was built from; otherwise the state the lane read when it
+        computed the answer.  An answer computed after an update landed
+        between the key and the lane is returned but not cached, so a
+        shared cache never holds a result under the wrong state.
         """
         if isinstance(request, UpdateRequest):
             # Updates must advance the state chain and purge dependent
@@ -525,29 +518,34 @@ class ExplainerSession:
             return self.update(request.delta)
         kind = request.kind
         if request.cacheable:
-            state = self._state
+            stamp = self._stamp
             key = ResultCache.key(
-                self.fingerprint, state, kind, vars(request), tenant=self.tenant
+                self.fingerprint, stamp[0], kind, vars(request), tenant=self.tenant
             )
             with self._cache_lock:
                 hit = self.cache.get(key)
             if hit is not None:
-                self._served += 1
-                return {"kind": kind, "cached": True, "result": hit}
-        result = jsonable(self._batcher.run(kind, request))
+                return self._response(kind, hit, stamp, cached=True)
+        result, computed = self._batcher.run(kind, request)
+        result = jsonable(result)
         degraded = isinstance(result, Mapping) and bool(result.get("degraded"))
-        if request.cacheable and not degraded:
+        # Degraded (anytime-under-deadline) answers are never cached:
+        # the next caller asked for the exact one.
+        if request.cacheable and not degraded and computed == stamp:
             with self._cache_lock:
-                # An update may have raced this computation; the result
-                # then reflects the *post*-update table, and storing it
-                # under the pre-update key would poison a shared cache.
-                # Only cache when the state is unchanged end to end.
-                # Degraded (anytime-under-deadline) answers are never
-                # cached: the next caller asked for the exact one.
-                if self._state == state:
-                    self.cache.put(key, result)
-        self._served += 1
-        return {"kind": kind, "cached": False, "result": result}
+                self.cache.put(key, result)
+        return self._response(kind, result, computed)
+
+    def _response(self, kind: str, result, stamp, cached: bool = False) -> dict:
+        with self._cache_lock:
+            self._served += 1
+        return {
+            "kind": kind,
+            "cached": cached,
+            "result": result,
+            "table_version": stamp[1],
+            "state_token": stamp[0],
+        }
 
     # -- convenience wrappers ----------------------------------------------
 
@@ -615,93 +613,64 @@ class ExplainerSession:
         """
         if not isinstance(delta, TableDelta):
             delta = TableDelta.from_json(delta)
-        response = self._batcher.run("update", UpdateRequest(delta=delta))
+        return self._updated("update", UpdateRequest(delta=delta))
+
+    def _updated(self, kind: str, payload) -> dict:
+        """Run one update on the lane, then purge superseded entries."""
+        result, stamp = self._batcher.run(kind, payload)
         with self._cache_lock:
-            purged = self.cache.purge_stale(
-                self.fingerprint, self._state, tenant=self.tenant
+            result["purged"] = self.cache.purge_stale(
+                self.fingerprint, self.state_token, tenant=self.tenant
             )
-        response["purged"] = purged
-        self._served += 1
-        return {"kind": "update", "cached": False, "result": response}
-
-    # -- label resolution --------------------------------------------------
-
-    def _code_of(self, column: Column, value: Any) -> int:
-        """Map a (possibly JSON-roundtripped) label to its code."""
-        try:
-            return column.code_of(value)
-        except DomainError:
-            for code, category in enumerate(column.categories):
-                if str(category) == str(value):
-                    return code
-            raise
+        return self._response("update", result, stamp)
 
     def _encode(self, labels: Mapping[str, Any]) -> dict[str, Any]:
         """Resolve JSON labels to canonical category labels per column."""
         out = {}
         for name, value in labels.items():
             column = self.lewis.data.column(name)
-            out[name] = column.categories[self._code_of(column, value)]
+            out[name] = column.categories[column.lenient_code_of(value)]
         return out
 
-    # -- batched handlers (run on the dispatch lane) -------------------------
+    # -- lane handlers: one request each -------------------------------------
 
-    def _do_globals(self, requests: list[GlobalExplainRequest]) -> list[dict]:
-        return [
-            global_explanation_to_dict(
-                self.lewis.explain_global(
-                    attributes=list(r.attributes) if r.attributes else None,
-                    max_pairs_per_attribute=r.max_pairs_per_attribute,
-                )
+    def _do_global(self, r: GlobalExplainRequest) -> dict:
+        return global_explanation_to_dict(
+            self.lewis.explain_global(
+                attributes=list(r.attributes) if r.attributes else None,
+                max_pairs_per_attribute=r.max_pairs_per_attribute,
             )
-            for r in requests
-        ]
+        )
 
-    def _do_contexts(self, requests: list[ContextExplainRequest]) -> list[dict]:
-        return [
-            global_explanation_to_dict(
-                self.lewis.explain_context(
-                    self._encode(r.context),
-                    attributes=list(r.attributes) if r.attributes else None,
-                    max_pairs_per_attribute=r.max_pairs_per_attribute,
-                )
+    def _do_context(self, r: ContextExplainRequest) -> dict:
+        return global_explanation_to_dict(
+            self.lewis.explain_context(
+                self._encode(r.context),
+                attributes=list(r.attributes) if r.attributes else None,
+                max_pairs_per_attribute=r.max_pairs_per_attribute,
             )
-            for r in requests
-        ]
+        )
 
-    def _do_locals(self, requests: list[LocalExplainRequest]) -> list[dict]:
-        # One dispatch pass shares the lazily fitted per-attribute local
-        # models across the whole batch (they are cached per feature set).
-        out = []
-        for r in requests:
-            explanation = self.lewis.explain_local(
+    def _do_local(self, r: LocalExplainRequest) -> dict:
+        return local_explanation_to_dict(
+            self.lewis.explain_local(
                 index=r.index,
                 individual=self._encode(r.individual) if r.individual else None,
                 attributes=list(r.attributes) if r.attributes else None,
             )
-            out.append(local_explanation_to_dict(explanation))
-        return out
+        )
 
-    def _do_local_batches(
-        self, requests: list[LocalExplainBatchRequest]
-    ) -> list[dict]:
+    def _do_local_batch(self, r: LocalExplainBatchRequest) -> dict:
         # The whole cohort's regression probes are deduplicated and
         # answered in one matrix pass per attribute group.
-        out = []
-        for r in requests:
-            explanations = self.lewis.explain_local_batch(
-                list(r.indices),
-                attributes=list(r.attributes) if r.attributes else None,
-            )
-            out.append(
-                {
-                    "indices": [int(i) for i in r.indices],
-                    "explanations": [
-                        local_explanation_to_dict(e) for e in explanations
-                    ],
-                }
-            )
-        return out
+        explanations = self.lewis.explain_local_batch(
+            list(r.indices),
+            attributes=list(r.attributes) if r.attributes else None,
+        )
+        return {
+            "indices": [int(i) for i in r.indices],
+            "explanations": [local_explanation_to_dict(e) for e in explanations],
+        }
 
     def _actionable_for(self, requested) -> list[str]:
         actionable = list(requested) if requested else self.default_actionable
@@ -712,120 +681,79 @@ class ExplainerSession:
             )
         return actionable
 
-    def _do_recourses(self, requests: list[RecourseRequest]) -> list[dict]:
-        out = []
-        for r in requests:
-            actionable = self._actionable_for(r.actionable)
-            out.append(
-                recourse_to_dict(
-                    self.lewis.recourse(
-                        r.index, actionable=actionable, alpha=r.alpha, mode=r.mode
-                    )
-                )
+    def _do_recourse(self, r: RecourseRequest) -> dict:
+        return recourse_to_dict(
+            self.lewis.recourse(
+                r.index,
+                actionable=self._actionable_for(r.actionable),
+                alpha=r.alpha,
+                mode=r.mode,
             )
-        return out
+        )
 
-    def _do_recourse_batches(
-        self, requests: list[RecourseBatchRequest]
-    ) -> list[dict]:
+    def _do_recourse_batch(self, r: RecourseBatchRequest) -> dict:
         # One logit pass for base probabilities, one signature solve per
         # distinct (current codes, context) signature.
-        out = []
-        for r in requests:
-            actionable = self._actionable_for(r.actionable)
-            mode = r.mode
-            degraded = False
-            if mode == "exact":
-                # Degradation ladder: with the request deadline nearly
-                # spent, an exact cohort solve would blow it — fall back
-                # to the certified anytime mode and *label* the answer,
-                # so a 200 is never silently weaker than what was asked.
-                remaining = _deadline.remaining_s()
-                floor_s = float(os.environ.get("REPRO_ANYTIME_MS", "250")) / 1e3
-                if remaining is not None and remaining < floor_s:
-                    mode = "anytime"
-                    degraded = True
-            audit = self.lewis.recourse_audit(
-                actionable,
-                alpha=r.alpha,
-                indices=list(r.indices) if r.indices is not None else None,
-                mode=mode,
-            )
-            if degraded:
-                audit["degraded"] = True
-                audit["degraded_reason"] = "deadline"
-            audit["recourses"] = [
-                recourse_to_dict(x) if x is not None else None
-                for x in audit.pop("recourses")
-            ]
-            out.append(audit)
-        return out
+        actionable = self._actionable_for(r.actionable)
+        mode = r.mode
+        degraded = False
+        if mode == "exact":
+            # Degradation ladder: with the request deadline nearly
+            # spent, an exact cohort solve would blow it — fall back
+            # to the certified anytime mode and *label* the answer,
+            # so a 200 is never silently weaker than what was asked.
+            remaining = _deadline.remaining_s()
+            floor_s = float(os.environ.get("REPRO_ANYTIME_MS", "250")) / 1e3
+            if remaining is not None and remaining < floor_s:
+                mode = "anytime"
+                degraded = True
+        audit = self.lewis.recourse_audit(
+            actionable,
+            alpha=r.alpha,
+            indices=list(r.indices) if r.indices is not None else None,
+            mode=mode,
+        )
+        if degraded:
+            audit["degraded"] = True
+            audit["degraded_reason"] = "deadline"
+        audit["recourses"] = [
+            recourse_to_dict(x) if x is not None else None
+            for x in audit.pop("recourses")
+        ]
+        return audit
 
-    def _do_audits(self, requests: list[AuditRequest]) -> list[dict]:
-        out = []
-        for r in requests:
-            protected = list(r.protected) if r.protected else [
-                name
-                for name in ("sex", "race", "gender")
-                if name in self.lewis.data
-            ]
-            if not protected:
-                raise ValueError(
-                    "no protected attributes found; pass AuditRequest.protected"
-                )
-            auditor = FairnessAuditor(self.lewis, tolerance=r.tolerance)
-            out.append(
-                {"verdicts": [verdict_to_dict(v) for v in auditor.audit_all(protected)]}
+    def _do_audit(self, r: AuditRequest) -> dict:
+        protected = list(r.protected) if r.protected else [
+            name for name in ("sex", "race", "gender") if name in self.lewis.data
+        ]
+        if not protected:
+            raise ValueError(
+                "no protected attributes found; pass AuditRequest.protected"
             )
-        return out
+        auditor = FairnessAuditor(self.lewis, tolerance=r.tolerance)
+        return {"verdicts": [verdict_to_dict(v) for v in auditor.audit_all(protected)]}
 
-    def _do_scores(self, requests: list[ScoresRequest]) -> list[dict]:
-        # Requests sharing a context collapse into one scores_batch pass —
-        # the coalescing the micro-batcher exists for.
-        groups: dict[tuple, list[int]] = {}
-        encoded: list[tuple[list, dict]] = []
-        for i, r in enumerate(requests):
-            contrasts = [
-                (self._encode(values), self._encode(baselines))
-                for values, baselines in r.contrasts
-            ]
-            context = self._encode(r.context)
-            encoded.append((contrasts, context))
-            groups.setdefault(tuple(sorted(context.items())), []).append(i)
-        out: list[dict] = [{} for _ in requests]
-        for indices in groups.values():
-            flat: list = []
-            owners: list[tuple[int, int]] = []
-            context = encoded[indices[0]][1]
-            for i in indices:
-                for j, contrast in enumerate(encoded[i][0]):
-                    flat.append(contrast)
-                    owners.append((i, j))
-            triples = self.lewis.scores_batch(flat, context)
-            per_request: dict[int, list] = {i: [] for i in indices}
-            for (i, _j), triple in zip(owners, triples):
-                per_request[i].append(triple.as_dict())
-            for i in indices:
-                out[i] = {"context": context, "scores": per_request[i]}
-        return out
+    def _do_scores(self, r: ScoresRequest) -> dict:
+        contrasts = [
+            (self._encode(values), self._encode(baselines))
+            for values, baselines in r.contrasts
+        ]
+        context = self._encode(r.context)
+        triples = self.lewis.scores_batch(contrasts, context)
+        return {"context": context, "scores": [t.as_dict() for t in triples]}
 
-    def _do_updates(self, requests: list[UpdateRequest]) -> list[dict]:
-        out = []
-        for r in requests:
-            before = len(self.lewis.data)
-            version = apply_delta(self.lewis, r.delta)
-            if not r.delta.is_empty:
-                self._advance_state(r.delta)
-            out.append(
-                {
-                    "version": version,
-                    "n_rows": len(self.lewis.data),
-                    "inserted": len(r.delta.insert),
-                    "deleted": len(r.delta.delete),
-                    "rows_before": before,
-                }
-            )
-        return out
+    def _do_update(self, r: UpdateRequest) -> dict:
+        before = len(self.lewis.data)
+        version = apply_delta(self.lewis, r.delta)
+        if not r.delta.is_empty:
+            self._advance_state(r.delta, version)
+        return {
+            "version": version,
+            "n_rows": len(self.lewis.data),
+            "inserted": len(r.delta.insert),
+            "deleted": len(r.delta.delete),
+            "rows_before": before,
+        }
 
     # -- introspection -----------------------------------------------------
 
@@ -836,7 +764,7 @@ class ExplainerSession:
             "tenant": self.tenant,
             "fingerprint": self.fingerprint,
             "table_version": self.table_version,
-            "state_token": self._state,
+            "state_token": self.state_token,
             "n_rows": len(self.lewis.data),
             "requests_served": self._served,
             "scheduler": self._batcher.stats(),

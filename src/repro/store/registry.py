@@ -70,9 +70,9 @@ class Registry:
     cache:
         Shared result cache; defaults to a private 32 MB one. Keys are
         tenant-scoped, so sharing across tenants is safe by construction.
-    background:
-        Start each loaded session's dispatch thread (servers). ``False``
-        for single-threaded embedding (CLI, tests).
+
+    The registry and its sessions start no thread; embedded callers and
+    HTTP handler threads use the same instance the same way.
     """
 
     def __init__(
@@ -81,11 +81,9 @@ class Registry:
         max_bytes: int | None = 256 << 20,
         max_sessions: int | None = None,
         cache: ResultCache | None = None,
-        background: bool = False,
     ):
         self._store = store if isinstance(store, ArtifactStore) else ArtifactStore(store)
         self.cache = cache if cache is not None else ResultCache()
-        self._background = bool(background)
         self._lock = threading.Lock()
         self._tenant_locks: dict[str, threading.Lock] = {}
         self._sessions: ByteBudgetLRU = ByteBudgetLRU(
@@ -94,7 +92,6 @@ class Registry:
             sizeof=session_footprint,
             on_evict=self._on_evict,
         )
-        self._evicted: list[DurableSession] = []
         self._loads = 0
 
     # -- plumbing ----------------------------------------------------------
@@ -105,15 +102,13 @@ class Registry:
         return self._store
 
     def _on_evict(self, name, session) -> None:
-        # Runs inside put() under self._lock. Seal the victim's log NOW:
-        # a get() for this tenant can only observe the miss under
-        # self._lock *after* this returns, so its restore scans a WAL no
-        # stale reference can still append to — the duplicate-sequence
-        # race is closed by construction. Sealing is cheap (bounded by
-        # one in-flight fsync); the expensive part — joining the dispatch
-        # thread — is deferred past the lock via the buffer.
-        session.log.seal()
-        self._evicted.append(session)
+        # Runs inside put() under self._lock. Retire (and so seal) the
+        # victim NOW: a get() for this tenant can only observe the miss
+        # under self._lock *after* this returns, so its restore scans a
+        # WAL no stale reference can still append to — the duplicate-
+        # sequence race is closed by construction. Retiring is cheap:
+        # bounded by one in-flight fsync.
+        session.retire()
         _REGISTRY_EVICTIONS.inc()
 
     def _insert(self, name: str, session: DurableSession) -> None:
@@ -122,39 +117,21 @@ class Registry:
         A tenant whose real footprint exceeds the whole budget would
         otherwise be evicted by its own ``put`` — a close/restore loop
         on every request. Capping lets it stay resident alone (the LRU
-        still evicts everything else). Sessions the insertion pushed out
-        are retired *after* the registry lock is released: retiring
-        seals the victim's log (a stale reference can keep reading, but
-        a late update fails loudly instead of racing the tenant's next
-        restored session for the log file).
+        still evicts everything else). Sessions the insertion pushes out
+        are retired by :meth:`_on_evict` before the lock is released:
+        retiring seals the victim's log (a stale reference can keep
+        reading, but a late update fails loudly instead of racing the
+        tenant's next restored session for the log file).
         """
         size = session_footprint(session)
         with self._lock:
             if self._sessions.max_bytes is not None:
                 size = min(size, self._sessions.max_bytes)
             self._sessions.put(name, session, size=size)
-            victims, self._evicted = self._evicted, []
-        for victim in victims:
-            victim.retire()
 
     def _tenant_lock(self, name: str) -> threading.Lock:
         with self._lock:
             return self._tenant_locks.setdefault(name, threading.Lock())
-
-    def ensure_background(self) -> None:
-        """Run every session (current and future) with a dispatch thread.
-
-        Handler threads of an HTTP server are only safe against a
-        running dispatch lane; the server calls this when a registry is
-        attached so programmatic ``Registry()`` defaults can't serve
-        engine work inline from concurrent threads.
-        """
-        with self._lock:
-            self._background = True
-            sessions = [self._sessions.peek(name) for name in self._sessions]
-        for session in sessions:
-            if session is not None:
-                session.start_background()
 
     # -- views -------------------------------------------------------------
 
@@ -185,9 +162,7 @@ class Registry:
                 session = self._sessions.get(name)
             if session is not None:
                 return session
-            session = restore_session(
-                self._store, name, cache=self.cache, background=self._background
-            )
+            session = restore_session(self._store, name, cache=self.cache)
             self._insert(name, session)
             self._loads += 1
             _REGISTRY_LOADS.inc()
@@ -205,7 +180,6 @@ class Registry:
                 lewis,
                 cache=self.cache,
                 default_actionable=default_actionable,
-                background=self._background,
             )
             self._insert(name, session)
             return session
@@ -234,9 +208,7 @@ class Registry:
                     or DeltaLog(log_tail).last_seq <= int(manifest["wal_seq"])
                 ):
                     return manifest
-                session = restore_session(
-                    self._store, name, cache=self.cache, background=self._background
-                )
+                session = restore_session(self._store, name, cache=self.cache)
                 self._insert(name, session)
                 self._loads += 1
                 _REGISTRY_LOADS.inc()

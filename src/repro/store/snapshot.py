@@ -127,7 +127,6 @@ def restore_session(
     snapshot_id: str | None = None,
     *,
     cache: ResultCache | None = None,
-    background: bool = False,
     replay: bool = True,
     **session_kwargs: Any,
 ) -> DurableSession:
@@ -177,7 +176,6 @@ def restore_session(
         log,
         cache=cache,
         default_actionable=manifest["session"]["default_actionable"],
-        background=background,
         tenant=name,
         **session_kwargs,
     )
@@ -227,7 +225,6 @@ def create_tenant(
     *,
     cache: ResultCache | None = None,
     default_actionable=None,
-    background: bool = False,
     snapshot: bool = True,
     **session_kwargs: Any,
 ) -> DurableSession:
@@ -260,7 +257,6 @@ def create_tenant(
         existing_log,
         cache=cache,
         default_actionable=default_actionable,
-        background=background,
         tenant=name,
         **session_kwargs,
     )

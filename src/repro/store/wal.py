@@ -18,9 +18,11 @@ codec: one record per delta, with fields ``insert`` (decoded rows),
 :class:`DurableSession` wraps :class:`~repro.service.session
 .ExplainerSession` with write-*ahead* semantics: an update is validated
 against the live schema, appended to the log, and only then applied to
-the engine.  The crash window is therefore safe in both directions — a
-logged-but-unapplied delta is replayed on restore, and an unlogged delta
-was never acknowledged.
+the engine, both in one turn of the session's lane.  The crash window is
+therefore safe in both directions — a logged-but-unapplied delta is
+replayed on restore, and an unlogged delta was never acknowledged — and
+a live session never lags its own log: an update the lane refuses
+(queue full, deadline passed) was never logged.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Any, Mapping
 import repro.faults as _faults
 from repro.obs import metrics as _obs
 from repro.obs import tracing as _tracing
-from repro.service.session import ExplainerSession, jsonable
+from repro.service.session import ExplainerSession, UpdateRequest, jsonable
 from repro.service.updates import TableDelta
 from repro.store.recordlog import RecordLog
 from repro.utils.exceptions import StoreError
@@ -129,6 +131,10 @@ class DurableSession(ExplainerSession):
         super().__init__(lewis, **kwargs)
         self.log = log
         self._wal_lock = threading.Lock()
+        # Updates log and apply in one lane turn; recovery replays
+        # records the log already holds.
+        self._batcher.register("update", self._stamped(self._do_logged_update))
+        self._batcher.register("replay", self._stamped(self._do_update))
 
     @property
     def update_lock(self) -> threading.Lock:
@@ -153,17 +159,32 @@ class DurableSession(ExplainerSession):
             delta = TableDelta.from_json(delta)
         with self._wal_lock:
             self._validate(delta)
-            if delta.is_empty:
-                seq = self.log.last_seq
-            else:
-                # The record remembers which request wrote it, so a WAL
-                # entry can be joined back to its trace and HTTP response.
-                seq = self.log.append(
-                    delta, request_id=_tracing.current_trace_id()
-                )
-            response = super().update(delta)
-        response["result"]["wal_seq"] = seq
-        return response
+            # The record remembers which request wrote it, so a WAL
+            # entry can be joined back to its trace and HTTP response.
+            return self._updated(
+                "update", (delta, _tracing.current_trace_id(), None)
+            )
+
+    def _do_logged_update(self, job: tuple) -> dict:
+        """Lane handler: append ``(delta, request_id, seq)`` to the log, apply it.
+
+        One lane turn for both steps: a logged delta is always applied,
+        whatever the request's deadline or the queue's length.  ``seq``,
+        when given, is where a shipped record must land in this log.
+        """
+        delta, request_id, seq = job
+        if delta.is_empty:
+            written = self.log.last_seq
+        else:
+            written = self.log.append(delta, request_id=request_id)
+        if seq is not None and written != seq:
+            raise StoreError(
+                f"replication diverged: local append landed on seq "
+                f"{written}, leader shipped {seq}"
+            )
+        result = self._do_update(UpdateRequest(delta=delta))
+        result["wal_seq"] = written
+        return result
 
     def _validate(self, delta: TableDelta) -> None:
         if delta.insert:
@@ -176,7 +197,9 @@ class DurableSession(ExplainerSession):
 
     def apply_logged(self, delta: TableDelta | Mapping[str, Any]) -> dict:
         """Apply a delta that is already in the log (recovery replay)."""
-        return ExplainerSession.update(self, delta)
+        if not isinstance(delta, TableDelta):
+            delta = TableDelta.from_json(delta)
+        return self._updated("replay", UpdateRequest(delta=delta))
 
     def apply_replicated(
         self,
@@ -223,30 +246,24 @@ class DurableSession(ExplainerSession):
                 ),
             )
             self._validate(delta)
-            written = self.log.append(delta, request_id=request_id)
-            if written != seq:
-                raise StoreError(
-                    f"replication diverged: local append landed on seq "
-                    f"{written}, leader shipped {seq}"
-                )
-            response = ExplainerSession.update(self, delta)
-        response["result"]["wal_seq"] = written
+            response = self._updated("update", (delta, request_id, seq))
         response["applied"] = True
         return response
 
     def retire(self) -> None:
-        """Eviction teardown: stop threads and *seal* the log.
+        """Eviction teardown: unregister the collector and *seal* the log.
 
-        A retired session still answers read requests held by in-flight
-        callers (inline dispatch), but any late ``update`` through a
-        stale reference fails loudly instead of appending to a log whose
-        ownership has passed to the tenant's next restored session.
+        Cheap enough to run under the registry lock.  A retired session
+        still answers read requests held by in-flight callers, but any
+        late ``update`` through a stale reference fails loudly instead
+        of appending to a log whose ownership has passed to the tenant's
+        next restored session.
         """
         super().close()
         self.log.seal()
 
     def close(self) -> None:
-        """Stop the dispatch thread and release the log handle."""
+        """Unregister the collector and release the log handle."""
         super().close()
         self.log.close()
 

@@ -1,14 +1,14 @@
 """Per-request deadlines as an ambient contextvar.
 
 The HTTP tier opens a :func:`scope` from ``REPRO_DEADLINE_MS`` (or the
-``X-Repro-Deadline-Ms`` header), the micro-batcher carries the value
-across its dispatch thread (:func:`attach`/:func:`restore`), and long
-compute loops — the recourse solver above all, between signatures —
-call :func:`check` between units of work.  Deadlines are absolute
-``time.monotonic()`` instants, so they survive queueing: time spent
-waiting in the batcher counts against the budget, which is what lets
-the dispatcher fail queued-but-expired requests fast instead of
-computing answers nobody is waiting for.
+``X-Repro-Deadline-Ms`` header) around the request, which then runs on
+that one thread: the session's lane waits for its lock no longer than
+:func:`remaining_s`, and long compute loops — the recourse solver above
+all, between signatures — call :func:`check` between units of work.
+Deadlines are absolute ``time.monotonic()`` instants, so time spent
+waiting for the lane counts against the budget, which is what lets the
+lane fail queued-but-expired requests fast instead of computing answers
+nobody is waiting for.
 
 ``None`` everywhere means "no deadline" and costs one contextvar read.
 """
@@ -27,11 +27,6 @@ _DEADLINE: contextvars.ContextVar[float | None] = contextvars.ContextVar(
 )
 
 
-def current() -> float | None:
-    """The ambient absolute deadline (``time.monotonic()`` instant)."""
-    return _DEADLINE.get()
-
-
 def remaining_s() -> float | None:
     """Seconds left before the ambient deadline; ``None`` if unset."""
     deadline = _DEADLINE.get()
@@ -40,25 +35,11 @@ def remaining_s() -> float | None:
     return deadline - time.monotonic()
 
 
-def expired() -> bool:
-    deadline = _DEADLINE.get()
-    return deadline is not None and time.monotonic() >= deadline
-
-
 def check(where: str) -> None:
     """Raise :class:`DeadlineExceededError` if the deadline has passed."""
     deadline = _DEADLINE.get()
     if deadline is not None and time.monotonic() >= deadline:
         raise DeadlineExceededError(f"deadline exceeded ({where})")
-
-
-def attach(deadline: float | None) -> contextvars.Token:
-    """Set an absolute deadline in this context; pair with :func:`restore`."""
-    return _DEADLINE.set(deadline)
-
-
-def restore(token: contextvars.Token) -> None:
-    _DEADLINE.reset(token)
 
 
 @contextlib.contextmanager

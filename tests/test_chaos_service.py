@@ -52,9 +52,7 @@ def make_lewis(seed: int = 7, n: int = 200) -> Lewis:
 
 @pytest.fixture(scope="module")
 def server():
-    session = ExplainerSession(
-        make_lewis(), default_actionable=["a", "b"], background=True
-    )
+    session = ExplainerSession(make_lewis(), default_actionable=["a", "b"])
     httpd = create_server(session, port=0)
     thread = threading.Thread(target=httpd.serve_forever, daemon=True)
     thread.start()
@@ -72,9 +70,7 @@ def base_url(server):
 
 @pytest.fixture()
 def session():
-    session = ExplainerSession(
-        make_lewis(), default_actionable=["a", "b"], background=True
-    )
+    session = ExplainerSession(make_lewis(), default_actionable=["a", "b"])
     yield session
     session.close()
 

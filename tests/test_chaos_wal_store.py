@@ -218,7 +218,7 @@ class TestJournalDegradedOverHttp:
     def test_torn_journal_write_answers_503_until_reattached(self, tmp_path):
         store = ArtifactStore(tmp_path / "store")
         create_tenant(store, "acme", make_lewis()).close()
-        registry = Registry(store, background=True)
+        registry = Registry(store)
         server = create_server(registry=registry, port=0)
         threading.Thread(target=server.serve_forever, daemon=True).start()
         host, port = server.server_address[:2]

@@ -15,6 +15,7 @@ from repro import fit_table_model
 from repro.cli import main
 from repro.core.lewis import Lewis
 from repro.data.table import Table
+from repro.monitor.journal import MonitorJournal
 from repro.service.server import create_server
 from repro.store import ArtifactStore, Registry, create_tenant
 
@@ -49,7 +50,7 @@ def make_lewis(n: int = 300) -> Lewis:
 def served(tmp_path_factory):
     store = ArtifactStore(tmp_path_factory.mktemp("store"))
     create_tenant(store, "acme", make_lewis()).close()
-    registry = Registry(store, background=True)
+    registry = Registry(store)
     server = create_server(registry=registry, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -145,6 +146,37 @@ class TestMonitorEndpoints:
         assert removed["removed"]
         _, final = http(f"{tenant}/monitors")
         assert monitor_id not in [m["id"] for m in final["monitors"]]
+
+    def test_acknowledged_update_has_refreshed_its_monitors(self, base_url, served):
+        """The refresh runs inside the update's request: once the update
+        answers, the monitor's cursor is its ``wal_seq`` (no waiting) and
+        the alert it raised is journaled under the update's request id."""
+        tenant = f"{base_url}/v1/acme"
+        _, created = http(
+            f"{tenant}/monitors",
+            "POST",
+            {
+                "kind": "score",
+                "params": {"attribute": "b", "value": 3, "baseline": 0},
+                "threshold": 0.001,
+            },
+        )
+        request_ids = set()
+        for rows in ([{"a": 0, "b": 3, "c": 1}] * 3, [{"a": 2, "b": 0, "c": 1}] * 250):
+            _, update = http(f"{tenant}/update", "POST", {"insert": rows})
+            request_ids.add(update["request_id"])
+            _, state = http(f"{tenant}/monitors/{created['id']}")
+            assert state["cursor"] == update["result"]["wal_seq"]
+        assert state["alerts"] >= 1
+        store = served[1].store
+        alerts = [
+            record["data"]
+            for record in MonitorJournal.read(store.monitor_journal_path("acme"))
+            if record["kind"] == "alert"
+            and record["data"]["alert"]["monitor_id"] == created["id"]
+        ]
+        assert alerts and all(a["request_id"] in request_ids for a in alerts)
+        http(f"{tenant}/monitors/{created['id']}", "DELETE")
 
     def test_error_statuses(self, base_url):
         tenant = f"{base_url}/v1/acme"

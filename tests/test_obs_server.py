@@ -199,6 +199,19 @@ class TestTracesEndpoint:
         solve = next(s for s in record["spans"] if s["name"] == "recourse_solve")
         assert solve["tags"]["signatures"] >= 1
 
+    def test_lane_spans_nest_in_the_request_trace(self, server):
+        status, body = post(server, "/v1/recourse/batch", {"alpha": 0.66})
+        assert status == 200 and body["cached"] is False
+        _s, _h, raw = get(server, f"/v1/traces?id={body['request_id']}")
+        spans = {s["name"]: s for s in json.loads(raw)["traces"][0]["spans"]}
+        root = spans["POST /v1/recourse/batch"]
+        assert spans["queue_wait"]["parent_id"] == root["span_id"]
+        assert spans["compute"]["parent_id"] == root["span_id"]
+        assert spans["compute"]["tags"] == {"kind": "recourse_batch"}
+        # the solve ran on the request's own thread, inside its compute
+        assert spans["recourse_solve"]["parent_id"] == spans["compute"]["span_id"]
+        assert body["compute_ms"] == spans["compute"]["duration_ms"]
+
     def test_update_trace_shows_the_black_box_share(self, server):
         inserted = [
             {"a": 2, "b": 1, "sex": "F"},

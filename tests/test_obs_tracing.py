@@ -1,8 +1,6 @@
-"""Tracing: span nesting, rings, cross-thread propagation, solver spans."""
+"""Tracing: span nesting, rings, lane spans, solver spans."""
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 import pytest
@@ -89,24 +87,6 @@ class TestSpans:
         assert tracer.get(slow_id) is not None  # held by the slow ring
         assert tracer.query(slow_only=True)[0]["trace_id"] == slow_id
 
-    def test_attach_carries_context_to_another_thread(self):
-        seen = {}
-
-        def worker(ctx):
-            with tracing.attach(ctx):
-                seen["trace_id"] = tracing.current_trace_id()
-                tracing.record_span(
-                    tracing.current_context(), "threaded", 1.5
-                )
-
-        with tracing.trace("cross-thread") as tid:
-            t = threading.Thread(target=worker, args=(tracing.current_context(),))
-            t.start()
-            t.join()
-        assert seen["trace_id"] == tid
-        record = tracing.get_tracer().get(tid)
-        assert "threaded" in [s["name"] for s in record["spans"]]
-
     def test_record_span_without_context_is_noop(self):
         # the orphan counter is cumulative across the process (clear()
         # drops rings, not counters), so assert on the delta
@@ -116,7 +96,7 @@ class TestSpans:
 
 
 # ---------------------------------------------------------------------------
-# propagation through the micro-batcher (thread boundary)
+# the session lane's spans, in the caller's own trace
 
 
 def _tiny_session() -> ExplainerSession:
@@ -134,7 +114,7 @@ def _tiny_session() -> ExplainerSession:
         return (features.codes("a") + features.codes("b")) >= 2
 
     lewis = Lewis(model, data=table, feature_names=["a", "b"], infer_orderings=False)
-    return ExplainerSession(lewis, background=True)
+    return ExplainerSession(lewis)
 
 
 class TestBatcherPropagation:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -270,19 +271,23 @@ class TestSerialLoop:
             rows, alpha=0.6, on_infeasible="none"
         )
         solver = RecourseSolver(estimator, ["skill", "hours"])
-        tokens = []
+        # The deadline module's clock, skewed an hour ahead on demand.
+        skew = [0.0]
+        monkeypatch.setattr(
+            _deadline,
+            "time",
+            SimpleNamespace(monotonic=lambda: time.monotonic() + skew[0]),
+        )
 
         def expire_once():
             # The request's deadline passes while the first signature solves.
-            if not tokens:
-                tokens.append(_deadline.attach(time.monotonic() - 1.0))
+            skew[0] = 3600.0
 
         calls = record_kernel_calls(monkeypatch, on_call=expire_once)
-        try:
-            with pytest.raises(DeadlineExceededError, match="signature solve"):
-                solver.solve_batch(rows, alpha=0.6, on_infeasible="none")
-        finally:
-            _deadline.restore(tokens[0])
+        with _deadline.scope(60_000), pytest.raises(
+            DeadlineExceededError, match="signature solve"
+        ):
+            solver.solve_batch(rows, alpha=0.6, on_infeasible="none")
         assert len(calls) == 1
         # The signature solved in time stays memoised; a retry without a
         # deadline solves only the rest and answers like a fresh solver.

@@ -99,8 +99,8 @@ def cluster(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("repl")
     leader_store = ArtifactStore(tmp / "leader")
     create_tenant(leader_store, "t", make_lewis()).close()
-    leader = create_server(registry=Registry(leader_store, background=True), port=0)
-    follower_registry = Registry(tmp / "follower", background=True)
+    leader = create_server(registry=Registry(leader_store), port=0)
+    follower_registry = Registry(tmp / "follower")
     state = SimpleNamespace(
         tmp=tmp,
         leader=leader,
@@ -265,7 +265,7 @@ class TestReplicatedServing:
 
     def test_deposed_epoch_is_fenced_by_new_followers(self, cluster):
         cluster.third = create_server(
-            registry=Registry(cluster.tmp / "third", background=True),
+            registry=Registry(cluster.tmp / "third"),
             port=0,
             follow=cluster.follower_base,  # the promoted leader
         )

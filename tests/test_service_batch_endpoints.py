@@ -44,9 +44,7 @@ def session():
         attributes=["a", "b", "sex"],
         infer_orderings=False,
     )
-    session = ExplainerSession(
-        lewis, default_actionable=["a", "b"], background=True
-    )
+    session = ExplainerSession(lewis, default_actionable=["a", "b"])
     yield session
     session.close()
 

@@ -19,6 +19,7 @@ import time
 
 import numpy as np
 import pytest
+from lane import hold_lane
 
 from repro import fit_table_model
 from repro.core.lewis import Lewis
@@ -198,11 +199,9 @@ def stop(server):
 @pytest.fixture(scope="module")
 def servers(tmp_path_factory):
     """``{"default": address, "registry": address}``."""
-    session = ExplainerSession(
-        make_lewis(), default_actionable=["a", "b"], background=True
-    )
+    session = ExplainerSession(make_lewis(), default_actionable=["a", "b"])
     default = create_server(session, port=0)
-    registry = Registry(tmp_path_factory.mktemp("store"), background=True)
+    registry = Registry(tmp_path_factory.mktemp("store"))
     registry.add(TENANT, make_stored_lewis(), default_actionable=["a", "b"])
     multi = create_server(registry=registry, port=0)
     yield {"default": start(default), "registry": start(multi)}
@@ -418,21 +417,11 @@ class TestReportedCases:
 
 class TestOverload:
     def test_monitor_routes_shed_with_429_while_the_queue_is_full(self):
-        session = ExplainerSession(make_lewis(), background=True, max_queue=1)
+        session = ExplainerSession(make_lewis(), max_queue=1)
         server = create_server(session, port=0)
         address = start(server)
-        stalled, release = threading.Event(), threading.Event()
-
-        def stall(batch):
-            stalled.set()
-            release.wait(10)
-            return [None] * len(batch)
-
-        session._batcher.register("stall", stall)
-        futures = [session._batcher.submit("stall", None)]
+        finish = hold_lane(session._batcher, waiters=1)  # busy, queue full
         try:
-            assert stalled.wait(10)  # the lane is busy ...
-            futures.append(session._batcher.submit("stall", None))  # ... queue full
             for method, path in (
                 ("GET", "/v1/monitors"), ("DELETE", "/v1/monitors/m1")
             ):
@@ -442,8 +431,6 @@ class TestOverload:
                 assert int(headers["Retry-After"]) >= 1
                 assert "overloaded" in body["error"]
         finally:
-            release.set()
-            for future in futures:
-                future.result(timeout=10)
+            finish()
             stop(server)
             session.close()

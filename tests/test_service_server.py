@@ -20,8 +20,7 @@ def tiny_model(features: Table) -> np.ndarray:
     return (features.codes("a") + features.codes("b")) >= 2
 
 
-@pytest.fixture(scope="module")
-def server():
+def make_lewis() -> Lewis:
     rng = np.random.default_rng(7)
     n = 200
     table = Table.from_dict(
@@ -32,16 +31,18 @@ def server():
         },
         domains={"a": [0, 1, 2], "b": [0, 1, 2], "sex": ["F", "M"]},
     )
-    lewis = Lewis(
+    return Lewis(
         tiny_model,
         data=table,
         feature_names=["a", "b"],
         attributes=["a", "b", "sex"],
         infer_orderings=False,
     )
-    session = ExplainerSession(
-        lewis, default_actionable=["a", "b"], background=True
-    )
+
+
+@pytest.fixture(scope="module")
+def server():
+    session = ExplainerSession(make_lewis(), default_actionable=["a", "b"])
     httpd = create_server(session, port=0)
     thread = threading.Thread(target=httpd.serve_forever, daemon=True)
     thread.start()
@@ -203,25 +204,6 @@ class TestErrorMapping:
         )
         assert code == 400 and "integer" in body["error"]
 
-    def test_create_server_starts_dispatch_lane(self):
-        """A sync-mode session must be promoted before threads hit it."""
-        rng = np.random.default_rng(1)
-        table = Table.from_dict(
-            {"a": rng.integers(0, 3, 60).tolist(), "b": rng.integers(0, 3, 60).tolist()},
-            domains={"a": [0, 1, 2], "b": [0, 1, 2]},
-        )
-        lewis = Lewis(
-            tiny_model, data=table, feature_names=["a", "b"], infer_orderings=False
-        )
-        session = ExplainerSession(lewis)  # background defaults to False
-        assert session.stats()["scheduler"]["background"] is False
-        httpd = create_server(session, port=0)
-        try:
-            assert session.stats()["scheduler"]["background"] is True
-        finally:
-            httpd.server_close()
-            session.close()
-
     def test_concurrent_requests_all_answer(self, base_url):
         results = [None] * 6
 
@@ -237,3 +219,34 @@ class TestErrorMapping:
         for t in threads:
             t.join(timeout=30)
         assert results == [200] * 6
+
+
+class TestProvenance:
+    def test_envelope_names_the_state_that_produced_the_answer(self, monkeypatch):
+        """An update landing after the answer but before the envelope must
+        not relabel the answer with the later table state (hit or miss)."""
+        session = ExplainerSession(make_lewis(), default_actionable=["a", "b"])
+        httpd = create_server(session, port=0)
+        threading.Thread(target=httpd.serve_forever, daemon=True).start()
+        host, port = httpd.server_address[:2]
+        url = f"http://{host}:{port}/v1/explain/global"
+        answer = session.handle
+
+        def answer_then_update(request):
+            response = answer(request)
+            session.update({"insert": [{"a": 2, "b": 2, "sex": "F"}]})
+            return response
+
+        try:
+            post(url, {})  # cached at the first state
+            monkeypatch.setattr(session, "handle", answer_then_update)
+            for cached in (True, False):
+                before = (session.state_token, session.table_version)
+                _status, body = post(url, {})
+                assert body["cached"] is cached
+                assert (body["state_token"], body["table_version"]) == before
+                assert session.state_token != before[0]
+        finally:
+            httpd.shutdown()
+            httpd.server_close()
+            session.close()

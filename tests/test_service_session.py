@@ -122,6 +122,28 @@ class TestRequestHandling:
         response = session.explain_context({"a": "1"})
         assert response["result"]["context"] == {"a": 1}
 
+    def test_string_labels_resolve_in_queries_and_monitors(self, session):
+        """The lenient lookup: ``"2"`` finds the integer category 2 in
+        contexts, score contrasts and monitor registrations alike, while
+        a row entering the table stays strict."""
+        from repro.monitor.monitors import MonitorSet
+        from repro.utils.exceptions import DomainError
+
+        context = session.explain_context({"a": "2"})["result"]["context"]
+        assert context == {"a": 2}
+        as_text = session.scores([({"a": "2"}, {"a": "0"})], context={"b": "1"})
+        as_ints = session.scores([({"a": 2}, {"a": 0})], context={"b": 1})
+        assert as_text["result"] == as_ints["result"]
+        monitors = MonitorSet(session)
+        text = {"attribute": "a", "value": "2", "baseline": "0", "context": {"b": "1"}}
+        ints = {"attribute": "a", "value": 2, "baseline": 0, "context": {"b": 1}}
+        assert (
+            monitors.add({"kind": "score", "params": text})["baseline"]
+            == monitors.add({"kind": "score", "params": ints})["baseline"]
+        )
+        with pytest.raises(DomainError):
+            session.update({"insert": [{"a": "2", "b": 0, "sex": "F"}]})
+
     def test_local_by_index_matches_direct(self, session):
         response = session.explain_local(index=5)
         direct = session.lewis.explain_local(index=5)

@@ -247,22 +247,6 @@ class TestTenantCacheIsolation:
         assert alpha.explain_global(max_pairs_per_attribute=3)["cached"] is False
         registry.close()
 
-    def test_ensure_background_upgrades_loaded_sessions(self, tmp_path):
-        """Attaching a default (background=False) registry to an HTTP
-        server must start every session's dispatch lane."""
-        from repro.service.server import create_server
-
-        registry = Registry(tmp_path / "store")  # background=False default
-        registry.add("alpha", make_lewis(1))
-        assert registry.get("alpha").stats()["scheduler"]["background"] is False
-        server = create_server(registry=registry, port=0)
-        assert registry.get("alpha").stats()["scheduler"]["background"] is True
-        # lazily loaded sessions inherit the upgraded mode too
-        registry.evict("alpha")
-        assert registry.get("alpha").stats()["scheduler"]["background"] is True
-        server.server_close()
-        registry.close()
-
     def test_stats_shape(self, registry):
         registry.add("alpha", make_lewis(1))
         stats = registry.stats()

@@ -41,7 +41,7 @@ def make_lewis(seed: int, n: int = 150) -> Lewis:
 
 @pytest.fixture(scope="module")
 def served(tmp_path_factory):
-    registry = Registry(tmp_path_factory.mktemp("store"), background=True)
+    registry = Registry(tmp_path_factory.mktemp("store"))
     registry.add("alpha", make_lewis(1), default_actionable=["a", "b"])
     registry.add("beta", make_lewis(2))
     server = create_server(registry=registry, port=0)
@@ -228,7 +228,7 @@ class TestGracefulShutdown:
     def test_drain_answers_inflight_requests(self, tmp_path):
         import time
 
-        registry = Registry(tmp_path / "store", background=True)
+        registry = Registry(tmp_path / "store")
         registry.add("alpha", make_lewis(9))
         session = registry.get("alpha")
 

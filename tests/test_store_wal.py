@@ -6,12 +6,19 @@ import json
 
 import numpy as np
 import pytest
+from lane import hold_lane
 
 from repro.core.lewis import Lewis
 from repro.data.table import Table
 from repro.service.updates import TableDelta
 from repro.store import DeltaLog, DurableSession
-from repro.utils.exceptions import DomainError, StoreError
+from repro.utils import deadline
+from repro.utils.exceptions import (
+    DeadlineExceededError,
+    DomainError,
+    OverloadedError,
+    StoreError,
+)
 
 
 def delta(insert=(), delete=()):
@@ -230,6 +237,34 @@ class TestDurableSession:
         durable.apply_logged(TableDelta(insert=({"a": 0, "b": 0},)))
         assert durable.log.last_seq == 0
         assert len(durable.lewis.data) == 121
+
+    def test_update_expired_at_the_lane_is_never_logged(self, durable):
+        """Logging and applying share one lane turn, so an update whose
+        deadline passes while it waits for the lane leaves no record:
+        the live table never lags its own log."""
+        finish = hold_lane(durable._batcher)
+        try:
+            with deadline.scope(50), pytest.raises(DeadlineExceededError):
+                durable.update({"insert": [{"a": 1, "b": 1}]})
+        finally:
+            finish()
+        assert durable.log.last_seq == 0 and len(durable.lewis.data) == 120
+        response = durable.update({"insert": [{"a": 1, "b": 1}]})
+        assert response["result"]["wal_seq"] == 1
+        assert len(durable.lewis.data) == 121
+
+    def test_update_shed_at_the_lane_is_never_logged(self, durable, tmp_path):
+        crowded = DurableSession(
+            durable.lewis, DeltaLog(tmp_path / "crowded.jsonl"), max_queue=1
+        )
+        finish = hold_lane(crowded._batcher, waiters=1)
+        try:
+            with pytest.raises(OverloadedError):
+                crowded.update({"insert": [{"a": 1, "b": 1}]})
+        finally:
+            finish()
+        assert crowded.log.last_seq == 0 and len(crowded.lewis.data) == 120
+        crowded.close()
 
     def test_stats_include_wal(self, durable):
         assert durable.stats()["wal"]["path"].endswith("wal.jsonl")
