@@ -573,8 +573,9 @@ class Lewis:
         ``mode="anytime"`` trades exactness for latency: the answer is a
         greedy LP rounding carrying a certified ``optimality_gap``.
         """
-        solver = self._recourse_solver(actionable, cost_fn)
-        return solver.solve(self.data.row_codes(int(index)), alpha=alpha, mode=mode)
+        return self.recourse_batch(
+            [index], actionable, alpha=alpha, cost_fn=cost_fn, mode=mode
+        )[0]
 
     def recourse_batch(
         self,
@@ -592,15 +593,18 @@ class Lewis:
         *distinct* ``(current codes, context)`` signature.
         ``mode="anytime"`` returns greedy solutions with certified gaps.
         With ``on_infeasible="none"`` infeasible rows yield ``None``
-        instead of aborting the batch.
+        instead of aborting the batch; otherwise the raised
+        :class:`RecourseInfeasibleError` names the first infeasible row
+        by its index into :attr:`data`.
         """
         solver = self._recourse_solver(actionable, cost_fn)
-        rows = [self.data.row_codes(int(i)) for i in indices]
+        indices = [int(i) for i in indices]
         return solver.solve_batch(
-            rows,
+            [self.data.row_codes(i) for i in indices],
             alpha=alpha,
             on_infeasible=on_infeasible,
             mode=mode,
+            row_ids=indices,
         )
 
     def recourse_audit(

@@ -169,7 +169,7 @@ class RecourseSolver:
             context_names = [n for n in feature_names if n not in self.actionable]
         self.context_names = context_names
         self._logit = LogitModel(self.actionable, context_names)
-        self._logit.fit(table.select(feature_names), estimator._positive)
+        self._logit.fit(*estimator.outcome_cells(self.actionable + context_names))
         #: per-attribute log-odds vectors, read once per solver
         self._coef_vectors = {
             a: self._logit.coefficient_vector(a) for a in self.actionable
@@ -313,6 +313,7 @@ class RecourseSolver:
         max_refinements: int = 4,
         on_infeasible: str = "raise",
         mode: str = "exact",
+        row_ids: Sequence[int] | None = None,
     ) -> list[Recourse | None]:
         """Minimal-cost recourse for a whole cohort.
 
@@ -329,7 +330,9 @@ class RecourseSolver:
 
         ``on_infeasible`` is ``"raise"`` (first infeasible individual
         aborts the batch, mirroring the scalar loop) or ``"none"``
-        (infeasible rows yield ``None`` — the cohort-audit mode).
+        (infeasible rows yield ``None`` — the cohort-audit mode).  The
+        raised error names the row by ``row_ids[i]`` (e.g. its table
+        index), or by its position in ``rows_codes`` without them.
         """
         check_probability(alpha, "alpha")
         _check_mode(mode)
@@ -381,9 +384,8 @@ class RecourseSolver:
             solved = self._solutions[(signature, alpha, max_refinements, mode)]
             if isinstance(solved, RecourseInfeasibleError):
                 if on_infeasible == "raise":
-                    raise RecourseInfeasibleError(
-                        f"row {row_index}: {solved}"
-                    ) from solved
+                    row = row_index if row_ids is None else row_ids[row_index]
+                    raise RecourseInfeasibleError(f"row {row}: {solved}") from solved
                 out.append(None)
             else:
                 out.append(solved)

@@ -21,7 +21,10 @@ Two estimation backends are provided:
 * ``regression`` — a per-attribute logistic model of
   ``Pr(o | X, nondesc(X))``; used for local scores where the context is
   an individual's full non-descendant assignment (Section 5.2's
-  "regressing over test data predictions").
+  "regressing over test data predictions").  It is fitted from the
+  engine's non-empty (feature cell, outcome) counts
+  (:meth:`ScoreEstimator.outcome_cells`), so it is a function of the
+  counts alone.
 """
 
 from __future__ import annotations
@@ -172,8 +175,8 @@ class ScoreEstimator:
         ``deleted_rows`` are indices into the current population.
         Deletions apply first, then insertions append.  The contingency
         engine is maintained incrementally; the per-attribute local
-        regression models are dropped (they are data-dependent and
-        lazily refit on next use).  Returns the new data version.
+        regression models are dropped and refit on next use from the
+        engine's (already updated) cells.  Returns the new data version.
         """
         n_ins = len(inserted_features) if inserted_features is not None else 0
         if n_ins:
@@ -403,6 +406,38 @@ class ScoreEstimator:
 
     # -- regression backend (local scores) ---------------------------------------
 
+    def outcome_cells(
+        self, features: Sequence[str]
+    ) -> tuple[Table, np.ndarray, np.ndarray]:
+        """The non-empty cells over ``features`` with their decision counts.
+
+        Returns ``(cells, totals, positives)``: one row of ``cells`` per
+        feature-code combination that occurs in the population
+        (lexicographic code order, the feature columns' domains), the
+        number of rows in it, and how many of those got the positive
+        decision.  These counts are all a one-hot logistic regression of
+        the decision reads, so the local and recourse models fit from
+        them; they come from the engine's cells over ``features`` plus
+        the outcome column.
+        """
+        features = list(features)
+        codes, counts = self._engine.cells(features + [self._outcome])
+        k = len(features)
+        # The outcome is the last, fastest-varying column: a feature cell's
+        # (o', o) entries are adjacent.
+        first = np.ones(len(codes), dtype=bool)
+        first[1:] = (codes[1:, :k] != codes[:-1, :k]).any(axis=1)
+        starts = np.flatnonzero(first)
+        cells = Table(
+            self._features.column(name).replaced(codes[starts, j])
+            for j, name in enumerate(features)
+        )
+        return (
+            cells,
+            np.add.reduceat(counts, starts),
+            np.add.reduceat(counts * codes[:, k], starts),
+        )
+
     def _local_model(self, features: tuple[str, ...]) -> OutcomeProbabilityModel:
         model = self._local_models.get(features)
         if model is None:
@@ -410,7 +445,7 @@ class ScoreEstimator:
 
             fit_started = time.perf_counter()
             model = OutcomeProbabilityModel(list(features))
-            model.fit(self._features, self._positive)
+            model.fit(*self.outcome_cells(features))
             _obs.get_registry().histogram(
                 "repro_local_model_fit_seconds",
                 "Wall time to fit one per-feature-tuple regression model.",

@@ -32,21 +32,28 @@ Batched query API
     adjustment-cell) pairs come from two tensor lookups and the mixture
     is a single broadcast multiply-sum.
 
+``cells(names)``
+    The non-empty cells of a column set with their row counts, in
+    lexicographic code order — the sufficient statistics the local and
+    recourse regressions are fitted from (one row per cell, not per
+    table row).
+
 Tensors are LRU-cached per column set under a byte budget.  Column sets
 whose dense joint domain would exceed ``max_cells`` fall back to sparse
-mask-based evaluation, so the engine stays total on pathological schemas
-while serving the common case at vector speed.
+mask-based evaluation (and ``cells`` to a packed-key ``np.unique``), so
+the engine stays total on pathological schemas while serving the common
+case at vector speed.
 
 Incremental maintenance
 -----------------------
 
 ``apply_delta(inserted_rows, deleted_rows)`` folds a batch of row
 insertions/deletions into every cached count tensor *in place* — one
-packed-code scatter-add per tensor, O(|delta|) per column set instead of
-an O(n) rebuild — rebinds the engine to the post-delta table, and bumps
-:attr:`version`.  The version token is what the serving layer's result
-cache keys on, so an update invalidates exactly the entries that depend
-on the superseded data.
+``np.add.at`` of the delta's signed cell codes per tensor, O(|delta|)
+per column set instead of an O(n) rebuild — rebinds the engine to the
+post-delta table, and bumps :attr:`version`.  The version token is what
+the serving layer's result cache keys on, so an update invalidates
+exactly the entries that depend on the superseded data.
 
 Persistence
 -----------
@@ -239,6 +246,42 @@ class ContingencyEngine:
             packed += np.asarray(codes[name], dtype=np.int64)
         return packed
 
+    def cells(self, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        """Non-empty cells of the joint domain of ``names`` and their counts.
+
+        Returns ``(codes, counts)``: ``codes`` is a ``(g, len(names))``
+        int64 code matrix with columns in ``names`` order (any order,
+        non-empty, unique) and rows in lexicographic code order;
+        ``counts[i] >= 1`` is the number of rows in cell ``i``.  Within
+        ``max_cells`` the cells are read off the cached dense
+        :meth:`tensor`, which deltas keep current; beyond it one
+        packed-key ``np.unique`` runs over the table's codes, or a
+        row-wise one when the mixed-radix key would overflow int64.
+        Every path returns the same arrays.
+        """
+        names = list(names)
+        order = sorted(names)
+        try:
+            view = self.tensor(order).transpose([order.index(n) for n in names])
+        except _CapacityError:
+            pass
+        else:
+            # argwhere walks the axes in ``names`` order: lexicographic
+            codes = np.argwhere(view).astype(np.int64)
+            return codes, view[tuple(codes.T)]
+        shape = tuple(self._card(n) for n in names)
+        if _prod(shape) < 2**63:
+            keys, counts = np.unique(
+                self._pack({n: self._table.codes(n) for n in names}, names, self._n),
+                return_counts=True,
+            )
+            codes = np.column_stack(np.unravel_index(keys, shape))
+        else:
+            codes, counts = np.unique(
+                self._table.codes_matrix(names), axis=0, return_counts=True
+            )
+        return codes.astype(np.int64), counts.astype(np.int64)
+
     # -- incremental maintenance -------------------------------------------
 
     def _normalize_inserted(
@@ -299,12 +342,15 @@ class ContingencyEngine:
         *indices* into the current table; deletions are applied first,
         then insertions are appended.
 
-        Every cached count tensor is updated with one packed-code
-        scatter-add/subtract — O(|delta|) work per column set instead of
-        an O(n) rebuild — the engine rebinds to the post-delta table, and
-        :attr:`version` is bumped.  Updated tensors are bit-identical to
-        a fresh rebuild (integer counts, no rounding).  An empty delta is
-        a no-op and leaves the version unchanged.  Returns the version.
+        The delta's rows become one signed code list per column (deleted
+        rows -1, inserted rows +1), and every cached count tensor takes
+        one unbuffered ``np.add.at`` scatter-add of those signs at those
+        cells — O(|delta|) work per column set instead of an O(n)
+        rebuild, with repeated cells adding up.  The engine then rebinds
+        to the post-delta table and :attr:`version` is bumped.  Updated
+        tensors are bit-identical to a fresh rebuild (integer counts, no
+        rounding).  An empty delta is a no-op and leaves the version
+        unchanged.  Returns the version.
         """
         inserted, n_ins = self._normalize_inserted(inserted_rows)
         if deleted_rows is None:
@@ -317,24 +363,21 @@ class ContingencyEngine:
             )
         if not n_ins and not deleted.size:
             return self._version
-        removed = {
-            name: self._table.codes(name)[deleted] for name in self._table.names
-        } if deleted.size else {}
-
+        signed = {
+            name: np.concatenate(
+                [self._table.codes(name)[deleted], inserted.get(name, deleted[:0])]
+            )
+            for name in self._table.names
+        }
+        signs = np.concatenate(
+            [np.full(deleted.size, -1, dtype=np.int64), np.ones(n_ins, dtype=np.int64)]
+        )
         for key in list(self._tensors):
             tensor = self._tensors.peek(key)
-            if not key:
+            if key:
+                np.add.at(tensor, tuple(signed[name] for name in key), signs)
+            else:
                 tensor[...] = self._n - deleted.size + n_ins
-                continue
-            cells = tensor.size
-            if n_ins:
-                tensor += np.bincount(
-                    self._pack(inserted, key, n_ins), minlength=cells
-                ).reshape(tensor.shape)
-            if deleted.size:
-                tensor -= np.bincount(
-                    self._pack(removed, key, deleted.size), minlength=cells
-                ).reshape(tensor.shape)
 
         base = self._table.delete_rows(deleted) if deleted.size else self._table
         if n_ins:

@@ -9,7 +9,9 @@ the actionable attributes.  :class:`LogitModel` fits a logistic
 regression of the black box's positive decision on one-hot indicators of
 the actionable attributes plus the (fixed) context attributes; the
 per-category coefficients become the weights of the IP's linear
-constraint.
+constraint.  Like the local outcome model it is fitted from the
+non-empty (feature cell, outcome) counts rather than the rows, so its
+coefficients depend on the table only through those counts.
 """
 
 from __future__ import annotations
@@ -58,16 +60,22 @@ class LogitModel:
         self._encoder: OneHotEncoder | None = None
         self._model: LogisticRegression | None = None
 
-    def fit(self, table: Table, positive: np.ndarray) -> "LogitModel":
-        """Fit on ``table`` with boolean vector ``positive`` (O = o)."""
-        positive = np.asarray(positive, dtype=bool)
-        if len(positive) != len(table):
-            raise ValueError("positive vector length must match the table")
-        features = self.actionable + self.context
-        self._encoder = OneHotEncoder(drop_first=True).fit(table.select(features))
-        X = self._encoder.transform(table.select(features))
-        self._model = LogisticRegression(l2=self.l2)
-        self._model.fit(X, positive.astype(int))
+    def fit(
+        self, cells: Table, totals: np.ndarray, positives: np.ndarray
+    ) -> "LogitModel":
+        """Fit on grouped data: row ``i`` of ``cells`` stands for
+        ``totals[i]`` table rows, ``positives[i]`` of them with O = o.
+
+        ``cells`` holds the ``actionable + context`` columns; the
+        one-hot layout comes from their domains.  Raises ``ValueError``
+        when every row has the same decision or the counts do not align
+        with the cells.
+        """
+        subset = cells.select(self.actionable + self.context)
+        self._encoder = OneHotEncoder(drop_first=True).fit(subset)
+        self._model = LogisticRegression(l2=self.l2).fit_counts(
+            self._encoder.transform(subset), totals, positives
+        )
         return self
 
     # -- views used by the IP builder ------------------------------------------

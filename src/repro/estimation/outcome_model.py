@@ -8,6 +8,14 @@ predictions"), :class:`OutcomeProbabilityModel` fits a logistic
 regression of the black box's positive decision on one-hot indicators of
 a chosen feature subset and answers ``Pr(o | features = codes)`` for any
 code assignment — observed or not.
+
+The regression's likelihood depends on the data only through the
+(feature cell, outcome) counts, so :meth:`OutcomeProbabilityModel.fit`
+takes those: one row per non-empty feature cell with its row and
+positive counts (:meth:`repro.core.scores.ScoreEstimator.outcome_cells`
+reads them off the contingency engine).  The fit therefore costs the
+number of cells, not rows, and is a pure function of the counts: the
+same for any row order of the table.
 """
 
 from __future__ import annotations
@@ -32,22 +40,33 @@ class OutcomeProbabilityModel:
         self._model: LogisticRegression | None = None
         self._constant: float | None = None
 
-    def fit(self, table: Table, positive: np.ndarray) -> "OutcomeProbabilityModel":
-        """Fit on ``table`` against the boolean positive-decision vector."""
-        positive = np.asarray(positive, dtype=bool)
-        if len(positive) != len(table):
-            raise ValueError("positive vector length must match the table")
-        subset = table.select(self.features)
+    def fit(
+        self, cells: Table, totals: np.ndarray, positives: np.ndarray
+    ) -> "OutcomeProbabilityModel":
+        """Fit on grouped data: row ``i`` of ``cells`` stands for
+        ``totals[i]`` table rows, ``positives[i]`` of them with the
+        positive decision.
+
+        ``cells`` holds (at least) the :attr:`features` columns; the
+        one-hot layout comes from their domains.  When every row has the
+        same decision the regression is that constant.
+        """
+        totals = np.asarray(totals, dtype=np.int64)
+        positives = np.asarray(positives, dtype=np.int64)
+        if not len(cells) == len(totals) == len(positives):
+            raise ValueError("totals and positives must align with the cells")
+        subset = cells.select(self.features)
         self._encoder = OneHotEncoder(drop_first=True).fit(subset)
-        X = self._encoder.transform(subset)
-        if positive.all() or not positive.any():
+        n_positive, n = int(positives.sum()), int(totals.sum())
+        if n_positive in (0, n):
             # Degenerate outcome: the regression is a constant.
-            self._constant = float(positive.mean())
+            self._constant = n_positive / n if n else float("nan")
             self._model = None
             return self
         self._constant = None
-        self._model = LogisticRegression(l2=self.l2)
-        self._model.fit(X, positive.astype(int))
+        self._model = LogisticRegression(l2=self.l2).fit_counts(
+            self._encoder.transform(subset), totals, positives
+        )
         return self
 
     def probability(self, codes: Mapping[str, int]) -> float:

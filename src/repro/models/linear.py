@@ -3,14 +3,18 @@
 Logistic regression is fit by Newton-Raphson (IRLS) with L2
 regularisation — stable on the one-hot matrices the library produces,
 and exposes ``coef_`` / ``intercept_`` which the recourse logit model
-(Section 4.2) and the LinearIP baseline (Section 5.4) both consume.
+(Section 4.2), the local outcome model and the LinearIP baseline
+(Section 5.4) consume.  One IRLS loop serves two inputs: ``fit`` takes
+one row per observation, ``fit_counts`` one row per distinct cell with
+its observation and positive counts (the form the explainers fit from
+the contingency engine's cells).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.models.base import BaseClassifier, BaseRegressor
+from repro.models.base import BaseClassifier, BaseRegressor, _as_matrix
 
 
 class LinearRegression(BaseRegressor):
@@ -50,7 +54,40 @@ class LogisticRegression(BaseClassifier):
         self.coef_: np.ndarray | None = None  # (n_problems, d)
         self.intercept_: np.ndarray | None = None
 
-    def _fit_binary(self, X: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float]:
+    def fit_counts(self, X, totals, positives) -> "LogisticRegression":
+        """Binary fit on grouped observations.
+
+        Row ``i`` of ``X`` stands for ``totals[i]`` observations, of
+        which ``positives[i]`` are positive: the likelihood of one-hot
+        data depends on it only through these counts, so a fit over the
+        distinct cells equals the fit over the rows they group.  Raises
+        ``ValueError`` when every observation has the same label, like
+        :meth:`fit` on a single class.
+        """
+        X = _as_matrix(X)
+        totals = np.asarray(totals, dtype=np.float64)
+        positives = np.asarray(positives, dtype=np.float64)
+        if not len(X) == len(totals) == len(positives):
+            raise ValueError(
+                f"X has {len(X)} rows, totals {len(totals)}, positives {len(positives)}"
+            )
+        if not 0 < positives.sum() < totals.sum():
+            raise ValueError("need at least two classes to fit a classifier")
+        self.classes_ = np.array([0, 1])
+        coef, intercept = self._fit_binary(X, positives, totals)
+        self.coef_ = coef[None, :]
+        self.intercept_ = np.array([intercept])
+        return self
+
+    def _fit_binary(
+        self, X: np.ndarray, target: np.ndarray, totals: np.ndarray | None = None
+    ) -> tuple[np.ndarray, float]:
+        """IRLS for one binary problem.
+
+        Without ``totals`` each row is one observation with 0/1
+        ``target``; with them row ``i`` weighs ``totals[i]`` observations
+        and ``target[i]`` counts its positives.
+        """
         n, d = X.shape
         Xb = np.column_stack([X, np.ones(n)])
         theta = np.zeros(d + 1)
@@ -58,8 +95,12 @@ class LogisticRegression(BaseClassifier):
         penalty[-1, -1] = 0.0
         for _ in range(self.max_iter):
             p = _sigmoid(Xb @ theta)
-            gradient = Xb.T @ (p - target) + penalty @ theta
             w = np.clip(p * (1 - p), 1e-9, None)
+            if totals is None:
+                gradient = Xb.T @ (p - target) + penalty @ theta
+            else:
+                gradient = Xb.T @ (totals * p - target) + penalty @ theta
+                w = totals * w
             hessian = (Xb * w[:, None]).T @ Xb + penalty + 1e-9 * np.eye(d + 1)
             try:
                 step = np.linalg.solve(hessian, gradient)

@@ -17,6 +17,10 @@ and the parity tests hold the batched paths to them at 1e-12:
 * :func:`milp_exact_step` — the recourse kernel's exact step solved as
   a scipy/HiGHS MILP (:func:`solve_ip_milp`) instead of the parametric
   search, for the recourse parity tests to swap in;
+* :func:`outcome_model_on_rows` / :func:`logit_model_on_rows` — the
+  local and recourse regressions fitted with one design row per table
+  row, which ``tests/test_cell_fit.py`` holds the library's fit from
+  count cells to at 1e-12;
 * :class:`NxCausalDiagram` — the causal diagram over a
   :class:`networkx.DiGraph` (networkx is a test-only dependency), which
   ``tests/test_graph_oracle.py`` holds the dict-based
@@ -42,7 +46,12 @@ from repro.core.explanations import (
     _truncated_pairs,
 )
 from repro.core.scores import ScoreEstimator, ScoreTriple
+from repro.data.encoding import OneHotEncoder
+from repro.data.table import Table
 from repro.estimation.engine import ContingencyEngine
+from repro.estimation.logit import LogitModel
+from repro.estimation.outcome_model import OutcomeProbabilityModel
+from repro.models.linear import LogisticRegression
 from repro.opt.branch_and_bound import solve_binary_program
 from repro.opt.integer_program import IntegerProgram
 from repro.opt.parametric import SignatureSkeleton
@@ -298,6 +307,46 @@ def local_explanation_scalar(
         outcome_positive=bool(outcome_positive),
         contributions=contributions,
     )
+
+
+def outcome_model_on_rows(
+    features: Sequence[str], table: Table, positive: np.ndarray, l2: float = 1e-3
+) -> OutcomeProbabilityModel:
+    """:class:`OutcomeProbabilityModel` fitted with one design row per table row."""
+    positive = np.asarray(positive, dtype=bool)
+    model = OutcomeProbabilityModel(features, l2=l2)
+    subset = table.select(model.features)
+    model._encoder = OneHotEncoder(drop_first=True).fit(subset)
+    if positive.all() or not positive.any():
+        model._constant = float(positive.mean())
+        model._model = None
+        return model
+    model._constant = None
+    model._model = LogisticRegression(l2=l2).fit(
+        model._encoder.transform(subset), positive.astype(int)
+    )
+    return model
+
+
+def logit_model_on_rows(
+    actionable: Sequence[str],
+    context: Sequence[str],
+    table: Table,
+    positive: np.ndarray,
+    l2: float = 1.0,
+) -> LogitModel:
+    """:class:`LogitModel` fitted with one design row per table row.
+
+    Raises ``ValueError`` on a single-class ``positive``, like the
+    library's fit.
+    """
+    model = LogitModel(actionable, context, l2=l2)
+    subset = table.select(model.actionable + model.context)
+    model._encoder = OneHotEncoder(drop_first=True).fit(subset)
+    model._model = LogisticRegression(l2=l2).fit(
+        model._encoder.transform(subset), np.asarray(positive, dtype=bool).astype(int)
+    )
+    return model
 
 
 def solve_ip_milp(

@@ -3,11 +3,23 @@
 import numpy as np
 import pytest
 
+from repro.core.scores import ScoreEstimator
 from repro.data.table import Column, Table
 from repro.estimation.logit import LogitModel, logit
 from repro.estimation.outcome_model import OutcomeProbabilityModel
 from repro.models.pipeline import MODEL_KINDS, TableModel, fit_table_model
 from repro.models.forest import RandomForestClassifier
+
+
+def fitted(model, table, positive):
+    """``model`` fitted from the count cells of ``table`` under ``positive``."""
+    names = (
+        model.features
+        if isinstance(model, OutcomeProbabilityModel)
+        else model.actionable + model.context
+    )
+    estimator = ScoreEstimator(table.select(names), positive)
+    return model.fit(*estimator.outcome_cells(names))
 
 
 @pytest.fixture(scope="module")
@@ -124,24 +136,32 @@ class TestLogitHelpers:
 class TestLogitModel:
     def test_coefficient_of_reference_category_is_zero(self, labelled_table):
         positive = labelled_table.codes("y") == 1
-        model = LogitModel(["a"], ["b"]).fit(labelled_table.select(["a", "b"]), positive)
+        model = fitted(LogitModel(["a"], ["b"]), labelled_table, positive)
         assert model.coefficient_vector("a")[0] == 0.0
 
     def test_coefficients_increase_with_helpful_values(self, labelled_table):
         positive = labelled_table.codes("y") == 1
-        model = LogitModel(["a"], ["b"]).fit(labelled_table.select(["a", "b"]), positive)
+        model = fitted(LogitModel(["a"], ["b"]), labelled_table, positive)
         coef = model.coefficient_vector("a")
         assert coef[2] > coef[1] > 0
 
     def test_log_odds_monotone(self, labelled_table):
         positive = labelled_table.codes("y") == 1
-        model = LogitModel(["a"], ["b"]).fit(labelled_table.select(["a", "b"]), positive)
+        model = fitted(LogitModel(["a"], ["b"]), labelled_table, positive)
         z = model.score_codes_batch([{"a": c, "b": 1} for c in (0, 1, 2)])
         assert z[0] < z[1] < z[2]
 
     def test_length_mismatch(self, labelled_table):
+        positive = labelled_table.codes("y") == 1
+        cells, totals, positives = ScoreEstimator(
+            labelled_table.select(["a"]), positive
+        ).outcome_cells(["a"])
         with pytest.raises(ValueError):
-            LogitModel(["a"]).fit(labelled_table.select(["a", "b"]), np.ones(3, bool))
+            LogitModel(["a"]).fit(cells, totals[:-1], positives)
+
+    def test_single_class_raises(self, labelled_table):
+        with pytest.raises(ValueError):
+            fitted(LogitModel(["a"]), labelled_table, np.ones(len(labelled_table), bool))
 
     def test_row_log_odds_do_not_depend_on_batch_size(self, wide_table):
         """A row scores the same bits alone as inside a batch.
@@ -150,7 +170,7 @@ class TestLogitModel:
         for one row than for many, so single rows drifted by ulps.
         """
         table, positive = wide_table
-        model = LogitModel(table.names[:3], table.names[3:]).fit(table, positive)
+        model = fitted(LogitModel(table.names[:3], table.names[3:]), table, positive)
         rows = [table.row_codes(i) for i in range(200)]
         batch = model.score_codes_batch(rows)
         for i, row in enumerate(rows):
@@ -158,7 +178,7 @@ class TestLogitModel:
 
     def test_gathered_log_odds_match_the_one_hot_product(self, wide_table):
         table, positive = wide_table
-        model = LogitModel(table.names[:3], table.names[3:]).fit(table, positive)
+        model = fitted(LogitModel(table.names[:3], table.names[3:]), table, positive)
         dense = (
             model._encoder.transform(table) @ model._model.coef_[0]
             + model._model.intercept_[0]
@@ -172,9 +192,7 @@ class TestLogitModel:
 class TestOutcomeProbabilityModel:
     def test_probability_tracks_frequency(self, labelled_table):
         positive = labelled_table.codes("y") == 1
-        model = OutcomeProbabilityModel(["a", "b"]).fit(
-            labelled_table.select(["a", "b"]), positive
-        )
+        model = fitted(OutcomeProbabilityModel(["a", "b"]), labelled_table, positive)
         # Compare against empirical rates on well-supported cells.
         for a in (0, 2):
             for b in (0, 1):
@@ -194,20 +212,20 @@ class TestOutcomeProbabilityModel:
         table = Table(
             [Column.from_codes("a", a, (0, 1)), Column.from_codes("b", b, (0, 1))]
         )
-        model = OutcomeProbabilityModel(["a", "b"]).fit(table, y)
+        model = fitted(OutcomeProbabilityModel(["a", "b"]), table, y)
         assert model.probability({"a": 1, "b": 1}) > 0.5
 
     def test_degenerate_all_positive(self, labelled_table):
-        model = OutcomeProbabilityModel(["a"]).fit(
-            labelled_table.select(["a", "b"]), np.ones(len(labelled_table), bool)
+        model = fitted(
+            OutcomeProbabilityModel(["a"]),
+            labelled_table,
+            np.ones(len(labelled_table), bool),
         )
         assert model.probability({"a": 0}) == 1.0
 
     def test_probability_table_matches_pointwise(self, labelled_table):
         positive = labelled_table.codes("y") == 1
-        model = OutcomeProbabilityModel(["a", "b"]).fit(
-            labelled_table.select(["a", "b"]), positive
-        )
+        model = fitted(OutcomeProbabilityModel(["a", "b"]), labelled_table, positive)
         vec = model.probability_table(labelled_table)
         for i in (0, 10, 100):
             codes = labelled_table.row_codes(i)
