@@ -40,9 +40,10 @@ Batched query API
 
 Tensors are LRU-cached per column set under a byte budget.  Column sets
 whose dense joint domain would exceed ``max_cells`` fall back to sparse
-mask-based evaluation (and ``cells`` to a packed-key ``np.unique``), so
-the engine stays total on pathological schemas while serving the common
-case at vector speed.
+mask-based evaluation, so the engine stays total on pathological schemas
+while serving the common case at vector speed.  ``cells`` never builds a
+tensor: a wide keep-set's joint domain can dwarf the table, so it reads
+the cells from one packed-key ``np.unique`` over the rows.
 
 Incremental maintenance
 -----------------------
@@ -252,23 +253,13 @@ class ContingencyEngine:
         Returns ``(codes, counts)``: ``codes`` is a ``(g, len(names))``
         int64 code matrix with columns in ``names`` order (any order,
         non-empty, unique) and rows in lexicographic code order;
-        ``counts[i] >= 1`` is the number of rows in cell ``i``.  Within
-        ``max_cells`` the cells are read off the cached dense
-        :meth:`tensor`, which deltas keep current; beyond it one
-        packed-key ``np.unique`` runs over the table's codes, or a
-        row-wise one when the mixed-radix key would overflow int64.
-        Every path returns the same arrays.
+        ``counts[i] >= 1`` is the number of rows in cell ``i``.  One
+        ``np.unique`` runs over the table's mixed-radix packed keys, or
+        over its code rows when the packed key would overflow int64, so
+        the work is O(n log n) whatever the joint domain's size and no
+        tensor is built or cached.
         """
         names = list(names)
-        order = sorted(names)
-        try:
-            view = self.tensor(order).transpose([order.index(n) for n in names])
-        except _CapacityError:
-            pass
-        else:
-            # argwhere walks the axes in ``names`` order: lexicographic
-            codes = np.argwhere(view).astype(np.int64)
-            return codes, view[tuple(codes.T)]
         shape = tuple(self._card(n) for n in names)
         if _prod(shape) < 2**63:
             keys, counts = np.unique(

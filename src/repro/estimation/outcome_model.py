@@ -51,10 +51,6 @@ class OutcomeProbabilityModel:
         one-hot layout comes from their domains.  When every row has the
         same decision the regression is that constant.
         """
-        totals = np.asarray(totals, dtype=np.int64)
-        positives = np.asarray(positives, dtype=np.int64)
-        if not len(cells) == len(totals) == len(positives):
-            raise ValueError("totals and positives must align with the cells")
         subset = cells.select(self.features)
         self._encoder = OneHotEncoder(drop_first=True).fit(subset)
         n_positive, n = int(positives.sum()), int(totals.sum())

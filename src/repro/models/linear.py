@@ -80,13 +80,13 @@ class LogisticRegression(BaseClassifier):
         return self
 
     def _fit_binary(
-        self, X: np.ndarray, target: np.ndarray, totals: np.ndarray | None = None
+        self, X: np.ndarray, target: np.ndarray, totals: np.ndarray
     ) -> tuple[np.ndarray, float]:
         """IRLS for one binary problem.
 
-        Without ``totals`` each row is one observation with 0/1
-        ``target``; with them row ``i`` weighs ``totals[i]`` observations
-        and ``target[i]`` counts its positives.
+        Row ``i`` weighs ``totals[i]`` observations and ``target[i]``
+        counts its positives; a row fit passes ones and 0/1 targets
+        (multiplying by 1.0 is exact, so it costs no bits).
         """
         n, d = X.shape
         Xb = np.column_stack([X, np.ones(n)])
@@ -95,12 +95,8 @@ class LogisticRegression(BaseClassifier):
         penalty[-1, -1] = 0.0
         for _ in range(self.max_iter):
             p = _sigmoid(Xb @ theta)
-            w = np.clip(p * (1 - p), 1e-9, None)
-            if totals is None:
-                gradient = Xb.T @ (p - target) + penalty @ theta
-            else:
-                gradient = Xb.T @ (totals * p - target) + penalty @ theta
-                w = totals * w
+            gradient = Xb.T @ (totals * p - target) + penalty @ theta
+            w = totals * np.clip(p * (1 - p), 1e-9, None)
             hessian = (Xb * w[:, None]).T @ Xb + penalty + 1e-9 * np.eye(d + 1)
             try:
                 step = np.linalg.solve(hessian, gradient)
@@ -113,10 +109,11 @@ class LogisticRegression(BaseClassifier):
 
     def _fit(self, X: np.ndarray, y_idx: np.ndarray, n_classes: int) -> None:
         n_problems = 1 if n_classes == 2 else n_classes
+        ones = np.ones(len(X))
         coefs, intercepts = [], []
         for problem in range(n_problems):
             target = (y_idx == (problem if n_problems > 1 else 1)).astype(float)
-            coef, intercept = self._fit_binary(X, target)
+            coef, intercept = self._fit_binary(X, target, ones)
             coefs.append(coef)
             intercepts.append(intercept)
         self.coef_ = np.array(coefs)
