@@ -176,7 +176,7 @@ class ScoreEstimator:
         Deletions apply first, then insertions append.  The contingency
         engine is maintained incrementally; the per-attribute local
         regression models are dropped and refit on next use from the
-        engine's (already updated) cells.  Returns the new data version.
+        post-delta table's cells.  Returns the new data version.
         """
         n_ins = len(inserted_features) if inserted_features is not None else 0
         if n_ins:
