@@ -19,21 +19,29 @@ from repro.core.lewis import Lewis
 
 
 def group_outcome_counts(
-    engine, attribute: str, outcome: str = "__outcome__"
+    engine,
+    attribute: str,
+    outcome: str = "__outcome__",
+    context: Mapping[str, int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(positives, totals)`` per code of ``attribute`` from count tensors.
 
-    Reads the engine's incrementally maintained ``(attribute, outcome)``
-    contingency tensor instead of scanning rows — the O(cardinality)
-    primitive behind streaming fairness monitors. The tensor axes follow
-    the engine's sorted-name order; this normalises to
-    ``(attribute, outcome)``.
+    Reads the engine's incrementally maintained contingency tensor over
+    ``attribute``, ``outcome`` and the ``context`` columns instead of
+    scanning rows — the O(cardinality) primitive behind the disparity
+    and monotonicity diagnostics and their streaming monitors.
+    ``context`` pins columns (other than ``attribute``) to codes; only
+    rows inside it are counted.
     """
-    names = tuple(sorted((attribute, outcome)))
+    context = dict(context or {})
+    names = tuple(sorted({attribute, outcome, *context}))
     tensor = np.asarray(engine.tensor(names))
-    if names[0] == outcome:
-        tensor = tensor.T
-    return tensor[:, 1], tensor.sum(axis=1)
+    sub = tensor[
+        tuple(int(context[n]) if n in context else slice(None) for n in names)
+    ]
+    free = [n for n in names if n not in context]
+    sub = np.moveaxis(sub, (free.index(attribute), free.index(outcome)), (0, 1))
+    return sub[:, 1], sub.sum(axis=1)
 
 
 def demographic_disparity_from_counts(
@@ -41,8 +49,9 @@ def demographic_disparity_from_counts(
 ) -> float:
     """Largest positive-rate gap across supported groups, from counts.
 
-    Bit-identical to :meth:`FairnessAuditor.demographic_disparity` (an
-    O(n) mask scan): both reduce to the same integer-count divisions.
+    Bit-identical to the O(n) row scan it replaces (kept as an oracle in
+    ``tests/oracles.py``): both reduce to the same integer-count
+    divisions.
     """
     rates = [
         p / t for p, t in zip(positives.tolist(), totals.tolist()) if t > 0
@@ -143,16 +152,10 @@ class FairnessAuditor:
         can show disparity through correlated non-protected attributes,
         and vice versa.
         """
-        lewis = self._lewis
-        codes = lewis.data.codes(protected)
-        rates = []
-        for code in range(lewis.data.column(protected).cardinality):
-            members = codes == code
-            if members.any():
-                rates.append(float(lewis.positive[members].mean()))
-        if len(rates) < 2:
-            return 0.0
-        return max(rates) - min(rates)
+        estimator = self._lewis.estimator
+        return demographic_disparity_from_counts(
+            *group_outcome_counts(estimator.engine, protected, estimator._outcome)
+        )
 
     def contextual_disparity(
         self,

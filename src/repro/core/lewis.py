@@ -124,7 +124,6 @@ class Lewis:
             table = order_table_attributes(
                 self._raw_predict_positive, table, self.attributes, seed=seed
             )
-        self.data = table
         if positive_vector is not None:
             positive = np.asarray(positive_vector, dtype=bool)
             if len(positive) != len(table):
@@ -132,10 +131,9 @@ class Lewis:
                     f"positive_vector has {len(positive)} entries; "
                     f"data has {len(table)} rows"
                 )
-            self._positive = positive
         else:
-            self._positive = np.asarray(self.predict_positive(table), dtype=bool)
-        self.estimator = ScoreEstimator(table, self._positive, diagram=graph)
+            positive = np.asarray(self.predict_positive(table), dtype=bool)
+        self.estimator = ScoreEstimator(table, positive, diagram=graph)
         self.bounds_estimator = BoundsEstimator(self.estimator)
         #: cached solvers as ``key -> (table_version, solver)``; a version
         #: mismatch at lookup time drops the entry, so a solver fitted on
@@ -213,14 +211,19 @@ class Lewis:
         return np.array([domain.index(self._positive_outcome)])
 
     @property
+    def data(self) -> Table:
+        """The explained population: the estimator's current feature table."""
+        return self.estimator._features
+
+    @property
     def positive(self) -> np.ndarray:
         """Positive-decision vector over :attr:`data`."""
-        return self._positive
+        return self.estimator._positive
 
     @property
     def positive_rate(self) -> float:
         """Population-level rate of positive decisions."""
-        return float(self._positive.mean())
+        return float(self.positive.mean())
 
     # -- incremental data updates ------------------------------------------
 
@@ -236,11 +239,13 @@ class Lewis:
     ) -> int:
         """Update the explained population in place, without a rebuild.
 
-        ``inserted_rows`` are decoded ``{attribute: label}`` mappings (or
-        a feature :class:`Table` in this explainer's domain layout);
-        labels must come from the existing domains — a delta can never
-        extend a category set.  ``deleted_rows`` are indices into
-        :attr:`data`; deletions apply first, then insertions append.
+        ``inserted_rows`` is a feature :class:`Table` in this explainer's
+        domain layout (as :meth:`Table.encode_rows` on :attr:`data` makes
+        it), or decoded ``{attribute: label}`` mappings, which are
+        encoded that way; labels must come from the existing domains — a
+        delta can never extend a category set.  ``deleted_rows`` are
+        indices into :attr:`data`; deletions apply first, then insertions
+        append.
 
         The black box is invoked only on the inserted rows; cached
         contingency tensors are maintained incrementally via
@@ -249,26 +254,13 @@ class Lewis:
         Returns the new :attr:`table_version`.
         """
         if inserted_rows is not None and not isinstance(inserted_rows, Table):
-            rows = list(inserted_rows)
-            if rows:
-                encoded = self.data.encode_rows(rows)
-                inserted_rows = Table(
-                    self.data.column(name).replaced(encoded[name])
-                    for name in self.data.names
-                )
-            else:
-                inserted_rows = None
+            inserted_rows = self.data.encode_rows(inserted_rows)
         n_ins = len(inserted_rows) if inserted_rows is not None else 0
-        inserted_positive = (
-            np.asarray(self.predict_positive(inserted_rows), dtype=bool)
-            if n_ins
-            else None
-        )
         version = self.estimator.apply_delta(
-            inserted_rows if n_ins else None, inserted_positive, deleted_rows
+            inserted_rows if n_ins else None,
+            self.predict_positive(inserted_rows) if n_ins else None,
+            deleted_rows,
         )
-        self.data = self.estimator._features
-        self._positive = self.estimator._positive
         # Solvers embed data-dependent logit fits and must refit.
         self._recourse_solvers.clear()
         return version
@@ -416,12 +408,9 @@ class Lewis:
         """
         from repro.core.uncertainty import BootstrapScores
 
-        features = self.data.select(
-            [n for n in self.data.names if n != self.estimator._outcome]
-        )
         boot = BootstrapScores(
-            features,
-            self._positive,
+            self.data,
+            self.positive,
             diagram=self.graph,
             n_bootstrap=n_bootstrap,
             seed=seed,
@@ -481,7 +470,7 @@ class Lewis:
             raise ValueError("pass exactly one of index / individual")
         if index is not None:
             row_codes = self.data.row_codes(int(index))
-            outcome_positive = bool(self._positive[int(index)])
+            outcome_positive = bool(self.positive[int(index)])
         else:
             row_codes = {
                 name: self.data.column(name).code_of(value)
@@ -516,7 +505,7 @@ class Lewis:
         """
         indices = [int(i) for i in indices]
         rows = [self.data.row_codes(i) for i in indices]
-        outcomes = [bool(self._positive[i]) for i in indices]
+        outcomes = [bool(self.positive[i]) for i in indices]
         return build_local_explanations_batch(
             self.estimator, rows, outcomes, list(attributes or self.attributes)
         )
@@ -663,8 +652,8 @@ class Lewis:
 
     def negative_indices(self) -> np.ndarray:
         """Row indices of individuals with the negative decision."""
-        return np.nonzero(~self._positive)[0]
+        return np.nonzero(~self.positive)[0]
 
     def positive_indices(self) -> np.ndarray:
         """Row indices of individuals with the positive decision."""
-        return np.nonzero(self._positive)[0]
+        return np.nonzero(self.positive)[0]

@@ -39,15 +39,10 @@ def empirical_monotonicity_violation(
     for name, code in (context or {}).items():
         mask &= table.codes(name) == int(code)
     codes = table.codes(attribute)
-    rates = []
-    for code in range(table.column(attribute).cardinality):
-        members = mask & (codes == code)
-        if members.any():
-            rates.append(float(positive[members].mean()))
-    worst = 0.0
-    for prev, nxt in zip(rates[:-1], rates[1:]):
-        worst = max(worst, prev - nxt)
-    return worst
+    card = table.column(attribute).cardinality
+    totals = np.bincount(codes[mask], minlength=card)
+    positives = np.bincount(codes[mask & positive], minlength=card)
+    return monotonicity_from_counts(positives, totals)[0]
 
 
 def monotonicity_from_counts(
@@ -55,12 +50,12 @@ def monotonicity_from_counts(
 ) -> tuple[float, int]:
     """``(worst step-down, violating step count)`` from per-code counts.
 
-    The streaming-monitor form of
-    :func:`empirical_monotonicity_violation`: fed from the engine's
-    incrementally maintained ``(attribute, outcome)`` count tensor
-    instead of O(n) mask scans, and bit-identical to it on the worst
-    step (both reduce to the same integer-count divisions over the
-    supported codes, in code order). Additionally counts how many
+    The one arithmetic of the diagnostic:
+    :func:`empirical_monotonicity_violation` feeds it counts from a
+    table, the streaming monitors from the engine's incrementally
+    maintained ``(attribute, outcome)`` count tensor.  The worst step is
+    the rate drop between consecutive supported codes, in code order,
+    from integer-count divisions.  Additionally counts how many
     consecutive supported steps decrease — the violation counter a
     drift detector watches.
     """

@@ -174,9 +174,12 @@ class ScoreEstimator:
         those rows (the caller runs the model; this layer never predicts).
         ``deleted_rows`` are indices into the current population.
         Deletions apply first, then insertions append.  The contingency
-        engine is maintained incrementally; the per-attribute local
-        regression models are dropped and refit on next use from the
-        post-delta table's cells.  Returns the new data version.
+        engine is maintained incrementally, and the feature table and
+        positive vector are re-read from its post-delta table (they are
+        what ``Lewis.data`` and ``Lewis.positive`` return); the
+        per-attribute local regression models are dropped and refit on
+        next use from the post-delta table's cells.  Returns the new data
+        version.
         """
         n_ins = len(inserted_features) if inserted_features is not None else 0
         if n_ins:

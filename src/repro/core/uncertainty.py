@@ -63,11 +63,6 @@ class BootstrapScores:
         self._rng = as_generator(seed)
         self._point = ScoreEstimator(features, self._positive, diagram=diagram)
 
-    @property
-    def point_estimator(self) -> ScoreEstimator:
-        """The full-sample estimator used for point estimates."""
-        return self._point
-
     def _replicate(self) -> ScoreEstimator:
         n = len(self._features)
         rows = self._rng.integers(0, n, size=n)

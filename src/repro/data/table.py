@@ -346,17 +346,16 @@ class Table:
 
     # -- delta hooks (incremental serving) -----------------------------------
 
-    def encode_rows(
-        self, rows: Sequence[Mapping[str, Any]]
-    ) -> dict[str, np.ndarray]:
-        """Translate label-level ``rows`` into full-schema code arrays.
+    def encode_rows(self, rows: Sequence[Mapping[str, Any]]) -> "Table":
+        """Encode label-level ``rows`` as a table with this schema and domains.
 
         Every row must assign every column; values outside a column's
-        domain raise :class:`DomainError`. This is the validation step in
-        front of :meth:`append_rows` and the engine's ``apply_delta``.
+        domain raise :class:`DomainError`.  Labels match by equality, so
+        ``2``, ``2.0`` and ``np.int64(2)`` encode to the same code.  This
+        is the one row encoder in front of ``Lewis.apply_delta``.
         """
         rows = list(rows)
-        out: dict[str, np.ndarray] = {}
+        columns = []
         for name, col in self._columns.items():
             codes = np.empty(len(rows), dtype=np.int64)
             for i, row in enumerate(rows):
@@ -366,25 +365,8 @@ class Table:
                         f"rows must cover the full schema {self.names}"
                     )
                 codes[i] = col.code_of(row[name])
-            out[name] = codes
-        return out
-
-    def append_rows(self, rows: Sequence[Mapping[str, Any]]) -> "Table":
-        """Return a table with decoded ``rows`` appended (same domains)."""
-        encoded = self.encode_rows(rows)
-        return Table(
-            col.replaced(np.concatenate([col.codes, encoded[name]]))
-            for name, col in self._columns.items()
-        )
-
-    def delete_rows(self, indices: Sequence[int] | np.ndarray) -> "Table":
-        """Return a table without the rows at ``indices``."""
-        indices = np.unique(np.asarray(indices, dtype=np.intp))
-        if indices.size and (indices[0] < 0 or indices[-1] >= len(self)):
-            raise IndexError(f"row indices outside [0, {len(self)}): {indices}")
-        keep = np.ones(len(self), dtype=bool)
-        keep[indices] = False
-        return self.take(np.nonzero(keep)[0])
+            columns.append(col.replaced(codes))
+        return Table(columns)
 
     def schema_fingerprint(self) -> str:
         """Stable hex digest of the schema (names, domains, orderedness).
@@ -401,18 +383,6 @@ class Table:
                 repr((col.name, col.categories, col.ordered)).encode("utf-8")
             )
         return h.hexdigest()
-
-    def concat_rows(self, other: "Table") -> "Table":
-        """Stack another table with identical schema below this one."""
-        if self.names != other.names:
-            raise ValueError("schemas differ; cannot concatenate rows")
-        merged = []
-        for name in self.names:
-            a, b = self.column(name), other.column(name)
-            if a.categories != b.categories:
-                raise DomainError(f"column {name!r}: domains differ")
-            merged.append(a.replaced(np.concatenate([a.codes, b.codes])))
-        return Table(merged)
 
     def sample(self, n: int, rng: np.random.Generator, replace: bool = False) -> "Table":
         """Return ``n`` uniformly sampled rows."""

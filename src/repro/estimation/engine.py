@@ -48,13 +48,16 @@ the cells from one packed-key ``np.unique`` over the rows.
 Incremental maintenance
 -----------------------
 
-``apply_delta(inserted_rows, deleted_rows)`` folds a batch of row
-insertions/deletions into every cached count tensor *in place* — one
-``np.add.at`` of the delta's signed cell codes per tensor, O(|delta|)
-per column set instead of an O(n) rebuild — rebinds the engine to the
-post-delta table, and bumps :attr:`version`.  The version token is what
-the serving layer's result cache keys on, so an update invalidates
-exactly the entries that depend on the superseded data.
+``apply_delta(inserted_rows, deleted_rows)`` takes one input form: the
+inserted rows as a full-schema :class:`Table` in the engine's domains
+(the caller encodes labels once, with ``Table.encode_rows``) and the
+deleted rows as indices.  It folds the delta into every cached count
+tensor *in place* — one ``np.add.at`` of the delta's signed cell codes
+per tensor, O(|delta|) per column set instead of an O(n) rebuild —
+builds the post-delta table in one pass, and bumps :attr:`version`.
+The version token is what the serving layer's result cache keys on, so
+an update invalidates exactly the entries that depend on the superseded
+data.
 
 Persistence
 -----------
@@ -73,7 +76,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from typing import Any, BinaryIO, Mapping, Sequence
+from typing import BinaryIO, Mapping, Sequence
 
 import numpy as np
 
@@ -275,75 +278,44 @@ class ContingencyEngine:
 
     # -- incremental maintenance -------------------------------------------
 
-    def _normalize_inserted(
-        self, inserted_rows: Any
-    ) -> tuple[dict[str, np.ndarray], int]:
-        """Validate/convert an insert batch to full-schema code arrays."""
-        names = self._table.names
-        if inserted_rows is None:
-            return {}, 0
-        if isinstance(inserted_rows, Table):
-            for name in inserted_rows.names:
-                if name in self._table and (
-                    inserted_rows.domain(name) != self._table.domain(name)
-                ):
-                    raise ValueError(
-                        f"inserted column {name!r} has a different domain; "
-                        "deltas cannot change category sets"
-                    )
-            inserted = {n: inserted_rows.codes(n) for n in inserted_rows.names}
-        elif isinstance(inserted_rows, Mapping):
-            inserted = {n: np.asarray(a, dtype=np.int64) for n, a in inserted_rows.items()}
-        else:
-            rows = list(inserted_rows)
-            inserted = {
-                n: np.array([int(r[n]) for r in rows], dtype=np.int64) for n in names
-            } if rows else {}
-        if not inserted:
-            return {}, 0
-        if set(inserted) != set(names):
-            raise ValueError(
-                f"inserted rows must cover the full schema {names}; "
-                f"got {sorted(inserted)}"
-            )
-        lengths = {n: len(np.atleast_1d(inserted[n])) for n in names}
-        if len(set(lengths.values())) != 1:
-            raise ValueError(f"inserted columns differ in length: {lengths}")
-        n_ins = next(iter(lengths.values()))
-        for name in names:
-            arr = np.atleast_1d(np.asarray(inserted[name], dtype=np.int64))
-            if arr.size and (arr.min() < 0 or arr.max() >= self._card(name)):
-                raise ValueError(
-                    f"inserted codes for {name!r} outside [0, {self._card(name)})"
-                )
-            inserted[name] = arr
-        return inserted, n_ins
-
     def apply_delta(
         self,
-        inserted_rows: Any = None,
+        inserted_rows: Table | None = None,
         deleted_rows: Sequence[int] | np.ndarray | None = None,
     ) -> int:
         """Fold row insertions/deletions into the cached tensors in place.
 
-        ``inserted_rows`` may be a :class:`Table` slice, a mapping of
-        full-schema code arrays, or a sequence of ``{column: code}``
-        mappings; domains must match the current table (a delta can never
-        extend a column's category set).  ``deleted_rows`` are row
-        *indices* into the current table; deletions are applied first,
-        then insertions are appended.
+        ``inserted_rows`` is a :class:`Table` over the full schema in this
+        engine's domains (a delta can never extend a column's category
+        set; its codes were range-checked when its columns were built).
+        ``deleted_rows`` are row *indices* into the current table;
+        deletions are applied first, then insertions are appended.
 
         The delta's rows become one signed code list per column (deleted
         rows -1, inserted rows +1), and every cached count tensor takes
         one unbuffered ``np.add.at`` scatter-add of those signs at those
         cells — O(|delta|) work per column set instead of an O(n)
-        rebuild, with repeated cells adding up.  The engine then rebinds
-        to the post-delta table and :attr:`version` is bumped.  Updated
-        tensors are bit-identical to a fresh rebuild (integer counts, no
+        rebuild, with repeated cells adding up.  The post-delta table is
+        then built in one pass, each column's kept codes followed by its
+        inserted ones, and :attr:`version` is bumped.  Updated tensors
+        are bit-identical to a fresh rebuild (integer counts, no
         rounding).  An empty delta is a no-op and leaves the version
         unchanged.  Returns the version.
         """
-        inserted, n_ins = self._normalize_inserted(inserted_rows)
+        names = self._table.names
+        n_ins = len(inserted_rows) if inserted_rows is not None else 0
+        if n_ins:
+            if set(inserted_rows.names) != set(names):
+                raise ValueError(
+                    f"inserted rows must cover the full schema {names}; "
+                    f"got {sorted(inserted_rows.names)}"
+                )
+            for name in names:
+                if inserted_rows.domain(name) != self._table.domain(name):
+                    raise ValueError(
+                        f"inserted column {name!r} has a different domain; "
+                        "deltas cannot change category sets"
+                    )
         if deleted_rows is None:
             deleted = np.empty(0, dtype=np.intp)
         else:
@@ -354,11 +326,13 @@ class ContingencyEngine:
             )
         if not n_ins and not deleted.size:
             return self._version
+        empty = deleted[:0]
+        inserted = {
+            name: inserted_rows.codes(name) if n_ins else empty for name in names
+        }
         signed = {
-            name: np.concatenate(
-                [self._table.codes(name)[deleted], inserted.get(name, deleted[:0])]
-            )
-            for name in self._table.names
+            name: np.concatenate([self._table.codes(name)[deleted], inserted[name]])
+            for name in names
         }
         signs = np.concatenate(
             [np.full(deleted.size, -1, dtype=np.int64), np.ones(n_ins, dtype=np.int64)]
@@ -370,13 +344,12 @@ class ContingencyEngine:
             else:
                 tensor[...] = self._n - deleted.size + n_ins
 
-        base = self._table.delete_rows(deleted) if deleted.size else self._table
-        if n_ins:
-            base = Table(
-                col.replaced(np.concatenate([col.codes, inserted[col.name]]))
-                for col in base
-            )
-        self._table = base
+        keep = np.ones(self._n, dtype=bool)
+        keep[deleted] = False
+        self._table = Table(
+            col.replaced(np.concatenate([col.codes[keep], inserted[col.name]]))
+            for col in self._table
+        )
         self._n = len(self._table)
         self._version += 1
         _DELTAS_APPLIED.inc()

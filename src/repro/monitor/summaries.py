@@ -200,25 +200,6 @@ def encode_spec(lewis, payload: Mapping) -> dict:
     return spec
 
 
-def _conditional_outcome_counts(
-    engine, attribute: str, context: Mapping[str, int], outcome: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(positives, totals)`` per code of ``attribute`` inside ``context``."""
-    if not context:
-        return group_outcome_counts(engine, attribute, outcome)
-    names = tuple(sorted({attribute, outcome, *context}))
-    tensor = np.asarray(engine.tensor(names))
-    index = tuple(
-        int(context[n]) if n in context else slice(None) for n in names
-    )
-    sub = tensor[index]
-    remaining = [n for n in names if n not in context]
-    sub = np.moveaxis(
-        sub, (remaining.index(attribute), remaining.index(outcome)), (0, 1)
-    )
-    return sub[:, 1], sub.sum(axis=1)
-
-
 def _summarize(
     estimator: ScoreEstimator,
     spec: Mapping,
@@ -257,11 +238,11 @@ def _summarize(
         )
         return out
     if kind == "monotonicity":
-        positives, totals = _conditional_outcome_counts(
+        positives, totals = group_outcome_counts(
             estimator.engine,
             coded["attribute"],
-            coded.get("context") or {},
             estimator._outcome,
+            coded.get("context"),
         )
         worst, violations = monotonicity_from_counts(positives, totals)
         return {"worst_step_down": worst, "violations": float(violations)}

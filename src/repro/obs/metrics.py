@@ -436,20 +436,6 @@ class MetricsRegistry:
         with self._lock:
             return self._collectors.pop(str(key), None) is not None
 
-    def register_cache(
-        self,
-        key: str,
-        supplier: Callable[[], CacheStats],
-        labels: Mapping[str, Any] | None = None,
-    ) -> str:
-        """Collector shorthand: export a :class:`CacheStats` supplier."""
-        labels = dict(labels or {})
-
-        def collect() -> Mapping[str, float]:
-            return supplier().metric_samples(labels)
-
-        return self.register_collector(key, collect)
-
     # -- reading -------------------------------------------------------------
 
     def snapshot(self) -> dict:

@@ -182,12 +182,6 @@ class Tracer:
 
     # -- reading -------------------------------------------------------------
 
-    def peek_spans(self, trace_id: str) -> list[dict]:
-        """Spans recorded so far for a still-active trace (copies)."""
-        with self._lock:
-            active = self._active.get(trace_id)
-            return [dict(s) for s in active["spans"]] if active else []
-
     def get(self, trace_id: str) -> dict | None:
         """A finished trace by id (checks both rings, newest first)."""
         with self._lock:

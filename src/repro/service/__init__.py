@@ -7,8 +7,9 @@ byte-bounded :class:`ResultCache` memoises whole responses keyed by
 (model fingerprint, table state, canonical query); a
 :class:`MicroBatcher` is the session's lane, a lock that runs one
 request at a time on its caller's thread; :class:`TableDelta` updates
-flow through ``ContingencyEngine.apply_delta`` so standing state is
-maintained incrementally instead of rebuilt; and :mod:`repro.service.server` puts a
+are encoded once and folded into the engine's count tensors by
+``ContingencyEngine.apply_delta``, so standing state is maintained
+incrementally instead of rebuilt; and :mod:`repro.service.server` puts a
 stdlib JSON-over-HTTP front end on top (``python -m repro.cli serve``).
 """
 
@@ -27,7 +28,7 @@ from repro.service.session import (
     UpdateRequest,
     model_fingerprint,
 )
-from repro.service.updates import TableDelta, apply_delta
+from repro.service.updates import TableDelta
 from repro.service.server import create_server, serve
 
 __all__ = [
@@ -44,7 +45,6 @@ __all__ = [
     "ScoresRequest",
     "TableDelta",
     "UpdateRequest",
-    "apply_delta",
     "canonical",
     "create_server",
     "model_fingerprint",

@@ -49,10 +49,11 @@ from repro.core.explanations import GlobalExplanation, LocalExplanation
 from repro.core.fairness import FairnessAuditor, FairnessVerdict
 from repro.core.lewis import Lewis
 from repro.core.recourse import Recourse
+from repro.data.table import Table
 from repro.obs import metrics as _obs
 from repro.service.cache import ResultCache
 from repro.service.scheduler import MicroBatcher
-from repro.service.updates import TableDelta, apply_delta
+from repro.service.updates import TableDelta
 from repro.utils import deadline as _deadline
 
 
@@ -340,7 +341,8 @@ def data_state_token(data) -> str:
 
     Hashes every column's code bytes once at session start; afterwards
     the session *advances* the token per delta in O(|delta|) instead of
-    rehashing (see :meth:`ExplainerSession._advance_state`), so identical
+    rehashing (see :meth:`ExplainerSession._advance_state`), and a
+    restore resumes it from the snapshot's manifest.  So identical
     (data, update history) pairs agree on the token and any divergence —
     however the version counters happen to align — cannot collide.
     """
@@ -461,26 +463,45 @@ class ExplainerSession:
         """Lane handler: ``do``'s answer plus the state stamp it read."""
         return lambda request: (do(request), self._stamp)
 
-    def _advance_state(self, delta: TableDelta, version: int) -> None:
+    def _advance_state(
+        self, inserted: Table, deleted: np.ndarray, version: int
+    ) -> None:
         """Advance the state chain by one applied delta (O(|delta|)).
 
+        The step hashes the delta as the engine applied it: the row
+        counts, the inserted codes per column in schema order, and the
+        sorted unique delete indices.  Equal table changes therefore get
+        equal tokens however their labels were spelled (``2``, ``2.0``
+        or ``np.int64(2)``) or their deletes repeated and ordered.
+
         Runs on the lane immediately after the delta is applied (see
-        :meth:`_do_update`), so every answer computed afterwards reads
+        :meth:`_apply_delta`), so every answer computed afterwards reads
         the advanced stamp — a concurrent reader can never cache a
         post-update result under the pre-update key, and every answer
         reports the state that produced it.  The history ring is guarded
         by the cache lock against :meth:`has_state`.
         """
-        from repro.service.cache import canonical
-
-        payload = repr(
-            canonical({"insert": list(delta.insert), "delete": list(delta.delete)})
-        )
+        h = hashlib.sha1(self._stamp[0].encode("ascii"))
+        h.update(np.array([len(inserted), deleted.size], dtype="<i8").tobytes())
+        for name in inserted.names:
+            h.update(np.asarray(inserted.codes(name), dtype="<i8").tobytes())
+        h.update(np.asarray(deleted, dtype="<i8").tobytes())
         with self._cache_lock:
-            token = hashlib.sha1(
-                (self._stamp[0] + payload).encode("utf-8", "replace")
-            ).hexdigest()[:16]
-            self._stamp = (token, version)
+            self._stamp = (h.hexdigest()[:16], version)
+            self._state_history.append(self._stamp[0])
+
+    def _resume_state(self, token: str) -> None:
+        """Continue the state chain from ``token`` at the current version.
+
+        A session restored from a snapshot resumes from the token the
+        live session had when the snapshot was taken (see
+        :func:`repro.store.snapshot.restore_session`), so the restored
+        state keeps its name instead of taking the table's content
+        digest.
+        """
+        with self._cache_lock:
+            self._stamp = (token, self._stamp[1])
+            self._state_history.clear()
             self._state_history.append(token)
 
     def has_state(self, token: str) -> bool:
@@ -743,15 +764,37 @@ class ExplainerSession:
         return {"context": context, "scores": [t.as_dict() for t in triples]}
 
     def _do_update(self, r: UpdateRequest) -> dict:
+        return self._apply_delta(*self._encode_delta(r.delta))
+
+    def _encode_delta(self, delta: TableDelta) -> tuple[Table, np.ndarray]:
+        """Encode and check ``delta`` against the live table, touching nothing.
+
+        Returns the inserted rows as a table in the live domains (one
+        :meth:`Table.encode_rows`; ``DomainError`` on an unknown label or
+        a row that misses a column) and the sorted unique delete indices
+        (``IndexError`` when one is outside the table).  A durable
+        session runs this before its log append, so a delta that cannot
+        apply is never logged.
+        """
+        data = self.lewis.data
+        inserted = data.encode_rows(delta.insert)
+        n = len(data)
+        for index in delta.delete:
+            if not 0 <= index < n:
+                raise IndexError(f"delete index {index} outside [0, {n})")
+        return inserted, np.unique(np.array(delta.delete, dtype=np.int64))
+
+    def _apply_delta(self, inserted: Table, deleted: np.ndarray) -> dict:
+        """Apply an encoded delta on the lane and advance the state chain."""
         before = len(self.lewis.data)
-        version = apply_delta(self.lewis, r.delta)
-        if not r.delta.is_empty:
-            self._advance_state(r.delta, version)
+        version = self.lewis.apply_delta(inserted, deleted)
+        if len(inserted) or deleted.size:
+            self._advance_state(inserted, deleted, version)
         return {
             "version": version,
             "n_rows": len(self.lewis.data),
-            "inserted": len(r.delta.insert),
-            "deleted": len(r.delta.delete),
+            "inserted": len(inserted),
+            "deleted": int(deleted.size),
             "rows_before": before,
         }
 

@@ -1,4 +1,4 @@
-"""Data-update requests and incremental maintenance for live sessions.
+"""Data-update requests: the wire form of a row delta.
 
 A deployed explainer answers standing queries over data that keeps
 changing — new applicants arrive, withdrawn ones leave.  Databases
@@ -7,20 +7,21 @@ recomputing it (Berkholz et al., PAPERS.md); here the materialized state
 is the engine's contingency tensors plus the session's result cache.
 
 :class:`TableDelta` is the wire-level update: decoded rows to insert and
-row indices to delete, validated against the session's schema before
-anything is touched.  ``apply_delta(lewis, delta)`` routes it down the
-stack — the black box predicts only the inserted rows, every cached
-count tensor absorbs the delta in place (O(|delta|) per tensor), and the
-engine's data version is bumped so exactly the dependent result-cache
-entries invalidate.
+row indices to delete.  A session applies it along one path, in one turn
+of its lane: ``Table.encode_rows`` encodes the inserted labels once and
+the delete indices are checked against the live table (a durable session
+logs the delta only after both pass); ``Lewis.apply_delta`` then has the
+black box predict only the inserted rows, and the engine folds the
+encoded delta into every cached count tensor in place (O(|delta|) per
+tensor) and builds the post-delta table in one pass.  The session's
+state token advances over the delta's codes, so exactly the dependent
+result-cache entries invalidate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
-
-from repro.core.lewis import Lewis
 
 
 @dataclass(frozen=True)
@@ -29,8 +30,9 @@ class TableDelta:
 
     ``insert`` holds decoded ``{attribute: label}`` rows covering the
     session's full attribute schema; ``delete`` holds row indices into
-    the *current* table.  Deletions are applied first, then insertions
-    are appended (so indices never refer to inserted rows).
+    the *current* table (repeats and order do not matter).  Deletions
+    are applied first, then insertions are appended (so indices never
+    refer to inserted rows).
     """
 
     insert: tuple[Mapping[str, Any], ...] = field(default_factory=tuple)
@@ -66,19 +68,3 @@ class TableDelta:
             if isinstance(idx, bool) or not isinstance(idx, int):
                 raise ValueError('"delete" entries must be integer row indices')
         return cls(insert=tuple(insert), delete=tuple(delete))
-
-
-def apply_delta(lewis: Lewis, delta: TableDelta) -> int:
-    """Apply a validated delta to a live explainer; returns the new version.
-
-    Row labels are encoded against the explainer's current domains
-    (:class:`~repro.utils.exceptions.DomainError` on unknown values — a
-    delta can never extend a domain) and the contingency tensors are
-    updated in place rather than rebuilt.
-    """
-    if delta.is_empty:
-        return lewis.table_version
-    return lewis.apply_delta(
-        inserted_rows=list(delta.insert) or None,
-        deleted_rows=list(delta.delete) or None,
-    )

@@ -137,7 +137,10 @@ def restore_session(
     snapshot — and has replayed every logged delta newer than the
     snapshot (``replay=False`` restores the bare snapshot state). The
     restored model fingerprint is checked against the manifest so a
-    snapshot that no longer describes its blobs fails loudly.
+    snapshot that no longer describes its blobs fails loudly.  The
+    session's state chain resumes from the token the manifest records,
+    so a restore, or a follower bootstrapped or resynced from the
+    snapshot, names every state as the live session did.
     """
     manifest = store.manifest(name, snapshot_id)
     if manifest.get("format") != SNAPSHOT_FORMAT:
@@ -187,6 +190,10 @@ def restore_session(
             f"{expected} for tenant {name!r}: snapshot does not describe "
             "its blobs (non-JSON-portable domains?)"
         )
+    # the snapshot's state keeps the name the live session gave it
+    token = manifest["session"].get("state_token")
+    if token:
+        session._resume_state(token)
     if replay:
         expected = int(manifest["wal_seq"]) + 1
         for seq, delta in log.replay(after=int(manifest["wal_seq"])):

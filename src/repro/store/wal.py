@@ -16,13 +16,14 @@ codec: one record per delta, with fields ``insert`` (decoded rows),
 ``request_id``.
 
 :class:`DurableSession` wraps :class:`~repro.service.session
-.ExplainerSession` with write-*ahead* semantics: an update is validated
-against the live schema, appended to the log, and only then applied to
-the engine, both in one turn of the session's lane.  The crash window is
-therefore safe in both directions — a logged-but-unapplied delta is
-replayed on restore, and an unlogged delta was never acknowledged — and
-a live session never lags its own log: an update the lane refuses
-(queue full, deadline passed) was never logged.
+.ExplainerSession` with write-*ahead* semantics: one turn of the
+session's lane encodes an update against the live table (its labels
+once, its delete indices checked), appends it to the log, and only then
+applies the encoded delta to the engine.  The crash window is therefore
+safe in both directions — a logged-but-unapplied delta is replayed on
+restore, and an unlogged delta was never acknowledged — and a live
+session never lags its own log: an update the lane refuses (queue full,
+deadline passed) or cannot encode was never logged.
 """
 
 from __future__ import annotations
@@ -138,7 +139,7 @@ class DurableSession(ExplainerSession):
 
     @property
     def update_lock(self) -> threading.Lock:
-        """Lock held for the full validate → log → apply of every update.
+        """Lock held for the full encode → log → apply of every update.
 
         Snapshots acquire it so a checkpoint can never capture a torn
         mid-update state, or record a ``wal_seq`` whose delta the
@@ -148,17 +149,16 @@ class DurableSession(ExplainerSession):
         return self._wal_lock
 
     def update(self, delta: TableDelta | Mapping[str, Any]) -> dict:
-        """Validate, write-ahead log, then apply one delta.
+        """Encode, write-ahead log, then apply one delta.
 
-        Validation (schema coverage, domain membership, delete bounds)
-        happens *before* the append so the log only ever contains deltas
-        that will apply cleanly on replay. The lock serializes loggers so
-        log order is apply order.
+        Encoding checks schema coverage, domain membership and delete
+        bounds *before* the append, in the same lane turn, so the log
+        only ever contains deltas that will apply cleanly on replay. The
+        lock serializes loggers so log order is apply order.
         """
         if not isinstance(delta, TableDelta):
             delta = TableDelta.from_json(delta)
         with self._wal_lock:
-            self._validate(delta)
             # The record remembers which request wrote it, so a WAL
             # entry can be joined back to its trace and HTTP response.
             return self._updated(
@@ -166,13 +166,15 @@ class DurableSession(ExplainerSession):
             )
 
     def _do_logged_update(self, job: tuple) -> dict:
-        """Lane handler: append ``(delta, request_id, seq)`` to the log, apply it.
+        """Lane handler: encode ``(delta, request_id, seq)``, log it, apply it.
 
-        One lane turn for both steps: a logged delta is always applied,
+        One lane turn for all three steps: a delta that does not encode
+        raises before the append, and a logged delta is always applied,
         whatever the request's deadline or the queue's length.  ``seq``,
         when given, is where a shipped record must land in this log.
         """
         delta, request_id, seq = job
+        encoded = self._encode_delta(delta)
         if delta.is_empty:
             written = self.log.last_seq
         else:
@@ -182,18 +184,9 @@ class DurableSession(ExplainerSession):
                 f"replication diverged: local append landed on seq "
                 f"{written}, leader shipped {seq}"
             )
-        result = self._do_update(UpdateRequest(delta=delta))
+        result = self._apply_delta(*encoded)
         result["wal_seq"] = written
         return result
-
-    def _validate(self, delta: TableDelta) -> None:
-        if delta.insert:
-            # encodes against live domains; DomainError on unknown labels
-            self.lewis.data.encode_rows(list(delta.insert))
-        n = len(self.lewis.data)
-        for index in delta.delete:
-            if not 0 <= int(index) < n:
-                raise IndexError(f"delete index {index} outside [0, {n})")
 
     def apply_logged(self, delta: TableDelta | Mapping[str, Any]) -> dict:
         """Apply a delta that is already in the log (recovery replay)."""
@@ -210,7 +203,7 @@ class DurableSession(ExplainerSession):
         """Apply one shipped WAL record on a follower replica.
 
         The leader assigned ``seq``; the follower must reproduce the
-        leader's log bit for bit, so the record is validated, appended to
+        leader's log bit for bit, so the record is encoded, appended to
         the *local* log (asserting the local append lands on the shipped
         sequence number), and applied through the normal maintenance
         path — all under the update lock, exactly like a leader write.
@@ -245,7 +238,6 @@ class DurableSession(ExplainerSession):
                     f"injected replication apply crash before seq {seq}"
                 ),
             )
-            self._validate(delta)
             response = self._updated("update", (delta, request_id, seq))
         response["applied"] = True
         return response

@@ -21,6 +21,11 @@ and the parity tests hold the batched paths to them at 1e-12:
   local and recourse regressions fitted with one design row per table
   row, which ``tests/test_cell_fit.py`` holds the library's fit from
   count cells to at 1e-12;
+* :func:`scan_demographic_disparity` /
+  :func:`scan_monotonicity_violation` — the observational disparity and
+  monotonicity diagnostics as one boolean-mask row scan per code, which
+  ``tests/test_fairness.py`` holds the library's count forms to, bit
+  for bit;
 * :class:`NxCausalDiagram` — the causal diagram over a
   :class:`networkx.DiGraph` (networkx is a test-only dependency), which
   ``tests/test_graph_oracle.py`` holds the dict-based
@@ -403,6 +408,50 @@ def milp_exact_step(
     """
     chosen, objective = solve_ip_milp(skeleton, needed, node_limit)
     return chosen, objective, gain_of(skeleton, chosen)
+
+
+def _scan_rates(
+    table: Table,
+    positive: np.ndarray,
+    attribute: str,
+    context: Mapping[str, int] | None = None,
+) -> list[float]:
+    """Positive rate per supported code of ``attribute``, by mask scans."""
+    positive = np.asarray(positive, dtype=bool)
+    mask = np.ones(len(table), dtype=bool)
+    for name, code in (context or {}).items():
+        mask &= table.codes(name) == int(code)
+    codes = table.codes(attribute)
+    rates = []
+    for code in range(table.column(attribute).cardinality):
+        members = mask & (codes == code)
+        if members.any():
+            rates.append(float(positive[members].mean()))
+    return rates
+
+
+def scan_demographic_disparity(
+    table: Table, positive: np.ndarray, protected: str
+) -> float:
+    """Largest gap in positive-decision rates across the groups."""
+    rates = _scan_rates(table, positive, protected)
+    if len(rates) < 2:
+        return 0.0
+    return max(rates) - min(rates)
+
+
+def scan_monotonicity_violation(
+    table: Table,
+    positive: np.ndarray,
+    attribute: str,
+    context: Mapping[str, int] | None = None,
+) -> float:
+    """Largest drop of ``Pr(o | x, k)`` between consecutive supported codes."""
+    rates = _scan_rates(table, positive, attribute, context)
+    worst = 0.0
+    for prev, nxt in zip(rates[:-1], rates[1:]):
+        worst = max(worst, prev - nxt)
+    return worst
 
 
 class NxCausalDiagram:

@@ -150,7 +150,7 @@ class TestEngineCells:
         )
         engine = ContingencyEngine(table)
         engine.cells(["b", "a"])
-        engine.apply_delta([{"a": 2, "b": 0}], deleted_rows=[0])
+        engine.apply_delta(table.encode_rows([{"a": 2, "b": 0}]), deleted_rows=[0])
         codes, counts = engine.cells(["b", "a"])
         want_codes, want_counts = brute_force_cells(engine.table, ["b", "a"])
         assert np.array_equal(codes, want_codes)
@@ -190,7 +190,9 @@ class TestScatterAdd:
         loaded.load_state(archive)
         row = table.row_codes(7)
         for engine in (built, loaded):
-            engine.apply_delta(inserted_rows=[row, row], deleted_rows=[7])
+            engine.apply_delta(
+                inserted_rows=table.take(np.array([7, 7])), deleted_rows=[7]
+            )
             fresh = ContingencyEngine(engine.table)
             for signature in self.SIGNATURES:
                 assert np.array_equal(engine.tensor(signature), fresh.tensor(signature))

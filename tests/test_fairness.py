@@ -2,14 +2,28 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Lewis
-from repro.core.fairness import FairnessAuditor
+from repro.core.fairness import (
+    FairnessAuditor,
+    demographic_disparity_from_counts,
+    group_outcome_counts,
+)
+from repro.core.monotonicity import (
+    empirical_monotonicity_violation,
+    monotonicity_from_counts,
+)
 from repro.data import load_dataset
 from repro.data.compas import compas_software_positive
 from repro.data.table import Column, Table
 
-from oracles import scalar_scores
+from oracles import (
+    scalar_scores,
+    scan_demographic_disparity,
+    scan_monotonicity_violation,
+)
 
 
 @pytest.fixture(scope="module")
@@ -119,3 +133,58 @@ class TestDisparities:
         # Figure 4c: necessity higher for Black defendants.
         assert gap.necessity_gap >= 0.0
         assert gap.attribute == "priors_count"
+
+
+@st.composite
+def count_cases(draw):
+    """A small table whose codes and contexts are often empty."""
+    x_card = draw(st.integers(1, 5))
+    z_card = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 30))
+    x = draw(st.lists(st.integers(0, x_card - 1), min_size=n, max_size=n))
+    z = draw(st.lists(st.integers(0, z_card - 1), min_size=n, max_size=n))
+    positive = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    context = draw(
+        st.one_of(st.just({}), st.integers(0, z_card - 1).map(lambda c: {"z": c}))
+    )
+    table = Table(
+        [
+            Column.from_codes("x", np.array(x), range(x_card)),
+            Column.from_codes("z", np.array(z), range(z_card)),
+        ]
+    )
+    return table, np.array(positive, dtype=bool), context
+
+
+class TestCountFormsMatchScans:
+    """The count-based diagnostics equal the row scans bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(count_cases())
+    def test_disparity_and_monotonicity(self, case):
+        table, positive, context = case
+        lewis = Lewis(
+            lambda features: np.zeros(len(features), dtype=bool),
+            data=table,
+            feature_names=["x", "z"],
+            infer_orderings=False,
+            positive_vector=positive,
+        )
+        estimator = lewis.estimator
+        engine, outcome = estimator.engine, estimator._outcome
+
+        disparity = scan_demographic_disparity(table, positive, "x")
+        assert FairnessAuditor(lewis).demographic_disparity("x") == disparity
+        assert (
+            demographic_disparity_from_counts(
+                *group_outcome_counts(engine, "x", outcome)
+            )
+            == disparity
+        )
+
+        worst = scan_monotonicity_violation(table, positive, "x", context)
+        assert empirical_monotonicity_violation(table, positive, "x", context) == worst
+        counted, _violations = monotonicity_from_counts(
+            *group_outcome_counts(engine, "x", outcome, context)
+        )
+        assert counted == worst

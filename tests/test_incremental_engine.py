@@ -73,7 +73,7 @@ class TestDeltaParity:
             n = len(mirror)
             deleted = sorted({int(f * (n - 1)) for f in delete_fracs}) if n else []
             engine.apply_delta(
-                inserted_rows=[dict(zip(NAMES, row)) for row in inserted] or None,
+                inserted_rows=make_table(rows_to_codes(inserted)),
                 deleted_rows=deleted or None,
             )
             keep = [row for i, row in enumerate(mirror) if i not in set(deleted)]
@@ -127,7 +127,9 @@ class TestDeltaEdges:
         engine.tensor(("a", "b"))
         before = engine.tensor(("a", "b")).copy()
         assert engine.apply_delta() == 0
-        assert engine.apply_delta(inserted_rows=[], deleted_rows=[]) == 0
+        assert engine.apply_delta(
+            inserted_rows=make_table(rows_to_codes([])), deleted_rows=[]
+        ) == 0
         assert engine.version == 0
         assert np.array_equal(engine.tensor(("a", "b")), before)
 
@@ -144,7 +146,7 @@ class TestDeltaEdges:
         with pytest.raises(EstimationError):
             engine.probability({"a": 0})
         # The emptied engine accepts new rows and recovers exactly.
-        engine.apply_delta(inserted_rows=[dict(zip(NAMES, r)) for r in rows])
+        engine.apply_delta(inserted_rows=make_table(rows_to_codes(rows)))
         fresh = ContingencyEngine(make_table(rows_to_codes(rows)))
         for signature in SIGNATURES:
             assert np.array_equal(engine.tensor(signature), fresh.tensor(signature))
@@ -152,20 +154,18 @@ class TestDeltaEdges:
     def test_version_bumps_once_per_delta(self):
         engine = ContingencyEngine(make_table(rows_to_codes([(0, 0, 0)])))
         assert engine.version == 0
-        engine.apply_delta(inserted_rows=[{"a": 1, "b": 1, "c": 1}])
+        engine.apply_delta(inserted_rows=make_table(rows_to_codes([(1, 1, 1)])))
         assert engine.version == 1
         engine.apply_delta(deleted_rows=[0])
         assert engine.version == 2
 
-    def test_rejects_out_of_domain_codes(self):
-        engine = ContingencyEngine(make_table(rows_to_codes([(0, 0, 0)])))
-        with pytest.raises(ValueError, match="outside"):
-            engine.apply_delta(inserted_rows=[{"a": 99, "b": 0, "c": 0}])
-
     def test_rejects_partial_schema(self):
         engine = ContingencyEngine(make_table(rows_to_codes([(0, 0, 0)])))
         with pytest.raises(ValueError, match="full schema"):
-            engine.apply_delta(inserted_rows={"a": np.array([1])})
+            engine.apply_delta(
+                inserted_rows=make_table(rows_to_codes([(1, 0, 0)])).drop(["c"])
+            )
+        assert engine.version == 0 and engine.n_rows == 1
 
     def test_rejects_bad_delete_index(self):
         engine = ContingencyEngine(make_table(rows_to_codes([(0, 0, 0)])))
@@ -186,31 +186,29 @@ class TestDeltaEdges:
 
 
 class TestTableDeltaHooks:
-    def test_encode_append_delete_round_trip(self):
+    def test_encode_rows_then_one_pass_delta(self):
         table = make_table(rows_to_codes([(0, 1, 0), (2, 3, 1)]))
-        rows = [{"a": 1, "b": 0, "c": 1}, {"a": 2, "b": 2, "c": 0}]
+        rows = [{"a": 1, "b": 0, "c": 1}, {"a": 2.0, "b": np.int64(2), "c": 0}]
         encoded = table.encode_rows(rows)
-        assert {n: arr.tolist() for n, arr in encoded.items()} == {
+        assert isinstance(encoded, Table)
+        assert encoded.names == table.names
+        assert {n: encoded.codes(n).tolist() for n in NAMES} == {
             "a": [1, 2], "b": [0, 2], "c": [1, 0]
         }
-        grown = table.append_rows(rows)
-        assert len(grown) == 4
-        assert grown.row(2) == rows[0] and grown.row(3) == rows[1]
-        shrunk = grown.delete_rows([0, 2])
-        assert len(shrunk) == 2
-        assert shrunk.row(0) == table.row(1) and shrunk.row(1) == rows[1]
+        assert all(encoded.domain(n) == table.domain(n) for n in NAMES)
+        engine = ContingencyEngine(table)
+        engine.apply_delta(inserted_rows=encoded, deleted_rows=[0, 0])
+        after = engine.table
+        assert len(after) == 3
+        assert after.row(0) == table.row(1)
+        assert after.row(1) == encoded.row(0) and after.row(2) == encoded.row(1)
 
-    def test_append_rows_requires_full_schema(self):
+    def test_encode_rows_requires_full_schema(self):
         from repro.utils.exceptions import DomainError
 
         table = make_table(rows_to_codes([(0, 1, 0)]))
         with pytest.raises(DomainError, match="missing column"):
-            table.append_rows([{"a": 1}])
-
-    def test_delete_rows_rejects_out_of_range(self):
-        table = make_table(rows_to_codes([(0, 1, 0)]))
-        with pytest.raises(IndexError):
-            table.delete_rows([3])
+            table.encode_rows([{"a": 1}])
 
     def test_schema_fingerprint_content_independent(self):
         t1 = make_table(rows_to_codes([(0, 1, 0)]))

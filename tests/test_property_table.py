@@ -68,14 +68,6 @@ def test_mask_filter_consistency(data):
 
 @given(columns)
 @settings(max_examples=30)
-def test_concat_rows_length_additive(data):
-    card, codes = data
-    table = Table([Column.from_codes("x", np.array(codes), list(range(card)))])
-    assert len(table.concat_rows(table)) == 2 * len(table)
-
-
-@given(columns)
-@settings(max_examples=30)
 def test_group_sizes_partition_rows(data):
     card, codes = data
     table = Table([Column.from_codes("x", np.array(codes), list(range(card)))])

@@ -226,6 +226,10 @@ class TestReplicatedServing:
             cluster.follower_base, "/v1/t/health?digest=1"
         )
         assert follower_health["state_digest"] == leader_health["state_digest"]
+        # the resynced follower names the state as the leader does, so a
+        # read pinned to the leader's token is served here
+        assert follower_health["table_version"] == leader_health["table_version"]
+        assert follower_health["state_token"] == leader_health["state_token"]
         follower_log = cluster.follower_registry.get("t").log
         assert follower_log.stats()["compacted_through"] > 0  # restored, not replayed
 

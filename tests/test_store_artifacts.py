@@ -137,7 +137,9 @@ class TestEngineState:
         engine = ContingencyEngine(table)
         for signature in (("a",), ("a", "b"), ("a", "b", "color")):
             engine.tensor(signature)
-        engine.apply_delta(inserted_rows=[{"a": 0, "b": 1, "color": 2}])
+        engine.apply_delta(
+            inserted_rows=table.encode_rows([{"a": 0, "b": 1, "color": "blue"}])
+        )
         buf = io.BytesIO()
         meta = engine.save_state(buf)
         assert len(meta["keys"]) == 3 and meta["version"] == 1

@@ -189,6 +189,28 @@ class TestRestoreDetails:
         assert len(restored.lewis.data) == len(session.lewis.data)
         restored.close()
 
+    def test_restore_after_post_update_checkpoint_keeps_the_live_token(
+        self, store, session, tmp_path
+    ):
+        import shutil
+
+        session.update({"insert": [{"a": 2, "b": 3, "c": 1}]})
+        checkpoint_session(store, session, "t")
+        # restore a copy of the store, so the two sessions write two logs
+        shutil.copytree(store.root, tmp_path / "copy")
+        restored = restore_session(ArtifactStore(tmp_path / "copy"), "t")
+        assert restored.table_version == session.table_version == 1
+        assert restored.state_token == session.state_token
+        for live in (session, restored):
+            live.update({"delete": [3]})
+        assert restored.table_version == session.table_version == 2
+        assert restored.state_token == session.state_token
+        assert (
+            restored.lewis.estimator.engine.state_digest()
+            == session.lewis.estimator.engine.state_digest()
+        )
+        restored.close()
+
     def test_sequence_continuity_across_checkpoint_and_process(self, store, session):
         session.update({"insert": [{"a": 1, "b": 1, "c": 1}]})
         checkpoint_session(store, session, "t")  # compacts the log

@@ -185,27 +185,6 @@ class TestTableTransforms:
         assert set(updated.codes("size")) == {0}
         assert updated.names == small_table.names
 
-    def test_concat_rows(self, small_table):
-        doubled = small_table.concat_rows(small_table)
-        assert len(doubled) == 16
-        assert doubled.row(8) == small_table.row(0)
-
-    def test_concat_rows_schema_mismatch(self, small_table):
-        with pytest.raises(ValueError):
-            small_table.concat_rows(small_table.drop(["label"]))
-
-    def test_concat_rows_domain_mismatch(self, small_table):
-        other = Table.from_dict(
-            {
-                "color": ["red"] * 2,
-                "size": [0, 1],
-                "label": ["maybe", "maybe"],
-            },
-            domains={"color": ["red", "green", "blue"], "size": [0, 1, 2], "label": ["maybe"]},
-        )
-        with pytest.raises(DomainError):
-            small_table.concat_rows(other)
-
     def test_sample_without_replacement(self, small_table, rng):
         sampled = small_table.sample(4, rng)
         assert len(sampled) == 4
