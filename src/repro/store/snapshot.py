@@ -191,9 +191,7 @@ def restore_session(
             "its blobs (non-JSON-portable domains?)"
         )
     # the snapshot's state keeps the name the live session gave it
-    token = manifest["session"].get("state_token")
-    if token:
-        session._resume_state(token)
+    session._resume_state(manifest["session"]["state_token"])
     if replay:
         expected = int(manifest["wal_seq"]) + 1
         for seq, delta in log.replay(after=int(manifest["wal_seq"])):
