@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.causal.graph import CausalDiagram
-from repro.data.table import Table
+from repro.data.table import Table, unique_rows
 from repro.utils.exceptions import GraphError
 
 
@@ -53,8 +53,11 @@ def g_square_test(
     y_card = table.column(y).cardinality
 
     if given:
-        strata_matrix = table.codes_matrix(list(given))
-        _uniques, strata = np.unique(strata_matrix, axis=0, return_inverse=True)
+        _uniques, _sizes, strata = unique_rows(
+            [table.codes(g) for g in given],
+            [table.column(g).cardinality for g in given],
+            return_inverse=True,
+        )
         n_strata = int(strata.max()) + 1
     else:
         strata = np.zeros(len(table), dtype=np.int64)

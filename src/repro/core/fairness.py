@@ -24,24 +24,19 @@ def group_outcome_counts(
     outcome: str = "__outcome__",
     context: Mapping[str, int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``(positives, totals)`` per code of ``attribute`` from count tensors.
+    """``(positives, totals)`` per code of ``attribute`` from the engine's counts.
 
-    Reads the engine's incrementally maintained contingency tensor over
-    ``attribute``, ``outcome`` and the ``context`` columns instead of
-    scanning rows — the O(cardinality) primitive behind the disparity
-    and monotonicity diagnostics and their streaming monitors.
-    ``context`` pins columns (other than ``attribute``) to codes; only
-    rows inside it are counted.
+    One read of the engine's incrementally maintained counts over
+    ``attribute`` and ``outcome`` inside ``context`` instead of a row
+    scan — the O(cardinality) primitive behind the disparity and
+    monotonicity diagnostics and their streaming monitors.  ``context``
+    pins columns to codes; only rows inside it are counted (a pin on
+    ``attribute`` itself leaves only its own code's row non-zero).
     """
-    context = dict(context or {})
-    names = tuple(sorted({attribute, outcome, *context}))
-    tensor = np.asarray(engine.tensor(names))
-    sub = tensor[
-        tuple(int(context[n]) if n in context else slice(None) for n in names)
-    ]
-    free = [n for n in names if n not in context]
-    sub = np.moveaxis(sub, (free.index(attribute), free.index(outcome)), (0, 1))
-    return sub[:, 1], sub.sum(axis=1)
+    counts = engine._counts_nd(context or {}, free_names=[attribute, outcome])
+    if outcome < attribute:  # free axes come back in sorted name order
+        counts = counts.T
+    return counts[:, 1], counts.sum(axis=1)
 
 
 def demographic_disparity_from_counts(

@@ -27,7 +27,7 @@ import numpy as np
 from repro.core import recourse_kernel
 from repro.core.recourse_kernel import MODES
 from repro.core.scores import ScoreEstimator
-from repro.data.table import Table
+from repro.data.table import Table, unique_rows
 from repro.estimation.logit import LogitModel
 from repro.obs import metrics as _obs
 from repro.obs import tracing as _tracing
@@ -349,7 +349,8 @@ class RecourseSolver:
             [[int(row[name]) for name in names] for row in rows_codes],
             dtype=np.int64,
         )
-        signatures, inverse = np.unique(matrix, axis=0, return_inverse=True)
+        cards = [self._est.table.column(name).cardinality for name in names]
+        signatures, _, inverse = unique_rows(matrix.T, cards, return_inverse=True)
         # The memo key includes the refinement budget and mode: a
         # signature found infeasible under a small budget may become
         # feasible with more threshold refinements, and an anytime

@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.causal.graph import CausalDiagram
 from repro.causal.identification import BackdoorAdjustment
-from repro.data.table import Column, Table
+from repro.data.table import Column, Table, unique_rows
 from repro.estimation.engine import ContingencyEngine
 from repro.estimation.outcome_model import OutcomeProbabilityModel
 from repro.utils.lru import ByteBudgetLRU
@@ -508,34 +508,14 @@ class ScoreEstimator:
 
         ``context_matrix`` holds each row's context codes in the model's
         feature order (sans the attribute itself).  Contexts are
-        deduplicated before probing — categorical cohorts collide
-        heavily — via a scalar mixed-radix key when the domain product
-        fits an int64 (a 1-D ``np.unique``, far cheaper than the
-        ``axis=0`` structured sort), falling back to the row-wise unique
-        otherwise.  Returns an ``(n, card)`` probability matrix.
+        deduplicated with :func:`~repro.data.table.unique_rows` before
+        probing — categorical cohorts collide heavily.  Returns an
+        ``(n, card)`` probability matrix.
         """
-        n, width = context_matrix.shape
-        if width == 0:
-            unique_contexts = np.zeros((1, 0), dtype=np.int64)
-            inverse = np.zeros(n, dtype=np.intp)
-        else:
-            cards = np.asarray(context_cards, dtype=np.int64)
-            in_domain = bool(
-                (context_matrix >= 0).all() and (context_matrix < cards).all()
-            )
-            if in_domain and float(np.prod(cards, dtype=np.float64)) < 2**62:
-                strides = np.ones(width, dtype=np.int64)
-                strides[:-1] = np.cumprod(cards[::-1], dtype=np.int64)[-2::-1]
-                keys = context_matrix @ strides
-                _, first, inverse = np.unique(
-                    keys, return_index=True, return_inverse=True
-                )
-                unique_contexts = context_matrix[first]
-            else:
-                unique_contexts, inverse = np.unique(
-                    context_matrix, axis=0, return_inverse=True
-                )
-        u = unique_contexts.shape[0]
+        unique_contexts, _, inverse = unique_rows(
+            context_matrix.T, context_cards, return_inverse=True
+        )
+        u, width = unique_contexts.shape
         probes = np.empty((u * card, 1 + width), dtype=np.int64)
         probes[:, 0] = np.tile(np.arange(card, dtype=np.int64), u)
         probes[:, 1:] = np.repeat(unique_contexts, card, axis=0)

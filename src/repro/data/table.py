@@ -11,6 +11,7 @@ return new objects and never mutate in place.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -192,6 +193,66 @@ def bin_numeric(
             f"[{lo:g}, {hi:g})" for lo, hi in zip(bounds[:-1], bounds[1:])
         ]
     return Column(name, codes, tuple(labels), ordered=True)
+
+
+def pack_codes(
+    columns: Sequence[np.ndarray], cards: Sequence[int], length: int
+) -> np.ndarray:
+    """Mixed-radix int64 key of each of ``length`` rows of in-domain codes.
+
+    Column ``j`` codes a domain of ``cards[j]`` values; keys sort the way
+    the rows do, lexicographically.
+    """
+    keys = np.zeros(length, dtype=np.int64)
+    for codes, card in zip(columns, cards):
+        keys *= int(card)
+        keys += codes
+    return keys
+
+
+def unique_rows(
+    columns: np.ndarray | Sequence[np.ndarray],
+    cards: Sequence[int],
+    return_inverse: bool = False,
+) -> tuple[np.ndarray, ...]:
+    """Distinct rows of a set of code columns, in lexicographic order.
+
+    ``columns`` holds one code vector per column, as a ``(k, n)`` array
+    or ``k`` equal-length vectors; column ``j`` codes a domain of
+    ``cards[j]`` values.  Returns ``(rows, counts)``: the ``(g, k)``
+    int64 distinct rows and each one's multiplicity, followed, with
+    ``return_inverse``, by the index into ``rows`` of each input row.
+    When every code lies in its domain and the domain product fits an
+    int64, the rows are deduplicated by their :func:`pack_codes` keys
+    (far cheaper than a row-wise structured sort); otherwise by the
+    row-wise ``np.unique(axis=0)``.  Both give the same rows in the same
+    order.
+    """
+    columns = np.asarray(columns, dtype=np.int64)
+    cards = [int(c) for c in cards]
+    if (
+        math.prod(cards) < 2**63
+        and (columns.min(axis=1, initial=0) >= 0).all()
+        and (columns.max(axis=1, initial=0) < np.asarray(cards)).all()
+    ):
+        found = np.unique(
+            pack_codes(columns, cards, columns.shape[1]),
+            return_inverse=return_inverse,
+            return_counts=True,
+        )
+        rows = np.empty((len(found[0]), len(cards)), dtype=np.int64)
+        keys = found[0]
+        for j in range(len(cards) - 1, -1, -1):
+            keys, rows[:, j] = np.divmod(keys, cards[j])
+    else:
+        found = np.unique(
+            columns.T, axis=0, return_inverse=return_inverse, return_counts=True
+        )
+        rows = found[0]
+    counts = found[-1].astype(np.int64)
+    if return_inverse:
+        return rows, counts, found[1].reshape(-1)
+    return rows, counts
 
 
 class Table:
@@ -409,10 +470,11 @@ class Table:
 
     def group_sizes(self, names: Sequence[str]) -> dict[tuple, int]:
         """Return ``{(labels...): row count}`` over the given columns."""
-        matrix = self.codes_matrix(names)
         cols = [self.column(n) for n in names]
         sizes: dict[tuple, int] = {}
-        uniques, counts = np.unique(matrix, axis=0, return_counts=True)
+        uniques, counts = unique_rows(
+            [col.codes for col in cols], [col.cardinality for col in cols]
+        )
         for combo, count in zip(uniques, counts):
             key = tuple(col.categories[c] for col, c in zip(cols, combo))
             sizes[key] = int(count)

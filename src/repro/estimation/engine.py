@@ -15,10 +15,10 @@ Batched query API
 
 ``probabilities(events, givens)``
     N conditional probabilities ``Pr(event_i | given_i)`` per vectorized
-    pass, grouped internally by column signature, with the semantics of
-    the scalar :meth:`ContingencyEngine.probability` (overlap handling,
+    pass, grouped internally by column signature (overlap handling,
     Laplace smoothing, :class:`EstimationError` on unsupported
-    conditions — or a ``default`` fill value).
+    conditions — or a ``default`` fill value); ``probability`` is its
+    one-query case.
 
 ``group_weights(names, given)``
     The joint distribution of the ``names`` columns restricted to the
@@ -28,9 +28,10 @@ Batched query API
 
 ``adjusted_probabilities(event, treatments, adjustment, ...)``
     N backdoor-adjustment sums ``sum_c Pr(event | c, t_i, k) Pr(c | w_i,
-    k)`` evaluated in one pass: the inner conditionals for *all* (query,
-    adjustment-cell) pairs come from two tensor lookups and the mixture
-    is a single broadcast multiply-sum.
+    k)`` evaluated in one pass per (treatment, weight) column signature:
+    the inner conditionals for *all* (query, adjustment-cell) pairs come
+    from two count lookups and the mixture is a single broadcast
+    multiply-sum.
 
 ``cells(names)``
     The non-empty cells of a column set with their row counts, in
@@ -38,12 +39,15 @@ Batched query API
     recourse regressions are fitted from (one row per cell, not per
     table row).
 
-Tensors are LRU-cached per column set under a byte budget.  Column sets
-whose dense joint domain would exceed ``max_cells`` fall back to sparse
-mask-based evaluation, so the engine stays total on pathological schemas
-while serving the common case at vector speed.  ``cells`` never builds a
-tensor: a wide keep-set's joint domain can dwarf the table, so it reads
-the cells from one packed-key ``np.unique`` over the rows.
+Tensors are LRU-cached per column set under a byte budget.  Every count
+is read by one method, ``_counts_nd``, with two cases: when the queried
+columns are disjoint and their joint fits ``max_cells`` it indexes the
+cached dense tensor; otherwise (a joint over the budget, or a column
+pinned twice) it counts the table rows that match every pin, giving the
+same array.  Only the trailing grid of unpinned columns must fit the
+budget; a larger one raises :class:`ValueError`.  ``cells`` never builds
+a tensor: a wide keep-set's joint domain can dwarf the table, so it
+reads the cells from one packed-key ``np.unique`` over the rows.
 
 Incremental maintenance
 -----------------------
@@ -80,7 +84,7 @@ from typing import BinaryIO, Mapping, Sequence
 
 import numpy as np
 
-from repro.data.table import Table
+from repro.data.table import Table, pack_codes, unique_rows
 from repro.obs import metrics as _obs
 from repro.utils.exceptions import EstimationError
 from repro.utils.lru import ByteBudgetLRU
@@ -110,6 +114,15 @@ def _prod(values) -> int:
     return out
 
 
+def _code_matrix(
+    conditions: Sequence[Mapping[str, int]], cols: Sequence[str]
+) -> np.ndarray:
+    """``(len(conditions), len(cols))`` int64 codes of ``cols`` per condition."""
+    return np.array(
+        [[c[k] for k in cols] for c in conditions], dtype=np.int64
+    ).reshape(len(conditions), len(cols))
+
+
 class ContingencyEngine:
     """Cached grouped-count tensors with batched probability queries.
 
@@ -123,7 +136,7 @@ class ContingencyEngine:
         paper's estimators use.
     max_cells:
         Densest joint domain (product of cardinalities) materialised as
-        one tensor; larger column sets use sparse mask fallbacks.
+        one tensor; larger column sets are counted from the matching rows.
     cache_size:
         Number of count tensors kept in the LRU cache.
     max_bytes:
@@ -193,7 +206,7 @@ class ContingencyEngine:
         h = hashlib.sha256()
         h.update(f"{self._n}:{self._version}:{self._alpha}".encode("utf-8"))
         for name in sorted(self._table.names):
-            marginal = self.tensor((name,))
+            marginal = self._counts_nd({}, free_names=[name])
             h.update(name.encode("utf-8"))
             h.update(np.ascontiguousarray(marginal).tobytes())
         return h.hexdigest()[:32]
@@ -213,8 +226,9 @@ class ContingencyEngine:
         Axis ``i`` indexes the codes of ``names[i]``; the entry at
         ``(c_0, ..., c_k)`` is the number of rows with that joint code
         assignment.  Built once per column set via one packed-key
-        ``np.bincount`` pass and LRU-cached.  Raises an internal
-        capacity error when the joint domain exceeds ``max_cells``.
+        ``np.bincount`` pass and LRU-cached.  A miss whose joint domain
+        exceeds ``max_cells`` raises the internal ``_CapacityError``,
+        which only :meth:`_counts_nd` catches.
         """
         key = tuple(names)
         cached = self._tensors.get(key)
@@ -229,26 +243,13 @@ class ContingencyEngine:
             tensor = np.full((), self._n, dtype=np.int64)
         else:
             tensor = np.bincount(
-                self._pack({n: self._table.codes(n) for n in key}, key, self._n),
+                pack_codes([self._table.codes(n) for n in key], shape, self._n),
                 minlength=cells,
             ).reshape(shape)
         _TENSOR_BUILDS.inc()
         _TENSOR_BUILD_SECONDS.observe(time.perf_counter() - build_started)
         self._tensors.put(key, tensor, size=tensor.nbytes)
         return tensor
-
-    def _pack(
-        self,
-        codes: Mapping[str, np.ndarray],
-        names: Sequence[str],
-        length: int,
-    ) -> np.ndarray:
-        """Mixed-radix packing of per-column codes into one key vector."""
-        packed = np.zeros(length, dtype=np.int64)
-        for name in names:
-            packed *= self._card(name)
-            packed += np.asarray(codes[name], dtype=np.int64)
-        return packed
 
     def cells(self, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
         """Non-empty cells of the joint domain of ``names`` and their counts.
@@ -257,24 +258,14 @@ class ContingencyEngine:
         int64 code matrix with columns in ``names`` order (any order,
         non-empty, unique) and rows in lexicographic code order;
         ``counts[i] >= 1`` is the number of rows in cell ``i``.  One
-        ``np.unique`` runs over the table's mixed-radix packed keys, or
-        over its code rows when the packed key would overflow int64, so
-        the work is O(n log n) whatever the joint domain's size and no
-        tensor is built or cached.
+        :func:`~repro.data.table.unique_rows` pass runs over the table's
+        code rows, so the work is O(n log n) whatever the joint domain's
+        size and no tensor is built or cached.
         """
         names = list(names)
-        shape = tuple(self._card(n) for n in names)
-        if _prod(shape) < 2**63:
-            keys, counts = np.unique(
-                self._pack({n: self._table.codes(n) for n in names}, names, self._n),
-                return_counts=True,
-            )
-            codes = np.column_stack(np.unravel_index(keys, shape))
-        else:
-            codes, counts = np.unique(
-                self._table.codes_matrix(names), axis=0, return_counts=True
-            )
-        return codes.astype(np.int64), counts.astype(np.int64)
+        return unique_rows(
+            [self._table.codes(n) for n in names], [self._card(n) for n in names]
+        )
 
     # -- incremental maintenance -------------------------------------------
 
@@ -451,19 +442,32 @@ class ContingencyEngine:
         vary_codes: np.ndarray | None = None,
         free_names: Sequence[str] = (),
     ) -> np.ndarray:
-        """Counts with scalar, per-query, and marginal axes in one lookup.
+        """Counts with scalar, per-query, and marginal axes: the one count reader.
 
         ``fixed`` pins columns to one code for all queries; ``vary_names``
         columns take per-query codes from row ``i`` of ``vary_codes``;
         ``free_names`` columns stay as trailing marginal axes (in sorted
         name order).  Returns shape ``([m,] *free_shape)`` — the leading
         query axis is present iff ``vary_names`` is non-empty.
+
+        When the three column sets are disjoint and their joint fits
+        ``max_cells`` (or is cached), the answer indexes the cached dense
+        tensor.  Otherwise it counts the table rows matching every pin
+        (:meth:`_counts_rows`), so a column pinned twice counts only the
+        rows that match both pins; the two cases give equal arrays.
         """
         fixed = dict(fixed)
         vary_names = list(vary_names)
         free_names = sorted(free_names)
         names = sorted(set(fixed) | set(vary_names) | set(free_names))
-        tensor = self.tensor(names)
+        tensor = None
+        if len(names) == len(fixed) + len(vary_names) + len(free_names):
+            try:
+                tensor = self.tensor(names)
+            except _CapacityError:
+                pass
+        if tensor is None:
+            return self._counts_rows(fixed, vary_names, vary_codes, free_names)
 
         free_set = set(free_names)
         lead = [i for i, n in enumerate(names) if n not in free_set]
@@ -493,62 +497,84 @@ class ContingencyEngine:
                     codes = np.clip(codes, 0, self._card(name) - 1)
                 index.append(codes)
         result = view[tuple(index)]
-        if vary_names and result.ndim == len(free_shape):
-            # All vary columns were absorbed into ``fixed``-style scalars.
-            result = np.broadcast_to(result, out_shape)
         if invalid is not None:
             result = result.copy()
             result[invalid] = 0
         return np.asarray(result)
 
-    def _slow_count(self, conditions: Mapping[str, int]) -> int:
+    def _counts_rows(
+        self,
+        fixed: dict,
+        vary_names: list[str],
+        vary_codes: np.ndarray | None,
+        free_names: list[str],
+    ) -> np.ndarray:
+        """The rows case of :meth:`_counts_nd`: count the matching rows.
+
+        Masks the rows by the ``fixed`` pins, matches each remaining row's
+        ``vary_names`` codes to the deduplicated per-query code rows, and
+        bins the matches into the dense ``free_names`` grid.  Raises
+        :class:`ValueError` when that grid exceeds ``max_cells``.
+        """
+        free_shape = tuple(self._card(n) for n in free_names)
+        grid = _prod(free_shape)
+        if grid > self._max_cells:
+            raise ValueError(
+                f"free grid of {free_names} has {grid} cells, over the "
+                f"max_cells budget of {self._max_cells}"
+            )
         mask = np.ones(self._n, dtype=bool)
-        for name, code in conditions.items():
+        for name, code in fixed.items():
             mask &= self._table.codes(name) == int(code)
-        return int(mask.sum())
+        rows = np.flatnonzero(mask)
+        cell = pack_codes(
+            [self._table.codes(n)[rows] for n in free_names], free_shape, len(rows)
+        )
+        if not vary_names:
+            return np.bincount(cell, minlength=grid).reshape(free_shape)
+        cards = [self._card(n) for n in vary_names]
+        queries, _, query_of = unique_rows(
+            np.asarray(vary_codes).T, cards, return_inverse=True
+        )
+        u = len(queries)
+        # One dedup over the queries and the rows together gives every row
+        # the group id of the query it matches, if any.
+        groups, _, group_of = unique_rows(
+            [
+                np.concatenate([queries[:, j], self._table.codes(n)[rows]])
+                for j, n in enumerate(vary_names)
+            ],
+            cards,
+            return_inverse=True,
+        )
+        slot = np.full(len(groups), -1, dtype=np.int64)
+        slot[group_of[:u]] = np.arange(u)
+        hit = slot[group_of[u:]]
+        matched = hit >= 0
+        counts = np.bincount(
+            hit[matched] * grid + cell[matched], minlength=u * grid
+        ).reshape((u,) + free_shape)
+        return counts[query_of]
 
     def count(self, conditions: Mapping[str, int]) -> int:
         """Number of rows matching code-level equality ``conditions``."""
-        conditions = dict(conditions)
-        try:
-            return int(self._counts_nd(conditions))
-        except _CapacityError:
-            return self._slow_count(conditions)
+        return int(self._counts_nd(conditions))
 
-    # -- scalar probability ------------------------------------------------
+    # -- probabilities -----------------------------------------------------
 
     def probability(
         self,
         event: Mapping[str, int],
         given: Mapping[str, int] | None = None,
     ) -> float:
-        """``Pr(event | given)`` with the estimator's exact semantics.
+        """``Pr(event | given)``: the one-query case of :meth:`probabilities`.
 
         Conflicting event/condition codes yield 0, events implied by the
         condition yield 1, Laplace smoothing spreads ``alpha`` over the
         event's joint domain, and an unsupported condition raises
         :class:`EstimationError` when no smoothing is enabled.
         """
-        given = dict(given or {})
-        event = dict(event)
-        for name in set(event) & set(given):
-            if event[name] != given[name]:
-                return 0.0
-        event = {k: v for k, v in event.items() if k not in given}
-        if not event:
-            return 1.0
-        denom = self.count(given)
-        numer = self.count({**given, **event})
-        if self._alpha > 0:
-            cells = _prod(self._card(name) for name in event)
-            return (numer + self._alpha) / (denom + self._alpha * cells)
-        if denom == 0:
-            raise EstimationError(
-                f"no rows satisfy conditioning event {given!r}"
-            )
-        return numer / denom
-
-    # -- batched probabilities ---------------------------------------------
+        return float(self.probabilities([event], [given or {}])[0])
 
     def probabilities(
         self,
@@ -559,10 +585,10 @@ class ContingencyEngine:
         """Batched ``Pr(event_i | given_i)`` — one vectorized pass per signature.
 
         Queries are grouped by their (event-columns, given-columns)
-        signature; each group is answered with two tensor lookups.  When
+        signature; each group is answered with two count lookups.  When
         ``default`` is ``None`` an unsupported condition raises
-        :class:`EstimationError` (matching the scalar path); otherwise
-        the offending entries are filled with ``default``.
+        :class:`EstimationError`; otherwise the offending entries are
+        filled with ``default``.
         """
         events = [dict(e) for e in events]
         if givens is None:
@@ -588,19 +614,10 @@ class ContingencyEngine:
             sig = (tuple(sorted(event)), tuple(sorted(given)))
             buckets.setdefault(sig, []).append(i)
         for (ecols, gcols), idxs in buckets.items():
-            try:
-                out[idxs] = self._probabilities_group(
-                    ecols, gcols, [events[i] for i in idxs],
-                    [givens[i] for i in idxs], default,
-                )
-            except _CapacityError:
-                for i in idxs:
-                    try:
-                        out[i] = self.probability(events[i], givens[i])
-                    except EstimationError:
-                        if default is None:
-                            raise
-                        out[i] = default
+            out[idxs] = self._probabilities_group(
+                ecols, gcols, [events[i] for i in idxs],
+                [givens[i] for i in idxs], default,
+            )
         return out
 
     def _probabilities_group(
@@ -612,12 +629,8 @@ class ContingencyEngine:
         default: float | None,
     ) -> np.ndarray:
         m = len(events)
-        gm = np.array(
-            [[g[c] for c in gcols] for g in givens], dtype=np.int64
-        ).reshape(m, len(gcols))
-        em = np.array(
-            [[e[c] for c in ecols] for e in events], dtype=np.int64
-        ).reshape(m, len(ecols))
+        gm = _code_matrix(givens, gcols)
+        em = _code_matrix(events, ecols)
         if gcols:
             denom = self._counts_nd({}, list(gcols), gm)
         else:
@@ -650,53 +663,19 @@ class ContingencyEngine:
         code matrix in lexicographic order and ``weights`` the matching
         relative frequencies (summing to 1 over the observed support).
         Raises :class:`EstimationError` when no row matches ``given``.
+        A column both named and pinned keeps only its pinned code.
         """
         names = list(names)
         given = dict(given or {})
-        free = [n for n in names if n not in given]
-        try:
-            joint = self._counts_nd(given, free_names=free)
-        except _CapacityError:
-            return self._group_weights_slow(names, given)
+        joint = self._counts_nd(given, free_names=names)
         total = int(joint.sum())
         if total == 0:
             raise EstimationError(f"no rows satisfy conditioning event {given!r}")
-        if not free:
-            combos = np.array(
-                [[int(given[n]) for n in names]], dtype=np.int64
-            ).reshape(1, len(names))
-            return combos, np.array([1.0])
-        # ``joint`` axes follow sorted(free); realign to the order the
-        # free columns appear in ``names`` so combos match the caller's
-        # column order.
-        sorted_free = sorted(free)
-        joint = joint.transpose([sorted_free.index(n) for n in free])
-        support = np.argwhere(joint > 0)
-        weights = joint[tuple(support.T)] / total
-        if len(free) == len(names):
-            return support.astype(np.int64), weights
-        combos = np.empty((len(support), len(names)), dtype=np.int64)
-        free_pos = 0
-        for j, name in enumerate(names):
-            if name in given:
-                combos[:, j] = int(given[name])
-            else:
-                combos[:, j] = support[:, free_pos]
-                free_pos += 1
-        return combos, weights
-
-    def _group_weights_slow(
-        self, names: list[str], given: dict
-    ) -> tuple[np.ndarray, np.ndarray]:
-        mask = np.ones(self._n, dtype=bool)
-        for name, code in given.items():
-            mask &= self._table.codes(name) == int(code)
-        total = int(mask.sum())
-        if total == 0:
-            raise EstimationError(f"no rows satisfy conditioning event {given!r}")
-        matrix = self._table.codes_matrix(names)[mask]
-        uniques, counts = np.unique(matrix, axis=0, return_counts=True)
-        return uniques.astype(np.int64), counts / total
+        # ``joint`` axes follow sorted(names); realign them to ``names``.
+        ordered = sorted(names)
+        joint = joint.transpose([ordered.index(n) for n in names])
+        positive = joint > 0
+        return np.argwhere(positive).astype(np.int64), joint[positive] / total
 
     # -- batched adjustment sums -------------------------------------------
 
@@ -710,16 +689,20 @@ class ContingencyEngine:
     ) -> np.ndarray:
         """Batched backdoor sums ``sum_c Pr(event | c, t_i, k) Pr(c | w_i, k)``.
 
-        One vectorized pass answers all ``len(treatments)`` queries: the
-        adjustment cells become trailing tensor axes, so the inner
-        conditionals of every (query, cell) pair come from two fancy-index
-        lookups and the mixture is a broadcast multiply-sum.  Entry ``i``
-        uses ``treatments[i]`` and ``weight_conditions[i]`` (``{}`` — the
-        context alone, the plain backdoor formula of Eq. 4 — when
-        ``weight_conditions`` is omitted); ``event``, ``adjustment`` and
-        ``context`` are shared.  An adjustment cell without support for
-        the inner conditional falls back to the unadjusted conditional
-        ``Pr(event | t_i, k)``, which keeps the estimator total.
+        Entry ``i`` uses ``treatments[i]`` and ``weight_conditions[i]``
+        (``{}`` — the context alone, the plain backdoor formula of Eq. 4
+        — when ``weight_conditions`` is omitted); ``event``,
+        ``adjustment`` and ``context`` are shared.  Context columns leave
+        the adjustment set, and context codes win over treatment and
+        weight codes on shared columns.  Queries are grouped by their
+        treatment and weight keys and each group is one vectorized pass:
+        the adjustment cells become trailing count axes, so the inner
+        conditionals of every (query, cell) pair come from two lookups
+        and the mixture is a broadcast multiply-sum.  An adjustment cell
+        without support for the inner conditional falls back to the
+        unadjusted conditional ``Pr(event | t_i, k)``, which keeps the
+        estimator total.  An adjustment set holding an event or treatment
+        column raises :class:`ValueError`.
         """
         event = dict(event)
         treatments = [dict(t) for t in treatments]
@@ -738,33 +721,31 @@ class ContingencyEngine:
             return self.probabilities(
                 [event] * m, [{**t, **context} for t in treatments]
             )
-        tcols = tuple(sorted(treatments[0]))
-        wcols = tuple(sorted(weight_conditions[0]))
-        homogeneous = all(
-            tuple(sorted(t)) == tcols for t in treatments
-        ) and all(tuple(sorted(w)) == wcols for w in weight_conditions)
-        # Columns shared between the adjustment set and the treatment /
-        # weight conditions pin cells the tensor path would marginalise
-        # over; those (rare) queries take the sparse scalar loop instead.
-        overlap = (set(adjustment) & (set(tcols) | set(wcols) | set(event))) or (
-            set(event) & (set(tcols) | set(wcols) | set(context))
-        )
-        if homogeneous and not overlap:
-            try:
-                return self._adjusted_vectorized(
-                    event, treatments, tcols, weight_conditions, wcols,
-                    adjustment, context,
-                )
-            except _CapacityError:
-                pass
-        return np.array(
-            [
-                self._adjusted_scalar(event, t, adjustment, w, context)
-                for t, w in zip(treatments, weight_conditions)
-            ]
-        )
+        # Grouping on the keys as given, unsorted, keeps the per-query work
+        # to two tuple builds; a key set met in two orders makes two groups.
+        groups: dict[tuple, list[int]] = {}
+        for i, (t, w) in enumerate(zip(treatments, weight_conditions)):
+            groups.setdefault((tuple(t), tuple(w)), []).append(i)
+        pinned = set(adjustment) & set(event).union(*(tkeys for tkeys, _ in groups))
+        if pinned:
+            raise ValueError(
+                f"adjustment set {adjustment} holds event or treatment "
+                f"columns {sorted(pinned)}"
+            )
+        out = np.empty(m)
+        for (tkeys, wkeys), idxs in groups.items():
+            if len(idxs) < m:
+                ts = [treatments[i] for i in idxs]
+                ws = [weight_conditions[i] for i in idxs]
+            else:  # one key set, as from every caller in the package
+                ts, ws, idxs = treatments, weight_conditions, slice(None)
+            out[idxs] = self._adjusted_group(
+                event, ts, tuple(sorted(tkeys)), ws, tuple(sorted(wkeys)),
+                adjustment, context,
+            )
+        return out
 
-    def _adjusted_vectorized(
+    def _adjusted_group(
         self,
         event: dict,
         treatments: list[dict],
@@ -777,46 +758,42 @@ class ContingencyEngine:
         free = sorted(set(adjustment))
         k_free = len(free)
         m = len(treatments)
-        # Context codes win over treatment/weight codes on shared columns,
-        # matching the scalar merge order ``{**treatment, **context}``.
         tvary = [c for c in tcols if c not in context]
         wvary = [c for c in wcols if c not in context]
+        # The inner conditional reads the event as ``probability`` does:
+        # event columns the context or the treatment pins leave the count,
+        # and a query whose pins contradict the event scores 0.
+        inner_event = {
+            c: v for c, v in event.items() if c not in context and c not in tvary
+        }
+        conflict = np.full(
+            m, any(context[c] != v for c, v in event.items() if c in context)
+        )
 
         def lift(array: np.ndarray) -> np.ndarray:
             """Ensure a leading query axis (length 1 when shared)."""
             return array if array.ndim == k_free + 1 else array[None]
 
-        if wvary:
-            wm = np.array(
-                [[w[c] for c in wvary] for w in weight_conditions],
-                dtype=np.int64,
-            )
-            wjoint = lift(self._counts_nd(context, wvary, wm, free))
-        else:
-            wjoint = lift(self._counts_nd(context, free_names=free))
+        wm = _code_matrix(weight_conditions, wvary) if wvary else None
+        wjoint = lift(self._counts_nd(context, wvary, wm, free))
         wtot = wjoint.reshape(wjoint.shape[0], -1).sum(axis=1)
         if np.any(wtot == 0):
-            bad = int(np.argmax(wtot == 0)) if wvary else 0
+            bad = int(np.argmax(wtot == 0))
             merged = {**weight_conditions[bad], **context}
             raise EstimationError(
                 f"no rows satisfy conditioning event {merged!r}"
             )
         weights = wjoint / wtot.reshape((-1,) + (1,) * k_free)
 
-        if tvary:
-            tm = np.array(
-                [[t[c] for c in tvary] for t in treatments], dtype=np.int64
-            )
-            denom = lift(self._counts_nd(context, tvary, tm, free))
-            numer = lift(
-                self._counts_nd({**context, **event}, tvary, tm, free)
-            )
-        else:
-            denom = lift(self._counts_nd(context, free_names=free))
-            numer = lift(self._counts_nd({**context, **event}, free_names=free))
+        tm = _code_matrix(treatments, tvary) if tvary else None
+        for j, c in enumerate(tvary):
+            if c in event:
+                conflict |= tm[:, j] != event[c]
+        denom = lift(self._counts_nd(context, tvary, tm, free))
+        numer = lift(self._counts_nd({**context, **inner_event}, tvary, tm, free))
 
         if self._alpha > 0:
-            cells = _prod(self._card(name) for name in event)
+            cells = _prod(self._card(name) for name in inner_event)
             inner = (numer + self._alpha) / (denom + self._alpha * cells)
         else:
             supported = denom > 0
@@ -841,36 +818,6 @@ class ContingencyEngine:
         totals = mixed.reshape(mixed.shape[0], -1).sum(axis=1)
         if totals.shape[0] == 1 and m > 1:
             totals = np.broadcast_to(totals, (m,))
-        return np.array(totals, dtype=float)
-
-    def _adjusted_scalar(
-        self,
-        event: dict,
-        treatment: dict,
-        adjustment: list[str],
-        weight_condition: dict,
-        context: dict,
-    ) -> float:
-        """Sparse per-query fall-back over the observed adjustment cells."""
-        combos, weights = self.group_weights(
-            list(adjustment), {**weight_condition, **context}
-        )
-        total = 0.0
-        fallback = None
-        for combo, weight in zip(combos, weights):
-            cond = {a: int(c) for a, c in zip(adjustment, combo)}
-            cond.update(treatment)
-            cond.update(context)
-            try:
-                inner = self.probability(event, cond)
-            except EstimationError:
-                if fallback is None:
-                    try:
-                        fallback = self.probability(
-                            event, {**treatment, **context}
-                        )
-                    except EstimationError:
-                        fallback = 0.0
-                inner = fallback
-            total += float(weight) * inner
-        return total
+        totals = np.array(totals, dtype=float)
+        totals[conflict] = 0.0
+        return totals

@@ -145,11 +145,15 @@ def encode_spec(lewis, payload: Mapping) -> dict:
         }
     elif kind in ("fairness", "monotonicity"):
         attribute = _known_attribute(data, params, kind)
+        context = _object(params, "context")
+        if kind == "fairness" and context:
+            raise ValueError("a fairness monitor takes no 'context' param")
+        if attribute in context:
+            raise ValueError(f"context pins the monitored attribute {attribute!r}")
         spec["coded"] = {
             "attribute": str(attribute),
             "context": {
-                str(n): data.column(n).lenient_code_of(v)
-                for n, v in _object(params, "context").items()
+                str(n): data.column(n).lenient_code_of(v) for n, v in context.items()
             },
         }
     else:  # recourse

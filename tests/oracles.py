@@ -6,8 +6,9 @@ or one individual per call instead, straight from the paper's formulas,
 and the parity tests hold the batched paths to them at 1e-12:
 
 * :func:`scalar_scores` — Eqs. (19)–(21) of Proposition 4.2 for one
-  contrast, from single-query engine lookups (:func:`adjusted_one` is
-  the one-query backdoor sum);
+  contrast, from single-query engine lookups and :func:`adjusted_one`,
+  the backdoor sum of Eq. 4 as a row-mask scan over the observed
+  adjustment cells;
 * :func:`local_scores` — the no-confounding local scores of one
   contrast from two regression probes;
 * :func:`global_explanation_scalar` — the global/contextual explanation
@@ -60,7 +61,7 @@ from repro.models.linear import LogisticRegression
 from repro.opt.branch_and_bound import solve_binary_program
 from repro.opt.integer_program import IntegerProgram
 from repro.opt.parametric import SignatureSkeleton
-from repro.utils.exceptions import GraphError
+from repro.utils.exceptions import EstimationError, GraphError
 
 
 def _clip01(value: float) -> float:
@@ -70,6 +71,37 @@ def _clip01(value: float) -> float:
 def _conditional(estimator: ScoreEstimator, event: dict, given: dict) -> float:
     """``Pr(event | given)``, 0 when ``given`` has no support."""
     return float(estimator.engine.probabilities([event], [given], default=0.0)[0])
+
+
+def _row_mask(table: Table, conditions: Mapping[str, int]) -> np.ndarray:
+    mask = np.ones(len(table), dtype=bool)
+    for name, code in conditions.items():
+        mask &= table.codes(name) == int(code)
+    return mask
+
+
+def _scan_probability(
+    engine: ContingencyEngine, event: Mapping[str, int], given: Mapping[str, int]
+) -> float | None:
+    """``Pr(event | given)`` from two row-mask counts; ``None`` unsupported.
+
+    Conflicting event/condition codes give 0 and an event the condition
+    implies gives 1, before any count; Laplace smoothing spreads the
+    engine's ``alpha`` over the remaining event columns' joint domain.
+    """
+    if any(event[c] != given[c] for c in event.keys() & given.keys()):
+        return 0.0
+    event = {c: v for c, v in event.items() if c not in given}
+    if not event:
+        return 1.0
+    table = engine.table
+    given_mask = _row_mask(table, given)
+    denom = int(given_mask.sum())
+    numer = int((given_mask & _row_mask(table, event)).sum())
+    if engine.alpha > 0:
+        cells = int(np.prod([table.column(c).cardinality for c in event]))
+        return (numer + engine.alpha) / (denom + engine.alpha * cells)
+    return numer / denom if denom else None
 
 
 def adjusted_one(
@@ -82,13 +114,40 @@ def adjusted_one(
 ) -> float:
     """``sum_c Pr(event | c, treatment, k) Pr(c | weight_condition, k)``.
 
-    The ``N = 1`` case of :meth:`ContingencyEngine.adjusted_probabilities`.
+    Eq. 4 as a row scan: mask the rows matching the weight condition and
+    the context, loop over their observed adjustment cells, and weigh
+    each cell's count-ratio conditional by the cell's share; an
+    unsupported cell takes ``Pr(event | treatment, k)`` (0 when that is
+    unsupported too).  Context columns leave the adjustment set, and
+    context codes win over treatment and weight codes.  The per-cell
+    terms sit in a grid over the sorted adjustment columns and one
+    ``np.sum`` adds them, the order the engine adds its mixture in, so a
+    near-tie between two contrasts breaks the same way in both.
     """
-    return float(
-        engine.adjusted_probabilities(
-            event, [treatment], adjustment, [weight_condition or {}], context
-        )[0]
+    context = dict(context or {})
+    free = sorted({a for a in adjustment if a not in context})
+    given = {**treatment, **context}
+    if not free:
+        value = _scan_probability(engine, event, given)
+        if value is None:
+            raise EstimationError(f"no rows satisfy conditioning event {given!r}")
+        return value
+    table = engine.table
+    weight_mask = _row_mask(table, {**(weight_condition or {}), **context})
+    total = int(weight_mask.sum())
+    if total == 0:
+        raise EstimationError("no rows satisfy the weight condition")
+    combos, counts = np.unique(
+        table.codes_matrix(free)[weight_mask], axis=0, return_counts=True
     )
+    fallback = _scan_probability(engine, event, given)
+    terms = np.zeros([table.column(a).cardinality for a in free])
+    for combo, count in zip(combos.tolist(), counts.tolist()):
+        inner = _scan_probability(engine, event, {**dict(zip(free, combo)), **given})
+        if inner is None:
+            inner = 0.0 if fallback is None else fallback
+        terms[tuple(combo)] = count / total * inner
+    return float(terms.sum())
 
 
 def necessity(

@@ -11,13 +11,16 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro import fit_table_model
+from repro import fit_table_model, load_dataset, train_test_split
 from repro.cli import main
 from repro.core.lewis import Lewis
 from repro.data.table import Table
 from repro.monitor.journal import MonitorJournal
+from repro.service import ExplainerSession
 from repro.service.server import create_server
 from repro.store import ArtifactStore, Registry, create_tenant
+
+from oracles import scan_monotonicity_violation
 
 NAMES = ("a", "b", "c")
 
@@ -185,6 +188,25 @@ class TestMonitorEndpoints:
         assert http_error(f"{tenant}/watch?timeout=bogus")[0] == 400
         assert http_error(f"{base_url}/v1/ghost/monitors")[0] == 404
 
+    def test_fairness_context_is_refused(self, base_url):
+        """A fairness monitor scores the whole population; a context is a 400."""
+        status, body = http_error(
+            f"{base_url}/v1/acme/monitors",
+            "POST",
+            {"kind": "fairness", "params": {"attribute": "b", "context": {"a": 1}}},
+        )
+        assert status == 400
+        assert "'context'" in body["error"]
+
+    def test_monotonicity_context_pinning_its_attribute_is_refused(self, base_url):
+        status, body = http_error(
+            f"{base_url}/v1/acme/monitors",
+            "POST",
+            {"kind": "monotonicity", "params": {"attribute": "a", "context": {"a": 1}}},
+        )
+        assert status == 400
+        assert "pins the monitored attribute 'a'" in body["error"]
+
     def test_cli_against_live_server(self, base_url, capsys):
         args = ["--url", base_url, "--tenant", "acme"]
         assert main(
@@ -201,3 +223,47 @@ class TestMonitorEndpoints:
 
         assert main(["monitor", "rm", *args, monitor_id]) == 0
         assert main(["monitor", "rm", *args, monitor_id]) == 1  # already gone
+
+
+@pytest.fixture(scope="module")
+def german_served():
+    bundle = load_dataset("german", n_rows=1000, seed=0)
+    train, test = train_test_split(bundle.table, seed=0)
+    model = fit_table_model(
+        "random_forest", train, bundle.feature_names, bundle.label,
+        seed=0, n_estimators=3,
+    )
+    lewis = Lewis(
+        model, data=test, graph=bundle.graph, positive_outcome=bundle.positive_label
+    )
+    session = ExplainerSession(lewis)
+    server = create_server(session, port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    host, port = server.server_address[:2]
+    yield f"http://{host}:{port}", lewis
+    server.shutdown()
+    server.server_close()
+    session.close()
+
+
+def test_wide_monotonicity_context_is_counted_from_the_rows(german_served):
+    """A 12-attribute context on german: a joint of 13,271,040 cells.
+
+    The joint is over the engine's dense-tensor budget, so the counts
+    come from the matching rows; the baseline equals the row-scan oracle.
+    """
+    url, lewis = german_served
+    row = lewis.data.row(0)
+    names = [n for n in lewis.data.names if n not in ("sex", "debtors")]
+    assert len(names) == 12
+    context = {n: row[n] for n in names}
+    status, created = http(
+        f"{url}/v1/monitors",
+        "POST",
+        {"kind": "monotonicity", "params": {"attribute": "sex", "context": context}},
+    )
+    assert status == 200
+    codes = {n: lewis.data.column(n).code_of(v) for n, v in context.items()}
+    expected = scan_monotonicity_violation(lewis.data, lewis.positive, "sex", codes)
+    assert created["baseline"]["worst_step_down"] == expected
