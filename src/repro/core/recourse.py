@@ -34,9 +34,13 @@ from repro.obs import tracing as _tracing
 from repro.opt.parametric import SignatureSkeleton
 from repro.utils import deadline as _deadline
 from repro.utils.exceptions import RecourseInfeasibleError
+from repro.utils.lru import ByteBudgetLRU
 from repro.utils.validation import check_probability
 
 CostFn = Callable[[str, int, int], float]
+
+#: entry bound of each solver's signature memo (see :class:`RecourseSolver`)
+SOLUTION_MEMO_ENTRIES = 4096
 
 _SOLVER_SIGNATURE_SOLVES = _obs.get_registry().counter(
     "repro_solver_signature_solves_total",
@@ -136,6 +140,12 @@ class RecourseSolver:
         to :func:`unit_step_cost`.
     max_nodes:
         Node budget of each signature's exact search.
+
+    Solved signatures are memoised for the solver's lifetime (until the
+    next delta replaces it) in an LRU bounded at
+    :data:`SOLUTION_MEMO_ENTRIES` entries, so its memory tracks the
+    bound, not the number of audits served.  An evicted signature is
+    solved again when next asked, to the same answer.
     """
 
     def __init__(
@@ -181,7 +191,7 @@ class RecourseSolver:
         #: solved recourses memoised by (signature, alpha, max_refinements,
         #: mode); distinct individuals sharing (current codes, context)
         #: share the answer
-        self._solutions: dict[tuple, Recourse | RecourseInfeasibleError] = {}
+        self._solutions = ByteBudgetLRU(max_entries=SOLUTION_MEMO_ENTRIES)
         #: cumulative kernel counters (solves, certificates, search nodes)
         self._counters = {
             "signature_solves": 0,
@@ -355,11 +365,16 @@ class RecourseSolver:
         # signature found infeasible under a small budget may become
         # feasible with more threshold refinements, and an anytime
         # answer must never be served where an exact one was asked.
-        need = [
-            i
-            for i, signature in enumerate(map(tuple, signatures))
-            if (signature, alpha, max_refinements, mode) not in self._solutions
-        ]
+        # Answers are read from this call's own dict, so the memo
+        # evicting an entry mid-batch cannot lose one.
+        solved: dict[int, Recourse | RecourseInfeasibleError] = {}
+        need = []
+        for i, signature in enumerate(map(tuple, signatures)):
+            memoised = self._solutions.get((signature, alpha, max_refinements, mode))
+            if memoised is None:
+                need.append(i)
+            else:
+                solved[i] = memoised
         if need:
             base_logits = self._logit.score_codes_batch(signatures[need])
             with _tracing.span("recourse_solve", tags={"signatures": len(need)}):
@@ -376,20 +391,20 @@ class RecourseSolver:
                         node_limit=self.max_nodes,
                     )
                     self._absorb_stats(result)
-                    self._solutions[(signature, alpha, max_refinements, mode)] = (
-                        self._materialize(result, skeleton, alpha, mode)
+                    solved[i] = self._materialize(result, skeleton, alpha, mode)
+                    self._solutions.put(
+                        (signature, alpha, max_refinements, mode), solved[i], size=1
                     )
         out: list[Recourse | None] = []
         for row_index, unique_index in enumerate(inverse):
-            signature = tuple(int(c) for c in signatures[unique_index])
-            solved = self._solutions[(signature, alpha, max_refinements, mode)]
-            if isinstance(solved, RecourseInfeasibleError):
+            answer = solved[unique_index]
+            if isinstance(answer, RecourseInfeasibleError):
                 if on_infeasible == "raise":
                     row = row_index if row_ids is None else row_ids[row_index]
-                    raise RecourseInfeasibleError(f"row {row}: {solved}") from solved
+                    raise RecourseInfeasibleError(f"row {row}: {answer}") from answer
                 out.append(None)
             else:
-                out.append(solved)
+                out.append(answer)
         return out
 
     def solution_memo_stats(self) -> dict:

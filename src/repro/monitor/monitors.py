@@ -39,7 +39,7 @@ from repro.monitor.journal import MonitorJournal
 from repro.monitor.summaries import compute_summary, encode_spec
 from repro.obs import metrics as _obs
 from repro.obs import tracing as _tracing
-from repro.service.session import ExplainerSession, jsonable
+from repro.service.session import ExplainerSession, plain_json
 
 _MONITOR_REFRESHES = _obs.get_registry().counter(
     "repro_monitor_refreshes_total", "Monitor summary refreshes computed."
@@ -205,7 +205,7 @@ class MonitorSet:
 
     def _describe(self, state: Mapping) -> dict:
         spec = state["spec"]
-        return jsonable(
+        return plain_json(
             {
                 "id": state["id"],
                 "kind": spec["kind"],

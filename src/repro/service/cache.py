@@ -10,10 +10,12 @@ state, and :func:`canonical` makes structurally equal queries (dict
 ordering, list vs tuple, numpy scalars) collide.
 
 Storage is a :class:`~repro.utils.lru.ByteBudgetLRU` of JSON-encoded
-responses: an entry holds the bytes of its encoding and is sized by
-their length, so the budget (``--cache-mb`` on the CLI) counts what the
-cache actually keeps, and every hit decodes a fresh copy no caller can
-mutate under the next one.  A data update does not clear the cache:
+answers: an entry holds the bytes the session encoded once and is sized
+by their length, so the budget (``--cache-mb`` on the CLI) counts what
+the cache actually keeps.  :meth:`ResultCache.get` returns those bytes
+undecoded, for the HTTP server to write into its response as they are;
+bytes are immutable, so no caller can change an entry under the next
+one.  A data update does not clear the cache:
 :meth:`ResultCache.purge_stale` drops only the entries keyed to
 superseded versions of the updated model/table pair and leaves
 everything else hot.
@@ -21,7 +23,6 @@ everything else hot.
 
 from __future__ import annotations
 
-import json
 import threading
 from typing import Any, Hashable, Mapping
 
@@ -53,7 +54,7 @@ class ResultCache:
     Parameters
     ----------
     max_bytes:
-        Budget on the summed byte lengths of the JSON-encoded responses.
+        Budget on the summed byte lengths of the JSON-encoded answers.
     max_entries:
         Optional additional entry-count bound.
     """
@@ -89,16 +90,13 @@ class ResultCache:
         """
         return (str(tenant), str(fingerprint), str(state), str(kind), canonical(params))
 
-    def get(self, key: tuple) -> Any:
-        """A fresh decoded copy of the response for ``key``, or ``None``
-        (counts hit/miss)."""
+    def get(self, key: tuple) -> bytes | None:
+        """The stored JSON bytes for ``key``, or ``None`` (counts hit/miss)."""
         with self._lock:
-            encoded = self._lru.get(key)
-        return None if encoded is None else json.loads(encoded)
+            return self._lru.get(key)
 
-    def put(self, key: tuple, payload: Any) -> None:
-        """Store a response as its JSON encoding, sized by its length."""
-        encoded = json.dumps(payload, default=str, separators=(",", ":")).encode()
+    def put(self, key: tuple, encoded: bytes) -> None:
+        """Store an answer's JSON bytes, sized by their length."""
         with self._lock:
             self._lru.put(key, encoded, size=len(encoded))
 

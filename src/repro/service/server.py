@@ -26,7 +26,12 @@ stamped into WAL records and monitor alerts written on its behalf, and
 the finished trace — queue-wait, compute, recourse-solve, fsync and
 monitor-refresh spans included — is retrievable from ``GET /v1/traces``
 the moment the response is sent.  The response's ``state_token`` and
-``table_version`` name the table state that produced its answer.
+``table_version`` name the table state that produced its answer.  The
+answer enters through ``ExplainerSession.handle(request, encoded=True)``
+as the JSON bytes the session encoded once (or its cache stored), and
+the handler writes the envelope (``kind``, ``cached``, state, degraded
+label, ``request_id``, ``elapsed_ms``, ``queue_ms``, ``compute_ms``)
+around them: a cache hit does no JSON work on the answer.
 ``GET /metrics`` exposes the process-wide metrics registry in Prometheus
 text format.
 
@@ -234,6 +239,29 @@ class Reply(NamedTuple):
     body: Any
     content_type: str = "application/json"
     headers: Mapping[str, str] | None = None
+
+
+def _encode(body: Any) -> bytes:
+    """A reply body as bytes.
+
+    A session answer's ``result`` arrives as JSON bytes and is written
+    in as it is, after the envelope's other fields (never empty: the
+    envelope always holds the request id), so the answer is never
+    decoded or encoded again on its way out.
+    """
+    if isinstance(body, bytes):
+        return body
+    if isinstance(body, str):
+        return body.encode("utf-8")
+    result = body.get("result") if isinstance(body, dict) else None
+    if not isinstance(result, bytes):
+        return json.dumps(body, default=str).encode("utf-8")
+    head = json.dumps(
+        {k: v for k, v in body.items() if k != "result"},
+        default=str,
+        separators=(",", ":"),
+    )
+    return f'{head[:-1]},"result":'.encode("utf-8") + result + b"}"
 
 
 def _error_reply(exc: Exception, request_id: str) -> Reply:
@@ -640,8 +668,10 @@ class ExplainerRequestHandler(BaseHTTPRequestHandler):
 
         An answer from :meth:`ExplainerSession.handle` already names its
         table state (``state_token``, ``table_version``), read under the
-        lane, so an update landing since cannot relabel it; a monitor
-        registration is stamped with the session's state here.
+        lane, so an update landing since cannot relabel it, and carries
+        its degraded label; a monitor registration is stamped with the
+        session's state here.  The answer itself stays the session's
+        JSON bytes until :func:`_encode` writes the envelope around them.
         """
         # elapsed_ms covers the whole handler — body read, lane wait,
         # compute, serialization — while queue_ms/compute_ms break out
@@ -655,12 +685,6 @@ class ExplainerRequestHandler(BaseHTTPRequestHandler):
                     queue_ms += recorded["duration_ms"]
                 elif recorded["name"] == "compute":
                     compute_ms += recorded["duration_ms"]
-        result = response.get("result")
-        if isinstance(result, Mapping) and result.get("degraded"):
-            # Hoist the degradation label so clients that only look at
-            # the envelope still see that this 200 is an anytime answer.
-            response["degraded"] = True
-            response["degraded_reason"] = result.get("degraded_reason")
         response.setdefault("table_version", self.session.table_version)
         response.setdefault("state_token", self.session.state_token)
         response["request_id"] = self.request_id
@@ -671,11 +695,7 @@ class ExplainerRequestHandler(BaseHTTPRequestHandler):
 
     def _send(self, reply: Reply) -> None:
         """The one response writer: encode, frame, write, count."""
-        data = reply.body
-        if isinstance(data, str):
-            data = data.encode("utf-8")
-        elif not isinstance(data, bytes):
-            data = json.dumps(data, default=str).encode("utf-8")
+        data = _encode(reply.body)
         self.send_response(reply.status)
         self.send_header("Content-Type", reply.content_type)
         self.send_header("Content-Length", str(len(data)))
@@ -1033,8 +1053,11 @@ class ExplainerRequestHandler(BaseHTTPRequestHandler):
 
 
 def _ask(build: Callable[[Mapping[str, Any]], Any]) -> Callable:
-    """Handler for a query route: the session answers the parsed body."""
-    return lambda handler: handler.session.handle(build(handler.body))
+    """Handler for a query route: the session answers the parsed body,
+    its answer still JSON bytes for :func:`_encode` to write out."""
+    return lambda handler: handler.session.handle(
+        build(handler.body), encoded=True
+    )
 
 
 _H = ExplainerRequestHandler  # the table rows name its route-handler methods

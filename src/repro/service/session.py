@@ -30,6 +30,11 @@ session is thread-safe by construction.  Updates take the same lane, so
 reads and writes serialize with no second discipline; afterwards only
 the cache entries keyed to superseded table states are purged.  Every
 response names the table state that produced it.
+
+A computed answer is encoded to compact JSON once (:func:`encode_json`)
+and the cache stores those bytes.  ``handle(request, encoded=True)``
+returns them as they are, hit or miss, for the HTTP server to write its
+envelope around; embedded callers get a fresh decoded copy.
 """
 
 from __future__ import annotations
@@ -61,22 +66,37 @@ from repro.utils import deadline as _deadline
 # JSON plumbing
 
 
-def jsonable(value: Any) -> Any:
-    """Recursively convert numpy scalars/arrays so ``json.dumps`` works.
+def _json_default(value: Any) -> Any:
+    """``json.dumps`` hook for the non-JSON types an answer may hold.
 
-    Answers leave the session through one pass of it, in
-    :meth:`ExplainerSession.handle`; the ``*_to_dict`` views below build
-    raw dicts and leave the conversion to that pass.
+    numpy scalars become their Python values, arrays nested lists, sets
+    lists and other Mappings dicts with ``str`` keys.  Anything else is
+    a ``TypeError``: a silent ``str`` would read back as another value.
     """
-    if isinstance(value, Mapping):
-        return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return [jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [jsonable(v) for v in value.tolist()]
     if isinstance(value, np.generic):
         return value.item()
-    return value
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (set, frozenset)):
+        return list(value)
+    if isinstance(value, Mapping):
+        return {str(k): v for k, v in value.items()}
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def encode_json(value: Any) -> bytes:
+    """Compact JSON bytes of ``value``, in one pass of the C encoder.
+
+    Answers leave the session through it once, in
+    :meth:`ExplainerSession.handle`; the ``*_to_dict`` views below build
+    raw dicts (numpy scalars included) and leave the conversion to it.
+    """
+    return json.dumps(value, default=_json_default, separators=(",", ":")).encode()
+
+
+def plain_json(value: Any) -> Any:
+    """``value`` as plain JSON types: its :func:`encode_json` bytes, decoded."""
+    return json.loads(encode_json(value))
 
 
 def global_explanation_to_dict(explanation: GlobalExplanation) -> dict:
@@ -166,7 +186,6 @@ class GlobalExplainRequest:
     """Population-level explanation (context ``K = ∅``)."""
 
     kind = "explain_global"
-    cacheable = True
     attributes: tuple[str, ...] | None = None
     max_pairs_per_attribute: int | None = 8
 
@@ -176,7 +195,6 @@ class ContextExplainRequest:
     """Sub-population explanation for a user-supplied context ``k``."""
 
     kind = "explain_context"
-    cacheable = True
     context: Mapping[str, Any] = field(default_factory=dict)
     attributes: tuple[str, ...] | None = None
     max_pairs_per_attribute: int | None = 8
@@ -187,7 +205,6 @@ class LocalExplainRequest:
     """Individual-level explanation by row index or decoded assignment."""
 
     kind = "explain_local"
-    cacheable = True
     index: int | None = None
     individual: Mapping[str, Any] | None = None
     attributes: tuple[str, ...] | None = None
@@ -198,7 +215,6 @@ class LocalExplainBatchRequest:
     """Cohort of individual-level explanations in one vectorized pass."""
 
     kind = "explain_local_batch"
-    cacheable = True
     indices: tuple[int, ...] = ()
     attributes: tuple[str, ...] | None = None
 
@@ -211,7 +227,6 @@ class RecourseBatchRequest:
     """
 
     kind = "recourse_batch"
-    cacheable = True
     indices: tuple[int, ...] | None = None
     actionable: tuple[str, ...] | None = None
     alpha: float = 0.8
@@ -225,7 +240,6 @@ class RecourseRequest:
     """Minimal-cost recourse for the individual at ``index``."""
 
     kind = "recourse"
-    cacheable = True
     index: int = 0
     actionable: tuple[str, ...] | None = None
     alpha: float = 0.8
@@ -237,7 +251,6 @@ class AuditRequest:
     """Counterfactual-fairness audit over protected attributes."""
 
     kind = "audit"
-    cacheable = True
     protected: tuple[str, ...] | None = None
     tolerance: float = 0.05
 
@@ -247,7 +260,6 @@ class ScoresRequest:
     """Raw score triples for ad-hoc ``(values, baselines)`` contrasts."""
 
     kind = "scores"
-    cacheable = True
     contrasts: tuple[tuple[Mapping[str, Any], Mapping[str, Any]], ...] = ()
     context: Mapping[str, Any] = field(default_factory=dict)
 
@@ -257,7 +269,6 @@ class UpdateRequest:
     """Apply a :class:`TableDelta` to the live table."""
 
     kind = "update"
-    cacheable = False
     delta: TableDelta = field(default_factory=TableDelta)
 
 
@@ -517,14 +528,22 @@ class ExplainerSession:
         with self._cache_lock:
             return token in self._state_history
 
-    def handle(self, request) -> dict:
+    def handle(self, request, encoded: bool = False) -> dict:
         """Answer one request object; returns a JSON-ready response dict.
 
-        Cacheable requests are served from the result cache when the
-        (fingerprint, table state, canonical query) key hits; the query
-        is the request's own dataclass fields.  Misses and updates run
+        Every request but an update is served from the result cache when
+        the (fingerprint, table state, canonical query) key hits; the
+        query is the request's own dataclass fields.  Misses and updates run
         on the session's lane, on the caller's thread, and a computed
-        answer is converted to plain JSON types here, once.
+        answer is encoded to JSON bytes here, once (:func:`encode_json`);
+        the cache stores those bytes and a hit returns them as stored.
+
+        ``result`` holds a fresh decoded copy of the answer, or with
+        ``encoded=True`` (the HTTP server's mode) the bytes themselves,
+        which the caller splices into its own envelope.  A degraded
+        (anytime-under-deadline) answer also sets ``degraded`` and
+        ``degraded_reason`` on the response, so its label is readable
+        without decoding the answer.
 
         The response's ``state_token`` and ``table_version`` name the
         table state that produced the answer: for a hit, the state its
@@ -538,24 +557,29 @@ class ExplainerSession:
             # entries; route them through the one place that does.
             return self.update(request.delta)
         kind = request.kind
-        if request.cacheable:
-            stamp = self._stamp
-            key = ResultCache.key(
-                self.fingerprint, stamp[0], kind, vars(request), tenant=self.tenant
+        stamp = self._stamp
+        key = ResultCache.key(
+            self.fingerprint, stamp[0], kind, vars(request), tenant=self.tenant
+        )
+        body = self.cache.get(key)
+        if body is not None:
+            return self._response(
+                kind, body if encoded else json.loads(body), stamp, cached=True
             )
-            with self._cache_lock:
-                hit = self.cache.get(key)
-            if hit is not None:
-                return self._response(kind, hit, stamp, cached=True)
-        result, computed = self._batcher.run(kind, request)
-        result = jsonable(result)
-        degraded = isinstance(result, Mapping) and bool(result.get("degraded"))
-        # Degraded (anytime-under-deadline) answers are never cached:
-        # the next caller asked for the exact one.
-        if request.cacheable and not degraded and computed == stamp:
-            with self._cache_lock:
-                self.cache.put(key, result)
-        return self._response(kind, result, computed)
+        answer, computed = self._batcher.run(kind, request)
+        body = encode_json(answer)
+        degraded = isinstance(answer, Mapping) and bool(answer.get("degraded"))
+        # Degraded answers are never cached: the next caller asked for
+        # the exact one.
+        if not degraded and computed == stamp:
+            self.cache.put(key, body)
+        response = self._response(
+            kind, body if encoded else json.loads(body), computed
+        )
+        if degraded:
+            response["degraded"] = True
+            response["degraded_reason"] = answer.get("degraded_reason")
+        return response
 
     def _response(self, kind: str, result, stamp, cached: bool = False) -> dict:
         with self._cache_lock:

@@ -31,7 +31,7 @@ import numpy as np
 from repro.core.lewis import Lewis
 from repro.models.serialize import model_from_dict, model_to_dict
 from repro.service.cache import ResultCache
-from repro.service.session import ExplainerSession, jsonable
+from repro.service.session import ExplainerSession, plain_json
 from repro.store.artifacts import (
     ArtifactStore,
     array_from_bytes,
@@ -101,10 +101,10 @@ def _snapshot_locked(
         "lewis": {
             "feature_names": list(lewis.feature_names),
             "attributes": list(lewis.attributes),
-            "positive_outcome": jsonable(lewis._positive_outcome),
+            "positive_outcome": plain_json(lewis._positive_outcome),
             "threshold": lewis.threshold,
             "model_domains": {
-                key: jsonable(list(domain))
+                key: plain_json(list(domain))
                 for key, domain in lewis._model_domains.items()
             },
         },

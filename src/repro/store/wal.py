@@ -31,10 +31,12 @@ from __future__ import annotations
 import threading
 from typing import Any, Mapping
 
+import numpy as np
+
 import repro.faults as _faults
 from repro.obs import metrics as _obs
 from repro.obs import tracing as _tracing
-from repro.service.session import ExplainerSession, UpdateRequest, jsonable
+from repro.service.session import ExplainerSession, UpdateRequest
 from repro.service.updates import TableDelta
 from repro.store.recordlog import RecordLog
 from repro.utils.exceptions import StoreError
@@ -46,6 +48,11 @@ _WAL_FSYNC_SECONDS = _obs.get_registry().histogram(
     "repro_wal_fsync_seconds",
     "Write + flush + fsync wall time of one WAL append.",
 )
+
+
+def _label(value: Any) -> Any:
+    """A row label as JSON stores it: a numpy scalar becomes Python's."""
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def _delta(record: Mapping[str, Any]) -> TableDelta:
@@ -101,7 +108,10 @@ class DeltaLog(RecordLog):
         field existed still verify.
         """
         fields = {
-            "insert": jsonable([dict(row) for row in delta.insert]),
+            "insert": [
+                {name: _label(value) for name, value in row.items()}
+                for row in delta.insert
+            ],
             "delete": [int(index) for index in delta.delete],
         }
         if request_id is not None:

@@ -85,6 +85,10 @@ class ByteBudgetLRU:
     def __iter__(self) -> Iterator[Hashable]:
         return iter(self._items)
 
+    def values(self) -> Iterator[Any]:
+        """The cached values, least recently used first (no counters)."""
+        return (value for value, _size in self._items.values())
+
     def __getitem__(self, key: Hashable) -> Any:
         """Dict-style access with :meth:`peek` semantics (no counters)."""
         entry = self._items.get(key)

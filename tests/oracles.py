@@ -30,7 +30,11 @@ and the parity tests hold the batched paths to them at 1e-12:
 * :class:`NxCausalDiagram` — the causal diagram over a
   :class:`networkx.DiGraph` (networkx is a test-only dependency), which
   ``tests/test_graph_oracle.py`` holds the dict-based
-  :class:`~repro.causal.graph.CausalDiagram` to, orders included.
+  :class:`~repro.causal.graph.CausalDiagram` to, orders included;
+* :func:`answer_json_oracle` — an answer's JSON bytes as a recursive
+  :func:`jsonable` walk to plain types and then ``json.dumps``, which
+  ``tests/test_answer_encoding.py`` holds the session's one-pass
+  :func:`~repro.service.session.encode_json` to, byte for byte.
 
 ``benchmarks/bench_local_batch.py`` times the cohort fast path against
 :func:`local_explanation_scalar` as well.
@@ -38,6 +42,7 @@ and the parity tests hold the batched paths to them at 1e-12:
 
 from __future__ import annotations
 
+import json
 from typing import Any, Iterable, Mapping, Sequence
 
 import networkx as nx
@@ -692,3 +697,23 @@ class NxCausalDiagram:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"NxCausalDiagram({len(self.nodes)} nodes, {len(self.edges)} edges)"
+
+
+def jsonable(value: Any) -> Any:
+    """Recursively convert numpy scalars/arrays, sets and Mappings to
+    plain JSON types (tuples become lists, keys ``str``)."""
+    if isinstance(value, Mapping):
+        return {str(k): jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return [jsonable(v) for v in value.tolist()]
+    if isinstance(value, np.generic):
+        return value.item()
+    return value
+
+
+def answer_json_oracle(value: Any) -> bytes:
+    """An answer's compact JSON bytes: one :func:`jsonable` walk, then a
+    ``json.dumps`` that ``str``-s whatever is left."""
+    return json.dumps(jsonable(value), default=str, separators=(",", ":")).encode()

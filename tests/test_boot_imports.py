@@ -15,7 +15,6 @@ import subprocess
 import sys
 
 from repro import Lewis, train_test_split
-from repro.service.session import jsonable
 from repro.store import Registry
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -25,13 +24,12 @@ import json, sys
 
 import repro.cli
 import repro.service.server
-from repro.service.session import jsonable
 from repro.store import Registry
 
 with Registry(sys.argv[1]) as registry:
     answer = registry.get("german").explain_global(max_pairs_per_attribute=2)
 heavy = sorted(m for m in sys.modules if m.partition(".")[0] in ("scipy", "networkx"))
-print(json.dumps({"heavy": heavy, "result": jsonable(answer["result"])}))
+print(json.dumps({"heavy": heavy, "result": answer["result"]}))
 """
 
 
@@ -48,7 +46,7 @@ def test_restore_and_explain_load_neither_scipy_nor_networkx(
     store = tmp_path / "store"
     with Registry(store) as registry:
         session = registry.add("german", lewis, default_actionable=german_bundle.actionable)
-        expected = jsonable(session.explain_global(max_pairs_per_attribute=2)["result"])
+        expected = session.explain_global(max_pairs_per_attribute=2)["result"]
 
     env = dict(os.environ)
     existing = env.get("PYTHONPATH")

@@ -154,7 +154,7 @@ class TestLoadShedding:
     def test_overload_maps_to_429_with_retry_after(
         self, base_url, server, monkeypatch
     ):
-        def shed(request):
+        def shed(request, **kwargs):
             raise OverloadedError(
                 "request queue full (1 pending); retry later",
                 retry_after_s=3.2,

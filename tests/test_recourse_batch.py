@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.core.recourse as recourse_module
 from repro.core.lewis import Lewis
 from repro.core.recourse import RecourseSolver
 from repro.core.scores import ScoreEstimator
@@ -255,6 +256,32 @@ class TestMemoisedErrors:
             solver.solve_batch(rows, alpha=0.9)
         assert raised.value.__cause__ in errors
         assert all(error.__traceback__ is None for error in errors)
+
+
+class TestMemoBound:
+    def test_bounded_memo_answers_equal_the_unbounded_solvers(self, monkeypatch):
+        """A memo bound below a batch's distinct signatures evicts inside
+        the batch; every answer still equals the unbounded solver's, and
+        a rerun solves the evicted signatures again, to equal answers."""
+        table = make_population(seed=8, n=200)
+        estimator = ScoreEstimator(table, score_model(table))
+        rows = [table.row_codes(i) for i in range(120)]
+        unbounded = RecourseSolver(estimator, actionable=["skill", "hours"])
+        expected = unbounded.solve_batch(rows, alpha=0.8, on_infeasible="none")
+        distinct = unbounded.solution_memo_stats()["signature_solves"]
+        assert distinct > 4 and None in expected
+
+        monkeypatch.setattr(recourse_module, "SOLUTION_MEMO_ENTRIES", 4)
+        bounded = RecourseSolver(estimator, actionable=["skill", "hours"])
+        assert bounded.solve_batch(rows, alpha=0.8, on_infeasible="none") == expected
+        stats = bounded.solution_memo_stats()
+        assert stats["solved_signatures"] == 4
+        assert stats["signature_solves"] == distinct
+        # the four memoised signatures answer the rerun; the rest re-solve
+        assert bounded.solve_batch(rows, alpha=0.8, on_infeasible="none") == expected
+        assert bounded.solution_memo_stats()["signature_solves"] == 2 * distinct - 4
+        with pytest.raises(RecourseInfeasibleError):
+            bounded.solve_batch(rows, alpha=0.8)
 
 
 class TestRecourseAudit:

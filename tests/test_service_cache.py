@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
-import json
-
 from repro.service.cache import ResultCache, canonical
+from repro.service.session import encode_json
 from repro.utils.lru import ByteBudgetLRU
 
 
@@ -94,58 +95,59 @@ class TestCanonical:
 
 
 class TestResultCache:
+    """Bytes in, bytes out: the cache holds the session's encoding and
+    hands it back without decoding."""
+
     def test_round_trip_and_stats(self):
         cache = ResultCache(max_bytes=1 << 20)
         key = ResultCache.key("fp", 0, "explain_global", {"attributes": None})
         assert cache.get(key) is None
-        cache.put(key, {"ranking": ["a", "b"]})
-        assert cache.get(key) == {"ranking": ["a", "b"]}
+        cache.put(key, b'{"ranking":["a","b"]}')
+        assert cache.get(key) == b'{"ranking":["a","b"]}'
         stats = cache.stats_struct()
         assert stats.hits == 1 and stats.misses == 1
-        # the entry holds its compact JSON encoding and is sized by it
+        # the entry is sized by the length of its bytes
         assert stats.bytes == len(b'{"ranking":["a","b"]}')
 
     def test_version_partitions_keys(self):
         cache = ResultCache()
         k0 = ResultCache.key("fp", 0, "g", {})
         k1 = ResultCache.key("fp", 1, "g", {})
-        cache.put(k0, "old")
+        cache.put(k0, b'"old"')
         assert cache.get(k1) is None
 
     def test_purge_stale_is_targeted(self):
         cache = ResultCache()
-        cache.put(ResultCache.key("fp", 0, "g", {}), "stale")
-        cache.put(ResultCache.key("fp", 1, "g", {}), "current")
-        cache.put(ResultCache.key("other", 0, "g", {}), "other-session")
+        cache.put(ResultCache.key("fp", 0, "g", {}), b'"stale"')
+        cache.put(ResultCache.key("fp", 1, "g", {}), b'"current"')
+        cache.put(ResultCache.key("other", 0, "g", {}), b'"other-session"')
         dropped = cache.purge_stale("fp", 1)
         assert dropped == 1
-        assert cache.get(ResultCache.key("fp", 1, "g", {})) == "current"
-        assert cache.get(ResultCache.key("other", 0, "g", {})) == "other-session"
+        assert cache.get(ResultCache.key("fp", 1, "g", {})) == b'"current"'
+        assert cache.get(ResultCache.key("other", 0, "g", {})) == b'"other-session"'
         assert cache.stats_struct().extra["invalidations"] == 1
 
     def test_byte_budget_enforced(self):
         cache = ResultCache(max_bytes=len(b'{"v":0}') * 2)
         for i in range(10):
-            cache.put(ResultCache.key("fp", 0, "g", {"i": i}), {"v": i})
+            cache.put(ResultCache.key("fp", 0, "g", {"i": i}), b'{"v":%d}' % i)
         assert len(cache) <= 2
         assert cache.stats_struct().evictions >= 8
 
-    def test_hits_decode_a_fresh_copy(self):
+    def test_hits_return_the_stored_bytes(self):
         cache = ResultCache()
         key = ResultCache.key("fp", 0, "g", {})
-        answer = {"ranking": ["a", "b"], "scores": {"a": 0.5}}
-        cache.put(key, answer)
-        answer["ranking"].reverse()  # the caller keeps mutating its copy
-        first = cache.get(key)
-        first["ranking"].append("c")
-        first["scores"]["a"] = 1.0
-        assert cache.get(key) == {"ranking": ["a", "b"], "scores": {"a": 0.5}}
+        encoded = encode_json({"ranking": ["a", "b"], "scores": {"a": 0.5}})
+        cache.put(key, encoded)
+        assert cache.get(key) is encoded
+        assert cache.get(key) is encoded
 
     def test_entry_is_the_encoding_it_is_sized_by(self):
         cache = ResultCache()
         key = ResultCache.key("fp", 0, "g", {})
         answer = {"x": [1.5, None, True], "s": "caf\u00e9"}
-        cache.put(key, answer)
-        encoded = json.dumps(answer, separators=(",", ":")).encode()
+        encoded = encode_json(answer)
+        assert encoded == json.dumps(answer, separators=(",", ":")).encode()
+        cache.put(key, encoded)
         assert cache.stats_struct().bytes == len(encoded)
-        assert cache.get(key) == json.loads(encoded) == answer
+        assert json.loads(cache.get(key)) == answer

@@ -232,8 +232,8 @@ class TestProvenance:
         url = f"http://{host}:{port}/v1/explain/global"
         answer = session.handle
 
-        def answer_then_update(request):
-            response = answer(request)
+        def answer_then_update(request, **kwargs):
+            response = answer(request, **kwargs)
             session.update({"insert": [{"a": 2, "b": 2, "sex": "F"}]})
             return response
 

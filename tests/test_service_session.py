@@ -299,7 +299,7 @@ class KeyProbe(ResultCache):
 
     def get(self, key):
         self.last_key = key
-        return {}
+        return b"{}"
 
 
 #: per cacheable request class: (a base request, a different value for
