@@ -136,14 +136,14 @@ def main(argv=None) -> int:
 
     # Each measurement gets a fresh solver: the solution memo would
     # otherwise let the first run pre-pay for the rest.
-    exact_step = recourse_kernel._exact_step
-    recourse_kernel._exact_step = milp_exact_step
+    exact_step = recourse_kernel.exact_step
+    recourse_kernel.exact_step = milp_exact_step
     try:
         milp_s, milp_out = _timed_batch(
             RecourseSolver(lewis.estimator, actionable), cohort_rows, args.alpha
         )
     finally:
-        recourse_kernel._exact_step = exact_step
+        recourse_kernel.exact_step = exact_step
     parametric_solver = RecourseSolver(lewis.estimator, actionable)
     parametric_s, parametric_out = _timed_batch(
         parametric_solver, cohort_rows, args.alpha

@@ -464,7 +464,8 @@ class Lewis:
         """Individual-level explanation (context ``K = V``).
 
         Pass either a row ``index`` into :attr:`data` or a decoded
-        ``individual`` mapping covering all attributes.
+        ``individual`` mapping that names exactly the columns of
+        :attr:`data`; a missing or unknown name raises ``ValueError``.
         """
         if (index is None) == (individual is None):
             raise ValueError("pass exactly one of index / individual")
@@ -472,10 +473,16 @@ class Lewis:
             row_codes = self.data.row_codes(int(index))
             outcome_positive = bool(self.positive[int(index)])
         else:
+            missing = [name for name in self.data.names if name not in individual]
+            unknown = [name for name in individual if name not in self.data]
+            if missing or unknown:
+                raise ValueError(
+                    f"individual must name exactly the data's columns: "
+                    f"missing {missing}, unknown {unknown}"
+                )
             row_codes = {
                 name: self.data.column(name).code_of(value)
                 for name, value in individual.items()
-                if name in self.data
             }
             single = self.data.take(np.array([0]))
             for name, code in row_codes.items():

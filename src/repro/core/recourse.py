@@ -126,6 +126,62 @@ class Recourse:
         return lines
 
 
+def program_skeleton(
+    table: Table,
+    actionable: Sequence[str],
+    current: Sequence[int],
+    cost_fn: CostFn,
+    coefficients: Mapping[str, Sequence[float]],
+) -> SignatureSkeleton:
+    """The 0-1 recourse program of one current-code tuple of ``actionable``.
+
+    Each attribute's options are its codes other than ``current``, each
+    priced by ``cost_fn`` and gaining ``coefficients[attribute][code] -
+    coefficients[attribute][current]`` in the linear score.  LEWIS
+    recourse and the LinearIP baseline build their programs here.
+    """
+    codes, costs, gains = [], [], []
+    for attribute, cur in zip(actionable, current):
+        coef = coefficients[attribute]
+        options = [
+            code for code in range(table.column(attribute).cardinality) if code != cur
+        ]
+        codes.append(options)
+        costs.append([float(cost_fn(attribute, cur, code)) for code in options])
+        gains.append([float(coef[code] - coef[cur]) for code in options])
+    return SignatureSkeleton(actionable, current, codes, costs, gains)
+
+
+def recourse_actions(
+    table: Table,
+    cost_fn: CostFn,
+    current: Mapping[str, int],
+    chosen: Mapping[str, int],
+) -> list[RecourseAction]:
+    """One action per attribute of ``current`` that ``chosen`` moves.
+
+    ``chosen`` maps an attribute to its new code, as the kernel's
+    solutions do; actions follow the order of ``current``.
+    """
+    actions = []
+    for attribute, code in current.items():
+        if attribute not in chosen or chosen[attribute] == code:
+            continue
+        new = int(chosen[attribute])
+        categories = table.column(attribute).categories
+        actions.append(
+            RecourseAction(
+                attribute=attribute,
+                current_value=categories[code],
+                new_value=categories[new],
+                # The program priced this move through cost_fn; the
+                # reported per-action cost must agree.
+                cost=float(cost_fn(attribute, code, new)),
+            )
+        )
+    return actions
+
+
 class RecourseSolver:
     """Builds and solves the recourse IP for one population.
 
@@ -138,8 +194,6 @@ class RecourseSolver:
     cost_fn:
         ``cost_fn(attribute, current_code, new_code) -> float``; defaults
         to :func:`unit_step_cost`.
-    max_nodes:
-        Node budget of each signature's exact search.
 
     Solved signatures are memoised for the solver's lifetime (until the
     next delta replaces it) in an LRU bounded at
@@ -153,14 +207,12 @@ class RecourseSolver:
         estimator: ScoreEstimator,
         actionable: Sequence[str],
         cost_fn: CostFn | None = None,
-        max_nodes: int = 200_000,
     ):
         if not actionable:
             raise ValueError("actionable set must not be empty")
         self._est = estimator
         self.actionable = list(actionable)
         self.cost_fn = cost_fn or unit_step_cost
-        self.max_nodes = int(max_nodes)
         table = estimator.table
         missing = [a for a in self.actionable if a not in table]
         if missing:
@@ -188,9 +240,8 @@ class RecourseSolver:
         #: current-code tuple — variables, costs, gains and exclusivity
         #: rows depend only on it
         self._skeletons: dict[tuple[int, ...], SignatureSkeleton] = {}
-        #: solved recourses memoised by (signature, alpha, max_refinements,
-        #: mode); distinct individuals sharing (current codes, context)
-        #: share the answer
+        #: solved recourses memoised by (signature, alpha, mode); distinct
+        #: individuals sharing (current codes, context) share the answer
         self._solutions = ByteBudgetLRU(max_entries=SOLUTION_MEMO_ENTRIES)
         #: cumulative kernel counters (solves, certificates, search nodes)
         self._counters = {
@@ -208,21 +259,9 @@ class RecourseSolver:
         """
         skeleton = self._skeletons.get(key)
         if skeleton is None:
-            table = self._est.table
-            codes, costs, gains = [], [], []
-            for attribute, cur in zip(self.actionable, key):
-                coef = self._coef_vectors[attribute]
-                options = [
-                    code
-                    for code in range(table.column(attribute).cardinality)
-                    if code != cur
-                ]
-                codes.append(options)
-                costs.append(
-                    [float(self.cost_fn(attribute, cur, code)) for code in options]
-                )
-                gains.append([float(coef[code] - coef[cur]) for code in options])
-            skeleton = SignatureSkeleton(self.actionable, key, codes, costs, gains)
+            skeleton = program_skeleton(
+                self._est.table, self.actionable, key, self.cost_fn, self._coef_vectors
+            )
             self._skeletons[key] = skeleton
         return skeleton
 
@@ -232,7 +271,6 @@ class RecourseSolver:
         self,
         row_codes: Mapping[str, int],
         alpha: float = 0.8,
-        max_refinements: int = 4,
         mode: str = "exact",
     ) -> Recourse:
         """Compute minimal-cost recourse for one individual.
@@ -244,9 +282,7 @@ class RecourseSolver:
         greedy LP rounding with a certified ``optimality_gap`` instead
         of the exact optimum.  The ``N = 1`` case of :meth:`solve_batch`.
         """
-        return self.solve_batch(
-            [row_codes], alpha=alpha, max_refinements=max_refinements, mode=mode
-        )[0]
+        return self.solve_batch([row_codes], alpha=alpha, mode=mode)[0]
 
     def _materialize(
         self,
@@ -288,14 +324,13 @@ class RecourseSolver:
                 optimality_gap=0.0,
                 mode=mode,
             )
-        current = dict(zip(self.actionable, skeleton.current))
-        new_codes = dict(current)
-        for attribute in self.actionable:
-            if attribute in result["chosen"]:
-                new_codes[attribute] = int(result["chosen"][attribute])
-        actions = self._actions(self._est.table, current, new_codes)
         return Recourse(
-            actions=actions,
+            actions=recourse_actions(
+                self._est.table,
+                self.cost_fn,
+                dict(zip(self.actionable, skeleton.current)),
+                result["chosen"],
+            ),
             total_cost=float(result["objective"]),
             estimated_sufficiency=result["sufficiency"],
             estimated_probability=result["probability"],
@@ -320,7 +355,6 @@ class RecourseSolver:
         self,
         rows_codes: Sequence[Mapping[str, int]],
         alpha: float = 0.8,
-        max_refinements: int = 4,
         on_infeasible: str = "raise",
         mode: str = "exact",
         row_ids: Sequence[int] | None = None,
@@ -330,8 +364,8 @@ class RecourseSolver:
         Individuals are grouped by their ``(current actionable codes,
         context)`` signature so each distinct 0-1 program is solved once
         (categorical cohorts collide heavily); solved signatures are
-        memoised across calls keyed by ``(signature, alpha,
-        max_refinements, mode)``.  The unsolved signatures' base
+        memoised across calls keyed by ``(signature, alpha, mode)``.
+        The unsolved signatures' base
         log-odds are scored in one pass, then each runs through
         :func:`recourse_kernel.solve_signature` in turn, with the
         request deadline checked between signatures.  A signature's
@@ -361,16 +395,14 @@ class RecourseSolver:
         )
         cards = [self._est.table.column(name).cardinality for name in names]
         signatures, _, inverse = unique_rows(matrix.T, cards, return_inverse=True)
-        # The memo key includes the refinement budget and mode: a
-        # signature found infeasible under a small budget may become
-        # feasible with more threshold refinements, and an anytime
-        # answer must never be served where an exact one was asked.
-        # Answers are read from this call's own dict, so the memo
-        # evicting an entry mid-batch cannot lose one.
+        # The memo key includes the mode: an anytime answer must never
+        # be served where an exact one was asked.  Answers are read from
+        # this call's own dict, so the memo evicting an entry mid-batch
+        # cannot lose one.
         solved: dict[int, Recourse | RecourseInfeasibleError] = {}
         need = []
         for i, signature in enumerate(map(tuple, signatures)):
-            memoised = self._solutions.get((signature, alpha, max_refinements, mode))
+            memoised = self._solutions.get((signature, alpha, mode))
             if memoised is None:
                 need.append(i)
             else:
@@ -383,18 +415,11 @@ class RecourseSolver:
                     signature = tuple(int(c) for c in signatures[i])
                     skeleton = self._skeleton(signature[: len(self.actionable)])
                     result = recourse_kernel.solve_signature(
-                        skeleton,
-                        float(base_logit),
-                        alpha,
-                        max_refinements,
-                        mode=mode,
-                        node_limit=self.max_nodes,
+                        skeleton, float(base_logit), alpha, mode=mode
                     )
                     self._absorb_stats(result)
                     solved[i] = self._materialize(result, skeleton, alpha, mode)
-                    self._solutions.put(
-                        (signature, alpha, max_refinements, mode), solved[i], size=1
-                    )
+                    self._solutions.put((signature, alpha, mode), solved[i], size=1)
         out: list[Recourse | None] = []
         for row_index, unique_index in enumerate(inverse):
             answer = solved[unique_index]
@@ -419,26 +444,3 @@ class RecourseSolver:
             "program_skeletons": len(self._skeletons),
             **self._counters,
         }
-
-    def _actions(
-        self,
-        table: Table,
-        current: Mapping[str, int],
-        new_codes: Mapping[str, int],
-    ) -> list[RecourseAction]:
-        actions = []
-        for attribute, code in new_codes.items():
-            if code == current[attribute]:
-                continue
-            categories = table.column(attribute).categories
-            actions.append(
-                RecourseAction(
-                    attribute=attribute,
-                    current_value=categories[current[attribute]],
-                    new_value=categories[code],
-                    # The solver's objective priced this move through
-                    # cost_fn; the reported per-action cost must agree.
-                    cost=float(self.cost_fn(attribute, current[attribute], code)),
-                )
-            )
-        return actions

@@ -3,19 +3,24 @@
 One function, :func:`solve_signature`, runs the full threshold/refine
 loop (Section 4.2's cut loop) for a single ``(current codes, context)``
 signature given only plain data: a :class:`SignatureSkeleton`, the
-signature's base log-odds, and the solve options.  It holds no table,
-estimator or solver state, and it sees no other signature, so an answer
-depends only on its own program: :meth:`RecourseSolver.solve_batch`
+signature's base log-odds, the target ``alpha`` and the mode.  It holds
+no table, estimator or solver state, and it sees no other signature, so
+an answer depends only on its own program: :meth:`RecourseSolver.solve_batch`
 calls it once per unsolved signature, whatever the batch or the
 requests solved before it.
 
-``mode="exact"`` uses the cached parametric-dual bounds from
-:mod:`repro.opt.parametric`: a greedy cover certified against the LP
-root bound handles most signatures without any search, and the rest run
-a depth-first exact search, seeded with the greedy cost, whose node
-bounds are vectorised grid evaluations.  The scipy/HiGHS MILP route
-that the property suite checks this search against lives in
-``tests/oracles.py``.
+:func:`exact_step` solves one threshold's 0-1 program exactly, with the
+cached parametric-dual bounds of :mod:`repro.opt.parametric`: a greedy
+cover certified against the LP root bound handles most programs without
+any search, and the rest run a depth-first exact search, seeded with
+the greedy cost, whose node bounds are vectorised grid evaluations.  It
+is the one exact solver for recourse programs: the refine loop calls it
+per threshold, and the LinearIP baseline
+(:class:`~repro.xai.linear_ip.LinearIPRecourse`) calls it on its own
+program.  Its budgets are the constants :data:`MAX_REFINEMENTS` and
+:data:`NODE_LIMIT`, shared by both callers.  The scipy/HiGHS MILP that
+the property suite checks it against is ``tests/oracles.py``'s
+``milp_exact_step``, a drop-in for :func:`exact_step`.
 
 ``mode="anytime"`` skips the exact search entirely and returns the
 greedy cover together with a *certified* optimality gap: the reported
@@ -42,6 +47,12 @@ from repro.utils.exceptions import RecourseInfeasibleError
 
 MODES = ("exact", "anytime")
 
+#: threshold refinements per signature before it is reported unreachable
+MAX_REFINEMENTS = 4
+
+#: node budget of one exact search; past it the program is infeasible
+NODE_LIMIT = 200_000
+
 
 def _sigmoid(z: float) -> float:
     return float(1.0 / (1.0 + np.exp(-z)))
@@ -51,9 +62,7 @@ def solve_signature(
     skeleton: SignatureSkeleton,
     base_logit: float,
     alpha: float,
-    max_refinements: int,
     mode: str = "exact",
-    node_limit: int | None = 200_000,
 ) -> dict:
     """Threshold/refine loop for one signature; returns a plain dict.
 
@@ -76,20 +85,19 @@ def solve_signature(
     threshold = min(base_prob + alpha * (1.0 - base_prob), 1.0 - 1e-6)
 
     first_lp_bound: float | None = None
-    for _refine in range(max_refinements):
+    for _refine in range(MAX_REFINEMENTS):
         stats["refinements"] += 1
         needed = logit(threshold) - base_logit
-        lp_root = skeleton.lp_bound(needed)
-        if first_lp_bound is None:
-            first_lp_bound = lp_root
         try:
             if mode == "anytime":
                 # Greedy rounding against the parametric LP bound: the
                 # point of anytime mode is to avoid the search entirely.
+                if first_lp_bound is None:
+                    first_lp_bound = skeleton.lp_bound(needed)
                 covered = greedy_cover(skeleton, needed)
                 solved = None if covered is None else _action(skeleton, *covered)
             else:
-                solved = _exact_step(skeleton, needed, lp_root, node_limit, stats)
+                solved = exact_step(skeleton, needed, stats)
         except RecourseInfeasibleError:
             # Budget exhausted at this threshold; tightening it cannot help.
             break
@@ -141,18 +149,26 @@ def _action(
     )
 
 
-def _exact_step(
+def exact_step(
     skeleton: SignatureSkeleton,
     needed: float,
-    lp_root: float,
-    node_limit: int | None,
-    stats: dict,
+    stats: dict | None = None,
 ) -> tuple[dict[str, int], float, float] | None:
-    """Optimal action for one threshold, or ``None`` when none covers it.
+    """Optimal action covering ``needed``, or ``None`` when none covers it.
 
-    The greedy cover is returned as is when it meets the LP root bound
-    (certified optimal); otherwise it seeds the exact search.
+    Returns ``({attribute: new code}, cost, linearised gain)``.  The
+    greedy cover is returned as is when it meets the LP root bound
+    (certified optimal); otherwise it seeds the exact search.  A set
+    covers when its gain comes within ``FEASIBILITY_TOL`` of ``needed``,
+    while the LP bounds ask for all of ``needed``: the cost returned
+    lies between the cheapest set covering with that slack and the
+    cheapest covering without it (the two agree unless a set's gain
+    falls inside the slack).  Raises :class:`RecourseInfeasibleError`
+    when the search exceeds :data:`NODE_LIMIT` nodes.  ``stats``, when
+    given, counts the certificates (``"certified"``) and search nodes
+    (``"nodes"``).
     """
+    lp_root = skeleton.lp_bound(needed)
     if not np.isfinite(lp_root):
         return None
     covered = greedy_cover(skeleton, needed)
@@ -160,15 +176,17 @@ def _exact_step(
         return None
     selection, greedy_cost = covered
     if greedy_cost <= lp_root + CERTIFICATE_TOL:
-        stats["certified"] += 1
+        if stats is not None:
+            stats["certified"] += 1
         return _action(skeleton, selection, greedy_cost)
     exact_sel, objective, nodes = solve_exact(
-        skeleton, needed, greedy_cost, node_limit=node_limit
+        skeleton, needed, greedy_cost, node_limit=NODE_LIMIT
     )
-    stats["nodes"] += nodes
+    if stats is not None:
+        stats["nodes"] += nodes
     if exact_sel is None:  # pragma: no cover - defensive; seed is feasible
         return _action(skeleton, selection, greedy_cost)
     return _action(skeleton, exact_sel, objective)
 
 
-__all__ = ["MODES", "solve_signature"]
+__all__ = ["MAX_REFINEMENTS", "MODES", "NODE_LIMIT", "exact_step", "solve_signature"]

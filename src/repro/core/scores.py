@@ -529,9 +529,11 @@ class ScoreEstimator:
     ) -> dict[str, LocalScoreArrays]:
         """Cohort-scale local scores: one matrix pass per attribute group.
 
-        ``rows`` are full code assignments (e.g. ``Table.row_codes``
-        mappings) of the individuals to explain.  For each attribute the
-        cohort's rows are grouped by their non-descendant feature tuple,
+        ``rows`` are code assignments of the individuals to explain,
+        every one over the same attributes (e.g. ``Table.row_codes``
+        mappings): rows whose key sets differ raise ``ValueError``, and
+        an attribute the rows do not assign raises ``KeyError``.  For
+        each attribute the context is the rows' non-descendant features,
         the per-attribute regression is fitted once (cached), and every
         ``(value, context)`` probe is assembled into one integer matrix,
         *deduplicated* (categorical contexts collide heavily across a
@@ -552,71 +554,35 @@ class ScoreEstimator:
         )
         out: dict[str, LocalScoreArrays] = {}
         n = len(rows)
-        # Homogeneous cohorts (every row assigns the same attributes —
-        # the explain_local_batch shape) share one codes matrix; rows
-        # with differing key sets take the general per-row grouping.
-        key_set = set(rows[0]) if rows else set()
-        homogeneous = n > 0 and all(
-            len(r) == len(key_set) and all(k in key_set for k in r)
-            for r in rows
-        )
-        if homogeneous:
-            order = [nm for nm in self._features.names if nm in key_set]
-            column_of = {nm: j for j, nm in enumerate(order)}
-            codes = np.array(
-                [[int(row[nm]) for nm in order] for row in rows],
-                dtype=np.int64,
-            ).reshape(n, len(order))
+        # Every row assigns the same attributes (the explain_local_batch
+        # shape), so the cohort shares one codes matrix.
+        key_set = set(rows[0]) if rows else set(self._features.names)
+        for i, row in enumerate(rows):
+            if len(row) != len(key_set) or any(k not in key_set for k in row):
+                raise ValueError(
+                    f"rows must assign the same attributes: row {i} differs "
+                    f"from row 0"
+                )
+        order = [nm for nm in self._features.names if nm in key_set]
+        column_of = {nm: j for j, nm in enumerate(order)}
+        codes = np.array(
+            [[int(row[nm]) for nm in order] for row in rows],
+            dtype=np.int64,
+        ).reshape(n, len(order))
         for attribute in names:
             card = self._features.column(attribute).cardinality
-            probabilities = np.zeros((n, card))
-            keep_names = self._local_keep_names(attribute)
-            if homogeneous and attribute in column_of:
-                current = codes[:, column_of[attribute]]
-                context_names = [nm for nm in keep_names if nm in column_of]
-                model = self._local_model((attribute, *context_names))
-                context_matrix = codes[
-                    :, [column_of[nm] for nm in context_names]
-                ]
-                context_cards = [
-                    self._features.column(nm).cardinality
-                    for nm in context_names
-                ]
-                probabilities = self._probe_probabilities(
-                    model, context_matrix, context_cards, card
-                )
-            else:
-                current = np.array(
-                    [int(row[attribute]) for row in rows], dtype=np.int64
-                )
-                groups: dict[tuple[str, ...], list[int]] = {}
-                contexts: list[dict[str, int]] = []
-                for i, row in enumerate(rows):
-                    context = {
-                        nm: int(row[nm]) for nm in keep_names if nm in row
-                    }
-                    contexts.append(context)
-                    groups.setdefault(
-                        tuple([attribute, *context]), []
-                    ).append(i)
-                for features, indices in groups.items():
-                    model = self._local_model(features)
-                    context_names = features[1:]
-                    members = np.asarray(indices)
-                    context_matrix = np.array(
-                        [
-                            [contexts[i][nm] for nm in context_names]
-                            for i in indices
-                        ],
-                        dtype=np.int64,
-                    ).reshape(len(indices), len(context_names))
-                    context_cards = [
-                        self._features.column(nm).cardinality
-                        for nm in context_names
-                    ]
-                    probabilities[members] = self._probe_probabilities(
-                        model, context_matrix, context_cards, card
-                    )
+            current = codes[:, column_of[attribute]]
+            context_names = [
+                nm for nm in self._local_keep_names(attribute) if nm in column_of
+            ]
+            model = self._local_model((attribute, *context_names))
+            context_matrix = codes[:, [column_of[nm] for nm in context_names]]
+            context_cards = [
+                self._features.column(nm).cardinality for nm in context_names
+            ]
+            probabilities = self._probe_probabilities(
+                model, context_matrix, context_cards, card
+            )
             values = np.arange(card, dtype=np.int64)
             p_cur = probabilities[np.arange(n), current][:, None]
             raising = values[None, :] > current[:, None]

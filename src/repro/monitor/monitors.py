@@ -63,6 +63,26 @@ WATCH_DEFAULT_TIMEOUT = 25.0
 WATCH_MAX_TIMEOUT = 60.0
 
 
+def _monitor_state(monitor_id: str, spec: dict, baseline: dict, cursor: int) -> dict:
+    """A registered monitor's state before its first refresh.
+
+    Registration and journal recovery both start a monitor here.
+    """
+    return {
+        "id": monitor_id,
+        "spec": spec,
+        "baseline": baseline,
+        "summary": dict(baseline),
+        "cursor": cursor,
+        "registered_at": cursor,
+        "batches_seen": 0,
+        "refreshes": 0,
+        "alerts": 0,
+        "truncated_cursors": 0,
+        "detectors": build_detectors(spec),
+    }
+
+
 class MonitorSet:
     """Every standing monitor attached to one explainer session."""
 
@@ -160,19 +180,7 @@ class MonitorSet:
         monitor_id = f"m{self._next_id}"
         baseline = compute_summary(lewis, spec)
         position = self._position()
-        state = {
-            "id": monitor_id,
-            "spec": spec,
-            "baseline": baseline,
-            "summary": dict(baseline),
-            "cursor": position,
-            "registered_at": position,
-            "batches_seen": 0,
-            "refreshes": 0,
-            "alerts": 0,
-            "truncated_cursors": 0,
-            "detectors": build_detectors(spec),
-        }
+        state = _monitor_state(monitor_id, spec, baseline, position)
         if self._journal is not None:
             # journal before exposing: a registration the client saw
             # acknowledged must survive a crash.
@@ -249,10 +257,8 @@ class MonitorSet:
                 _faults.inject("monitor.refresh")
                 summary = compute_summary(lewis, state["spec"])
             except Exception as exc:  # noqa: BLE001 - isolate per monitor
-                self._refresh_failures += 1
-                _MONITOR_REFRESH_FAILURES.inc()
                 out["failed"] += 1
-                self._emit_refresh_failure(state, exc)
+                self._refresh_failed(state, exc)
                 continue
             if log is not None and not log.cursor_valid(state["cursor"]):
                 # A checkpoint compacted the cursor's range away. The
@@ -276,82 +282,68 @@ class MonitorSet:
                 for detector in state["detectors"]:
                     fired = detector.update(value, baseline)
                     if fired is not None:
-                        self._emit(state, detector, metric, value, baseline, fired)
+                        magnitude, direction = fired
+                        # The journal checkpoints every detector's state
+                        # at each alert, for recovery to resume from.
+                        states = {
+                            d.name: d.export_state() for d in state["detectors"]
+                        }
+                        self._publish(
+                            state,
+                            {"states": states},
+                            detector=detector.name,
+                            value=value,
+                            baseline=baseline,
+                            magnitude=magnitude,
+                            direction=direction,
+                        )
                         out["alerts"] += 1
             except Exception as exc:  # noqa: BLE001 - isolate per monitor
-                self._refresh_failures += 1
-                _MONITOR_REFRESH_FAILURES.inc()
                 out["failed"] += 1
-                self._emit_refresh_failure(state, exc)
+                self._refresh_failed(state, exc)
         return out
 
-    def _emit_refresh_failure(self, state: dict, exc: Exception) -> None:
-        """Surface a contained per-monitor refresh failure as an alert.
+    def _refresh_failed(self, state: dict, exc: Exception) -> None:
+        """Count a contained per-monitor refresh failure and alert on it.
 
         Typed like any drift alert so ``watch`` clients and the journal
         see it, with ``detector="refresh_failure"`` / ``direction=
         "error"`` marking it as operational rather than statistical.
         """
+        self._refresh_failures += 1
+        _MONITOR_REFRESH_FAILURES.inc()
         metric = state["spec"]["metric"]
-        alert = Alert(
-            monitor_id=state["id"],
+        self._publish(
+            state,
+            {"error": f"{type(exc).__name__}: {exc}"},
             detector="refresh_failure",
-            metric=metric,
             value=0.0,
             baseline=float(state["baseline"].get(metric, 0.0)),
             magnitude=0.0,
             direction="error",
-            wal_seq=state["cursor"],
-            table_version=int(self._session.table_version),
         )
-        state["alerts"] += 1
-        _MONITOR_ALERTS.inc()
-        if self._journal is not None:
-            data = {
-                "alert": alert.to_json(),
-                "error": f"{type(exc).__name__}: {exc}",
-            }
-            request_id = _tracing.current_trace_id()
-            if request_id is not None:
-                data["request_id"] = request_id
-            self._journal.append("alert", data)
-        with self._cond:
-            self._alert_seq += 1
-            self._alerts.append((self._alert_seq, alert))
-            self._cond.notify_all()
 
-    def _emit(
-        self,
-        state: dict,
-        detector,
-        metric: str,
-        value: float,
-        baseline: float,
-        fired: tuple[float, str],
-    ) -> None:
-        magnitude, direction = fired
+    def _publish(self, state: dict, detail: Mapping[str, Any], **fields) -> None:
+        """Raise one alert of ``state``'s monitor: count, journal, ring, notify.
+
+        ``fields`` are the :class:`Alert` fields the monitor does not
+        fix (``detector``, ``value``, ``baseline``, ``magnitude``,
+        ``direction``).  The journal record holds ``alert`` and
+        ``detail`` (``states`` or ``error``), plus the ``request_id`` of
+        the update that triggered the refresh when it ran inside a
+        traced request (the post-update notify path).
+        """
         alert = Alert(
             monitor_id=state["id"],
-            detector=detector.name,
-            metric=metric,
-            value=value,
-            baseline=baseline,
-            magnitude=magnitude,
-            direction=direction,
+            metric=state["spec"]["metric"],
             wal_seq=state["cursor"],
             table_version=int(self._session.table_version),
+            **fields,
         )
         state["alerts"] += 1
         _MONITOR_ALERTS.inc()
         if self._journal is not None:
-            data = {
-                "alert": alert.to_json(),
-                "states": {
-                    d.name: d.export_state() for d in state["detectors"]
-                },
-            }
-            # The update that triggered the alert, when the refresh ran
-            # inside a traced request (the post-update notify path).
+            data = {"alert": alert.to_json(), **detail}
             request_id = _tracing.current_trace_id()
             if request_id is not None:
                 data["request_id"] = request_id
@@ -409,21 +401,12 @@ class MonitorSet:
         for record in journal.replay():
             kind, data = record["kind"], record["data"]
             if kind == "register":
-                spec = data["spec"]
-                baseline = dict(data["baseline"])
-                self._monitors[str(data["id"])] = {
-                    "id": str(data["id"]),
-                    "spec": spec,
-                    "baseline": baseline,
-                    "summary": dict(baseline),
-                    "cursor": int(data["cursor"]),
-                    "registered_at": int(data["cursor"]),
-                    "batches_seen": 0,
-                    "refreshes": 0,
-                    "alerts": 0,
-                    "truncated_cursors": 0,
-                    "detectors": build_detectors(spec),
-                }
+                self._monitors[str(data["id"])] = _monitor_state(
+                    str(data["id"]),
+                    data["spec"],
+                    dict(data["baseline"]),
+                    int(data["cursor"]),
+                )
                 try:
                     max_id = max(max_id, int(str(data["id"]).lstrip("m")))
                 except ValueError:

@@ -1,17 +1,12 @@
-"""0-1 integer programming: model container and exact solver.
+"""Exact search for recourse 0-1 programs.
 
-The counterfactual-recourse problem of Section 4.2 is a small binary
-integer program.  This subpackage provides a named-variable container
-(:class:`IntegerProgram`) and :func:`solve_binary_program`, which solves
-it exactly with scipy's HiGHS MILP backend under node, time and gap
-budgets.
+LEWIS recourse (Section 4.2) and the LinearIP baseline (Section 5.4)
+solve the same multiple-choice covering program: one new value or none
+per actionable attribute, a cost to minimise and one linear "gain >=
+needed" row.  :mod:`repro.opt.parametric` holds its solve-ready form
+(:class:`~repro.opt.parametric.SignatureSkeleton`), the parametric LP
+root bound, the greedy cover and the exact depth-first search that
+:mod:`repro.core.recourse_kernel` combines into the one exact solver.
+No scipy: the HiGHS MILP it is checked against is a test oracle
+(``tests/oracles.py``).
 """
-
-from repro.opt.integer_program import IntegerProgram, IPSolution
-from repro.opt.branch_and_bound import solve_binary_program
-
-__all__ = [
-    "IntegerProgram",
-    "IPSolution",
-    "solve_binary_program",
-]

@@ -39,8 +39,7 @@ import numpy as np
 
 from repro.utils.exceptions import RecourseInfeasibleError
 
-#: slack used when testing whether an action set covers ``needed`` —
-#: mirrors the feasibility tolerance of the HiGHS MILP path.
+#: slack used when testing whether an action set covers ``needed``.
 FEASIBILITY_TOL = 1e-9
 
 #: strict-improvement threshold for recording a new incumbent.
@@ -55,6 +54,13 @@ SEED_EPS = 1e-9
 #: certificate slack: a heuristic solution within this of the LP root
 #: bound is accepted as optimal without running the exact search.
 CERTIFICATE_TOL = 2e-10
+
+#: largest breakpoint kept on the dual grid.  Lines meet beyond it only
+#: when two options' gains differ by less than ~1e-150 of their cost
+#: difference; evaluating ``needed * y`` there can overflow into ``nan``
+#: (an infeasible verdict on a coverable program), while any subset of
+#: the grid still yields a valid lower bound.
+GRID_LIMIT = 1e150
 
 
 class SignatureSkeleton:
@@ -91,7 +97,7 @@ class SignatureSkeleton:
 
         self.n_variables = int(sum(len(c) for c in self.codes))
         # One exclusivity row per attribute with candidates + the
-        # sufficiency row: mirrors IntegerProgram.n_constraints.
+        # sufficiency row.
         self.n_constraints = int(sum(len(c) > 0 for c in self.codes)) + 1
 
         best_gain = np.array(
@@ -125,12 +131,13 @@ class SignatureSkeleton:
             # Candidate breakpoints: all pairwise intersections with
             # positive y.  A superset of the true envelope breakpoints
             # is harmless (h is evaluated directly on the grid), a
-            # missing one would not be — so prefer the exhaustive set.
+            # missing one would leave the bound valid but below the LP
+            # value — so prefer the exhaustive set, up to GRID_LIMIT.
             ds = slopes[:, None] - slopes[None, :]
             db = intercepts[None, :] - intercepts[:, None]
             with np.errstate(divide="ignore", invalid="ignore"):
                 ys = db / ds
-            ys = ys[np.isfinite(ys) & (ys > 0.0)]
+            ys = ys[(ys > 0.0) & (ys < GRID_LIMIT)]
             if len(ys):
                 grid_points.append(np.unique(ys))
 

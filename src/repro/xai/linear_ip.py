@@ -7,6 +7,14 @@ the actionable attributes that pushes the linear score past the decision
 threshold.  Unlike LEWIS, the constraint bounds the *classifier score*
 directly, ignores causal structure entirely, and — as the paper observes
 — often fails to return any solution for high success thresholds.
+
+The program is the one LEWIS recourse solves per threshold (one new
+value or none per actionable attribute, one "gain >= needed" row), so
+it is built by :func:`~repro.core.recourse.program_skeleton` and solved
+by the same exact step, :func:`~repro.core.recourse_kernel.exact_step`.
+Where several action sets tie at the optimal cost, the one returned may
+differ from what a general MILP solver (HiGHS, the test oracle) picks;
+feasibility and cost agree.
 """
 
 from __future__ import annotations
@@ -16,13 +24,20 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.core.recourse import CostFn, RecourseAction, unit_step_cost
+from repro.core.recourse import (
+    CostFn,
+    RecourseAction,
+    program_skeleton,
+    recourse_actions,
+    unit_step_cost,
+)
+from repro.core.recourse_kernel import exact_step
 from repro.data.encoding import OneHotEncoder
 from repro.data.table import Table
 from repro.estimation.logit import logit
 from repro.models.linear import LogisticRegression
-from repro.opt.branch_and_bound import solve_binary_program
-from repro.opt.integer_program import IntegerProgram
+from repro.opt.parametric import SignatureSkeleton
+from repro.utils.exceptions import RecourseInfeasibleError
 from repro.utils.validation import check_probability
 
 
@@ -54,6 +69,15 @@ class LinearIPRecourse:
         X = self._encoder.transform(table)
         self._model = LogisticRegression(l2=0.1)
         self._model.fit(X, np.asarray(positive, dtype=int))
+        #: per actionable attribute, each code's surrogate coefficient
+        #: (0 for the dropped first code)
+        self._coefficients = {
+            attribute: [
+                self._coefficient(attribute, code)
+                for code in range(table.column(attribute).cardinality)
+            ]
+            for attribute in self.actionable
+        }
 
     def _coefficient(self, attribute: str, code: int) -> float:
         if code == 0:
@@ -67,6 +91,26 @@ class LinearIPRecourse:
         )
         return float(self._model.decision_function(row.reshape(1, -1))[0])
 
+    def program(
+        self, row_codes: Mapping[str, int], success_probability: float = 0.5
+    ) -> tuple[SignatureSkeleton, float]:
+        """The 0-1 program for one row: its skeleton and the gain ``needed``.
+
+        Each non-current code of an actionable attribute is a variable
+        priced by ``cost_fn`` whose gain is its change of the surrogate's
+        linear score; a solution must gain at least ``needed``, the
+        distance from the row's score to ``logit(success_probability)``.
+        """
+        check_probability(success_probability, "success_probability")
+        skeleton = program_skeleton(
+            self._table,
+            self.actionable,
+            [int(row_codes[a]) for a in self.actionable],
+            self.cost_fn,
+            self._coefficients,
+        )
+        return skeleton, logit(success_probability) - self._score(row_codes)
+
     def solve(
         self,
         row_codes: Mapping[str, int],
@@ -78,53 +122,22 @@ class LinearIPRecourse:
         actionable attributes reaches it — the failure mode the paper
         reports for thresholds above 0.8.
         """
-        check_probability(success_probability, "success_probability")
-        base_score = self._score(row_codes)
-        needed = logit(success_probability) - base_score
-
-        program = IntegerProgram()
-        gain: dict = {}
-        for attribute in self.actionable:
-            col = self._table.column(attribute)
-            current = int(row_codes[attribute])
-            exclusivity: dict = {}
-            for code in range(col.cardinality):
-                if code == current:
-                    continue
-                name = (attribute, code)
-                program.add_variable(name, cost=self.cost_fn(attribute, current, code))
-                gain[name] = self._coefficient(attribute, code) - self._coefficient(
-                    attribute, current
-                )
-                exclusivity[name] = 1.0
-            if exclusivity:
-                program.add_le_constraint(exclusivity, 1.0)
-        program.add_ge_constraint(gain, needed)
-        solution = solve_binary_program(program)
-
-        new_codes = {a: int(row_codes[a]) for a in self.actionable}
-        for (attribute, code), chosen in solution.values.items():
-            if chosen:
-                new_codes[attribute] = code
-        achieved = 1.0 / (
-            1.0 + np.exp(-self._score({**dict(row_codes), **new_codes}))
-        )
-        actions = []
-        for attribute, code in new_codes.items():
-            current = int(row_codes[attribute])
-            if code == current:
-                continue
-            categories = self._table.column(attribute).categories
-            actions.append(
-                RecourseAction(
-                    attribute=attribute,
-                    current_value=categories[current],
-                    new_value=categories[code],
-                    cost=self.cost_fn(attribute, current, code),
-                )
+        skeleton, needed = self.program(row_codes, success_probability)
+        solved = exact_step(skeleton, needed)
+        if solved is None:
+            raise RecourseInfeasibleError(
+                f"no action on {self.actionable} reaches success probability "
+                f"{success_probability}"
             )
+        chosen, objective, _gain = solved
+        achieved = 1.0 / (1.0 + np.exp(-self._score({**dict(row_codes), **chosen})))
         return LinearIPResult(
-            actions=actions,
-            total_cost=solution.objective,
+            actions=recourse_actions(
+                self._table,
+                self.cost_fn,
+                {a: int(row_codes[a]) for a in self.actionable},
+                chosen,
+            ),
+            total_cost=float(objective),
             achieved_probability=float(achieved),
         )

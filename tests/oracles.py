@@ -15,9 +15,14 @@ and the parity tests hold the batched paths to them at 1e-12:
   with one :func:`scalar_scores` call per value pair;
 * :func:`local_explanation_scalar` — the local explanation as the
   attributes × value-pairs × 2-probes loop of Section 3.2;
-* :func:`milp_exact_step` — the recourse kernel's exact step solved as
-  a scipy/HiGHS MILP (:func:`solve_ip_milp`) instead of the parametric
-  search, for the recourse parity tests to swap in;
+* :func:`solve_ip_milp` — one recourse 0-1 program (a
+  :class:`SignatureSkeleton` and the gain it must reach) solved by
+  scipy's HiGHS MILP on :func:`skeleton_matrices`, which the LinearIP
+  parity test holds the kernel's exact step to; :func:`milp_exact_step`
+  wraps it as a drop-in for ``recourse_kernel.exact_step``, which the
+  LEWIS recourse parity tests and ``bench_recourse_scale.py`` swap in.
+  scipy is a test-only dependency of recourse: the library's one exact
+  solver is the parametric search;
 * :func:`outcome_model_on_rows` / :func:`logit_model_on_rows` — the
   local and recourse regressions fitted with one design row per table
   row, which ``tests/test_cell_fit.py`` holds the library's fit from
@@ -47,6 +52,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import networkx as nx
 import numpy as np
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.core.explanations import (
     SCORE_KEYS,
@@ -63,9 +69,7 @@ from repro.estimation.engine import ContingencyEngine
 from repro.estimation.logit import LogitModel
 from repro.estimation.outcome_model import OutcomeProbabilityModel
 from repro.models.linear import LogisticRegression
-from repro.opt.branch_and_bound import solve_binary_program
-from repro.opt.integer_program import IntegerProgram
-from repro.opt.parametric import SignatureSkeleton
+from repro.opt.parametric import FEASIBILITY_TOL, SignatureSkeleton
 from repro.utils.exceptions import EstimationError, GraphError
 
 
@@ -418,31 +422,65 @@ def logit_model_on_rows(
     return model
 
 
+def skeleton_matrices(
+    skeleton: SignatureSkeleton, needed: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(c, A_ub, b_ub)`` of one signature program in scipy's form.
+
+    ``min c.x`` subject to ``A_ub x <= b_ub``: one row per attribute
+    with candidates caps its picks at one, and the last row is the
+    negated covering row ``-g.x <= -needed``.  Variables run attribute
+    by attribute in the skeleton's candidate order.
+    """
+    c = np.concatenate([np.empty(0), *skeleton.costs])
+    gains = np.concatenate([np.empty(0), *skeleton.gains])
+    rows, offset = [], 0
+    for codes in skeleton.codes:
+        if len(codes):
+            row = np.zeros(len(c))
+            row[offset : offset + len(codes)] = 1.0
+            rows.append(row)
+        offset += len(codes)
+    A_ub = np.array([*rows, -gains]).reshape(len(rows) + 1, len(c))
+    b_ub = np.array([1.0] * len(rows) + [-float(needed)])
+    return c, A_ub, b_ub
+
+
 def solve_ip_milp(
-    skeleton: SignatureSkeleton, needed: float, node_limit: int | None
-) -> tuple[dict[str, int], float]:
-    """One signature program as an :class:`IntegerProgram` solved by HiGHS."""
-    program = IntegerProgram()
-    gain_coeffs: dict = {}
-    for a, attribute in enumerate(skeleton.attributes):
-        exclusivity: dict = {}
-        for code, cost, gain in zip(
-            skeleton.codes[a], skeleton.costs[a], skeleton.gains[a]
-        ):
-            name = (attribute, int(code))
-            program.add_variable(name, cost=float(cost))
-            gain_coeffs[name] = float(gain)
-            exclusivity[name] = 1.0
-        if exclusivity:
-            program.add_le_constraint(exclusivity, 1.0)
-    program.add_ge_constraint(gain_coeffs, needed)
-    solution = solve_binary_program(program, max_nodes=node_limit or 200_000)
+    skeleton: SignatureSkeleton, needed: float
+) -> tuple[dict[str, int], float] | None:
+    """One signature program solved by scipy's HiGHS MILP.
+
+    Returns ``({attribute: new code}, cost)``, or ``None`` when no
+    action set covers ``needed``.  Any other non-optimal HiGHS status
+    raises ``RuntimeError``, naming it.
+    """
+    c, A_ub, b_ub = skeleton_matrices(skeleton, needed)
+    if len(c) == 0:
+        return ({}, 0.0) if needed <= FEASIBILITY_TOL else None
+    result = milp(
+        c,
+        constraints=LinearConstraint(A_ub, -np.inf, b_ub),
+        integrality=np.ones(len(c)),
+        bounds=Bounds(0, 1),
+    )
+    if result.status == 2:  # infeasible
+        return None
+    if result.status != 0:
+        raise RuntimeError(
+            f"HiGHS MILP ended with status {result.status}: {result.message}"
+        )
+    owners = [
+        (attribute, int(code))
+        for attribute, codes in zip(skeleton.attributes, skeleton.codes)
+        for code in codes
+    ]
     chosen = {
-        attribute: int(code)
-        for (attribute, code), v in solution.values.items()
-        if v == 1
+        attribute: code
+        for (attribute, code), x in zip(owners, result.x)
+        if round(x) == 1
     }
-    return chosen, float(solution.objective)
+    return chosen, float(result.fun)
 
 
 def gain_of(skeleton: SignatureSkeleton, chosen: Mapping[str, int]) -> float:
@@ -460,17 +498,18 @@ def gain_of(skeleton: SignatureSkeleton, chosen: Mapping[str, int]) -> float:
 def milp_exact_step(
     skeleton: SignatureSkeleton,
     needed: float,
-    lp_root: float,
-    node_limit: int | None,
-    stats: dict,
-) -> tuple[dict[str, int], float, float]:
-    """Drop-in for ``recourse_kernel._exact_step`` backed by HiGHS.
+    stats: dict | None = None,
+) -> tuple[dict[str, int], float, float] | None:
+    """Drop-in for ``recourse_kernel.exact_step`` backed by HiGHS.
 
-    Raises :class:`RecourseInfeasibleError` when the program has no
-    solution, which the kernel's refine loop treats like the parametric
-    step's ``None``.
+    Returns ``None`` when no action set covers ``needed``, like the
+    kernel's step; ``stats`` is accepted for the signature and left
+    untouched.
     """
-    chosen, objective = solve_ip_milp(skeleton, needed, node_limit)
+    solved = solve_ip_milp(skeleton, needed)
+    if solved is None:
+        return None
+    chosen, objective = solved
     return chosen, objective, gain_of(skeleton, chosen)
 
 

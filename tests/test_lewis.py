@@ -96,6 +96,19 @@ class TestExplanations:
         with pytest.raises(ValueError):
             german_lewis.explain_local(index=0, individual={"sex": "Male"})
 
+    def test_local_refuses_partial_or_unknown_individual(self, german_lewis):
+        row = german_lewis.data.row(5)
+        partial = {name: value for name, value in row.items() if name != "month"}
+        # Even when no asked-for attribute reads the missing one: the
+        # black box would score the individual with another row's value.
+        with pytest.raises(ValueError, match=r"missing \['month'\], unknown \[\]"):
+            german_lewis.explain_local(individual=partial, attributes=["sex"])
+        with pytest.raises(ValueError, match=r"missing \[\], unknown \['zzz'\]"):
+            german_lewis.explain_local(individual={**row, "zzz": 1})
+        assert german_lewis.explain_local(individual=row) == (
+            german_lewis.explain_local(index=5)
+        )
+
     def test_local_contributions_in_unit_interval(self, german_lewis):
         exp = german_lewis.explain_local(index=int(german_lewis.negative_indices()[0]))
         for c in exp.contributions:

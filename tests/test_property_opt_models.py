@@ -1,66 +1,12 @@
-"""Property-based tests for the IP solver and ML substrate invariants."""
-
-import itertools
+"""Property-based tests for ML substrate invariants."""
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.models.forest import RandomForestClassifier
 from repro.models.linear import LogisticRegression
 from repro.models.tree import DecisionTreeClassifier
-from repro.opt.branch_and_bound import solve_binary_program
-from repro.opt.integer_program import IntegerProgram
-from repro.utils.exceptions import RecourseInfeasibleError
-
-
-def brute_force(program):
-    c, A_ub, b_ub, A_eq, b_eq = program.matrices()
-    n = program.n_variables
-    best = np.inf
-    for bits in itertools.product([0, 1], repeat=n):
-        x = np.array(bits, dtype=float)
-        if A_ub is not None and (A_ub @ x > b_ub + 1e-9).any():
-            continue
-        if A_eq is not None and not np.allclose(A_eq @ x, b_eq, atol=1e-9):
-            continue
-        best = min(best, float(c @ x))
-    return best
-
-
-ip_instances = st.tuples(
-    st.integers(min_value=1, max_value=7),  # variables
-    st.integers(min_value=0, max_value=3),  # constraints
-    st.integers(min_value=0, max_value=10_000),  # seed
-)
-
-
-@given(ip_instances)
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_branch_and_bound_matches_brute_force(params):
-    n, m, seed = params
-    rng = np.random.default_rng(seed)
-    program = IntegerProgram()
-    for i in range(n):
-        program.add_variable(i, cost=float(rng.normal()))
-    for _ in range(m):
-        coeffs = {i: float(rng.normal()) for i in range(n)}
-        program.add_le_constraint(coeffs, float(rng.uniform(-0.5, 1.5)))
-    reference = brute_force(program)
-    if np.isinf(reference):
-        with pytest.raises(RecourseInfeasibleError):
-            solve_binary_program(program)
-    else:
-        solution = solve_binary_program(program)
-        assert solution.objective == pytest.approx(reference, abs=1e-6)
-        # The returned assignment must itself be feasible and attain it.
-        x = np.array([solution.values[i] for i in range(n)], dtype=float)
-        c, A_ub, b_ub, _aeq, _beq = program.matrices()
-        if A_ub is not None:
-            assert (A_ub @ x <= b_ub + 1e-6).all()
-        assert float(c @ x) == pytest.approx(solution.objective, abs=1e-9)
-
 
 classification_data = st.tuples(
     st.integers(min_value=30, max_value=120),

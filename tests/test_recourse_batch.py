@@ -162,20 +162,6 @@ class TestSolverCacheBound:
             )
         assert len(lewis._recourse_solvers) <= 16
 
-    def test_memo_respects_refinement_budget(self):
-        """A larger max_refinements must not be served a smaller budget's answer."""
-        estimator = ScoreEstimator(
-            make_population(seed=8, n=200), score_model(make_population(seed=8, n=200))
-        )
-        solver = RecourseSolver(estimator, actionable=["skill", "hours"])
-        rows = [estimator._features.row_codes(i) for i in range(20)]
-        solver.solve_batch(rows, alpha=0.6, max_refinements=1, on_infeasible="none")
-        small = solver.solution_memo_stats()["solved_signatures"]
-        solver.solve_batch(rows, alpha=0.6, max_refinements=4, on_infeasible="none")
-        # Distinct budgets occupy distinct memo keys: the second call
-        # re-solved instead of re-serving the budget-1 entries.
-        assert solver.solution_memo_stats()["solved_signatures"] == 2 * small
-
 
 class TestBatchSizeIndependence:
     def test_row_answer_is_the_same_alone_or_in_a_cohort(

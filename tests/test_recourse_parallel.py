@@ -17,15 +17,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from oracles import milp_exact_step
+from oracles import milp_exact_step, skeleton_matrices
 from scipy.optimize import linprog
 
 from repro.core import recourse_kernel
 from repro.core.recourse import Recourse, RecourseAction, RecourseSolver
 from repro.core.scores import ScoreEstimator
 from repro.data.table import Table
-from repro.opt.branch_and_bound import solve_binary_program
-from repro.opt.integer_program import IntegerProgram
 from repro.opt.parametric import (
     FEASIBILITY_TOL,
     SignatureSkeleton,
@@ -97,30 +95,11 @@ def random_skeleton(rng: np.random.Generator) -> SignatureSkeleton:
 
 def lp_value_via_linprog(skeleton: SignatureSkeleton, needed: float) -> float | None:
     """LP relaxation objective via scipy, or None when infeasible."""
-    c, g = [], []
-    blocks = []
-    offset = 0
-    for a in range(len(skeleton.attributes)):
-        k = len(skeleton.codes[a])
-        c.extend(skeleton.costs[a])
-        g.extend(skeleton.gains[a])
-        blocks.append((offset, offset + k))
-        offset += k
-    n = offset
-    if n == 0:
+    c, A_ub, b_ub = skeleton_matrices(skeleton, needed)
+    if len(c) == 0:
         return 0.0 if needed <= FEASIBILITY_TOL else None
-    A_ub = []
-    b_ub = []
-    for lo, hi in blocks:
-        row = np.zeros(n)
-        row[lo:hi] = 1.0
-        A_ub.append(row)
-        b_ub.append(1.0)
-    A_ub.append(-np.asarray(g))
-    b_ub.append(-needed)
     result = linprog(
-        c, A_ub=np.asarray(A_ub), b_ub=np.asarray(b_ub), bounds=[(0, 1)] * n,
-        method="highs",
+        c, A_ub=A_ub, b_ub=b_ub, bounds=[(0, 1)] * len(c), method="highs"
     )
     if not result.success:
         return None
@@ -129,7 +108,7 @@ def lp_value_via_linprog(skeleton: SignatureSkeleton, needed: float) -> float | 
 
 def use_milp_oracle(monkeypatch) -> None:
     """Swap the kernel's exact step for the HiGHS MILP of ``tests/oracles.py``."""
-    monkeypatch.setattr(recourse_kernel, "_exact_step", milp_exact_step)
+    monkeypatch.setattr(recourse_kernel, "exact_step", milp_exact_step)
 
 
 def solve_all(solver, rows, alpha):
@@ -308,6 +287,22 @@ class TestSerialLoop:
             with pytest.raises(TypeError):
                 solver.solve_batch(rows, alpha=0.6, **option)
 
+    def test_solver_takes_no_budget_options(self):
+        # The node and refinement budgets are recourse_kernel constants.
+        estimator = make_estimator(seed=0)
+        with pytest.raises(TypeError):
+            RecourseSolver(estimator, ["skill"], max_nodes=10)
+        solver = RecourseSolver(estimator, ["skill"])
+        rows = negative_rows(estimator, limit=5)
+        with pytest.raises(TypeError):
+            solver.solve_batch(rows, alpha=0.6, max_refinements=1)
+        with pytest.raises(TypeError):
+            solver.solve(rows[0], alpha=0.6, max_refinements=1)
+        skeleton = solver._skeleton((0,))
+        for option in ({"max_refinements": 4}, {"node_limit": 10}):
+            with pytest.raises(TypeError):
+                recourse_kernel.solve_signature(skeleton, -1.0, 0.6, **option)
+
 
 class TestAnytimeMode:
     """Greedy anytime answers carry a certified optimality gap."""
@@ -389,67 +384,6 @@ class TestFrozenRecourse:
         )
         assert recourse.mode == "exact"
         assert recourse.optimality_gap == 0.0
-
-
-class TestMilpOptionPlumbing:
-    def _capture_milp(self, monkeypatch, captured):
-        import scipy.optimize
-
-        real_milp = scipy.optimize.milp
-
-        def spy(c, **kwargs):
-            # Copy: scipy pops recognised keys out of the options dict.
-            captured.append(dict(kwargs.get("options", {})))
-            return real_milp(c, **kwargs)
-
-        monkeypatch.setattr(scipy.optimize, "milp", spy)
-
-    def test_budgets_reach_highs_options(self, monkeypatch):
-        captured: list[dict] = []
-        self._capture_milp(monkeypatch, captured)
-        program = IntegerProgram()
-        program.add_variable("x", cost=1.0)
-        program.add_ge_constraint({"x": 1.0}, 1.0)
-        solution = solve_binary_program(
-            program, max_nodes=123, time_limit=4.5, mip_rel_gap=0.01
-        )
-        assert solution.objective == pytest.approx(1.0)
-        assert captured == [
-            {"node_limit": 123, "time_limit": 4.5, "mip_rel_gap": 0.01}
-        ]
-
-    def test_exhausted_budget_raises(self, monkeypatch):
-        import scipy.optimize
-
-        class FakeResult:
-            status = 1
-            success = False
-            x = None
-            fun = None
-
-        monkeypatch.setattr(scipy.optimize, "milp", lambda c, **k: FakeResult())
-        program = IntegerProgram()
-        program.add_variable("x", cost=1.0)
-        program.add_ge_constraint({"x": 1.0}, 1.0)
-        with pytest.raises(RecourseInfeasibleError, match="budget exhausted"):
-            solve_binary_program(program, max_nodes=1)
-
-    def test_unexpected_status_raises_naming_it(self, monkeypatch):
-        import scipy.optimize
-
-        class FakeResult:
-            status = 4
-            success = False
-            message = "numerical trouble"
-            x = None
-            fun = None
-
-        monkeypatch.setattr(scipy.optimize, "milp", lambda c, **k: FakeResult())
-        program = IntegerProgram()
-        program.add_variable("x", cost=1.0)
-        program.add_ge_constraint({"x": 1.0}, 1.0)
-        with pytest.raises(RecourseInfeasibleError, match="status 4: numerical trouble"):
-            solve_binary_program(program)
 
 
 class TestParametricBound:

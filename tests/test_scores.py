@@ -189,6 +189,16 @@ class TestLocalScores:
         local_scores(est, "X", 1, 0, {"Z": 0})
         assert est._local_models[("X", "Z")] is first
 
+    def test_local_score_arrays_refuse_rows_over_other_attributes(
+        self, monotone_setup
+    ):
+        _t, _p, est = monotone_setup
+        with pytest.raises(ValueError, match="row 1 differs from row 0"):
+            est.local_score_arrays([{"Z": 1, "X": 2}, {"X": 0}], ["X"])
+        # An attribute the rows do not assign is unknown to them.
+        with pytest.raises(KeyError):
+            est.local_score_arrays([{"X": 2}, {"X": 0}], ["Z"])
+
 
 class TestScoreTriple:
     def test_as_dict(self):

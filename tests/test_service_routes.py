@@ -77,6 +77,8 @@ WRONG_TYPED: dict[tuple[str, str], list[dict]] = {
         {"body": {"index": 10**9}},
         {"body": {"individual": [1]}},
         {"body": {"individual": {"a": [1]}}},
+        {"body": {"individual": {"a": 1}, "attributes": ["a"]}},
+        {"body": {"individual": {"a": 1, "b": 1, "sex": "F", "zzz": 1}}},
         {"body": {"index": 0, "attributes": [[1]]}},
     ],
     ("POST", "/v1/explain/local_batch"): [
