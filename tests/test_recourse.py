@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from oracles import gain_of, solve_ip_milp
 
 from repro.core.recourse import Recourse, RecourseAction, RecourseSolver, unit_step_cost
 from repro.core.scores import ScoreEstimator
 from repro.data.table import Column, Table
+from repro.estimation.logit import logit
 from repro.utils.exceptions import RecourseInfeasibleError
 from repro.xai.linear_ip import LinearIPRecourse
 
@@ -147,3 +149,63 @@ class TestLinearIPBaseline:
         table, positive, _est = recourse_setup
         with pytest.raises(ValueError):
             LinearIPRecourse(table, positive, [])
+
+    def test_invalid_probability_rejected(self, recourse_setup):
+        table, positive, _est = recourse_setup
+        lip = LinearIPRecourse(table, positive, ["a", "b"])
+        with pytest.raises(ValueError):
+            lip.solve({"a": 0, "b": 0}, success_probability=1.5)
+
+    def test_program_needs_the_score_distance_to_the_threshold(self, recourse_setup):
+        table, positive, _est = recourse_setup
+        lip = LinearIPRecourse(table, positive, ["a", "b"])
+        row = {"a": 0, "b": 1}
+        skeleton, needed = lip.program(row, 0.7)
+        assert skeleton.current == (0, 1)
+        assert [c.tolist() for c in skeleton.codes] == [[1, 2, 3], [0, 2]]
+        assert [c.tolist() for c in skeleton.costs] == [[1.0, 2.0, 3.0], [1.0, 1.0]]
+        # At 0.5 the logit is 0, so ``needed`` is minus the row's score.
+        _, at_half = lip.program(row, 0.5)
+        assert needed - at_half == pytest.approx(logit(0.7), abs=1e-12)
+        result = lip.solve(row, 0.7)
+        chosen = {
+            action.attribute: table.column(action.attribute).categories.index(
+                action.new_value
+            )
+            for action in result.actions
+        }
+        score = -at_half + gain_of(skeleton, chosen)
+        assert result.achieved_probability == pytest.approx(
+            1.0 / (1.0 + np.exp(-score)), abs=1e-12
+        )
+        assert result.achieved_probability >= 0.7
+
+    def test_no_action_when_the_row_already_meets_the_threshold(self, recourse_setup):
+        table, positive, _est = recourse_setup
+        lip = LinearIPRecourse(table, positive, ["a", "b"])
+        row = {"a": 3, "b": 2}
+        _, needed = lip.program(row, 0.5)
+        assert needed < 0
+        result = lip.solve(row, 0.5)
+        assert result.actions == []
+        assert result.total_cost == 0.0
+        assert result.achieved_probability == pytest.approx(
+            1.0 / (1.0 + np.exp(needed)), abs=1e-12
+        )
+
+    def test_custom_cost_fn_prices_the_program(self, recourse_setup):
+        table, positive, _est = recourse_setup
+
+        def cost_fn(attribute, current, new):
+            # Moving b is free; each step of a costs 10.
+            return 0.0 if attribute == "b" else 10.0 * abs(new - current)
+
+        lip = LinearIPRecourse(table, positive, ["a", "b"], cost_fn=cost_fn)
+        row = {"a": 0, "b": 0}
+        skeleton, needed = lip.program(row, 0.6)
+        assert [c.tolist() for c in skeleton.costs] == [[10.0, 20.0, 30.0], [0.0, 0.0]]
+        result = lip.solve(row, 0.6)
+        assert result.total_cost == pytest.approx(solve_ip_milp(skeleton, needed)[1])
+        assert result.total_cost == sum(a.cost for a in result.actions)
+        assert all(a.cost == 0.0 for a in result.actions if a.attribute == "b")
+        assert result.achieved_probability >= 0.6

@@ -162,6 +162,25 @@ class TestSolverCacheBound:
             )
         assert len(lewis._recourse_solvers) <= 16
 
+    def test_memo_respects_alpha(self):
+        """A larger alpha must not be served a smaller alpha's answer."""
+        estimator = ScoreEstimator(
+            make_population(seed=8, n=200), score_model(make_population(seed=8, n=200))
+        )
+        solver = RecourseSolver(estimator, actionable=["skill", "hours"])
+        rows = [estimator._features.row_codes(i) for i in range(20)]
+        solver.solve_batch(rows, alpha=0.6, on_infeasible="none")
+        small = solver.solution_memo_stats()["solved_signatures"]
+        solver.solve_batch(rows, alpha=0.6, on_infeasible="none")
+        # The same alpha re-serves its entries ...
+        assert solver.solution_memo_stats()["solved_signatures"] == small
+        strict = solver.solve_batch(rows, alpha=0.9, on_infeasible="none")
+        # ... and another alpha occupies keys of its own.
+        assert solver.solution_memo_stats()["solved_signatures"] == 2 * small
+        for recourse in strict:
+            if recourse is not None and not recourse.is_empty:
+                assert recourse.estimated_sufficiency >= 0.9 - 1e-9
+
 
 class TestBatchSizeIndependence:
     def test_row_answer_is_the_same_alone_or_in_a_cohort(

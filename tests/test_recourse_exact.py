@@ -18,20 +18,36 @@ at most ``FEASIBILITY_TOL`` (1e-9), but its LP bounds ask for the full
 that slack and the cheapest set that covers without it, and it finds a
 set whenever one covers without the slack.  The two minima are equal
 unless some set's gain lands inside the 1e-9 band below ``needed``.
+
+Small hand-made programs pin the cases one at a time: the program's
+bookkeeping and its scipy matrices, negative costs, exclusivity, an
+uncoverable or empty program, the certificate and node counters, the
+kernel's node budget, and how the oracle reads HiGHS's statuses.
 """
 
 from __future__ import annotations
 
 import itertools
+from types import SimpleNamespace
 
+import numpy as np
+import oracles
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from oracles import gain_of, solve_ip_milp
+from oracles import gain_of, milp_exact_step, skeleton_matrices, solve_ip_milp
 
 from repro import Lewis, fit_table_model, load_dataset, train_test_split
-from repro.core.recourse_kernel import exact_step
-from repro.opt.parametric import FEASIBILITY_TOL, SignatureSkeleton
+from repro.core import recourse_kernel
+from repro.core.recourse import program_skeleton, unit_step_cost
+from repro.core.recourse_kernel import exact_step, solve_signature
+from repro.data.table import Column, Table
+from repro.opt.parametric import (
+    FEASIBILITY_TOL,
+    SignatureSkeleton,
+    selection_stats,
+    selection_to_codes,
+)
 from repro.utils.exceptions import RecourseInfeasibleError
 from repro.xai.linear_ip import LinearIPRecourse
 
@@ -120,6 +136,215 @@ def test_exact_step_matches_enumeration(program):
     assert gain == pytest.approx(gain_of(skeleton, chosen), abs=1e-9)
     # 1e-12 on top of the slack: the step sums the gains in its own order.
     assert gain_of(skeleton, chosen) >= needed - FEASIBILITY_TOL - 1e-12
+
+
+class TestSkeleton:
+    """The program's solve-ready form and the oracle's scipy matrices."""
+
+    def test_variable_and_row_bookkeeping(self):
+        skeleton = make_skeleton([[(1.0, 0.5), (2.0, 1.0)], [], [(0.0, 0.3)]])
+        assert skeleton.attributes == ["a0", "a1", "a2"]
+        assert skeleton.n_variables == 3
+        # One exclusivity row per attribute with options, plus the cover.
+        assert skeleton.n_constraints == 3
+
+    def test_misaligned_arrays_rejected(self):
+        with pytest.raises(ValueError):
+            SignatureSkeleton(["a", "b"], [0, 0], [[1]], [[1.0]], [[0.5]])
+
+    def test_program_skeleton_prices_the_non_current_codes(self):
+        table = Table(
+            [
+                Column.from_codes("a", np.array([0, 1, 2, 3]), (0, 1, 2, 3)),
+                Column.from_codes("b", np.array([0, 1, 0, 1]), (0, 1)),
+            ]
+        )
+        coefficients = {"a": [0.0, 0.5, 0.7, 2.0], "b": [0.0, -1.0]}
+        skeleton = program_skeleton(
+            table, ["a", "b"], [1, 1], unit_step_cost, coefficients
+        )
+        assert skeleton.current == (1, 1)
+        assert [c.tolist() for c in skeleton.codes] == [[0, 2, 3], [0]]
+        assert [c.tolist() for c in skeleton.costs] == [[1.0, 1.0, 2.0], [1.0]]
+        # A gain is the code's coefficient minus the current code's.
+        assert skeleton.gains[0].tolist() == pytest.approx([-0.5, 0.2, 1.5])
+        assert skeleton.gains[1].tolist() == [1.0]
+
+    def test_oracle_matrices_shapes(self):
+        skeleton = make_skeleton([[(1.0, 0.5), (2.0, 1.0)], [], [(3.0, 0.3)]])
+        c, A_ub, b_ub = skeleton_matrices(skeleton, 0.7)
+        assert c.tolist() == [1.0, 2.0, 3.0]
+        # The attribute without options gets no exclusivity row.
+        assert A_ub.shape == (3, 3)
+        assert A_ub[:2].tolist() == [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        assert b_ub[:2].tolist() == [1.0, 1.0]
+
+    def test_covering_row_stored_negated(self):
+        skeleton = make_skeleton([[(1.0, 0.5), (2.0, 1.0)], [], [(3.0, 0.3)]])
+        _, A_ub, b_ub = skeleton_matrices(skeleton, 0.7)
+        assert A_ub[-1].tolist() == [-0.5, -1.0, -0.3]
+        assert b_ub[-1] == -0.7
+
+    def test_selection_maps_ranks_back_to_codes(self):
+        skeleton = make_skeleton([[(1.0, 0.5)], [(1.0, 2.0), (4.0, 1.0)]])
+        # Ranks run by descending best gain, options by descending gain,
+        # and each rank ends with the no-op (the current code).
+        assert skeleton.order.tolist() == [1, 0]
+        assert skeleton.opt_codes[0].tolist() == [1, 2, 0]
+        assert skeleton.opt_codes[1].tolist() == [1, 0]
+        assert selection_to_codes(skeleton, np.array([1, -1])) == {"a1": 2}
+        assert selection_to_codes(skeleton, np.array([0, 1])) == {"a1": 1}
+        assert selection_stats(skeleton, np.array([1, 0])) == (5.0, 1.5)
+
+
+class TestExactStep:
+    """Hand-made programs with known optima."""
+
+    def test_nonpositive_need_takes_the_negative_costs_that_keep_the_cover(self):
+        skeleton = make_skeleton(
+            [[(-2.0, 0.1)], [(3.0, 0.5)], [(-1.0, -0.2), (0.5, 0.4)]]
+        )
+        # a2's negative cost would take the gain below 0.
+        assert exact_step(skeleton, 0.0) == ({"a0": 1}, -2.0, 0.1)
+        chosen, cost, _ = exact_step(skeleton, -1.0)
+        assert chosen == {"a0": 1, "a2": 1}
+        assert cost == -3.0
+
+    def test_cheapest_combination_that_covers(self):
+        skeleton = make_skeleton([[(6.0, 1.0)], [(10.0, 2.0)], [(12.0, 3.0)]])
+        chosen, cost, gain = exact_step(skeleton, 5.0)
+        assert chosen == {"a1": 1, "a2": 1}
+        assert cost == 22.0
+        assert gain == 5.0
+
+    def test_positive_need_forces_selection(self):
+        skeleton = make_skeleton([[(5.0, 1.0)]])
+        assert exact_step(skeleton, 0.0) == ({}, 0.0, 0.0)
+        assert exact_step(skeleton, 1.0) == ({"a0": 1}, 5.0, 1.0)
+
+    def test_one_option_per_attribute(self):
+        # Two options of one attribute never add up ...
+        assert exact_step(make_skeleton([[(1.0, 0.6), (1.0, 0.6)]]), 1.0) is None
+        # ... while the same options on two attributes do.
+        both = exact_step(make_skeleton([[(1.0, 0.6)], [(1.0, 0.6)]]), 1.0)
+        assert both == ({"a0": 1, "a1": 1}, 2.0, 1.2)
+
+    def test_uncoverable_need_returns_none(self):
+        skeleton = make_skeleton([[(1.0, 0.5), (2.0, 0.9)], [(1.0, -0.3)]])
+        assert exact_step(skeleton, 0.9) == ({"a0": 2}, 2.0, 0.9)
+        assert exact_step(skeleton, 0.9 + 1e-6) is None
+        assert solve_ip_milp(skeleton, 0.9 + 1e-6) is None
+
+    def test_empty_program(self):
+        skeleton = make_skeleton([])
+        assert exact_step(skeleton, 0.0) == ({}, 0.0, 0.0)
+        assert exact_step(skeleton, -1.0) == ({}, 0.0, 0.0)
+        assert exact_step(skeleton, 0.5) is None
+        assert solve_ip_milp(skeleton, 0.0) == ({}, 0.0)
+        assert solve_ip_milp(skeleton, 0.5) is None
+
+    def test_exclusivity_rows_like_recourse(self):
+        # Two attributes with 3 candidate values each: the cheapest pair
+        # meeting the gain threshold.  (0.4, 1.5) and (0.9, 0.9) tie at 4.
+        options = [(1.0, 0.4), (2.0, 0.9), (3.0, 1.5)]
+        skeleton = make_skeleton([options, options])
+        chosen, cost, gain = exact_step(skeleton, 1.6)
+        assert gain >= 1.6
+        assert cost == pytest.approx(4.0)
+        assert cost == pytest.approx(enumerate_cheapest(skeleton, 1.6), abs=1e-9)
+        assert cost == pytest.approx(solve_ip_milp(skeleton, 1.6)[1], abs=1e-9)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_enumeration_and_oracle_on_random_programs(self, seed):
+        rng = np.random.default_rng(seed)
+        options = [
+            [(float(rng.normal()), float(rng.normal())) for _ in range(rng.integers(0, 5))]
+            for _ in range(5)
+        ]
+        skeleton = make_skeleton(options)
+        best = sum(max([0.0, *(gain for _, gain in opts)]) for opts in options)
+        outcomes = set()
+        for needed in np.linspace(-0.5, best + 0.5, 7):
+            reference = enumerate_cheapest(skeleton, needed)
+            solved = exact_step(skeleton, needed)
+            oracle = solve_ip_milp(skeleton, needed)
+            outcomes.add(reference is None)
+            if reference is None:
+                assert solved is None and oracle is None
+                continue
+            chosen, cost, gain = solved
+            assert cost == pytest.approx(reference, abs=1e-9)
+            assert oracle[1] == pytest.approx(reference, abs=1e-9)
+            assert cost_of(skeleton, chosen) == pytest.approx(cost, abs=1e-9)
+            assert gain_of(skeleton, chosen) >= needed - FEASIBILITY_TOL
+        # The sweep ends past the best gain, so both answers occur.
+        assert outcomes == {True, False}
+
+    def test_stats_count_certificates_and_search_nodes(self):
+        skeleton = make_skeleton([[(1.0, 1.0)], [(3.0, 2.0)], [(3.0, 2.0)]])
+        stats = {"certified": 0, "nodes": 0}
+        # At 3 the greedy a0 + a1 costs 4, the LP root bound: certified.
+        assert exact_step(skeleton, 3.0, stats)[1] == 4.0
+        assert stats == {"certified": 1, "nodes": 0}
+        # At 2 the greedy's 3 sits above the bound 2.5: the search runs.
+        assert exact_step(skeleton, 2.0, stats)[1] == 3.0
+        assert stats["certified"] == 1
+        assert stats["nodes"] > 0
+
+    def test_node_budget_exhaustion_raises(self, monkeypatch):
+        skeleton = make_skeleton([[(1.0, 1.0)], [(3.0, 2.0)], [(3.0, 2.0)]])
+        monkeypatch.setattr(recourse_kernel, "NODE_LIMIT", 2)
+        with pytest.raises(RecourseInfeasibleError, match="node limit"):
+            exact_step(skeleton, 2.0)
+        # A certified cover runs no search, so no budget applies.
+        assert exact_step(skeleton, 3.0)[1] == 4.0
+
+    def test_signature_past_its_node_budget_reads_unreachable(self, monkeypatch):
+        skeleton = make_skeleton([[(1.0, 1.0)], [(3.0, 2.0)], [(3.0, 2.0)]])
+        answer = solve_signature(skeleton, -2.0, 0.5)
+        assert answer["status"] == "ok"
+        assert answer["stats"]["nodes"] > 2
+        monkeypatch.setattr(recourse_kernel, "NODE_LIMIT", 2)
+        answer = solve_signature(skeleton, -2.0, 0.5)
+        assert answer["status"] == "infeasible"
+        assert answer["reason"] == "unreachable"
+        # A tighter threshold cannot need fewer nodes: no refinement follows.
+        assert answer["stats"]["refinements"] == 1
+
+
+class TestMilpOracle:
+    """The HiGHS oracle reads every status, and drops in for the step."""
+
+    @staticmethod
+    def fake_milp(monkeypatch, status: int, message: str = "") -> None:
+        result = SimpleNamespace(
+            status=status, success=False, message=message, x=None, fun=None
+        )
+        monkeypatch.setattr(oracles, "milp", lambda c, **kwargs: result)
+
+    def test_infeasible_status_returns_none(self, monkeypatch):
+        self.fake_milp(monkeypatch, 2, "infeasible")
+        assert solve_ip_milp(make_skeleton([[(1.0, 1.0)]]), 1.0) is None
+
+    def test_unexpected_status_raises_naming_it(self, monkeypatch):
+        self.fake_milp(monkeypatch, 4, "numerical trouble")
+        with pytest.raises(RuntimeError, match="status 4: numerical trouble"):
+            solve_ip_milp(make_skeleton([[(1.0, 1.0)]]), 1.0)
+
+    def test_drop_in_returns_the_kernel_step_shape(self):
+        skeleton = make_skeleton(
+            [[(1.0, 0.4), (2.0, 0.9), (3.0, 1.5)], [(1.0, 0.4)], [(-0.5, 0.0)]]
+        )
+        for needed in (-0.5, 0.0, 1.0, 1.9, 2.0):
+            kernel = exact_step(skeleton, needed)
+            oracle = milp_exact_step(skeleton, needed)
+            assert (kernel is None) == (oracle is None)
+            if kernel is None:
+                continue
+            chosen, cost, gain = oracle
+            assert cost == pytest.approx(kernel[1], abs=1e-9)
+            assert gain == gain_of(skeleton, chosen)
+            assert gain >= needed - FEASIBILITY_TOL
 
 
 THRESHOLDS = (0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
