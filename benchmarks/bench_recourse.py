@@ -119,16 +119,11 @@ def test_lewis_vs_linear_ip_threshold_sweep(benchmark, explainers, bundles):
     features = lewis.data
     negatives = lewis.negative_indices()
     # Borderline rejection: most room for both methods.
-    proba_like = [
-        lewis.estimator.local_probability(
-            bundle.actionable[0],
-            int(features.codes(bundle.actionable[0])[i]),
-            lewis.estimator.local_context(
-                bundle.actionable[0], features.row_codes(int(i))
-            ),
-        )
-        for i in negatives[:20]
-    ]
+    attribute = bundle.actionable[0]
+    scores = lewis.estimator.local_score_arrays(
+        features.take(negatives[:20]), [attribute]
+    )[attribute]
+    proba_like = scores.probabilities[np.arange(len(scores.current)), scores.current]
     target = int(negatives[int(np.argmax(proba_like))])
     linear_ip = LinearIPRecourse(features, lewis.positive, bundle.actionable)
     thresholds = [0.5, 0.7, 0.8, 0.9, 0.95]

@@ -1,48 +1,40 @@
-"""Estimating interventional queries ``Pr(o | do(x), k)`` from data.
+"""Identifying interventional queries ``Pr(o | do(x), k)`` from data.
 
 With a causal diagram in hand, the backdoor criterion (Eq. 4 of the
 paper) turns interventional queries into observational sums:
 
     Pr(o | do(x), k) = sum_c Pr(o | c, x, k) Pr(c | k)
 
-:class:`BackdoorAdjustment` packages the diagram lookup (find an
-admissible adjustment set) together with the empirical sum; it underlies
-both the bound computation of Proposition 4.1 and the point estimators of
-Proposition 4.2.
+:class:`BackdoorAdjustment` finds an admissible adjustment set ``C`` in
+the diagram; the sum itself is
+:meth:`~repro.estimation.engine.ContingencyEngine.adjusted_probabilities`,
+which ``Lewis.interventional_probability`` and the point estimators of
+Proposition 4.2 call with that set.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from repro.causal.graph import CausalDiagram
-from repro.estimation.engine import ContingencyEngine
 from repro.utils.exceptions import GraphError
 
 
 class BackdoorAdjustment:
-    """Backdoor-criterion estimation of interventional probabilities.
+    """Backdoor-criterion adjustment sets for interventional probabilities.
 
     Parameters
     ----------
-    engine:
-        Contingency engine over the black box's input-output table.
     diagram:
         Causal diagram *including* the outcome node (use
         :meth:`CausalDiagram.with_outcome` to extend a feature diagram).
     outcome:
-        Name of the outcome column in both diagram and table.
+        Name of the outcome node.
     """
 
-    def __init__(
-        self,
-        engine: ContingencyEngine,
-        diagram: CausalDiagram,
-        outcome: str,
-    ):
+    def __init__(self, diagram: CausalDiagram, outcome: str):
         if outcome not in diagram:
             raise GraphError(f"outcome {outcome!r} missing from the diagram")
-        self._engine = engine
         self._diagram = diagram
         self._outcome = outcome
         self._adjustment_cache: dict[tuple, list[str] | None] = {}
@@ -87,45 +79,3 @@ class BackdoorAdjustment:
                 result = None
         self._adjustment_cache[key] = result
         return result
-
-    def interventional(
-        self,
-        outcome_code: int,
-        treatment: Mapping[str, int],
-        context: Mapping[str, int] | None = None,
-        adjustment: Sequence[str] | None = None,
-    ) -> float:
-        """Estimate ``Pr(O = outcome_code | do(treatment), context)``.
-
-        When ``adjustment`` is omitted it is derived from the diagram; if
-        no admissible set exists the no-confounding fallback
-        ``Pr(o | x, k)`` is used (Section 6 of the paper).
-        """
-        context = dict(context or {})
-        if adjustment is None:
-            adjustment = self.adjustment_set(list(treatment), list(context)) or []
-        adjustment = [
-            a for a in adjustment if a not in treatment and a not in context
-        ]
-        return float(
-            self._engine.adjusted_probabilities(
-                {self._outcome: int(outcome_code)},
-                [dict(treatment)],
-                adjustment,
-                context=context,
-            )[0]
-        )
-
-
-def interventional_probability(
-    engine: ContingencyEngine,
-    diagram: CausalDiagram,
-    outcome: str,
-    outcome_code: int,
-    treatment: Mapping[str, int],
-    context: Mapping[str, int] | None = None,
-) -> float:
-    """One-shot convenience wrapper over :class:`BackdoorAdjustment`."""
-    return BackdoorAdjustment(engine, diagram, outcome).interventional(
-        outcome_code, treatment, context
-    )

@@ -19,6 +19,7 @@ from typing import Any, Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.core.scores import ScoreEstimator
+from repro.data.table import Table
 
 SCORE_KEYS = ("necessity", "sufficiency", "necessity_sufficiency")
 
@@ -267,11 +268,13 @@ def build_global_explanation(
 
 def build_local_explanation(
     estimator: ScoreEstimator,
-    row_codes: Mapping[str, int],
+    individual: Table,
     outcome_positive: bool,
     attributes: Sequence[str],
 ) -> LocalExplanation:
     """Contributions of each attribute value for one individual.
+
+    ``individual`` is a one-row table in the estimator's domains.
 
     Implements the four formulas of Section 3.2: for a *negative* outcome
     the negative contribution of the current value ``x'`` is
@@ -283,7 +286,7 @@ def build_local_explanation(
     This is the ``N = 1`` case of :func:`build_local_explanations_batch`.
     """
     return build_local_explanations_batch(
-        estimator, [row_codes], [outcome_positive], attributes
+        estimator, individual, [outcome_positive], attributes
     )[0]
 
 
@@ -303,29 +306,28 @@ def _masked_best(
 
 def build_local_explanations_batch(
     estimator: ScoreEstimator,
-    rows_codes: Sequence[Mapping[str, int]],
+    cohort: Table,
     outcomes_positive: Sequence[bool] | np.ndarray,
     attributes: Sequence[str],
 ) -> list[LocalExplanation]:
     """Local explanations for a whole cohort in a few matrix passes.
 
+    ``cohort`` holds one row per individual, in the estimator's domains.
     Rather than ``attributes × value-pairs × 2`` regression probes *per
     individual*, the entire cohort's probes are assembled, deduplicated
     and answered through :meth:`ScoreEstimator.local_score_arrays` (one
     fitted model and one matrix pass per attribute group), and the four
     max-formulas of Section 3.2 reduce to masked row-wise maxima.
     Results are identical to ``[build_local_explanation(...) for each
-    row]``.
+    row]``; each individual is echoed in the cohort's column order.
     """
-    rows_codes = list(rows_codes)
     positives = np.asarray(outcomes_positive, dtype=bool)
-    if len(positives) != len(rows_codes):
-        raise ValueError("outcomes_positive must align with rows_codes")
+    if len(positives) != len(cohort):
+        raise ValueError("outcomes_positive must align with the cohort")
     table = estimator.table
-    n = len(rows_codes)
-    if n == 0:
+    if len(cohort) == 0:
         return []
-    arrays = estimator.local_score_arrays(rows_codes, attributes)
+    arrays = estimator.local_score_arrays(cohort, attributes)
     per_attribute: dict[str, list[LocalContribution]] = {}
     for attribute in attributes:
         scores = arrays[attribute]
@@ -361,19 +363,12 @@ def build_local_explanations_batch(
                 foil_neg.tolist(),
             )
         ]
-    categories_of = {name: table.column(name).categories for name in table.names}
-    out = []
-    for i, row_codes in enumerate(rows_codes):
-        individual = {
-            name: categories_of[name][int(code)]
-            for name, code in row_codes.items()
-            if name in categories_of
-        }
-        out.append(
-            LocalExplanation(
-                individual=individual,
-                outcome_positive=bool(positives[i]),
-                contributions=[per_attribute[a][i] for a in attributes],
-            )
+    labels = zip(*(column.decode() for column in cohort))
+    return [
+        LocalExplanation(
+            individual=dict(zip(cohort.names, row)),
+            outcome_positive=positive,
+            contributions=[per_attribute[a][i] for a in attributes],
         )
-    return out
+        for i, (row, positive) in enumerate(zip(labels, positives.tolist()))
+    ]

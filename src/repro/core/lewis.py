@@ -466,11 +466,14 @@ class Lewis:
         Pass either a row ``index`` into :attr:`data` or a decoded
         ``individual`` mapping that names exactly the columns of
         :attr:`data`; a missing or unknown name raises ``ValueError``.
+        The explanation echoes the individual in :attr:`data`'s column
+        order, so an ``individual`` and the ``index`` of a row holding
+        the same values get the same answer.
         """
         if (index is None) == (individual is None):
             raise ValueError("pass exactly one of index / individual")
         if index is not None:
-            row_codes = self.data.row_codes(int(index))
+            single = self.data.take(np.array([int(index)]))
             outcome_positive = bool(self.positive[int(index)])
         else:
             missing = [name for name in self.data.names if name not in individual]
@@ -480,20 +483,14 @@ class Lewis:
                     f"individual must name exactly the data's columns: "
                     f"missing {missing}, unknown {unknown}"
                 )
-            row_codes = {
-                name: self.data.column(name).code_of(value)
-                for name, value in individual.items()
-            }
-            single = self.data.take(np.array([0]))
-            for name, code in row_codes.items():
-                col = single.column(name)
-                single = single.with_column(
-                    col.replaced(np.array([code], dtype=np.int64))
-                )
+            single = Table(
+                col.replaced(np.array([col.code_of(individual[col.name])]))
+                for col in self.data
+            )
             outcome_positive = bool(self.predict_positive(single)[0])
         return build_local_explanation(
             self.estimator,
-            row_codes,
+            single,
             outcome_positive,
             list(attributes or self.attributes),
         )
@@ -510,11 +507,12 @@ class Lewis:
         answered in one pass per attribute group (see
         :meth:`ScoreEstimator.local_score_arrays`).
         """
-        indices = [int(i) for i in indices]
-        rows = [self.data.row_codes(i) for i in indices]
-        outcomes = [bool(self.positive[i]) for i in indices]
+        indices = np.array([int(i) for i in indices], dtype=np.int64)
         return build_local_explanations_batch(
-            self.estimator, rows, outcomes, list(attributes or self.attributes)
+            self.estimator,
+            self.data.take(indices),
+            self.positive[indices],
+            list(attributes or self.attributes),
         )
 
     # -- recourse ---------------------------------------------------------------

@@ -12,9 +12,10 @@ sufficiency score exceeds a threshold ``alpha``:
 The sufficiency constraint is linearised through the logit model of
 ``Pr(o | A, K)`` (Eq. 28): the constraint becomes a linear inequality
 over the deltas with coefficients equal to per-category log-odds
-differences. After solving, the recourse is re-scored with the exact
-estimator and, when the IP's linear surrogate proves too optimistic, the
-threshold is tightened and the IP re-solved (a standard cut loop).
+differences. Each distinct program is solved once, at Eq. 28's
+threshold, and its solution re-scored with the same logit model; the
+reported sufficiency is that re-score (see
+:mod:`repro.core.recourse_kernel`).
 """
 
 from __future__ import annotations
@@ -230,8 +231,8 @@ class RecourseSolver:
         else:
             context_names = [n for n in feature_names if n not in self.actionable]
         self.context_names = context_names
-        self._logit = LogitModel(self.actionable, context_names)
-        self._logit.fit(*estimator.outcome_cells(self.actionable + context_names))
+        self._logit = LogitModel(self.actionable + context_names)
+        self._logit.fit(*estimator.outcome_cells(self._logit.features))
         #: per-attribute log-odds vectors, read once per solver
         self._coef_vectors = {
             a: self._logit.coefficient_vector(a) for a in self.actionable

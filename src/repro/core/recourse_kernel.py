@@ -1,33 +1,36 @@
 """Pure signature-solving kernel behind :class:`RecourseSolver`.
 
-One function, :func:`solve_signature`, runs the full threshold/refine
-loop (Section 4.2's cut loop) for a single ``(current codes, context)``
-signature given only plain data: a :class:`SignatureSkeleton`, the
-signature's base log-odds, the target ``alpha`` and the mode.  It holds
-no table, estimator or solver state, and it sees no other signature, so
-an answer depends only on its own program: :meth:`RecourseSolver.solve_batch`
-calls it once per unsolved signature, whatever the batch or the
-requests solved before it.
+One function, :func:`solve_signature`, solves the recourse program of a
+single ``(current codes, context)`` signature given only plain data: a
+:class:`SignatureSkeleton`, the signature's base log-odds, the target
+``alpha`` and the mode.  It solves once, at Eq. 28's threshold
+``Pr(o|a,k) + alpha * Pr(o'|a,k)``, and re-scores the solution with the
+same logit it was solved against; a solution whose sufficiency falls
+short of ``alpha`` reads as unreachable (rounding can make it, and so
+can an ``alpha`` whose threshold is clamped at ``1 - 1e-6``).  It
+holds no table, estimator or solver state, and it sees no other
+signature, so an answer depends only on its own program:
+:meth:`RecourseSolver.solve_batch` calls it once per unsolved signature,
+whatever the batch or the requests solved before it.
 
 :func:`exact_step` solves one threshold's 0-1 program exactly, with the
 cached parametric-dual bounds of :mod:`repro.opt.parametric`: a greedy
 cover certified against the LP root bound handles most programs without
 any search, and the rest run a depth-first exact search, seeded with
 the greedy cost, whose node bounds are vectorised grid evaluations.  It
-is the one exact solver for recourse programs: the refine loop calls it
-per threshold, and the LinearIP baseline
+is the one exact solver for recourse programs: :func:`solve_signature`
+calls it once per signature, and the LinearIP baseline
 (:class:`~repro.xai.linear_ip.LinearIPRecourse`) calls it on its own
-program.  Its budgets are the constants :data:`MAX_REFINEMENTS` and
-:data:`NODE_LIMIT`, shared by both callers.  The scipy/HiGHS MILP that
-the property suite checks it against is ``tests/oracles.py``'s
-``milp_exact_step``, a drop-in for :func:`exact_step`.
+program.  Its budget is the constant :data:`NODE_LIMIT`, shared by both
+callers.  The scipy/HiGHS MILP that the property suite checks it
+against is ``tests/oracles.py``'s ``milp_exact_step``, a drop-in for
+:func:`exact_step`.
 
 ``mode="anytime"`` skips the exact search entirely and returns the
 greedy cover together with a *certified* optimality gap: the reported
-``gap`` is ``greedy cost - LP root bound at the first threshold``, and
-since the exact cost is sandwiched between that LP bound and the greedy
-cost (costs are monotone in the threshold), the true exact-vs-anytime
-difference can never exceed it.
+``gap`` is ``greedy cost - LP root bound``, and since the exact cost is
+sandwiched between that LP bound and the greedy cost, the true
+exact-vs-anytime difference can never exceed it.
 """
 
 from __future__ import annotations
@@ -47,9 +50,6 @@ from repro.utils.exceptions import RecourseInfeasibleError
 
 MODES = ("exact", "anytime")
 
-#: threshold refinements per signature before it is reported unreachable
-MAX_REFINEMENTS = 4
-
 #: node budget of one exact search; past it the program is infeasible
 NODE_LIMIT = 200_000
 
@@ -64,15 +64,16 @@ def solve_signature(
     alpha: float,
     mode: str = "exact",
 ) -> dict:
-    """Threshold/refine loop for one signature; returns a plain dict.
+    """One solve at Eq. 28's threshold for one signature; returns a plain dict.
 
     Result statuses: ``"empty"`` (base probability already meets
     ``alpha``), ``"ok"`` (solved; ``chosen`` maps attribute to new
     code), ``"infeasible"`` (with a ``reason`` of ``"no_candidates"``
-    or ``"unreachable"``).
+    or ``"unreachable"``: no action covers the threshold, the node
+    budget ran out, or the re-scored sufficiency misses ``alpha``).
     """
     base_prob = _sigmoid(base_logit)
-    stats = {"nodes": 0, "refinements": 0, "certified": 0}
+    stats = {"nodes": 0, "certified": 0}
     if base_prob >= alpha:
         return {"status": "empty", "probability": base_prob, "stats": stats}
     if skeleton.n_variables == 0:
@@ -83,57 +84,50 @@ def solve_signature(
             "stats": stats,
         }
     threshold = min(base_prob + alpha * (1.0 - base_prob), 1.0 - 1e-6)
-
-    first_lp_bound: float | None = None
-    for _refine in range(MAX_REFINEMENTS):
-        stats["refinements"] += 1
-        needed = logit(threshold) - base_logit
-        try:
-            if mode == "anytime":
-                # Greedy rounding against the parametric LP bound: the
-                # point of anytime mode is to avoid the search entirely.
-                if first_lp_bound is None:
-                    first_lp_bound = skeleton.lp_bound(needed)
-                covered = greedy_cover(skeleton, needed)
-                solved = None if covered is None else _action(skeleton, *covered)
-            else:
-                solved = exact_step(skeleton, needed, stats)
-        except RecourseInfeasibleError:
-            # Budget exhausted at this threshold; tightening it cannot help.
-            break
-        if solved is None:
-            # Proven infeasible at this threshold.
-            break
-        chosen, objective, gain_sum = solved
-        achieved = _sigmoid(base_logit + gain_sum)
-        if not chosen:
-            sufficiency = base_prob
-        elif base_prob >= 1.0:
-            sufficiency = 1.0
-        else:
-            sufficiency = max(
-                0.0, min(1.0, (achieved - base_prob) / (1.0 - base_prob))
-            )
-        if sufficiency >= alpha - 1e-9:
-            gap = 0.0
-            if mode == "anytime" and np.isfinite(first_lp_bound):
-                gap = max(0.0, float(objective) - float(first_lp_bound))
-            return {
-                "status": "ok",
-                "chosen": chosen,
-                "objective": float(objective),
-                "threshold": threshold,
-                "sufficiency": sufficiency,
-                "probability": achieved,
-                "gap": gap,
-                "stats": stats,
-            }
-        # Surrogate too optimistic: tighten and re-solve.
-        threshold = min(1.0 - 1e-6, threshold + 0.5 * (1.0 - threshold))
-    return {
+    needed = logit(threshold) - base_logit
+    unreachable = {
         "status": "infeasible",
         "reason": "unreachable",
         "probability": base_prob,
+        "stats": stats,
+    }
+    try:
+        if mode == "anytime":
+            # Greedy rounding against the parametric LP bound: the point
+            # of anytime mode is to avoid the search entirely.
+            lp_bound = skeleton.lp_bound(needed)
+            covered = greedy_cover(skeleton, needed)
+            solved = None if covered is None else _action(skeleton, *covered)
+        else:
+            solved = exact_step(skeleton, needed, stats)
+    except RecourseInfeasibleError:
+        # Node budget exhausted.
+        return unreachable
+    if solved is None:
+        return unreachable
+    chosen, objective, gain_sum = solved
+    achieved = _sigmoid(base_logit + gain_sum)
+    if not chosen:
+        sufficiency = base_prob
+    elif base_prob >= 1.0:
+        sufficiency = 1.0
+    else:
+        sufficiency = max(
+            0.0, min(1.0, (achieved - base_prob) / (1.0 - base_prob))
+        )
+    if sufficiency < alpha - 1e-9:
+        return unreachable
+    gap = 0.0
+    if mode == "anytime" and np.isfinite(lp_bound):
+        gap = max(0.0, float(objective) - float(lp_bound))
+    return {
+        "status": "ok",
+        "chosen": chosen,
+        "objective": float(objective),
+        "threshold": threshold,
+        "sufficiency": sufficiency,
+        "probability": achieved,
+        "gap": gap,
         "stats": stats,
     }
 
@@ -189,4 +183,4 @@ def exact_step(
     return _action(skeleton, exact_sel, objective)
 
 
-__all__ = ["MAX_REFINEMENTS", "MODES", "NODE_LIMIT", "exact_step", "solve_signature"]
+__all__ = ["MODES", "NODE_LIMIT", "exact_step", "solve_signature"]

@@ -135,7 +135,7 @@ class ScoreEstimator:
         if diagram is not None:
             inputs = [n for n in table.names if n in diagram]
             extended = diagram.with_outcome(outcome_name, inputs)
-            self._adjuster = BackdoorAdjustment(self._engine, extended, outcome_name)
+            self._adjuster = BackdoorAdjustment(extended, outcome_name)
         self._positive = positive
         # Per-feature-tuple regression models, LRU-bounded so long-lived
         # tenants probing many attribute subsets don't grow unboundedly;
@@ -463,22 +463,6 @@ class ScoreEstimator:
         """
         return self._local_models.stats_struct("local_model")
 
-    def local_context(self, attribute: str, row_codes: Mapping[str, int]) -> dict[str, int]:
-        """The individual's non-descendant assignment ``k`` for ``attribute``."""
-        return {
-            n: int(row_codes[n])
-            for n in self._local_keep_names(attribute)
-            if n in row_codes
-        }
-
-    def local_probability(
-        self, attribute: str, code: int, context: Mapping[str, int]
-    ) -> float:
-        """Smoothed ``Pr(o | X=code, K=context)`` via the regression backend."""
-        features = tuple([attribute, *sorted(context)])
-        model = self._local_model(features)
-        return model.probability({attribute: code, **context})
-
     # -- batched regression backend (cohort local scores) -------------------------
 
     def _local_keep_names(self, attribute: str) -> list[str]:
@@ -524,16 +508,15 @@ class ScoreEstimator:
 
     def local_score_arrays(
         self,
-        rows: Sequence[Mapping[str, int]],
+        cohort: Table,
         attributes: Sequence[str] | None = None,
     ) -> dict[str, LocalScoreArrays]:
         """Cohort-scale local scores: one matrix pass per attribute group.
 
-        ``rows`` are code assignments of the individuals to explain,
-        every one over the same attributes (e.g. ``Table.row_codes``
-        mappings): rows whose key sets differ raise ``ValueError``, and
-        an attribute the rows do not assign raises ``KeyError``.  For
-        each attribute the context is the rows' non-descendant features,
+        ``cohort`` holds the individuals to explain, one row each, in
+        this estimator's domains (e.g. ``Lewis.data.take(indices)``); a
+        cohort without a column the scores read raises ``KeyError``.
+        For each attribute the context is its non-descendant features,
         the per-attribute regression is fitted once (cached), and every
         ``(value, context)`` probe is assembled into one integer matrix,
         *deduplicated* (categorical contexts collide heavily across a
@@ -543,40 +526,20 @@ class ScoreEstimator:
         array arithmetic under no-confounding (Section 6): conditioning
         on all non-descendants of the attribute includes all of its
         observed parents, so those formulas are causally valid here.
-        Results match probing :meth:`local_probability` one value and
-        row at a time to machine precision.
         """
-        rows = list(rows)
         names = (
             list(attributes)
             if attributes is not None
             else list(self._features.names)
         )
         out: dict[str, LocalScoreArrays] = {}
-        n = len(rows)
-        # Every row assigns the same attributes (the explain_local_batch
-        # shape), so the cohort shares one codes matrix.
-        key_set = set(rows[0]) if rows else set(self._features.names)
-        for i, row in enumerate(rows):
-            if len(row) != len(key_set) or any(k not in key_set for k in row):
-                raise ValueError(
-                    f"rows must assign the same attributes: row {i} differs "
-                    f"from row 0"
-                )
-        order = [nm for nm in self._features.names if nm in key_set]
-        column_of = {nm: j for j, nm in enumerate(order)}
-        codes = np.array(
-            [[int(row[nm]) for nm in order] for row in rows],
-            dtype=np.int64,
-        ).reshape(n, len(order))
+        n = len(cohort)
         for attribute in names:
             card = self._features.column(attribute).cardinality
-            current = codes[:, column_of[attribute]]
-            context_names = [
-                nm for nm in self._local_keep_names(attribute) if nm in column_of
-            ]
+            current = cohort.codes(attribute)
+            context_names = self._local_keep_names(attribute)
             model = self._local_model((attribute, *context_names))
-            context_matrix = codes[:, [column_of[nm] for nm in context_names]]
+            context_matrix = cohort.codes_matrix(context_names)
             context_cards = [
                 self._features.column(nm).cardinality for nm in context_names
             ]

@@ -1,22 +1,31 @@
-"""Logit model of ``Pr(o | a, k)`` used to linearise the recourse IP.
+"""The one count-fitted one-hot logit of the black box's decision.
 
-Section 4.2 of the paper rewrites the sufficiency constraint as
+Two LEWIS estimates rest on a logistic regression of the positive
+decision on one-hot indicators of a feature subset:
 
-    Pr(o | a_hat, k) >= Pr(o | a, k) + alpha * Pr(o' | a, k)
+* the recourse IP (Section 4.2) linearises the sufficiency constraint
 
-and estimates the logit of the left-hand side with a linear model over
-the actionable attributes.  :class:`LogitModel` fits a logistic
-regression of the black box's positive decision on one-hot indicators of
-the actionable attributes plus the (fixed) context attributes; the
-per-category coefficients become the weights of the IP's linear
-constraint.  Like the local outcome model it is fitted from the
-non-empty (feature cell, outcome) counts rather than the rows, so its
-coefficients depend on the table only through those counts.
+      Pr(o | a_hat, k) >= Pr(o | a, k) + alpha * Pr(o' | a, k)
+
+  through the log-odds over the actionable attributes plus the (fixed)
+  context attributes: :class:`LogitModel`'s per-category coefficients
+  become the weights of the IP's linear constraint (Eq. 28);
+* the local scores (Section 5.2) read ``Pr(o | X, K)`` off the same
+  regression, with a weak penalty and a constant fallback
+  (:class:`~repro.estimation.outcome_model.OutcomeProbabilityModel`).
+
+The likelihood depends on the data only through the non-empty (feature
+cell, outcome) counts, so :meth:`LogitModel.fit` takes those (one row
+per cell with its row and positive counts, as
+:meth:`repro.core.scores.ScoreEstimator.outcome_cells` reads them off
+the contingency engine): the fit costs the number of cells, not rows,
+and is the same for any row order of the table.  Scores take code
+matrices whose columns follow :attr:`LogitModel.features`.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,32 +42,37 @@ def logit(p: float, eps: float = 1e-6) -> float:
 
 
 class LogitModel:
-    """Linear log-odds model of the positive decision.
+    """Linear log-odds model of the positive decision over ``features``.
 
-    Parameters
-    ----------
-    actionable:
-        Attribute names whose coefficients the recourse IP optimises over.
-    context:
-        Attribute names held fixed (non-descendants of the actionable set);
-        they enter the regression so the model conditions on ``k``.
+    For recourse, ``features`` lists the actionable attributes, whose
+    coefficients the IP optimises over, then the context attributes
+    held fixed (non-descendants of the actionable set), which enter the
+    regression so the model conditions on ``k``.
     """
 
-    def __init__(
-        self,
-        actionable: Sequence[str],
-        context: Sequence[str] = (),
-        l2: float = 1.0,
-    ):
+    def __init__(self, features: Sequence[str], l2: float = 1.0):
         # The default L2 is deliberately strong: sparse one-hot cells are
         # quasi-separated, and an under-regularised fit extrapolates to
         # saturated probabilities that make the recourse IP accept
         # ineffective actions.
-        self.actionable = list(actionable)
-        self.context = list(context)
+        self.features = list(features)
         self.l2 = float(l2)
         self._encoder: OneHotEncoder | None = None
         self._model: LogisticRegression | None = None
+
+    def _fit_cells(
+        self, cells: Table, totals: np.ndarray, positives: np.ndarray
+    ) -> None:
+        """The one encoder and IRLS fit behind every ``fit``.
+
+        A subclass's ``fit`` calls this rather than :meth:`fit`, so a
+        per-function profile books each model's fits to its own class.
+        """
+        subset = cells.select(self.features)
+        self._encoder = OneHotEncoder(drop_first=True).fit(subset)
+        self._model = LogisticRegression(l2=self.l2).fit_counts(
+            self._encoder.transform(subset), totals, positives
+        )
 
     def fit(
         self, cells: Table, totals: np.ndarray, positives: np.ndarray
@@ -66,16 +80,12 @@ class LogitModel:
         """Fit on grouped data: row ``i`` of ``cells`` stands for
         ``totals[i]`` table rows, ``positives[i]`` of them with O = o.
 
-        ``cells`` holds the ``actionable + context`` columns; the
+        ``cells`` holds (at least) the :attr:`features` columns; the
         one-hot layout comes from their domains.  Raises ``ValueError``
         when every row has the same decision or the counts do not align
         with the cells.
         """
-        subset = cells.select(self.actionable + self.context)
-        self._encoder = OneHotEncoder(drop_first=True).fit(subset)
-        self._model = LogisticRegression(l2=self.l2).fit_counts(
-            self._encoder.transform(subset), totals, positives
-        )
+        self._fit_cells(cells, totals, positives)
         return self
 
     # -- views used by the IP builder ------------------------------------------
@@ -91,24 +101,15 @@ class LogitModel:
         out[1:] = self._model.coef_[0][block]
         return out
 
-    def score_codes_batch(
-        self, matrix: np.ndarray | Sequence[Mapping[str, int]]
-    ) -> np.ndarray:
+    def score_codes_batch(self, matrix: np.ndarray) -> np.ndarray:
         """Log-odds of the positive decision for N code assignments.
 
-        ``matrix`` is ``(n, len(actionable) + len(context))`` with
-        columns in ``actionable + context`` order (or a sequence of code
-        mappings).  Each row's log-odds is the same bits whether it is
-        scored alone or in any batch (see
+        ``matrix`` is an ``(n, len(features))`` integer code matrix whose
+        columns follow :attr:`features`.  Each row's log-odds is the same
+        bits whether it is scored alone or in any batch (see
         :meth:`OneHotEncoder.linear_logits`).
         """
         check_fitted(self, "_model")
-        names = self.actionable + self.context
-        if not isinstance(matrix, np.ndarray):
-            matrix = np.array(
-                [[int(codes[name]) for name in names] for codes in matrix],
-                dtype=np.int64,
-            ).reshape(-1, len(names))
         return self._encoder.linear_logits(
             matrix, self._model.coef_[0], self._model.intercept_[0]
         )

@@ -10,7 +10,7 @@ multiple-choice covering program
 
 whose structure (costs ``c``, gains ``g``, attribute grouping) depends
 only on the *skeleton* — the current actionable codes — while ``needed``
-varies per signature and refinement round.  Dualising the covering row
+varies per signature.  Dualising the covering row
 gives a one-dimensional concave dual
 
     L(y) = needed * y - sum_a h_a(y),

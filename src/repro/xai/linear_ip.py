@@ -8,7 +8,7 @@ threshold.  Unlike LEWIS, the constraint bounds the *classifier score*
 directly, ignores causal structure entirely, and — as the paper observes
 — often fails to return any solution for high success thresholds.
 
-The program is the one LEWIS recourse solves per threshold (one new
+The program is the one LEWIS recourse solves per signature (one new
 value or none per actionable attribute, one "gain >= needed" row), so
 it is built by :func:`~repro.core.recourse.program_skeleton` and solved
 by the same exact step, :func:`~repro.core.recourse_kernel.exact_step`.

@@ -10,7 +10,9 @@ and the parity tests hold the batched paths to them at 1e-12:
   the backdoor sum of Eq. 4 as a row-mask scan over the observed
   adjustment cells;
 * :func:`local_scores` — the no-confounding local scores of one
-  contrast from two regression probes;
+  contrast from two :func:`local_probability` probes, each one row of
+  the estimator's cached regression in the context
+  :func:`local_context` reads off the individual's codes;
 * :func:`global_explanation_scalar` — the global/contextual explanation
   with one :func:`scalar_scores` call per value pair;
 * :func:`local_explanation_scalar` — the local explanation as the
@@ -234,6 +236,31 @@ def scalar_scores(
     )
 
 
+def local_context(
+    estimator: ScoreEstimator, attribute: str, row_codes: Mapping[str, int]
+) -> dict[str, int]:
+    """The individual's non-descendant assignment ``k`` for ``attribute``."""
+    return {
+        name: int(row_codes[name])
+        for name in estimator._local_keep_names(attribute)
+        if name in row_codes
+    }
+
+
+def local_probability(
+    estimator: ScoreEstimator,
+    attribute: str,
+    code: int,
+    context: Mapping[str, int],
+) -> float:
+    """``Pr(o | X=code, K=context)`` as one probe of the estimator's
+    cached regression over ``(attribute, *sorted(context))``."""
+    names = sorted(context)
+    model = estimator._local_model((attribute, *names))
+    row = np.array([[code, *(context[name] for name in names)]], dtype=np.int64)
+    return float(model.probability_codes_batch(row)[0])
+
+
 def local_scores(
     estimator: ScoreEstimator,
     attribute: str,
@@ -249,8 +276,8 @@ def local_scores(
     """
     if x == x_prime:
         raise ValueError("x and x_prime must differ")
-    p_hi = estimator.local_probability(attribute, x, context)
-    p_lo = estimator.local_probability(attribute, x_prime, context)
+    p_hi = local_probability(estimator, attribute, x, context)
+    p_lo = local_probability(estimator, attribute, x_prime, context)
     nec = (1.0 - p_lo - (1.0 - p_hi)) / p_hi if p_hi > 0 else 0.0
     suf = (p_hi - p_lo) / (1.0 - p_lo) if p_lo < 1 else 0.0
     return ScoreTriple(
@@ -327,7 +354,7 @@ def local_explanation_scalar(
     for attribute in attributes:
         col = table.column(attribute)
         current = int(row_codes[attribute])
-        context = estimator.local_context(attribute, row_codes)
+        context = local_context(estimator, attribute, row_codes)
         higher = range(current + 1, col.cardinality)
         lower = range(current)
 
@@ -402,8 +429,7 @@ def outcome_model_on_rows(
 
 
 def logit_model_on_rows(
-    actionable: Sequence[str],
-    context: Sequence[str],
+    features: Sequence[str],
     table: Table,
     positive: np.ndarray,
     l2: float = 1.0,
@@ -413,8 +439,8 @@ def logit_model_on_rows(
     Raises ``ValueError`` on a single-class ``positive``, like the
     library's fit.
     """
-    model = LogitModel(actionable, context, l2=l2)
-    subset = table.select(model.actionable + model.context)
+    model = LogitModel(features, l2=l2)
+    subset = table.select(model.features)
     model._encoder = OneHotEncoder(drop_first=True).fit(subset)
     model._model = LogisticRegression(l2=l2).fit(
         model._encoder.transform(subset), np.asarray(positive, dtype=bool).astype(int)

@@ -90,16 +90,15 @@ class TestCellFitMatchesRowOracle:
     @given(labelled_tables())
     def test_logit_model(self, case):
         table, names, positive = case
-        actionable, context = names[:1], names[1:]
         cells = ScoreEstimator(table, positive).outcome_cells(names)
         if positive.all() or not positive.any():
             with pytest.raises(ValueError):
-                LogitModel(actionable, context).fit(*cells)
+                LogitModel(names).fit(*cells)
             with pytest.raises(ValueError):
-                logit_model_on_rows(actionable, context, table, positive)
+                logit_model_on_rows(names, table, positive)
             return
-        model = LogitModel(actionable, context).fit(*cells)
-        oracle = logit_model_on_rows(actionable, context, table, positive)
+        model = LogitModel(names).fit(*cells)
+        oracle = logit_model_on_rows(names, table, positive)
         grid = joint_domain(table, names)
         np.testing.assert_allclose(
             sigmoid(model.score_codes_batch(grid)),

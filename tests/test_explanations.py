@@ -132,10 +132,13 @@ class TestLocalExplanation:
 
 class TestBuildLocalExplanation:
     def test_negative_individual_negative_contribution(self, builder_setup):
-        _t, _p, est = builder_setup
+        table, _p, est = builder_setup
         # Z=1, X=0: negative outcome; raising X flips it.
         exp = build_local_explanation(
-            est, {"Z": 1, "X": 0}, outcome_positive=False, attributes=["Z", "X"]
+            est,
+            table.encode_rows([{"Z": 1, "X": 0}]),
+            outcome_positive=False,
+            attributes=["Z", "X"],
         )
         x = exp.contribution_of("X")
         assert x.negative > 0.9
@@ -143,34 +146,47 @@ class TestBuildLocalExplanation:
         assert x.positive == 0.0  # X is at its lowest value
 
     def test_positive_individual_positive_contribution(self, builder_setup):
-        _t, _p, est = builder_setup
+        table, _p, est = builder_setup
         # Z=1, X=2: positive outcome; dropping X to 0 flips it.
         exp = build_local_explanation(
-            est, {"Z": 1, "X": 2}, outcome_positive=True, attributes=["X"]
+            est,
+            table.encode_rows([{"Z": 1, "X": 2}]),
+            outcome_positive=True,
+            attributes=["X"],
         )
         x = exp.contribution_of("X")
         assert x.positive > 0.9
         assert x.positive_foil == 0
 
     def test_statements_direction_negative(self, builder_setup):
-        _t, _p, est = builder_setup
+        table, _p, est = builder_setup
         exp = build_local_explanation(
-            est, {"Z": 1, "X": 0}, outcome_positive=False, attributes=["X"]
+            est,
+            table.encode_rows([{"Z": 1, "X": 0}]),
+            outcome_positive=False,
+            attributes=["X"],
         )
         sentences = exp.statements(top=1)
         assert sentences and "approved" in sentences[0]
 
     def test_statements_direction_positive(self, builder_setup):
-        _t, _p, est = builder_setup
+        table, _p, est = builder_setup
         exp = build_local_explanation(
-            est, {"Z": 1, "X": 2}, outcome_positive=True, attributes=["X"]
+            est,
+            table.encode_rows([{"Z": 1, "X": 2}]),
+            outcome_positive=True,
+            attributes=["X"],
         )
         sentences = exp.statements(top=1)
         assert sentences and "rejected" in sentences[0]
 
     def test_individual_decoded(self, builder_setup):
-        _t, _p, est = builder_setup
+        table, _p, est = builder_setup
         exp = build_local_explanation(
-            est, {"Z": 1, "X": 2}, outcome_positive=True, attributes=["X"]
+            est,
+            table.encode_rows([{"Z": 1, "X": 2}]),
+            outcome_positive=True,
+            attributes=["X"],
         )
-        assert exp.individual == {"Z": 1, "X": 2}
+        # Echoed in the table's column order.
+        assert list(exp.individual.items()) == [("Z", 1), ("X", 2)]

@@ -23,7 +23,12 @@ from repro.core.scores import ScoreEstimator
 from repro.data.table import Table
 from repro.utils.exceptions import RecourseInfeasibleError
 
-from oracles import local_explanation_scalar, local_scores
+from oracles import (
+    local_context,
+    local_explanation_scalar,
+    local_probability,
+    local_scores,
+)
 
 TOL = 1e-12
 
@@ -85,16 +90,17 @@ def test_local_score_arrays_equal_scalar_local_scores(params):
     features = estimator.table.drop([estimator._outcome])
     indices = cohort_indices(seed, n_rows, min(size, n_rows))
     rows = [features.row_codes(i) for i in indices]
-    arrays = estimator.local_score_arrays(rows, NAMES)
+    arrays = estimator.local_score_arrays(features.take(indices), NAMES)
     for name in NAMES:
         got = arrays[name]
         card = cards[NAMES.index(name)]
         assert got.probabilities.shape == (len(rows), card)
         for i, row in enumerate(rows):
             current = int(row[name])
-            context = estimator.local_context(name, row)
+            assert got.current[i] == current
+            context = local_context(estimator, name, row)
             for value in range(card):
-                probe = estimator.local_probability(name, value, context)
+                probe = local_probability(estimator, name, value, context)
                 assert abs(got.probabilities[i, value] - probe) <= TOL
                 if value == current:
                     assert got.necessity[i, value] == 0.0
@@ -123,11 +129,13 @@ def test_local_explanations_batch_equal_scalar_loop(params):
     rows = [features.row_codes(i) for i in indices]
     # Mixed cohort: half explained as positive, half as negative outcomes.
     outcomes = [bool(estimator._positive[i]) for i in indices]
-    batched = build_local_explanations_batch(estimator, rows, outcomes, NAMES)
+    batched = build_local_explanations_batch(
+        estimator, features.take(indices), outcomes, NAMES
+    )
     for row, outcome, fast in zip(rows, outcomes, batched):
         slow = local_explanation_scalar(estimator, row, outcome, NAMES)
         assert fast.outcome_positive == slow.outcome_positive
-        assert fast.individual == slow.individual
+        assert list(fast.individual.items()) == list(slow.individual.items())
         assert len(fast.contributions) == len(slow.contributions)
         for a, b in zip(fast.contributions, slow.contributions):
             assert a.attribute == b.attribute

@@ -60,9 +60,8 @@ class TestShapExtraColumns:
 
 
 class TestIdentificationCaching:
-    def test_adjustment_set_cached_per_context(self, toy_scm, toy_table):
-        engine = ContingencyEngine(toy_table)
-        adj = BackdoorAdjustment(engine, toy_scm.diagram, outcome="Y")
+    def test_adjustment_set_cached_per_context(self, toy_scm):
+        adj = BackdoorAdjustment(toy_scm.diagram, outcome="Y")
         a = adj.adjustment_set(["X"])
         b = adj.adjustment_set(["X"], context=["Z"])
         # Different cache keys: context changes the admissible set.
@@ -71,8 +70,10 @@ class TestIdentificationCaching:
 
     def test_interventional_with_multi_treatment(self, toy_scm, toy_table):
         engine = ContingencyEngine(toy_table)
-        adj = BackdoorAdjustment(engine, toy_scm.diagram, outcome="Y")
-        value = adj.interventional(1, {"X": 2, "Z": 1})
+        adj = BackdoorAdjustment(toy_scm.diagram, outcome="Y")
+        treatment = {"X": 2, "Z": 1}
+        adjustment = adj.adjustment_set(list(treatment)) or []
+        value = engine.adjusted_probabilities({"Y": 1}, [treatment], adjustment)[0]
         assert 0.0 <= value <= 1.0
 
 

@@ -13,13 +13,13 @@ from repro.models.forest import RandomForestClassifier
 
 def fitted(model, table, positive):
     """``model`` fitted from the count cells of ``table`` under ``positive``."""
-    names = (
-        model.features
-        if isinstance(model, OutcomeProbabilityModel)
-        else model.actionable + model.context
-    )
-    estimator = ScoreEstimator(table.select(names), positive)
-    return model.fit(*estimator.outcome_cells(names))
+    estimator = ScoreEstimator(table.select(model.features), positive)
+    return model.fit(*estimator.outcome_cells(model.features))
+
+
+def probability(model, *codes) -> float:
+    """``Pr(o | features = codes)`` for one assignment, in feature order."""
+    return float(model.probability_codes_batch(np.array([codes]))[0])
 
 
 @pytest.fixture(scope="module")
@@ -136,19 +136,19 @@ class TestLogitHelpers:
 class TestLogitModel:
     def test_coefficient_of_reference_category_is_zero(self, labelled_table):
         positive = labelled_table.codes("y") == 1
-        model = fitted(LogitModel(["a"], ["b"]), labelled_table, positive)
+        model = fitted(LogitModel(["a", "b"]), labelled_table, positive)
         assert model.coefficient_vector("a")[0] == 0.0
 
     def test_coefficients_increase_with_helpful_values(self, labelled_table):
         positive = labelled_table.codes("y") == 1
-        model = fitted(LogitModel(["a"], ["b"]), labelled_table, positive)
+        model = fitted(LogitModel(["a", "b"]), labelled_table, positive)
         coef = model.coefficient_vector("a")
         assert coef[2] > coef[1] > 0
 
     def test_log_odds_monotone(self, labelled_table):
         positive = labelled_table.codes("y") == 1
-        model = fitted(LogitModel(["a"], ["b"]), labelled_table, positive)
-        z = model.score_codes_batch([{"a": c, "b": 1} for c in (0, 1, 2)])
+        model = fitted(LogitModel(["a", "b"]), labelled_table, positive)
+        z = model.score_codes_batch(np.array([[c, 1] for c in (0, 1, 2)]))
         assert z[0] < z[1] < z[2]
 
     def test_length_mismatch(self, labelled_table):
@@ -170,15 +170,15 @@ class TestLogitModel:
         for one row than for many, so single rows drifted by ulps.
         """
         table, positive = wide_table
-        model = fitted(LogitModel(table.names[:3], table.names[3:]), table, positive)
-        rows = [table.row_codes(i) for i in range(200)]
+        model = fitted(LogitModel(table.names), table, positive)
+        rows = table.codes_matrix()[:200]
         batch = model.score_codes_batch(rows)
-        for i, row in enumerate(rows):
-            assert model.score_codes_batch([row])[0] == batch[i]
+        for i in range(len(rows)):
+            assert model.score_codes_batch(rows[i : i + 1])[0] == batch[i]
 
     def test_gathered_log_odds_match_the_one_hot_product(self, wide_table):
         table, positive = wide_table
-        model = fitted(LogitModel(table.names[:3], table.names[3:]), table, positive)
+        model = fitted(LogitModel(table.names), table, positive)
         dense = (
             model._encoder.transform(table) @ model._model.coef_[0]
             + model._model.intercept_[0]
@@ -200,9 +200,7 @@ class TestOutcomeProbabilityModel:
                     labelled_table.codes("b") == b
                 )
                 empirical = positive[mask].mean()
-                assert model.probability({"a": a, "b": b}) == pytest.approx(
-                    empirical, abs=0.1
-                )
+                assert probability(model, a, b) == pytest.approx(empirical, abs=0.1)
 
     def test_generalises_to_unseen_combo(self):
         # Only 3 of 4 combinations observed; model still answers the 4th.
@@ -213,7 +211,27 @@ class TestOutcomeProbabilityModel:
             [Column.from_codes("a", a, (0, 1)), Column.from_codes("b", b, (0, 1))]
         )
         model = fitted(OutcomeProbabilityModel(["a", "b"]), table, y)
-        assert model.probability({"a": 1, "b": 1}) > 0.5
+        assert probability(model, 1, 1) > 0.5
+
+    def test_probabilities_are_the_sigmoid_of_the_shared_logit(
+        self, wide_table, monkeypatch
+    ):
+        """One fit body: the probabilities are the sigmoid of the log-odds
+        ``LogitModel`` fits at the same penalty, bit for bit, and the fit
+        does not go through ``LogitModel.fit``."""
+        table, positive = wide_table
+        logit_model = fitted(LogitModel(table.names, l2=1e-3), table, positive)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("OutcomeProbabilityModel.fit called LogitModel.fit")
+
+        monkeypatch.setattr(LogitModel, "fit", refuse)
+        model = fitted(OutcomeProbabilityModel(table.names), table, positive)
+        rows = table.codes_matrix()
+        z = logit_model.score_codes_batch(rows)
+        assert np.array_equal(
+            model.probability_codes_batch(rows), 1.0 / (1.0 + np.exp(-z))
+        )
 
     def test_degenerate_all_positive(self, labelled_table):
         model = fitted(
@@ -221,14 +239,5 @@ class TestOutcomeProbabilityModel:
             labelled_table,
             np.ones(len(labelled_table), bool),
         )
-        assert model.probability({"a": 0}) == 1.0
+        assert probability(model, 0) == 1.0
 
-    def test_probability_table_matches_pointwise(self, labelled_table):
-        positive = labelled_table.codes("y") == 1
-        model = fitted(OutcomeProbabilityModel(["a", "b"]), labelled_table, positive)
-        vec = model.probability_table(labelled_table)
-        for i in (0, 10, 100):
-            codes = labelled_table.row_codes(i)
-            assert vec[i] == pytest.approx(
-                model.probability({"a": codes["a"], "b": codes["b"]})
-            )

@@ -19,6 +19,8 @@ from repro.core.scores import ScoreEstimator
 from repro.data.table import Table
 from repro.utils.exceptions import RecourseInfeasibleError
 
+from oracles import local_context, local_probability
+
 
 def make_population(seed: int = 0, n: int = 240) -> Table:
     rng = np.random.default_rng(seed)
@@ -364,10 +366,8 @@ class TestLocalModelCacheBound:
         estimator = ScoreEstimator(table, positive, max_local_models=2)
         # Three distinct feature tuples: the first must be evicted.
         for attribute in ("skill", "hours", "region"):
-            context = estimator.local_context(
-                attribute, table.row_codes(0)
-            )
-            estimator.local_probability(attribute, 0, context)
+            context = local_context(estimator, attribute, table.row_codes(0))
+            local_probability(estimator, attribute, 0, context)
         stats = estimator.local_model_cache_stats()
         assert stats.entries == 2
         assert stats.evictions == 1
@@ -380,11 +380,11 @@ class TestLocalModelCacheBound:
         unbounded = ScoreEstimator(table, positive, max_local_models=None)
         row = table.row_codes(3)
         for attribute in ("skill", "hours", "skill", "region", "skill"):
-            context_b = bounded.local_context(attribute, row)
-            context_u = unbounded.local_context(attribute, row)
-            assert bounded.local_probability(
-                attribute, 1, context_b
+            context_b = local_context(bounded, attribute, row)
+            context_u = local_context(unbounded, attribute, row)
+            assert local_probability(
+                bounded, attribute, 1, context_b
             ) == pytest.approx(
-                unbounded.local_probability(attribute, 1, context_u), abs=1e-12
+                local_probability(unbounded, attribute, 1, context_u), abs=1e-12
             )
         assert bounded.local_model_cache_stats().evictions >= 2

@@ -41,6 +41,7 @@ from repro import Lewis, fit_table_model, load_dataset, train_test_split
 from repro.core import recourse_kernel
 from repro.core.recourse import program_skeleton, unit_step_cost
 from repro.core.recourse_kernel import exact_step, solve_signature
+from repro.estimation.logit import logit
 from repro.data.table import Column, Table
 from repro.opt.parametric import (
     FEASIBILITY_TOL,
@@ -299,17 +300,69 @@ class TestExactStep:
         # A certified cover runs no search, so no budget applies.
         assert exact_step(skeleton, 3.0)[1] == 4.0
 
+    @staticmethod
+    def record_steps(monkeypatch, step=exact_step) -> list[float]:
+        """Route ``solve_signature``'s exact steps through ``step``,
+        recording the ``needed`` of each call."""
+        calls = []
+
+        def recording(skeleton, needed, stats=None):
+            calls.append(needed)
+            return step(skeleton, needed, stats)
+
+        monkeypatch.setattr(recourse_kernel, "exact_step", recording)
+        return calls
+
     def test_signature_past_its_node_budget_reads_unreachable(self, monkeypatch):
         skeleton = make_skeleton([[(1.0, 1.0)], [(3.0, 2.0)], [(3.0, 2.0)]])
         answer = solve_signature(skeleton, -2.0, 0.5)
         assert answer["status"] == "ok"
         assert answer["stats"]["nodes"] > 2
         monkeypatch.setattr(recourse_kernel, "NODE_LIMIT", 2)
+        steps = self.record_steps(monkeypatch)
         answer = solve_signature(skeleton, -2.0, 0.5)
         assert answer["status"] == "infeasible"
         assert answer["reason"] == "unreachable"
-        # A tighter threshold cannot need fewer nodes: no refinement follows.
-        assert answer["stats"]["refinements"] == 1
+        # One step per signature: an exhausted budget is not retried.
+        assert len(steps) == 1
+
+    def test_signature_is_solved_once_at_the_eq28_threshold(self, monkeypatch):
+        skeleton = make_skeleton([[(1.0, 1.0)], [(3.0, 2.0)], [(3.0, 2.0)]])
+        steps = self.record_steps(monkeypatch)
+        answer = solve_signature(skeleton, -2.0, 0.5)
+        base = 1.0 / (1.0 + np.exp(2.0))
+        threshold = min(base + 0.5 * (1.0 - base), 1.0 - 1e-6)
+        assert answer["status"] == "ok"
+        assert answer["threshold"] == threshold
+        assert steps == [logit(threshold) + 2.0]
+        assert answer["sufficiency"] >= 0.5 - 1e-9
+        assert set(answer["stats"]) == {"nodes", "certified"}
+
+    def test_short_solution_reads_unreachable(self, monkeypatch):
+        """A solution whose re-scored sufficiency misses ``alpha`` by more
+        than 1e-9 reads unreachable; no tighter threshold is tried."""
+        skeleton = make_skeleton([[(1.0, 1.0)]])
+
+        def short(skeleton, needed, stats=None):
+            return {"a0": 1}, 1.0, needed - 1e-3
+
+        steps = self.record_steps(monkeypatch, short)
+        answer = solve_signature(skeleton, -2.0, 0.5)
+        assert answer["status"] == "infeasible"
+        assert answer["reason"] == "unreachable"
+        assert len(steps) == 1
+
+    def test_unreachable_alphas_take_one_step(self, monkeypatch):
+        """Eq. 28's threshold is clamped at ``1 - 1e-6``, so an option
+        that just covers the clamped threshold misses these alphas: one
+        step, then unreachable."""
+        skeleton = make_skeleton([[(1.0, 15.9)]])
+        steps = self.record_steps(monkeypatch)
+        for alpha in (0.999999, 1.0):
+            answer = solve_signature(skeleton, -2.0, alpha)
+            assert answer["status"] == "infeasible"
+            assert answer["reason"] == "unreachable"
+        assert len(steps) == 2
 
 
 class TestMilpOracle:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.scores import ScoreEstimator, ScoreTriple
 
-from oracles import local_scores
+from oracles import local_context, local_scores
 
 
 @pytest.fixture(scope="module")
@@ -160,15 +160,15 @@ class TestLocalScores:
     def test_local_context_excludes_descendants(self, monotone_setup, toy_scm):
         table, positive, _ = monotone_setup
         est = ScoreEstimator(table, positive, diagram=toy_scm.diagram.subgraph(["Z", "X"]))
-        ctx = est.local_context("Z", {"Z": 1, "X": 2})
+        ctx = local_context(est, "Z", {"Z": 1, "X": 2})
         assert ctx == {}  # X is a descendant of Z
-        ctx_x = est.local_context("X", {"Z": 1, "X": 2})
+        ctx_x = local_context(est, "X", {"Z": 1, "X": 2})
         assert ctx_x == {"Z": 1}
 
     def test_local_context_without_diagram_uses_all_others(self, monotone_setup):
         table, positive, _ = monotone_setup
         est = ScoreEstimator(table, positive, diagram=None)
-        assert est.local_context("Z", {"Z": 1, "X": 2}) == {"X": 2}
+        assert local_context(est, "Z", {"Z": 1, "X": 2}) == {"X": 2}
 
     def test_local_scores_match_deterministic_rule(self, monotone_setup):
         _t, _p, est = monotone_setup
@@ -189,15 +189,14 @@ class TestLocalScores:
         local_scores(est, "X", 1, 0, {"Z": 0})
         assert est._local_models[("X", "Z")] is first
 
-    def test_local_score_arrays_refuse_rows_over_other_attributes(
-        self, monotone_setup
-    ):
-        _t, _p, est = monotone_setup
-        with pytest.raises(ValueError, match="row 1 differs from row 0"):
-            est.local_score_arrays([{"Z": 1, "X": 2}, {"X": 0}], ["X"])
-        # An attribute the rows do not assign is unknown to them.
-        with pytest.raises(KeyError):
-            est.local_score_arrays([{"X": 2}, {"X": 0}], ["Z"])
+    def test_local_score_arrays_need_every_column_they_read(self, monotone_setup):
+        table, _p, est = monotone_setup
+        x_only = table.select(["X"]).take([0, 1])
+        # No column for the attribute (Z), or for its context (Z is a
+        # non-descendant of X): unknown to the cohort.
+        for attribute in ("Z", "X"):
+            with pytest.raises(KeyError):
+                est.local_score_arrays(x_only, [attribute])
 
 
 class TestScoreTriple:
