@@ -14,7 +14,8 @@ fairness, a monotonicity and a recourse monitor registered:
 * median per-batch latency of ``MonitorSet.refresh()`` (the subsystem's
   all-monitors incremental pass)
 * per monitor kind, the incremental summary vs the from-scratch rebuild
-  (re-predict the population, recount, re-solve) and their speedups
+  (``tests/oracles.py::rebuild_summary``: re-predict the population,
+  recount, re-solve) and their speedups
 * the headline ``score_speedup`` — the NEC-score monitor's incremental
   vs rebuilt refresh (target: >= 5x at adult scale)
 
@@ -105,7 +106,8 @@ def monitor_payloads(bundle) -> list[dict]:
 def run(dataset: str, rows: int, batches: int, batch_rows: int, seed: int) -> dict:
     import numpy as np
 
-    from repro.monitor import MonitorSet, rebuild_summary
+    from repro.monitor import MonitorSet
+    from tests.oracles import rebuild_summary
 
     bundle, session = build_session(dataset, rows, seed)
     monitors = MonitorSet(session)

@@ -44,14 +44,12 @@ def test_recourse_optimality_ground_truth(benchmark, wide_setup):
     negatives = np.nonzero(~positive)[0][:40]
 
     def run():
+        answers = solver.solve_batch(
+            table.take(negatives), alpha=0.9, on_infeasible="none"
+        )
         validated, total, costs = 0, 0, []
-        for idx in negatives:
-            row = table.row_codes(int(idx))
-            try:
-                recourse = solver.solve(row, alpha=0.9)
-            except RecourseInfeasibleError:
-                continue
-            if recourse.is_empty:
+        for idx, recourse in zip(negatives, answers):
+            if recourse is None or recourse.is_empty:
                 continue
             total += 1
             costs.append(recourse.total_cost)
@@ -83,7 +81,7 @@ def test_recourse_scalability(benchmark):
     table = bundle.table.select(bundle.feature_names)
     positive = bundle.table.codes("outcome").astype(bool)
     estimator = ScoreEstimator(table, positive, diagram=bundle.graph)
-    row = table.row_codes(int(np.nonzero(~positive)[0][0]))
+    row = table.take(np.nonzero(~positive)[0][:1])
     ks = [5, 25, 50, 100]
 
     def run():
@@ -91,7 +89,7 @@ def test_recourse_scalability(benchmark):
         for k in ks:
             solver = RecourseSolver(estimator, bundle.feature_names[:k])
             start = time.perf_counter()
-            recourse = solver.solve(row, alpha=0.5)
+            recourse = solver.solve_batch(row, alpha=0.5)[0]
             elapsed = time.perf_counter() - start
             timings.append((k, recourse.n_constraints, elapsed))
         return timings

@@ -36,6 +36,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 REPO_ROOT = Path(__file__).resolve().parents[1]
 for entry in (str(REPO_ROOT / "src"), str(REPO_ROOT)):
     if entry not in sys.path:
@@ -50,7 +52,7 @@ GAP_TOL = 1e-9
 def _cohort_rows(lewis, cohort: int):
     negative = [int(i) for i in lewis.negative_indices()]
     indices = (negative * (cohort // max(len(negative), 1) + 1))[:cohort]
-    return [lewis.data.row_codes(i) for i in indices]
+    return lewis.data.take(np.asarray(indices, dtype=np.int64))
 
 
 def _timed_batch(solver, rows, alpha, **kwargs):

@@ -6,6 +6,12 @@ a protected attribute iff the attribute's sufficiency score AND
 necessity score are both zero.  :class:`FairnessAuditor` packages that
 check, reports per-contrast and per-context score tables, and computes
 the classical observational disparity for reference.
+
+:func:`max_pair_scores` is the one reading of an attribute's worst
+contrast, behind both :meth:`FairnessAuditor.audit` and the streaming
+fairness monitor (:mod:`repro.monitor.summaries`), and
+:func:`group_outcome_counts` the one count read behind the disparity and
+monotonicity diagnostics.
 """
 
 from __future__ import annotations
@@ -37,6 +43,34 @@ def group_outcome_counts(
     if outcome < attribute:  # free axes come back in sorted name order
         counts = counts.T
     return counts[:, 1], counts.sum(axis=1)
+
+
+def max_pair_scores(
+    estimator, attribute: str
+) -> tuple[float, float, tuple[int, int] | None]:
+    """``(max NEC, max SUF, worst pair)`` over every ordered value pair.
+
+    The pairs ``(hi, lo)`` with ``hi > lo`` run in code order and are
+    scored in one :meth:`ScoreEstimator.score_arrays` pass.  The worst
+    pair is the codes of the first pair whose larger score is the
+    largest of all, or ``None`` when every score is zero.
+    """
+    card = estimator._features.column(attribute).cardinality
+    pairs = [(hi, lo) for hi in range(card) for lo in range(hi)]
+    if not pairs:
+        return 0.0, 0.0, None
+    arrays = estimator.score_arrays(
+        [({attribute: hi}, {attribute: lo}) for hi, lo in pairs],
+        kinds=("necessity", "sufficiency"),
+    )
+    nec, suf = arrays["necessity"], arrays["sufficiency"]
+    worst = np.maximum(nec, suf)
+    first = int(np.argmax(worst))
+    return (
+        float(nec.max()),
+        float(suf.max()),
+        pairs[first] if worst[first] > 0 else None,
+    )
 
 
 def demographic_disparity_from_counts(
@@ -113,24 +147,17 @@ class FairnessAuditor:
 
     def audit(self, protected: str) -> FairnessVerdict:
         """Counterfactual-fairness verdict for one protected attribute."""
-        lewis = self._lewis
-        col = lewis.data.column(protected)
-        pairs = [(hi, lo) for hi in range(col.cardinality) for lo in range(hi)]
-        triples = lewis.estimator.scores_batch(
-            [({protected: hi}, {protected: lo}) for hi, lo in pairs]
+        necessity, sufficiency, worst = max_pair_scores(
+            self._lewis.estimator, protected
         )
-        best_nec, best_suf = 0.0, 0.0
-        worst_pair: tuple[Any, Any] | None = None
-        for (hi, lo), triple in zip(pairs, triples):
-            if max(triple.necessity, triple.sufficiency) > max(best_nec, best_suf):
-                worst_pair = (col.categories[hi], col.categories[lo])
-            best_nec = max(best_nec, triple.necessity)
-            best_suf = max(best_suf, triple.sufficiency)
+        categories = self._lewis.data.column(protected).categories
         return FairnessVerdict(
             attribute=protected,
-            necessity=best_nec,
-            sufficiency=best_suf,
-            worst_pair=worst_pair,
+            necessity=necessity,
+            sufficiency=sufficiency,
+            worst_pair=(
+                None if worst is None else tuple(categories[c] for c in worst)
+            ),
             demographic_disparity=self.demographic_disparity(protected),
             tolerance=self.tolerance,
         )

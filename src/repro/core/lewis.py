@@ -28,7 +28,7 @@ from repro.core.explanations import (
     build_local_explanations_batch,
 )
 from repro.core.ordering import order_table_attributes
-from repro.core.recourse import CostFn, Recourse, RecourseSolver
+from repro.core.recourse import CostFn, Recourse, RecourseSolver, cohort_tally
 from repro.core.scores import ScoreEstimator, ScoreTriple
 from repro.data.table import Table
 from repro.models.pipeline import TableModel
@@ -267,10 +267,11 @@ class Lewis:
 
     # -- raw score access ---------------------------------------------------------
 
-    def _encode_context(self, context: Mapping[str, Any]) -> dict[str, int]:
+    def _codes(self, labels: Mapping[str, Any] | None) -> dict[str, int]:
+        """``{attribute: label}`` in :attr:`data`'s codes (``None`` reads as ``{}``)."""
         return {
             name: self.data.column(name).code_of(value)
-            for name, value in context.items()
+            for name, value in (labels or {}).items()
         }
 
     def score(
@@ -281,11 +282,10 @@ class Lewis:
         context: Mapping[str, Any] | None = None,
     ) -> ScoreTriple:
         """NEC/SUF/NESUF for one labelled contrast ``value`` vs ``baseline``."""
-        col = self.data.column(attribute)
         return self.estimator.scores(
-            {attribute: col.code_of(value)},
-            {attribute: col.code_of(baseline)},
-            self._encode_context(context or {}),
+            self._codes({attribute: value}),
+            self._codes({attribute: baseline}),
+            self._codes(context),
         )
 
     def interventional_probability(
@@ -302,11 +302,8 @@ class Lewis:
         Identified via the backdoor criterion when a diagram is present,
         estimated as the plain conditional otherwise.
         """
-        treatment = {
-            name: self.data.column(name).code_of(value)
-            for name, value in do.items()
-        }
-        context_codes = self._encode_context(context or {})
+        treatment = self._codes(do)
+        context_codes = self._codes(context)
         estimator = self.estimator
         adjustment = estimator._adjustment_for(
             list(treatment), list(context_codes)
@@ -333,23 +330,11 @@ class Lewis:
         passes over the contingency engine — the fast path behind
         :meth:`explain_global` — and results align with the input order.
         """
-        encoded = []
-        for values, baselines in contrasts:
-            encoded.append(
-                (
-                    {
-                        name: self.data.column(name).code_of(value)
-                        for name, value in values.items()
-                    },
-                    {
-                        name: self.data.column(name).code_of(value)
-                        for name, value in baselines.items()
-                    },
-                )
-            )
-        return self.estimator.scores_batch(
-            encoded, self._encode_context(context or {})
-        )
+        encoded = [
+            (self._codes(values), self._codes(baselines))
+            for values, baselines in contrasts
+        ]
+        return self.estimator.scores_batch(encoded, self._codes(context))
 
     def score_set(
         self,
@@ -364,16 +349,8 @@ class Lewis:
         ``score_set({"savings": ">1000 DM", "status": ">200 DM"},
         {"savings": "<100 DM", "status": "<0 DM"})``.
         """
-        treatment = {
-            name: self.data.column(name).code_of(value)
-            for name, value in values.items()
-        }
-        baseline = {
-            name: self.data.column(name).code_of(value)
-            for name, value in baselines.items()
-        }
         return self.estimator.scores(
-            treatment, baseline, self._encode_context(context or {})
+            self._codes(values), self._codes(baselines), self._codes(context)
         )
 
     def score_bounds(
@@ -384,11 +361,10 @@ class Lewis:
         context: Mapping[str, Any] | None = None,
     ) -> ScoreBounds:
         """Proposition 4.1 bounds for one labelled contrast."""
-        col = self.data.column(attribute)
         return self.bounds_estimator.bounds(
-            {attribute: col.code_of(value)},
-            {attribute: col.code_of(baseline)},
-            self._encode_context(context or {}),
+            self._codes({attribute: value}),
+            self._codes({attribute: baseline}),
+            self._codes(context),
         )
 
     def score_intervals(
@@ -415,11 +391,10 @@ class Lewis:
             n_bootstrap=n_bootstrap,
             seed=seed,
         )
-        col = self.data.column(attribute)
         return boot.intervals(
-            {attribute: col.code_of(value)},
-            {attribute: col.code_of(baseline)},
-            self._encode_context(context or {}),
+            self._codes({attribute: value}),
+            self._codes({attribute: baseline}),
+            self._codes(context),
             level=level,
         )
 
@@ -450,7 +425,7 @@ class Lewis:
         return build_global_explanation(
             self.estimator,
             list(attributes or self.attributes),
-            context=self._encode_context(context),
+            context=self._codes(context),
             context_labels=dict(context),
             max_pairs_per_attribute=max_pairs_per_attribute,
         )
@@ -526,7 +501,10 @@ class Lewis:
         (and memoised IP solutions), all functions of the table contents;
         an entry built against a superseded :attr:`table_version` is
         discarded and refit so recourse after :meth:`apply_delta` always
-        reflects the updated rows.
+        reflects the updated rows.  Every spelling of one actionable set
+        shares the entry, whose solver keeps the set in :attr:`data`'s
+        column order; the key keeps a repeated name, which the solver
+        refuses.
         """
         key = (tuple(sorted(actionable)), cost_fn)
         version = self.table_version
@@ -582,9 +560,10 @@ class Lewis:
     ) -> list[Recourse | None]:
         """Minimal-cost recourse for a cohort of individuals.
 
-        Routes through :meth:`RecourseSolver.solve_batch`: one logit
-        pass for the base probabilities and one signature solve per
-        *distinct* ``(current codes, context)`` signature.
+        Routes the rows, as one table, through
+        :meth:`RecourseSolver.solve_batch`: one logit pass for the base
+        probabilities and one signature solve per *distinct* ``(current
+        codes, context)`` signature.
         ``mode="anytime"`` returns greedy solutions with certified gaps.
         With ``on_infeasible="none"`` infeasible rows yield ``None``
         instead of aborting the batch; otherwise the raised
@@ -594,7 +573,7 @@ class Lewis:
         solver = self._recourse_solver(actionable, cost_fn)
         indices = [int(i) for i in indices]
         return solver.solve_batch(
-            [self.data.row_codes(i) for i in indices],
+            self.data.take(np.asarray(indices, dtype=np.int64)),
             alpha=alpha,
             on_infeasible=on_infeasible,
             mode=mode,
@@ -622,36 +601,19 @@ class Lewis:
         The JSON-friendly summary backs the ``/v1/recourse/batch``
         service endpoint and the CLI cohort mode.
         """
-        chosen = (
-            [int(i) for i in indices]
-            if indices is not None
-            else [int(i) for i in self.negative_indices()]
-        )
+        chosen = [
+            int(i) for i in (self.negative_indices() if indices is None else indices)
+        ]
         recourses = self.recourse_batch(
             chosen, actionable, alpha=alpha, cost_fn=cost_fn,
             on_infeasible="none", mode=mode,
         )
-        feasible = [r for r in recourses if r is not None]
-        costs = [r.total_cost for r in feasible if not r.is_empty]
-        attribute_counts: dict[str, int] = {}
-        for r in feasible:
-            for action in r.actions:
-                attribute_counts[action.attribute] = (
-                    attribute_counts.get(action.attribute, 0) + 1
-                )
         return {
             "n": len(chosen),
             "indices": chosen,
             "alpha": float(alpha),
             "mode": mode,
-            "feasible": len(feasible),
-            "infeasible": len(recourses) - len(feasible),
-            "already_satisfied": sum(r.is_empty for r in feasible),
-            "mean_cost": float(np.mean(costs)) if costs else 0.0,
-            "max_cost": float(np.max(costs)) if costs else 0.0,
-            "attribute_counts": dict(
-                sorted(attribute_counts.items(), key=lambda kv: -kv[1])
-            ),
+            **cohort_tally(recourses),
             "recourses": recourses,
         }
 

@@ -16,10 +16,19 @@ differences. Each distinct program is solved once, at Eq. 28's
 threshold, and its solution re-scored with the same logit model; the
 reported sufficiency is that re-score (see
 :mod:`repro.core.recourse_kernel`).
+
+A cohort reaches :meth:`RecourseSolver.solve_batch` as one
+:class:`~repro.data.table.Table` in the estimator's domains, whose
+signatures are read off one code matrix; :func:`cohort_tally` is the one
+feasibility and cost tally of its answers, behind both the cohort audit
+and the recourse monitor.  A solver keeps its actionable attributes in
+the table's column order, so every spelling of one set gets the same
+answers.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
@@ -34,7 +43,7 @@ from repro.obs import metrics as _obs
 from repro.obs import tracing as _tracing
 from repro.opt.parametric import SignatureSkeleton
 from repro.utils import deadline as _deadline
-from repro.utils.exceptions import RecourseInfeasibleError
+from repro.utils.exceptions import DomainError, RecourseInfeasibleError
 from repro.utils.lru import ByteBudgetLRU
 from repro.utils.validation import check_probability
 
@@ -183,6 +192,29 @@ def recourse_actions(
     return actions
 
 
+def cohort_tally(recourses: Sequence[Recourse | None]) -> dict[str, Any]:
+    """Feasibility counts and cost statistics of one cohort's answers.
+
+    ``recourses`` holds one answer per row, ``None`` where the row has
+    no recourse.  Costs are over the feasible recourses that act, and
+    ``attribute_counts`` says how often each attribute is changed, most
+    frequent first.  The cohort audit and the recourse monitor both
+    summarise through here.
+    """
+    feasible = [r for r in recourses if r is not None]
+    costs = [r.total_cost for r in feasible if not r.is_empty]
+    # most_common keeps first-seen order among equal counts
+    moved = Counter(action.attribute for r in feasible for action in r.actions)
+    return {
+        "feasible": len(feasible),
+        "infeasible": len(recourses) - len(feasible),
+        "already_satisfied": sum(r.is_empty for r in feasible),
+        "mean_cost": float(np.mean(costs)) if costs else 0.0,
+        "max_cost": float(np.max(costs)) if costs else 0.0,
+        "attribute_counts": dict(moved.most_common()),
+    }
+
+
 class RecourseSolver:
     """Builds and solves the recourse IP for one population.
 
@@ -191,7 +223,10 @@ class RecourseSolver:
     estimator:
         Score estimator over the black box's input-output table.
     actionable:
-        Attribute names a recourse may change.
+        Attribute names a recourse may change, each named once.  The
+        solver keeps them in the table's column order, which the logit's
+        features and the actions follow, so every spelling of one set
+        gets the same answers.
     cost_fn:
         ``cost_fn(attribute, current_code, new_code) -> float``; defaults
         to :func:`unit_step_cost`.
@@ -211,13 +246,18 @@ class RecourseSolver:
     ):
         if not actionable:
             raise ValueError("actionable set must not be empty")
-        self._est = estimator
-        self.actionable = list(actionable)
-        self.cost_fn = cost_fn or unit_step_cost
+        wanted = set(actionable)
+        if len(wanted) != len(actionable):
+            raise ValueError(
+                f"actionable attributes listed twice: {list(actionable)}"
+            )
         table = estimator.table
-        missing = [a for a in self.actionable if a not in table]
+        missing = [a for a in actionable if a not in table]
         if missing:
             raise KeyError(f"actionable attributes not in the data: {missing}")
+        self._est = estimator
+        self.actionable = [n for n in table.names if n in wanted]
+        self.cost_fn = cost_fn or unit_step_cost
         # Context: non-descendants of the actionable set (Section 4.2).
         feature_names = [n for n in table.names if n != estimator._outcome]
         diagram = estimator.diagram
@@ -267,23 +307,6 @@ class RecourseSolver:
         return skeleton
 
     # -- solving -------------------------------------------------------------
-
-    def solve(
-        self,
-        row_codes: Mapping[str, int],
-        alpha: float = 0.8,
-        mode: str = "exact",
-    ) -> Recourse:
-        """Compute minimal-cost recourse for one individual.
-
-        ``alpha`` is the target sufficiency; Eq. (28) converts it into the
-        probability threshold ``Pr(o|a,k) + alpha * Pr(o'|a,k)``. Raises
-        :class:`RecourseInfeasibleError` when no intervention on the
-        actionable set achieves it.  ``mode="anytime"`` returns the
-        greedy LP rounding with a certified ``optimality_gap`` instead
-        of the exact optimum.  The ``N = 1`` case of :meth:`solve_batch`.
-        """
-        return self.solve_batch([row_codes], alpha=alpha, mode=mode)[0]
 
     def _materialize(
         self,
@@ -354,13 +377,22 @@ class RecourseSolver:
 
     def solve_batch(
         self,
-        rows_codes: Sequence[Mapping[str, int]],
+        cohort: Table,
         alpha: float = 0.8,
         on_infeasible: str = "raise",
         mode: str = "exact",
         row_ids: Sequence[int] | None = None,
     ) -> list[Recourse | None]:
-        """Minimal-cost recourse for a whole cohort.
+        """Minimal-cost recourse for each row of ``cohort``.
+
+        ``cohort`` is a :class:`Table` in the estimator's domains (as
+        ``table.take(indices)`` makes it) holding at least the actionable
+        and context columns; a missing one raises ``KeyError``, one over
+        another domain ``DomainError``, and other columns are ignored.
+        Eq. (28) turns the target sufficiency ``alpha`` into the
+        probability threshold ``Pr(o|a,k) + alpha * Pr(o'|a,k)``;
+        ``mode="anytime"`` returns the greedy LP rounding with a
+        certified ``optimality_gap`` instead of the exact optimum.
 
         Individuals are grouped by their ``(current actionable codes,
         context)`` signature so each distinct 0-1 program is solved once
@@ -371,13 +403,14 @@ class RecourseSolver:
         :func:`recourse_kernel.solve_signature` in turn, with the
         request deadline checked between signatures.  A signature's
         answer depends only on its own program, so it is the same
-        whichever batch, or which earlier request, first solved it.
+        whichever batch, or which earlier request, first solved it: a
+        one-row ``cohort.take([i])`` answers row ``i`` of ``cohort``.
 
-        ``on_infeasible`` is ``"raise"`` (first infeasible individual
-        aborts the batch, mirroring the scalar loop) or ``"none"``
-        (infeasible rows yield ``None`` — the cohort-audit mode).  The
-        raised error names the row by ``row_ids[i]`` (e.g. its table
-        index), or by its position in ``rows_codes`` without them.
+        ``on_infeasible`` is ``"raise"`` (the first infeasible row
+        aborts the batch with :class:`RecourseInfeasibleError`) or
+        ``"none"`` (infeasible rows yield ``None`` — the cohort-audit
+        mode).  The raised error names the row by ``row_ids[i]`` (e.g.
+        its table index), or by its position in ``cohort`` without them.
         """
         check_probability(alpha, "alpha")
         _check_mode(mode)
@@ -385,16 +418,16 @@ class RecourseSolver:
             raise ValueError(
                 f"on_infeasible must be 'raise' or 'none', got {on_infeasible!r}"
             )
-        rows_codes = list(rows_codes)
-        if not rows_codes:
+        names = self.actionable + self.context_names
+        domains = [self._est.table.domain(name) for name in names]
+        foreign = [n for n, d in zip(names, domains) if cohort.domain(n) != d]
+        if foreign:
+            raise DomainError(f"cohort columns in other domains: {foreign}")
+        matrix = cohort.codes_matrix(names)
+        if not len(matrix):
             return []
         _deadline.check("recourse solve_batch")
-        names = self.actionable + self.context_names
-        matrix = np.array(
-            [[int(row[name]) for name in names] for row in rows_codes],
-            dtype=np.int64,
-        )
-        cards = [self._est.table.column(name).cardinality for name in names]
+        cards = [len(domain) for domain in domains]
         signatures, _, inverse = unique_rows(matrix.T, cards, return_inverse=True)
         # The memo key includes the mode: an anytime answer must never
         # be served where an exact one was asked.  Answers are read from

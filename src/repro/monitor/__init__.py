@@ -23,7 +23,6 @@ from repro.monitor.summaries import (
     MONITOR_KINDS,
     compute_summary,
     encode_spec,
-    rebuild_summary,
 )
 
 __all__ = [
@@ -38,5 +37,4 @@ __all__ = [
     "build_detectors",
     "compute_summary",
     "encode_spec",
-    "rebuild_summary",
 ]

@@ -1,4 +1,4 @@
-"""Incremental monitor summaries and their rebuild-parity oracle.
+"""Incremental monitor summaries.
 
 A monitor's summary is a small dict of floats computed from the engine's
 *incrementally maintained* state — count tensors kept current by
@@ -11,25 +11,30 @@ row scan. Four kinds:
     :meth:`ScoreEstimator.score_arrays` tensor path.
 ``fairness``
     Max NEC / SUF over all ordered value pairs of a protected attribute
-    plus the observational demographic disparity from the
-    ``(attribute, outcome)`` count tensor.
+    (:func:`repro.core.fairness.max_pair_scores`, the reading
+    ``FairnessAuditor.audit`` reports) plus the observational
+    demographic disparity from the ``(attribute, outcome)`` counts.
 ``monotonicity``
     Worst step-down and violating-step count of the conditional positive
-    rate along the attribute's value order, from the same count tensor.
+    rate along the attribute's value order, from the same counts.
 ``recourse``
-    Feasibility rate (and cost stats) of a fixed probe cohort through
-    the recourse solver — the "can the affected still act?" monitor.
+    Feasibility rate (and cost stats) of a fixed probe cohort: the code
+    rows frozen at registration, built into one table per refresh and
+    solved by the session's cached recourse solver, then tallied by
+    :func:`repro.core.recourse.cohort_tally` as the cohort audit is —
+    the "can the affected still act?" monitor.
 
 The parity contract: :func:`compute_summary` over a live, delta-updated
-session must be **bit-identical** to :func:`rebuild_summary`, which
-recomputes the identical quantities on a *fresh* estimator built from
-the current table. Count tensors after ``apply_delta`` equal a fresh
-recount exactly (integer counts — property-tested since PR 2), and every
-summary here is a deterministic function of those counts, so the
-contract holds with ``==``, not tolerances. This is the
-answering-queries-under-updates discipline (arXiv 1702.08764):
-explanations as standing queries whose refresh is constant-delay in the
-update, with the from-scratch evaluation as the correctness oracle.
+session must be **bit-identical** to the same quantities recomputed on
+a *fresh* estimator built from the current table (the oracle
+``tests/oracles.py::rebuild_summary``). Count tensors after
+``apply_delta`` equal a fresh recount exactly (integer counts —
+property-tested since PR 2), and every summary here is a deterministic
+function of those counts, so the contract holds with ``==``, not
+tolerances. This is the answering-queries-under-updates discipline
+(arXiv 1702.08764): explanations as standing queries whose refresh is
+constant-delay in the update, with the from-scratch evaluation as the
+correctness oracle.
 """
 
 from __future__ import annotations
@@ -41,10 +46,12 @@ import numpy as np
 from repro.core.fairness import (
     demographic_disparity_from_counts,
     group_outcome_counts,
+    max_pair_scores,
 )
 from repro.core.monotonicity import monotonicity_from_counts
-from repro.core.recourse import RecourseSolver
+from repro.core.recourse import RecourseSolver, cohort_tally
 from repro.core.scores import SCORE_KINDS, ScoreEstimator
+from repro.data.table import Table
 
 MONITOR_KINDS = ("score", "fairness", "monotonicity", "recourse")
 
@@ -221,26 +228,14 @@ def _summarize(
         return {k: float(arrays[k][0]) for k in SCORE_KINDS}
     if kind == "fairness":
         attribute = coded["attribute"]
-        card = estimator._features.column(attribute).cardinality
-        pairs = [
-            ({attribute: hi}, {attribute: lo})
-            for hi in range(card)
-            for lo in range(hi)
-        ]
-        out = {"max_necessity": 0.0, "max_sufficiency": 0.0}
-        if pairs:
-            arrays = estimator.score_arrays(
-                pairs, kinds=("necessity", "sufficiency")
-            )
-            out["max_necessity"] = float(arrays["necessity"].max())
-            out["max_sufficiency"] = float(arrays["sufficiency"].max())
-        positives, totals = group_outcome_counts(
-            estimator.engine, attribute, estimator._outcome
-        )
-        out["demographic_disparity"] = demographic_disparity_from_counts(
-            positives, totals
-        )
-        return out
+        necessity, sufficiency, _worst = max_pair_scores(estimator, attribute)
+        return {
+            "max_necessity": necessity,
+            "max_sufficiency": sufficiency,
+            "demographic_disparity": demographic_disparity_from_counts(
+                *group_outcome_counts(estimator.engine, attribute, estimator._outcome)
+            ),
+        }
     if kind == "monotonicity":
         positives, totals = group_outcome_counts(
             estimator.engine,
@@ -250,20 +245,21 @@ def _summarize(
         )
         worst, violations = monotonicity_from_counts(positives, totals)
         return {"worst_step_down": worst, "violations": float(violations)}
-    # recourse
-    solver = solver_for(coded["actionable"])
-    results = solver.solve_batch(
-        coded["probe"], alpha=float(coded["alpha"]), on_infeasible="none"
+    # recourse: the probe rows frozen at registration, as one table
+    probe = Table(
+        col.replaced(np.array([row[col.name] for row in coded["probe"]]))
+        for col in estimator._features
     )
-    n = len(results)
-    feasible = [r for r in results if r is not None]
-    costs = [r.total_cost for r in feasible if not r.is_empty]
+    results = solver_for(coded["actionable"]).solve_batch(
+        probe, alpha=float(coded["alpha"]), on_infeasible="none"
+    )
+    tally = cohort_tally(results)
     return {
-        "feasibility_rate": len(feasible) / n if n else 1.0,
-        "feasible": float(len(feasible)),
-        "infeasible": float(n - len(feasible)),
-        "already_satisfied": float(sum(r.is_empty for r in feasible)),
-        "mean_cost": float(np.mean(costs)) if costs else 0.0,
+        "feasibility_rate": tally["feasible"] / len(results) if results else 1.0,
+        "feasible": float(tally["feasible"]),
+        "infeasible": float(tally["infeasible"]),
+        "already_satisfied": float(tally["already_satisfied"]),
+        "mean_cost": tally["mean_cost"],
     }
 
 
@@ -274,33 +270,10 @@ def compute_summary(lewis, spec: Mapping) -> dict[str, float]:
     )
 
 
-def rebuild_summary(lewis, spec: Mapping) -> dict[str, float]:
-    """The same summary from a from-scratch rebuild — the parity oracle.
-
-    Re-predicts the positive-decision vector over the session's
-    *current* table (the O(n) model-inference pass the incremental path
-    replaces with O(|delta|) predictions on inserted rows) and builds a
-    fresh :class:`ScoreEstimator` (fresh contingency engine, fresh
-    counts) on top, then recomputes the identical quantities.
-    ``compute_summary(lewis, spec) == rebuild_summary(lewis, spec)`` bit
-    for bit is the subsystem's correctness contract — it covers the
-    maintained predictions as well as the maintained counts; it is also
-    the recompute-per-batch straw man the benchmark races the
-    incremental path against.
-    """
-    est = lewis.estimator
-    positive = np.asarray(lewis.predict_positive(est._features), dtype=bool)
-    fresh = ScoreEstimator(est._features, positive, diagram=est.diagram)
-    return _summarize(
-        fresh, spec, lambda actionable: RecourseSolver(fresh, list(actionable))
-    )
-
-
 __all__ = [
     "DEFAULT_PROBE_SIZE",
     "METRICS",
     "MONITOR_KINDS",
     "compute_summary",
     "encode_spec",
-    "rebuild_summary",
 ]

@@ -25,6 +25,13 @@ and the parity tests hold the batched paths to them at 1e-12:
   LEWIS recourse parity tests and ``bench_recourse_scale.py`` swap in.
   scipy is a test-only dependency of recourse: the library's one exact
   solver is the parametric search;
+* :func:`cohort` — a recourse cohort written by hand as ``{column:
+  code}`` rows, built into the :class:`Table` in a table's domains that
+  ``RecourseSolver.solve_batch`` takes;
+* :func:`rebuild_summary` — a monitor's summary recomputed on a fresh
+  estimator over the session's current table, which
+  ``tests/test_monitor_stream.py`` and ``bench_monitor_stream.py`` hold
+  the incrementally maintained summary to, bit for bit;
 * :func:`outcome_model_on_rows` / :func:`logit_model_on_rows` — the
   local and recourse regressions fitted with one design row per table
   row, which ``tests/test_cell_fit.py`` holds the library's fit from
@@ -64,6 +71,7 @@ from repro.core.explanations import (
     LocalExplanation,
     _truncated_pairs,
 )
+from repro.core.recourse import RecourseSolver
 from repro.core.scores import ScoreEstimator, ScoreTriple
 from repro.data.encoding import OneHotEncoder
 from repro.data.table import Table
@@ -71,6 +79,7 @@ from repro.estimation.engine import ContingencyEngine
 from repro.estimation.logit import LogitModel
 from repro.estimation.outcome_model import OutcomeProbabilityModel
 from repro.models.linear import LogisticRegression
+from repro.monitor.summaries import _summarize
 from repro.opt.parametric import FEASIBILITY_TOL, SignatureSkeleton
 from repro.utils.exceptions import EstimationError, GraphError
 
@@ -446,6 +455,39 @@ def logit_model_on_rows(
         model._encoder.transform(subset), np.asarray(positive, dtype=bool).astype(int)
     )
     return model
+
+
+def cohort(table: Table, rows: Iterable[Mapping[str, int]]) -> Table:
+    """``{column: code}`` rows as a table in ``table``'s domains.
+
+    Each row assigns every column of ``table``; a code outside its
+    column's domain raises :class:`~repro.utils.exceptions.DomainError`.
+    """
+    rows = list(rows)
+    return Table(
+        col.replaced(np.array([row[col.name] for row in rows], dtype=np.int64))
+        for col in table
+    )
+
+
+def rebuild_summary(lewis, spec: Mapping) -> dict[str, float]:
+    """A monitor's summary from a from-scratch rebuild.
+
+    Re-predicts the positive-decision vector over the session's
+    *current* table (the O(n) model-inference pass the incremental path
+    replaces with O(|delta|) predictions on inserted rows), builds a
+    fresh :class:`ScoreEstimator` (fresh contingency engine, fresh
+    counts) and a fresh recourse solver on top, and recomputes the
+    summary.  It covers the maintained predictions as well as the
+    maintained counts, and it is the recompute-per-batch straw man
+    ``bench_monitor_stream.py`` races the incremental path against.
+    """
+    est = lewis.estimator
+    positive = np.asarray(lewis.predict_positive(est._features), dtype=bool)
+    fresh = ScoreEstimator(est._features, positive, diagram=est.diagram)
+    return _summarize(
+        fresh, spec, lambda actionable: RecourseSolver(fresh, list(actionable))
+    )
 
 
 def skeleton_matrices(

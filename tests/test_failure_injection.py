@@ -17,7 +17,7 @@ from repro.data.table import Column, Table
 from repro.estimation.engine import ContingencyEngine
 from repro.utils.exceptions import EstimationError, RecourseInfeasibleError
 
-from oracles import local_scores
+from oracles import cohort, local_scores
 
 
 def _two_column_table(n=200, seed=0):
@@ -109,7 +109,7 @@ class TestSingleValuedAttributes:
         est = ScoreEstimator(table, positive)
         solver = RecourseSolver(est, ["const"])
         with pytest.raises(RecourseInfeasibleError):
-            solver.solve({"x": 0, "const": 0}, alpha=0.9)
+            solver.solve_batch(cohort(table, [{"x": 0, "const": 0}]), alpha=0.9)
 
 
 class TestGraphEdgeCases:

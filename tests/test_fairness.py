@@ -18,6 +18,7 @@ from repro.core.monotonicity import (
 from repro.data import load_dataset
 from repro.data.compas import compas_software_positive
 from repro.data.table import Column, Table
+from repro.monitor.summaries import compute_summary
 
 from oracles import (
     scalar_scores,
@@ -101,6 +102,17 @@ class TestFairnessVerdict:
         assert verdict.necessity == pytest.approx(best_nec, abs=1e-12)
         assert verdict.sufficiency == pytest.approx(best_suf, abs=1e-12)
         assert verdict.worst_pair == worst_pair
+
+    @pytest.mark.parametrize("protected", ["race", "sex", "priors_count"])
+    def test_monitor_summary_reads_the_verdict(self, compas_lewis, protected):
+        """The fairness monitor and the audit share one worst-pair reading."""
+        verdict = FairnessAuditor(compas_lewis).audit(protected)
+        spec = {"kind": "fairness", "coded": {"attribute": protected, "context": {}}}
+        assert compute_summary(compas_lewis, spec) == {
+            "max_necessity": verdict.necessity,
+            "max_sufficiency": verdict.sufficiency,
+            "demographic_disparity": verdict.demographic_disparity,
+        }
 
     def test_audit_all(self, compas_lewis):
         verdicts = FairnessAuditor(compas_lewis).audit_all(["race", "sex"])

@@ -94,7 +94,6 @@ class TestGamingAudit:
         from repro import load_dataset
         from repro.core.recourse import RecourseSolver
         from repro.core.scores import ScoreEstimator
-        from repro.utils.exceptions import RecourseInfeasibleError
 
         bundle = load_dataset("wide", n_variables=6, n_rows=5_000, seed=0)
         table = bundle.table.select(bundle.feature_names)
@@ -102,12 +101,11 @@ class TestGamingAudit:
         estimator = ScoreEstimator(table, positive, diagram=bundle.graph)
         solver = RecourseSolver(estimator, bundle.feature_names)
         negatives = np.nonzero(~positive)[0]
-        for idx in negatives[:10]:
-            try:
-                recourse = solver.solve(table.row_codes(int(idx)), alpha=0.6)
-            except RecourseInfeasibleError:
-                continue
-            if recourse.is_empty:
+        answers = solver.solve_batch(
+            table.take(negatives[:10]), alpha=0.6, on_infeasible="none"
+        )
+        for recourse in answers:
+            if recourse is None or recourse.is_empty:
                 continue
             report = audit_recourse_gaming(
                 recourse,

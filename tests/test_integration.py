@@ -13,7 +13,6 @@ from repro import (
 from repro.core.recourse import RecourseSolver
 from repro.core.scores import ScoreEstimator
 from repro.data.compas import compas_software_positive
-from repro.utils.exceptions import RecourseInfeasibleError
 
 
 class TestEndToEndPipelines:
@@ -199,14 +198,12 @@ class TestRecourseGroundTruth:
         solver = RecourseSolver(estimator, bundle.feature_names[:4])
 
         negatives = np.nonzero(~positive)[0][:30]
+        answers = solver.solve_batch(
+            table.take(negatives), alpha=0.5, on_infeasible="none"
+        )
         validated, total = 0, 0
-        for idx in negatives:
-            row = table.row_codes(int(idx))
-            try:
-                recourse = solver.solve(row, alpha=0.5)
-            except RecourseInfeasibleError:
-                continue
-            if recourse.is_empty:
+        for idx, recourse in zip(negatives, answers):
+            if recourse is None or recourse.is_empty:
                 continue
             total += 1
             interventions = {
@@ -227,8 +224,8 @@ class TestRecourseGroundTruth:
         table = bundle.table.select(bundle.feature_names)
         positive = bundle.table.codes("outcome").astype(bool)
         estimator = ScoreEstimator(table, positive)
-        row = table.row_codes(int(np.nonzero(~positive)[0][0]))
+        row = table.take(np.nonzero(~positive)[0][:1])
         for k in (5, 10, 20):
             solver = RecourseSolver(estimator, bundle.feature_names[:k])
-            recourse = solver.solve(row, alpha=0.6)
+            recourse = solver.solve_batch(row, alpha=0.6)[0]
             assert recourse.n_constraints == k + 1

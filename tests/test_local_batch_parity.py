@@ -3,7 +3,7 @@
 The batched local-explanation pipeline (``local_score_arrays`` →
 ``build_local_explanations_batch``) and the deduplicated batch recourse
 solver (``RecourseSolver.solve_batch``) must agree with one-row-at-a-time
-evaluation (the oracles of ``tests/oracles.py`` and ``solve``) across
+evaluation (the oracles of ``tests/oracles.py`` and one-row cohorts) across
 random tables, diagrams present/absent, and positive/negative outcomes —
 the same 1e-12 contract ``tests/test_engine_parity.py`` enforces for the
 frequency engine.
@@ -153,16 +153,17 @@ def test_solve_batch_equals_scalar_solve_loop(params):
     estimator = make_estimator(seed, n_rows, cards, diagram_index)
     features = estimator.table.drop([estimator._outcome])
     solver = RecourseSolver(estimator, actionable=["X", "Y"])
-    # A second solver, so the scalar calls solve rather than hit the
+    # A second solver, so the one-row calls solve rather than hit the
     # batch's memo.
     scalar = RecourseSolver(estimator, actionable=["X", "Y"])
     indices = cohort_indices(seed, n_rows, min(size, n_rows))
-    rows = [features.row_codes(i) for i in indices]
     alpha = 0.6
-    batched = solver.solve_batch(rows, alpha=alpha, on_infeasible="none")
-    for row, fast in zip(rows, batched):
+    batched = solver.solve_batch(
+        features.take(indices), alpha=alpha, on_infeasible="none"
+    )
+    for index, fast in zip(indices, batched):
         try:
-            slow = scalar.solve(row, alpha=alpha)
+            slow = scalar.solve_batch(features.take([index]), alpha=alpha)[0]
         except RecourseInfeasibleError:
             assert fast is None
             continue
@@ -185,12 +186,12 @@ def test_solve_batch_on_infeasible_raise_matches_scalar():
     estimator = make_estimator(3, 80, (2, 2, 2, 2), 0)
     features = estimator.table.drop([estimator._outcome])
     solver = RecourseSolver(estimator, actionable=["X"])
-    rows = [features.row_codes(i) for i in range(60)]
+    rows = features.take(np.arange(60))
     alpha = 0.999
     scalar_fails = False
-    for row in rows:
+    for i in range(len(rows)):
         try:
-            solver.solve(row, alpha=alpha)
+            solver.solve_batch(rows.take([i]), alpha=alpha)
         except RecourseInfeasibleError:
             scalar_fails = True
             break
@@ -209,7 +210,7 @@ def test_solve_batch_memoises_by_signature():
     estimator = make_estimator(5, 100, (2, 3, 2, 2), 1)
     features = estimator.table.drop([estimator._outcome])
     solver = RecourseSolver(estimator, actionable=["X", "Y"])
-    rows = [features.row_codes(i) for i in range(40)]
+    rows = features.take(np.arange(40))
     first = solver.solve_batch(rows, alpha=0.6, on_infeasible="none")
     stats = solver.solution_memo_stats()
     assert 0 < stats["solved_signatures"] <= 40

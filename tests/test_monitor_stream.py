@@ -4,10 +4,10 @@ The subsystem's three contracts, each tested against its oracle:
 
 * **Parity** — a monitor's incrementally refreshed summary after any
   sequence of delta batches is *bit-identical* to recomputing the same
-  summary on a fresh estimator over the current table
-  (:func:`rebuild_summary`).  Hypothesis drives randomized histories;
-  the NEC-score case runs 100+ batches per example per the subsystem's
-  acceptance bar.
+  summary on a fresh estimator over the current table (the oracle
+  :func:`oracles.rebuild_summary`).  Hypothesis drives randomized
+  histories; the NEC-score case runs 100+ batches per example per the
+  subsystem's acceptance bar.
 * **Watch** — long-poll cursor semantics: buffered alerts return
   immediately, an up-to-date cursor times out empty, a cursor that fell
   off the ring is flagged ``cursor_truncated``.
@@ -30,15 +30,12 @@ from hypothesis import strategies as st
 from repro import fit_table_model
 from repro.core.lewis import Lewis
 from repro.data.table import Table
-from repro.monitor import (
-    MonitorJournal,
-    MonitorSet,
-    compute_summary,
-    rebuild_summary,
-)
+from repro.monitor import MonitorJournal, MonitorSet, compute_summary
 from repro.service.session import ExplainerSession
 from repro.store import ArtifactStore, checkpoint_session, create_tenant
 from repro.utils.exceptions import StoreError
+
+from oracles import rebuild_summary
 
 CARDS = {"a": 3, "b": 4, "c": 2}
 NAMES = tuple(CARDS)

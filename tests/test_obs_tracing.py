@@ -151,12 +151,8 @@ def _recourse_solver():
     z = table.codes("skill") + table.codes("hours") + 2 * table.codes("degree")
     estimator = ScoreEstimator(table, z >= 5)
     solver = RecourseSolver(estimator, ["skill", "hours", "degree"])
-    rows = [
-        estimator.table.row_codes(i)
-        for i in range(estimator.table.n_rows)
-        if not estimator._positive[i]
-    ]
-    return solver, rows[:80]
+    negatives = np.nonzero(~estimator._positive)[0]
+    return solver, estimator._features.take(negatives[:80])
 
 
 class TestRecourseSolveSpan:

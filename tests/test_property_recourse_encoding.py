@@ -1,9 +1,9 @@
 """Property-based tests for recourse soundness and encoding roundtrips."""
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracles import cohort
 
 from repro.core.recourse import RecourseSolver
 from repro.core.scores import ScoreEstimator
@@ -51,9 +51,9 @@ def test_recourse_solution_is_sound_and_minimal_cost_bounded(params):
     table, positive, _t = setup
     estimator = ScoreEstimator(table, positive)
     solver = RecourseSolver(estimator, ["a", "b"])
-    row = {"a": 0, "b": 0}
+    row = cohort(table, [{"a": 0, "b": 0}])
     try:
-        recourse = solver.solve(row, alpha=0.6)
+        recourse = solver.solve_batch(row, alpha=0.6)[0]
     except RecourseInfeasibleError:
         return
     assert recourse.estimated_sufficiency >= 0.6 - 1e-9
@@ -74,11 +74,11 @@ def test_recourse_cost_monotone_in_alpha(params):
     table, positive, _t = setup
     estimator = ScoreEstimator(table, positive)
     solver = RecourseSolver(estimator, ["a", "b"])
-    row = {"a": 0, "b": 0}
+    row = cohort(table, [{"a": 0, "b": 0}])
     costs = []
     for alpha in (0.4, 0.7):
         try:
-            costs.append(solver.solve(row, alpha=alpha).total_cost)
+            costs.append(solver.solve_batch(row, alpha=alpha)[0].total_cost)
         except RecourseInfeasibleError:
             costs.append(np.inf)
     assert costs[1] >= costs[0] - 1e-9

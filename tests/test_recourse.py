@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
-from oracles import gain_of, solve_ip_milp
+from oracles import cohort, gain_of, solve_ip_milp
 
-from repro.core.recourse import Recourse, RecourseAction, RecourseSolver, unit_step_cost
+from repro.core.recourse import RecourseAction, RecourseSolver, unit_step_cost
 from repro.core.scores import ScoreEstimator
 from repro.data.table import Column, Table
 from repro.estimation.logit import logit
@@ -30,6 +30,11 @@ def recourse_setup():
     return table, positive, est
 
 
+def solve_row(solver, table, row, alpha):
+    """The solver's answer for one ``{column: code}`` row of ``table``."""
+    return solver.solve_batch(cohort(table, [row]), alpha=alpha)[0]
+
+
 class TestUnitStepCost:
     def test_symmetric_in_distance(self):
         assert unit_step_cost("x", 0, 2) == 2.0
@@ -51,9 +56,9 @@ class TestRecourseSolver:
             RecourseSolver(est, ["zzz"])
 
     def test_solution_reaches_threshold(self, recourse_setup):
-        _t, _p, est = recourse_setup
+        table, _p, est = recourse_setup
         solver = RecourseSolver(est, ["a", "b"])
-        recourse = solver.solve({"a": 0, "b": 0}, alpha=0.8)
+        recourse = solve_row(solver, table, {"a": 0, "b": 0}, 0.8)
         assert recourse.estimated_sufficiency >= 0.8 - 1e-9
         new = dict({"a": 0, "b": 0}, **{r.attribute: None for r in recourse.actions})
         # Decode actions back to codes and verify the deterministic rule.
@@ -64,16 +69,16 @@ class TestRecourseSolver:
         assert codes["a"] + codes["b"] >= 3
 
     def test_no_action_needed_for_satisfied_individual(self, recourse_setup):
-        _t, _p, est = recourse_setup
+        table, _p, est = recourse_setup
         solver = RecourseSolver(est, ["a", "b"])
-        recourse = solver.solve({"a": 3, "b": 2}, alpha=0.5)
+        recourse = solve_row(solver, table, {"a": 3, "b": 2}, 0.5)
         assert recourse.is_empty
 
     def test_cost_minimality_against_enumeration(self, recourse_setup):
-        _t, _p, est = recourse_setup
+        table, _p, est = recourse_setup
         solver = RecourseSolver(est, ["a", "b"])
         start = {"a": 1, "b": 0}
-        recourse = solver.solve(start, alpha=0.8)
+        recourse = solve_row(solver, table, start, 0.8)
         # Enumerate all (a, b) reaching the rule and compare unit costs.
         best = min(
             abs(a - start["a"]) + abs(b - start["b"])
@@ -84,46 +89,46 @@ class TestRecourseSolver:
         assert recourse.total_cost <= best + 1.0  # surrogate may add 1 step
 
     def test_custom_cost_function_changes_solution(self, recourse_setup):
-        _t, _p, est = recourse_setup
+        table, _p, est = recourse_setup
 
         def expensive_a(attr, cur, new):
             base = abs(new - cur)
             return base * (100.0 if attr == "a" else 1.0)
 
         cheap = RecourseSolver(est, ["a", "b"], cost_fn=expensive_a)
-        recourse = cheap.solve({"a": 1, "b": 0}, alpha=0.7)
+        recourse = solve_row(cheap, table, {"a": 1, "b": 0}, 0.7)
         touched = {r.attribute for r in recourse.actions}
         assert "b" in touched  # prefers the cheap attribute
 
     def test_actions_have_decoded_values(self, recourse_setup):
-        _t, _p, est = recourse_setup
+        table, _p, est = recourse_setup
         solver = RecourseSolver(est, ["a", "b"])
-        recourse = solver.solve({"a": 0, "b": 1}, alpha=0.8)
+        recourse = solve_row(solver, table, {"a": 0, "b": 1}, 0.8)
         for action in recourse.actions:
             assert isinstance(action, RecourseAction)
             assert action.new_value in est.table.column(action.attribute).categories
 
     def test_statements_render(self, recourse_setup):
-        _t, _p, est = recourse_setup
+        table, _p, est = recourse_setup
         solver = RecourseSolver(est, ["a", "b"])
-        recourse = solver.solve({"a": 0, "b": 0}, alpha=0.8)
+        recourse = solve_row(solver, table, {"a": 0, "b": 0}, 0.8)
         lines = recourse.statements()
         assert any("Change" in line for line in lines)
         assert any("positive decision" in line for line in lines)
 
     def test_constraint_count_linear_in_actionable(self, recourse_setup):
-        _t, _p, est = recourse_setup
-        one = RecourseSolver(est, ["a"]).solve({"a": 0, "b": 2}, alpha=0.6)
-        two = RecourseSolver(est, ["a", "b"]).solve({"a": 0, "b": 0}, alpha=0.6)
+        table, _p, est = recourse_setup
+        one = solve_row(RecourseSolver(est, ["a"]), table, {"a": 0, "b": 2}, 0.6)
+        two = solve_row(RecourseSolver(est, ["a", "b"]), table, {"a": 0, "b": 0}, 0.6)
         # One exclusivity row per actionable attribute + the sufficiency row.
         assert one.n_constraints == 2
         assert two.n_constraints == 3
 
     def test_invalid_alpha_rejected(self, recourse_setup):
-        _t, _p, est = recourse_setup
+        table, _p, est = recourse_setup
         solver = RecourseSolver(est, ["a"])
         with pytest.raises(ValueError):
-            solver.solve({"a": 0, "b": 0}, alpha=1.5)
+            solve_row(solver, table, {"a": 0, "b": 0}, 1.5)
 
 
 class TestLinearIPBaseline:

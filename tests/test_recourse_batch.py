@@ -123,7 +123,7 @@ class TestSolverInvalidation:
 
         after = lewis.recourse(index, actionable=["skill", "hours"], alpha=0.6)
         fresh_solver = RecourseSolver(lewis.estimator, ["skill", "hours"])
-        fresh = fresh_solver.solve(lewis.data.row_codes(index), alpha=0.6)
+        fresh = fresh_solver.solve_batch(lewis.data.take([index]), alpha=0.6)[0]
         refit = lewis._recourse_solvers[(("hours", "skill"), None)][1]
         assert refit is not cached
         assert after.as_dict() == fresh.as_dict()
@@ -170,7 +170,7 @@ class TestSolverCacheBound:
             make_population(seed=8, n=200), score_model(make_population(seed=8, n=200))
         )
         solver = RecourseSolver(estimator, actionable=["skill", "hours"])
-        rows = [estimator._features.row_codes(i) for i in range(20)]
+        rows = estimator._features.take(np.arange(20))
         solver.solve_batch(rows, alpha=0.6, on_infeasible="none")
         small = solver.solution_memo_stats()["solved_signatures"]
         solver.solve_batch(rows, alpha=0.6, on_infeasible="none")
@@ -188,31 +188,33 @@ class TestBatchSizeIndependence:
     def test_row_answer_is_the_same_alone_or_in_a_cohort(
         self, german_bundle, german_lewis
     ):
-        """``solve(row) == solve_batch([row])[0] == solve_batch(rows)[i]``.
+        """``solve_batch(cohort.take([i]))[0] == solve_batch(cohort)[i]``.
 
-        Regression: the base log-odds came from a one-hot matrix product
-        whose BLAS path depends on the row count, so a row solved alone
-        could carry a threshold and probabilities a few ulps away from
-        the same row's cohort answer.
+        Bit for bit, in both ``on_infeasible`` modes.  Regression: the
+        base log-odds came from a one-hot matrix product whose BLAS path
+        depends on the row count, so a row solved alone could carry a
+        threshold and probabilities a few ulps away from the same row's
+        cohort answer.
         """
         lewis = german_lewis
         actionable = list(german_bundle.actionable)
-        rows = [lewis.data.row_codes(int(i)) for i in lewis.negative_indices()]
-        cohort = RecourseSolver(lewis.estimator, actionable).solve_batch(
-            rows, alpha=0.7, on_infeasible="none"
+        cohort = lewis.data.take(lewis.negative_indices())
+        answers = RecourseSolver(lewis.estimator, actionable).solve_batch(
+            cohort, alpha=0.7, on_infeasible="none"
         )
         # Every answer these two solvers memoise was solved at N = 1.
-        scalar = RecourseSolver(lewis.estimator, actionable)
+        raising = RecourseSolver(lewis.estimator, actionable)
         single = RecourseSolver(lewis.estimator, actionable)
         solved = 0
-        for row, batched in zip(rows, cohort):
-            alone = single.solve_batch([row], alpha=0.7, on_infeasible="none")[0]
+        for i, batched in enumerate(answers):
+            row = cohort.take([i])
+            alone = single.solve_batch(row, alpha=0.7, on_infeasible="none")[0]
             assert alone == batched
             if batched is None:
-                with pytest.raises(RecourseInfeasibleError):
-                    scalar.solve(row, alpha=0.7)
+                with pytest.raises(RecourseInfeasibleError, match=r"^row 0: "):
+                    raising.solve_batch(row, alpha=0.7)
                 continue
-            assert scalar.solve(row, alpha=0.7) == batched
+            assert raising.solve_batch(row, alpha=0.7)[0] == batched
             solved += not batched.is_empty
         assert solved > 20
 
@@ -244,13 +246,13 @@ class TestMemoisedErrors:
 
         Regression: ``_materialize`` raised the error and ``solve_batch``
         caught and memoised it, so each memo entry kept a traceback over
-        the batch's frames (its row dicts and arrays) alive.
+        the batch's frames (its cohort and arrays) alive.
         """
         table = make_population(seed=8, n=200)
         solver = RecourseSolver(
             ScoreEstimator(table, score_model(table)), actionable=["region"]
         )
-        rows = [table.row_codes(i) for i in range(40)]
+        rows = table.take(np.arange(40))
         answers = solver.solve_batch(rows, alpha=0.9, on_infeasible="none")
         errors = [
             v for v in solver._solutions.values()
@@ -272,7 +274,7 @@ class TestMemoBound:
         a rerun solves the evicted signatures again, to equal answers."""
         table = make_population(seed=8, n=200)
         estimator = ScoreEstimator(table, score_model(table))
-        rows = [table.row_codes(i) for i in range(120)]
+        rows = table.take(np.arange(120))
         unbounded = RecourseSolver(estimator, actionable=["skill", "hours"])
         expected = unbounded.solve_batch(rows, alpha=0.8, on_infeasible="none")
         distinct = unbounded.solution_memo_stats()["signature_solves"]

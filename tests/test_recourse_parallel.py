@@ -65,13 +65,10 @@ def make_estimator(seed: int = 0, n: int = 400) -> ScoreEstimator:
     return ScoreEstimator(table, score_model(table))
 
 
-def negative_rows(estimator: ScoreEstimator, limit: int | None = None) -> list[dict]:
-    rows = [
-        estimator.table.row_codes(i)
-        for i in range(estimator.table.n_rows)
-        if not estimator._positive[i]
-    ]
-    return rows if limit is None else rows[:limit]
+def negative_rows(estimator: ScoreEstimator, limit: int | None = None) -> Table:
+    """The negative-decision rows, the first ``limit`` of them, as a cohort."""
+    negatives = np.nonzero(~estimator._positive)[0]
+    return estimator._features.take(negatives[:limit])
 
 
 def random_skeleton(rng: np.random.Generator) -> SignatureSkeleton:
@@ -112,11 +109,11 @@ def use_milp_oracle(monkeypatch) -> None:
 
 
 def solve_all(solver, rows, alpha):
-    """Scalar answers per row; ``None`` where the row is infeasible."""
+    """One-row answers per row of ``rows``; ``None`` where it is infeasible."""
     out = []
-    for row in rows:
+    for i in range(len(rows)):
         try:
-            out.append(solver.solve(row, alpha=alpha))
+            out.append(solver.solve_batch(rows.take([i]), alpha=alpha)[0])
         except RecourseInfeasibleError:
             out.append(None)
     return out
@@ -178,13 +175,13 @@ class TestScalarBatchIdentity:
         scalar_solver = RecourseSolver(estimator, ["skill", "hours"])
         rows = negative_rows(estimator, limit=50)
         batch = batch_solver.solve_batch(rows, alpha=0.6, on_infeasible="none")
-        for row, b in zip(rows, batch):
+        for i, b in enumerate(batch):
             if b is None:
                 with pytest.raises(RecourseInfeasibleError):
-                    scalar_solver.solve(row, alpha=0.6)
+                    scalar_solver.solve_batch(rows.take([i]), alpha=0.6)
                 continue
             # Bit identity of the whole answer, not approximate agreement.
-            assert scalar_solver.solve(row, alpha=0.6) == b
+            assert scalar_solver.solve_batch(rows.take([i]), alpha=0.6)[0] == b
 
 
 def record_kernel_calls(monkeypatch, on_call=None) -> list:
@@ -210,7 +207,7 @@ class TestSerialLoop:
         solver = RecourseSolver(estimator, ["skill", "hours"])
         rows = negative_rows(estimator, limit=80)
         names = solver.actionable + solver.context_names
-        distinct = {tuple(row[name] for name in names) for row in rows}
+        distinct = {tuple(codes) for codes in rows.codes_matrix(names)}
         assert len(distinct) < len(rows)  # the cohort really collides
         calls = record_kernel_calls(monkeypatch)
         first = solver.solve_batch(rows, alpha=0.6, on_infeasible="none")
@@ -233,7 +230,7 @@ class TestSerialLoop:
             return real(matrix)
 
         monkeypatch.setattr(solver._logit, "score_codes_batch", scoring)
-        solver.solve_batch(rows[:40], alpha=0.6, on_infeasible="none")
+        solver.solve_batch(rows.take(np.arange(40)), alpha=0.6, on_infeasible="none")
         first = solver.solution_memo_stats()["signature_solves"]
         assert passes == [first]
         # The wider batch scores only what the first one left unsolved.
@@ -296,8 +293,6 @@ class TestSerialLoop:
         rows = negative_rows(estimator, limit=5)
         with pytest.raises(TypeError):
             solver.solve_batch(rows, alpha=0.6, max_refinements=1)
-        with pytest.raises(TypeError):
-            solver.solve(rows[0], alpha=0.6, max_refinements=1)
         skeleton = solver._skeleton((0,))
         for option in ({"max_refinements": 4}, {"node_limit": 10}):
             with pytest.raises(TypeError):
@@ -335,10 +330,9 @@ class TestAnytimeMode:
     def test_exact_mode_reports_zero_gap(self):
         estimator = make_estimator(seed=1)
         solver = RecourseSolver(estimator, ["skill", "hours"])
-        for row in negative_rows(estimator, limit=15):
-            try:
-                recourse = solver.solve(row, alpha=0.6)
-            except RecourseInfeasibleError:
+        rows = negative_rows(estimator, limit=15)
+        for recourse in solver.solve_batch(rows, alpha=0.6, on_infeasible="none"):
+            if recourse is None:
                 continue
             assert recourse.optimality_gap == 0.0
             assert recourse.mode == "exact"

@@ -1,9 +1,10 @@
 """A refused recourse names the table row the caller asked about.
 
-``RecourseSolver.solve_batch`` sees only code mappings, so by itself it
-can name an infeasible row only by its position in the batch.  The
-facade and the service take table indices; their refusals must name
-those, or every single-row refusal would read "row 0".
+``RecourseSolver.solve_batch`` sees only a cohort table, so by itself it
+can name an infeasible row only by its position in that table.  The
+facade and the service take indices into the explained table; their
+refusals must name those, or every single-row refusal would read
+"row 0".
 """
 
 from __future__ import annotations
