@@ -6,8 +6,9 @@ persists them as machine-readable JSON under
 
 * **warm boot vs cold boot** — time from nothing to "first global
   explanation answered" when restoring a tenant from its snapshot
-  (model JSON + table npz + warm count tensors + WAL tail) vs building
-  it from scratch (train the black box, predict the population, infer
+  (model JSON + table npz + positive vector + WAL tail; the count
+  tensors are counted from the table on first use) vs building it from
+  scratch (train the black box, predict the population, infer
   orderings, count tensors).  Target: >= 10x on adult.
 * **replay throughput** — write-ahead-log deltas replayed per second
   during recovery (restore with a populated tail), and the fsync'd
@@ -42,7 +43,7 @@ RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
 # Conservative floors for --smoke: tiny datasets shrink the training
 # cost a warm boot skips, so the floors sit far below the full-scale
-# target — they catch "restore stopped being warm", not noise.
+# target — they catch "restore started re-training", not noise.
 SMOKE_MIN_WARM_SPEEDUP = 2.0
 SMOKE_MIN_REPLAY_PER_S = 5.0
 
@@ -102,7 +103,6 @@ def run(dataset: str, rows: int, replay_deltas: int, repeats: int, seed: int) ->
             default_actionable=bundle.actionable,
             snapshot=False,
         )
-        tenant.explain_global(max_pairs_per_attribute=max_pairs)  # warm tensors
         snapshot_s, _ = _timed(
             lambda: checkpoint_session(store, tenant, dataset), 1
         )

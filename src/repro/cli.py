@@ -8,10 +8,10 @@ The subcommands mirror the library's main entry points:
 * ``audit``    — counterfactual-fairness audit of protected attributes,
 * ``serve``    — start the JSON-over-HTTP explanation service; with
   ``--store DIR`` it serves every tenant in a durable registry,
-* ``snapshot`` — train + explain once, persist the warm session as a
-  named tenant in an artifact store,
+* ``snapshot`` — train once, persist the session as a named tenant in
+  an artifact store,
 * ``restore``  — rebuild a tenant from snapshot + write-ahead log and
-  verify its tensors against a fresh recount,
+  print the state it reached,
 * ``registry`` — ``ls`` / ``add`` / ``rm`` tenants of a store,
 * ``replicate`` — ``status`` / ``promote`` / ``retarget`` a replicated
   serving tier (``serve --follow URL`` starts a read-only follower),
@@ -285,9 +285,6 @@ def cmd_snapshot(args) -> int:
     except StoreError as exc:
         print(f"snapshot failed: {exc}", file=sys.stderr)
         return 1
-    if args.warm:
-        # warm the count tensors so the snapshot restores query-ready
-        session.explain_global()
     manifest = checkpoint_session(store, session, name)
     session.close()
     print(
@@ -299,25 +296,21 @@ def cmd_snapshot(args) -> int:
 
 
 def cmd_restore(args) -> int:
-    from repro.store import ArtifactStore, restore_session, verify_restore
+    from repro.store import ArtifactStore, restore_session
     from repro.utils.exceptions import StoreError
 
     store = ArtifactStore(args.store)
-    session = None
     try:
         session = restore_session(store, args.name, snapshot_id=args.snapshot)
-        verdict = verify_restore(session)
     except StoreError as exc:
         print(f"restore failed: {exc}", file=sys.stderr)
-        if session is not None:
-            session.close()
         return 1
     stats = session.stats()
     print(
         f"tenant {args.name!r} restored: {stats['n_rows']} rows, "
         f"table version {stats['table_version']}, "
         f"wal seq {stats['wal']['last_seq']}, "
-        f"{verdict['tensors']} tensors verified bit-identical"
+        f"state digest {session.lewis.estimator.engine.state_digest()}"
     )
     if args.explain:
         explanation = session.explain_global()
@@ -733,17 +726,11 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     p_snapshot = sub.add_parser(
-        "snapshot", help="train once, persist the warm session as a tenant"
+        "snapshot", help="train once, persist the session as a tenant"
     )
     common(p_snapshot)
     store_common(p_snapshot, need_name=False)
-    p_snapshot.add_argument(
-        "--no-warm",
-        dest="warm",
-        action="store_false",
-        help="skip pre-warming count tensors before the snapshot",
-    )
-    p_snapshot.set_defaults(func=cmd_snapshot, warm=True)
+    p_snapshot.set_defaults(func=cmd_snapshot)
 
     p_restore = sub.add_parser(
         "restore", help="rebuild a tenant from snapshot + write-ahead log"
@@ -764,11 +751,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_add = reg_sub.add_parser("add", help="alias of `snapshot`")
     common(p_add)
     store_common(p_add, need_name=False)
-    p_add.add_argument(
-        "--no-warm", dest="warm", action="store_false",
-        help="skip pre-warming count tensors before the snapshot",
-    )
-    p_add.set_defaults(warm=True)
     p_rm = reg_sub.add_parser("rm", help="remove a tenant (snapshots + log)")
     p_rm.add_argument("--store", required=True, metavar="DIR")
     p_rm.add_argument("--name", required=True)

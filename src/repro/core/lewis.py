@@ -573,7 +573,7 @@ class Lewis:
         solver = self._recourse_solver(actionable, cost_fn)
         indices = [int(i) for i in indices]
         return solver.solve_batch(
-            self.data.take(np.asarray(indices, dtype=np.int64)),
+            self.data.take(indices),
             alpha=alpha,
             on_infeasible=on_infeasible,
             mode=mode,

@@ -372,8 +372,15 @@ class Table:
     # -- filtering / reshaping ------------------------------------------------
 
     def take(self, indices: np.ndarray) -> "Table":
-        """Return a new table with rows at ``indices``."""
+        """Return a new table with rows at ``indices``.
+
+        ``indices`` are integer row positions (repeats allowed) or a
+        boolean row mask; an empty list gives an empty table with the
+        same columns and domains.
+        """
         indices = np.asarray(indices)
+        if not indices.size and indices.dtype.kind == "f":
+            indices = indices.astype(np.intp)  # np.asarray([]) is float64
         return Table(col.take(indices) for col in self)
 
     def mask(self, **conditions: Any) -> np.ndarray:

@@ -63,24 +63,17 @@ The version token is what the serving layer's result cache keys on, so
 an update invalidates exactly the entries that depend on the superseded
 data.
 
-Persistence
------------
-
-``save_state(file)`` / ``load_state(file)`` round-trip the cached count
-tensors and the version counter through one ``.npz`` archive, so a
-restored engine serves its first query from warm tensors instead of
-re-counting the table (the expensive standing state of the serving
-layer's snapshots — see :mod:`repro.store`).  ``load_state`` validates
-every tensor against the live table (row total and per-axis domain
-shape), rejecting archives that do not describe the bound data.
+The tensors are only a cache of the table.  Nothing persists them: an
+engine over a restored table counts each tensor on first use, as a fresh
+one does (a restored session resumes :attr:`version` from its snapshot
+manifest, see :mod:`repro.store.snapshot`).
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import time
-from typing import BinaryIO, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -345,95 +338,6 @@ class ContingencyEngine:
         self._version += 1
         _DELTAS_APPLIED.inc()
         return self._version
-
-    # -- persistence -------------------------------------------------------
-
-    STATE_FORMAT = 1
-
-    def save_state(self, file: str | BinaryIO) -> dict:
-        """Write the cached count tensors + version to ``file`` as ``.npz``.
-
-        ``file`` may be a path or a binary file object.  Tensors are
-        saved in least-recently-used-first order so a restore preserves
-        the cache's recency ranking.  Returns the metadata dict that was
-        embedded in the archive (format tag, version, row count, alpha,
-        and the column-name key of every tensor).
-
-        Safe against concurrent *read* traffic: the key snapshot is
-        retried if the LRU's order mutates mid-iteration, and a tensor
-        evicted between snapshot and capture is skipped (the archive is
-        just slightly less warm).  Concurrent *writes* (``apply_delta``
-        mutates tensors in place) must be excluded by the caller — the
-        serving layer holds the session's update lock across snapshots.
-        """
-        keys: list = []
-        for _attempt in range(8):
-            try:
-                keys = list(self._tensors)
-                break
-            except RuntimeError:  # cache order mutated mid-iteration
-                continue
-        entries = []
-        for key in keys:
-            tensor = self._tensors.peek(key)
-            if tensor is not None:  # evicted since the key snapshot
-                entries.append((key, tensor))
-        meta = {
-            "format": self.STATE_FORMAT,
-            "version": self._version,
-            "n_rows": self._n,
-            "alpha": self._alpha,
-            "keys": [list(key) for key, _tensor in entries],
-        }
-        arrays = {
-            f"tensor_{i}": tensor for i, (_key, tensor) in enumerate(entries)
-        }
-        np.savez_compressed(file, __meta__=np.array(json.dumps(meta)), **arrays)
-        return meta
-
-    def load_state(self, file: str | BinaryIO) -> dict:
-        """Restore tensors saved by :meth:`save_state` into this engine.
-
-        The engine must already be bound to the table the state was
-        captured from: the archive's row count and smoothing mass must
-        match, and every tensor is checked against the live schema (axis
-        shapes equal the joint domain, entries sum to the row count)
-        before it is admitted — a snapshot/table mismatch fails loudly
-        instead of silently serving wrong counts.  Restores
-        :attr:`version` and returns the archive metadata.
-        """
-        with np.load(file, allow_pickle=False) as archive:
-            meta = json.loads(str(archive["__meta__"][()]))
-            if meta.get("format") != self.STATE_FORMAT:
-                raise ValueError(
-                    f"unsupported engine state format {meta.get('format')!r}"
-                )
-            if int(meta["n_rows"]) != self._n:
-                raise ValueError(
-                    f"engine state has {meta['n_rows']} rows; table has {self._n}"
-                )
-            if float(meta["alpha"]) != self._alpha:
-                raise ValueError(
-                    f"engine state alpha {meta['alpha']} != engine alpha {self._alpha}"
-                )
-            for i, names in enumerate(meta["keys"]):
-                key = tuple(names)
-                tensor = archive[f"tensor_{i}"]
-                shape = tuple(self._card(name) for name in key)
-                if tensor.shape != (shape if key else ()):
-                    raise ValueError(
-                        f"tensor for {key!r} has shape {tensor.shape}; "
-                        f"table domains give {shape}"
-                    )
-                # every full contingency tensor sums to the row count
-                if int(tensor.sum()) != self._n:
-                    raise ValueError(
-                        f"tensor for {key!r} sums to {int(tensor.sum())}, "
-                        f"expected {self._n}"
-                    )
-                self._tensors.put(key, tensor, size=tensor.nbytes)
-            self._version = int(meta["version"])
-        return meta
 
     def _counts_nd(
         self,

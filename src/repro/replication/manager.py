@@ -54,9 +54,6 @@ _REPL_PROMOTIONS = _obs.get_registry().counter(
     "Follower promotions completed by this process.",
 )
 
-#: blob roles every snapshot manifest ships (see snapshot_session)
-_SNAPSHOT_BLOBS = ("model", "table", "positive", "engine")
-
 
 class FencedError(StoreError):
     """A shipped batch carried an epoch below this node's fencing floor."""
@@ -202,15 +199,16 @@ class ReplicationManager:
     def _fetch_snapshot(self, tenant: str) -> dict:
         """Pull the leader's latest manifest + blobs into the local store.
 
-        Content addressing makes the transfer self-verifying: a blob
-        whose bytes do not hash to the digest the manifest names would
-        land at a *different* address, so the check below catches any
-        in-flight corruption before a manifest ever points at it.
+        Every blob the manifest names is transferred, whatever its role,
+        so no local manifest ever names a missing object.  Content
+        addressing makes the transfer self-verifying: a blob whose bytes
+        do not hash to the digest the manifest names would land at a
+        *different* address, so the check below catches any in-flight
+        corruption before a manifest ever points at it.
         """
         manifest = self.client.manifest(tenant)
         store = self.registry.store
-        for role in _SNAPSHOT_BLOBS:
-            digest = manifest["blobs"][role]
+        for role, digest in manifest["blobs"].items():
             if store.has(digest):
                 continue
             stored = store.put_bytes(self.client.object(tenant, digest))
@@ -275,20 +273,13 @@ class ReplicationManager:
         batch = self.client.fetch(
             tenant, session.log.last_seq, limit=self.batch_limit
         )
-        epoch = int(batch.get("epoch", 0))
-        if not self.epochs.note_seen(epoch):
-            _REPL_FENCED.inc()
-            raise FencedError(
-                f"batch for tenant {tenant!r} ships epoch {epoch} below "
-                f"fencing floor {self.epochs.max_seen()}: refusing records "
-                "from a deposed leader"
-            )
-        if not batch.get("cursor_valid", True):
+        if batch.get("cursor_valid", True):
+            result = self.ingest_batch(tenant, batch, session=session)
+        else:
+            self._fence(tenant, batch)
             session = self.resync(tenant)
             batch = {"last_seq": batch.get("last_seq", session.log.last_seq)}
             result = {"applied": 0, "gap": False}
-        else:
-            result = self.ingest_batch(tenant, batch, session=session)
         lag = max(0, int(batch.get("last_seq", 0)) - session.log.last_seq)
         with self._lock:
             self._lag[tenant] = lag
@@ -303,6 +294,19 @@ class ReplicationManager:
         """Fence-check and apply one shipped batch (the testable core)."""
         if session is None:
             session = self.registry.get(tenant)
+        self._fence(tenant, batch)
+        result = ReplicaApplier(session).apply_batch(batch)
+        if result["applied"]:
+            _REPL_APPLIED.inc(result["applied"])
+        return result
+
+    def _fence(self, tenant: str, batch: dict) -> None:
+        """Ratchet the fencing floor to ``batch``'s epoch, or refuse it.
+
+        The one fence check: :meth:`sync_once` runs it (through
+        :meth:`ingest_batch`, or itself before a resync), so every
+        shipped batch is fenced exactly once.
+        """
         epoch = int(batch.get("epoch", 0))
         if not self.epochs.note_seen(epoch):
             _REPL_FENCED.inc()
@@ -311,10 +315,6 @@ class ReplicationManager:
                 f"fencing floor {self.epochs.max_seen()}: refusing records "
                 "from a deposed leader"
             )
-        result = ReplicaApplier(session).apply_batch(batch)
-        if result["applied"]:
-            _REPL_APPLIED.inc(result["applied"])
-        return result
 
     # -- failover ------------------------------------------------------------
 

@@ -501,17 +501,20 @@ class ExplainerSession:
             self._stamp = (h.hexdigest()[:16], version)
             self._state_history.append(self._stamp[0])
 
-    def _resume_state(self, token: str) -> None:
-        """Continue the state chain from ``token`` at the current version.
+    def _resume_state(self, token: str, version: int) -> None:
+        """Continue the state chain from ``token`` at table ``version``.
 
-        A session restored from a snapshot resumes from the token the
-        live session had when the snapshot was taken (see
-        :func:`repro.store.snapshot.restore_session`), so the restored
-        state keeps its name instead of taking the table's content
-        digest.
+        A session restored from a snapshot resumes from the token and
+        table version the live session had when the snapshot was taken
+        (see :func:`repro.store.snapshot.restore_session`), so the
+        restored state keeps its name instead of taking the table's
+        content digest, and the engine counts later deltas on from the
+        live session's version.
         """
+        version = int(version)
+        self.lewis.estimator.engine._version = version
         with self._cache_lock:
-            self._stamp = (token, self._stamp[1])
+            self._stamp = (token, version)
             self._state_history.clear()
             self._state_history.append(token)
 

@@ -4,9 +4,9 @@ The serving layer (PR 2) made LEWIS a live system; this subpackage makes
 it a *durable, multi-tenant* one:
 
 * :class:`ArtifactStore` — content-addressed on-disk blobs + snapshot
-  manifests: one snapshot captures a session's model, encoded table,
-  positive-decision vector and warm contingency tensors, so a restore
-  skips training, prediction, ordering inference and counting.
+  manifests: one snapshot captures a session's model, encoded table and
+  positive-decision vector, so a restore skips training, prediction and
+  ordering inference; count tensors are rebuilt lazily from the table.
 * :class:`DeltaLog` / :class:`DurableSession` — an fsync'd JSONL
   write-ahead log of :class:`~repro.service.updates.TableDelta` records;
   recovery = latest snapshot + replay of the log tail, bit-identical to
@@ -32,7 +32,6 @@ from repro.store.snapshot import (
     create_tenant,
     restore_session,
     snapshot_session,
-    verify_restore,
 )
 from repro.store.wal import DeltaLog, DurableSession
 
@@ -50,5 +49,4 @@ __all__ = [
     "snapshot_session",
     "table_from_bytes",
     "table_to_bytes",
-    "verify_restore",
 ]

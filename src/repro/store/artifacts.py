@@ -3,10 +3,10 @@
 The durable layer of the serving stack stores three kinds of things:
 
 * **blobs** — immutable byte strings (serialized models, ``.npz`` table
-  and tensor archives) addressed by the SHA-256 of their content under
-  ``objects/<aa>/<digest>``.  Content addressing deduplicates for free:
-  re-snapshotting an unchanged model writes nothing new, and equal
-  tables across tenants share one object.
+  and positive-vector archives) addressed by the SHA-256 of their
+  content under ``objects/<aa>/<digest>``.  Content addressing
+  deduplicates for free: re-snapshotting an unchanged model writes
+  nothing new, and equal tables across tenants share one object.
 * **manifests** — small JSON documents under
   ``manifests/<tenant>/<seq>.json`` tying one snapshot together: which
   blobs make up the session, the causal graph, the explainer's

@@ -1,8 +1,8 @@
 """Multi-tenant session registry: lazy loading, locks, byte-budgeted eviction.
 
-One process serves many named tenants, each a stored (model, table,
-tensors) session far bigger than a request.  The registry keeps the hot
-ones live and lets the cold ones stay on disk:
+One process serves many named tenants, each a stored (model, table)
+session far bigger than a request.  The registry keeps the hot ones live
+and lets the cold ones stay on disk:
 
 * ``get(name)`` lazy-loads a tenant behind a per-tenant lock — two
   concurrent first requests trigger one restore, and loading tenant A

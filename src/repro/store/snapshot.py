@@ -1,29 +1,26 @@
-"""Capture a live explainer session to the store; rebuild it warm.
+"""Capture a live explainer session to the store; rebuild it without training.
 
-A session's expensive standing state is exactly four artifacts:
+A session's expensive standing state is exactly three artifacts:
 
 * the trained black box (JSON via :mod:`repro.models.serialize`),
 * the encoded population table (codes + domains, one ``.npz``),
-* the black box's positive-decision vector over that population,
-* the contingency engine's cached count tensors
-  (:meth:`ContingencyEngine.save_state`, one ``.npz``).
+* the black box's positive-decision vector over that population.
 
-``snapshot_session`` content-addresses all four into the store and
+``snapshot_session`` content-addresses the three into the store and
 writes a manifest tying them to the explainer's configuration (feature
-names, attributes, favourability-ordered domains, causal graph) and to
-the write-ahead-log sequence number the snapshot captures.
-``restore_session`` inverts it: rebuild the :class:`~repro.core.lewis
-.Lewis` without re-training, re-predicting, re-inferring orderings or
-re-counting, then replay the WAL tail so the session lands exactly where
-the original left off.  ``verify_restore`` is the consistency check in
-the spirit of black-box snapshot-isolation checkers (Huang et al.): the
-restored engine's tensors must be bit-identical to a from-scratch
-rebuild over the same data.
+names, attributes, favourability-ordered domains, causal graph), to the
+session's state token and table version, and to the write-ahead-log
+sequence number the snapshot captures.  The engine's count tensors are
+only a cache of the table, so a snapshot depends on the tenant's data,
+not on the queries it served.  ``restore_session`` inverts it: rebuild
+the :class:`~repro.core.lewis.Lewis` without re-training, re-predicting
+or re-inferring orderings (each tensor is counted on first use, as in a
+fresh build), then replay the WAL tail so the session lands exactly
+where the original left off.
 """
 
 from __future__ import annotations
 
-import io
 from typing import Any
 
 import numpy as np
@@ -54,9 +51,9 @@ def snapshot_session(
     """Persist ``session``'s full state; returns the written manifest.
 
     Only sessions over serialisable models can be snapshotted (opaque
-    callables cannot be rebuilt in another process). The session's table,
-    positive vector and warm count tensors are captured as content-
-    addressed blobs, so unchanged artifacts cost nothing on re-snapshot.
+    callables cannot be rebuilt in another process). The session's model,
+    table and positive vector are captured as content-addressed blobs,
+    so unchanged artifacts cost nothing on re-snapshot.
 
     Capturing a :class:`DurableSession` holds its update lock for the
     duration, so the serialized state and the recorded ``wal_seq`` are
@@ -81,15 +78,12 @@ def _snapshot_locked(
             f"cannot snapshot tenant {name!r}: {exc} "
             "(only serialisable models survive a process boundary)"
         ) from exc
-    engine_buf = io.BytesIO()
-    lewis.estimator.engine.save_state(engine_buf)
     blobs = {
         "model": store.put_json(model_doc),
         "table": store.put_bytes(table_to_bytes(lewis.data)),
         "positive": store.put_bytes(
             array_to_bytes(positive=lewis.positive.astype(np.int8))
         ),
-        "engine": store.put_bytes(engine_buf.getvalue()),
     }
     wal_seq = session.log.last_seq if isinstance(session, DurableSession) else 0
     manifest = {
@@ -130,17 +124,20 @@ def restore_session(
     replay: bool = True,
     **session_kwargs: Any,
 ) -> DurableSession:
-    """Rebuild a tenant's session warm: snapshot + write-ahead-log tail.
+    """Rebuild a tenant's session: snapshot + write-ahead-log tail.
 
-    The returned session skips model training, population prediction,
-    ordering inference and tensor counting — all four come from the
-    snapshot — and has replayed every logged delta newer than the
-    snapshot (``replay=False`` restores the bare snapshot state). The
+    The returned session skips model training, population prediction
+    and ordering inference — all three come from the snapshot — and has
+    replayed every logged delta newer than the snapshot
+    (``replay=False`` restores the bare snapshot state). Its engine
+    starts cold and counts each tensor from the table on first use. The
     restored model fingerprint is checked against the manifest so a
     snapshot that no longer describes its blobs fails loudly.  The
-    session's state chain resumes from the token the manifest records,
-    so a restore, or a follower bootstrapped or resynced from the
-    snapshot, names every state as the live session did.
+    session's state chain resumes from the token and table version the
+    manifest records, so a restore, or a follower bootstrapped or
+    resynced from the snapshot, names every state as the live session
+    did.  Blobs the manifest names beyond these three (the ``engine``
+    tensor archive of older snapshots) are never read.
     """
     manifest = store.manifest(name, snapshot_id)
     if manifest.get("format") != SNAPSHOT_FORMAT:
@@ -168,9 +165,6 @@ def restore_session(
         positive_vector=positive,
         model_domains=spec["model_domains"],
     )
-    lewis.estimator.engine.load_state(
-        io.BytesIO(store.get_bytes(manifest["blobs"]["engine"]))
-    )
     log = DeltaLog(store.wal_path(name))
     # the manifest anchors sequence continuity across log compactions
     log.ensure_floor(int(manifest["wal_seq"]))
@@ -191,7 +185,9 @@ def restore_session(
             "its blobs (non-JSON-portable domains?)"
         )
     # the snapshot's state keeps the name the live session gave it
-    session._resume_state(manifest["session"]["state_token"])
+    session._resume_state(
+        manifest["session"]["state_token"], manifest["session"]["table_version"]
+    )
     if replay:
         expected = int(manifest["wal_seq"]) + 1
         for seq, delta in log.replay(after=int(manifest["wal_seq"])):
@@ -268,27 +264,3 @@ def create_tenant(
     if snapshot:
         snapshot_session(store, session, name)
     return session
-
-
-def verify_restore(session: DurableSession) -> dict:
-    """Consistency check: restored tensors vs a from-scratch recount.
-
-    Rebuilds every cached count tensor from the session's live table and
-    compares bit for bit — the cheap, total check that the snapshot +
-    replay pipeline reproduced the ground-truth counts. Returns
-    ``{"tensors": n, "ok": True}`` or raises :class:`StoreError`.
-    """
-    engine = session.lewis.estimator.engine
-    from repro.estimation.engine import ContingencyEngine
-
-    fresh = ContingencyEngine(engine.table, alpha=engine.alpha)
-    checked = 0
-    for key in list(engine._tensors):
-        restored = engine._tensors.peek(key)
-        rebuilt = fresh.tensor(tuple(key))
-        if not np.array_equal(restored, rebuilt):
-            raise StoreError(
-                f"restored tensor {key!r} diverges from a fresh rebuild"
-            )
-        checked += 1
-    return {"tensors": checked, "ok": True}

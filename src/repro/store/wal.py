@@ -1,12 +1,13 @@
 """Write-ahead delta log and the durable session that writes through it.
 
-Snapshots capture expensive standing state (model, encoded table, count
-tensors); the write-ahead log captures everything *since* the snapshot
-as a sequence of cheap :class:`~repro.service.updates.TableDelta`
-records.  Recovery is the classic pairing: load the latest snapshot,
-replay the log tail — the same shape as incremental view maintenance
-under updates (Berkholz et al., see PAPERS.md), where the delta stream
-is the compact representation of change.
+Snapshots capture expensive standing state (model, encoded table,
+positive decisions); the write-ahead log captures everything *since*
+the snapshot as a sequence of cheap
+:class:`~repro.service.updates.TableDelta` records.  Recovery is the
+classic pairing: load the latest snapshot, replay the log tail — the
+same shape as incremental view maintenance under updates (Berkholz et
+al., see PAPERS.md), where the delta stream is the compact
+representation of change.
 
 :class:`DeltaLog` is a :class:`~repro.store.recordlog.RecordLog`, which
 owns the line format, fsync'd appends, torn-tail recovery, corruption

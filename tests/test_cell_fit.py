@@ -15,7 +15,6 @@ twice.
 
 from __future__ import annotations
 
-import io
 import itertools
 from collections import Counter
 
@@ -175,26 +174,19 @@ class TestScatterAdd:
         """One delta inserts a cell twice and deletes a row of that cell.
 
         A buffered fancy-index add would count the repeated cell once;
-        ``np.add.at`` counts it twice.  Covers tensors built in process
-        and tensors admitted by ``load_state``.
+        ``np.add.at`` counts it twice.
         """
         table = self.table()
-        built = ContingencyEngine(table)
+        engine = ContingencyEngine(table)
         for signature in self.SIGNATURES:
-            built.tensor(signature)
-        archive = io.BytesIO()
-        built.save_state(archive)
-        archive.seek(0)
-        loaded = ContingencyEngine(table)
-        loaded.load_state(archive)
+            engine.tensor(signature)
         row = table.row_codes(7)
-        for engine in (built, loaded):
-            engine.apply_delta(
-                inserted_rows=table.take(np.array([7, 7])), deleted_rows=[7]
-            )
-            fresh = ContingencyEngine(engine.table)
-            for signature in self.SIGNATURES:
-                assert np.array_equal(engine.tensor(signature), fresh.tensor(signature))
-            cell = tuple(row[name] for name in ("a", "b", "c"))
-            before = ContingencyEngine(table).tensor(("a", "b", "c"))[cell]
-            assert engine.tensor(("a", "b", "c"))[cell] == before + 1
+        engine.apply_delta(
+            inserted_rows=table.take(np.array([7, 7])), deleted_rows=[7]
+        )
+        fresh = ContingencyEngine(engine.table)
+        for signature in self.SIGNATURES:
+            assert np.array_equal(engine.tensor(signature), fresh.tensor(signature))
+        cell = tuple(row[name] for name in ("a", "b", "c"))
+        before = ContingencyEngine(table).tensor(("a", "b", "c"))[cell]
+        assert engine.tensor(("a", "b", "c"))[cell] == before + 1

@@ -240,6 +240,58 @@ class TestManagerFencing:
         finally:
             registry.close()
 
+    @pytest.mark.parametrize("cursor_valid", [True, False])
+    def test_sync_once_refuses_a_stale_epoch(self, tmp_path, cursor_valid):
+        """Refused before it is applied, and before a resync it asks for."""
+        registry = Registry(tmp_path / "store")
+        try:
+            registry.add("t", make_storable_lewis())
+            stale = {"tenant": "t", "epoch": 4, "records": [], "last_seq": 0,
+                     "cursor_valid": cursor_valid}
+            manager = ReplicationManager(
+                registry, role="follower", client=ShippedBatch(stale)
+            )
+            manager.epochs.note_seen(5)
+            with pytest.raises(FencedError, match="fencing floor 5"):
+                manager.sync_once("t")
+            assert registry.get("t").log.last_seq == 0
+        finally:
+            registry.close()
+
+    def test_sync_once_fences_each_batch_once(self, tmp_path, monkeypatch):
+        leader = Registry(tmp_path / "leader")
+        replica = Registry(tmp_path / "replica")
+        try:
+            leader.add("t", make_storable_lewis())
+            replica.add("t", make_storable_lewis())
+            put_rows(leader.get("t"), 2)
+            batch = build_batch(leader.get("t"), cursor=0, epoch=5)
+            manager = ReplicationManager(
+                replica, role="follower", client=ShippedBatch(batch)
+            )
+            seen = []
+            note_seen = manager.epochs.note_seen
+            monkeypatch.setattr(
+                manager.epochs, "note_seen",
+                lambda epoch: seen.append(epoch) or note_seen(epoch),
+            )
+            assert manager.sync_once("t") is True
+            assert seen == [5]
+            assert replica.get("t").state_token == leader.get("t").state_token
+        finally:
+            replica.close()
+            leader.close()
+
+
+class ShippedBatch:
+    """A leader client that ships one fixed batch."""
+
+    def __init__(self, batch):
+        self.batch = batch
+
+    def fetch(self, tenant, cursor, limit=None):
+        return dict(self.batch)
+
 
 class TestPromotionCatchUp:
     def test_catch_up_reads_the_dead_store_without_writing(self, tmp_path):
@@ -266,20 +318,55 @@ class TestPromotionCatchUp:
         assert dead_wal.read_bytes() == before
 
 
-class RacingClient:
-    """Ships the leader's snapshot from its store; a read of the tenant on
-    the replica lands while the manifest is in flight."""
+class StoreClient:
+    """Ships the leader's snapshots straight from its store."""
 
-    def __init__(self, leader_store, replica):
+    def __init__(self, leader_store):
         self.leader_store = leader_store
-        self.replica = replica
 
     def manifest(self, tenant):
-        self.replica.get(tenant)  # a concurrent request mid-resync
         return self.leader_store.manifest(tenant)
 
     def object(self, tenant, digest):
         return self.leader_store.get_bytes(digest)
+
+
+class RacingClient(StoreClient):
+    """Ships the leader's snapshot from its store; a read of the tenant on
+    the replica lands while the manifest is in flight."""
+
+    def __init__(self, leader_store, replica):
+        super().__init__(leader_store)
+        self.replica = replica
+
+    def manifest(self, tenant):
+        self.replica.get(tenant)  # a concurrent request mid-resync
+        return super().manifest(tenant)
+
+
+class TestSnapshotTransfer:
+    def test_bootstrap_copies_every_blob_its_manifest_names(self, tmp_path):
+        """An older manifest also names an ``engine`` tensor archive; the
+        follower copies it like any other blob, so its own manifest names
+        no missing object, and restores without reading it."""
+        leader = Registry(tmp_path / "leader")
+        replica = Registry(tmp_path / "replica")
+        try:
+            leader.add("t", make_storable_lewis())
+            old = leader.store.manifest("t")
+            del old["snapshot_id"]
+            old["blobs"]["engine"] = leader.store.put_bytes(b"older tensor archive")
+            leader.store.write_manifest("t", old)
+            manager = ReplicationManager(
+                replica, role="follower", client=StoreClient(leader.store)
+            )
+            session = manager.bootstrap("t")
+            assert replica.store.manifest("t")["blobs"] == old["blobs"]
+            assert all(replica.store.has(d) for d in old["blobs"].values())
+            assert session.state_token == leader.get("t").state_token
+        finally:
+            replica.close()
+            leader.close()
 
 
 class TestResync:

@@ -1,15 +1,12 @@
-"""ArtifactStore: content addressing, manifests, codecs, engine state."""
+"""ArtifactStore: content addressing, manifests, codecs."""
 
 from __future__ import annotations
-
-import io
 
 import numpy as np
 import pytest
 
 from repro.causal.graph import CausalDiagram
 from repro.data.table import Column, Table
-from repro.estimation.engine import ContingencyEngine
 from repro.store import (
     ArtifactStore,
     graph_from_dict,
@@ -129,63 +126,3 @@ class TestGraphCodec:
         restored = graph_from_dict(graph_to_dict(graph))
         assert sorted(restored.nodes) == sorted(graph.nodes)
         assert sorted(restored.edges) == sorted(graph.edges)
-
-
-class TestEngineState:
-    def test_save_load_round_trip(self):
-        table = make_table()
-        engine = ContingencyEngine(table)
-        for signature in (("a",), ("a", "b"), ("a", "b", "color")):
-            engine.tensor(signature)
-        engine.apply_delta(
-            inserted_rows=table.encode_rows([{"a": 0, "b": 1, "color": "blue"}])
-        )
-        buf = io.BytesIO()
-        meta = engine.save_state(buf)
-        assert len(meta["keys"]) == 3 and meta["version"] == 1
-
-        buf.seek(0)
-        fresh = ContingencyEngine(engine.table)
-        fresh.load_state(buf)
-        assert fresh.version == engine.version
-        for signature in (("a",), ("a", "b"), ("a", "b", "color")):
-            assert np.array_equal(fresh.tensor(signature), engine.tensor(signature))
-        # the cache was warm: no misses beyond the initial lookups
-        assert fresh.cache_stats().misses == 0
-
-    def test_load_rejects_wrong_table(self):
-        engine = ContingencyEngine(make_table(n=40))
-        engine.tensor(("a",))
-        buf = io.BytesIO()
-        engine.save_state(buf)
-        buf.seek(0)
-        other = ContingencyEngine(make_table(n=41))
-        with pytest.raises(ValueError, match="rows"):
-            other.load_state(buf)
-
-    def test_load_rejects_divergent_counts(self):
-        engine = ContingencyEngine(make_table(n=40, seed=0))
-        engine.tensor(("a",))
-        buf = io.BytesIO()
-        engine.save_state(buf)
-        buf.seek(0)
-        # same row count, different contents -> count sums match but the
-        # per-cell distribution is checked via the schema shape + total;
-        # a different-domain table fails the shape check
-        shrunk = Table.from_dict(
-            {"a": [0] * 40, "b": [0] * 40, "color": ["red"] * 40},
-            domains={"a": [0, 1], "b": [0, 1, 2, 3], "color": ["red", "green", "blue"]},
-        )
-        other = ContingencyEngine(shrunk)
-        with pytest.raises(ValueError, match="shape"):
-            other.load_state(buf)
-
-    def test_load_rejects_alpha_mismatch(self):
-        engine = ContingencyEngine(make_table())
-        engine.tensor(("a",))
-        buf = io.BytesIO()
-        engine.save_state(buf)
-        buf.seek(0)
-        other = ContingencyEngine(make_table(), alpha=0.5)
-        with pytest.raises(ValueError, match="alpha"):
-            other.load_state(buf)

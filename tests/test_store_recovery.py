@@ -11,6 +11,9 @@ histories with snapshots (checkpoints) interleaved at arbitrary points.
 
 from __future__ import annotations
 
+import io
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +28,6 @@ from repro.store import (
     create_tenant,
     restore_session,
     snapshot_session,
-    verify_restore,
 )
 from repro.utils.exceptions import EstimationError, StoreError
 
@@ -148,8 +150,16 @@ class TestKillAndRestore:
             assert safe_score(restored.lewis, attribute, value, baseline) == (
                 safe_score(fresh, attribute, value, baseline)
             )
-        # the restored session's own consistency check agrees
-        assert verify_restore(restored)["ok"]
+        # every tensor the restored engine counted equals a fresh recount,
+        # and the restored state is the live one, version included
+        for key in list(restored_engine._tensors):
+            assert np.array_equal(
+                restored_engine._tensors.peek(key), fresh_engine.tensor(key)
+            ), key
+        assert restored.table_version == session.table_version
+        assert restored_engine.state_digest() == (
+            session.lewis.estimator.engine.state_digest()
+        )
         restored.close()
 
 
@@ -166,18 +176,12 @@ class TestRestoreDetails:
         yield session
         session.close()
 
-    def test_restore_skips_recount_and_matches_tokens(self, store, session):
+    def test_restore_matches_tokens(self, store, session):
         snapshot_session(store, session, "t")
         restored = restore_session(store, "t")
         assert restored.fingerprint == session.fingerprint
         assert restored.state_token == session.state_token
         assert restored.table_version == session.table_version
-        # warm: the first tensor access is a cache hit, not a rebuild
-        engine = restored.lewis.estimator.engine
-        before = engine.cache_stats().misses
-        for signature in SIGNATURES:
-            engine.tensor(signature)
-        assert engine.cache_stats().misses == before
         restored.close()
 
     def test_replay_continues_state_chain(self, store, session):
@@ -276,7 +280,11 @@ class TestRestoreDetails:
         session.close()
         restored = restore_session(store, "t")
         assert len(restored.lewis.data) == 50  # 40 + 10 inserts, none lost
-        assert verify_restore(restored)["ok"]
+        assert restored.table_version == session.table_version
+        assert (
+            restored.lewis.estimator.engine.state_digest()
+            == session.lewis.estimator.engine.state_digest()
+        )
         restored.close()
 
     def test_manifest_with_recourse_warm_still_restores(self, store, session):
@@ -296,11 +304,76 @@ class TestRestoreDetails:
         restored = restore_session(store, "t", store.write_manifest("t", old))
         assert restored.fingerprint == session.fingerprint
         assert restored.state_token == session.state_token
-        assert verify_restore(restored)["ok"]
+        assert (
+            restored.lewis.estimator.engine.state_digest()
+            == session.lewis.estimator.engine.state_digest()
+        )
         audit = restored.lewis.recourse_audit(["a", "b"], alpha=0.6)
         expected = session.lewis.recourse_audit(["a", "b"], alpha=0.6)
         assert audit["recourses"] == expected["recourses"]
         restored.close()
+
+    def test_manifest_with_engine_blob_still_restores(self, store, session):
+        """Older manifests name an ``engine`` blob: a count-tensor archive.
+
+        Restore ignores it and counts from the table, so an archive whose
+        counts no longer match the table (same shapes and totals, cells
+        moved) changes nothing; ``gc`` keeps the blob while a manifest
+        names it.
+        """
+        session.update({"insert": [{"a": 2, "b": 3, "c": 1}]})
+        manifest = checkpoint_session(store, session, "t")
+        live = session.lewis.estimator.engine
+        wrong = np.roll(live.tensor(("a", "b")), 1, axis=0)
+        archive = io.BytesIO()
+        meta = {
+            "format": 1,
+            "version": live.version,
+            "n_rows": live.n_rows,
+            "alpha": live.alpha,
+            "keys": [["a", "b"]],
+        }
+        np.savez_compressed(
+            archive, __meta__=np.array(json.dumps(meta)), tensor_0=wrong
+        )
+        old = {k: v for k, v in manifest.items() if k != "snapshot_id"}
+        old["blobs"] = {**old["blobs"], "engine": store.put_bytes(archive.getvalue())}
+        old_id = store.write_manifest("t", old)
+        store.gc()
+        assert store.has(old["blobs"]["engine"])
+
+        restored = restore_session(store, "t", old_id)
+        assert restored.state_token == session.state_token
+        assert restored.table_version == session.table_version == 1
+        engine = restored.lewis.estimator.engine
+        assert engine.state_digest() == live.state_digest()
+        assert np.array_equal(engine.tensor(("a", "b")), live.tensor(("a", "b")))
+        audit = restored.lewis.recourse_audit(["a", "b"], alpha=0.6)
+        expected = session.lewis.recourse_audit(["a", "b"], alpha=0.6)
+        assert audit["recourses"] == expected["recourses"]
+        restored.close()
+
+    def test_snapshot_depends_on_state_not_reads(self, tmp_path, trained):
+        """Two tenants at one state write byte-identical snapshots, though
+        only one served an explanation before its checkpoint: the count
+        tensors it built are a cache of the table, not stored state."""
+        rows = [(i % 3, i % 4, i % 2) for i in range(40)]
+        written = []
+        for served in (False, True):
+            store = ArtifactStore(tmp_path / f"served-{served}")
+            live = create_tenant(store, "t", build_lewis(trained, make_table(rows)))
+            live.update({"insert": [{"a": 2, "b": 3, "c": 1}], "delete": [0]})
+            if served:
+                live.explain_global()
+                assert live.lewis.estimator.engine.cache_stats().entries
+            snapshot_id = checkpoint_session(store, live, "t")["snapshot_id"]
+            live.close()
+            path = store.root / "manifests" / "t" / f"{snapshot_id}.json"
+            objects = sorted(p.name for p in (store.root / "objects").glob("*/*"))
+            written.append((path.read_bytes(), objects))
+        assert written[0] == written[1]
+        blobs = json.loads(written[0][0])["blobs"]
+        assert set(blobs) == {"model", "table", "positive"}
 
     def test_snapshot_manifest_carries_no_solver_state(self, store, session):
         """A snapshot depends on the tenant's data, not on the recourse

@@ -166,6 +166,23 @@ class TestTableTransforms:
         assert len(sub) == 2
         assert sub.row(1)["color"] == "blue"
 
+    def test_take_empty_list_keeps_columns_and_domains(self, small_table):
+        empty = small_table.take([])
+        assert len(empty) == 0
+        assert empty.names == small_table.names
+        for name in small_table.names:
+            assert empty.domain(name) == small_table.domain(name)
+            assert empty.column(name).ordered == small_table.column(name).ordered
+
+    def test_take_repeated_list_index(self, small_table):
+        sub = small_table.take([0, 0])
+        assert len(sub) == 2
+        assert sub.row(0) == sub.row(1) == small_table.row(0)
+
+    def test_take_refuses_float_indices(self, small_table):
+        with pytest.raises(IndexError):
+            small_table.take(np.array([0.0, 1.0]))
+
     def test_mask_and_filter(self, small_table):
         mask = small_table.mask(color="red")
         assert mask.sum() == 3

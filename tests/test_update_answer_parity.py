@@ -10,8 +10,8 @@ then be the same bits from four places:
 * a fresh explainer built over the post-delta rows (tensors counted
   from scratch);
 * a session restored from a snapshot taken before the deltas plus a
-  replay of the write-ahead log (tensors loaded from the snapshot, then
-  updated by the replayed deltas);
+  replay of the write-ahead log (tensors counted from the restored
+  table on first use);
 * the JSON text the HTTP server returns for a second restore.
 """
 
@@ -89,7 +89,7 @@ def paths(tmp_path_factory):
     local_rows = list(range(0, 64, 2))
     audit_rows = [int(i) for i in lewis.negative_indices()[:40]]
     # Warm the local and recourse cells so the deltas update them in
-    # place, and let the snapshot carry them.
+    # place.
     answers(live, local_rows, audit_rows)
     checkpoint_session(store, live, TENANT)
 
