@@ -17,8 +17,8 @@ plan over the shipping path (``repl.ship.{drop,dup,reorder}``,
 3. **Fence the deposed epoch.**  A batch stamped with the dead leader's
    epoch must be refused by a replica that has seen the new epoch.
 4. **The history serializes.**  Every client-visible read and write is
-   recorded into a :class:`repro.replication.HistoryRecorder`, and the
-   black-box checker must find an admissible serialization: no forks,
+   recorded into a ``tests/history_checker.py`` ``HistoryRecorder``, and
+   the black-box checker must find an admissible serialization: no forks,
    no lost or phantom acked writes, monotonic and pinned reads honored,
    bit-identical converged finals.
 
@@ -113,9 +113,10 @@ def final_state(base: str) -> dict | None:
 
 def run_round(seed: int) -> dict:
     import repro.faults as faults
-    from repro.replication import FencedError, HistoryRecorder, check_history
+    from repro.replication import FencedError
     from repro.service.server import create_server
     from repro.store import ArtifactStore, Registry, create_tenant
+    from tests.history_checker import HistoryRecorder, check_history
 
     failures: list[str] = []
     recorder = HistoryRecorder()

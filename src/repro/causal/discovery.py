@@ -150,11 +150,6 @@ class PartiallyDirectedGraph:
         return out
 
     @property
-    def directed_edges(self) -> list[tuple[str, str]]:
-        """Oriented edges."""
-        return sorted(self._directed)
-
-    @property
     def undirected_edges(self) -> list[tuple[str, str]]:
         """Unoriented edges as sorted tuples."""
         return sorted(tuple(sorted(pair)) for pair in self._undirected)

@@ -77,47 +77,6 @@ def logistic_binary(
     return sample
 
 
-def conditional_table(
-    parent_order: Sequence[str],
-    cpt: Mapping[tuple, Sequence[float]],
-    n_categories: int,
-) -> EquationFunc:
-    """Explicit conditional probability table.
-
-    ``cpt`` maps a tuple of parent *codes* (in ``parent_order``) to a
-    probability vector over the node's categories. Missing parent
-    combinations raise at evaluation time so specification errors surface
-    early.
-    """
-    cumulative = {
-        key: np.cumsum(np.asarray(p, dtype=float)) for key, p in cpt.items()
-    }
-    for key, cum in cumulative.items():
-        if len(cum) != n_categories or not np.isclose(cum[-1], 1.0):
-            raise ValueError(f"CPT row {key}: bad probability vector")
-
-    def sample(parents: Mapping[str, np.ndarray], u: np.ndarray) -> np.ndarray:
-        n = u.shape[0]
-        out = np.empty(n, dtype=np.int64)
-        stacked = np.column_stack([parents[p] for p in parent_order]) if parent_order else np.zeros((n, 0), dtype=np.int64)
-        # Group rows by parent configuration to vectorise the lookups.
-        if stacked.shape[1] == 0:
-            cum = cumulative[()]
-            return np.searchsorted(cum, u, side="right").clip(0, n_categories - 1)
-        uniques, inverse = np.unique(stacked, axis=0, return_inverse=True)
-        for g, combo in enumerate(uniques):
-            key = tuple(int(c) for c in combo)
-            if key not in cumulative:
-                raise KeyError(f"CPT has no row for parent codes {key}")
-            members = inverse == g
-            out[members] = np.searchsorted(
-                cumulative[key], u[members], side="right"
-            ).clip(0, n_categories - 1)
-        return out
-
-    return sample
-
-
 def deterministic(
     parent_order: Sequence[str],
     func,

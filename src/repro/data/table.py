@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -167,32 +167,6 @@ class Column:
         new_index = {c: i for i, c in enumerate(categories)}
         remap = np.array([new_index[c] for c in self.categories], dtype=np.int64)
         return Column(self.name, remap[self.codes], tuple(categories), ordered=True)
-
-
-def bin_numeric(
-    name: str,
-    values: np.ndarray,
-    bins: int = 5,
-    edges: Sequence[float] | None = None,
-    labels: Sequence[Any] | None = None,
-) -> Column:
-    """Discretise a continuous vector into an ordinal :class:`Column`.
-
-    ``edges`` are interior cut points; when omitted, quantile cuts are
-    used. Labels default to readable interval strings.
-    """
-    values = np.asarray(values, dtype=float)
-    if edges is None:
-        qs = np.linspace(0, 1, bins + 1)[1:-1]
-        edges = np.unique(np.quantile(values, qs))
-    edges = np.asarray(edges, dtype=float)
-    codes = np.searchsorted(edges, values, side="right")
-    if labels is None:
-        bounds = [-np.inf, *edges.tolist(), np.inf]
-        labels = [
-            f"[{lo:g}, {hi:g})" for lo, hi in zip(bounds[:-1], bounds[1:])
-        ]
-    return Column(name, codes, tuple(labels), ordered=True)
 
 
 def pack_codes(
@@ -456,36 +430,6 @@ class Table:
         """Return ``n`` uniformly sampled rows."""
         indices = rng.choice(len(self), size=n, replace=replace)
         return self.take(indices)
-
-    def map_column(self, name: str, func: Callable[[Any], Any]) -> "Table":
-        """Return a table with ``func`` applied to each label of ``name``.
-
-        The resulting column's domain is the image of the original domain
-        in first-seen order.
-        """
-        col = self.column(name)
-        mapped_domain = [func(c) for c in col.categories]
-        new_categories = list(dict.fromkeys(mapped_domain))
-        remap = np.array(
-            [new_categories.index(m) for m in mapped_domain], dtype=np.int64
-        )
-        return self.with_column(
-            Column(name, remap[col.codes], tuple(new_categories), col.ordered)
-        )
-
-    # -- aggregation ----------------------------------------------------------
-
-    def group_sizes(self, names: Sequence[str]) -> dict[tuple, int]:
-        """Return ``{(labels...): row count}`` over the given columns."""
-        cols = [self.column(n) for n in names]
-        sizes: dict[tuple, int] = {}
-        uniques, counts = unique_rows(
-            [col.codes for col in cols], [col.cardinality for col in cols]
-        )
-        for combo, count in zip(uniques, counts):
-            key = tuple(col.categories[c] for col, c in zip(cols, combo))
-            sizes[key] = int(count)
-        return sizes
 
     def to_rows(self) -> list[dict]:
         """Materialise the table as a list of decoded row dicts."""

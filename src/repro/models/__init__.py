@@ -25,7 +25,6 @@ from repro.models.boosting import GradientBoostingClassifier, GradientBoostingRe
 from repro.models.neural import NeuralNetworkClassifier
 from repro.models.linear import LinearRegression, LogisticRegression
 from repro.models.pipeline import TableModel, fit_table_model
-from repro.models import metrics
 
 
 def __getattr__(name: str):
@@ -51,5 +50,4 @@ __all__ = [
     "LogisticRegression",
     "TableModel",
     "fit_table_model",
-    "metrics",
 ]

@@ -6,9 +6,10 @@ expose its own ad-hoc ``stats()`` dict and nothing else.  This package
 gives them one shared measurement substrate:
 
 * :mod:`repro.obs.metrics` — a thread-safe :class:`MetricsRegistry` of
-  counters, gauges and fixed-bucket log-scale histograms with a stable
-  snapshot schema and Prometheus text exposition, plus the unified
-  :class:`CacheStats` schema every cache in the system reports through.
+  pushed counters and log-scale latency histograms, with every gauge a
+  collector sample read at scrape time; a stable snapshot schema and
+  Prometheus text exposition, plus the unified :class:`CacheStats`
+  schema every cache in the system reports through.
 * :mod:`repro.obs.tracing` — ``trace_id``/span context created at the
   HTTP edge (and CLI entry) and carried by the request's own thread
   through the session and its lane; finished traces land in a bounded
@@ -24,7 +25,6 @@ to prove the instrumented path stays within its <3% overhead budget.
 from repro.obs.metrics import (
     CacheStats,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     enabled,
@@ -48,7 +48,6 @@ from repro.obs.tracing import (
 __all__ = [
     "CacheStats",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "Tracer",

@@ -1,12 +1,14 @@
-"""Thread-safe process-wide metrics: counters, gauges, log-scale histograms.
+"""Thread-safe process-wide metrics: counters, collector gauges, histograms.
 
 One :class:`MetricsRegistry` per process (:func:`get_registry`) holds
-every instrument under a namespaced, labelled metric name.  Subsystems
-either *push* (``counter(...).inc()`` on the hot path) or register a
-*collector* — a callable sampled at snapshot time — for state they
-already track (cache hit counters, WAL sizes, solver memo sizes), so
-the registry is the single source of truth the ``/metrics`` endpoint,
-``/v1/stats`` and the ``repro obs`` CLI all read.
+every instrument under a namespaced, labelled metric name.  Each kind
+has one mechanism: counters and log-scale latency histograms are
+*pushed* (``counter(...).inc()``, ``histogram(...).observe()`` on the
+hot path), and every gauge is a *collector* sample — a callable read at
+snapshot time over state its owner already tracks (cache sizes, loaded
+monitor sets, replica lag) — so the registry is the single source of
+truth the ``/metrics`` endpoint, ``/v1/stats`` and the ``repro obs``
+CLI all read.
 
 Design constraints, in order:
 
@@ -28,7 +30,6 @@ Design constraints, in order:
 from __future__ import annotations
 
 import bisect
-import math
 import os
 import re
 import threading
@@ -84,8 +85,8 @@ def full_name(name: str, labels: Mapping[str, Any] | None = None) -> str:
 
 
 #: log-scale latency buckets in seconds: 0.1 ms up to 60 s, roughly one
-#: bucket per 2.5x.  Fixed at registration so bucket counts are stable
-#: across snapshots and mergeable across processes.
+#: bucket per 2.5x, shared by every histogram so bucket counts are
+#: stable across snapshots and mergeable across processes.
 DEFAULT_TIME_BUCKETS = (
     0.0001,
     0.00025,
@@ -106,26 +107,6 @@ DEFAULT_TIME_BUCKETS = (
     30.0,
     60.0,
 )
-
-
-def log_buckets(lo: float, hi: float, per_decade: int = 3) -> tuple[float, ...]:
-    """Log-spaced bucket bounds from ``lo`` to at least ``hi``.
-
-    For instruments whose dynamic range is not latency-shaped (batch
-    sizes, byte counts); rounded to 6 significant digits so the bounds
-    render stably in the Prometheus output.
-    """
-    if lo <= 0 or hi <= lo:
-        raise ValueError(f"need 0 < lo < hi, got ({lo}, {hi})")
-    bounds = []
-    exponent = math.floor(math.log10(lo) * per_decade)
-    while True:
-        bound = float(f"{10 ** (exponent / per_decade):.6g}")
-        if bound >= lo and (not bounds or bound > bounds[-1]):
-            bounds.append(bound)
-        if bound >= hi:
-            return tuple(bounds)
-        exponent += 1
 
 
 class Counter:
@@ -149,61 +130,27 @@ class Counter:
         return self._value
 
 
-class Gauge:
-    """Point-in-time value; settable and incrementable."""
+class Histogram:
+    """Fixed-bucket histogram with cumulative Prometheus semantics.
 
-    __slots__ = ("name", "_lock", "_value")
+    Every histogram uses :data:`DEFAULT_TIME_BUCKETS`, so an ``observe``
+    is a bisect plus two adds under the instrument's own lock — no
+    allocation, no resize, safe from any thread.
+    """
+
+    __slots__ = ("name", "_lock", "_counts", "_count", "_sum")
 
     def __init__(self, name: str):
         self.name = name
         self._lock = threading.Lock()
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        if not _ENABLED:
-            return
-        with self._lock:
-            self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        if not _ENABLED:
-            return
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-
-class Histogram:
-    """Fixed-bucket histogram with cumulative Prometheus semantics.
-
-    Bucket bounds are frozen at construction (log-scale by default) so
-    an ``observe`` is a bisect plus two adds under the instrument's own
-    lock — no allocation, no resize, safe from any thread.
-    """
-
-    __slots__ = ("name", "bounds", "_lock", "_counts", "_count", "_sum")
-
-    def __init__(self, name: str, buckets: tuple[float, ...] = DEFAULT_TIME_BUCKETS):
-        bounds = tuple(float(b) for b in buckets)
-        if not bounds or list(bounds) != sorted(set(bounds)):
-            raise ValueError("buckets must be strictly increasing and non-empty")
-        self.name = name
-        self.bounds = bounds
-        self._lock = threading.Lock()
-        self._counts = [0] * (len(bounds) + 1)  # +1 for the +Inf bucket
+        self._counts = [0] * (len(DEFAULT_TIME_BUCKETS) + 1)  # +1 for +Inf
         self._count = 0
         self._sum = 0.0
 
     def observe(self, value: float) -> None:
         if not _ENABLED:
             return
-        index = bisect.bisect_left(self.bounds, value)
+        index = bisect.bisect_left(DEFAULT_TIME_BUCKETS, value)
         with self._lock:
             self._counts[index] += 1
             self._count += 1
@@ -225,7 +172,7 @@ class Histogram:
             sum_ = self._sum
         cumulative = []
         running = 0
-        for bound, count in zip(self.bounds, counts):
+        for bound, count in zip(DEFAULT_TIME_BUCKETS, counts):
             running += count
             cumulative.append([bound, running])
         cumulative.append(["+Inf", total])
@@ -326,12 +273,12 @@ class CacheStats:
 class MetricsRegistry:
     """Namespaced process-wide registry of instruments and collectors.
 
-    ``counter`` / ``gauge`` / ``histogram`` are get-or-create: calling
-    with the same ``(name, labels)`` returns the same instrument, so
-    call sites need no registration ceremony.  A *collector* is a
-    zero-argument callable returning ``{full_name: value}`` gauges
-    sampled at snapshot time — the pull path for subsystems that
-    already keep counters (caches, WAL, solver memos).  A collector
+    ``counter`` / ``histogram`` are get-or-create: calling with the same
+    ``(name, labels)`` returns the same instrument, so call sites need
+    no registration ceremony.  A *collector* is a zero-argument
+    callable returning ``{full_name: value}`` gauges sampled at snapshot
+    time — the one gauge mechanism, for subsystems that already keep
+    the state (caches, monitor sets, replica lag).  A collector
     that raises :class:`LookupError` is dropped (the idiom for weakref'd
     owners that have been garbage-collected); any other exception skips
     it for that snapshot and counts an error.
@@ -342,7 +289,6 @@ class MetricsRegistry:
         self._types: dict[str, str] = {}
         self._help: dict[str, str] = {}
         self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
         self._collectors: dict[str, Callable[[], Mapping[str, float]]] = {}
         self._collector_errors = 0
@@ -374,39 +320,19 @@ class MetricsRegistry:
                 self._counters[key] = instrument
             return instrument
 
-    def gauge(
-        self,
-        name: str,
-        help: str = "",
-        labels: Mapping[str, Any] | None = None,
-    ) -> Gauge:
-        key = full_name(name, labels)
-        with self._lock:
-            self._family(name, "gauge", help)
-            instrument = self._gauges.get(key)
-            if instrument is None:
-                instrument = Gauge(key)
-                self._gauges[key] = instrument
-            return instrument
-
     def histogram(
         self,
         name: str,
         help: str = "",
         labels: Mapping[str, Any] | None = None,
-        buckets: tuple[float, ...] = DEFAULT_TIME_BUCKETS,
     ) -> Histogram:
         key = full_name(name, labels)
         with self._lock:
             self._family(name, "histogram", help)
             instrument = self._histograms.get(key)
             if instrument is None:
-                instrument = Histogram(key, buckets)
-            elif instrument.bounds != tuple(float(b) for b in buckets):
-                raise ValueError(
-                    f"histogram {key!r} already registered with different buckets"
-                )
-            self._histograms[key] = instrument
+                instrument = Histogram(key)
+                self._histograms[key] = instrument
             return instrument
 
     def declare(self, name: str, kind: str, help: str = "") -> None:
@@ -441,18 +367,17 @@ class MetricsRegistry:
     def snapshot(self) -> dict:
         """Stable point-in-time view: counters, gauges, histograms.
 
-        Collector outputs land in the ``gauges`` section (point-in-time
-        samples by nature).  The shape is the contract ``/v1/stats``,
+        Collector samples make up the ``gauges`` section (point-in-time
+        values by nature).  The shape is the contract ``/v1/stats``,
         ``/metrics`` and the CLI all build on.
         """
         with self._lock:
             counters = list(self._counters.values())
-            gauges = list(self._gauges.values())
             histograms = list(self._histograms.items())
             collectors = list(self._collectors.items())
         out = {
             "counters": {c.name: c.value for c in counters},
-            "gauges": {g.name: g.value for g in gauges},
+            "gauges": {},
             "histograms": {key: h.snapshot() for key, h in histograms},
         }
         dead = []
@@ -480,7 +405,6 @@ class MetricsRegistry:
         with self._lock:
             return {
                 "counters": len(self._counters),
-                "gauges": len(self._gauges),
                 "histograms": len(self._histograms),
                 "collectors": len(self._collectors),
                 "collector_errors": self._collector_errors,
@@ -492,7 +416,6 @@ class MetricsRegistry:
             self._types.clear()
             self._help.clear()
             self._counters.clear()
-            self._gauges.clear()
             self._histograms.clear()
             self._collectors.clear()
             self._collector_errors = 0
@@ -608,14 +531,12 @@ __all__ = [
     "CacheStats",
     "Counter",
     "DEFAULT_TIME_BUCKETS",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "REGISTRY",
     "enabled",
     "full_name",
     "get_registry",
-    "log_buckets",
     "preregister",
     "render_prometheus",
     "set_enabled",

@@ -1,4 +1,4 @@
-"""Replicated serving tier: WAL shipping, promotion, consistency checking.
+"""Replicated serving tier: WAL shipping, fencing, promotion.
 
 One process is the *leader*: it serves writes and appends to each
 tenant's :class:`~repro.store.wal.DeltaLog` exactly as before.  Any
@@ -12,13 +12,11 @@ Failover is epoch-fenced: a monotonic leader epoch (persisted per store
 by :class:`EpochStore`) is stamped into every shipped batch, and a
 follower refuses batches from any epoch below the highest it has seen —
 a deposed leader's unreplicated tail can never be applied after a
-promotion.  :func:`check_history` is the black-box consistency checker
-(in the spirit of Huang et al., arXiv 2301.07313): it looks only at
-client-visible reads and writes recorded across replicas and verifies an
-admissible serialization exists.
+promotion.  The black-box consistency checker that judges this tier
+from its client-visible history (after Huang et al., arXiv 2301.07313)
+lives with the tests, in ``tests/history_checker.py``.
 """
 
-from repro.replication.checker import HistoryRecorder, check_history
 from repro.replication.epoch import EpochStore
 from repro.replication.manager import FencedError, ReplicationManager
 from repro.replication.ship import build_batch
@@ -27,11 +25,9 @@ from repro.replication.tailer import LogShipClient, ReplicaApplier, ReplicaTaile
 __all__ = [
     "EpochStore",
     "FencedError",
-    "HistoryRecorder",
     "LogShipClient",
     "ReplicaApplier",
     "ReplicaTailer",
     "ReplicationManager",
     "build_batch",
-    "check_history",
 ]

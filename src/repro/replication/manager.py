@@ -8,9 +8,11 @@ One :class:`ReplicationManager` rides along with every server process:
 * as **follower** it bootstraps every tenant from the leader's snapshots
   (manifest + content-addressed blobs over HTTP), runs one
   :class:`~repro.replication.tailer.ReplicaTailer` per tenant, applies
-  shipped records through the WAL maintenance path, tracks replica lag,
-  and — when ``auto_promote`` is set — probes the leader's ``/healthz``
-  and promotes itself after ``health_failures`` consecutive misses.
+  shipped records through the WAL maintenance path, tracks replica lag
+  (served as the ``repro_replication_lag_records{tenant}`` gauge by a
+  registry collector), and — when ``auto_promote`` is set — probes the
+  leader's ``/healthz`` every second and promotes itself after 3
+  consecutive misses (:data:`HEALTH_INTERVAL`, :data:`HEALTH_FAILURES`).
 
 Fencing happens at ingest: every batch's epoch goes through
 :meth:`EpochStore.note_seen`, which durably ratchets the fencing floor
@@ -29,6 +31,7 @@ leaves a follower, never a half-leader.
 from __future__ import annotations
 
 import threading
+import weakref
 from pathlib import Path
 
 from repro.obs import metrics as _obs
@@ -53,6 +56,15 @@ _REPL_PROMOTIONS = _obs.get_registry().counter(
     "repro_replication_promotions_total",
     "Follower promotions completed by this process.",
 )
+_LAG = "repro_replication_lag_records"
+_obs.get_registry().declare(
+    _LAG, "gauge", "Records this replica trails the leader by."
+)
+
+#: seconds between leader health probes of an auto-promoting follower.
+HEALTH_INTERVAL = 1.0
+#: consecutive failed probes after which that follower promotes itself.
+HEALTH_FAILURES = 3
 
 
 class FencedError(StoreError):
@@ -72,15 +84,12 @@ class ReplicationManager:
         ``"leader"`` (default) or ``"follower"``.
     leader_url:
         Base URL of the current leader (required for followers).
-    poll_interval:
-        Seconds a caught-up tailer sleeps between polls.
-    batch_limit:
-        Records requested per shipped batch.
     auto_promote:
-        Follower promotes itself after ``health_failures`` consecutive
-        failed leader health probes.
-    health_interval / health_failures:
-        Probe cadence and the consecutive-miss threshold.
+        Follower promotes itself after :data:`HEALTH_FAILURES`
+        consecutive failed leader health probes.
+    client:
+        The leader's shipping client; defaults to a
+        :class:`LogShipClient` on ``leader_url``.
     """
 
     def __init__(
@@ -88,11 +97,7 @@ class ReplicationManager:
         registry,
         role: str = "leader",
         leader_url: str | None = None,
-        poll_interval: float = 0.05,
-        batch_limit: int | None = None,
         auto_promote: bool = False,
-        health_interval: float = 1.0,
-        health_failures: int = 3,
         client: LogShipClient | None = None,
     ):
         if role not in ("leader", "follower"):
@@ -102,11 +107,7 @@ class ReplicationManager:
         self.registry = registry
         self.role = role
         self.leader_url = leader_url
-        self.poll_interval = float(poll_interval)
-        self.batch_limit = batch_limit
         self.auto_promote = bool(auto_promote)
-        self.health_interval = float(health_interval)
-        self.health_failures = max(1, int(health_failures))
         self.epochs = EpochStore(registry.store.root)
         self.client = client or (LogShipClient(leader_url) if leader_url else None)
         self._lock = threading.RLock()
@@ -116,6 +117,22 @@ class ReplicationManager:
         self._probe_stop = threading.Event()
         self.probe_failures = 0
         self.last_promotion_error: str | None = None
+        # Weakly-referenced registry collector: the lag gauge is sampled
+        # from ``_lag`` at scrape time, and the collector unregisters
+        # itself (LookupError) once the manager is garbage-collected.
+        self._collector_key = f"replication_manager:{id(self)}"
+        ref = weakref.ref(self)
+
+        def collect():
+            manager = ref()
+            if manager is None:
+                raise LookupError("replication manager gone")
+            return {
+                _obs.full_name(_LAG, {"tenant": tenant}): float(lag)
+                for tenant, lag in manager.lag().items()
+            }
+
+        _obs.get_registry().register_collector(self._collector_key, collect)
 
     # -- views -------------------------------------------------------------
 
@@ -175,7 +192,7 @@ class ReplicationManager:
         with self._lock:
             tailer = self._tailers.get(tenant)
             if tailer is None or not tailer.is_alive():
-                tailer = ReplicaTailer(self, tenant, poll_interval=self.poll_interval)
+                tailer = ReplicaTailer(self, tenant)
                 self._tailers[tenant] = tailer
                 tailer.start()
             return tailer
@@ -270,9 +287,7 @@ class ReplicationManager:
         if tenant not in self.registry.store.tenants():
             self.bootstrap(tenant)
         session = self.registry.get(tenant)
-        batch = self.client.fetch(
-            tenant, session.log.last_seq, limit=self.batch_limit
-        )
+        batch = self.client.fetch(tenant, session.log.last_seq)
         if batch.get("cursor_valid", True):
             result = self.ingest_batch(tenant, batch, session=session)
         else:
@@ -283,11 +298,6 @@ class ReplicationManager:
         lag = max(0, int(batch.get("last_seq", 0)) - session.log.last_seq)
         with self._lock:
             self._lag[tenant] = lag
-        _obs.get_registry().gauge(
-            "repro_replication_lag_records",
-            "Records this replica trails the leader by.",
-            labels={"tenant": tenant},
-        ).set(lag)
         return lag == 0 and not result["gap"]
 
     def ingest_batch(self, tenant: str, batch: dict, session=None) -> dict:
@@ -390,14 +400,14 @@ class ReplicationManager:
         self._probe.start()
 
     def _probe_loop(self) -> None:  # pragma: no cover - integration-tested
-        while not self._probe_stop.wait(self.health_interval):
+        while not self._probe_stop.wait(HEALTH_INTERVAL):
             if self.role != "follower":
                 return
             if self.client.healthy():
                 self.probe_failures = 0
                 continue
             self.probe_failures += 1
-            if self.probe_failures < self.health_failures:
+            if self.probe_failures < HEALTH_FAILURES:
                 continue
             try:
                 self.promote(

@@ -16,7 +16,7 @@ Three small pieces, one per concern:
 * :class:`ReplicaTailer` — one daemon thread per tenant running the
   poll → apply loop with the shared jittered
   :class:`~repro.utils.backoff.Backoff` policy on errors, and going
-  quiet (poll-interval waits) once caught up.
+  quiet (:data:`POLL_INTERVAL` waits) once caught up.
 
 The follower's *cursor is its own log's last sequence number*: because
 records are applied through the same write-ahead append path as leader
@@ -37,18 +37,22 @@ from repro.store.wal import DurableSession
 from repro.utils.backoff import Backoff
 from repro.utils.exceptions import StoreError
 
+#: seconds a caught-up tailer sleeps between polls.
+POLL_INTERVAL = 0.05
+#: seconds one HTTP request to the leader may take.
+TIMEOUT = 10.0
+
 
 class LogShipClient:
     """Minimal JSON-over-HTTP client for a peer's replication surface."""
 
-    def __init__(self, base_url: str, timeout: float = 10.0):
+    def __init__(self, base_url: str):
         self.base_url = base_url.rstrip("/")
-        self.timeout = float(timeout)
 
     def _get(self, path: str) -> bytes:
         url = f"{self.base_url}{path}"
         try:
-            with urllib.request.urlopen(url, timeout=self.timeout) as response:
+            with urllib.request.urlopen(url, timeout=TIMEOUT) as response:
                 return response.read()
         except urllib.error.HTTPError as exc:
             detail = ""
@@ -71,15 +75,10 @@ class LogShipClient:
                 f"leader sent unparseable JSON for {path}: {exc}"
             ) from exc
 
-    def fetch(self, tenant: str, cursor: int, limit: int | None = None) -> dict:
+    def fetch(self, tenant: str, cursor: int) -> dict:
         """One shipped batch of WAL records after ``cursor``."""
-        query = {"cursor": int(cursor)}
-        if limit is not None:
-            query["max"] = int(limit)
         tenant = urllib.parse.quote(str(tenant), safe="")
-        return self._get_json(
-            f"/v1/{tenant}/log?{urllib.parse.urlencode(query)}"
-        )
+        return self._get_json(f"/v1/{tenant}/log?cursor={int(cursor)}")
 
     def tenants(self) -> list[str]:
         """Tenant names the leader's store knows about."""
@@ -154,16 +153,15 @@ class ReplicaTailer(threading.Thread):
 
     Delegates each round to ``manager.sync_once(tenant)`` (which owns
     fencing, lag accounting, and snapshot resync) and only decides
-    *pacing*: immediately re-poll while behind, sleep ``poll_interval``
-    when caught up, and back off (jittered exponential, interruptible)
-    on transport or apply errors.
+    *pacing*: immediately re-poll while behind, sleep
+    :data:`POLL_INTERVAL` when caught up, and back off (jittered
+    exponential, interruptible) on transport or apply errors.
     """
 
-    def __init__(self, manager, tenant: str, poll_interval: float = 0.05):
+    def __init__(self, manager, tenant: str):
         super().__init__(name=f"repl-tail-{tenant}", daemon=True)
         self.manager = manager
         self.tenant = str(tenant)
-        self.poll_interval = float(poll_interval)
         self.last_error: str | None = None
         self.rounds = 0
         self.errors = 0
@@ -192,7 +190,7 @@ class ReplicaTailer(threading.Thread):
             self.last_error = None
             self._backoff.reset()
             if caught_up:
-                self._halt.wait(self.poll_interval)
+                self._halt.wait(POLL_INTERVAL)
 
     def status(self) -> dict:
         """Loop counters for ``/v1/replication`` and the CLI."""

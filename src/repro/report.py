@@ -8,7 +8,7 @@ the scores.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from repro.core.explanations import GlobalExplanation, LocalExplanation
 from repro.core.recourse import Recourse
@@ -182,32 +182,6 @@ def render_service_stats(stats: Mapping, title: str | None = None) -> str:
                 section(value, indent + "  ")
 
     section(stats, "")
-    return "\n".join(lines)
-
-
-def render_comparison(
-    rankings: Mapping[str, Sequence[str]], title: str | None = None
-) -> str:
-    """Figure-9/10-style rank table: one column per method."""
-    lines = []
-    if title:
-        lines.append(title)
-    methods = list(rankings)
-    attributes = list(rankings[methods[0]])
-    name_width = max(len(a) for a in attributes)
-    header = f"{'attribute':{name_width}s}  " + "  ".join(
-        f"{m:>8s}" for m in methods
-    )
-    lines.append(header)
-    for attribute in attributes:
-        ranks = []
-        for method in methods:
-            order = list(rankings[method])
-            ranks.append(order.index(attribute) + 1 if attribute in order else -1)
-        lines.append(
-            f"{attribute:{name_width}s}  "
-            + "  ".join(f"{r:>8d}" for r in ranks)
-        )
     return "\n".join(lines)
 
 

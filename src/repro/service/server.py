@@ -1169,7 +1169,6 @@ def serve(
     port: int = 8321,
     verbose: bool = False,
     registry=None,
-    checkpoint_on_close: bool = True,
     follow: str | None = None,
     auto_promote: bool = False,
 ) -> None:
@@ -1177,8 +1176,8 @@ def serve(
 
     SIGTERM and SIGINT trigger the same sequence: stop accepting, drain
     in-flight requests, close the session, and close the store —
-    checkpointing every loaded tenant (snapshot + WAL compaction) when
-    ``checkpoint_on_close`` is set, so the next boot is warm.
+    checkpointing every loaded tenant (snapshot + WAL compaction), so
+    the next boot is warm.
     """
     server = create_server(
         session,
@@ -1227,4 +1226,4 @@ def serve(
         if session is not None:
             session.close()
         if registry is not None:
-            registry.close(checkpoint=checkpoint_on_close)
+            registry.close(checkpoint=True)

@@ -10,9 +10,11 @@ and lets the cold ones stay on disk:
 * loaded sessions live in a byte-budgeted LRU
   (:class:`~repro.utils.lru.ByteBudgetLRU` — the same policy engine as
   every cache in the stack) sized by their real footprint (encoded table
-  + cached tensors); the least-recently-served tenant is evicted when
-  the budget is exceeded, which is safe at any moment because every
-  acknowledged update is already fsync'd in the tenant's write-ahead log,
+  + cached tensors), re-measured on every ``get`` because a session's
+  engine keeps building count tensors as it serves; the
+  least-recently-served tenant is evicted when the budget is exceeded,
+  which is safe at any moment because every acknowledged update is
+  already fsync'd in the tenant's write-ahead log,
 * all sessions share one tenant-scoped :class:`~repro.service.cache
   .ResultCache`, so operators reason about one response-cache budget for
   the whole process and tenants can never cross-serve entries.
@@ -65,8 +67,6 @@ class Registry:
         Byte budget for resident sessions (table + tensors); least-
         recently-used tenants are evicted (closed, state stays on disk)
         beyond it. ``None`` disables the bound.
-    max_sessions:
-        Optional additional bound on the number of loaded sessions.
     cache:
         Shared result cache; defaults to a private 32 MB one. Keys are
         tenant-scoped, so sharing across tenants is safe by construction.
@@ -79,7 +79,6 @@ class Registry:
         self,
         store: ArtifactStore | str | Path,
         max_bytes: int | None = 256 << 20,
-        max_sessions: int | None = None,
         cache: ResultCache | None = None,
     ):
         self._store = store if isinstance(store, ArtifactStore) else ArtifactStore(store)
@@ -87,10 +86,7 @@ class Registry:
         self._lock = threading.Lock()
         self._tenant_locks: dict[str, threading.Lock] = {}
         self._sessions: ByteBudgetLRU = ByteBudgetLRU(
-            max_bytes=max_bytes,
-            max_entries=max_sessions,
-            sizeof=session_footprint,
-            on_evict=self._on_evict,
+            max_bytes=max_bytes, on_evict=self._on_evict
         )
         self._loads = 0
 
@@ -112,22 +108,22 @@ class Registry:
         _REGISTRY_EVICTIONS.inc()
 
     def _insert(self, name: str, session: DurableSession) -> None:
-        """Admit a session, capping its accounted size at the budget.
+        """Admit or re-account a session (the caller holds ``self._lock``).
 
-        A tenant whose real footprint exceeds the whole budget would
-        otherwise be evicted by its own ``put`` — a close/restore loop
-        on every request. Capping lets it stay resident alone (the LRU
-        still evicts everything else). Sessions the insertion pushes out
-        are retired by :meth:`_on_evict` before the lock is released:
+        The session is accounted at its footprint now, capped at the
+        budget: a tenant whose real footprint exceeds the whole budget
+        would otherwise be evicted by its own ``put`` — a close/restore
+        loop on every request. Capping lets it stay resident alone (the
+        LRU still evicts everything else). Sessions the insertion pushes
+        out are retired by :meth:`_on_evict` before the lock is released:
         retiring seals the victim's log (a stale reference can keep
         reading, but a late update fails loudly instead of racing the
         tenant's next restored session for the log file).
         """
         size = session_footprint(session)
-        with self._lock:
-            if self._sessions.max_bytes is not None:
-                size = min(size, self._sessions.max_bytes)
-            self._sessions.put(name, session, size=size)
+        if self._sessions.max_bytes is not None:
+            size = min(size, self._sessions.max_bytes)
+        self._sessions.put(name, session, size=size)
 
     def _tenant_lock(self, name: str) -> threading.Lock:
         with self._lock:
@@ -154,16 +150,22 @@ class Registry:
 
         Restores (snapshot + write-ahead-log replay) run under the
         tenant's own lock: concurrent first requests coalesce into one
-        load, and loads never serialize across tenants.
+        load, and loads never serialize across tenants. A resident
+        session is re-accounted at what it holds now, since its engine
+        builds count tensors as it serves.
         """
         name = check_tenant_name(name)
         with self._tenant_lock(name):
+            # look up and re-account in one lock hold: between the two, an
+            # insertion for another tenant could evict (and so retire) it
             with self._lock:
                 session = self._sessions.get(name)
-            if session is not None:
-                return session
+                if session is not None:
+                    self._insert(name, session)
+                    return session
             session = restore_session(self._store, name, cache=self.cache)
-            self._insert(name, session)
+            with self._lock:
+                self._insert(name, session)
             self._loads += 1
             _REGISTRY_LOADS.inc()
             return session
@@ -181,7 +183,8 @@ class Registry:
                 cache=self.cache,
                 default_actionable=default_actionable,
             )
-            self._insert(name, session)
+            with self._lock:
+                self._insert(name, session)
             return session
 
     def snapshot(self, name: str) -> dict:
@@ -209,7 +212,8 @@ class Registry:
                 ):
                     return manifest
                 session = restore_session(self._store, name, cache=self.cache)
-                self._insert(name, session)
+                with self._lock:
+                    self._insert(name, session)
                 self._loads += 1
                 _REGISTRY_LOADS.inc()
             return checkpoint_session(self._store, session, name)

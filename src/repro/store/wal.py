@@ -79,18 +79,6 @@ class DeltaLog(RecordLog):
         """Records with sequence number greater than ``after``, in order."""
         return [(record["seq"], _delta(record)) for record in self.records(after)]
 
-    def replay_annotated(
-        self, after: int = 0
-    ) -> list[tuple[int, TableDelta, str | None]]:
-        """Like :meth:`replay` but including each record's request id.
-
-        The id is ``None`` for records written before the field existed.
-        """
-        return [
-            (record["seq"], _delta(record), record.get("request_id"))
-            for record in self.records(after)
-        ]
-
     def append(self, delta: TableDelta, request_id: str | None = None) -> int:
         """Durably append one delta; returns its sequence number.
 

@@ -1,33 +1,26 @@
 """A byte-budgeted LRU cache with hit/miss/eviction accounting.
 
-Both caching layers of the serving stack — the
-:class:`~repro.estimation.engine.ContingencyEngine`'s count-tensor cache
-and the :class:`~repro.service.cache.ResultCache` in front of an
-:class:`~repro.service.session.ExplainerSession` — need the same three
-things: least-recently-used eviction, an *approximate byte* budget
-rather than an entry count (tensor and response sizes vary by orders of
-magnitude), and introspectable statistics so operators can size the
-budget from observed hit rates.  :class:`ByteBudgetLRU` provides all
-three behind a dict-like interface; :meth:`ByteBudgetLRU.stats_struct`
-reports its counters as :class:`~repro.obs.metrics.CacheStats`, the one
-statistics schema every cache in the system shares.
+Six caches in the system share it: the
+:class:`~repro.estimation.engine.ContingencyEngine`'s count tensors, the
+:class:`~repro.service.cache.ResultCache` of encoded answers, the
+:class:`~repro.store.registry.Registry`'s loaded sessions, and three
+entry-bounded memos (a :class:`~repro.core.lewis.Lewis`'s recourse
+solvers, a solver's signature solutions, a score estimator's local
+models).  They need the same three things: least-recently-used
+eviction, an *approximate byte* budget rather than an entry count
+(tensor and response sizes vary by orders of magnitude), and
+introspectable statistics so operators can size the budget from
+observed hit rates.  :class:`ByteBudgetLRU` provides all three behind a
+dict-like interface; every :meth:`~ByteBudgetLRU.put` names its entry's
+size, and :meth:`ByteBudgetLRU.stats_struct` reports the counters as
+:class:`~repro.obs.metrics.CacheStats`, the one statistics schema every
+cache in the system shares.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from typing import Any, Callable, Hashable, Iterator
-
-
-def _default_sizeof(value: Any) -> int:
-    """Best-effort byte estimate: ``nbytes`` when present, else ``len``-ish."""
-    nbytes = getattr(value, "nbytes", None)
-    if nbytes is not None:
-        return int(nbytes)
-    try:
-        return len(value)
-    except TypeError:
-        return 1
 
 
 class ByteBudgetLRU:
@@ -42,9 +35,6 @@ class ByteBudgetLRU:
         bound), but the caller still receives the computed value.
     max_entries:
         Optional additional bound on the entry count.
-    sizeof:
-        ``sizeof(value) -> int`` used when :meth:`put` is not given an
-        explicit size. Defaults to ``value.nbytes`` / ``len(value)``.
     on_evict:
         Optional ``on_evict(key, value)`` hook invoked for every entry
         the budget pushes out (not for explicit :meth:`discard` /
@@ -57,7 +47,6 @@ class ByteBudgetLRU:
         self,
         max_bytes: int | None = None,
         max_entries: int | None = None,
-        sizeof: Callable[[Any], int] | None = None,
         on_evict: Callable[[Hashable, Any], None] | None = None,
     ):
         if max_bytes is not None and max_bytes < 0:
@@ -66,7 +55,6 @@ class ByteBudgetLRU:
             raise ValueError(f"max_entries must be positive, got {max_entries}")
         self.max_bytes = max_bytes
         self.max_entries = max_entries
-        self._sizeof = sizeof or _default_sizeof
         self._on_evict = on_evict
         self._items: OrderedDict[Hashable, tuple[Any, int]] = OrderedDict()
         self._bytes = 0
@@ -111,9 +99,9 @@ class ByteBudgetLRU:
         entry = self._items.get(key)
         return default if entry is None else entry[0]
 
-    def put(self, key: Hashable, value: Any, size: int | None = None) -> None:
-        """Insert/replace ``key`` and evict LRU entries beyond the budget."""
-        size = int(self._sizeof(value) if size is None else size)
+    def put(self, key: Hashable, value: Any, size: int) -> None:
+        """Insert/replace ``key`` (``size`` bytes); evict LRU entries over budget."""
+        size = int(size)
         old = self._items.pop(key, None)
         if old is not None:
             self._bytes -= old[1]

@@ -54,14 +54,6 @@ class ICECurves:
             averages=tuple(float(v) for v in self.matrix.mean(axis=0)),
         )
 
-    def heterogeneity(self) -> float:
-        """Mean per-value standard deviation across rows.
-
-        Large values mean the attribute's effect differs across
-        individuals — exactly where a single global number misleads and
-        LEWIS's contextual scores add information.
-        """
-        return float(self.matrix.std(axis=0).mean())
 
 
 def partial_dependence(

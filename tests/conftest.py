@@ -12,7 +12,7 @@ import pytest
 from repro import Lewis, fit_table_model, load_dataset, train_test_split
 from repro.causal.equations import linear_threshold, logistic_binary, root_categorical
 from repro.causal.scm import StructuralCausalModel, StructuralEquation
-from repro.data.table import Column, Table
+from repro.data.table import Table
 
 
 @pytest.fixture(scope="session")

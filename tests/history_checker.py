@@ -33,6 +33,11 @@ every read assigned to the write whose post-state it observed).
 
 :class:`HistoryRecorder` is the matching thread-safe collector the
 benchmark's clients write into while the fault matrix runs.
+
+Like the checking it follows, this module judges the system from the
+outside, so it lives with the tests: ``tests/test_replication_checker.py``
+imports it as ``history_checker`` and ``benchmarks/bench_replication.py``
+as ``tests.history_checker``.
 """
 
 from __future__ import annotations

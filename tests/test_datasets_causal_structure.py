@@ -6,7 +6,6 @@ pin that structure down so future edits to the generators cannot
 silently break an experiment's premise.
 """
 
-import numpy as np
 import pytest
 
 from repro.data import load_dataset

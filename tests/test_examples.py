@@ -5,7 +5,6 @@ one runs end to end to guard the documented quickstart path.
 """
 
 import importlib.util
-import sys
 from pathlib import Path
 
 import pytest

@@ -1,6 +1,5 @@
 """Unit tests for explanation objects and builders."""
 
-import numpy as np
 import pytest
 
 from repro.core.explanations import (

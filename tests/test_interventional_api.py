@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro import Lewis
-from repro.causal.graph import CausalDiagram
 from repro.data.table import Column, Table
 
 

@@ -1,9 +1,8 @@
-"""Unit tests for linear models, the MLP, and metrics."""
+"""Unit tests for linear models and the MLP."""
 
 import numpy as np
 import pytest
 
-from repro.models import metrics
 from repro.models.linear import LinearRegression, LogisticRegression
 from repro.models.neural import NeuralNetworkClassifier
 
@@ -108,45 +107,3 @@ class TestNeuralNetwork:
             hidden_sizes=(8,), epochs=150, learning_rate=1e-2, seed=0
         ).fit(X, y)
         assert net.score(X, y) > 0.9
-
-
-class TestMetrics:
-    def test_accuracy(self):
-        assert metrics.accuracy([1, 0, 1], [1, 1, 1]) == pytest.approx(2 / 3)
-
-    def test_accuracy_empty_raises(self):
-        with pytest.raises(ValueError):
-            metrics.accuracy([], [])
-
-    def test_rmse(self):
-        assert metrics.rmse([0.0, 0.0], [3.0, 4.0]) == pytest.approx(np.sqrt(12.5))
-
-    def test_log_loss_perfect(self):
-        proba = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert metrics.log_loss([1, 0], proba) < 1e-10
-
-    def test_log_loss_uniform(self):
-        proba = np.full((4, 2), 0.5)
-        assert metrics.log_loss([0, 1, 0, 1], proba) == pytest.approx(np.log(2))
-
-    def test_roc_auc_perfect(self):
-        assert metrics.roc_auc([0, 0, 1, 1], [0.1, 0.2, 0.8, 0.9]) == 1.0
-
-    def test_roc_auc_random(self):
-        assert metrics.roc_auc([0, 1, 0, 1], [0.5, 0.5, 0.5, 0.5]) == pytest.approx(0.5)
-
-    def test_roc_auc_reversed(self):
-        assert metrics.roc_auc([0, 0, 1, 1], [0.9, 0.8, 0.2, 0.1]) == 0.0
-
-    def test_roc_auc_single_class_raises(self):
-        with pytest.raises(ValueError):
-            metrics.roc_auc([1, 1], [0.5, 0.6])
-
-    def test_confusion_matrix(self):
-        cm = metrics.confusion_matrix([0, 0, 1, 1], [0, 1, 1, 1])
-        assert cm.tolist() == [[1, 1], [0, 2]]
-
-    def test_confusion_matrix_explicit_labels(self):
-        cm = metrics.confusion_matrix(["a"], ["a"], labels=["a", "b"])
-        assert cm.shape == (2, 2)
-        assert cm[0, 0] == 1

@@ -33,7 +33,7 @@ class TestThreadSafety:
 
     def test_histogram_concurrent_observations_are_exact(self):
         registry = MetricsRegistry()
-        hist = registry.histogram("t_seconds", "test", buckets=[0.5, 1.0])
+        hist = registry.histogram("t_seconds", "test")
         threads = [
             threading.Thread(
                 target=lambda: [hist.observe(0.25) for _ in range(500)]
@@ -47,8 +47,9 @@ class TestThreadSafety:
         snap = hist.snapshot()
         assert snap["count"] == 8 * 500
         assert snap["sum"] == pytest.approx(8 * 500 * 0.25)
-        # every observation landed in the first bucket
-        assert snap["buckets"][0] == [0.5, 8 * 500]
+        # every observation landed in the 0.25 s bucket
+        cumulative = dict((le, n) for le, n in snap["buckets"])
+        assert cumulative[0.1] == 0 and cumulative[0.25] == 8 * 500
 
     def test_get_or_create_races_produce_one_instrument(self):
         registry = MetricsRegistry()
@@ -73,8 +74,9 @@ class TestPrometheusExposition:
     def _filled_registry(self) -> MetricsRegistry:
         registry = MetricsRegistry()
         registry.counter("app_requests_total", "Requests.", labels={"kind": "x"}).inc(3)
-        registry.gauge("app_rows", "Rows resident.").set(17)
-        hist = registry.histogram("app_seconds", "Latency.", buckets=[0.1, 1.0])
+        registry.declare("app_rows", "gauge", "Rows resident.")
+        registry.register_collector("rows", lambda: {"app_rows": 17.0})
+        hist = registry.histogram("app_seconds", "Latency.")
         hist.observe(0.05)
         hist.observe(0.5)
         hist.observe(5.0)
@@ -115,6 +117,109 @@ class TestPrometheusExposition:
         registry.declare("later_total", "counter", "Created lazily.")
         text = registry.to_prometheus()
         assert "# TYPE later_total counter" in text
+
+    def test_special_values_render_in_prometheus_spelling(self):
+        registry = MetricsRegistry()
+        registry.register_collector("odd", lambda: {
+            "g_nan": float("nan"), "g_inf": float("inf"),
+            "g_neg": float("-inf"), "g_int": 3.0, "g_frac": 0.5,
+        })
+        lines = registry.to_prometheus().splitlines()
+        for line in ("g_nan NaN", "g_inf +Inf", "g_neg -Inf", "g_int 3", "g_frac 0.5"):
+            assert line in lines
+
+    def test_help_text_escapes_backslash_and_newline(self):
+        registry = MetricsRegistry()
+        registry.counter("h_total", "two\nlines \\ here")
+        text = registry.to_prometheus()
+        assert "# HELP h_total two\\nlines \\\\ here\n" in text
+
+
+# ---------------------------------------------------------------------------
+# histogram buckets
+
+
+class TestHistogramBuckets:
+    def _cumulative(self, hist) -> dict:
+        return dict((le, n) for le, n in hist.snapshot()["buckets"])
+
+    def test_a_value_on_a_bound_counts_in_that_bucket(self):
+        hist = MetricsRegistry().histogram("b_seconds", "test")
+        hist.observe(0.001)
+        cumulative = self._cumulative(hist)
+        assert cumulative[0.0005] == 0 and cumulative[0.001] == 1
+
+    def test_a_value_past_the_last_bound_counts_only_in_inf(self):
+        hist = MetricsRegistry().histogram("b_seconds", "test")
+        hist.observe(120.0)
+        cumulative = self._cumulative(hist)
+        assert cumulative[60.0] == 0 and cumulative["+Inf"] == 1
+        assert hist.count == 1 and hist.sum == 120.0
+
+    def test_every_histogram_shares_the_default_bounds(self):
+        registry = MetricsRegistry()
+        first = registry.histogram("one_seconds", "test")
+        second = registry.histogram("two_seconds", "test", labels={"route": "x"})
+        expected = list(obs.DEFAULT_TIME_BUCKETS) + ["+Inf"]
+        for hist in (first, second):
+            assert [le for le, _n in hist.snapshot()["buckets"]] == expected
+
+    def test_name_and_labels_identify_one_histogram(self):
+        registry = MetricsRegistry()
+        a = registry.histogram("r_seconds", "test", labels={"route": "a"})
+        assert registry.histogram("r_seconds", labels={"route": "a"}) is a
+        b = registry.histogram("r_seconds", labels={"route": "b"})
+        assert b is not a
+        a.observe(0.1)
+        histograms = registry.snapshot()["histograms"]
+        assert set(histograms) == {'r_seconds{route="a"}', 'r_seconds{route="b"}'}
+        assert histograms['r_seconds{route="a"}']["count"] == 1
+        assert histograms['r_seconds{route="b"}']["count"] == 0
+
+
+# ---------------------------------------------------------------------------
+# names and families
+
+
+class TestNamesAndFamilies:
+    def test_a_family_keeps_its_first_kind(self):
+        registry = MetricsRegistry()
+        registry.counter("x_total", "test")
+        with pytest.raises(ValueError, match="already registered as counter"):
+            registry.histogram("x_total", "test")
+        with pytest.raises(ValueError):
+            registry.declare("x_total", "gauge")
+
+    def test_declare_rejects_unknown_kinds_and_bad_names(self):
+        registry = MetricsRegistry()
+        with pytest.raises(ValueError, match="unknown metric kind"):
+            registry.declare("ok_name", "summary")
+        with pytest.raises(ValueError, match="invalid metric name"):
+            registry.declare("bad-name", "gauge")
+        assert registry.to_prometheus() == "\n"
+
+    def test_full_name_sorts_and_escapes_labels(self):
+        key = obs.full_name("m", {"b": 'say "hi"', "a": "x\\y"})
+        assert key == 'm{a="x\\\\y",b="say \\"hi\\""}'
+        assert obs.full_name("m") == "m"
+        with pytest.raises(ValueError, match="invalid label name"):
+            obs.full_name("m", {"bad-label": 1})
+
+    def test_reset_drops_every_instrument_and_collector(self):
+        registry = MetricsRegistry()
+        registry.counter("c_total", "test").inc()
+        registry.histogram("h_seconds", "test").observe(0.1)
+        registry.declare("g", "gauge", "test")
+        registry.register_collector("c1", lambda: {"g": 1.0})
+        registry.reset()
+        assert registry.stats() == {
+            "counters": 0, "histograms": 0, "collectors": 0,
+            "collector_errors": 0,
+        }
+        assert registry.snapshot() == {
+            "counters": {}, "gauges": {}, "histograms": {},
+        }
+        registry.histogram("c_total", "reused name, new kind")  # family gone
 
 
 # ---------------------------------------------------------------------------

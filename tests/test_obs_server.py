@@ -278,9 +278,9 @@ class TestWalRequestIds:
                 TableDelta.from_json(delta), request_id=tracing.current_trace_id()
             )
         log.close()
-        records = DeltaLog(tmp_path / "t.jsonl").replay_annotated()
-        assert records[0][0] == seq
-        assert records[0][2] == tid
+        records = DeltaLog(tmp_path / "t.jsonl").records()
+        assert records[0]["seq"] == seq
+        assert records[0]["request_id"] == tid
 
     def test_request_id_survives_compaction(self, tmp_path):
         log = DeltaLog(tmp_path / "t.jsonl")
@@ -290,8 +290,7 @@ class TestWalRequestIds:
         log.truncate_through(1)
         log.close()
         reopened = DeltaLog(tmp_path / "t.jsonl")
-        annotated = reopened.replay_annotated()
-        assert [(seq, rid) for seq, _d, rid in annotated] == [
+        assert [(r["seq"], r.get("request_id")) for r in reopened.records()] == [
             (2, "bbbb"), (3, None),
         ]
 
@@ -306,4 +305,5 @@ class TestWalRequestIds:
         assert "request_id" not in raw
         reopened = DeltaLog(tmp_path / "t.jsonl")
         assert reopened.last_seq == 1
-        assert reopened.replay_annotated()[0][2] is None
+        assert reopened.replay() == [(1, TableDelta(insert=({"a": 1},)))]
+        assert reopened.records()[0].get("request_id") is None

@@ -1,7 +1,7 @@
 """Property-based tests for the tabular container (hypothesis)."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.data.table import Column, Table
@@ -64,12 +64,3 @@ def test_mask_filter_consistency(data):
         filtered = table.filter(x=value)
         assert int(mask.sum()) == len(filtered)
         assert all(v == value for v in filtered.column("x").decode())
-
-
-@given(columns)
-@settings(max_examples=30)
-def test_group_sizes_partition_rows(data):
-    card, codes = data
-    table = Table([Column.from_codes("x", np.array(codes), list(range(card)))])
-    sizes = table.group_sizes(["x"])
-    assert sum(sizes.values()) == len(table)

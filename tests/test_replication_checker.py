@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import threading
 
-from repro.replication import HistoryRecorder, check_history
+from history_checker import HistoryRecorder, check_history
 
 
 def write(client, replica, seq, version, token, ok=True):

@@ -2,16 +2,26 @@
 
 from __future__ import annotations
 
+import gc
+import http.server
+import json
+import threading
+import time
+
 import numpy as np
 import pytest
 
 import repro.faults as faults
+import repro.replication.tailer as tailer_module
 from repro.core.lewis import Lewis
 from repro.data.table import Table
+from repro.obs import metrics as obs
 from repro.replication import (
     EpochStore,
     FencedError,
+    LogShipClient,
     ReplicaApplier,
+    ReplicaTailer,
     ReplicationManager,
     build_batch,
 )
@@ -289,8 +299,211 @@ class ShippedBatch:
     def __init__(self, batch):
         self.batch = batch
 
-    def fetch(self, tenant, cursor, limit=None):
+    def fetch(self, tenant, cursor):
         return dict(self.batch)
+
+
+class TestLagGauge:
+    def test_lag_is_a_collector_sample_until_the_manager_is_gone(self, tmp_path):
+        leader = Registry(tmp_path / "leader")
+        replica = Registry(tmp_path / "replica")
+        try:
+            leader.add("lagged", make_storable_lewis())
+            replica.add("lagged", make_storable_lewis())
+            put_rows(leader.get("lagged"), 3)
+            batch = build_batch(leader.get("lagged"), cursor=0, limit=1)
+            manager = ReplicationManager(
+                replica, role="follower", client=ShippedBatch(batch)
+            )
+            assert manager.sync_once("lagged") is False
+            assert manager.lag("lagged") == 2
+
+            metrics = obs.get_registry()
+            series = 'repro_replication_lag_records{tenant="lagged"}'
+            assert metrics.snapshot()["gauges"][series] == manager.lag("lagged")
+            lines = metrics.to_prometheus().splitlines()
+            assert (
+                "# HELP repro_replication_lag_records "
+                "Records this replica trails the leader by."
+            ) in lines
+            assert "# TYPE repro_replication_lag_records gauge" in lines
+            assert f"{series} 2" in lines
+
+            key = manager._collector_key
+            del manager
+            gc.collect()
+            assert series not in metrics.snapshot()["gauges"]
+            assert key not in metrics._collectors
+        finally:
+            replica.close()
+            leader.close()
+
+    def test_caught_up_replica_reads_zero(self, tmp_path):
+        leader = Registry(tmp_path / "leader")
+        replica = Registry(tmp_path / "replica")
+        try:
+            leader.add("level", make_storable_lewis())
+            replica.add("level", make_storable_lewis())
+            put_rows(leader.get("level"), 3)
+            batch = build_batch(leader.get("level"), cursor=0)
+            manager = ReplicationManager(
+                replica, role="follower", client=ShippedBatch(batch)
+            )
+            assert manager.sync_once("level") is True
+            assert manager.lag() == {"level": 0}
+            series = 'repro_replication_lag_records{tenant="level"}'
+            assert obs.get_registry().snapshot()["gauges"][series] == 0.0
+        finally:
+            replica.close()
+            leader.close()
+
+    def test_family_advertised_before_any_sync(self, tmp_path):
+        replica = Registry(tmp_path / "replica")
+        try:
+            replica.add("quiet", make_storable_lewis())
+            manager = ReplicationManager(
+                replica, role="follower", client=ShippedBatch({})
+            )
+            assert manager.lag() == {}
+            lines = obs.get_registry().to_prometheus().splitlines()
+            assert "# TYPE repro_replication_lag_records gauge" in lines
+            assert not any(
+                line.startswith("repro_replication_lag_records{")
+                and 'tenant="quiet"' in line
+                for line in lines
+            )
+        finally:
+            replica.close()
+
+
+def wait_for(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached in time"
+        time.sleep(0.005)
+
+
+class ScriptedManager:
+    """Answers ``sync_once`` from a script of results and exceptions,
+    then ``True`` (caught up) forever; records the tailer's reported
+    error as each round starts."""
+
+    def __init__(self, script):
+        self.script = list(script)
+        self.calls = 0
+        self.tailer = None
+        self.errors_seen = []
+
+    def sync_once(self, tenant):
+        self.calls += 1
+        self.errors_seen.append(self.tailer.last_error)
+        step = self.script.pop(0) if self.script else True
+        if isinstance(step, Exception):
+            raise step
+        return step
+
+
+class TestReplicaTailer:
+    def _start(self, script):
+        manager = ScriptedManager(script)
+        tailer = ReplicaTailer(manager, "t")
+        manager.tailer = tailer
+        tailer.start()
+        return manager, tailer
+
+    def test_behind_repolls_at_once_and_caught_up_waits(self, monkeypatch):
+        monkeypatch.setattr(tailer_module, "POLL_INTERVAL", 60.0)
+        manager, tailer = self._start([False] * 4)
+        try:
+            wait_for(lambda: tailer.rounds == 5)
+            time.sleep(0.1)
+            assert manager.calls == 5  # caught up: waiting out the interval
+            assert tailer.status() == {
+                "tenant": "t", "alive": True, "rounds": 5, "errors": 0,
+                "last_error": None,
+            }
+            started = time.monotonic()
+        finally:
+            tailer.stop()
+        assert time.monotonic() - started < 5.0  # the wait is interruptible
+        assert tailer.status()["alive"] is False and tailer.stopped()
+
+    def test_error_is_reported_until_the_next_success(self, monkeypatch):
+        monkeypatch.setattr(tailer_module, "POLL_INTERVAL", 60.0)
+        manager, tailer = self._start([RuntimeError("leader down")])
+        try:
+            wait_for(lambda: tailer.rounds == 1)
+            assert manager.errors_seen == [None, "RuntimeError: leader down"]
+            assert tailer.errors == 1 and tailer.last_error is None
+        finally:
+            tailer.stop()
+
+
+class CannedLeader(http.server.BaseHTTPRequestHandler):
+    """Answers GETs from ``server.routes`` (path without query ->
+    ``(status, body)``) and records every requested path."""
+
+    def do_GET(self):
+        self.server.paths.append(self.path)
+        status, body = self.server.routes.get(
+            self.path.split("?")[0], (404, b"no such route")
+        )
+        self.send_response(status)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture()
+def canned_leader():
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), CannedLeader)
+    server.routes = {}
+    server.paths = []
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join()
+
+
+def client_for(server) -> LogShipClient:
+    host, port = server.server_address[:2]
+    return LogShipClient(f"http://{host}:{port}/")  # trailing slash dropped
+
+
+class TestLogShipClient:
+    def test_fetch_asks_for_every_record_after_the_cursor(self, canned_leader):
+        batch = {"records": [], "last_seq": 9, "cursor_valid": True}
+        canned_leader.routes["/v1/a%20b/log"] = (200, json.dumps(batch).encode())
+        assert client_for(canned_leader).fetch("a b", 7) == batch
+        assert canned_leader.paths == ["/v1/a%20b/log?cursor=7"]
+
+    def test_http_error_is_a_store_error_with_its_status(self, canned_leader):
+        with pytest.raises(StoreError, match="404.*no such route"):
+            client_for(canned_leader).fetch("t", 0)
+
+    def test_unparseable_json_is_a_store_error(self, canned_leader):
+        canned_leader.routes["/v1/t/log"] = (200, b"{not json")
+        with pytest.raises(StoreError, match="unparseable JSON"):
+            client_for(canned_leader).fetch("t", 0)
+
+    def test_tenants_reads_a_list_or_a_document(self, canned_leader):
+        client = client_for(canned_leader)
+        canned_leader.routes["/v1/registry"] = (200, b'["x", "y"]')
+        assert client.tenants() == ["x", "y"]
+        canned_leader.routes["/v1/registry"] = (200, b'{"tenants": ["z"]}')
+        assert client.tenants() == ["z"]
+
+    def test_healthy_follows_the_healthz_status(self, canned_leader):
+        client = client_for(canned_leader)
+        canned_leader.routes["/healthz"] = (200, b"{}")
+        assert client.healthy() is True
+        canned_leader.routes["/healthz"] = (503, b"draining")
+        assert client.healthy() is False
 
 
 class TestPromotionCatchUp:

@@ -11,7 +11,6 @@ from repro.core.explanations import (
 )
 from repro.core.recourse import Recourse, RecourseAction
 from repro.report import (
-    render_comparison,
     render_global,
     render_local,
     render_recourse,
@@ -107,22 +106,6 @@ class TestRenderRecourse:
         out = render_recourse(recourse, title="R")
         assert "<100 DM" in out and ">1000 DM" in out
         assert "90%" in out
-
-
-class TestRenderComparison:
-    def test_rank_table(self):
-        out = render_comparison(
-            {"LEWIS": ["a", "b"], "SHAP": ["b", "a"]}, title="cmp"
-        )
-        lines = out.splitlines()
-        assert "LEWIS" in lines[1] and "SHAP" in lines[1]
-        a_row = next(l for l in lines if l.split() and l.split()[0] == "a")
-        assert "1" in a_row and "2" in a_row
-
-    def test_missing_item_marked(self):
-        out = render_comparison({"A": ["x", "y"], "B": ["x"]})
-        y_row = next(l for l in out.splitlines() if l.startswith("y"))
-        assert "-1" in y_row
 
 
 class TestCLI:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.causal.equations import (
-    conditional_table,
     deterministic,
     linear_threshold,
     logistic_binary,
@@ -56,20 +55,6 @@ class TestEquationHelpers:
         u = np.full(2, 0.4)
         out = f({"p": np.array([0, 3])}, u)
         assert out[1] >= out[0]
-
-    def test_conditional_table_exact_rows(self):
-        f = conditional_table(["p"], {(0,): [1.0, 0.0], (1,): [0.0, 1.0]}, 2)
-        out = f({"p": np.array([0, 1, 0])}, np.array([0.3, 0.7, 0.9]))
-        assert out.tolist() == [0, 1, 0]
-
-    def test_conditional_table_missing_row_raises(self):
-        f = conditional_table(["p"], {(0,): [1.0, 0.0]}, 2)
-        with pytest.raises(KeyError):
-            f({"p": np.array([1])}, np.array([0.5]))
-
-    def test_conditional_table_bad_vector_rejected(self):
-        with pytest.raises(ValueError):
-            conditional_table(["p"], {(0,): [0.5, 0.2]}, 2)
 
     def test_deterministic_node(self):
         f = deterministic(["a", "b"], lambda m: (m[:, 0] + m[:, 1]) % 2)

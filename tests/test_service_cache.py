@@ -67,17 +67,74 @@ class TestByteBudgetLRU:
         assert dropped == 3 and len(lru) == 2
         assert lru.stats_struct().evictions == 0  # invalidation is not eviction
 
-    def test_default_sizeof_uses_nbytes(self):
-        lru = ByteBudgetLRU()
-        array = np.zeros(10, dtype=np.int64)
-        lru.put("t", array)
-        assert lru.bytes == array.nbytes
-
     def test_validation(self):
         with pytest.raises(ValueError):
             ByteBudgetLRU(max_bytes=-1)
         with pytest.raises(ValueError):
             ByteBudgetLRU(max_entries=0)
+
+    def test_put_requires_a_size(self):
+        lru = ByteBudgetLRU(max_bytes=100)
+        with pytest.raises(TypeError):
+            lru.put("k", np.zeros(4))
+        assert len(lru) == 0 and lru.bytes == 0
+
+    def test_size_is_accounted_as_given(self):
+        lru = ByteBudgetLRU(max_bytes=100)
+        array = np.zeros(1_000, dtype=np.int64)  # 8,000 bytes of data
+        lru.put("t", array, size=7)
+        assert "t" in lru and lru.bytes == 7
+
+    def test_reput_refreshes_recency_and_reaccounts(self):
+        """Re-putting a resident key at its current size is how a
+        holder re-accounts what an entry grew to: the entry becomes most
+        recent and the growth evicts the least recent other entry."""
+        lru = ByteBudgetLRU(max_bytes=10)
+        lru.put("a", "A", size=3)
+        lru.put("b", "B", size=3)
+        lru.put("a", "A", size=6)
+        assert list(lru) == ["b", "a"] and lru.bytes == 9
+        lru.put("a", "A", size=8)
+        assert list(lru) == ["a"] and lru.bytes == 8
+        assert lru.stats_struct().evictions == 1
+
+    def test_on_evict_sees_budget_evictions_only(self):
+        evicted = []
+        lru = ByteBudgetLRU(
+            max_bytes=4, on_evict=lambda key, value: evicted.append((key, value))
+        )
+        lru.put("a", "A", size=2)
+        lru.put("b", "B", size=2)
+        lru.put("c", "C", size=2)  # pushes "a" out
+        lru.discard("b")
+        lru.discard_where(lambda key: key == "c")
+        lru.put("d", "D", size=1)
+        lru.clear()
+        assert evicted == [("a", "A")]
+
+    def test_peek_and_getitem_leave_recency_and_counters_alone(self):
+        lru = ByteBudgetLRU(max_bytes=4)
+        lru.put("a", "A", size=2)
+        lru.put("b", "B", size=2)
+        assert lru.peek("a") == "A" and lru["a"] == "A"
+        assert lru.peek("missing", "dflt") == "dflt"
+        with pytest.raises(KeyError):
+            lru["missing"]
+        stats = lru.stats_struct()
+        assert stats.hits == 0 and stats.misses == 0
+        lru.put("c", "C", size=2)  # "a" is still least recent
+        assert list(lru) == ["b", "c"]
+        assert list(lru.values()) == ["B", "C"]
+
+    def test_clear_drops_entries_and_keeps_statistics(self):
+        lru = ByteBudgetLRU(max_bytes=10)
+        lru.put("a", "A", size=4)
+        lru.get("a")
+        lru.get("z")
+        lru.clear()
+        assert len(lru) == 0 and lru.bytes == 0
+        stats = lru.stats_struct()
+        assert stats.hits == 1 and stats.misses == 1
 
 
 class TestCanonical:

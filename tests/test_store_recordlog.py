@@ -86,9 +86,12 @@ class TestWalFormat:
         assert log.stats()["compacted_through"] == 1
         assert log.cursor_valid(0) is False
         assert log.cursor_valid(1) is True
-        assert log.replay_annotated() == [
-            (2, TableDelta(delete=(0, 3)), "4bf92f3577b34da6"),
-            (3, TableDelta(insert=({"a": 2, "city": "Zürich"},), delete=(1,)), None),
+        assert log.replay() == [
+            (2, TableDelta(delete=(0, 3))),
+            (3, TableDelta(insert=({"a": 2, "city": "Zürich"},), delete=(1,))),
+        ]
+        assert [r.get("request_id") for r in log.records()] == [
+            "4bf92f3577b34da6", None,
         ]
         assert log.replay(after=2) == [
             (3, TableDelta(insert=({"a": 2, "city": "Zürich"},), delete=(1,)))

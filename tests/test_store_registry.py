@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro import fit_table_model
+from repro import fit_table_model, load_dataset, train_test_split
 from repro.core.lewis import Lewis
 from repro.data.table import Table
 from repro.service.cache import ResultCache
@@ -153,6 +153,40 @@ class TestEviction:
         registry.evict("alpha")
         assert len(registry.get("alpha").lewis.data) == 121
 
+    def test_budget_counts_tensors_built_after_load(self, tmp_path):
+        """A resident session is accounted at what it holds now: the
+        count tensors its engine builds while serving count against the
+        budget, not only its size at load."""
+        bundle = load_dataset("german", n_rows=300, seed=0)
+        train, test = train_test_split(bundle.table, seed=0)
+        model = fit_table_model(
+            "logistic", train, bundle.feature_names, bundle.label, seed=0
+        )
+        with Registry(tmp_path / "store") as setup:
+            for name in ("a", "b"):
+                setup.add(name, Lewis(
+                    model, data=test, graph=bundle.graph,
+                    positive_outcome=bundle.positive_label,
+                ))
+        with Registry(tmp_path / "store") as probe:
+            loaded = session_footprint(probe.get("a"))  # restored: no tensors
+        budget = 2 * loaded + loaded // 2
+        registry = Registry(tmp_path / "store", max_bytes=budget)
+        grown = registry.get("a")
+        registry.get("b")
+        assert registry.loaded() == ["a", "b"]  # both fit at load size
+
+        grown.explain_global()
+        for context in ({"sex": "Female"}, {"housing": "own"}, {"status": "<0 DM"}):
+            grown.explain_context(context)
+        assert session_footprint(grown) + loaded > budget
+
+        registry.get("a")  # re-accounted at its grown size
+        registry.get("b")
+        assert "a" not in registry.loaded()
+        assert registry.stats()["sessions"]["evictions"] >= 1
+        registry.close()
+
     def test_oversized_tenant_stays_resident(self, tmp_path):
         """A tenant bigger than the whole budget must not be close-looped
         by its own insertion; it stays resident alone."""
@@ -164,6 +198,53 @@ class TestEviction:
         assert tiny.get("alpha") is session  # same object, no reload
         assert session.update({"insert": [{"a": 0, "b": 0}]})["result"]["wal_seq"]
         tiny.close()
+
+    def test_get_hit_refreshes_recency(self, tmp_path):
+        with Registry(tmp_path / "store") as setup:
+            for name, seed in (("alpha", 1), ("beta", 2), ("gamma", 3)):
+                setup.add(name, make_lewis(seed))
+        with Registry(tmp_path / "store") as probe:
+            footprint = session_footprint(probe.get("alpha"))
+        registry = Registry(tmp_path / "store", max_bytes=int(footprint * 2.5))
+        registry.get("alpha")
+        registry.get("beta")
+        registry.get("alpha")  # a hit: alpha is now the most recent
+        registry.get("gamma")  # evicts beta, the least recently served
+        assert registry.loaded() == ["alpha", "gamma"]
+        registry.close()
+
+    def test_accounted_bytes_follow_growth_on_the_next_get(self, registry):
+        registry.add("alpha", make_lewis(1))
+        session = registry.get("alpha")
+        before = registry.stats()["sessions"]["bytes"]
+        assert before == session_footprint(session)
+
+        session.explain_global()
+        assert session_footprint(session) > before
+        assert registry.stats()["sessions"]["bytes"] == before  # not yet seen
+        assert registry.get("alpha") is session
+        assert registry.stats()["sessions"]["bytes"] == session_footprint(session)
+
+    def test_growth_past_the_budget_is_capped(self, tmp_path):
+        """A resident session that grows past the whole budget is
+        re-accounted at the budget: it stays resident alone instead of
+        being evicted by its own re-accounting."""
+        with Registry(tmp_path / "store") as setup:
+            setup.add("alpha", make_lewis(1))
+        with Registry(tmp_path / "store") as probe:
+            loaded = session_footprint(probe.get("alpha"))
+        budget = loaded + 64
+        registry = Registry(tmp_path / "store", max_bytes=budget)
+        session = registry.get("alpha")
+        session.explain_global()
+        assert session_footprint(session) > budget
+
+        assert registry.get("alpha") is session  # no close/reload loop
+        assert registry.loaded() == ["alpha"]
+        stats = registry.stats()
+        assert stats["sessions"]["bytes"] == budget
+        assert stats["sessions"]["evictions"] == 0 and stats["loads"] == 1
+        registry.close()
 
 
 class TestCheckpointing:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data.table import Column, Table, bin_numeric
+from repro.data.table import Column, Table
 from repro.utils.exceptions import DomainError
 
 
@@ -88,26 +88,6 @@ class TestColumnOperations:
         col = Column.from_values("x", ["a", "b"])
         with pytest.raises(DomainError):
             col.with_order(["a", "z"])
-
-
-class TestBinNumeric:
-    def test_quantile_binning_covers_all_rows(self):
-        values = np.arange(100, dtype=float)
-        col = bin_numeric("v", values, bins=4)
-        assert len(col) == 100
-        assert col.cardinality == 4
-        counts = list(col.value_counts().values())
-        assert sum(counts) == 100
-
-    def test_explicit_edges_and_labels(self):
-        col = bin_numeric("v", np.array([1.0, 5.0, 9.0]), edges=[4.0], labels=["lo", "hi"])
-        assert col.decode() == ["lo", "hi", "hi"]
-
-    def test_binning_is_monotone_in_value(self):
-        values = np.array([0.1, 0.9, 0.5, 0.3])
-        col = bin_numeric("v", values, edges=[0.25, 0.6])
-        order = np.argsort(values)
-        assert (np.diff(col.codes[order]) >= 0).all()
 
 
 class TestTableBasics:
@@ -205,20 +185,6 @@ class TestTableTransforms:
     def test_sample_without_replacement(self, small_table, rng):
         sampled = small_table.sample(4, rng)
         assert len(sampled) == 4
-
-    def test_map_column(self, small_table):
-        mapped = small_table.map_column("label", lambda v: v.upper())
-        assert mapped.domain("label") == ("NO", "YES")
-        assert mapped.row(0)["label"] == "NO"
-
-    def test_map_column_merging_values(self, small_table):
-        mapped = small_table.map_column("color", lambda v: "warm" if v == "red" else "cool")
-        assert mapped.domain("color") == ("warm", "cool")
-        assert mapped.column("color").value_counts() == {"warm": 3, "cool": 5}
-
-    def test_group_sizes(self, small_table):
-        sizes = small_table.group_sizes(["label"])
-        assert sizes == {("no",): 4, ("yes",): 4}
 
     def test_to_rows_roundtrip(self, small_table):
         rows = small_table.to_rows()

@@ -102,11 +102,6 @@ class TestPartialDependence:
         pdp = partial_dependence(self._predict, table, "x")
         assert np.allclose(ice.partial_dependence.averages, pdp.averages)
 
-    def test_heterogeneity_positive_for_interacting_rule(self):
-        table, _pos = _setup(2_000)
-        # x's effect depends on z: heterogeneous ICE curves.
-        assert ice_curves(self._predict, table, "x").heterogeneity() > 0.05
-
     def test_subsampling_cap(self):
         table, _pos = _setup(5_000)
         ice = ice_curves(self._predict, table, "x", max_rows=100, seed=0)
