@@ -1,21 +1,24 @@
-"""Recourse-at-scale benchmark: parametric exact search vs MILP, anytime mode.
+"""Recourse-at-scale benchmark: parametric frontier search vs MILP, anytime mode.
 
 Times one cohort recourse audit three ways and persists the numbers under
 ``benchmarks/results/recourse_scale.json``:
 
-* **milp** — the signature programs solved by scipy/HiGHS, the MILP
-  oracle of ``tests/oracles.py`` swapped in for the kernel's exact step
-  (the route every signature program used to take),
-* **parametric** — cached parametric-dual bounds, greedy certificates
-  and the greedy-seeded exact search,
+* **milp** — the signature programs solved one at a time by
+  scipy/HiGHS, the MILP oracle of ``tests/oracles.py`` swapped in for
+  the kernel's frontier search (the route every signature program used
+  to take),
+* **parametric** — the frontier search: every signature of the cohort
+  searched level by level against cached parametric-dual grid bounds,
 * **anytime** — greedy LP rounding with a certified optimality gap.
 
-Two correctness gates run inside the benchmark, so a speedup can never
+Three correctness gates run inside the benchmark, so a speedup can never
 be bought with a wrong answer:
 
-1. parametric objectives match the MILP oracle to 1e-9 (and feasibility
+1. the MILP oracle really answered (its call count is not 0), so the
+   search is not compared with itself,
+2. parametric objectives match the MILP oracle to 1e-9 (and feasibility
    verdicts match exactly),
-2. every anytime answer's cost exceeds the exact optimum by at most its
+3. every anytime answer's cost exceeds the exact optimum by at most its
    reported ``optimality_gap``.
 
 Run standalone (no pytest)::
@@ -126,7 +129,7 @@ def main(argv=None) -> int:
     from benchmarks.conftest import result_envelope
     from repro.core import recourse_kernel
     from repro.core.recourse import RecourseSolver
-    from tests.oracles import milp_exact_step
+    from tests.oracles import milp_frontier_search
 
     dataset = args.dataset or ("german" if args.smoke else "adult")
     rows = args.rows if args.rows is not None else (400 if args.smoke else 6_000)
@@ -138,14 +141,22 @@ def main(argv=None) -> int:
 
     # Each measurement gets a fresh solver: the solution memo would
     # otherwise let the first run pre-pay for the rest.
-    exact_step = recourse_kernel.exact_step
-    recourse_kernel.exact_step = milp_exact_step
+    oracle_programs = []
+
+    def milp_oracle(pack, rows, needed):
+        oracle_programs.append(len(rows))
+        return milp_frontier_search(pack, rows, needed)
+
+    frontier_search = recourse_kernel.frontier_search
+    recourse_kernel.frontier_search = milp_oracle
     try:
         milp_s, milp_out = _timed_batch(
             RecourseSolver(lewis.estimator, actionable), cohort_rows, args.alpha
         )
     finally:
-        recourse_kernel.exact_step = exact_step
+        recourse_kernel.frontier_search = frontier_search
+    if not sum(oracle_programs):
+        raise SystemExit("the MILP oracle solved no program: nothing was compared")
     parametric_solver = RecourseSolver(lewis.estimator, actionable)
     parametric_s, parametric_out = _timed_batch(
         parametric_solver, cohort_rows, args.alpha
@@ -172,7 +183,7 @@ def main(argv=None) -> int:
         "alpha": args.alpha,
         "feasible": feasible,
         "distinct_signatures": memo["solved_signatures"],
-        "lp_certified_signatures": memo["certified_by_lp_bound"],
+        "milp_oracle_programs": sum(oracle_programs),
         "search_nodes": memo["search_nodes"],
         "milp_s": round(milp_s, 6),
         "parametric_s": round(parametric_s, 6),

@@ -41,7 +41,7 @@ from repro.data.table import Table, unique_rows
 from repro.estimation.logit import LogitModel
 from repro.obs import metrics as _obs
 from repro.obs import tracing as _tracing
-from repro.opt.parametric import SignatureSkeleton
+from repro.opt.parametric import SignatureSkeleton, SkeletonPack
 from repro.utils import deadline as _deadline
 from repro.utils.exceptions import DomainError, RecourseInfeasibleError
 from repro.utils.lru import ByteBudgetLRU
@@ -58,11 +58,7 @@ _SOLVER_SIGNATURE_SOLVES = _obs.get_registry().counter(
 )
 _SOLVER_SEARCH_NODES = _obs.get_registry().counter(
     "repro_solver_search_nodes_total",
-    "Exact-search nodes expanded across signature solves.",
-)
-_SOLVER_CERTIFIED = _obs.get_registry().counter(
-    "repro_solver_certified_total",
-    "Signature solves certified optimal by the LP root bound.",
+    "Frontier nodes expanded by the exact recourse search.",
 )
 
 
@@ -277,103 +273,130 @@ class RecourseSolver:
         self._coef_vectors = {
             a: self._logit.coefficient_vector(a) for a in self.actionable
         }
-        #: solve-ready program skeletons keyed by the actionable
-        #: current-code tuple — variables, costs, gains and exclusivity
-        #: rows depend only on it
-        self._skeletons: dict[tuple[int, ...], SignatureSkeleton] = {}
+        #: solve-ready program skeletons, packed for the kernel; a row
+        #: per actionable current-code tuple, on which variables, costs,
+        #: gains and exclusivity rows alone depend
+        self._pack = SkeletonPack(len(self.actionable))
+        self._skeleton_rows: dict[tuple[int, ...], int] = {}
+        #: per pack row, its ranks in actionable order and each rank's
+        #: option codes, as lists
+        self._rank_codes: list[tuple[list[int], list[list[int]]]] = []
+        #: each move as a frozen action, keyed by (attribute, from, to)
+        self._moves: dict[tuple[str, int, int], RecourseAction] = {}
         #: solved recourses memoised by (signature, alpha, mode); distinct
         #: individuals sharing (current codes, context) share the answer
         self._solutions = ByteBudgetLRU(max_entries=SOLUTION_MEMO_ENTRIES)
-        #: cumulative kernel counters (solves, certificates, search nodes)
-        self._counters = {
-            "signature_solves": 0,
-            "certified_by_lp_bound": 0,
-            "search_nodes": 0,
-        }
+        #: cumulative kernel counters (solves, frontier nodes)
+        self._counters = {"signature_solves": 0, "search_nodes": 0}
 
-    def _skeleton(self, key: tuple[int, ...]) -> SignatureSkeleton:
-        """Program skeleton for one actionable current-code tuple (cached).
+    def _skeleton_row(self, key: tuple[int, ...]) -> int:
+        """Pack row of one actionable current-code tuple's program (cached).
 
         A cohort's individuals mostly collide on their actionable codes,
-        so the coefficient/cost assembly runs once per distinct tuple
-        instead of once per row.
+        so the coefficient/cost assembly and the packing run once per
+        distinct tuple instead of once per row.
         """
-        skeleton = self._skeletons.get(key)
-        if skeleton is None:
+        row = self._skeleton_rows.get(key)
+        if row is None:
             skeleton = program_skeleton(
                 self._est.table, self.actionable, key, self.cost_fn, self._coef_vectors
             )
-            self._skeletons[key] = skeleton
-        return skeleton
+            row = self._skeleton_rows[key] = self._pack.add(skeleton)
+            self._rank_codes.append(
+                (
+                    np.argsort(skeleton.order, kind="stable").tolist(),
+                    [codes.tolist() for codes in skeleton.opt_codes],
+                )
+            )
+        return row
+
+    def _actions(self, row: int, selection: list[int]) -> tuple[RecourseAction, ...]:
+        """The moves of a selection of pack row ``row``, in actionable order."""
+        ranks, codes = self._rank_codes[row]
+        current = self._pack.skeletons[row].current
+        actions = []
+        for a, rank in enumerate(ranks):
+            j = selection[rank]
+            if j < 0 or codes[rank][j] == current[a]:
+                continue
+            move = (self.actionable[a], current[a], codes[rank][j])
+            action = self._moves.get(move)
+            if action is None:
+                attribute, code, new = move
+                action = self._moves[move] = recourse_actions(
+                    self._est.table, self.cost_fn, {attribute: code}, {attribute: new}
+                )[0]
+            actions.append(action)
+        return tuple(actions)
 
     # -- solving -------------------------------------------------------------
 
     def _materialize(
         self,
-        result: Mapping[str, Any],
-        skeleton: SignatureSkeleton,
+        answers: recourse_kernel.SignatureAnswers,
+        k: int,
+        row: int,
         alpha: float,
         mode: str,
     ) -> Recourse | RecourseInfeasibleError:
-        """Turn a kernel result dict into a :class:`Recourse`, or the
+        """Turn answer ``k`` of the kernel into a :class:`Recourse`, or the
         :class:`RecourseInfeasibleError` to memoise for the signature.
+
+        ``answers`` holds the kernel's columns as lists (one conversion
+        per batch, so each answer reads plain Python numbers).
 
         The error is returned, never raised here: a raised error keeps
         its traceback, and with it this frame's locals, alive in the
         memo for as long as the memo holds it.
         """
-        if result["status"] == "infeasible":
-            if result["reason"] == "no_candidates":
-                # No candidate action exists (all actionable attributes
-                # are stuck at their only value) and the threshold is not
-                # yet met: provably infeasible.
-                return RecourseInfeasibleError(
-                    f"no candidate values on {self.actionable} and the "
-                    f"target probability is not met"
-                )
+        status = answers.status[k]
+        if status == recourse_kernel.NO_CANDIDATES:
+            # No candidate action exists (all actionable attributes are
+            # stuck at their only value) and the threshold is not yet
+            # met: provably infeasible.
+            return RecourseInfeasibleError(
+                f"no candidate values on {self.actionable} and the "
+                f"target probability is not met"
+            )
+        if status == recourse_kernel.UNREACHABLE:
             return RecourseInfeasibleError(
                 f"no intervention on {self.actionable} reaches sufficiency {alpha}"
             )
-        if result["status"] == "empty":
+        if status == recourse_kernel.EMPTY:
             # Constraint (25) already holds with delta = 0: the paper's
             # "no action is taken" case.
+            probability = answers.probability[k]
             return Recourse(
                 actions=(),
                 total_cost=0.0,
                 estimated_sufficiency=1.0,
-                estimated_probability=result["probability"],
-                threshold=result["probability"],
+                estimated_probability=probability,
+                threshold=probability,
                 n_constraints=0,
                 n_variables=0,
                 optimality_gap=0.0,
                 mode=mode,
             )
+        skeleton = self._pack.skeletons[row]
         return Recourse(
-            actions=recourse_actions(
-                self._est.table,
-                self.cost_fn,
-                dict(zip(self.actionable, skeleton.current)),
-                result["chosen"],
-            ),
-            total_cost=float(result["objective"]),
-            estimated_sufficiency=result["sufficiency"],
-            estimated_probability=result["probability"],
-            threshold=result["threshold"],
+            actions=self._actions(row, answers.selection[k]),
+            total_cost=answers.objective[k],
+            estimated_sufficiency=answers.sufficiency[k],
+            estimated_probability=answers.probability[k],
+            threshold=answers.threshold[k],
             n_constraints=skeleton.n_constraints,
             n_variables=skeleton.n_variables,
-            optimality_gap=float(result["gap"]),
+            optimality_gap=answers.gap[k],
             mode=mode,
         )
 
-    def _absorb_stats(self, result: Mapping[str, Any]) -> None:
-        stats = result["stats"]
-        self._counters["signature_solves"] += 1
-        self._counters["certified_by_lp_bound"] += stats["certified"]
-        self._counters["search_nodes"] += stats["nodes"]
+    def _absorb_stats(self, answers: recourse_kernel.SignatureAnswers) -> None:
+        solves, nodes = len(answers.status), int(answers.nodes.sum())
+        self._counters["signature_solves"] += solves
+        self._counters["search_nodes"] += nodes
         if _obs.enabled():
-            _SOLVER_SIGNATURE_SOLVES.inc()
-            _SOLVER_CERTIFIED.inc(stats["certified"])
-            _SOLVER_SEARCH_NODES.inc(stats["nodes"])
+            _SOLVER_SIGNATURE_SOLVES.inc(solves)
+            _SOLVER_SEARCH_NODES.inc(nodes)
 
     def solve_batch(
         self,
@@ -399,12 +422,12 @@ class RecourseSolver:
         (categorical cohorts collide heavily); solved signatures are
         memoised across calls keyed by ``(signature, alpha, mode)``.
         The unsolved signatures' base
-        log-odds are scored in one pass, then each runs through
-        :func:`recourse_kernel.solve_signature` in turn, with the
-        request deadline checked between signatures.  A signature's
-        answer depends only on its own program, so it is the same
-        whichever batch, or which earlier request, first solved it: a
-        one-row ``cohort.take([i])`` answers row ``i`` of ``cohort``.
+        log-odds are scored in one pass, and all of them go through one
+        :func:`recourse_kernel.solve_signature` call, whose frontier
+        search checks the request deadline once per level.  A
+        signature's answer depends only on its own program, so it is the
+        same whichever batch, or which earlier request, first solved it:
+        a one-row ``cohort.take([i])`` answers row ``i`` of ``cohort``.
 
         ``on_infeasible`` is ``"raise"`` (the first infeasible row
         aborts the batch with :class:`RecourseInfeasibleError`) or
@@ -434,8 +457,9 @@ class RecourseSolver:
         # this call's own dict, so the memo evicting an entry mid-batch
         # cannot lose one.
         solved: dict[int, Recourse | RecourseInfeasibleError] = {}
+        keys = list(map(tuple, signatures.tolist()))
         need = []
-        for i, signature in enumerate(map(tuple, signatures)):
+        for i, signature in enumerate(keys):
             memoised = self._solutions.get((signature, alpha, mode))
             if memoised is None:
                 need.append(i)
@@ -443,17 +467,17 @@ class RecourseSolver:
                 solved[i] = memoised
         if need:
             base_logits = self._logit.score_codes_batch(signatures[need])
+            width = len(self.actionable)
+            rows = [self._skeleton_row(keys[i][:width]) for i in need]
             with _tracing.span("recourse_solve", tags={"signatures": len(need)}):
-                for base_logit, i in zip(base_logits, need):
-                    _deadline.check("recourse signature solve")
-                    signature = tuple(int(c) for c in signatures[i])
-                    skeleton = self._skeleton(signature[: len(self.actionable)])
-                    result = recourse_kernel.solve_signature(
-                        skeleton, float(base_logit), alpha, mode=mode
-                    )
-                    self._absorb_stats(result)
-                    solved[i] = self._materialize(result, skeleton, alpha, mode)
-                    self._solutions.put((signature, alpha, mode), solved[i], size=1)
+                answers = recourse_kernel.solve_signature(
+                    self._pack, rows, base_logits, alpha, mode=mode
+                )
+            self._absorb_stats(answers)
+            listed = type(answers)(*(column.tolist() for column in answers))
+            for k, (i, row) in enumerate(zip(need, rows)):
+                solved[i] = self._materialize(listed, k, row, alpha, mode)
+                self._solutions.put((keys[i], alpha, mode), solved[i], size=1)
         out: list[Recourse | None] = []
         for row_index, unique_index in enumerate(inverse):
             answer = solved[unique_index]
@@ -475,6 +499,6 @@ class RecourseSolver:
         return {
             "solved_signatures": len(self._solutions),
             "infeasible_signatures": infeasible,
-            "program_skeletons": len(self._skeletons),
+            "program_skeletons": len(self._pack),
             **self._counters,
         }

@@ -1,4 +1,4 @@
-"""Parametric root bounds and exact search for recourse signature programs.
+"""Parametric bounds and packed arrays for recourse signature programs.
 
 The recourse IP for one ``(current codes, context)`` signature is a
 multiple-choice covering program
@@ -21,14 +21,15 @@ whose maximum over ``y`` equals the LP root-relaxation bound exactly
 dualised).  Every ``h_a`` is a piecewise-linear maximum of lines fixed
 by the skeleton alone, so the candidate maximisers — the breakpoint grid
 — are computed once per skeleton; after that, every signature's root
-bound *and* every branch-and-bound node bound is a single vectorised
-evaluation with no LP solver call.  That is what lets a cohort audit
-solve hundreds of near-identical signature programs at microseconds
-each instead of paying a cold MILP setup per signature.
+bound *and* every search node's bound is a grid evaluation with no LP
+solver call.
 
-Everything here operates on plain arrays (no solver state, no table
-handles), so the same functions back the exact search and the anytime
-certificates.
+:class:`SignatureSkeleton` holds one skeleton's rank tables and grid;
+:class:`SkeletonPack` stacks many of them into padded arrays, so the
+frontier search of :mod:`repro.core.recourse_kernel` bounds a whole
+level of nodes, across every signature of a batch, in one evaluation.
+:func:`greedy_cover` is the anytime mode's solution.  Everything here is
+plain arrays (no solver state, no table handles).
 """
 
 from __future__ import annotations
@@ -37,23 +38,11 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.utils.exceptions import RecourseInfeasibleError
-
 #: slack used when testing whether an action set covers ``needed``.
 FEASIBILITY_TOL = 1e-9
 
-#: strict-improvement threshold for recording a new incumbent.
-_RECORD_EPS = 1e-12
-
-#: seeding slack: the seed incumbent bound (the greedy cover's cost) is
-#: loosened by this before the search starts, so the search still
-#: visits (and returns) its own canonical optimal solution when the
-#: greedy cover ties the optimum.
-SEED_EPS = 1e-9
-
-#: certificate slack: a heuristic solution within this of the LP root
-#: bound is accepted as optimal without running the exact search.
-CERTIFICATE_TOL = 2e-10
+#: relative rounding allowance of a node bound (see :func:`prune_margin`)
+PRUNE_RTOL = 1e-12
 
 #: largest breakpoint kept on the dual grid.  Lines meet beyond it only
 #: when two options' gains differ by less than ~1e-150 of their cost
@@ -75,7 +64,9 @@ class SignatureSkeleton:
       rows evaluated on it (suffix-summed in search order),
     * suffix sums of the best achievable gain (exact feasibility test),
     * per-attribute option orderings for deterministic branching,
-    * a cached greedy preference order.
+    * the LP rounding at each grid point (the search's first incumbent
+      bound) and the magnitudes :func:`prune_margin` scales with,
+    * a cached greedy preference order (the anytime mode's cover).
     """
 
     def __init__(
@@ -114,6 +105,8 @@ class SignatureSkeleton:
         self.opt_codes: list[np.ndarray] = []
         self.opt_costs: list[np.ndarray] = []
         self.opt_gains: list[np.ndarray] = []
+        #: per rank, the index of the no-op (the current code) among its options
+        self.noop = np.zeros(n, dtype=np.int64)
         grid_points = [0.0]
         h_rows = np.zeros((n, 0))
         per_attr_lines = []
@@ -123,6 +116,7 @@ class SignatureSkeleton:
             gains_a = np.concatenate([self.gains[a], [0.0]])
             key = np.lexsort((codes_a, costs_a, -gains_a))
             self.opt_codes.append(codes_a[key])
+            self.noop[rank] = int(np.flatnonzero(key == len(codes_a) - 1)[0])
             self.opt_costs.append(costs_a[key])
             self.opt_gains.append(gains_a[key])
             # Dual lines g_i*y - c_i (the no-op contributes the 0 line).
@@ -163,6 +157,22 @@ class SignatureSkeleton:
         self.suffix_negcost = np.zeros(n + 1)
         self.suffix_negcost[:n] = np.cumsum(min_cost[self.order][::-1])[::-1]
 
+        # The LP rounding at each grid point y: per rank the option with
+        # the largest g*y - c (among ties the first in branching order,
+        # so the largest gain), gains and costs summed in rank order.
+        # The first grid point whose set covers a need is a feasible
+        # action set, whose cost the search starts pruning against.
+        self.seed_gain = np.zeros(len(self.grid))
+        self.seed_cost = np.zeros(len(self.grid))
+        for gains_r, costs_r in zip(self.opt_gains, self.opt_costs):
+            pick = np.argmax(
+                gains_r[:, None] * self.grid[None, :] - costs_r[:, None], axis=0
+            )
+            self.seed_gain = self.seed_gain + gains_r[pick]
+            self.seed_cost = self.seed_cost + costs_r[pick]
+        self.cost_scale = float(sum(np.abs(c).max() for c in self.opt_costs))
+        self.gain_scale = float(sum(np.abs(g).max() for g in self.opt_gains))
+
         # Greedy preference order over (rank, option) pairs with
         # positive gain: free/negative-cost options first (by descending
         # gain), then by descending gain/cost ratio; ties resolve by
@@ -199,6 +209,123 @@ class SignatureSkeleton:
         if needed > self.suffix_gain[level] + FEASIBILITY_TOL:
             return np.inf
         return float(np.max(needed * self.grid - self.suffix_h[level]))
+
+
+def prune_margin(cost, best, remaining, y, cost_scale, gain_scale):
+    """How far a node's bound may pass the incumbent before it is pruned.
+
+    A search node is pruned when ``cost + bound > best + margin``, where
+    ``bound`` is its grid bound attained at the grid point ``y``.  The
+    terms that bound sums have magnitude up to ``y * (|remaining| +
+    gain_scale) + cost_scale``; the margin is :data:`PRUNE_RTOL` of that
+    (plus the node's cost and the incumbent), far above the rounding of
+    a few ulps, so no node whose subtree holds a set as cheap as the
+    incumbent is pruned.  Nodes that tie the incumbent are kept on
+    purpose: among equal costs the tie rule, not the order of discovery,
+    picks the answer.  Works on scalars and arrays alike.
+    """
+    return PRUNE_RTOL * (
+        1.0
+        + np.abs(cost)
+        + np.abs(best)
+        + cost_scale
+        + y * (np.abs(remaining) + gain_scale)
+    )
+
+
+class SkeletonPack:
+    """Many skeletons' rank tables and dual grids as padded arrays.
+
+    Row ``s`` holds skeleton ``s``: per rank its option count (the no-op
+    included) and the no-op's index, option costs and gains in branching
+    order, its dual grid with the suffix ``h`` rows, the suffix best
+    gains and negative costs, the LP-rounding seed per grid point and
+    the margin scales.  Options are padded to the widest rank and grids
+    to the widest grid;
+    a padded grid column repeats the first (``y = 0``), so it changes
+    neither a bound nor a seed.  A pack grows as skeletons are added
+    (capacity doubles) and keeps every row it has, so a solver packs
+    each skeleton once and every batch indexes the same arrays.
+    """
+
+    #: the arrays with a grid axis (the last), padded with the y = 0 column
+    _GRID_FIELDS = ("grid", "suffix_h", "seed_gain", "seed_cost")
+
+    def __init__(self, n_ranks: int):
+        self.n_ranks = int(n_ranks)
+        self.skeletons: list[SignatureSkeleton] = []
+        self._resize(0, 1, 1)
+
+    @classmethod
+    def of(cls, skeletons: Sequence[SignatureSkeleton]) -> "SkeletonPack":
+        """A pack of ``skeletons``, row ``i`` holding ``skeletons[i]``."""
+        pack = cls(len(skeletons[0].attributes) if skeletons else 0)
+        for skeleton in skeletons:
+            pack.add(skeleton)
+        return pack
+
+    def __len__(self) -> int:
+        return len(self.skeletons)
+
+    def _resize(self, capacity: int, width: int, grid_width: int) -> None:
+        n = self.n_ranks
+        old = getattr(self, "costs", None)
+        fresh = {
+            "n_options": np.zeros((capacity, n), dtype=np.int64),
+            "noop": np.zeros((capacity, n), dtype=np.int64),
+            "costs": np.zeros((capacity, n, width)),
+            "gains": np.zeros((capacity, n, width)),
+            "suffix_gain": np.zeros((capacity, n + 1)),
+            "suffix_negcost": np.zeros((capacity, n + 1)),
+            "cost_scale": np.zeros(capacity),
+            "gain_scale": np.zeros(capacity),
+            "grid": np.zeros((capacity, grid_width)),
+            "suffix_h": np.zeros((capacity, n + 1, grid_width)),
+            "seed_gain": np.zeros((capacity, grid_width)),
+            "seed_cost": np.zeros((capacity, grid_width)),
+        }
+        if old is not None:
+            rows = len(self.skeletons)
+            for name, array in fresh.items():
+                kept = getattr(self, name)[:rows]
+                if name in self._GRID_FIELDS:
+                    array[:rows] = kept[..., :1]  # pad with the y = 0 column
+                array[(slice(0, rows), *map(slice, kept.shape[1:]))] = kept
+        for name, array in fresh.items():
+            setattr(self, name, array)
+
+    def add(self, skeleton: SignatureSkeleton) -> int:
+        """Pack ``skeleton`` and return its row."""
+        if len(skeleton.attributes) != self.n_ranks:
+            raise ValueError(
+                f"a pack of {self.n_ranks}-rank skeletons got "
+                f"{len(skeleton.attributes)} ranks"
+            )
+        row, capacity = len(self.skeletons), self.costs.shape[0]
+        shape = (self.costs.shape[2], self.grid.shape[1])
+        width = max([shape[0], *map(len, skeleton.opt_costs)])
+        grid_width = max(shape[1], len(skeleton.grid))
+        if row == capacity or (width, grid_width) != shape:
+            grown = max(8, 2 * capacity) if row == capacity else capacity
+            self._resize(grown, width, grid_width)
+        for rank, (costs_r, gains_r) in enumerate(
+            zip(skeleton.opt_costs, skeleton.opt_gains)
+        ):
+            self.n_options[row, rank] = len(costs_r)
+            self.costs[row, rank, : len(costs_r)] = costs_r
+            self.gains[row, rank, : len(gains_r)] = gains_r
+        self.noop[row] = skeleton.noop
+        self.suffix_gain[row] = skeleton.suffix_gain
+        self.suffix_negcost[row] = skeleton.suffix_negcost
+        self.cost_scale[row] = skeleton.cost_scale
+        self.gain_scale[row] = skeleton.gain_scale
+        g = len(skeleton.grid)
+        for name in self._GRID_FIELDS:
+            array, values = getattr(self, name), getattr(skeleton, name)
+            array[row, ..., :g] = values
+            array[row, ..., g:] = values[..., :1]
+        self.skeletons.append(skeleton)
+        return row
 
 
 def greedy_cover(
@@ -259,64 +386,6 @@ def greedy_cover(
         sum(skeleton.opt_costs[r][selection[r]] for r in range(n) if selection[r] != -1)
     )
     return selection, cost
-
-
-def solve_exact(
-    skeleton: SignatureSkeleton,
-    needed: float,
-    seed_cost: float,
-    node_limit: int | None = None,
-) -> tuple[np.ndarray | None, float, int]:
-    """Exact depth-first search with parametric-dual node bounds.
-
-    ``seed_cost`` is the best known feasible cost (the greedy cover's);
-    it only tightens pruning.  The search still returns its own
-    canonical optimal selection (see :data:`SEED_EPS`).
-
-    Returns ``(selection, objective, nodes)``; ``selection`` is ``None``
-    only if no solution strictly below ``seed_cost + SEED_EPS`` was
-    recorded (the caller then falls back to the seed's own selection).
-    """
-    n = len(skeleton.attributes)
-    best = seed_cost + SEED_EPS
-    best_sel: np.ndarray | None = None
-    selection = np.full(n, -1, dtype=np.int64)
-    nodes = 0
-
-    def recurse(k: int, cost: float, remaining: float) -> None:
-        nonlocal best, best_sel, nodes
-        nodes += 1
-        if node_limit is not None and nodes > node_limit:
-            raise RecourseInfeasibleError(
-                f"signature search node limit ({node_limit}) exceeded"
-            )
-        if remaining <= FEASIBILITY_TOL and skeleton.suffix_negcost[k] == 0.0:
-            # Covered, and no negative-cost option below could reduce
-            # the objective: stopping here is the optimal completion.
-            if cost < best - _RECORD_EPS:
-                best = cost
-                best_sel = selection.copy()
-                best_sel[k:] = -1
-            return
-        if k == n:
-            if remaining <= FEASIBILITY_TOL and cost < best - _RECORD_EPS:
-                best = cost
-                best_sel = selection.copy()
-            return
-        bound = skeleton.lp_bound(remaining, k)
-        if cost + bound >= best - _RECORD_EPS:
-            return
-        gains_k = skeleton.opt_gains[k]
-        costs_k = skeleton.opt_costs[k]
-        for j in range(len(gains_k)):
-            selection[k] = j
-            recurse(k + 1, cost + float(costs_k[j]), remaining - float(gains_k[j]))
-        selection[k] = -1
-
-    recurse(0, 0.0, needed)
-    if best_sel is None:
-        return None, seed_cost, nodes
-    return best_sel, float(best), nodes
 
 
 def selection_to_codes(

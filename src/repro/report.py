@@ -155,8 +155,7 @@ def render_recourse_audit(
         mode = audit.get("mode", "exact")
         lines.append(
             f"solver ({mode}): {solver.get('solved_signatures', 0)} distinct "
-            f"signatures, {solver.get('search_nodes', 0)} search nodes, "
-            f"{solver.get('certified_by_lp_bound', 0)} LP-certified"
+            f"signatures, {solver.get('search_nodes', 0)} search nodes"
         )
     return "\n".join(lines)
 

@@ -3,8 +3,8 @@
 The HTTP tier opens a :func:`scope` from ``REPRO_DEADLINE_MS`` (or the
 ``X-Repro-Deadline-Ms`` header) around the request, which then runs on
 that one thread: the session's lane waits for its lock no longer than
-:func:`remaining_s`, and long compute loops — the recourse solver above
-all, between signatures — call :func:`check` between units of work.
+:func:`remaining_s`, and long compute loops — the recourse search above
+all, once per level — call :func:`check` between units of work.
 Deadlines are absolute ``time.monotonic()`` instants, so time spent
 waiting for the lane counts against the budget, which is what lets the
 lane fail queued-but-expired requests fast instead of computing answers

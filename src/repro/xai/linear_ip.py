@@ -12,9 +12,9 @@ The program is the one LEWIS recourse solves per signature (one new
 value or none per actionable attribute, one "gain >= needed" row), so
 it is built by :func:`~repro.core.recourse.program_skeleton` and solved
 by the same exact step, :func:`~repro.core.recourse_kernel.exact_step`.
-Where several action sets tie at the optimal cost, the one returned may
-differ from what a general MILP solver (HiGHS, the test oracle) picks;
-feasibility and cost agree.
+Where several action sets tie at the optimal cost, the kernel's written
+tie rule picks one, which may differ from what a general MILP solver
+(HiGHS, the test oracle) picks; feasibility and cost agree.
 """
 
 from __future__ import annotations

@@ -49,6 +49,26 @@ def german_lewis(german_bundle, german_model):
 
 
 @pytest.fixture(scope="session")
+def adult_lewis_bundle():
+    """A Lewis explainer over a 2,000-row adult replica, and its bundle."""
+    bundle = load_dataset("adult", n_rows=2_000, seed=0)
+    train, test = train_test_split(bundle.table, seed=0)
+    model = fit_table_model(
+        "random_forest",
+        train,
+        bundle.feature_names,
+        bundle.label,
+        seed=0,
+        n_estimators=15,
+        max_depth=8,
+    )
+    lewis = Lewis(
+        model, data=test, graph=bundle.graph, positive_outcome=bundle.positive_label
+    )
+    return lewis, bundle
+
+
+@pytest.fixture(scope="session")
 def toy_scm():
     """Tiny 3-node chain SCM: Z -> X -> Y with known mechanisms.
 

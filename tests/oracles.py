@@ -20,11 +20,17 @@ and the parity tests hold the batched paths to them at 1e-12:
 * :func:`solve_ip_milp` — one recourse 0-1 program (a
   :class:`SignatureSkeleton` and the gain it must reach) solved by
   scipy's HiGHS MILP on :func:`skeleton_matrices`, which the LinearIP
-  parity test holds the kernel's exact step to; :func:`milp_exact_step`
-  wraps it as a drop-in for ``recourse_kernel.exact_step``, which the
-  LEWIS recourse parity tests and ``bench_recourse_scale.py`` swap in.
-  scipy is a test-only dependency of recourse: the library's one exact
-  solver is the parametric search;
+  parity test holds the kernel's exact step to;
+  :func:`milp_frontier_search` runs it per program as a drop-in for
+  ``recourse_kernel.frontier_search``, which the LEWIS recourse parity
+  tests and ``bench_recourse_scale.py`` swap in.  scipy is a test-only
+  dependency of recourse: the library's one exact solver is the
+  parametric frontier search;
+* :func:`dfs_exact_step` — the depth-first recursion that was the exact
+  search before the frontier, under the kernel's written tie rule, which
+  ``tests/test_recourse_frontier.py`` holds the frontier's selections and
+  costs to, bit for bit; :func:`dfs_frontier_search` drives a solver
+  with it;
 * :func:`cohort` — a recourse cohort written by hand as ``{column:
   code}`` rows, built into the :class:`Table` in a table's domains that
   ``RecourseSolver.solve_batch`` takes;
@@ -72,6 +78,7 @@ from repro.core.explanations import (
     _truncated_pairs,
 )
 from repro.core.recourse import RecourseSolver
+from repro.core.recourse_kernel import SearchResult
 from repro.core.scores import ScoreEstimator, ScoreTriple
 from repro.data.encoding import OneHotEncoder
 from repro.data.table import Table
@@ -80,7 +87,12 @@ from repro.estimation.logit import LogitModel
 from repro.estimation.outcome_model import OutcomeProbabilityModel
 from repro.models.linear import LogisticRegression
 from repro.monitor.summaries import _summarize
-from repro.opt.parametric import FEASIBILITY_TOL, SignatureSkeleton
+from repro.opt.parametric import (
+    FEASIBILITY_TOL,
+    SignatureSkeleton,
+    SkeletonPack,
+    prune_margin,
+)
 from repro.utils.exceptions import EstimationError, GraphError
 
 
@@ -563,22 +575,113 @@ def gain_of(skeleton: SignatureSkeleton, chosen: Mapping[str, int]) -> float:
     return total
 
 
-def milp_exact_step(
-    skeleton: SignatureSkeleton,
-    needed: float,
-    stats: dict | None = None,
-) -> tuple[dict[str, int], float, float] | None:
-    """Drop-in for ``recourse_kernel.exact_step`` backed by HiGHS.
+def _selection_of(
+    skeleton: SignatureSkeleton, chosen: Mapping[str, int]
+) -> np.ndarray:
+    """Option index per rank of an attribute->code set (the no-op elsewhere)."""
+    codes = dict(zip(skeleton.attributes, skeleton.current))
+    codes.update(chosen)
+    return np.array(
+        [
+            int(np.flatnonzero(options == codes[skeleton.attributes[a]])[0])
+            for a, options in zip(skeleton.order, skeleton.opt_codes)
+        ],
+        dtype=np.int64,
+    )
 
-    Returns ``None`` when no action set covers ``needed``, like the
-    kernel's step; ``stats`` is accepted for the signature and left
-    untouched.
+
+def _one_at_a_time(pack: SkeletonPack, rows, needed, step) -> SearchResult:
+    """A ``frontier_search`` drop-in that runs ``step`` per program.
+
+    ``step(skeleton, needed)`` returns ``(selection, cost)`` or ``None``.
     """
-    solved = solve_ip_milp(skeleton, needed)
-    if solved is None:
+    count = len(rows)
+    selection = np.full((count, pack.n_ranks), -1, dtype=np.int64)
+    objective = np.full(count, np.inf)
+    found = np.zeros(count, dtype=bool)
+    for i, (row, need) in enumerate(zip(rows, needed)):
+        solved = step(pack.skeletons[row], float(need))
+        if solved is not None:
+            selection[i], objective[i] = solved
+            found[i] = True
+    return SearchResult(
+        selection, objective, found, np.zeros(count, np.int64), np.zeros(count, bool)
+    )
+
+
+def milp_frontier_search(pack: SkeletonPack, rows, needed) -> SearchResult:
+    """Drop-in for ``recourse_kernel.frontier_search`` backed by HiGHS.
+
+    Solves one program at a time; a chosen set comes back as its option
+    index per rank, and its cost is the MILP's objective.
+    """
+
+    def step(skeleton, need):
+        solved = solve_ip_milp(skeleton, need)
+        if solved is None:
+            return None
+        return _selection_of(skeleton, solved[0]), solved[1]
+
+    return _one_at_a_time(pack, rows, needed, step)
+
+
+def dfs_exact_step(
+    skeleton: SignatureSkeleton, needed: float
+) -> tuple[np.ndarray, float] | None:
+    """The recursive depth-first search, as the kernel's tie-rule oracle.
+
+    Ranks, options and ending branches follow the kernel's order, and a
+    set replaces the incumbent only when strictly cheaper, so among
+    equally cheap sets the first depth-first wins.  Nodes are bounded
+    and pruned as the kernel does (grid bound at ``remaining -
+    FEASIBILITY_TOL``, kept within ``prune_margin`` of the incumbent),
+    with no seed and no node budget.  Returns ``(selection, cost)``,
+    ``selection[rank]`` the option index or -1 past the branch's end,
+    or ``None`` when no set covers.
+    """
+    n = len(skeleton.attributes)
+    best = np.inf
+    best_selection: np.ndarray | None = None
+    selection = np.full(n, -1, dtype=np.int64)
+
+    def recurse(k: int, cost: float, remaining: float) -> None:
+        nonlocal best, best_selection
+        if remaining <= FEASIBILITY_TOL and skeleton.suffix_negcost[k] == 0.0:
+            # Covered, and no negative-cost option below could lower the
+            # cost: the branch ends here.
+            if cost < best:
+                best = cost
+                best_selection = selection.copy()
+                best_selection[k:] = -1
+            return
+        if k == n:
+            return
+        r = remaining - FEASIBILITY_TOL
+        if r > skeleton.suffix_gain[k]:
+            return
+        values = r * skeleton.grid - skeleton.suffix_h[k]
+        at = int(np.argmax(values))
+        margin = prune_margin(
+            cost, best, r, skeleton.grid[at], skeleton.cost_scale, skeleton.gain_scale
+        )
+        if cost + float(values[at]) > best + margin:
+            return
+        for j, (step_cost, gain) in enumerate(
+            zip(skeleton.opt_costs[k], skeleton.opt_gains[k])
+        ):
+            selection[k] = j
+            recurse(k + 1, cost + float(step_cost), remaining - float(gain))
+        selection[k] = -1
+
+    recurse(0, 0.0, float(needed))
+    if best_selection is None:
         return None
-    chosen, objective = solved
-    return chosen, objective, gain_of(skeleton, chosen)
+    return best_selection, float(best)
+
+
+def dfs_frontier_search(pack: SkeletonPack, rows, needed) -> SearchResult:
+    """Drop-in for ``recourse_kernel.frontier_search`` backed by the DFS."""
+    return _one_at_a_time(pack, rows, needed, dfs_exact_step)
 
 
 def _scan_rates(

@@ -96,9 +96,8 @@ class TestMetricsEndpoint:
         assert {
             "repro_solver_signature_solves_total",
             "repro_solver_search_nodes_total",
-            "repro_solver_certified_total",
         } <= solver
-        for removed in ("donor", "pool", "parallel", "chunk"):
+        for removed in ("donor", "pool", "parallel", "chunk", "certified"):
             assert not any(removed in family for family in solver), removed
 
     def test_v1_metrics_alias(self, server):

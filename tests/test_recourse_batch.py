@@ -230,7 +230,6 @@ class TestSolverStats:
             "infeasible_signatures",
             "program_skeletons",
             "signature_solves",
-            "certified_by_lp_bound",
             "search_nodes",
         }
         assert stats["solvers"] == 1

@@ -12,17 +12,16 @@ through ``recourse_kernel.exact_step``.  Two checks hold it exact:
   thresholds.  Equal-cost optima may pick different action sets, so
   the comparison is feasibility and cost.
 
-The step accepts an action set whose gain falls short of ``needed`` by
-at most ``FEASIBILITY_TOL`` (1e-9), but its LP bounds ask for the full
-``needed``.  So its cost lies between the cheapest set that covers with
-that slack and the cheapest set that covers without it, and it finds a
-set whenever one covers without the slack.  The two minima are equal
-unless some set's gain lands inside the 1e-9 band below ``needed``.
+A set covers when its gain comes within ``FEASIBILITY_TOL`` (1e-9) of
+``needed``, and the search bounds every node at ``remaining -
+FEASIBILITY_TOL``, so the step's cost equals the least cost of any set
+that covers with that slack, gains subtracted from ``needed`` in the
+kernel's rank order, as the enumeration here does too.
 
 Small hand-made programs pin the cases one at a time: the program's
 bookkeeping and its scipy matrices, negative costs, exclusivity, an
-uncoverable or empty program, the certificate and node counters, the
-kernel's node budget, and how the oracle reads HiGHS's statuses.
+uncoverable or empty program, the frontier-node counter, the kernel's
+node budget, and how the oracle reads HiGHS's statuses.
 """
 
 from __future__ import annotations
@@ -35,17 +34,17 @@ import oracles
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from oracles import gain_of, milp_exact_step, skeleton_matrices, solve_ip_milp
+from oracles import gain_of, milp_frontier_search, skeleton_matrices, solve_ip_milp
 
-from repro import Lewis, fit_table_model, load_dataset, train_test_split
 from repro.core import recourse_kernel
 from repro.core.recourse import program_skeleton, unit_step_cost
-from repro.core.recourse_kernel import exact_step, solve_signature
+from repro.core.recourse_kernel import exact_step, frontier_search, solve_signature
 from repro.estimation.logit import logit
 from repro.data.table import Column, Table
 from repro.opt.parametric import (
     FEASIBILITY_TOL,
     SignatureSkeleton,
+    SkeletonPack,
     selection_stats,
     selection_to_codes,
 )
@@ -88,15 +87,23 @@ def signature_programs(draw) -> tuple[SignatureSkeleton, float]:
 
 
 def enumerate_cheapest(skeleton: SignatureSkeleton, needed: float) -> float | None:
-    """Least cost over every action set gaining ``needed``; ``None`` if none."""
-    per_attribute = [
-        [(0.0, 0.0)] + list(zip(costs, gains))
-        for costs, gains in zip(skeleton.costs, skeleton.gains)
+    """Least cost over every action set covering ``needed`` within the slack.
+
+    Gains are subtracted from ``needed`` and costs added up in the
+    kernel's rank order, so the two agree to the bit; ``None`` when no
+    set covers.
+    """
+    per_rank = [
+        list(zip(skeleton.costs[a], skeleton.gains[a])) + [(0.0, 0.0)]
+        for a in skeleton.order
     ]
     best = None
-    for picks in itertools.product(*per_attribute):
-        if sum(gain for _, gain in picks) >= needed:
-            cost = sum(cost for cost, _ in picks)
+    for picks in itertools.product(*per_rank):
+        cost, remaining = 0.0, float(needed)
+        for step_cost, gain in picks:
+            cost += float(step_cost)
+            remaining -= float(gain)
+        if remaining <= FEASIBILITY_TOL:
             best = cost if best is None else min(best, cost)
     return best
 
@@ -111,7 +118,7 @@ def cost_of(skeleton: SignatureSkeleton, chosen: dict[str, int]) -> float:
 
 @given(signature_programs())
 # A gain of -6e-190 lies inside the slack: covering with it costs -0.5,
-# covering without it 0, and the step returns the latter.
+# covering without it 0, and the step returns the former.
 @example((make_skeleton([[(-1.0, -0.5), (-0.5, -5.95e-190)]]), 0.0))
 # Regression: options whose gains differ by ~2e-308 meet at y ~ 9e307 on
 # the dual grid, where the bound overflowed to nan and the step called
@@ -122,17 +129,13 @@ def cost_of(skeleton: SignatureSkeleton, chosen: dict[str, int]) -> float:
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_exact_step_matches_enumeration(program):
     skeleton, needed = program
-    strict = enumerate_cheapest(skeleton, needed)
-    slack = enumerate_cheapest(skeleton, needed - FEASIBILITY_TOL)
+    cheapest = enumerate_cheapest(skeleton, needed)
     solved = exact_step(skeleton, needed)
     if solved is None:
-        assert strict is None
+        assert cheapest is None
         return
-    assert slack is not None
     chosen, objective, gain = solved
-    assert objective >= slack - 1e-9
-    if strict is not None:
-        assert objective <= strict + 1e-9
+    assert objective == cheapest
     assert cost_of(skeleton, chosen) == pytest.approx(objective, abs=1e-9)
     assert gain == pytest.approx(gain_of(skeleton, chosen), abs=1e-9)
     # 1e-12 on top of the slack: the step sums the gains in its own order.
@@ -281,88 +284,102 @@ class TestExactStep:
         # The sweep ends past the best gain, so both answers occur.
         assert outcomes == {True, False}
 
-    def test_stats_count_certificates_and_search_nodes(self):
+    def test_stats_count_search_nodes(self):
         skeleton = make_skeleton([[(1.0, 1.0)], [(3.0, 2.0)], [(3.0, 2.0)]])
-        stats = {"certified": 0, "nodes": 0}
-        # At 3 the greedy a0 + a1 costs 4, the LP root bound: certified.
-        assert exact_step(skeleton, 3.0, stats)[1] == 4.0
-        assert stats == {"certified": 1, "nodes": 0}
-        # At 2 the greedy's 3 sits above the bound 2.5: the search runs.
-        assert exact_step(skeleton, 2.0, stats)[1] == 3.0
-        assert stats["certified"] == 1
-        assert stats["nodes"] > 0
+        stats = {"nodes": 0}
+        # At 3: the root, its 2 children, their 4, and the 4 children
+        # of the two nodes that still need a0 -- 11 frontier nodes.
+        assert exact_step(skeleton, 3.0, stats) == ({"a1": 1, "a0": 1}, 4.0, 3.0)
+        assert stats == {"nodes": 11}
+        # At 2 taking a1 covers on level 1; of the no-op's 2 children,
+        # the one that takes a2 ties at 3 and loses to a1, which comes
+        # first, and the other cannot cover: 5 nodes.
+        assert exact_step(skeleton, 2.0, stats) == ({"a1": 1}, 3.0, 2.0)
+        assert stats == {"nodes": 16}
 
     def test_node_budget_exhaustion_raises(self, monkeypatch):
         skeleton = make_skeleton([[(1.0, 1.0)], [(3.0, 2.0)], [(3.0, 2.0)]])
-        monkeypatch.setattr(recourse_kernel, "NODE_LIMIT", 2)
+        # The search at 2 takes 5 frontier nodes: a budget of 5 is enough.
+        monkeypatch.setattr(recourse_kernel, "NODE_LIMIT", 5)
+        assert exact_step(skeleton, 2.0)[1] == 3.0
+        monkeypatch.setattr(recourse_kernel, "NODE_LIMIT", 4)
         with pytest.raises(RecourseInfeasibleError, match="node limit"):
             exact_step(skeleton, 2.0)
-        # A certified cover runs no search, so no budget applies.
-        assert exact_step(skeleton, 3.0)[1] == 4.0
 
     @staticmethod
-    def record_steps(monkeypatch, step=exact_step) -> list[float]:
-        """Route ``solve_signature``'s exact steps through ``step``,
+    def record_searches(monkeypatch, search=frontier_search) -> list[list[float]]:
+        """Route ``solve_signature``'s exact search through ``search``,
         recording the ``needed`` of each call."""
         calls = []
 
-        def recording(skeleton, needed, stats=None):
-            calls.append(needed)
-            return step(skeleton, needed, stats)
+        def recording(pack, rows, needed):
+            calls.append([float(need) for need in needed])
+            return search(pack, rows, needed)
 
-        monkeypatch.setattr(recourse_kernel, "exact_step", recording)
+        monkeypatch.setattr(recourse_kernel, "frontier_search", recording)
         return calls
+
+    @staticmethod
+    def solve_one(skeleton, base_logit, alpha):
+        """``solve_signature`` on a batch of one: its answer's fields."""
+        pack = SkeletonPack.of([skeleton])
+        answers = solve_signature(pack, [0], [base_logit], alpha)
+        return SimpleNamespace(**{k: v[0] for k, v in answers._asdict().items()})
 
     def test_signature_past_its_node_budget_reads_unreachable(self, monkeypatch):
         skeleton = make_skeleton([[(1.0, 1.0)], [(3.0, 2.0)], [(3.0, 2.0)]])
-        answer = solve_signature(skeleton, -2.0, 0.5)
-        assert answer["status"] == "ok"
-        assert answer["stats"]["nodes"] > 2
-        monkeypatch.setattr(recourse_kernel, "NODE_LIMIT", 2)
-        steps = self.record_steps(monkeypatch)
-        answer = solve_signature(skeleton, -2.0, 0.5)
-        assert answer["status"] == "infeasible"
-        assert answer["reason"] == "unreachable"
-        # One step per signature: an exhausted budget is not retried.
-        assert len(steps) == 1
+        answer = self.solve_one(skeleton, -2.0, 0.5)
+        assert answer.status == recourse_kernel.OK
+        assert answer.nodes == 11
+        monkeypatch.setattr(recourse_kernel, "NODE_LIMIT", 10)
+        searches = self.record_searches(monkeypatch)
+        answer = self.solve_one(skeleton, -2.0, 0.5)
+        assert answer.status == recourse_kernel.UNREACHABLE
+        # One search per signature: an exhausted budget is not retried.
+        assert len(searches) == 1
 
     def test_signature_is_solved_once_at_the_eq28_threshold(self, monkeypatch):
         skeleton = make_skeleton([[(1.0, 1.0)], [(3.0, 2.0)], [(3.0, 2.0)]])
-        steps = self.record_steps(monkeypatch)
-        answer = solve_signature(skeleton, -2.0, 0.5)
+        searches = self.record_searches(monkeypatch)
+        answer = self.solve_one(skeleton, -2.0, 0.5)
         base = 1.0 / (1.0 + np.exp(2.0))
         threshold = min(base + 0.5 * (1.0 - base), 1.0 - 1e-6)
-        assert answer["status"] == "ok"
-        assert answer["threshold"] == threshold
-        assert steps == [logit(threshold) + 2.0]
-        assert answer["sufficiency"] >= 0.5 - 1e-9
-        assert set(answer["stats"]) == {"nodes", "certified"}
+        assert answer.status == recourse_kernel.OK
+        assert answer.threshold == threshold
+        assert searches == [[logit(threshold) + 2.0]]
+        assert answer.sufficiency >= 0.5 - 1e-9
 
     def test_short_solution_reads_unreachable(self, monkeypatch):
         """A solution whose re-scored sufficiency misses ``alpha`` by more
         than 1e-9 reads unreachable; no tighter threshold is tried."""
         skeleton = make_skeleton([[(1.0, 1.0)]])
 
-        def short(skeleton, needed, stats=None):
-            return {"a0": 1}, 1.0, needed - 1e-3
+        def short(pack, rows, needed):
+            # a0's one option (index 0) gains 1, short of the 2.24 needed
+            return recourse_kernel.SearchResult(
+                np.zeros((1, 1), dtype=np.int64),
+                np.ones(1),
+                np.ones(1, dtype=bool),
+                np.ones(1, dtype=np.int64),
+                np.zeros(1, dtype=bool),
+            )
 
-        steps = self.record_steps(monkeypatch, short)
-        answer = solve_signature(skeleton, -2.0, 0.5)
-        assert answer["status"] == "infeasible"
-        assert answer["reason"] == "unreachable"
-        assert len(steps) == 1
+        searches = self.record_searches(monkeypatch, short)
+        answer = self.solve_one(skeleton, -2.0, 0.5)
+        assert answer.status == recourse_kernel.UNREACHABLE
+        assert answer.sufficiency < 0.5 - 1e-9
+        assert len(searches) == 1
 
     def test_unreachable_alphas_take_one_step(self, monkeypatch):
         """Eq. 28's threshold is clamped at ``1 - 1e-6``, so an option
         that just covers the clamped threshold misses these alphas: one
-        step, then unreachable."""
+        search, then unreachable."""
         skeleton = make_skeleton([[(1.0, 15.9)]])
-        steps = self.record_steps(monkeypatch)
+        searches = self.record_searches(monkeypatch)
         for alpha in (0.999999, 1.0):
-            answer = solve_signature(skeleton, -2.0, alpha)
-            assert answer["status"] == "infeasible"
-            assert answer["reason"] == "unreachable"
-        assert len(steps) == 2
+            answer = self.solve_one(skeleton, -2.0, alpha)
+            assert answer.status == recourse_kernel.UNREACHABLE
+        assert len(searches) == 2
 
 
 class TestMilpOracle:
@@ -384,42 +401,26 @@ class TestMilpOracle:
         with pytest.raises(RuntimeError, match="status 4: numerical trouble"):
             solve_ip_milp(make_skeleton([[(1.0, 1.0)]]), 1.0)
 
-    def test_drop_in_returns_the_kernel_step_shape(self):
+    def test_drop_in_returns_the_kernel_search_shape(self):
         skeleton = make_skeleton(
             [[(1.0, 0.4), (2.0, 0.9), (3.0, 1.5)], [(1.0, 0.4)], [(-0.5, 0.0)]]
         )
-        for needed in (-0.5, 0.0, 1.0, 1.9, 2.0):
-            kernel = exact_step(skeleton, needed)
-            oracle = milp_exact_step(skeleton, needed)
-            assert (kernel is None) == (oracle is None)
-            if kernel is None:
-                continue
-            chosen, cost, gain = oracle
-            assert cost == pytest.approx(kernel[1], abs=1e-9)
-            assert gain == gain_of(skeleton, chosen)
-            assert gain >= needed - FEASIBILITY_TOL
+        needs = (-0.5, 0.0, 1.0, 1.9, 2.0)
+        pack = SkeletonPack.of([skeleton])
+        kernel = frontier_search(pack, [0] * len(needs), needs)
+        oracle = milp_frontier_search(pack, [0] * len(needs), needs)
+        # At 2.0 no set covers: the best gains add up to 1.9.
+        assert oracle.found.tolist() == kernel.found.tolist() == [True] * 4 + [False]
+        for needed, selection, cost, reference in zip(
+            needs[:4], oracle.selection, oracle.objective, kernel.objective
+        ):
+            assert cost == pytest.approx(reference, abs=1e-9)
+            chosen = selection_to_codes(skeleton, selection)
+            assert selection_stats(skeleton, selection)[0] == pytest.approx(cost)
+            assert gain_of(skeleton, chosen) >= needed - FEASIBILITY_TOL
 
 
 THRESHOLDS = (0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
-
-
-@pytest.fixture(scope="module")
-def adult_lewis_bundle():
-    bundle = load_dataset("adult", n_rows=2_000, seed=0)
-    train, test = train_test_split(bundle.table, seed=0)
-    model = fit_table_model(
-        "random_forest",
-        train,
-        bundle.feature_names,
-        bundle.label,
-        seed=0,
-        n_estimators=15,
-        max_depth=8,
-    )
-    lewis = Lewis(
-        model, data=test, graph=bundle.graph, positive_outcome=bundle.positive_label
-    )
-    return lewis, bundle
 
 
 @pytest.mark.parametrize("dataset", ["german", "adult"])

@@ -1,12 +1,12 @@
 """Exact and anytime recourse solving.
 
-Property suite for the signature kernel: the parametric exact search
-must agree with the scipy/HiGHS MILP oracle of ``tests/oracles.py``, a
-row's answer must be the same bits whether it is solved alone or in a
-batch, the serial loop must solve each unsolved signature once and stop
-at the deadline between signatures, and anytime mode's certified
-optimality gap must genuinely upper-bound the distance to the exact
-optimum.
+Property suite for the signature kernel: the parametric frontier
+search must agree with the scipy/HiGHS MILP oracle of
+``tests/oracles.py``, a row's answer must be the same bits whether it is
+solved alone or in a batch, each unsolved signature must reach the batch
+kernel once and the search must stop at an expired deadline within a
+level, and anytime mode's certified optimality gap must genuinely
+upper-bound the distance to the exact optimum.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from oracles import milp_exact_step, skeleton_matrices
+from oracles import milp_frontier_search, skeleton_matrices
 from scipy.optimize import linprog
 
 from repro.core import recourse_kernel
@@ -103,9 +103,17 @@ def lp_value_via_linprog(skeleton: SignatureSkeleton, needed: float) -> float | 
     return float(result.fun)
 
 
-def use_milp_oracle(monkeypatch) -> None:
-    """Swap the kernel's exact step for the HiGHS MILP of ``tests/oracles.py``."""
-    monkeypatch.setattr(recourse_kernel, "exact_step", milp_exact_step)
+def use_milp_oracle(monkeypatch) -> list[int]:
+    """Swap the kernel's frontier search for the HiGHS MILP of
+    ``tests/oracles.py``; returns the programs handed to it per call."""
+    calls = []
+
+    def oracle(pack, rows, needed):
+        calls.append(len(rows))
+        return milp_frontier_search(pack, rows, needed)
+
+    monkeypatch.setattr(recourse_kernel, "frontier_search", oracle)
+    return calls
 
 
 def solve_all(solver, rows, alpha):
@@ -129,8 +137,10 @@ class TestEngineParity:
         actionable = ["skill", "hours", "degree"]
         rows = negative_rows(estimator, limit=60)
         fast = solve_all(RecourseSolver(estimator, actionable), rows, alpha)
-        use_milp_oracle(monkeypatch)
+        calls = use_milp_oracle(monkeypatch)
         oracle = solve_all(RecourseSolver(estimator, actionable), rows, alpha)
+        # The oracle really answered: the kernel is not compared with itself.
+        assert sum(calls) > 10
         checked = 0
         for a, b in zip(fast, oracle):
             if a is None:
@@ -153,10 +163,11 @@ class TestEngineParity:
         fast = solve_all(
             RecourseSolver(estimator, actionable, cost_fn=lopsided), rows, 0.6
         )
-        use_milp_oracle(monkeypatch)
+        calls = use_milp_oracle(monkeypatch)
         oracle = solve_all(
             RecourseSolver(estimator, actionable, cost_fn=lopsided), rows, 0.6
         )
+        assert sum(calls) > 5
         checked = 0
         for a, b in zip(fast, oracle):
             if a is None:
@@ -184,25 +195,23 @@ class TestScalarBatchIdentity:
             assert scalar_solver.solve_batch(rows.take([i]), alpha=0.6)[0] == b
 
 
-def record_kernel_calls(monkeypatch, on_call=None) -> list:
-    """Wrap ``recourse_kernel.solve_signature``; returns the call log."""
+def record_kernel_calls(monkeypatch) -> list:
+    """Wrap ``recourse_kernel.solve_signature``; logs each call's base log-odds."""
     calls = []
     real = recourse_kernel.solve_signature
 
-    def recording(skeleton, *args, **kwargs):
-        calls.append(skeleton.current)
-        if on_call is not None:
-            on_call()
-        return real(skeleton, *args, **kwargs)
+    def recording(pack, rows, base_logits, *args, **kwargs):
+        calls.append(list(base_logits))
+        return real(pack, rows, base_logits, *args, **kwargs)
 
     monkeypatch.setattr(recourse_kernel, "solve_signature", recording)
     return calls
 
 
-class TestSerialLoop:
-    """``solve_batch`` solves each unsolved signature once, in turn."""
+class TestBatchKernel:
+    """``solve_batch`` hands its unsolved signatures to one kernel call."""
 
-    def test_each_distinct_signature_is_solved_once(self, monkeypatch):
+    def test_each_distinct_signature_reaches_the_kernel_once(self, monkeypatch):
         estimator = make_estimator(seed=6)
         solver = RecourseSolver(estimator, ["skill", "hours"])
         rows = negative_rows(estimator, limit=80)
@@ -211,12 +220,18 @@ class TestSerialLoop:
         assert len(distinct) < len(rows)  # the cohort really collides
         calls = record_kernel_calls(monkeypatch)
         first = solver.solve_batch(rows, alpha=0.6, on_infeasible="none")
-        assert len(calls) == len(distinct)
+        assert [len(call) for call in calls] == [len(distinct)]
         assert solver.solution_memo_stats()["signature_solves"] == len(distinct)
         # A repeat is served from the memo: no kernel call, same objects.
         again = solver.solve_batch(rows, alpha=0.6, on_infeasible="none")
-        assert len(calls) == len(distinct)
+        assert len(calls) == 1
         assert all(a is b for a, b in zip(first, again))
+        # A wider batch hands the kernel only the signatures still unsolved.
+        wider = negative_rows(estimator)
+        solver.solve_batch(wider, alpha=0.6, on_infeasible="none")
+        fresh = {tuple(codes) for codes in wider.codes_matrix(names)} - distinct
+        assert len(fresh) > 0
+        assert [len(call) for call in calls] == [len(distinct), len(fresh)]
 
     def test_base_logits_are_scored_in_one_pass(self, monkeypatch):
         estimator = make_estimator(seed=6)
@@ -240,13 +255,12 @@ class TestSerialLoop:
         solver.solve_batch(rows, alpha=0.6, on_infeasible="none")
         assert len(passes) == 2
 
-    def test_deadline_is_checked_between_signatures(self, monkeypatch):
+    def test_deadline_is_checked_once_per_level(self, monkeypatch):
         estimator = make_estimator(seed=6)
         rows = negative_rows(estimator, limit=80)
         reference = RecourseSolver(estimator, ["skill", "hours"]).solve_batch(
             rows, alpha=0.6, on_infeasible="none"
         )
-        solver = RecourseSolver(estimator, ["skill", "hours"])
         # The deadline module's clock, skewed an hour ahead on demand.
         skew = [0.0]
         monkeypatch.setattr(
@@ -254,20 +268,37 @@ class TestSerialLoop:
             "time",
             SimpleNamespace(monotonic=lambda: time.monotonic() + skew[0]),
         )
+        checks = []
+        real_check = _deadline.check
 
-        def expire_once():
-            # The request's deadline passes while the first signature solves.
-            skew[0] = 3600.0
+        def check(what):
+            real_check(what)
+            if what == "recourse search level":
+                checks.append(what)
+                if expire_after[0] == len(checks):
+                    # The deadline passes while this level is searched.
+                    skew[0] = 3600.0
 
-        calls = record_kernel_calls(monkeypatch, on_call=expire_once)
+        monkeypatch.setattr(_deadline, "check", check)
+        expire_after = [None]
+        RecourseSolver(estimator, ["skill", "hours"]).solve_batch(
+            rows, alpha=0.6, on_infeasible="none"
+        )
+        # One check per level: the root level and one per actionable rank.
+        levels = len(checks)
+        assert 2 <= levels <= 3
+        checks.clear()
+        expire_after[0] = 1
+        solver = RecourseSolver(estimator, ["skill", "hours"])
         with _deadline.scope(60_000), pytest.raises(
-            DeadlineExceededError, match="signature solve"
+            DeadlineExceededError, match="recourse search level"
         ):
             solver.solve_batch(rows, alpha=0.6, on_infeasible="none")
-        assert len(calls) == 1
-        # The signature solved in time stays memoised; a retry without a
-        # deadline solves only the rest and answers like a fresh solver.
-        assert solver.solution_memo_stats()["solved_signatures"] == 1
+        # Raised at the second level's check, with nothing memoised; a
+        # retry without a deadline answers like a fresh solver.
+        assert len(checks) == 1
+        assert solver.solution_memo_stats()["solved_signatures"] == 0
+        skew[0] = 0.0
         assert solver.solve_batch(rows, alpha=0.6, on_infeasible="none") == (
             reference
         )
@@ -293,10 +324,12 @@ class TestSerialLoop:
         rows = negative_rows(estimator, limit=5)
         with pytest.raises(TypeError):
             solver.solve_batch(rows, alpha=0.6, max_refinements=1)
-        skeleton = solver._skeleton((0,))
+        row = solver._skeleton_row((0,))
         for option in ({"max_refinements": 4}, {"node_limit": 10}):
             with pytest.raises(TypeError):
-                recourse_kernel.solve_signature(skeleton, -1.0, 0.6, **option)
+                recourse_kernel.solve_signature(
+                    solver._pack, [row], [-1.0], 0.6, **option
+                )
 
 
 class TestAnytimeMode:
